@@ -5,6 +5,9 @@
 //! kernels_json --rows 4096 --zones 1024          # smoke scale
 //! kernels_json --out path.json --markdown        # custom path + README table on stdout
 //! ```
+//!
+//! Exits 1 when any production kernel measured slower than
+//! `kernels::GATE` (0.9x) of its scalar reference.
 
 #![forbid(unsafe_code)]
 
@@ -60,5 +63,23 @@ fn main() {
 
     if markdown {
         println!("\n{}", report.to_markdown());
+    }
+
+    let below = report.below_gate();
+    for k in &below {
+        eprintln!(
+            "below gate: {} {} @ {}% ({} tombstones): production {:.3} ns/row vs reference {:.3} ({:.2}x < {}x)",
+            k.kernel,
+            k.ty,
+            k.selectivity_pct,
+            k.tombstone_pct.map_or("no".to_string(), |t| format!("{t}%")),
+            k.production_ns_per_row,
+            k.reference_ns_per_row,
+            k.speedup(),
+            kernels::GATE,
+        );
+    }
+    if !below.is_empty() {
+        std::process::exit(1);
     }
 }

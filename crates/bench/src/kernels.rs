@@ -1,13 +1,16 @@
 //! The kernel benchmark behind `results/BENCH_kernels.json`.
 //!
-//! Measures the block-structured scan kernels of `ads_storage::scan`
-//! against their retained scalar references (`scan::scalar`) across value
-//! type × selectivity, and the SoA prune plane of `AdaptiveZonemap`
-//! against its retained array-of-structs loop
-//! ([`AdaptiveZonemap::prune_via_zones`]) on an all-built zone map. The
-//! report renders as machine-readable JSON (the repo's perf-trajectory
-//! format, schema `ads-kernel-bench/v1`) and as the markdown table
-//! embedded in the README.
+//! Measures the production scan kernels of `ads_storage::scan` against
+//! their per-row references (`scan::scalar`) across value type ×
+//! selectivity, the liveness-generic kernels over a `DeleteVector` at 0 %,
+//! 0.1 % and 5 % tombstones against the same (unmasked) references, and
+//! the SoA prune plane of `AdaptiveZonemap` against its retained
+//! array-of-structs loop ([`AdaptiveZonemap::prune_via_zones`]) on an
+//! all-built zone map. The report renders as machine-readable JSON (the
+//! repo's perf-trajectory format, schema `ads-kernel-bench/v2`) and as the
+//! markdown table embedded in the README. A production cell slower than
+//! [`GATE`] times its reference is a regression: `kernels_json` exits
+//! non-zero on it.
 //!
 //! Run via:
 //!
@@ -20,7 +23,7 @@ use crate::microbench::{bench, black_box, section};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_rng::StdRng;
-use ads_storage::{scan, Bitmap, DataValue, RowRange};
+use ads_storage::{scan, Bitmap, DataValue, DeleteVector, RowRange};
 use std::fmt::Write as _;
 
 /// Value domain the generated columns draw from; selectivity percentages
@@ -29,6 +32,16 @@ const DOMAIN: i64 = 1_000_000;
 
 /// Selectivities measured, in percent of the domain.
 const SELECTIVITIES: [u32; 4] = [1, 10, 50, 100];
+
+/// Tombstone densities of the masked rows, in percent of the rows.
+const TOMBSTONES: [f64; 3] = [0.0, 0.1, 5.0];
+
+/// Selectivity of the masked rows: the repo benchmark's predicate width,
+/// where its mutation workload runs.
+const MASKED_SELECTIVITY: u32 = 1;
+
+/// The least reference-over-production time ratio a cell may show.
+pub const GATE: f64 = 0.9;
 
 /// One kernel × type × selectivity measurement.
 #[derive(Debug, Clone)]
@@ -39,18 +52,22 @@ pub struct KernelRow {
     pub ty: &'static str,
     /// Predicate selectivity in percent of the domain.
     pub selectivity_pct: u32,
+    /// Tombstoned rows in percent, for a masked row (production ran over
+    /// a `DeleteVector`, the reference unmasked); `None` for all-live.
+    pub tombstone_pct: Option<f64>,
     /// Rows scanned per call.
     pub rows: usize,
-    /// Best-of-samples per-row time of the block kernel.
-    pub block_ns_per_row: f64,
+    /// Best-of-samples per-row time of the production kernel.
+    pub production_ns_per_row: f64,
     /// Best-of-samples per-row time of the scalar reference.
-    pub scalar_ns_per_row: f64,
+    pub reference_ns_per_row: f64,
 }
 
 impl KernelRow {
-    /// Scalar-over-block time ratio (>1 means the block kernel is faster).
+    /// Reference-over-production time ratio (>1 means production is
+    /// faster).
     pub fn speedup(&self) -> f64 {
-        self.scalar_ns_per_row / self.block_ns_per_row
+        self.reference_ns_per_row / self.production_ns_per_row
     }
 }
 
@@ -87,23 +104,33 @@ fn json_num(x: f64) -> String {
 }
 
 impl KernelReport {
-    /// Renders the report as the `ads-kernel-bench/v1` JSON document.
+    /// Cells whose production kernel is slower than [`GATE`] times its
+    /// reference.
+    pub fn below_gate(&self) -> Vec<&KernelRow> {
+        let losing = |k: &&KernelRow| k.speedup() < GATE;
+        self.kernels.iter().filter(losing).collect()
+    }
+
+    /// Renders the report as the `ads-kernel-bench/v2` JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"ads-kernel-bench/v1\",\n");
+        s.push_str("  \"schema\": \"ads-kernel-bench/v2\",\n");
         let _ = writeln!(s, "  \"rows\": {},", self.rows);
+        let _ = writeln!(s, "  \"gate\": {},", json_num(GATE));
+        let _ = writeln!(s, "  \"below_gate\": {},", self.below_gate().len());
         s.push_str("  \"kernels\": [\n");
         for (i, k) in self.kernels.iter().enumerate() {
             let _ = write!(
                 s,
-                "    {{\"kernel\": \"{}\", \"type\": \"{}\", \"selectivity_pct\": {}, \"rows\": {}, \"block_ns_per_row\": {}, \"scalar_ns_per_row\": {}, \"speedup\": {}}}",
+                "    {{\"kernel\": \"{}\", \"type\": \"{}\", \"selectivity_pct\": {}, \"tombstone_pct\": {}, \"rows\": {}, \"production_ns_per_row\": {}, \"reference_ns_per_row\": {}, \"speedup\": {}}}",
                 k.kernel,
                 k.ty,
                 k.selectivity_pct,
+                k.tombstone_pct.map_or("null".to_string(), json_num),
                 k.rows,
-                json_num(k.block_ns_per_row),
-                json_num(k.scalar_ns_per_row),
+                json_num(k.production_ns_per_row),
+                json_num(k.reference_ns_per_row),
                 json_num(k.speedup()),
             );
             s.push_str(if i + 1 < self.kernels.len() {
@@ -132,23 +159,26 @@ impl KernelReport {
         s
     }
 
-    /// Renders the README's kernel-performance table: per-row times at 10%
-    /// selectivity plus the prune-loop comparison.
+    /// Renders the README's kernel-performance table: the all-live rows
+    /// at 10% selectivity, the masked rows, and the prune-loop comparison.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "| Kernel | Type | Block ns/row | Scalar ns/row | Speedup |"
+            "| Kernel | Type | Tombstones | Production ns/row | Reference ns/row | Speedup |"
         );
-        let _ = writeln!(s, "|---|---|---:|---:|---:|");
-        for k in self.kernels.iter().filter(|k| k.selectivity_pct == 10) {
+        let _ = writeln!(s, "|---|---|---:|---:|---:|---:|");
+        let shown = |k: &&KernelRow| k.tombstone_pct.is_some() || k.selectivity_pct == 10;
+        for k in self.kernels.iter().filter(shown) {
             let _ = writeln!(
                 s,
-                "| `{}` | {} | {:.3} | {:.3} | {:.2}x |",
+                "| `{}` @ {}% | {} | {} | {:.3} | {:.3} | {:.2}x |",
                 k.kernel,
+                k.selectivity_pct,
                 k.ty,
-                k.block_ns_per_row,
-                k.scalar_ns_per_row,
+                k.tombstone_pct.map_or("-".to_string(), |t| format!("{t}%")),
+                k.production_ns_per_row,
+                k.reference_ns_per_row,
                 k.speedup()
             );
         }
@@ -177,6 +207,20 @@ fn sel_bound(pct: u32) -> i64 {
     (DOMAIN * pct as i64) / 100 - 1
 }
 
+/// A delete vector over `rows` rows with `pct` percent of them tombstoned,
+/// evenly spread.
+fn tombstones(rows: usize, pct: f64) -> DeleteVector {
+    let mut live = DeleteVector::new(rows, 0);
+    if pct > 0.0 {
+        // narrowing: a stride of at least one row.
+        let stride = (100.0 / pct).round().max(1.0) as usize;
+        for row in (0..rows).step_by(stride) {
+            live.delete(row);
+        }
+    }
+    live
+}
+
 /// Measures every kernel over one typed column; `cast` maps the canonical
 /// integer column into the measured type.
 fn bench_type<T: DataValue>(
@@ -187,76 +231,152 @@ fn bench_type<T: DataValue>(
 ) {
     let data: Vec<T> = base.iter().map(|&v| cast(v)).collect();
     let rows = data.len();
-    let lo = cast(0);
-    for pct in SELECTIVITIES {
-        let hi = cast(sel_bound(pct));
-        section(&format!("{ty} @ {pct}% selectivity ({rows} rows)"));
-        let mut push = |kernel: &'static str, block_ns: f64, scalar_ns: f64| {
+    // Opaque bounds: a constant range would let the compiler specialise
+    // the reference loops in a way no query ever sees.
+    let lo = black_box(cast(0));
+    let mut positions = Vec::with_capacity(rows);
+    let mut bm = Bitmap::new(rows);
+    let mut push_row =
+        |kernel, selectivity_pct, tombstone_pct, production_ns: f64, reference_ns: f64| {
             out.push(KernelRow {
                 kernel,
                 ty,
-                selectivity_pct: pct,
+                selectivity_pct,
+                tombstone_pct,
                 rows,
-                block_ns_per_row: block_ns / rows as f64,
-                scalar_ns_per_row: scalar_ns / rows as f64,
+                production_ns_per_row: production_ns / rows as f64,
+                reference_ns_per_row: reference_ns / rows as f64,
             });
         };
+    for pct in SELECTIVITIES {
+        let hi = black_box(cast(sel_bound(pct)));
+        section(&format!("{ty} @ {pct}% selectivity ({rows} rows)"));
+        let mut push = |kernel, production_ns, reference_ns| {
+            push_row(kernel, pct, None, production_ns, reference_ns)
+        };
 
-        let b = bench("count_in_range/block", || {
+        let p = bench("count_in_range/production", || {
             scan::count_in_range(black_box(&data), lo, hi)
         });
-        let r = bench("count_in_range/scalar", || {
+        let r = bench("count_in_range/reference", || {
             scan::scalar::count_in_range(black_box(&data), lo, hi)
         });
-        push("count_in_range", b.best_ns, r.best_ns);
+        push("count_in_range", p.best_ns, r.best_ns);
 
-        let b = bench("count_with_minmax/block", || {
+        let p = bench("count_with_minmax/production", || {
             scan::count_in_range_with_minmax(black_box(&data), lo, hi)
         });
-        let r = bench("count_with_minmax/scalar", || {
+        let r = bench("count_with_minmax/reference", || {
             scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi)
         });
-        push("count_in_range_with_minmax", b.best_ns, r.best_ns);
+        push("count_in_range_with_minmax", p.best_ns, r.best_ns);
 
-        let b = bench("sum_in_range/block", || {
+        let p = bench("sum_in_range/production", || {
             scan::sum_in_range(black_box(&data), lo, hi)
         });
-        let r = bench("sum_in_range/scalar", || {
+        let r = bench("sum_in_range/reference", || {
             scan::scalar::sum_in_range(black_box(&data), lo, hi)
         });
-        push("sum_in_range", b.best_ns, r.best_ns);
+        push("sum_in_range", p.best_ns, r.best_ns);
 
-        let mut positions = Vec::with_capacity(rows);
-        let b = bench("collect_in_range/block", || {
+        let p = bench("aggregate_in_range/production", || {
+            scan::aggregate_in_range(black_box(&data), lo, hi)
+        });
+        let r = bench("aggregate_in_range/reference", || {
+            scan::scalar::aggregate_in_range(black_box(&data), lo, hi)
+        });
+        push("aggregate_in_range", p.best_ns, r.best_ns);
+
+        let p = bench("collect_in_range/production", || {
             positions.clear();
             scan::collect_in_range(black_box(&data), 0, lo, hi, &mut positions);
             positions.len()
         });
-        let r = bench("collect_in_range/scalar", || {
+        let r = bench("collect_in_range/reference", || {
             positions.clear();
             scan::scalar::collect_in_range(black_box(&data), 0, lo, hi, &mut positions);
             positions.len()
         });
-        push("collect_in_range", b.best_ns, r.best_ns);
+        push("collect_in_range", p.best_ns, r.best_ns);
 
-        let mut bm = Bitmap::new(rows);
-        let b = bench("fill_bitmap_in_range/block", || {
+        let p = bench("collect_with_minmax/production", || {
+            positions.clear();
+            scan::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
+        });
+        let r = bench("collect_with_minmax/reference", || {
+            positions.clear();
+            scan::scalar::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
+        });
+        push("collect_in_range_with_minmax", p.best_ns, r.best_ns);
+
+        let p = bench("fill_bitmap_in_range/production", || {
             scan::fill_bitmap_in_range(black_box(&data), 0, lo, hi, &mut bm);
             bm.len()
         });
-        let r = bench("fill_bitmap_in_range/scalar", || {
+        let r = bench("fill_bitmap_in_range/reference", || {
             scan::scalar::fill_bitmap_in_range(black_box(&data), 0, lo, hi, &mut bm);
             bm.len()
         });
-        push("fill_bitmap_in_range", b.best_ns, r.best_ns);
+        push("fill_bitmap_in_range", p.best_ns, r.best_ns);
 
-        let b = bench("min_max_in_range/block", || {
+        let p = bench("fill_bitmap_with_minmax/production", || {
+            scan::fill_bitmap_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut bm)
+        });
+        let r = bench("fill_bitmap_with_minmax/reference", || {
+            scan::scalar::fill_bitmap_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut bm)
+        });
+        push("fill_bitmap_in_range_with_minmax", p.best_ns, r.best_ns);
+
+        let p = bench("min_max_in_range/production", || {
             scan::min_max_in_range(black_box(&data), lo, hi)
         });
-        let r = bench("min_max_in_range/scalar", || {
+        let r = bench("min_max_in_range/reference", || {
             scan::scalar::min_max_in_range(black_box(&data), lo, hi)
         });
-        push("min_max_in_range", b.best_ns, r.best_ns);
+        push("min_max_in_range", p.best_ns, r.best_ns);
+    }
+
+    // Masked rows: the kernels a scan unit runs under deletes, over a
+    // delete vector, against the references' unmasked pass.
+    let hi = black_box(cast(sel_bound(MASKED_SELECTIVITY)));
+    let count_ref = bench("count_minmax/reference", || {
+        scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi)
+    });
+    let aggregate_ref = bench("aggregate/reference", || {
+        scan::scalar::aggregate_in_range(black_box(&data), lo, hi)
+    });
+    let collect_ref = bench("collect_minmax/reference", || {
+        positions.clear();
+        scan::scalar::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
+    });
+    for dead_pct in TOMBSTONES {
+        section(&format!(
+            "{ty} masked, {dead_pct}% tombstones ({rows} rows)"
+        ));
+        let live = tombstones(rows, dead_pct);
+        let mut push = |kernel, production_ns, reference_ns| {
+            let dead = Some(dead_pct);
+            push_row(
+                kernel,
+                MASKED_SELECTIVITY,
+                dead,
+                production_ns,
+                reference_ns,
+            )
+        };
+        let p = bench("count_minmax/masked", || {
+            scan::count_minmax(black_box(&data), lo, hi, &live, 0)
+        });
+        push("count_minmax", p.best_ns, count_ref.best_ns);
+        let p = bench("aggregate/masked", || {
+            scan::aggregate(black_box(&data), lo, hi, &live, 0)
+        });
+        push("aggregate", p.best_ns, aggregate_ref.best_ns);
+        let p = bench("collect_minmax/masked", || {
+            positions.clear();
+            scan::collect_minmax(black_box(&data), lo, hi, &live, 0, &mut positions)
+        });
+        push("collect_minmax", p.best_ns, collect_ref.best_ns);
     }
 }
 
@@ -364,9 +484,10 @@ mod tests {
                 kernel: "count_in_range",
                 ty: "i64",
                 selectivity_pct: 10,
+                tombstone_pct: None,
                 rows: 128,
-                block_ns_per_row: 0.5,
-                scalar_ns_per_row: 1.0,
+                production_ns_per_row: 0.5,
+                reference_ns_per_row: 1.0,
             }],
             prune: vec![PruneRow {
                 impl_name: "soa_plane",
@@ -375,7 +496,9 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"ads-kernel-bench/v1\""));
+        assert!(json.contains("\"schema\": \"ads-kernel-bench/v2\""));
+        assert!(json.contains("\"tombstone_pct\": null"));
+        assert!(json.contains("\"below_gate\": 0"));
         assert!(json.contains("\"speedup\": 2.0000"));
         assert!(json.contains("\"ns_per_zone\": 0.7500"));
         // Balanced braces/brackets as a cheap well-formedness check.
@@ -386,8 +509,33 @@ mod tests {
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let md = report.to_markdown();
-        assert!(md.contains("| `count_in_range` | i64 |"));
+        assert!(md.contains("| `count_in_range` @ 10% | i64 | - |"));
         assert!(md.contains("soa_plane"));
+    }
+
+    #[test]
+    fn gate_flags_cells_slower_than_their_reference() {
+        let row = |kernel, production_ns_per_row| KernelRow {
+            kernel,
+            ty: "i64",
+            selectivity_pct: 1,
+            tombstone_pct: Some(5.0),
+            rows: 128,
+            production_ns_per_row,
+            reference_ns_per_row: 1.0,
+        };
+        let report = KernelReport {
+            rows: 128,
+            kernels: vec![row("aggregate", 1.05), row("count_minmax", 1.2)],
+            prune: Vec::new(),
+        };
+        let below: Vec<_> = report.below_gate().iter().map(|k| k.kernel).collect();
+        assert_eq!(below, vec!["count_minmax"], "0.95x passes, 0.83x does not");
+        assert!(report.to_json().contains("\"below_gate\": 1"));
+        assert!(report.to_json().contains("\"tombstone_pct\": 5.0000"));
+        assert!(tombstones(1000, 0.0).deleted_count() == 0);
+        assert_eq!(tombstones(1000, 0.1).deleted_count(), 1);
+        assert_eq!(tombstones(1000, 5.0).deleted_count(), 50);
     }
 
     #[test]

@@ -18,12 +18,13 @@
 
 use crate::exec_policy::ExecPolicy;
 use crate::metrics::QueryMetrics;
+use crate::sharded_exec::{scan_sharded, ShardScanInput};
 use ads_core::outcome::MaskRequest;
 use ads_core::{
     PruneOutcome, RangeObservation, RangePredicate, ScanCoords, ScanObservation, SkippingIndex,
 };
-use ads_storage::DataValue;
-use ads_storage::{parallel, scan, DeleteVector, RowRange};
+use ads_storage::scan::{self, Liveness};
+use ads_storage::{DataValue, DeleteVector, RowRange};
 use std::time::Instant;
 
 /// Which aggregate a scan query computes over the qualifying rows.
@@ -222,13 +223,12 @@ pub fn scan_pruned<T: DataValue>(
 
 /// As [`scan_pruned`], masking tombstoned rows via `live` when given.
 ///
-/// With a delete vector present, every kernel dispatch switches to its
-/// masked variant: `count`/`sum`/MIN/MAX/positions cover live rows only,
-/// while the observations fed back still carry `(min, max)` over all rows
-/// — deleted rows keep zone bounds conservative (sound, never wrong)
-/// until compaction rebuilds them. An all-live vector takes the unmasked
-/// fast path, so the masking cost is zero until the first delete lands.
-/// `live` is addressed in the same coordinates as `target`.
+/// With tombstones present, the kernels run over the delete vector:
+/// `count`/`sum`/MIN/MAX/positions cover live rows only, while the
+/// observations fed back still carry `(min, max)` over all rows — deleted
+/// rows keep zone bounds conservative (sound, never wrong) until
+/// compaction rebuilds them. `live` is addressed in the same coordinates
+/// as `target`.
 pub fn scan_pruned_with_deletes<T: DataValue>(
     target: &[T],
     outcome: &PruneOutcome,
@@ -237,42 +237,19 @@ pub fn scan_pruned_with_deletes<T: DataValue>(
     policy: &ExecPolicy,
     live: Option<&DeleteVector>,
 ) -> (QueryAnswer<T>, ScanObservation<T>, ScanPhase) {
-    let t_scan = Instant::now();
-    let items = build_work_items(outcome, agg);
-
-    // An all-live vector is answer-identical to no vector; drop it here so
-    // every kernel below takes the unmasked path.
-    let live = live.filter(|dv| dv.has_deletes());
-
-    // Shadow oracle: recompute ground truth row by row and abort on any
-    // zone the prune excluded that still holds a qualifying live row.
-    // Sitting on the one executor path every engine and server scan
-    // funnels through, this turns the whole test suite into a
-    // false-skip hunt when the feature is on.
-    #[cfg(feature = "audit")]
-    ads_core::audit::verify_outcome(target, live, &pred, outcome, None, "scan_pruned");
-
-    let scan_rows: usize = items.iter().map(WorkItem::rows).sum();
-    let threads_used = policy.effective_threads(scan_rows);
-
-    let results: Vec<ItemResult<T>> =
-        parallel::par_map_weighted(&items, threads_used, WorkItem::rows, |_, item| {
-            scan_item(target, &outcome.reorg_units, pred, agg, item, live)
-        });
-
-    let (answer, observation, rows_scanned) =
-        merge_item_results(outcome, pred, agg, &items, results, live);
-    let scan_ns = t_scan.elapsed().as_nanos() as u64;
-
-    (
-        answer,
-        observation,
-        ScanPhase {
-            rows_scanned,
-            threads_used,
-            scan_ns,
-        },
-    )
+    // One lane of the sharded scan: the unsharded path *is* the sharded
+    // one at S = 1, so liveness is resolved, the oracle hooked and the
+    // items fanned and merged in exactly one place.
+    let lane = ShardScanInput {
+        data: target,
+        outcome,
+        start: 0,
+        live,
+    };
+    let mut result = scan_sharded(&[lane], pred, agg, policy);
+    // invariant: `scan_sharded` returns one observation batch per lane.
+    let observation = result.observations.pop().expect("one lane, one batch");
+    (result.answer, observation, result.phase)
 }
 
 /// Builds the work list of one prune outcome: full-match ranges first
@@ -318,13 +295,13 @@ pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<Work
 /// the observation batch. `results` must align 1:1 with `items` (which
 /// must come from [`build_work_items`] on the same outcome). Returns
 /// `(answer, observation, rows_scanned)`.
-pub(crate) fn merge_item_results<T: DataValue>(
+pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
     outcome: &PruneOutcome,
     pred: RangePredicate<T>,
     agg: AggKind,
     items: &[WorkItem],
     results: Vec<ItemResult<T>>,
-    live: Option<&DeleteVector>,
+    live: L,
 ) -> (QueryAnswer<T>, ScanObservation<T>, usize) {
     let mut answer = QueryAnswer::default();
     let mut rows_scanned = 0usize;
@@ -348,18 +325,14 @@ pub(crate) fn merge_item_results<T: DataValue>(
     }
     match agg {
         AggKind::Count => {
-            // Full-match rows are answered from metadata alone — under
-            // deletes, from the delete vector's live popcount instead of
-            // the range length.
-            answer.count += match live {
-                Some(dv) => outcome
-                    .full_match
-                    .ranges()
-                    .iter()
-                    .map(|r| dv.live_count_in_range(r.start, r.end))
-                    .sum::<usize>() as u64,
-                None => outcome.rows_full_match() as u64,
-            };
+            // Full-match rows are answered from metadata alone: the
+            // range length, less the delete vector's popcount if any.
+            answer.count += outcome
+                .full_match
+                .ranges()
+                .iter()
+                .map(|r| live.live_count(r.start, r.end))
+                .sum::<usize>() as u64;
         }
         AggKind::Sum => answer.sum = Some(sum),
         AggKind::Min => answer.min = (answer.count > 0).then_some(mmin),
@@ -372,20 +345,11 @@ pub(crate) fn merge_item_results<T: DataValue>(
             let full_ranges = outcome.full_match.ranges();
             let mut positions: Vec<u32> =
                 Vec::with_capacity(results.iter().map(|r| r.positions.len()).sum::<usize>());
-            // Under deletes a full-match range contributes only its live
-            // rows; otherwise the whole range extends wholesale.
-            let push_full = |f: RowRange, positions: &mut Vec<u32>, count: &mut u64| match live {
-                Some(dv) => {
-                    let before = positions.len();
-                    scan::collect_live_positions(dv, f.start, f.end, positions);
-                    *count += (positions.len() - before) as u64;
-                }
-                None => {
-                    // narrowing: row ids are u32 by the storage contract
-                    // (columns are bounded to u32::MAX rows).
-                    positions.extend(f.start as u32..f.end as u32);
-                    *count += f.len() as u64;
-                }
+            // A full-match range contributes its live rows, no value read.
+            let push_full = |f: RowRange, positions: &mut Vec<u32>, count: &mut u64| {
+                let before = positions.len();
+                scan::live_positions(live, f.start, f.end, positions);
+                *count += (positions.len() - before) as u64;
             };
             let mut fi = 0usize;
             for (item, r) in items.iter().zip(&results) {
@@ -470,13 +434,13 @@ fn for_each_set_row(bits: &[u64], zone_start: usize, mut f: impl FnMut(usize)) {
 /// Scans one work item. Pure with respect to shared state: reads
 /// `target` (and, for reorg items, the outcome's payloads), writes only
 /// its own result — safe to run on any thread.
-pub(crate) fn scan_item<T: DataValue>(
+pub(crate) fn scan_item<T: DataValue, L: Liveness>(
     target: &[T],
     reorg_units: &[ads_core::ReorgUnit],
     pred: RangePredicate<T>,
     agg: AggKind,
     item: &WorkItem,
-    live: Option<&DeleteVector>,
+    live: L,
 ) -> ItemResult<T> {
     let mut out = ItemResult {
         obs: None,
@@ -488,114 +452,55 @@ pub(crate) fn scan_item<T: DataValue>(
     };
     match *item {
         WorkItem::Full(r) => {
-            // Every row qualifies: no predicate re-evaluation, values only
-            // — under deletes, live values only.
+            // Every live row qualifies: no predicate re-evaluation,
+            // values only.
             let slice = &target[r.start..r.end];
-            match live {
-                Some(dv) => {
-                    match agg {
-                        AggKind::Sum => {
-                            let (c, s) = scan::sum_all_live(slice, dv, r.start);
-                            out.count = c;
-                            out.sum = s;
-                        }
-                        AggKind::Min | AggKind::Max => {
-                            out.count = dv.live_count_in_range(r.start, r.end);
-                            if let Some((lo, hi)) = scan::min_max_live(slice, dv, r.start) {
-                                out.match_min = lo;
-                                out.match_max = hi;
-                            }
-                        }
-                        _ => out.count = dv.live_count_in_range(r.start, r.end),
-                    };
-                }
-                None => {
-                    out.count = slice.len();
-                    match agg {
-                        // live: this arm has no delete vector — every row
-                        // of the slice is live by definition.
-                        AggKind::Sum => out.sum = scan::sum_all(slice),
-                        AggKind::Min | AggKind::Max => {
-                            // live: same delete-free arm.
-                            if let Some((lo, hi)) = scan::min_max(slice) {
-                                out.match_min = lo;
-                                out.match_max = hi;
-                            }
-                        }
-                        _ => {}
+            match agg {
+                AggKind::Sum => (out.count, out.sum) = scan::sum_rows(slice, live, r.start),
+                _ => {
+                    out.count = live.live_count(r.start, r.end);
+                    if let Some((lo, hi)) = scan::min_max_rows(slice, live, r.start) {
+                        out.match_min = lo;
+                        out.match_max = hi;
                     }
                 }
             }
         }
         WorkItem::Unit(u, mask_req) => {
             let slice = &target[u.start..u.end];
-            match agg {
-                AggKind::Count => {
-                    let obs = if let Some(req) = mask_req {
-                        // The index asked for a value mask over this unit;
-                        // collect it in the same pass.
-                        let (q, min, max, mask) = match live {
-                            Some(dv) => scan::count_in_range_with_minmax_and_mask_live(
-                                slice, pred.lo, pred.hi, req.lo_f, req.hi_f, dv, u.start,
-                            ),
-                            // live: `live` is None — every row is live.
-                            None => scan::count_in_range_with_minmax_and_mask(
-                                slice, pred.lo, pred.hi, req.lo_f, req.hi_f,
-                            ),
-                        };
+            let (lo, hi) = (pred.lo, pred.hi);
+            let obs = match agg {
+                AggKind::Count => match mask_req {
+                    // The index asked for a value mask over this unit;
+                    // collect it in the same pass.
+                    Some(req) => {
+                        let (q, min, max, mask) = scan::count_minmax_bins(
+                            slice, lo, hi, req.lo_f, req.hi_f, live, u.start,
+                        );
                         let mut o = RangeObservation::new(u, q, min, max);
                         o.mask = Some(mask);
                         o
-                    } else {
-                        let (q, min, max) = match live {
-                            Some(dv) => scan::count_in_range_with_minmax_live(
-                                slice, pred.lo, pred.hi, dv, u.start,
-                            ),
-                            // live: `live` is None — every row is live.
-                            None => scan::count_in_range_with_minmax(slice, pred.lo, pred.hi),
-                        };
+                    }
+                    None => {
+                        let (q, min, max) = scan::count_minmax(slice, lo, hi, live, u.start);
                         RangeObservation::new(u, q, min, max)
-                    };
-                    out.count = obs.qualifying;
-                    out.obs = Some(obs);
-                }
+                    }
+                },
                 AggKind::Sum | AggKind::Min | AggKind::Max => {
-                    let a = match live {
-                        Some(dv) => {
-                            scan::aggregate_in_range_live(slice, pred.lo, pred.hi, dv, u.start)
-                        }
-                        // live: `live` is None — every row is live.
-                        None => scan::aggregate_in_range(slice, pred.lo, pred.hi),
-                    };
-                    out.count = a.count;
+                    let a = scan::aggregate(slice, lo, hi, live, u.start);
                     out.sum = a.sum;
                     out.match_min = a.match_min;
                     out.match_max = a.match_max;
-                    out.obs = Some(RangeObservation::new(u, a.count, a.range_min, a.range_max));
+                    RangeObservation::new(u, a.count, a.range_min, a.range_max)
                 }
                 AggKind::Positions => {
-                    let (q, min, max) = match live {
-                        Some(dv) => scan::collect_in_range_with_minmax_live(
-                            slice,
-                            u.start,
-                            pred.lo,
-                            pred.hi,
-                            dv,
-                            &mut out.positions,
-                        ),
-                        // live: `live` is None — every row is live.
-                        None => scan::collect_in_range_with_minmax(
-                            slice,
-                            u.start,
-                            pred.lo,
-                            pred.hi,
-                            &mut out.positions,
-                        ),
-                    };
-                    out.count = q;
-                    out.obs = Some(RangeObservation::new(u, q, min, max));
+                    let (q, min, max) =
+                        scan::collect_minmax(slice, lo, hi, live, u.start, &mut out.positions);
+                    RangeObservation::new(u, q, min, max)
                 }
-            }
+            };
+            out.count = obs.qualifying;
+            out.obs = Some(obs);
         }
         WorkItem::Reorg { idx, .. } => {
             let unit = &reorg_units[idx];
@@ -608,7 +513,7 @@ pub(crate) fn scan_item<T: DataValue>(
             let values = payload.values();
             let rowids = payload.rowids();
             let (zmin, zmax) = payload.min_max();
-            if let Some(dv) = live {
+            if !L::ALL_LIVE {
                 // Under deletes every aggregate routes through the
                 // zone-local qualifying bitmap ANDed word-wise with the
                 // live windows: positional full spans can no longer be
@@ -619,7 +524,7 @@ pub(crate) fn scan_item<T: DataValue>(
                 let zone_start = unit.zone.start;
                 let mut count = 0usize;
                 for (w, word) in bits.iter_mut().enumerate() {
-                    *word &= dv.live_window(zone_start + w * 64);
+                    *word &= live.window(zone_start + w * 64);
                     // narrowing: count_ones of a u64 is at most 64.
                     count += word.count_ones() as usize;
                 }

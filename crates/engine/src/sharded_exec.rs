@@ -1,18 +1,18 @@
 //! Shard-aware execution: prune each shard independently, fan every
 //! shard's scan units through one parallel map, merge in shard order.
 //!
-//! The sharded path reuses the unsharded executor's machinery wholesale:
-//! per shard it builds the same work-item list ([`build_work_items`]),
-//! scans items with the same pure kernel dispatch ([`scan_item`]), and
-//! folds per-item results with the same merge ([`merge_item_results`]) —
-//! the only new code is the shard-major concatenation around it. Two
-//! consequences, both load-bearing:
+//! This is the one scan executor: per shard it builds the work-item list
+//! ([`build_work_items`]), scans items with the pure kernel dispatch
+//! ([`scan_item`]) and folds per-item results ([`merge_item_results`]),
+//! with a shard-major concatenation around it; the unsharded
+//! [`scan_pruned`] is this path with a single lane. Two consequences,
+//! both load-bearing:
 //!
-//! * **Equivalence at one shard.** With `shards = 1` the global item
-//!   list, the thread split, every kernel call, the answer fold, and the
-//!   observation batch are exactly the unsharded [`scan_pruned`]'s — the
-//!   sharded path *is* the old path, so answers and all downstream
-//!   adaptation are bit-identical (pinned by the regression suite).
+//! * **Equivalence at one shard.** With `shards = 1` the item list, the
+//!   thread split, every kernel call, the answer fold, and the
+//!   observation batch are those of an unsharded scan, so answers and all
+//!   downstream adaptation are bit-identical (pinned by the regression
+//!   suite).
 //! * **Deterministic merges at any shard count.** Items are ordered
 //!   shard-major and each shard's partial results fold in item order, so
 //!   f64 SUM accumulation order is a pure function of the prune outcomes
@@ -28,6 +28,7 @@ use crate::executor::{
 use crate::metrics::QueryMetrics;
 use ads_core::adaptive::ShardedZonemap;
 use ads_core::{PruneOutcome, RangePredicate, ScanObservation, SkippingIndex};
+use ads_storage::scan::AllLive;
 use ads_storage::{parallel, DataValue, DeleteVector, ShardedColumn};
 use std::time::Instant;
 
@@ -108,6 +109,29 @@ pub fn scan_sharded<T: DataValue>(
 ) -> ShardedScanResult<T> {
     let t_scan = Instant::now();
 
+    // Each lane's liveness source, resolved once: the vector it has to
+    // mask with, if any. An all-live vector is answer-identical to no
+    // vector, so masking costs nothing until the first delete lands.
+    let masks: Vec<Option<&DeleteVector>> = inputs
+        .iter()
+        .map(|l| l.live.filter(|dv| dv.has_deletes()))
+        .collect();
+
+    // Shadow oracle, per lane (soundness is shard-local): abort on any
+    // zone a lane's prune excluded that still holds a qualifying live
+    // row. This is the path every server query takes.
+    #[cfg(feature = "audit")]
+    for (lane, live) in inputs.iter().zip(&masks) {
+        ads_core::audit::verify_outcome(
+            lane.data,
+            *live,
+            &pred,
+            lane.outcome,
+            None,
+            "scan_sharded",
+        );
+    }
+
     // Shard-major global work list, remembering each shard's item count
     // so results can be sliced back per shard after the fan.
     let lane_items: Vec<Vec<WorkItem>> = inputs
@@ -128,14 +152,12 @@ pub fn scan_sharded<T: DataValue>(
         threads_used,
         |(_, it)| it.rows(),
         |_, (s, item)| {
-            scan_item(
-                inputs[*s].data,
-                &inputs[*s].outcome.reorg_units,
-                pred,
-                agg,
-                item,
-                inputs[*s].live.filter(|dv| dv.has_deletes()),
-            )
+            let (data, reorg) = (inputs[*s].data, &inputs[*s].outcome.reorg_units);
+            match masks[*s] {
+                Some(dv) => scan_item(data, reorg, pred, agg, item, dv),
+                // live: the lane has no vector, or one without a tombstone.
+                None => scan_item(data, reorg, pred, agg, item, AllLive),
+            }
         },
     );
 
@@ -163,14 +185,11 @@ pub fn scan_sharded<T: DataValue>(
         .zip(lane_items.iter().zip(per_lane))
         .enumerate()
     {
-        let (lane_answer, lane_obs, lane_rows_scanned) = merge_item_results(
-            input.outcome,
-            pred,
-            agg,
-            items,
-            lane_results,
-            input.live.filter(|dv| dv.has_deletes()),
-        );
+        let (lane_answer, lane_obs, lane_rows_scanned) = match masks[s] {
+            Some(dv) => merge_item_results(input.outcome, pred, agg, items, lane_results, dv),
+            // live: the lane has no vector, or one without a tombstone.
+            None => merge_item_results(input.outcome, pred, agg, items, lane_results, AllLive),
+        };
         answer.count += lane_answer.count;
         if let Some(lane_sum) = lane_answer.sum {
             sum += lane_sum;

@@ -27,7 +27,7 @@
 //! |--------------------------|-------------------------------------------------|
 //! | `epoch-discipline`       | zone-structure writes bump `mutation_epoch` on every path (else `// epoch:`) |
 //! | `publication-discipline` | `publish*` fns store payload before the generation bump, nothing after |
-//! | `live-mask`              | non-`_live` kernels only with `// live:` outside the scalar oracle/tests |
+//! | `live-mask`              | all-live liveness sources only with `// live:` outside scan.rs/the scalar oracle/tests |
 //! | `lifecycle-symmetry`     | tier/layout/mask promotions cleared on split/merge/deactivate/coalesce/compact paths |
 //!
 //! False-positive escape hatches, in order of preference: a

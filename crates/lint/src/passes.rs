@@ -14,9 +14,11 @@
 //!   must store the payload **before** the generation bump and write
 //!   nothing afterwards; a store after the bump lets a reader observe
 //!   the new generation with a stale payload.
-//! * [`live_mask_pass`] — calls to non-`_live` aggregate kernels leak
-//!   tombstoned rows into answers; outside the `scalar` oracle module
-//!   and tests they need a `// live: <why tombstone-free>` note.
+//! * [`live_mask_pass`] — the scan kernels are generic over a liveness
+//!   source; an all-live one (the `AllLive` marker, or an all-live
+//!   shorthand kernel) leaks tombstoned rows into answers wherever a
+//!   delete vector is in play, so outside `scan.rs`, the `scalar`
+//!   oracle and tests it needs a `// live: <why tombstone-free>` note.
 //! * [`lifecycle_pass`] — promotion state (`tier`/`layout`/`mask`
 //!   `Some(...)` sites) must be cleared symmetrically on the
 //!   split/merge/deactivate/coalesce/compact paths: a structural
@@ -40,9 +42,12 @@ const EPOCH_MUTATORS: [&str; 13] = [
 /// Methods that are a structural write regardless of receiver.
 const EPOCH_ALWAYS_MUTATORS: [&str; 1] = ["drop_tier"];
 
-/// Non-`_live` aggregate kernels in `ads_storage::scan`: correct only
+/// The liveness marker that makes a generic kernel ignore tombstones.
+const ALL_LIVE_MARKER: &str = "AllLive";
+
+/// The all-live shorthand kernels of `ads_storage::scan`: correct only
 /// when every row of the slice is known live.
-pub const NONLIVE_KERNELS: [&str; 12] = [
+pub const ALL_LIVE_KERNELS: [&str; 12] = [
     "count_in_range",
     "count_in_range_with_minmax",
     "collect_in_range",
@@ -304,8 +309,9 @@ pub fn publication_pass(fs: &FileScan<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Pass 3: live-mask discipline — non-`_live` kernel calls need a
-/// `// live:` justification outside the scalar oracle and tests.
+/// Pass 3: live-mask discipline — an all-live liveness source needs a
+/// `// live:` justification outside `scan.rs`, the scalar oracle and
+/// tests.
 pub fn live_mask_pass(fs: &FileScan<'_>, out: &mut Vec<Diagnostic>) {
     let p = &fs.ctx.path;
     let in_scope = [
@@ -326,22 +332,38 @@ pub fn live_mask_pass(fs: &FileScan<'_>, out: &mut Vec<Diagnostic>) {
     let code = &fs.tf.code;
     for i in 0..code.len() {
         let t = &code[i];
-        if t.kind != TokKind::Ident
-            || !NONLIVE_KERNELS.contains(&t.text.as_str())
-            || code.get(i + 1).is_none_or(|n| n.text != "(")
-            || fs.line_masked(t.line)
-        {
+        if t.kind != TokKind::Ident || fs.line_masked(t.line) {
             continue;
         }
         let prev = i.checked_sub(1).map(|j| code[j].text.as_str());
-        // `.min_max()` is a method on some other type; `fn min_max` is
-        // a definition; `scalar::` calls ARE the oracle.
-        if prev == Some(".") || prev == Some("fn") {
+        let next = code.get(i + 1).map(|n| n.text.as_str());
+        let what = if t.text == ALL_LIVE_MARKER {
+            // An import names the marker without scanning anything:
+            // walking back over path and list tokens reaches `use`.
+            let in_use = code[..i]
+                .iter()
+                .rev()
+                .take_while(|b| {
+                    b.kind == TokKind::Ident || matches!(b.text.as_str(), "::" | "," | "{" | "}")
+                })
+                .any(|b| b.text == "use");
+            if in_use {
+                continue;
+            }
+            "liveness source"
+        } else if ALL_LIVE_KERNELS.contains(&t.text.as_str()) && next == Some("(") {
+            // `.min_max()` is a method on some other type; `fn min_max`
+            // is a definition; `scalar::` calls ARE the oracle.
+            if prev == Some(".") || prev == Some("fn") {
+                continue;
+            }
+            if prev == Some("::") && i >= 2 && code[i - 2].text == "scalar" {
+                continue;
+            }
+            "shorthand kernel"
+        } else {
             continue;
-        }
-        if prev == Some("::") && i >= 2 && code[i - 2].text == "scalar" {
-            continue;
-        }
+        };
         if fs.site_justified(t.line, "live:") {
             continue;
         }
@@ -349,9 +371,9 @@ pub fn live_mask_pass(fs: &FileScan<'_>, out: &mut Vec<Diagnostic>) {
             "live-mask",
             t.line,
             format!(
-                "non-`_live` kernel `{}` outside the scalar oracle; deleted rows \
-                 leak into the answer unless every row is live — use the `_live` \
-                 variant or add `// live: <why tombstone-free>`",
+                "all-live {what} `{}` outside the scan kernels; deleted rows leak \
+                 into the answer unless every row is live — pass the delete \
+                 vector or add `// live: <why tombstone-free>`",
                 t.text
             ),
         ));

@@ -399,14 +399,22 @@ fn publication_scopes_to_publish_fns_in_server() {
 const ENGINE: &str = "crates/engine/src/x.rs";
 
 #[test]
-fn live_mask_fires_on_seeded_nonlive_kernel() {
-    // Seeded protocol bug: a delete-blind kernel on a path that can
-    // carry tombstones silently counts dead rows.
-    let src = "fn f(data: &[i64]) {\n\
+fn live_mask_fires_on_seeded_all_live_source() {
+    // Seeded protocol bug: a scan that hard-wires the all-live source on
+    // a path that can carry tombstones silently counts dead rows —
+    // whether through the marker or through a shorthand kernel.
+    let src = "use ads_storage::scan::{\n    self, AllLive,\n};\n\
+               fn f(data: &[i64], dv: &DeleteVector) {\n\
+                   let a = scan::count_minmax(data, lo, hi, AllLive, 0);\n\
+                   let b = scan::count_minmax(data, lo, hi, dv, 0);\n\
                    let c = count_in_range(data, lo, hi);\n\
                }\n";
     let diags = only(scan(ENGINE, src), "live-mask");
-    assert_eq!(diags, vec![(ENGINE.to_string(), 2)]);
+    assert_eq!(
+        diags,
+        vec![(ENGINE.to_string(), 5), (ENGINE.to_string(), 7)],
+        "the (wrapped) import and the vector-carrying call are clean"
+    );
 }
 
 #[test]
@@ -414,6 +422,11 @@ fn live_mask_accepts_justification() {
     let src = "fn f(data: &[i64]) {\n\
                    // live: data is freshly generated — no delete vector.\n\
                    let c = count_in_range(data, lo, hi);\n\
+                   match masks[s] {\n\
+                       Some(dv) => scan_item(data, dv),\n\
+                       // live: the lane has no tombstone.\n\
+                       None => scan_item(data, AllLive),\n\
+                   }\n\
                }\n";
     assert!(only(scan(ENGINE, src), "live-mask").is_empty());
 }
@@ -432,7 +445,10 @@ fn live_mask_skips_methods_definitions_and_oracle() {
 
 #[test]
 fn live_mask_out_of_scope_in_kernels_and_tests() {
-    let src = "fn f(data: &[i64]) { let c = count_in_range(data, lo, hi); }\n";
+    let src = "fn f(data: &[i64]) {\n\
+                   let c = count_in_range(data, lo, hi);\n\
+                   let d = count_minmax(data, lo, hi, AllLive, 0);\n\
+               }\n";
     // The kernel module itself defines and composes these.
     assert!(only(scan("crates/storage/src/scan.rs", src), "live-mask").is_empty());
     assert!(only(scan("crates/engine/tests/t.rs", src), "live-mask").is_empty());

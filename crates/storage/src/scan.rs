@@ -1,27 +1,57 @@
 //! Tight scan kernels over column slices.
 //!
-//! These loops are the "fast scans" the paper's setting assumes. They are
-//! explicitly **block-structured**: each kernel walks the slice in
-//! 64-element lanes (`chunks_exact(64)` plus a scalar tail) and evaluates
-//! the predicate branchlessly into a per-block `u64` qualifying bitmask —
-//! bit `i` set when lane `i` satisfies `lo <= v <= hi`. Everything
-//! downstream consumes the mask in word units: COUNT is a popcount per
-//! block, bitmap materialisation is one word-OR per block
-//! ([`crate::Bitmap::or_mask_at`]), position collection iterates set bits
-//! with `trailing_zeros`, and value-reading aggregates select through the
-//! mask instead of branching per element. All kernels take *inclusive*
-//! value bounds `[lo, hi]`, matching how zonemap `(min, max)` metadata is
-//! compared against predicates.
+//! These loops are the "fast scans" the paper's setting assumes. All of
+//! them take *inclusive* value bounds `[lo, hi]`, matching how zonemap
+//! `(min, max)` metadata is compared against predicates, and walk the
+//! slice in 64-row blocks ([`LANES`]) plus one short tail block.
 //!
-//! The pre-block scalar implementations are retained verbatim in
-//! [`scalar`]: they are the reference the property tests compare every
-//! block kernel against, and the baseline the kernel benchmark
-//! (`cargo run -p ads-bench --release --bin kernels_json`) measures
-//! speedups over.
+//! ## One family, generic over liveness
+//!
+//! Every aggregate has one body. Kernels on the delete-aware paths take a
+//! [`Liveness`] source plus the row of `data[0]` in its coordinates:
+//! [`AllLive`] answers with constants, so the masking folds away and the
+//! kernel compiles to the bare loop; a `&DeleteVector` costs one
+//! [`DeleteVector::live_window`] load per block, and only blocks that hold
+//! a tombstone do any extra work. The `(data, lo, hi)` functions
+//! ([`count_in_range_with_minmax`], [`aggregate_in_range`], ...) are the
+//! all-live shorthands of the same bodies. Under deletes `count`, `sum`,
+//! `match_min`/`match_max` and positions cover **live** qualifying rows
+//! (the answer), while `range_min`/`range_max` still cover *all* rows (the
+//! zone-metadata by-product), so zonemap bounds stay sound-but-conservative
+//! over tombstones until compaction re-tightens them.
+//!
+//! ## Formulations, chosen by measurement
+//!
+//! The fastest loop shape depends on the aggregate, the value width and
+//! the selectivity. Each body uses what `kernels_json` measured fastest on
+//! baseline x86-64 (SSE2, no `target-cpu` flag), and that bench fails when
+//! a production cell drops below 0.9x the per-row [`scalar`] reference:
+//!
+//! * **One compare per row.** A range test is `v - lo <= hi - lo` on
+//!   unsigned key offsets ([`DataValue::in_span_total`]), with `lo <= hi`
+//!   checked once per block.
+//! * **Counting never builds a mask.** COUNT and COUNT+MIN/MAX add the
+//!   test result per row (`InRange::count_and`): scalar for 8-byte lanes
+//!   (baseline x86-64 has no packed 64-bit compare, so a mask nobody
+//!   consumes only adds work), packed for narrower ones. Tombstones are
+//!   un-counted afterwards, one dead qualifier at a time.
+//! * **Mask consumers learn from the block before** (`InRange::visit`).
+//!   SUM, MIN/MAX of the matches, POSITIONS and bitmap fills normally test
+//!   into one 0/1 byte per lane, pack the bytes into a `u64` and consume
+//!   the mask in word units — flat cost at any selectivity. After a block
+//!   of all hits (or, 8-byte lanes, at most one) they test and consume row
+//!   by row instead, which a well-predicted branch makes cheaper still.
+//!   Either way selected values are consumed in ascending row order, so
+//!   `f64` sums are bit-identical to the reference.
+//! * **MIN/MAX folds run in key space** ([`DataValue::total_key`]): an
+//!   integer compare-and-select per row, never a float `total_cmp` on the
+//!   loop-carried value.
 
 use crate::bitmap::Bitmap;
 use crate::mutation::DeleteVector;
 use crate::types::DataValue;
+use std::hint::cold_path;
+use std::mem::size_of;
 
 /// Lanes per block: one qualifying bit per lane fills exactly one `u64`.
 pub const LANES: usize = 64;
@@ -43,100 +73,476 @@ fn assert_positions_addressable(base: usize, len: usize) {
     );
 }
 
+// ------------------------------------------------------------- liveness
+
+/// Which rows of a column are live. The kernels are generic over this, so
+/// the all-live case costs nothing and the masked case shares the body.
+pub trait Liveness: Copy {
+    /// True when the source can never report a dead row.
+    const ALL_LIVE: bool;
+
+    /// The 64-row liveness window starting at row `bit`: result bit `i`
+    /// is `1` iff row `bit + i` is live.
+    fn window(self, bit: usize) -> u64;
+
+    /// Number of live rows in `start..end`.
+    fn live_count(self, start: usize, end: usize) -> usize;
+
+    /// Panics unless the source addresses rows `base..base + len`.
+    fn assert_covers(self, base: usize, len: usize);
+}
+
+/// The liveness source of a column without tombstones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AllLive;
+
+impl Liveness for AllLive {
+    const ALL_LIVE: bool = true;
+
+    #[inline(always)]
+    fn window(self, _bit: usize) -> u64 {
+        u64::MAX
+    }
+
+    #[inline(always)]
+    fn live_count(self, start: usize, end: usize) -> usize {
+        end - start
+    }
+
+    #[inline(always)]
+    fn assert_covers(self, _base: usize, _len: usize) {}
+}
+
+impl Liveness for &DeleteVector {
+    const ALL_LIVE: bool = false;
+
+    #[inline(always)]
+    fn window(self, bit: usize) -> u64 {
+        self.live_window(bit)
+    }
+
+    #[inline]
+    fn live_count(self, start: usize, end: usize) -> usize {
+        self.live_count_in_range(start, end)
+    }
+
+    #[inline]
+    fn assert_covers(self, base: usize, len: usize) {
+        assert!(
+            base + len <= self.len(),
+            "rows {base}..{} exceed delete vector of {} rows",
+            base + len,
+            self.len()
+        );
+    }
+}
+
+// -------------------------------------------------------- block helpers
+
+/// Bits `0..n` set, for `1 <= n <= 64`.
+#[inline(always)]
+fn low_bits(n: usize) -> u64 {
+    u64::MAX >> (LANES - n)
+}
+
+/// Runs `$body` for every full 64-row block of `$data` and once more for
+/// the short tail block, if any (blocks are never empty). In `$body`,
+/// `$block` is the block's rows, `$bit` its first row in `$live`'s
+/// coordinates (`$base` is the row of `data[0]`), and `$dead` has bit `i`
+/// set iff `block[i]` is tombstoned — zero at and past `block.len()`, and
+/// the constant zero for [`AllLive`]. A macro rather than a closure so
+/// that both copies of the body are inlined by construction and the
+/// full-block copy sees a compile-time length of 64.
+macro_rules! for_each_block {
+    ($data:expr, $base:expr, $live:expr, |$block:ident, $bit:ident, $dead:ident| $body:block) => {{
+        let (data, live) = ($data, $live);
+        live.assert_covers($base, data.len());
+        let mut chunks = data.chunks_exact(LANES);
+        let mut $bit: usize = $base;
+        for $block in chunks.by_ref() {
+            let $dead: u64 = !live.window($bit);
+            $body
+            $bit += LANES;
+        }
+        let $block = chunks.remainder();
+        if !$block.is_empty() {
+            let $dead: u64 = !live.window($bit) & low_bits($block.len());
+            $body
+        }
+    }};
+}
+
+/// Calls `f(i)` for every set bit `i` of `mask`, ascending.
+#[inline(always)]
+fn for_each_set(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1; // clear lowest set bit
+    }
+}
+
+/// The inclusive range `[lo, hi]` prepared for row tests in offset form
+/// ([`DataValue::in_span_total`]): one subtract and one unsigned compare
+/// per row instead of two compares. An equality predicate is the same
+/// single compare, so point queries need no separate path.
+#[derive(Clone, Copy)]
+struct InRange<T: DataValue> {
+    lo: T,
+    hi: T,
+    /// `lo <= hi`; the offset test is only meaningful when it holds, so
+    /// the block helpers answer an empty range without looking at rows.
+    nonempty: bool,
+    /// What [`Self::visit`] expects of the next block's rows, learnt from
+    /// the block before it: `Some(true)` after a block where every row
+    /// qualified, `Some(false)` after one where at most one did (8-byte
+    /// lanes only), `None` otherwise.
+    expect: Option<bool>,
+}
+
+impl<T: DataValue> InRange<T> {
+    #[inline(always)]
+    fn new(lo: T, hi: T) -> Self {
+        InRange {
+            lo,
+            hi,
+            nonempty: lo.le_total(&hi),
+            expect: None,
+        }
+    }
+
+    /// The offset test alone: correct for a non-empty range.
+    #[inline(always)]
+    fn holds_unchecked(&self, v: T) -> bool {
+        v.in_span_total(&self.lo, &self.hi)
+    }
+
+    /// `lo <= v <= hi` under the total order.
+    #[inline(always)]
+    fn holds(&self, v: T) -> bool {
+        self.nonempty & self.holds_unchecked(v)
+    }
+
+    /// Qualifying rows of one block, without materialising a mask, with
+    /// `each(v)` called for every row in the same pass. The counter is as
+    /// wide as the lanes: for 8-byte values the loop stays scalar either
+    /// way and a `usize` avoids a widening step, for narrower values a
+    /// `u32` keeps compare and add in the same packed lanes.
+    #[inline(always)]
+    fn count_and(&self, block: &[T], mut each: impl FnMut(T)) -> usize {
+        if !self.nonempty {
+            block.iter().for_each(|&v| each(v));
+            return 0;
+        }
+        if size_of::<T>() >= 8 {
+            let mut count = 0usize;
+            for &v in block {
+                count += self.holds_unchecked(v) as usize;
+                each(v);
+            }
+            count
+        } else {
+            let mut count = 0u32;
+            for &v in block {
+                count += self.holds_unchecked(v) as u32;
+                each(v);
+            }
+            count as usize
+        }
+    }
+
+    /// The mask-consuming pass over one block: calls `each(v)` for every
+    /// row and `hit(v)` for every qualifying row that `dead` does not
+    /// tombstone, both in ascending row order, and returns the mask of
+    /// the rows `hit` saw (bits at and past `block.len()` are zero).
+    ///
+    /// Rows are normally tested branch-free into a mask first
+    /// ([`Self::lane_mask`]) and `hit` runs off the mask, which costs the
+    /// same at every selectivity. Where the block before was all hits —
+    /// or, for 8-byte lanes, all misses but at most one — the rows are
+    /// instead tested and consumed one by one, the scalar reference's
+    /// shape: with the branch that predictable nothing is cheaper, and
+    /// the test no longer sits between two blocks' dependent `f64` adds.
+    /// A miss among expected hits hands the rest of the block back to the
+    /// mask; hits among expected misses are consumed where they fall, so
+    /// a wrong guess there costs at most that one block's mispredictions
+    /// — what the reference pays on every block of such data.
+    #[inline(always)]
+    fn visit(&mut self, block: &[T], dead: u64, each: impl FnMut(T), hit: impl FnMut(T)) -> u64 {
+        self.visit_impl::<true>(block, dead, each, hit)
+    }
+
+    /// [`Self::visit`] for consumers that only want the mask.
+    #[inline(always)]
+    fn mask(&mut self, block: &[T], dead: u64, each: impl FnMut(T)) -> u64 {
+        self.visit_impl::<false>(block, dead, each, |_| {})
+    }
+
+    /// `HIT` says whether `hit` does anything: without it the rows the
+    /// mask selects need no second look.
+    #[inline(always)]
+    fn visit_impl<const HIT: bool>(
+        &mut self,
+        block: &[T],
+        dead: u64,
+        mut each: impl FnMut(T),
+        mut hit: impl FnMut(T),
+    ) -> u64 {
+        debug_assert!((1..=LANES).contains(&block.len()));
+        let mut mask = 0u64;
+        let mut done = 0usize; // rows tested so far
+
+        // Narrow lanes test faster packed than one by one; only a `hit`
+        // worth fusing with the test makes the row loop pay there.
+        if self.nonempty && (HIT || size_of::<T>() >= 8) {
+            match self.expect {
+                Some(true) if dead == 0 => {
+                    let mut hits = 0usize;
+                    for &v in block {
+                        each(v);
+                        if !self.holds_unchecked(v) {
+                            cold_path();
+                            break;
+                        }
+                        hit(v);
+                        hits += 1;
+                    }
+                    // The row that broke the run, if any, is tested too.
+                    done = block.len().min(hits + 1);
+                    mask = if hits == 0 { 0 } else { low_bits(hits) };
+                }
+                Some(false) => {
+                    for (i, &v) in block.iter().enumerate() {
+                        each(v);
+                        if self.holds_unchecked(v) {
+                            // Keeps the test a (well-predicted) branch:
+                            // as a select it would drag the mask update
+                            // into every row.
+                            cold_path();
+                            if dead >> i & 1 == 0 {
+                                hit(v);
+                                mask |= 1 << i;
+                            }
+                        }
+                    }
+                    done = block.len();
+                }
+                _ => {}
+            }
+        }
+        if done == 0 {
+            mask = self.lane_mask(block, &mut each) & !dead;
+            if HIT {
+                for_each_selected(block, mask, &mut hit);
+            }
+        } else if done < block.len() {
+            let rest = &block[done..];
+            let rest_mask = self.lane_mask(rest, &mut each) & !(dead >> done);
+            if HIT {
+                for_each_selected(rest, rest_mask, &mut hit);
+            }
+            mask |= rest_mask << done;
+        }
+        self.expect = if mask == low_bits(block.len()) {
+            Some(true)
+        } else if size_of::<T>() >= 8 && mask & mask.wrapping_sub(1) == 0 {
+            Some(false)
+        } else {
+            None
+        };
+        mask
+    }
+
+    /// The per-block predicate mask: bit `i` of the result is set when
+    /// `block[i]` lies in the range; bits at and past `block.len()` are
+    /// zero. `each` sees every row once, in the compare pass.
+    ///
+    /// Two branchless passes: the tests write one 0/1 *byte* per lane — a
+    /// loop with no cross-iteration dependency, which becomes packed
+    /// compares for 4-byte and narrower lanes and stays a run of
+    /// independent scalar compares for 8-byte lanes (baseline x86-64 has
+    /// no packed 64-bit compare) — and then eight multiply-packs fold
+    /// each 8-byte group into 8 mask bits. A single-pass `mask |= q << i`
+    /// loop is a 64-deep dependent OR chain and measured slower at every
+    /// width.
+    #[inline(always)]
+    fn lane_mask(&self, block: &[T], mut each: impl FnMut(T)) -> u64 {
+        debug_assert!(block.len() <= LANES);
+        if !self.nonempty {
+            block.iter().for_each(|&v| each(v));
+            return 0;
+        }
+        let mut lanes = [0u8; LANES];
+        for (b, &v) in lanes.iter_mut().zip(block) {
+            *b = self.holds_unchecked(v) as u8;
+            each(v);
+        }
+        let mut mask = 0u64;
+        for (w, group) in lanes.chunks_exact(8).enumerate() {
+            // invariant: chunks_exact(8) yields exactly 8 bytes per group.
+            let word = u64::from_le_bytes(group.try_into().expect("chunks_exact(8)"));
+            mask |= (word.wrapping_mul(PACK_MUL) >> 56) << (8 * w);
+        }
+        mask
+    }
+}
+
 /// Multiplier for the SWAR byte→bit pack: with eight 0/1 bytes packed
 /// little-endian in a `u64`, `(w * PACK_MUL) >> 56` places byte `i`'s
 /// value at bit `i` of the top byte (the portable movemask trick).
 const PACK_MUL: u64 = 0x0102_0408_1020_4080;
 
-/// Folds 64 0/1 lane bytes into the per-block qualifying bitmask via
-/// eight multiply-packs.
-#[inline]
-fn pack_lanes(lanes: &[u8; LANES]) -> u64 {
-    let mut mask = 0u64;
-    for (w, group) in lanes.chunks_exact(8).enumerate() {
-        // invariant: chunks_exact(8) yields exactly 8 bytes per group.
-        let word = u64::from_le_bytes(group.try_into().expect("chunks_exact(8)"));
-        mask |= (word.wrapping_mul(PACK_MUL) >> 56) << (8 * w);
-    }
-    mask
+/// A running `(min, max)` over rows, folded in key space
+/// ([`DataValue::total_key`]): one integer compare-and-select per row and
+/// bound, where folding the values themselves would put a float
+/// `total_cmp` on the loop-carried accumulator.
+#[derive(Clone, Copy)]
+struct MinMax<T: DataValue> {
+    min: T::Key,
+    max: T::Key,
 }
 
-/// The per-block predicate kernel: bit `i` of the result is set when
-/// `block[i]` lies in `[lo, hi]` under the total order.
-///
-/// Two branchless passes: the compares write one 0/1 *byte* per lane —
-/// a loop with no cross-iteration dependency that the compiler turns
-/// into packed SIMD compares — and then eight multiply-packs fold each
-/// 8-byte group into 8 mask bits. A single-pass `mask |= q << i` loop
-/// is a 64-deep dependent OR chain that defeats vectorisation.
-///
-/// Point predicates (`lo` total-order-equal to `hi`, the lowering of
-/// equality queries) dispatch to a single-compare pass — one predictable
-/// branch per block buys every kernel the equality fast path at once.
-#[inline]
-fn lane_mask<T: DataValue>(block: &[T], lo: T, hi: T) -> u64 {
-    debug_assert_eq!(block.len(), LANES);
-    if lo.eq_total(&hi) {
-        return lane_mask_point(block, lo);
+impl<T: DataValue> MinMax<T> {
+    /// The fold identity `(MAX_VALUE, MIN_VALUE)`.
+    #[inline(always)]
+    fn identity() -> Self {
+        MinMax {
+            min: T::MAX_VALUE.total_key(),
+            max: T::MIN_VALUE.total_key(),
+        }
     }
-    let mut lanes = [0u8; LANES];
-    for (b, v) in lanes.iter_mut().zip(block) {
-        *b = v.in_range_total(&lo, &hi) as u8;
+
+    /// Folds one row in.
+    #[inline(always)]
+    fn push(&mut self, v: T) {
+        let key = v.total_key();
+        self.min = self.min.min(key);
+        self.max = self.max.max(key);
     }
-    pack_lanes(&lanes)
+
+    /// The folded `(min, max)` as values.
+    #[inline(always)]
+    fn get(self) -> (T, T) {
+        (T::from_total_key(self.min), T::from_total_key(self.max))
+    }
 }
 
-/// Equality kernel: one compare per lane instead of two.
-#[inline]
-fn lane_mask_point<T: DataValue>(block: &[T], v: T) -> u64 {
-    debug_assert_eq!(block.len(), LANES);
-    let mut lanes = [0u8; LANES];
-    for (b, x) in lanes.iter_mut().zip(block) {
-        *b = x.eq_total(&v) as u8;
+/// Calls `f(v)` for every row of `block` selected by `mask`, in ascending
+/// row order — the order the scalar reference adds in, so an `f64` sum
+/// accumulated through this is bit-identical to it (the accumulator can
+/// never become `-0.0`, so skipping the non-qualifying `+0.0` adds changes
+/// nothing). A fully selected block takes the plain loop instead of 64
+/// dependent bit extractions.
+#[inline(always)]
+fn for_each_selected<T: DataValue>(block: &[T], mask: u64, mut f: impl FnMut(T)) {
+    if mask == u64::MAX {
+        for &v in block {
+            f(v);
+        }
+    } else {
+        for_each_set(mask, |i| f(block[i]));
     }
-    pack_lanes(&lanes)
 }
+
+/// Appends `bit + i` for every set bit `i` of `mask` to `out`.
+#[inline(always)]
+fn push_positions(mask: u64, bit: usize, out: &mut Vec<u32>) {
+    // narrowing: bit + 63 < MAX_ADDRESSABLE_ROWS by the callers' guard.
+    let first = bit as u32;
+    if mask == u64::MAX {
+        out.extend(first..=first + (LANES as u32 - 1));
+    } else {
+        for_each_set(mask, |i| out.push(first + i as u32));
+    }
+}
+
+// -------------------------------------------------------------- kernels
 
 /// Counts values `v` in `data` with `lo <= v <= hi`.
 #[inline]
 pub fn count_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> usize {
-    let mut chunks = data.chunks_exact(LANES);
+    let range = InRange::new(lo, hi);
     let mut count = 0usize;
-    for block in chunks.by_ref() {
-        count += lane_mask(block, lo, hi).count_ones() as usize;
-    }
-    for v in chunks.remainder() {
-        count += v.in_range_total(&lo, &hi) as usize;
-    }
+    for_each_block!(data, 0, AllLive, |block, _bit, _dead| {
+        count += range.count_and(block, |_| {});
+    });
     count
 }
 
-/// Counts qualifying values and simultaneously computes the exact
-/// `(min, max)` of the slice.
+/// Counts **live** qualifying values and simultaneously computes the
+/// exact `(min, max)` over *all* rows of the slice.
 ///
 /// This is the kernel adaptive zonemaps use to materialise zone metadata
 /// *as a by-product of a scan the query had to perform anyway* — the "free"
 /// metadata collection at the heart of incremental adaptation. Returns
 /// `(count, min, max)`; for an empty slice, `(0, MAX_VALUE, MIN_VALUE)`.
+///
+/// # Panics
+/// Panics if `live` does not address rows `base..base + data.len()`.
+#[inline]
+pub fn count_minmax<T: DataValue, L: Liveness>(
+    data: &[T],
+    lo: T,
+    hi: T,
+    live: L,
+    base: usize,
+) -> (usize, T, T) {
+    let range = InRange::new(lo, hi);
+    let mut count = 0usize;
+    let mut bounds = MinMax::identity();
+    for_each_block!(data, base, live, |block, _bit, dead| {
+        count += range.count_and(block, |v| bounds.push(v));
+        // Tombstones are rare: un-count the dead qualifiers one by one
+        // instead of masking every row.
+        for_each_set(dead, |i| count -= range.holds(block[i]) as usize);
+    });
+    let (min, max) = bounds.get();
+    (count, min, max)
+}
+
+/// [`count_minmax`] over an all-live slice.
 #[inline]
 pub fn count_in_range_with_minmax<T: DataValue>(data: &[T], lo: T, hi: T) -> (usize, T, T) {
-    let mut chunks = data.chunks_exact(LANES);
-    let mut count = 0usize;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    for block in chunks.by_ref() {
-        count += lane_mask(block, lo, hi).count_ones() as usize;
-        for &v in block {
-            min = min.min_total(v);
-            max = max.max_total(v);
-        }
+    count_minmax(data, lo, hi, AllLive, 0)
+}
+
+/// As [`count_minmax`], additionally collecting a 64-bit value mask: bit
+/// `b` is set when some row's value falls into equal-width bin `b` of
+/// `[bin_lo, bin_hi]` (in `to_f64` space; values outside clamp to the
+/// edge bins). Returns `(count, min, max, mask)`. Dead rows still feed
+/// `(min, max)` and the bin mask — both are conservative-only metadata,
+/// and a dead row's bin bit can at worst under-skip, never corrupt.
+#[inline]
+pub fn count_minmax_bins<T: DataValue, L: Liveness>(
+    data: &[T],
+    lo: T,
+    hi: T,
+    bin_lo: f64,
+    bin_hi: f64,
+    live: L,
+    base: usize,
+) -> (usize, T, T, u64) {
+    let (count, min, max) = count_minmax(data, lo, hi, live, base);
+    let span = bin_hi - bin_lo;
+    let scale = if span > 0.0 { 64.0 / span } else { 0.0 };
+    let mut mask = 0u64;
+    for &v in data {
+        // narrowing: clamp(0, 63) bounds the bin index below 64.
+        let bin = ((v.to_f64() - bin_lo) * scale).clamp(0.0, 63.0) as u32;
+        mask |= 1u64 << bin;
     }
-    for &v in chunks.remainder() {
-        count += v.in_range_total(&lo, &hi) as usize;
-        min = min.min_total(v);
-        max = max.max_total(v);
-    }
-    (count, min, max)
+    (count, min, max, mask)
+}
+
+/// [`count_minmax_bins`] over an all-live slice.
+#[inline]
+pub fn count_in_range_with_minmax_and_mask<T: DataValue>(
+    data: &[T],
+    lo: T,
+    hi: T,
+    bin_lo: f64,
+    bin_hi: f64,
+) -> (usize, T, T, u64) {
+    count_minmax_bins(data, lo, hi, bin_lo, bin_hi, AllLive, 0)
 }
 
 /// Appends the positions (`base + offset`) of qualifying values to `out`.
@@ -146,21 +552,49 @@ pub fn count_in_range_with_minmax<T: DataValue>(data: &[T], lo: T, hi: T) -> (us
 #[inline]
 pub fn collect_in_range<T: DataValue>(data: &[T], base: usize, lo: T, hi: T, out: &mut Vec<u32>) {
     assert_positions_addressable(base, data.len());
-    let mut chunks = data.chunks_exact(LANES);
-    let mut block_base = base as u32;
-    for block in chunks.by_ref() {
-        let mut mask = lane_mask(block, lo, hi);
-        while mask != 0 {
-            out.push(block_base + mask.trailing_zeros());
-            mask &= mask - 1; // clear lowest set bit
-        }
-        block_base += LANES as u32;
-    }
-    for (i, v) in chunks.remainder().iter().enumerate() {
-        if v.in_range_total(&lo, &hi) {
-            out.push(block_base + i as u32);
-        }
-    }
+    let mut range = InRange::new(lo, hi);
+    for_each_block!(data, base, AllLive, |block, bit, dead| {
+        push_positions(range.mask(block, dead, |_| {}), bit, out);
+    });
+}
+
+/// Appends the positions (`base + offset`) of **live** qualifying rows to
+/// `out` and returns `(appended, min, max)` with `(min, max)` over all
+/// rows, so the scan can feed zone metadata back.
+///
+/// # Panics
+/// Panics if `base + data.len()` exceeds [`MAX_ADDRESSABLE_ROWS`] or the
+/// rows `live` addresses.
+#[inline]
+pub fn collect_minmax<T: DataValue, L: Liveness>(
+    data: &[T],
+    lo: T,
+    hi: T,
+    live: L,
+    base: usize,
+    out: &mut Vec<u32>,
+) -> (usize, T, T) {
+    assert_positions_addressable(base, data.len());
+    let mut range = InRange::new(lo, hi);
+    let before = out.len();
+    let mut bounds = MinMax::identity();
+    for_each_block!(data, base, live, |block, bit, dead| {
+        push_positions(range.mask(block, dead, |v| bounds.push(v)), bit, out);
+    });
+    let (min, max) = bounds.get();
+    (out.len() - before, min, max)
+}
+
+/// [`collect_minmax`] over an all-live slice.
+#[inline]
+pub fn collect_in_range_with_minmax<T: DataValue>(
+    data: &[T],
+    base: usize,
+    lo: T,
+    hi: T,
+    out: &mut Vec<u32>,
+) -> (usize, T, T) {
+    collect_minmax(data, lo, hi, AllLive, base, out)
 }
 
 /// Sets the bits (`base + offset`) of qualifying values in `bm`, one
@@ -174,176 +608,10 @@ pub fn fill_bitmap_in_range<T: DataValue>(data: &[T], base: usize, lo: T, hi: T,
         base + data.len() <= bm.len(),
         "bitmap too small for scan output"
     );
-    let mut chunks = data.chunks_exact(LANES);
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        bm.or_mask_at(bit, lane_mask(block, lo, hi));
-        bit += LANES;
-    }
-    for (i, v) in chunks.remainder().iter().enumerate() {
-        if v.in_range_total(&lo, &hi) {
-            bm.set(bit + i);
-        }
-    }
-}
-
-/// Sums qualifying values as `f64` and counts them; returns `(count, sum)`.
-///
-/// `f64` accumulation keeps one kernel for all value types; integer columns
-/// up to 2^53 sum exactly, which covers the workloads in this repository.
-/// Accumulation order is ascending row order, so results are bit-identical
-/// to the scalar reference (the accumulator can never become `-0.0`, so
-/// skipping the non-qualifying `+0.0` adds changes nothing).
-#[inline]
-pub fn sum_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> (usize, f64) {
-    let mut chunks = data.chunks_exact(LANES);
-    let mut count = 0usize;
-    let mut sum = 0.0f64;
-    for block in chunks.by_ref() {
-        let mask = lane_mask(block, lo, hi);
-        count += mask.count_ones() as usize;
-        if mask == u64::MAX {
-            for &v in block {
-                sum += v.to_f64();
-            }
-        } else {
-            let mut m = mask;
-            while m != 0 {
-                sum += block[m.trailing_zeros() as usize].to_f64();
-                m &= m - 1;
-            }
-        }
-    }
-    for &v in chunks.remainder() {
-        let q = v.in_range_total(&lo, &hi);
-        count += q as usize;
-        sum += if q { v.to_f64() } else { 0.0 };
-    }
-    (count, sum)
-}
-
-/// Sums every value of the slice as `f64` — the no-predicate kernel for
-/// ranges already proven to fully match, where re-evaluating the
-/// predicate per row (as `sum_in_range` with `[MIN, MAX]` bounds would)
-/// wastes two comparisons per tuple.
-#[inline]
-pub fn sum_all<T: DataValue>(data: &[T]) -> f64 {
-    let mut sum = 0.0f64;
-    for &v in data {
-        sum += v.to_f64();
-    }
-    sum
-}
-
-/// Full aggregate state of one scanned range, produced in a single pass.
-///
-/// `range_min`/`range_max` cover *all* rows (zone-metadata by-product);
-/// `match_min`/`match_max` cover only qualifying rows (MIN/MAX aggregates)
-/// and hold the fold identities when `count == 0`.
-#[derive(Debug, Clone, Copy)]
-pub struct RangeAggregates<T: DataValue> {
-    /// Qualifying rows.
-    pub count: usize,
-    /// Sum of qualifying rows as `f64`.
-    pub sum: f64,
-    /// Minimum over all rows of the slice.
-    pub range_min: T,
-    /// Maximum over all rows of the slice.
-    pub range_max: T,
-    /// Minimum over qualifying rows (MAX_VALUE when none qualify).
-    pub match_min: T,
-    /// Maximum over qualifying rows (MIN_VALUE when none qualify).
-    pub match_max: T,
-}
-
-impl<T: DataValue> RangeAggregates<T> {
-    /// The fold identity: zero rows seen.
-    fn identity() -> Self {
-        RangeAggregates {
-            count: 0,
-            sum: 0.0,
-            range_min: T::MAX_VALUE,
-            range_max: T::MIN_VALUE,
-            match_min: T::MAX_VALUE,
-            match_max: T::MIN_VALUE,
-        }
-    }
-}
-
-/// Computes every aggregate of [`RangeAggregates`] in one pass.
-#[inline]
-pub fn aggregate_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> RangeAggregates<T> {
-    let mut agg: RangeAggregates<T> = RangeAggregates::identity();
-    let mut chunks = data.chunks_exact(LANES);
-    for block in chunks.by_ref() {
-        let mask = lane_mask(block, lo, hi);
-        agg.count += mask.count_ones() as usize;
-        for &v in block {
-            agg.range_min = agg.range_min.min_total(v);
-            agg.range_max = agg.range_max.max_total(v);
-        }
-        let mut m = mask;
-        while m != 0 {
-            let v = block[m.trailing_zeros() as usize];
-            agg.sum += v.to_f64();
-            agg.match_min = agg.match_min.min_total(v);
-            agg.match_max = agg.match_max.max_total(v);
-            m &= m - 1;
-        }
-    }
-    for &v in chunks.remainder() {
-        let q = v.in_range_total(&lo, &hi);
-        agg.count += q as usize;
-        agg.sum += if q { v.to_f64() } else { 0.0 };
-        agg.range_min = agg.range_min.min_total(v);
-        agg.range_max = agg.range_max.max_total(v);
-        if q {
-            agg.match_min = agg.match_min.min_total(v);
-            agg.match_max = agg.match_max.max_total(v);
-        }
-    }
-    agg
-}
-
-/// Like [`collect_in_range`] but also returns the slice's exact
-/// `(min, max)` so the scan can feed zone metadata back.
-///
-/// # Panics
-/// Panics if `base + data.len()` exceeds [`MAX_ADDRESSABLE_ROWS`].
-#[inline]
-pub fn collect_in_range_with_minmax<T: DataValue>(
-    data: &[T],
-    base: usize,
-    lo: T,
-    hi: T,
-    out: &mut Vec<u32>,
-) -> (usize, T, T) {
-    assert_positions_addressable(base, data.len());
-    let before = out.len();
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut chunks = data.chunks_exact(LANES);
-    let mut block_base = base as u32;
-    for block in chunks.by_ref() {
-        let mut mask = lane_mask(block, lo, hi);
-        while mask != 0 {
-            out.push(block_base + mask.trailing_zeros());
-            mask &= mask - 1;
-        }
-        for &v in block {
-            min = min.min_total(v);
-            max = max.max_total(v);
-        }
-        block_base += LANES as u32;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        if v.in_range_total(&lo, &hi) {
-            out.push(block_base + i as u32);
-        }
-        min = min.min_total(v);
-        max = max.max_total(v);
-    }
-    (out.len() - before, min, max)
+    let mut range = InRange::new(lo, hi);
+    for_each_block!(data, base, AllLive, |block, bit, dead| {
+        bm.or_mask_at(bit, range.mask(block, dead, |_| {}));
+    });
 }
 
 /// Like [`fill_bitmap_in_range`] but also returns `(qualifying, min, max)`
@@ -364,384 +632,195 @@ pub fn fill_bitmap_in_range_with_minmax<T: DataValue>(
         base + data.len() <= bm.len(),
         "bitmap too small for scan output"
     );
+    let mut range = InRange::new(lo, hi);
     let mut count = 0usize;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut chunks = data.chunks_exact(LANES);
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        let mask = lane_mask(block, lo, hi);
+    let mut bounds = MinMax::identity();
+    for_each_block!(data, base, AllLive, |block, bit, dead| {
+        let mask = range.mask(block, dead, |v| bounds.push(v));
         bm.or_mask_at(bit, mask);
         count += mask.count_ones() as usize;
-        for &v in block {
-            min = min.min_total(v);
-            max = max.max_total(v);
-        }
-        bit += LANES;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        if v.in_range_total(&lo, &hi) {
-            bm.set(bit + i);
-            count += 1;
-        }
-        min = min.min_total(v);
-        max = max.max_total(v);
-    }
+    });
+    let (min, max) = bounds.get();
     (count, min, max)
 }
 
-/// As [`count_in_range_with_minmax`], additionally collecting a 64-bit
-/// value mask: bit `b` is set when some row's value falls into equal-width
-/// bin `b` of `[bin_lo, bin_hi]` (in `to_f64` space; values outside clamp
-/// to the edge bins). Returns `(count, min, max, mask)`.
+/// Sums qualifying values as `f64` and counts them; returns `(count, sum)`.
+///
+/// `f64` accumulation keeps one kernel for all value types; integer columns
+/// up to 2^53 sum exactly, which covers the workloads in this repository.
+/// Accumulation order is ascending row order, so the sum is bit-identical
+/// to the scalar reference's.
 #[inline]
-pub fn count_in_range_with_minmax_and_mask<T: DataValue>(
+pub fn sum_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> (usize, f64) {
+    let mut range = InRange::new(lo, hi);
+    let mut count = 0usize;
+    let mut sum = 0.0f64;
+    for_each_block!(data, 0, AllLive, |block, _bit, dead| {
+        let mask = range.visit(block, dead, |_| {}, |v| sum += v.to_f64());
+        count += mask.count_ones() as usize;
+    });
+    (count, sum)
+}
+
+/// Sums the **live** rows of the slice as `f64` and returns `(live count,
+/// sum)` — the no-predicate kernel for ranges already proven to fully
+/// match, where re-evaluating the predicate per row (as [`sum_in_range`]
+/// with `[MIN, MAX]` bounds would) wastes the compare.
+///
+/// # Panics
+/// Panics if `live` does not address rows `base..base + data.len()`.
+#[inline]
+pub fn sum_rows<T: DataValue, L: Liveness>(data: &[T], live: L, base: usize) -> (usize, f64) {
+    let mut count = 0usize;
+    let mut sum = 0.0f64;
+    for_each_block!(data, base, live, |block, _bit, dead| {
+        let mask = !dead & low_bits(block.len());
+        count += mask.count_ones() as usize;
+        for_each_selected(block, mask, |v| sum += v.to_f64());
+    });
+    (count, sum)
+}
+
+/// [`sum_rows`] over an all-live slice: the sum of every value.
+#[inline]
+pub fn sum_all<T: DataValue>(data: &[T]) -> f64 {
+    sum_rows(data, AllLive, 0).1
+}
+
+/// Full aggregate state of one scanned range, produced in a single pass.
+///
+/// `range_min`/`range_max` cover *all* rows (zone-metadata by-product);
+/// `match_min`/`match_max` cover only live qualifying rows (MIN/MAX
+/// aggregates) and hold the fold identities when `count == 0`.
+#[derive(Debug, Clone, Copy)]
+pub struct RangeAggregates<T: DataValue> {
+    /// Live qualifying rows.
+    pub count: usize,
+    /// Sum of live qualifying rows as `f64`.
+    pub sum: f64,
+    /// Minimum over all rows of the slice.
+    pub range_min: T,
+    /// Maximum over all rows of the slice.
+    pub range_max: T,
+    /// Minimum over live qualifying rows (MAX_VALUE when none qualify).
+    pub match_min: T,
+    /// Maximum over live qualifying rows (MIN_VALUE when none qualify).
+    pub match_max: T,
+}
+
+/// Computes every aggregate of [`RangeAggregates`] in one pass.
+///
+/// # Panics
+/// Panics if `live` does not address rows `base..base + data.len()`.
+#[inline]
+pub fn aggregate<T: DataValue, L: Liveness>(
     data: &[T],
     lo: T,
     hi: T,
-    bin_lo: f64,
-    bin_hi: f64,
-) -> (usize, T, T, u64) {
+    live: L,
+    base: usize,
+) -> RangeAggregates<T> {
+    let mut range = InRange::new(lo, hi);
     let mut count = 0usize;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut mask = 0u64;
-    let span = bin_hi - bin_lo;
-    let scale = if span > 0.0 { 64.0 / span } else { 0.0 };
-    for &v in data {
-        count += v.in_range_total(&lo, &hi) as usize;
-        min = min.min_total(v);
-        max = max.max_total(v);
-        let bin = ((v.to_f64() - bin_lo) * scale).clamp(0.0, 63.0) as u32;
-        mask |= 1u64 << bin;
+    let mut sum = 0.0f64;
+    let mut bounds = MinMax::identity();
+    let mut matched = MinMax::identity();
+    for_each_block!(data, base, live, |block, _bit, dead| {
+        let on_hit = |v: T| {
+            sum += v.to_f64();
+            matched.push(v);
+        };
+        let mask = range.visit(block, dead, |v| bounds.push(v), on_hit);
+        count += mask.count_ones() as usize;
+    });
+    let (range_min, range_max) = bounds.get();
+    let (match_min, match_max) = matched.get();
+    RangeAggregates {
+        count,
+        sum,
+        range_min,
+        range_max,
+        match_min,
+        match_max,
     }
-    (count, min, max, mask)
 }
 
-/// Exact `(min, max)` of a slice under the total order, or `None` if empty.
+/// [`aggregate`] over an all-live slice.
+#[inline]
+pub fn aggregate_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> RangeAggregates<T> {
+    aggregate(data, lo, hi, AllLive, 0)
+}
+
+/// `(min, max)` of the **live** rows under the total order, or `None`
+/// when the slice is empty or every row is tombstoned. Exact for every
+/// input except a slice whose live rows all sort outside
+/// `[MIN_VALUE, MAX_VALUE]` (floats: NaN only), where the fold identity
+/// stands in — still a sound bound, which is all zone metadata needs.
+///
+/// # Panics
+/// Panics if `live` does not address rows `base..base + data.len()`.
+#[inline]
+pub fn min_max_rows<T: DataValue, L: Liveness>(data: &[T], live: L, base: usize) -> Option<(T, T)> {
+    let mut found = false;
+    let mut bounds = MinMax::identity();
+    for_each_block!(data, base, live, |block, _bit, dead| {
+        let mask = !dead & low_bits(block.len());
+        found |= mask != 0;
+        if dead == 0 {
+            block.iter().for_each(|&v| bounds.push(v));
+        } else {
+            for_each_set(mask, |i| bounds.push(block[i]));
+        }
+    });
+    found.then(|| bounds.get())
+}
+
+/// [`min_max_rows`] over an all-live slice.
 #[inline]
 pub fn min_max<T: DataValue>(data: &[T]) -> Option<(T, T)> {
-    let (&first, rest) = data.split_first()?;
-    let mut min = first;
-    let mut max = first;
-    for &v in rest {
-        min = min.min_total(v);
-        max = max.max_total(v);
-    }
-    Some((min, max))
+    min_max_rows(data, AllLive, 0)
 }
 
 /// Minimum and maximum of the qualifying values only; `None` if nothing
 /// qualifies. Used by MIN/MAX aggregates.
 #[inline]
 pub fn min_max_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> Option<(T, T)> {
+    let mut range = InRange::new(lo, hi);
     let mut found = false;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut chunks = data.chunks_exact(LANES);
-    for block in chunks.by_ref() {
-        let mut m = lane_mask(block, lo, hi);
-        found |= m != 0;
-        while m != 0 {
-            let v = block[m.trailing_zeros() as usize];
-            min = min.min_total(v);
-            max = max.max_total(v);
-            m &= m - 1;
-        }
-    }
-    for &v in chunks.remainder() {
-        if v.in_range_total(&lo, &hi) {
-            min = min.min_total(v);
-            max = max.max_total(v);
-            found = true;
-        }
-    }
-    found.then_some((min, max))
-}
-
-// --------------------------------------------------------------- masked
-// Delete-aware kernel variants. Each takes a [`DeleteVector`] plus the
-// row offset of `data[0]` in the vector's coordinate space, and ANDs the
-// per-block qualifying mask with [`DeleteVector::live_window`] — one load
-// and one AND per 64-row block, preserving the block structure of the
-// unmasked kernels. The contract mirrors the observation split: `count`,
-// `sum`, `match_min`/`match_max`, and positions cover **live** qualifying
-// rows only (the answer), while `range_min`/`range_max` still cover *all*
-// rows including tombstones (the zone-metadata by-product), so zonemap
-// bounds stay sound-but-conservative over deleted rows until compaction
-// re-tightens them.
-
-/// Guards a masked kernel: every row of `data` must be addressed by `live`.
-#[inline]
-fn assert_live_covers(base: usize, len: usize, live: &DeleteVector) {
-    assert!(
-        base + len <= live.len(),
-        "rows {base}..{} exceed delete vector of {} rows",
-        base + len,
-        live.len()
-    );
-}
-
-/// Masked [`count_in_range_with_minmax`]: counts **live** qualifying
-/// values; `(min, max)` still covers all rows of the slice.
-#[inline]
-pub fn count_in_range_with_minmax_live<T: DataValue>(
-    data: &[T],
-    lo: T,
-    hi: T,
-    live: &DeleteVector,
-    base: usize,
-) -> (usize, T, T) {
-    assert_live_covers(base, data.len(), live);
-    let mut chunks = data.chunks_exact(LANES);
-    let mut count = 0usize;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        let mask = lane_mask(block, lo, hi) & live.live_window(bit);
-        count += mask.count_ones() as usize;
-        for &v in block {
-            min = min.min_total(v);
-            max = max.max_total(v);
-        }
-        bit += LANES;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        count += (v.in_range_total(&lo, &hi) && !live.is_deleted(bit + i)) as usize;
-        min = min.min_total(v);
-        max = max.max_total(v);
-    }
-    (count, min, max)
-}
-
-/// Masked [`aggregate_in_range`]: `count`/`sum`/`match_min`/`match_max`
-/// cover live qualifying rows; `range_min`/`range_max` cover all rows.
-/// Sum accumulation stays in ascending row order, so results are
-/// bit-identical to a scalar recompute over the live rows.
-#[inline]
-pub fn aggregate_in_range_live<T: DataValue>(
-    data: &[T],
-    lo: T,
-    hi: T,
-    live: &DeleteVector,
-    base: usize,
-) -> RangeAggregates<T> {
-    assert_live_covers(base, data.len(), live);
-    let mut agg: RangeAggregates<T> = RangeAggregates::identity();
-    let mut chunks = data.chunks_exact(LANES);
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        let mask = lane_mask(block, lo, hi) & live.live_window(bit);
-        agg.count += mask.count_ones() as usize;
-        for &v in block {
-            agg.range_min = agg.range_min.min_total(v);
-            agg.range_max = agg.range_max.max_total(v);
-        }
-        let mut m = mask;
-        while m != 0 {
-            let v = block[m.trailing_zeros() as usize];
-            agg.sum += v.to_f64();
-            agg.match_min = agg.match_min.min_total(v);
-            agg.match_max = agg.match_max.max_total(v);
-            m &= m - 1;
-        }
-        bit += LANES;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        let q = v.in_range_total(&lo, &hi) && !live.is_deleted(bit + i);
-        agg.count += q as usize;
-        agg.sum += if q { v.to_f64() } else { 0.0 };
-        agg.range_min = agg.range_min.min_total(v);
-        agg.range_max = agg.range_max.max_total(v);
-        if q {
-            agg.match_min = agg.match_min.min_total(v);
-            agg.match_max = agg.match_max.max_total(v);
-        }
-    }
-    agg
-}
-
-/// Masked [`collect_in_range_with_minmax`]: positions of **live**
-/// qualifying rows (`base + offset`); `(min, max)` covers all rows.
-///
-/// # Panics
-/// Panics if `base + data.len()` exceeds [`MAX_ADDRESSABLE_ROWS`] or the
-/// delete vector's length.
-#[inline]
-pub fn collect_in_range_with_minmax_live<T: DataValue>(
-    data: &[T],
-    base: usize,
-    lo: T,
-    hi: T,
-    live: &DeleteVector,
-    out: &mut Vec<u32>,
-) -> (usize, T, T) {
-    assert_positions_addressable(base, data.len());
-    assert_live_covers(base, data.len(), live);
-    let before = out.len();
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut chunks = data.chunks_exact(LANES);
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        let mut mask = lane_mask(block, lo, hi) & live.live_window(bit);
-        while mask != 0 {
-            // narrowing: bit + 63 < MAX_ADDRESSABLE_ROWS by the guard above.
-            out.push(bit as u32 + mask.trailing_zeros());
-            mask &= mask - 1;
-        }
-        for &v in block {
-            min = min.min_total(v);
-            max = max.max_total(v);
-        }
-        bit += LANES;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        if v.in_range_total(&lo, &hi) && !live.is_deleted(bit + i) {
-            // narrowing: bit + i < MAX_ADDRESSABLE_ROWS by the guard above.
-            out.push((bit + i) as u32);
-        }
-        min = min.min_total(v);
-        max = max.max_total(v);
-    }
-    (out.len() - before, min, max)
-}
-
-/// Masked [`sum_all`] for ranges already proven to fully match: sums the
-/// **live** rows and returns `(live count, sum)`, one `live_window` per
-/// 64-row block.
-#[inline]
-pub fn sum_all_live<T: DataValue>(data: &[T], live: &DeleteVector, base: usize) -> (usize, f64) {
-    assert_live_covers(base, data.len(), live);
-    let mut chunks = data.chunks_exact(LANES);
-    let mut count = 0usize;
-    let mut sum = 0.0f64;
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        let mask = live.live_window(bit);
-        count += mask.count_ones() as usize;
-        if mask == u64::MAX {
-            for &v in block {
-                sum += v.to_f64();
-            }
-        } else {
-            let mut m = mask;
-            while m != 0 {
-                sum += block[m.trailing_zeros() as usize].to_f64();
-                m &= m - 1;
-            }
-        }
-        bit += LANES;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        if !live.is_deleted(bit + i) {
-            count += 1;
-            sum += v.to_f64();
-        }
-    }
-    (count, sum)
-}
-
-/// Masked [`min_max`]: `(min, max)` of the **live** rows only, or `None`
-/// when every row of the slice is tombstoned. For full-match ranges under
-/// MIN/MAX aggregates, where the unmasked path reads the whole slice.
-#[inline]
-pub fn min_max_live<T: DataValue>(data: &[T], live: &DeleteVector, base: usize) -> Option<(T, T)> {
-    assert_live_covers(base, data.len(), live);
-    let mut found = false;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut chunks = data.chunks_exact(LANES);
-    let mut bit = base;
-    for block in chunks.by_ref() {
-        let mut m = live.live_window(bit);
-        found |= m != 0;
-        while m != 0 {
-            let v = block[m.trailing_zeros() as usize];
-            min = min.min_total(v);
-            max = max.max_total(v);
-            m &= m - 1;
-        }
-        bit += LANES;
-    }
-    for (i, &v) in chunks.remainder().iter().enumerate() {
-        if !live.is_deleted(bit + i) {
-            min = min.min_total(v);
-            max = max.max_total(v);
-            found = true;
-        }
-    }
-    found.then_some((min, max))
-}
-
-/// Masked [`count_in_range_with_minmax_and_mask`]: the value-mask scan
-/// with tombstoned rows excluded from the count. Dead rows still feed
-/// `(min, max)` and the bin mask — both are conservative-only metadata,
-/// and a dead row's bin bit can at worst under-skip, never corrupt.
-#[inline]
-pub fn count_in_range_with_minmax_and_mask_live<T: DataValue>(
-    data: &[T],
-    lo: T,
-    hi: T,
-    bin_lo: f64,
-    bin_hi: f64,
-    live: &DeleteVector,
-    base: usize,
-) -> (usize, T, T, u64) {
-    assert_live_covers(base, data.len(), live);
-    let mut count = 0usize;
-    let mut min = T::MAX_VALUE;
-    let mut max = T::MIN_VALUE;
-    let mut mask = 0u64;
-    let span = bin_hi - bin_lo;
-    let scale = if span > 0.0 { 64.0 / span } else { 0.0 };
-    for (i, &v) in data.iter().enumerate() {
-        count += (v.in_range_total(&lo, &hi) && !live.is_deleted(base + i)) as usize;
-        min = min.min_total(v);
-        max = max.max_total(v);
-        // narrowing: clamp(0, 63) bounds the bin index below 64.
-        let bin = ((v.to_f64() - bin_lo) * scale).clamp(0.0, 63.0) as u32;
-        mask |= 1u64 << bin;
-    }
-    (count, min, max, mask)
+    let mut matched = MinMax::identity();
+    for_each_block!(data, 0, AllLive, |block, _bit, dead| {
+        found |= 0 != range.visit(block, dead, |_| {}, |v| matched.push(v));
+    });
+    found.then(|| matched.get())
 }
 
 /// Appends the row positions in `start..end` that are live to `out` — the
-/// full-match POSITIONS path under deletes, where the unmasked kernel
-/// extends the whole range wholesale.
+/// full-match POSITIONS path, where no value needs reading.
 ///
 /// # Panics
-/// Panics if `end` exceeds [`MAX_ADDRESSABLE_ROWS`] or the vector length.
+/// Panics if `end` exceeds [`MAX_ADDRESSABLE_ROWS`] or the rows `live`
+/// addresses.
 #[inline]
-pub fn collect_live_positions(live: &DeleteVector, start: usize, end: usize, out: &mut Vec<u32>) {
+pub fn live_positions<L: Liveness>(live: L, start: usize, end: usize, out: &mut Vec<u32>) {
     assert_positions_addressable(start, end - start);
-    assert_live_covers(start, end - start, live);
+    live.assert_covers(start, end - start);
     let mut bit = start;
     while bit < end {
         let span = (end - bit).min(LANES);
-        let mut mask = live.live_window(bit);
-        if span < LANES {
-            mask &= u64::MAX >> (64 - span);
-        }
-        while mask != 0 {
-            // narrowing: bit + 63 < MAX_ADDRESSABLE_ROWS by the guard above.
-            out.push(bit as u32 + mask.trailing_zeros());
-            mask &= mask - 1;
-        }
+        push_positions(live.window(bit) & low_bits(span), bit, out);
         bit += span;
     }
 }
 
-/// The pre-block scalar kernels, retained verbatim.
+/// The per-row reference kernels.
 ///
-/// Two consumers keep these alive: the property tests assert every block
-/// kernel is result-identical (bit-identical for `f64` sums) to its scalar
-/// twin over randomised and adversarial inputs, and the kernel benchmark
-/// (`kernels_json`) reports the block kernels' speedup over this baseline
-/// as the repo's machine-readable perf trajectory. They evaluate the
-/// predicate per element with short-circuit compares and hope for
-/// autovectorisation — exactly the loops the block kernels replaced.
+/// Two consumers keep these alive: the property tests assert every
+/// production kernel is result-identical (bit-identical for `f64` sums)
+/// to its reference over randomised and adversarial inputs, and the
+/// kernel benchmark (`kernels_json`) reports every production kernel
+/// against this baseline and fails when one falls below 0.9x of it. They
+/// evaluate the predicate per element with short-circuit compares and
+/// leave everything else to the compiler.
 pub mod scalar {
     use super::{Bitmap, DataValue, RangeAggregates};
 
@@ -1078,170 +1157,26 @@ mod tests {
         assert_eq!(count_in_range(&data, 6, 9), 0);
     }
 
+    fn mask(lo: i64, hi: i64, block: &[i64]) -> u64 {
+        InRange::new(lo, hi).lane_mask(block, |_| {})
+    }
+
     #[test]
-    fn lane_mask_places_each_lane_at_its_bit() {
+    fn range_mask_places_each_lane_at_its_bit() {
         for i in 0..LANES {
             let mut block = vec![0i64; LANES];
             block[i] = 5;
-            assert_eq!(lane_mask(&block, 5, 5), 1u64 << i, "lane {i}");
+            assert_eq!(mask(5, 5, &block), 1u64 << i, "lane {i}");
         }
         let all = vec![7i64; LANES];
-        assert_eq!(lane_mask(&all, 0, 10), u64::MAX);
-        assert_eq!(lane_mask(&all, 8, 10), 0);
-    }
-
-    #[test]
-    fn block_kernels_handle_lane_boundaries() {
-        // Lengths straddling the 64-lane block structure: full blocks,
-        // ±1 around each boundary, and tails of every flavour.
-        for n in [0usize, 1, 63, 64, 65, 127, 128, 129, 200] {
-            let data: Vec<i64> = (0..n as i64).map(|i| (i * 7) % 50).collect();
-            let (lo, hi) = (10, 30);
-            assert_eq!(
-                count_in_range(&data, lo, hi),
-                scalar::count_in_range(&data, lo, hi),
-                "n={n}"
-            );
-            let mut block_pos = Vec::new();
-            let mut scalar_pos = Vec::new();
-            collect_in_range(&data, 5, lo, hi, &mut block_pos);
-            scalar::collect_in_range(&data, 5, lo, hi, &mut scalar_pos);
-            assert_eq!(block_pos, scalar_pos, "n={n}");
-            let mut block_bm = Bitmap::new(n + 7);
-            let mut scalar_bm = Bitmap::new(n + 7);
-            fill_bitmap_in_range(&data, 7, lo, hi, &mut block_bm);
-            scalar::fill_bitmap_in_range(&data, 7, lo, hi, &mut scalar_bm);
-            assert_eq!(block_bm, scalar_bm, "n={n}");
-        }
-    }
-
-    /// A delete vector over 300 rows with every 7th row tombstoned, plus
-    /// the live-row predicate reference the masked kernels must match.
-    fn masked_fixture() -> (Vec<i64>, DeleteVector) {
-        let data: Vec<i64> = (0..300).map(|i| (i * 13) % 97).collect();
-        let mut live = DeleteVector::new(300, 1);
-        for i in (0..300).step_by(7) {
-            live.delete(i);
-        }
-        (data, live)
-    }
-
-    #[test]
-    fn masked_count_matches_per_row_reference() {
-        let (data, live) = masked_fixture();
-        for (start, end) in [(0usize, 300usize), (5, 70), (63, 129), (250, 300)] {
-            let (c, min, max) =
-                count_in_range_with_minmax_live(&data[start..end], 10, 60, &live, start);
-            let want = (start..end)
-                .filter(|&i| !live.is_deleted(i) && (10..=60).contains(&data[i]))
-                .count();
-            assert_eq!(c, want, "{start}..{end}");
-            // min/max still cover ALL rows, tombstoned included.
-            let (_, rmin, rmax) = count_in_range_with_minmax(&data[start..end], 10, 60);
-            assert_eq!((min, max), (rmin, rmax), "{start}..{end}");
-        }
-    }
-
-    #[test]
-    fn masked_aggregate_matches_live_scalar_recompute() {
-        let (data, live) = masked_fixture();
-        for (start, end) in [(0usize, 300usize), (1, 64), (64, 200), (199, 300)] {
-            let a = aggregate_in_range_live(&data[start..end], 10, 60, &live, start);
-            let live_vals: Vec<i64> = (start..end)
-                .filter(|&i| !live.is_deleted(i))
-                .map(|i| data[i])
-                .collect();
-            let want = scalar::aggregate_in_range(&live_vals, 10, 60);
-            assert_eq!(a.count, want.count, "{start}..{end}");
-            assert_eq!(a.sum.to_bits(), want.sum.to_bits(), "{start}..{end}");
-            assert_eq!((a.match_min, a.match_max), (want.match_min, want.match_max));
-            // range extremes still from all rows.
-            let (all_min, all_max) = min_max(&data[start..end]).unwrap();
-            assert_eq!((a.range_min, a.range_max), (all_min, all_max));
-        }
-    }
-
-    #[test]
-    fn masked_collect_skips_tombstones() {
-        let (data, live) = masked_fixture();
-        let mut out = Vec::new();
-        let (n, _, _) =
-            collect_in_range_with_minmax_live(&data[60..130], 60, 0, 96, &live, &mut out);
-        let want: Vec<u32> = (60..130)
-            .filter(|&i| !live.is_deleted(i) && (0..=96).contains(&data[i]))
-            .map(|i| i as u32)
-            .collect();
-        assert_eq!(out, want);
-        assert_eq!(n, want.len());
-    }
-
-    #[test]
-    fn masked_sum_all_and_min_max() {
-        let (data, live) = masked_fixture();
-        let (count, sum) = sum_all_live(&data[0..130], &live, 0);
-        let live_vals: Vec<i64> = (0..130)
-            .filter(|&i| !live.is_deleted(i))
-            .map(|i| data[i])
-            .collect();
-        assert_eq!(count, live_vals.len());
-        assert_eq!(sum.to_bits(), sum_all(&live_vals).to_bits());
-        let (min, max) = min_max_live(&data[0..130], &live, 0).unwrap();
-        assert_eq!(Some((min, max)), min_max(&live_vals));
-    }
-
-    #[test]
-    fn masked_min_max_none_when_all_dead() {
-        let data = [5i64, 6, 7];
-        let mut live = DeleteVector::new(3, 0);
-        for i in 0..3 {
-            live.delete(i);
-        }
-        assert_eq!(min_max_live(&data, &live, 0), None);
-        assert_eq!(sum_all_live(&data, &live, 0), (0, 0.0));
-    }
-
-    #[test]
-    fn masked_value_mask_kernel_counts_live_only() {
-        let (data, live) = masked_fixture();
-        let (c, min, max, mask) =
-            count_in_range_with_minmax_and_mask_live(&data[0..100], 10, 60, 0.0, 97.0, &live, 0);
-        let want = (0..100)
-            .filter(|&i| !live.is_deleted(i) && (10..=60).contains(&data[i]))
-            .count();
-        assert_eq!(c, want);
-        let (_, rmin, rmax, rmask) =
-            count_in_range_with_minmax_and_mask(&data[0..100], 10, 60, 0.0, 97.0);
-        assert_eq!((min, max, mask), (rmin, rmax, rmask), "metadata unchanged");
-    }
-
-    #[test]
-    fn collect_live_positions_matches_filter() {
-        let (_, live) = masked_fixture();
-        let mut out = Vec::new();
-        collect_live_positions(&live, 50, 200, &mut out);
-        let want: Vec<u32> = (50..200)
-            .filter(|&i| !live.is_deleted(i))
-            .map(|i| i as u32)
-            .collect();
-        assert_eq!(out, want);
-        let mut empty = Vec::new();
-        collect_live_positions(&live, 70, 70, &mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn masked_kernels_with_all_live_vector_match_unmasked() {
-        let data: Vec<i64> = (0..200).map(|i| (i * 31) % 83).collect();
-        let live = DeleteVector::new(200, 0);
-        let (c, min, max) = count_in_range_with_minmax_live(&data, 20, 70, &live, 0);
-        assert_eq!((c, min, max), count_in_range_with_minmax(&data, 20, 70));
-        let a = aggregate_in_range_live(&data, 20, 70, &live, 0);
-        let b = aggregate_in_range(&data, 20, 70);
-        assert_eq!(a.count, b.count);
-        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-        let (n, s) = sum_all_live(&data, &live, 0);
-        assert_eq!(n, 200);
-        assert_eq!(s.to_bits(), sum_all(&data).to_bits());
+        assert_eq!(mask(0, 10, &all), u64::MAX);
+        assert_eq!(mask(8, 10, &all), 0);
+        // An inverted range is empty, not "everything the offsets wrap to".
+        assert_eq!(mask(10, 0, &all), 0);
+        assert_eq!(InRange::new(10, 0).count_and(&all, |_| {}), 0);
+        assert!(!InRange::new(10, 0).holds(7));
+        // The tail block: bits at and past its length stay clear.
+        assert_eq!(mask(0, 10, &all[..3]), 0b111);
     }
 
     #[test]
@@ -1249,7 +1184,7 @@ mod tests {
     fn masked_kernel_rejects_short_delete_vector() {
         let data = [1i64, 2, 3];
         let live = DeleteVector::new(2, 0);
-        count_in_range_with_minmax_live(&data, 0, 10, &live, 0);
+        count_minmax(&data, 0, 10, &live, 0);
     }
 
     #[test]

@@ -23,6 +23,22 @@ pub trait DataValue: Copy + Send + Sync + fmt::Debug + fmt::Display + PartialEq 
     /// Short type name used in error messages and reports.
     const TYPE_NAME: &'static str;
 
+    /// A machine integer ordered like the values: the value itself for
+    /// integers, the sign-magnitude transform `total_cmp` applies
+    /// internally for floats.
+    type Key: Copy + Ord + Send + Sync + fmt::Debug;
+
+    /// Order-preserving map into [`Self::Key`]:
+    /// `a.total_cmp(&b) == a.total_key().cmp(&b.total_key())`. The scan
+    /// kernels fold MIN/MAX over keys — one integer compare-and-select
+    /// per row, where folding floats directly would put the two-step
+    /// `total_cmp` on the loop-carried value — and map the result back
+    /// with [`Self::from_total_key`].
+    fn total_key(self) -> Self::Key;
+
+    /// Inverse of [`Self::total_key`].
+    fn from_total_key(key: Self::Key) -> Self;
+
     /// Total-order comparison.
     fn total_cmp(&self, other: &Self) -> Ordering;
 
@@ -62,16 +78,19 @@ pub trait DataValue: Copy + Send + Sync + fmt::Debug + fmt::Display + PartialEq 
         self.total_cmp(other) == Ordering::Less
     }
 
-    /// `lo <= self <= hi` under the total order, as one branchless
-    /// expression. The hot scan kernels call this once per lane; the
-    /// default is correct for every type, and implementations override it
-    /// with whatever compare sequence their hardware vectorises best
-    /// (plain compares for integers, the sign-magnitude key trick for
-    /// floats).
+    /// `lo <= self <= hi` under the total order, for any `lo`, `hi`.
     #[inline]
     fn in_range_total(&self, lo: &Self, hi: &Self) -> bool {
         self.ge_total(lo) & self.le_total(hi)
     }
+
+    /// [`Self::in_range_total`] for callers that know `lo <= hi`: a single
+    /// unsigned compare of key offsets, `self - lo <= hi - lo` (wrapping;
+    /// values below `lo` wrap past every in-range offset, and `hi - lo`
+    /// is loop-invariant). This is the range test of the hot scan
+    /// kernels, which check `lo <= hi` once per block; for `lo > hi` the
+    /// result is meaningless.
+    fn in_span_total(&self, lo: &Self, hi: &Self) -> bool;
 
     /// The smaller of two values under the total order.
     #[inline]
@@ -95,11 +114,27 @@ pub trait DataValue: Copy + Send + Sync + fmt::Debug + fmt::Display + PartialEq 
 }
 
 macro_rules! impl_data_value_int {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $u:ty),*) => {$(
         impl DataValue for $t {
             const MIN_VALUE: Self = <$t>::MIN;
             const MAX_VALUE: Self = <$t>::MAX;
             const TYPE_NAME: &'static str = stringify!($t);
+            type Key = $t;
+
+            #[inline]
+            fn total_key(self) -> $t {
+                self
+            }
+
+            #[inline]
+            fn from_total_key(key: $t) -> Self {
+                key
+            }
+
+            #[inline]
+            fn in_span_total(&self, lo: &Self, hi: &Self) -> bool {
+                (*self as $u).wrapping_sub(*lo as $u) <= (*hi as $u).wrapping_sub(*lo as $u)
+            }
 
             #[inline]
             fn total_cmp(&self, other: &Self) -> Ordering {
@@ -123,15 +158,11 @@ macro_rules! impl_data_value_int {
                 *self == *other
             }
 
-            #[inline]
-            fn in_range_total(&self, lo: &Self, hi: &Self) -> bool {
-                (*lo <= *self) & (*self <= *hi)
-            }
         }
     )*};
 }
 
-impl_data_value_int!(i8, i16, i32, i64, u8, u16, u32, u64);
+impl_data_value_int!(i8 => u8, i16 => u16, i32 => u32, i64 => u64, u8 => u8, u16 => u16, u32 => u32, u64 => u64);
 
 impl DataValue for f64 {
     // f64::MIN/MAX are the finite extremes; under totalOrder the true
@@ -141,6 +172,27 @@ impl DataValue for f64 {
     const MIN_VALUE: Self = f64::NEG_INFINITY;
     const MAX_VALUE: Self = f64::INFINITY;
     const TYPE_NAME: &'static str = "f64";
+    type Key = i64;
+
+    // Negative floats (sign bit set) flip their magnitude bits — the
+    // sign-magnitude transform `f64::total_cmp` applies before comparing.
+    // The mask never touches the sign bit, so the map is its own inverse.
+    #[inline]
+    fn total_key(self) -> i64 {
+        let bits = self.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
+
+    #[inline]
+    fn from_total_key(key: i64) -> Self {
+        f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+    }
+
+    #[inline]
+    fn in_span_total(&self, lo: &Self, hi: &Self) -> bool {
+        self.total_key()
+            .in_span_total(&lo.total_key(), &hi.total_key())
+    }
 
     #[inline]
     fn total_cmp(&self, other: &Self) -> Ordering {
@@ -164,35 +216,30 @@ impl DataValue for f64 {
     fn eq_total(&self, other: &Self) -> bool {
         self.to_bits() == other.to_bits()
     }
-
-    #[inline]
-    fn in_range_total(&self, lo: &Self, hi: &Self) -> bool {
-        let v = f64_total_key(*self);
-        (f64_total_key(*lo) <= v) & (v <= f64_total_key(*hi))
-    }
-}
-
-/// Monotone map from `f64` to `i64` under IEEE-754 totalOrder — the same
-/// sign-magnitude transform `f64::total_cmp` applies before comparing, so
-/// `f64_total_key(a) <= f64_total_key(b)` iff `a.total_cmp(&b) != Greater`.
-/// Integer compares vectorise where the two-step `total_cmp` may not.
-#[inline]
-fn f64_total_key(x: f64) -> i64 {
-    let bits = x.to_bits() as i64;
-    bits ^ (((bits >> 63) as u64) >> 1) as i64
-}
-
-/// As [`f64_total_key`] for `f32`.
-#[inline]
-fn f32_total_key(x: f32) -> i32 {
-    let bits = x.to_bits() as i32;
-    bits ^ (((bits >> 31) as u32) >> 1) as i32
 }
 
 impl DataValue for f32 {
     const MIN_VALUE: Self = f32::NEG_INFINITY;
     const MAX_VALUE: Self = f32::INFINITY;
     const TYPE_NAME: &'static str = "f32";
+    type Key = i32;
+
+    #[inline]
+    fn total_key(self) -> i32 {
+        let bits = self.to_bits() as i32;
+        bits ^ (((bits >> 31) as u32) >> 1) as i32
+    }
+
+    #[inline]
+    fn from_total_key(key: i32) -> Self {
+        f32::from_bits((key ^ (((key >> 31) as u32) >> 1) as i32) as u32)
+    }
+
+    #[inline]
+    fn in_span_total(&self, lo: &Self, hi: &Self) -> bool {
+        self.total_key()
+            .in_span_total(&lo.total_key(), &hi.total_key())
+    }
 
     #[inline]
     fn total_cmp(&self, other: &Self) -> Ordering {
@@ -212,12 +259,6 @@ impl DataValue for f32 {
     #[inline]
     fn eq_total(&self, other: &Self) -> bool {
         self.to_bits() == other.to_bits()
-    }
-
-    #[inline]
-    fn in_range_total(&self, lo: &Self, hi: &Self) -> bool {
-        let v = f32_total_key(*self);
-        (f32_total_key(*lo) <= v) & (v <= f32_total_key(*hi))
     }
 }
 
@@ -269,34 +310,24 @@ mod tests {
         assert_eq!((-0.0f64).total_cmp(&0.0), Ordering::Less);
     }
 
-    #[test]
-    fn in_range_total_matches_ge_le_for_float_edge_cases() {
-        let specials = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -1.0,
-            -0.0,
-            0.0,
-            1.0,
-            1e300,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            f64::MIN_POSITIVE,
-        ];
-        for &v in &specials {
-            for &lo in &specials {
-                for &hi in &specials {
+    /// Checks the key laws on every pair/triple of `vals`.
+    fn assert_key_laws<T: DataValue>(vals: &[T]) {
+        for &a in vals {
+            assert!(T::from_total_key(a.total_key()).eq_total(&a), "{a:?}");
+            for &b in vals {
+                assert_eq!(
+                    a.total_cmp(&b),
+                    a.total_key().cmp(&b.total_key()),
+                    "{a:?} vs {b:?}"
+                );
+                if !a.le_total(&b) {
+                    continue;
+                }
+                for &v in vals {
                     assert_eq!(
-                        v.in_range_total(&lo, &hi),
-                        v.ge_total(&lo) && v.le_total(&hi),
-                        "v={v:?} lo={lo:?} hi={hi:?}"
-                    );
-                    let (v32, lo32, hi32) = (v as f32, lo as f32, hi as f32);
-                    assert_eq!(
-                        v32.in_range_total(&lo32, &hi32),
-                        v32.ge_total(&lo32) && v32.le_total(&hi32),
-                        "v={v32:?} lo={lo32:?} hi={hi32:?}"
+                        v.in_span_total(&a, &b),
+                        v.in_range_total(&a, &b),
+                        "v={v:?} in [{a:?}, {b:?}]"
                     );
                 }
             }
@@ -304,17 +335,24 @@ mod tests {
     }
 
     #[test]
-    fn in_range_total_matches_ge_le_for_ints() {
-        for v in [-3i64, 0, 1, i64::MIN, i64::MAX] {
-            for lo in [-3i64, 0, i64::MIN] {
-                for hi in [0i64, 7, i64::MAX] {
-                    assert_eq!(
-                        v.in_range_total(&lo, &hi),
-                        v.ge_total(&lo) && v.le_total(&hi)
-                    );
-                }
-            }
-        }
+    fn total_key_orders_and_inverts_and_spans_match_ranges() {
+        assert_key_laws(&[i64::MIN, -3, 0, 1, 7, i64::MAX]);
+        assert_key_laws(&[i8::MIN, -1, 0, 1, i8::MAX]);
+        assert_key_laws(&[0u32, 1, 7, u32::MAX]);
+        let floats = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        assert_key_laws(&floats);
+        assert_key_laws(&floats.map(|v| v as f32));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 #![cfg(feature = "audit")]
 
 use ads_core::{PruneOutcome, RangePredicate, SkippingIndex};
-use ads_engine::{execute, scan_pruned_with_deletes, AggKind, ExecPolicy, Strategy};
+use ads_engine::{
+    execute, scan_pruned_with_deletes, scan_sharded, AggKind, ExecPolicy, ShardScanInput, Strategy,
+};
 use ads_storage::{DeleteVector, RangeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -67,13 +69,73 @@ fn executor_aborts_on_lying_index() {
         .expect("panic carries a message");
     assert!(msg.contains("FALSE SKIP"), "unexpected abort: {msg}");
     assert!(
-        msg.contains("scan_pruned"),
+        msg.contains("scan_sharded"),
         "hook must name its site: {msg}"
     );
     assert!(
         msg.contains("skip:bounds"),
         "abort must surface the decision trace: {msg}"
     );
+}
+
+/// The sharded scan is the path every server query takes: a lane whose
+/// prune drops a zone holding a qualifying live row must abort there
+/// too, and name the lane's site.
+#[test]
+fn sharded_scan_aborts_on_a_lane_that_lies() {
+    let data: Vec<i64> = (0..2000).collect();
+    let (left, right) = data.split_at(1000);
+    let honest = PruneOutcome::scan_all(left.len());
+    let lying = EvilIndex { rows: right.len() }.prune(&RangePredicate::all());
+    // One tombstone in the honest lane puts it on the masked kernels; the
+    // lying lane scans unmasked. Both must reach the oracle.
+    let mut live = DeleteVector::new(left.len(), 1);
+    live.delete(3);
+    let inputs = || {
+        [
+            ShardScanInput {
+                data: left,
+                outcome: &honest,
+                start: 0,
+                live: Some(&live),
+            },
+            ShardScanInput {
+                data: right,
+                outcome: &lying,
+                start: 1000,
+                live: None,
+            },
+        ]
+    };
+    let policy = ExecPolicy::default();
+    // Rows 1900..=1950 sit in the half the second lane dropped.
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        scan_sharded(
+            &inputs(),
+            RangePredicate::between(1900, 1950),
+            AggKind::Count,
+            &policy,
+        )
+    }))
+    .map(|_| ())
+    .expect_err("sharded scan must abort on a false skip");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("panic carries a message");
+    assert!(msg.contains("FALSE SKIP"), "unexpected abort: {msg}");
+    assert!(
+        msg.contains("scan_sharded"),
+        "hook must name its site: {msg}"
+    );
+
+    // The same lanes answer cleanly when the predicate misses the gap.
+    let result = scan_sharded(
+        &inputs(),
+        RangePredicate::between(0, 1200),
+        AggKind::Count,
+        &policy,
+    );
+    assert_eq!(result.answer.count, 1200, "row 3 is tombstoned");
 }
 
 #[test]

@@ -15,7 +15,10 @@ use adaptive_data_skipping::engine::execute_sharded;
 use adaptive_data_skipping::engine::{
     execute, execute_reference, execute_with_policy, AggKind, ExecPolicy, Strategy,
 };
-use adaptive_data_skipping::storage::{scan, Bitmap, DataValue, RangeSet, ShardedColumn};
+use adaptive_data_skipping::storage::scan::{AllLive, Liveness};
+use adaptive_data_skipping::storage::{
+    scan, Bitmap, DataValue, DeleteVector, RangeSet, ShardedColumn,
+};
 use ads_rng::StdRng;
 use std::cmp::Ordering;
 
@@ -524,6 +527,207 @@ fn block_kernels_match_scalar_reference_floats() {
             let ctx32 = format!("f32 case {case} len {len}");
             assert_block_kernels_match_scalar(&data32, lo as f32, hi as f32, &ctx32);
         }
+    }
+}
+
+/// Asserts the liveness-generic kernels over `column[base..base + len]`
+/// with liveness source `live` agree with the scalar reference run over
+/// the rows `is_live` keeps: answers (count, `f64` sum bit for bit,
+/// MIN/MAX of the matches, positions) cover live rows only, while the
+/// `(min, max)` by-product still covers every row of the slice.
+fn assert_generic_kernels_match_reference<T: DataValue, L: Liveness>(
+    column: &[T],
+    (base, len): (usize, usize),
+    (lo, hi): (T, T),
+    live: L,
+    is_live: impl Fn(usize) -> bool,
+    ctx: &str,
+) {
+    let data = &column[base..base + len];
+    let kept: Vec<T> = (0..len)
+        .filter(|&i| is_live(base + i))
+        .map(|i| data[i])
+        .collect();
+    let kept_pos: Vec<u32> = (0..len)
+        .filter(|&i| is_live(base + i) && data[i].ge_total(&lo) && data[i].le_total(&hi))
+        .map(|i| (base + i) as u32)
+        .collect();
+    let want = scan::scalar::aggregate_in_range(&kept, lo, hi);
+    let all = scan::scalar::aggregate_in_range(data, lo, hi);
+
+    let (count, min, max) = scan::count_minmax(data, lo, hi, live, base);
+    assert!(
+        count == want.count && same(min, all.range_min) && same(max, all.range_max),
+        "count_minmax {ctx}"
+    );
+
+    // The value mask must be the one a scan of all rows produces: dead
+    // rows still set their bin.
+    let (bins_count, bins_min, bins_max, bins) =
+        scan::count_minmax_bins(data, lo, hi, -500.0, 500.0, live, base);
+    let (_, _, _, all_bins) =
+        scan::count_in_range_with_minmax_and_mask(data, lo, hi, -500.0, 500.0);
+    assert!(
+        bins_count == count && same(bins_min, min) && same(bins_max, max) && bins == all_bins,
+        "count_minmax_bins {ctx}"
+    );
+
+    let got = scan::aggregate(data, lo, hi, live, base);
+    assert!(
+        got.count == want.count
+            && got.sum.to_bits() == want.sum.to_bits()
+            && same(got.match_min, want.match_min)
+            && same(got.match_max, want.match_max)
+            && same(got.range_min, all.range_min)
+            && same(got.range_max, all.range_max),
+        "aggregate {ctx}: {got:?} vs {want:?} / {all:?}"
+    );
+
+    let mut positions = vec![7u32]; // earlier content must survive
+    let (n, pmin, pmax) = scan::collect_minmax(data, lo, hi, live, base, &mut positions);
+    assert!(
+        n == kept_pos.len()
+            && positions[0] == 7
+            && positions[1..] == kept_pos
+            && same(pmin, all.range_min)
+            && same(pmax, all.range_max),
+        "collect_minmax {ctx}"
+    );
+
+    let (rows, sum) = scan::sum_rows(data, live, base);
+    let (_, want_sum) = scan::scalar::sum_in_range(&kept, T::MIN_VALUE, T::MAX_VALUE);
+    let nan_free = kept
+        .iter()
+        .all(|v| v.ge_total(&T::MIN_VALUE) && v.le_total(&T::MAX_VALUE));
+    assert_eq!(rows, kept.len(), "sum_rows count {ctx}");
+    if nan_free {
+        // `[MIN_VALUE, MAX_VALUE]` keeps every non-NaN value, so the
+        // reference above summed exactly the live rows.
+        assert_eq!(sum.to_bits(), want_sum.to_bits(), "sum_rows bits {ctx}");
+    }
+
+    let kept_all = scan::scalar::aggregate_in_range(&kept, T::MIN_VALUE, T::MAX_VALUE);
+    match scan::min_max_rows(data, live, base) {
+        None => assert!(kept.is_empty(), "min_max_rows none {ctx}"),
+        Some((lmin, lmax)) => assert!(
+            !kept.is_empty()
+                && (!nan_free
+                    || (same(lmin, kept_all.match_min) && same(lmax, kept_all.match_max))),
+            "min_max_rows {ctx}"
+        ),
+    }
+
+    let mut live_rows = Vec::new();
+    scan::live_positions(live, base, base + len, &mut live_rows);
+    let want_rows: Vec<u32> = (base..base + len)
+        .filter(|&r| is_live(r))
+        .map(|r| r as u32)
+        .collect();
+    assert_eq!(live_rows, want_rows, "live_positions {ctx}");
+}
+
+/// Lengths around one block, and around the 4096-row default zone.
+const GENERIC_LENS: [usize; 8] = [0, 1, 63, 64, 65, 4095, 4096, 4097];
+
+/// Runs [`assert_generic_kernels_match_reference`] over one typed column
+/// for every length, two block-unaligned bases, and four tombstone
+/// layouts: none (where an all-live vector, no vector, and the scalar
+/// reference must all agree), block edges, whole dead blocks, and random.
+fn check_generic_kernels<T: DataValue>(
+    ty: &str,
+    gen: impl Fn(&mut StdRng) -> T,
+    bounds: impl Fn(&mut StdRng) -> (T, T),
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for &len in &GENERIC_LENS {
+        for base in [0usize, 5, 67] {
+            let rows = base + len + 3;
+            let column: Vec<T> = (0..rows).map(|_| gen(&mut rng)).collect();
+            let range = bounds(&mut rng);
+            let ctx = format!("{ty} len {len} base {base} [{:?}, {:?}]", range.0, range.1);
+
+            let all_live = DeleteVector::new(rows, 0);
+            assert_generic_kernels_match_reference(
+                &column,
+                (base, len),
+                range,
+                AllLive,
+                |_| true,
+                &format!("{ctx} no vector"),
+            );
+            assert_generic_kernels_match_reference(
+                &column,
+                (base, len),
+                range,
+                &all_live,
+                |_| true,
+                &format!("{ctx} all-live vector"),
+            );
+
+            let edges = |r: usize| matches!((r - base.min(r)) % 64, 0 | 63);
+            let dead_blocks = |r: usize| (r / 64) % 3 == 1;
+            let random: Vec<bool> = (0..rows).map(|_| rng.gen_range(0..7usize) == 0).collect();
+            let layouts: [(&str, &dyn Fn(usize) -> bool); 3] = [
+                ("block edges", &edges),
+                ("dead blocks", &dead_blocks),
+                ("random", &|r| random[r]),
+            ];
+            for (name, is_dead) in layouts {
+                let mut dv = DeleteVector::new(rows, 1);
+                for r in (0..rows).filter(|&r| is_dead(r)) {
+                    dv.delete(r);
+                }
+                assert_generic_kernels_match_reference(
+                    &column,
+                    (base, len),
+                    range,
+                    &dv,
+                    |r| !is_dead(r),
+                    &format!("{ctx} {name}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn generic_kernels_match_reference_under_every_liveness_source() {
+    for case in 0..8u64 {
+        check_generic_kernels(
+            "i64",
+            |rng| match rng.gen_range(0..40usize) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => rng.gen_range(-1000i64..1000),
+            },
+            |rng| match rng.gen_range(0..6usize) {
+                0 => (i64::MIN, i64::MAX),
+                1 => (400, -400),   // inverted: empty
+                2 => (-1000, 1000), // dense: every ordinary row
+                _ => {
+                    let p = gen_pred(rng);
+                    (p.lo, p.hi)
+                }
+            },
+            0x500D ^ case,
+        );
+        let edgy = |rng: &mut StdRng| gen_f64_edgy(rng, 1)[0];
+        let edgy_bounds = |rng: &mut StdRng| match rng.gen_range(0..4usize) {
+            0 => (f64::NEG_INFINITY, f64::INFINITY),
+            1 => (f64::MIN, f64::MAX),
+            _ => (edgy(rng), edgy(rng)),
+        };
+        check_generic_kernels("f64", edgy, edgy_bounds, 0x500E ^ case);
+        check_generic_kernels(
+            "f32",
+            |rng| edgy(rng) as f32,
+            |rng| {
+                let (lo, hi) = edgy_bounds(rng);
+                (lo as f32, hi as f32)
+            },
+            0x500F ^ case,
+        );
     }
 }
 
