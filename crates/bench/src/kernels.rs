@@ -3,7 +3,8 @@
 //! Measures the production scan kernels of `ads_storage::scan` against
 //! their per-row references (`scan::scalar`) across value type ×
 //! selectivity, the liveness-generic kernels over a `DeleteVector` at 0 %,
-//! 0.1 % and 5 % tombstones against the same (unmasked) references, and
+//! 0.1 % and 5 % tombstones — lean and with the bounds by-product —
+//! against the same (unmasked) references, and
 //! the SoA prune plane of `AdaptiveZonemap` against its retained
 //! array-of-structs loop ([`AdaptiveZonemap::prune_via_zones`]) on an
 //! all-built zone map. The report renders as machine-readable JSON (the
@@ -23,7 +24,8 @@ use crate::microbench::{bench, black_box, section};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_rng::StdRng;
-use ads_storage::{scan, Bitmap, DataValue, DeleteVector, RowRange};
+use ads_storage::scan::{self, Bounds, NoByProduct};
+use ads_storage::{Bitmap, DataValue, DeleteVector, RowRange};
 use std::fmt::Write as _;
 
 /// Value domain the generated columns draw from; selectivity percentages
@@ -337,9 +339,17 @@ fn bench_type<T: DataValue>(
     }
 
     // Masked rows: the kernels a scan unit runs under deletes, over a
-    // delete vector, against the references' unmasked pass.
+    // delete vector, against the references' unmasked pass — with the
+    // bounds by-product (`*_minmax`, `aggregate`) and lean, as a unit the
+    // index asked nothing of runs them (`count`, `sum`).
     let hi = black_box(cast(sel_bound(MASKED_SELECTIVITY)));
-    let count_ref = bench("count_minmax/reference", || {
+    let count_ref = bench("count/reference", || {
+        scan::scalar::count_in_range(black_box(&data), lo, hi)
+    });
+    let sum_ref = bench("sum/reference", || {
+        scan::scalar::sum_in_range(black_box(&data), lo, hi)
+    });
+    let count_minmax_ref = bench("count_minmax/reference", || {
         scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi)
     });
     let aggregate_ref = bench("aggregate/reference", || {
@@ -364,17 +374,39 @@ fn bench_type<T: DataValue>(
                 reference_ns,
             )
         };
-        let p = bench("count_minmax/masked", || {
-            scan::count_minmax(black_box(&data), lo, hi, &live, 0)
+        let p = bench("count/masked", || {
+            scan::count(black_box(&data), lo, hi, &live, 0, &mut NoByProduct)
         });
-        push("count_minmax", p.best_ns, count_ref.best_ns);
+        push("count", p.best_ns, count_ref.best_ns);
+        let p = bench("sum/masked", || {
+            scan::sum(black_box(&data), lo, hi, &live, 0, &mut NoByProduct)
+        });
+        push("sum", p.best_ns, sum_ref.best_ns);
+        let p = bench("count_minmax/masked", || {
+            let mut bounds = Bounds::new();
+            let count = scan::count(black_box(&data), lo, hi, &live, 0, &mut bounds);
+            (count, bounds.min_max())
+        });
+        push("count_minmax", p.best_ns, count_minmax_ref.best_ns);
         let p = bench("aggregate/masked", || {
-            scan::aggregate(black_box(&data), lo, hi, &live, 0)
+            let mut bounds = Bounds::new();
+            let matches = scan::aggregate(black_box(&data), lo, hi, &live, 0, &mut bounds);
+            (matches, bounds.min_max())
         });
         push("aggregate", p.best_ns, aggregate_ref.best_ns);
         let p = bench("collect_minmax/masked", || {
             positions.clear();
-            scan::collect_minmax(black_box(&data), lo, hi, &live, 0, &mut positions)
+            let mut bounds = Bounds::new();
+            let hits = scan::collect(
+                black_box(&data),
+                lo,
+                hi,
+                &live,
+                0,
+                &mut positions,
+                &mut bounds,
+            );
+            (hits, bounds.min_max())
         });
         push("collect_minmax", p.best_ns, collect_ref.best_ns);
     }

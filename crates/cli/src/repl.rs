@@ -402,7 +402,7 @@ impl Repl {
                 let t = session.totals();
                 let (meta, copy) = session.index_bytes();
                 let mut out = format!(
-                    "column: {} rows of {}\nindex:  {} ({} metadata B, {} copied B)\nqueries: {} | total {:.1}ms | mean {:.3}ms | build {:.2}ms\nscanned {} rows | probed {} zones | skipped {} | adapt events {}\nphases: prune {:.2}ms | scan {:.2}ms | observe {:.2}ms | max threads {}",
+                    "column: {} rows of {}\nindex:  {} ({} metadata B, {} copied B)\nqueries: {} | total {:.1}ms | mean {:.3}ms | build {:.2}ms\nscanned {} rows ({:.1}% also built metadata) | probed {} zones | skipped {} | adapt events {}\nphases: prune {:.2}ms | scan {:.2}ms | observe {:.2}ms | max threads {}",
                     session.len(),
                     data_label,
                     session.label(),
@@ -413,6 +413,7 @@ impl Repl {
                     t.mean_latency_ns() / 1e6,
                     t.build_ns as f64 / 1e6,
                     t.rows_scanned,
+                    100.0 * t.byproduct_share(),
                     t.zones_probed,
                     t.zones_skipped,
                     t.adapt_events,
@@ -659,6 +660,12 @@ mod tests {
         assert!(out.contains("sum ="), "{out}");
         let stats = r.handle("stats").expect("stats works");
         assert!(stats.contains("queries: 1"), "{stats}");
+        // The first scan of an unbuilt column pays for metadata on every
+        // row; the zones the repeat still has to scan are exact by then.
+        assert!(stats.contains("(100.0% also built metadata)"), "{stats}");
+        r.handle("sum 0 99").expect("sum works");
+        let stats = r.handle("stats").expect("stats works");
+        assert!(!stats.contains("(100.0% also built metadata)"), "{stats}");
     }
 
     #[test]

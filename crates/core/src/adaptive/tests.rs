@@ -3,9 +3,31 @@
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use crate::index::SkippingIndex;
-use crate::outcome::{RangeObservation, ScanObservation};
+use crate::outcome::{PruneOutcome, RangeObservation, ScanObservation, UnitRequest};
 use crate::predicate::RangePredicate;
-use ads_storage::scan;
+use ads_storage::scan::{self, AllLive, Bins, Bounds};
+
+/// Scans unit `i` of `out` the way the engine does: the answer, plus
+/// exactly the by-products the prune asked for — nothing it did not.
+fn scan_unit(
+    out: &PruneOutcome,
+    i: usize,
+    data: &[i64],
+    pred: RangePredicate<i64>,
+) -> RangeObservation<i64> {
+    let unit = out.units()[i];
+    let request = out.unit_request(i);
+    let layout = request.bins.map_or((0.0, 0.0), |l| (l.lo_f, l.hi_f));
+    let mut by = (Bounds::new(), Bins::new(layout.0, layout.1));
+    let slice = &data[unit.start..unit.end];
+    let q = scan::count(slice, pred.lo, pred.hi, AllLive, 0, &mut by);
+    RangeObservation {
+        range: unit,
+        qualifying: q,
+        bounds: request.bounds.then(|| by.0.min_max()),
+        mask: request.bins.map(|_| by.1.mask()),
+    }
+}
 
 /// Executes one query end-to-end against `data`, returning the exact
 /// qualifying count and feeding the observation back into the index.
@@ -15,24 +37,10 @@ fn run_query(
     pred: RangePredicate<i64>,
 ) -> (usize, usize) {
     let out = zm.prune(&pred);
-    let mut count = out.rows_full_match();
-    let mut ranges = Vec::with_capacity(out.units().len());
-    for (i, unit) in out.units().iter().enumerate() {
-        let slice = &data[unit.start..unit.end];
-        let obs = if let Some(req) = out.mask_request(i) {
-            let (q, min, max, mask) = scan::count_in_range_with_minmax_and_mask(
-                slice, pred.lo, pred.hi, req.lo_f, req.hi_f,
-            );
-            let mut o = RangeObservation::new(*unit, q, min, max);
-            o.mask = Some(mask);
-            o
-        } else {
-            let (q, min, max) = scan::count_in_range_with_minmax(slice, pred.lo, pred.hi);
-            RangeObservation::new(*unit, q, min, max)
-        };
-        count += obs.qualifying;
-        ranges.push(obs);
-    }
+    let ranges: Vec<_> = (0..out.units().len())
+        .map(|i| scan_unit(&out, i, data, pred))
+        .collect();
+    let count = out.rows_full_match() + ranges.iter().map(|o| o.qualifying).sum::<usize>();
     let scanned = out.rows_to_scan();
     zm.observe(&ScanObservation {
         predicate: pred,
@@ -537,22 +545,9 @@ fn masks_keep_paying_on_uniform_data_with_narrow_predicates() {
         let out_skips = {
             let out = zm.prune(&pred);
             // Complete the protocol manually for this inspection loop.
-            let mut ranges = Vec::new();
-            for (i, unit) in out.units().iter().enumerate() {
-                let slice = &data[unit.start..unit.end];
-                let obs = if let Some(req) = out.mask_request(i) {
-                    let (qc, min, max, mask) = scan::count_in_range_with_minmax_and_mask(
-                        slice, pred.lo, pred.hi, req.lo_f, req.hi_f,
-                    );
-                    let mut o = RangeObservation::new(*unit, qc, min, max);
-                    o.mask = Some(mask);
-                    o
-                } else {
-                    let (qc, min, max) = scan::count_in_range_with_minmax(slice, pred.lo, pred.hi);
-                    RangeObservation::new(*unit, qc, min, max)
-                };
-                ranges.push(obs);
-            }
+            let ranges = (0..out.units().len())
+                .map(|i| scan_unit(&out, i, &data, pred))
+                .collect();
             zm.observe(&ScanObservation {
                 predicate: pred,
                 ranges,
@@ -815,4 +810,74 @@ fn audit_catches_seeded_bloom_false_skip() {
         msg.contains("skip:bloom"),
         "trace must name the bloom decision: {msg}"
     );
+}
+
+/// One 128-row zone that deactivation retires and revival hands back as a
+/// single unbuilt zone over the same rows — the shape in which a stale
+/// reader's feedback still aligns with the zone it no longer describes.
+fn single_zone_config() -> AdaptiveConfig {
+    AdaptiveConfig {
+        target_zone_rows: 128,
+        min_zone_rows: 16,
+        max_zone_rows: 128,
+        enable_split: false,
+        deactivate_after_probes: 1,
+        maintenance_every: 1,
+        revival_base_queries: Some(1),
+        ..AdaptiveConfig::default()
+    }
+}
+
+#[test]
+fn boundsless_feedback_never_builds_a_revived_zone() {
+    // A reader prunes a snapshot in which the zone is exact (or dead), so
+    // its scan is asked for no bounds; before the feedback lands,
+    // maintenance retires the zone and revives it to `Unbuilt` over the
+    // same row range. The stale observation still aligns with the zone —
+    // it must count as evidence only and leave the zone unbuilt.
+    let data: Vec<i64> = (0..128).map(|i| (i * 37) % 128).collect();
+    let all = RangePredicate::between(10, 100);
+    for reader_sees_dead in [false, true] {
+        let mut zm = AdaptiveZonemap::new(data.len(), single_zone_config());
+        run_query(&mut zm, &data, all);
+        assert_eq!(zm.zone_snapshot()[0].1, "built");
+        let stale = if reader_sees_dead {
+            None
+        } else {
+            Some(zm.clone())
+        };
+        // One more non-skipping probe retires the zone.
+        run_query(&mut zm, &data, all);
+        assert_eq!(zm.zone_snapshot()[0].1, "dead");
+        let stale = stale.unwrap_or_else(|| zm.clone());
+
+        let out = stale.prune_shared(&all);
+        assert_eq!(out.units().len(), 1);
+        assert_eq!(out.unit_request(0), UnitRequest::NOTHING);
+        let obs = ScanObservation {
+            predicate: all,
+            ranges: vec![scan_unit(&out, 0, &data, all)],
+        };
+        assert!(obs.ranges[0].bounds.is_none());
+
+        assert!(zm.poll_revival(), "the dead zone is due");
+        assert_eq!(zm.zone_snapshot()[0].1, "unbuilt");
+        assert_eq!(zm.zone_snapshot()[0].0, out.units()[0], "same row range");
+        zm.apply_feedback(&obs);
+        zm.assert_invariants();
+        assert_eq!(
+            zm.zone_snapshot()[0].1,
+            "unbuilt",
+            "bounds-less feedback built a zone (reader saw dead: {reader_sees_dead})"
+        );
+
+        // The zone still answers, and the next honest scan builds it
+        // from real bounds.
+        let pred = RangePredicate::between(120, 127);
+        assert_eq!(run_query(&mut zm, &data, pred).0, oracle(&data, pred));
+        assert_eq!(zm.zone_snapshot()[0].1, "built");
+        let miss = RangePredicate::between(500, 600);
+        assert_eq!(run_query(&mut zm, &data, miss), (0, 0));
+        assert_eq!(run_query(&mut zm, &data, all).0, oracle(&data, all));
+    }
 }

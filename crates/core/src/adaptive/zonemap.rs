@@ -26,7 +26,7 @@ use crate::adaptive::zone::{
 };
 use crate::cost::CostModel;
 use crate::index::SkippingIndex;
-use crate::outcome::{MaskRequest, PruneOutcome, ReorgUnit, ScanObservation};
+use crate::outcome::{MaskRequest, PruneOutcome, ReorgUnit, ScanObservation, UnitRequest};
 use crate::predicate::RangePredicate;
 use crate::stats::{IndexStats, PruneStats, ZoneStats};
 use crate::trace::{AdaptEvent, AdaptTrace};
@@ -279,11 +279,10 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
         for idx in 0..self.zones.len() {
             out.zones_probed += 1;
             if !self.plane.is_built(idx) {
-                // Unbuilt and Dead zones scan identically.
+                // Unbuilt and Dead zones scan identically; only the
+                // former can learn from it.
                 let zone = &self.zones[idx];
-                out.must_scan.push_span(zone.start, zone.end);
-                out.scan_units.push(zone.range());
-                out.mask_requests.push(None);
+                out.push_unit(zone.range(), scan_request(zone, None));
                 out.record_decision(zone.range(), "scan:unbuilt");
                 continue;
             }
@@ -358,70 +357,74 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             } else {
                 ro.qualifying as f64 / zone.len() as f64
             };
-            match zone.state {
-                ZoneState::Unbuilt => {
-                    zone.state = ZoneState::Built {
-                        min: ro.min,
-                        max: ro.max,
-                        exact: true,
-                    };
-                    zone.stats.record_scan(frac, low_yield);
-                    self.plane.set_built(idx, ro.min, ro.max);
-                    mutated = true;
+            let was_built = match zone.state {
+                ZoneState::Dead { .. } => continue,
+                ZoneState::Unbuilt => false,
+                ZoneState::Built { min, max, .. } => {
+                    if let (Some(bits), None) = (ro.mask, zone.mask) {
+                        // The layout is the zone's bounds as they were
+                        // at prune time (the request we issued).
+                        zone.mask = Some(ZoneMask {
+                            layout: MaskRequest {
+                                lo_f: min.to_f64(),
+                                hi_f: max.to_f64(),
+                            },
+                            bits,
+                        });
+                        self.trace
+                            .record(self.query_seq, AdaptEvent::MaskBuilt { range: ro.range });
+                    }
+                    true
+                }
+            };
+            // Build, or tighten to, the exact bounds just measured (a mask
+            // keeps its own layout, which still covers all rows). A scan
+            // that was not asked for bounds — the zone was exact or dead
+            // in the snapshot it pruned — leaves the state alone: in
+            // particular a zone revived to `Unbuilt` since then stays
+            // unbuilt, never built from a fold identity.
+            if let Some((min, max)) = ro.bounds {
+                zone.state = ZoneState::Built {
+                    min,
+                    max,
+                    exact: true,
+                };
+                self.plane.set_built(idx, min, max);
+                if !was_built {
                     self.trace
                         .record(self.query_seq, AdaptEvent::Built { range: ro.range });
                 }
-                ZoneState::Built { min, max, .. } => {
-                    if let Some(bits) = ro.mask {
-                        if zone.mask.is_none() {
-                            // The layout is the zone's bounds as they were
-                            // at prune time (the request we issued).
-                            zone.mask = Some(ZoneMask {
-                                layout: MaskRequest {
-                                    lo_f: min.to_f64(),
-                                    hi_f: max.to_f64(),
-                                },
-                                bits,
-                            });
-                            self.trace
-                                .record(self.query_seq, AdaptEvent::MaskBuilt { range: ro.range });
-                        }
-                    }
-                    // Tighten to the exact bounds just measured. The mask
-                    // keeps its own layout, which still covers all rows.
-                    zone.state = ZoneState::Built {
-                        min: ro.min,
-                        max: ro.max,
-                        exact: true,
-                    };
-                    zone.stats.record_scan(frac, low_yield);
-                    self.plane.set_built(idx, ro.min, ro.max);
-                    mutated = true;
-                    // The wasted-scan threshold doubles per split
-                    // generation: each refinement level must earn the next
-                    // with proportionally more evidence, so data without
-                    // positional locality stops splitting after a couple
-                    // of speculative levels instead of racing to the floor.
-                    let waste_needed = self
-                        .config
-                        .split_after_wasted
-                        .saturating_mul(1 << zone.split_generation.min(16));
-                    if self.config.enable_split
-                        && !zone.no_resplit
-                        // A reorganized zone already resolves positionally
-                        // inside itself; splitting would discard the
-                        // payload for a weaker form of refinement.
-                        && !zone.is_reorganized()
-                        && zone.stats.wasted_scans >= waste_needed
-                        && zone.len() >= 2 * self.config.min_zone_rows
-                        // Children below the cost model's break-even size
-                        // could never repay their own probes.
-                        && zone.len() / 2 >= self.cost.min_profitable_zone_rows()
-                    {
-                        split_queue.push(idx);
-                    }
-                }
-                ZoneState::Dead { .. } => {}
+            }
+            zone.stats.record_scan(frac, low_yield);
+            // Every observation of a built zone marks the lane mutated,
+            // bounds or not: readers decide `want_mask` from the
+            // `wasted_scans` a published snapshot carries.
+            mutated |= was_built || ro.bounds.is_some();
+            if !was_built {
+                continue;
+            }
+            // The wasted-scan threshold doubles per split generation: each
+            // refinement level must earn the next with proportionally more
+            // evidence, so data without positional locality stops
+            // splitting after a couple of speculative levels instead of
+            // racing to the floor.
+            let waste_needed = self
+                .config
+                .split_after_wasted
+                .saturating_mul(1 << zone.split_generation.min(16));
+            if self.config.enable_split
+                && !zone.no_resplit
+                // A reorganized zone already resolves positionally inside
+                // itself; splitting would discard the payload for a weaker
+                // form of refinement.
+                && !zone.is_reorganized()
+                && zone.stats.wasted_scans >= waste_needed
+                && zone.len() >= 2 * self.config.min_zone_rows
+                // Children below the cost model's break-even size could
+                // never repay their own probes.
+                && zone.len() / 2 >= self.cost.min_profitable_zone_rows()
+            {
+                split_queue.push(idx);
             }
         }
 
@@ -602,8 +605,16 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
                 let frag_end = z.end.min(ar.end);
                 match decision {
                     Decision::Unscanned | Decision::Scan => {
-                        out.must_scan.push_span(frag_start, frag_end);
-                        out.scan_units.push(RowRange::new(frag_start, frag_end));
+                        // Only a fragment that is the whole zone can feed
+                        // its bounds; the rest are selectivity samples
+                        // `observe` cannot even attribute.
+                        let frag = RowRange::new(frag_start, frag_end);
+                        let request = if frag == z.range() {
+                            scan_request(z, None)
+                        } else {
+                            UnitRequest::NOTHING
+                        };
+                        out.push_unit(frag, request);
                     }
                     Decision::Full => out.full_match.push_span(frag_start, frag_end),
                     Decision::Skip => {}
@@ -664,8 +675,9 @@ enum OverlapAction {
     /// excluded or full-matched something — otherwise a plain `Scan` is
     /// cheaper for the executor.
     TierUnits(Vec<TierSpan>),
-    /// The zone must be scanned, optionally collecting a value mask.
-    Scan(Option<MaskRequest>),
+    /// The zone must be scanned, computing what the request names beside
+    /// the answer.
+    Scan(UnitRequest),
 }
 
 /// The shared probe decision for a built zone whose `(min, max)` the
@@ -749,10 +761,27 @@ fn classify_overlapping_zone<T: DataValue>(
         && zone.mask.is_none()
         && !can_split
         && zone.stats.wasted_scans >= config.split_after_wasted;
-    OverlapAction::Scan(want_mask.then_some(MaskRequest {
+    let bins = want_mask.then_some(MaskRequest {
         lo_f: min.to_f64(),
         hi_f: max.to_f64(),
-    }))
+    });
+    OverlapAction::Scan(scan_request(zone, bins))
+}
+
+/// What a scan of the whole of `zone` can still teach its metadata: the
+/// exact bounds while they are missing or conservative, plus `bins` when
+/// the classifier wants a value mask. A `Dead` zone discards whatever it
+/// is told and an exact zone would be told what it knows, so neither
+/// asks — which is what lets a scan nothing can be skipped in run at the
+/// speed of a store without metadata.
+fn scan_request<T: DataValue>(zone: &AdaptiveZone<T>, bins: Option<MaskRequest>) -> UnitRequest {
+    UnitRequest {
+        bounds: matches!(
+            zone.state,
+            ZoneState::Unbuilt | ZoneState::Built { exact: false, .. }
+        ),
+        bins,
+    }
 }
 
 /// Applies an [`OverlapAction`] to the outcome being assembled, with the
@@ -819,18 +848,15 @@ fn probe_overlapping_zone<T: DataValue>(
                 if span.full {
                     out.full_match.push_span(span.range.start, span.range.end);
                 } else {
-                    out.must_scan.push_span(span.range.start, span.range.end);
-                    out.scan_units.push(span.range);
-                    out.mask_requests.push(None);
+                    // A line run is not a zone: nothing to learn from it.
+                    out.push_unit(span.range, UnitRequest::NOTHING);
                 }
             }
             tier_life.tier_rows_excluded += (zone.len() - covered) as u64;
             out.record_decision(zone.range(), "tier-units");
         }
-        OverlapAction::Scan(req) => {
-            out.must_scan.push_span(zone.start, zone.end);
-            out.scan_units.push(zone.range());
-            out.mask_requests.push(req);
+        OverlapAction::Scan(request) => {
+            out.push_unit(zone.range(), request);
             out.record_decision(zone.range(), "scan");
             zone.stats.record_no_skip();
         }
@@ -946,9 +972,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             out.zones_probed += 1;
             if !self.plane.is_built(idx) {
                 let zone = &self.zones[idx];
-                out.must_scan.push_span(zone.start, zone.end);
-                out.scan_units.push(zone.range());
-                out.mask_requests.push(None);
+                out.push_unit(zone.range(), scan_request(zone, None));
                 out.record_decision(zone.range(), "scan:unbuilt");
                 continue;
             }
@@ -1005,17 +1029,13 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                         if span.full {
                             out.full_match.push_span(span.range.start, span.range.end);
                         } else {
-                            out.must_scan.push_span(span.range.start, span.range.end);
-                            out.scan_units.push(span.range);
-                            out.mask_requests.push(None);
+                            out.push_unit(span.range, UnitRequest::NOTHING);
                         }
                     }
                     out.record_decision(zone.range(), "tier-units");
                 }
-                OverlapAction::Scan(req) => {
-                    out.must_scan.push_span(zone.start, zone.end);
-                    out.scan_units.push(zone.range());
-                    out.mask_requests.push(req);
+                OverlapAction::Scan(request) => {
+                    out.push_unit(zone.range(), request);
                     out.record_decision(zone.range(), "scan");
                 }
             }
@@ -1101,9 +1121,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             out.zones_probed += 1;
             match zone.state {
                 ZoneState::Unbuilt | ZoneState::Dead { .. } => {
-                    out.must_scan.push_span(zone.start, zone.end);
-                    out.scan_units.push(zone.range());
-                    out.mask_requests.push(None);
+                    out.push_unit(zone.range(), scan_request(zone, None));
                     out.record_decision(zone.range(), "scan:unbuilt");
                 }
                 ZoneState::Built { min, max, .. } => {

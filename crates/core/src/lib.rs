@@ -79,7 +79,7 @@ pub mod zonemap_static;
 pub use activation::{Activated, ActivationConfig};
 pub use cost::CostModel;
 pub use index::{ScanCoords, SkippingIndex};
-pub use outcome::{PruneOutcome, RangeObservation, ReorgUnit, ScanObservation};
+pub use outcome::{PruneOutcome, RangeObservation, ReorgUnit, ScanObservation, UnitRequest};
 pub use predicate::RangePredicate;
 pub use stats::{Ewma, IndexStats, PruneStats, ZoneStats};
 pub use trace::{AdaptEvent, AdaptTrace, TraceTotals};

@@ -2,6 +2,7 @@
 //! prune/observe protocol between a skipping index and the scan executor.
 
 use crate::predicate::RangePredicate;
+use ads_storage::scan::Bins;
 use ads_storage::{DataValue, RangeSet, RowRange};
 use std::sync::Arc;
 
@@ -18,15 +19,12 @@ pub struct MaskRequest {
 }
 
 impl MaskRequest {
-    /// Bin index of a value under this layout, clamped to `0..64`.
+    /// Bin index of a value under this layout, clamped to `0..64` — by
+    /// the scan kernel's own arithmetic ([`Bins::bin`]), so a predicate
+    /// edge and a row holding the same value always share a bin.
     #[inline]
     pub fn bin(&self, v: f64) -> u32 {
-        let span = self.hi_f - self.lo_f;
-        if span <= 0.0 {
-            return 0;
-        }
-        // narrowing: clamped to [0, 63] on the previous expression.
-        (((v - self.lo_f) / span) * 64.0).clamp(0.0, 63.0) as u32
+        Bins::new(self.lo_f, self.hi_f).bin(v)
     }
 
     /// Bit mask covering all bins a predicate `[lo, hi]` can touch.
@@ -41,6 +39,34 @@ impl MaskRequest {
         } else {
             ((1u64 << width) - 1) << a
         }
+    }
+}
+
+/// What the index wants one scan unit to compute beside the answer — the
+/// by-products it can still learn from. A scan is always free to ignore a
+/// request (the feedback channel is advisory); it must never report a
+/// by-product it did not compute over *every* row of the unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UnitRequest {
+    /// The exact `(min, max)` over all rows of the unit is wanted: the
+    /// unit is a whole zone whose bounds are missing or conservative. An
+    /// exact or retired zone never asks — the scan would re-derive the
+    /// same two values, or values `observe` discards.
+    pub bounds: bool,
+    /// A 64-bin value mask under this layout is wanted.
+    pub bins: Option<MaskRequest>,
+}
+
+impl UnitRequest {
+    /// Nothing wanted: the scan computes its answer only.
+    pub const NOTHING: UnitRequest = UnitRequest {
+        bounds: false,
+        bins: None,
+    };
+
+    /// True when the scan is asked for anything beyond its answer.
+    pub fn wants_any(&self) -> bool {
+        self.bounds || self.bins.is_some()
     }
 }
 
@@ -118,11 +144,12 @@ pub struct PruneOutcome {
     /// fed-back `(min, max)` is exact at zone granularity. Empty means
     /// "use `must_scan.ranges()` as the units".
     pub scan_units: Vec<RowRange>,
-    /// Optional per-unit mask-collection requests, aligned 1:1 with
-    /// `scan_units` when non-empty. A scan honouring entry `i` computes
-    /// the 64-bin value mask of unit `i` as a by-product and returns it in
-    /// [`RangeObservation::mask`].
-    pub mask_requests: Vec<Option<MaskRequest>>,
+    /// Per-unit by-product requests, aligned 1:1 with `scan_units` when
+    /// non-empty; empty means "nothing wanted anywhere" (what every index
+    /// that learns nothing from scans emits). A scan honouring entry `i`
+    /// computes what it asks for over unit `i` in the same pass and
+    /// returns it in the unit's [`RangeObservation`].
+    pub unit_requests: Vec<UnitRequest>,
     /// Ranges known to contain *only* qualifying rows (predicate contains
     /// the zone's value range). COUNT-style queries take these for free.
     pub full_match: RangeSet,
@@ -150,7 +177,7 @@ impl PartialEq for PruneOutcome {
     fn eq(&self, other: &Self) -> bool {
         self.must_scan == other.must_scan
             && self.scan_units == other.scan_units
-            && self.mask_requests == other.mask_requests
+            && self.unit_requests == other.unit_requests
             && self.full_match == other.full_match
             && self.reorg_units == other.reorg_units
             && self.zones_probed == other.zones_probed
@@ -191,9 +218,21 @@ impl PruneOutcome {
     #[inline(always)]
     pub fn record_decision(&mut self, _zone: RowRange, _action: &'static str) {}
 
-    /// The mask request for scan unit `i`, if any.
-    pub fn mask_request(&self, i: usize) -> Option<MaskRequest> {
-        self.mask_requests.get(i).copied().flatten()
+    /// Appends one scan unit with its by-product request, keeping
+    /// `must_scan`, `scan_units` and `unit_requests` aligned.
+    #[inline]
+    pub fn push_unit(&mut self, unit: RowRange, request: UnitRequest) {
+        self.must_scan.push_span(unit.start, unit.end);
+        self.scan_units.push(unit);
+        self.unit_requests.push(request);
+    }
+
+    /// The by-product request for scan unit `i`.
+    pub fn unit_request(&self, i: usize) -> UnitRequest {
+        self.unit_requests
+            .get(i)
+            .copied()
+            .unwrap_or(UnitRequest::NOTHING)
     }
 
     /// The ranges the executor should scan one-by-one: `scan_units` when
@@ -239,21 +278,21 @@ impl PruneOutcome {
     /// Sound (the zone's base rows cover every row its payload permutes)
     /// but slower: the executor re-tests the predicate row by row. Used
     /// by paths that cannot carry positional units — conjunction
-    /// restriction and the type-erased table path. Mask alignment is
-    /// preserved by inserting `None` requests for the demoted units.
+    /// restriction and the type-erased table path. A demoted unit asks
+    /// for nothing: a reorganized zone's bounds are exact already.
     pub fn demote_reorg_units(&self) -> PruneOutcome {
         if self.reorg_units.is_empty() {
             return self.clone();
         }
-        let mut units: Vec<(RowRange, Option<MaskRequest>)> = self
+        let mut units: Vec<(RowRange, UnitRequest)> = self
             .units()
             .iter()
             .enumerate()
-            .map(|(i, u)| (*u, self.mask_request(i)))
+            .map(|(i, u)| (*u, self.unit_request(i)))
             .collect();
         let mut must_scan = self.must_scan.clone();
         for ru in &self.reorg_units {
-            units.push((ru.zone, None));
+            units.push((ru.zone, UnitRequest::NOTHING));
             let mut zone = RangeSet::new();
             zone.push_span(ru.zone.start, ru.zone.end);
             must_scan = must_scan.union(&zone);
@@ -263,7 +302,7 @@ impl PruneOutcome {
         let mut out = PruneOutcome {
             must_scan,
             scan_units: units.iter().map(|(u, _)| *u).collect(),
-            mask_requests: units.iter().map(|(_, m)| *m).collect(),
+            unit_requests: units.iter().map(|(_, r)| *r).collect(),
             full_match: self.full_match.clone(),
             zones_probed: self.zones_probed,
             zones_skipped: self.zones_skipped,
@@ -281,19 +320,22 @@ impl PruneOutcome {
     /// `must_scan` and `full_match` are intersected with `alive`; scan
     /// units are fragmented at `alive` boundaries so each surviving unit
     /// is still a subrange of exactly one original unit (observation
-    /// alignment stays per-unit exact). Mask requests are dropped — a
-    /// fragment's value mask would no longer describe the original unit.
-    /// Reorg units are demoted to plain units first: a positional span is
-    /// meaningless under a base-coordinate restriction. Probe counters
-    /// are kept: the metadata reads already happened.
+    /// alignment stays per-unit exact). A fragment keeps its unit's
+    /// bounds request only when it is the whole unit — the bounds of a
+    /// part say nothing about the zone — and bins are dropped: masks are
+    /// not collected on the restricted path. Reorg units are demoted to
+    /// plain units first: a positional span is meaningless under a
+    /// base-coordinate restriction. Probe counters are kept: the metadata
+    /// reads already happened.
     pub fn restrict_to(&self, alive: &RangeSet) -> PruneOutcome {
         if !self.reorg_units.is_empty() {
             return self.demote_reorg_units().restrict_to(alive);
         }
         let mut units = Vec::new();
+        let mut requests = Vec::new();
         let alive_ranges = alive.ranges();
         let mut j = 0;
-        for u in self.units() {
+        for (i, u) in self.units().iter().enumerate() {
             // Advance past alive ranges entirely before this unit.
             while j < alive_ranges.len() && alive_ranges[j].end <= u.start {
                 j += 1;
@@ -304,6 +346,10 @@ impl PruneOutcome {
             while k < alive_ranges.len() && alive_ranges[k].start < u.end {
                 if let Some(frag) = u.intersect(&alive_ranges[k]) {
                     units.push(frag);
+                    requests.push(UnitRequest {
+                        bounds: frag == *u && self.unit_request(i).bounds,
+                        bins: None,
+                    });
                 }
                 k += 1;
             }
@@ -312,6 +358,7 @@ impl PruneOutcome {
         let mut out = PruneOutcome {
             must_scan: self.must_scan.intersect(alive),
             scan_units: units,
+            unit_requests: requests,
             full_match: self.full_match.intersect(alive),
             zones_probed: self.zones_probed,
             zones_skipped: self.zones_skipped,
@@ -327,32 +374,41 @@ impl PruneOutcome {
 
 /// Per-range result of an executed scan, fed back to the index.
 ///
-/// `min`/`max` are the exact extremes of *all* rows in `range` (not only the
-/// qualifying ones) — the scan computes them as a by-product, and adaptive
-/// zonemaps use them to materialise zone metadata at no extra pass.
+/// `qualifying` is always present — selectivity, wasted-scan and split
+/// evidence. `bounds` and `mask` are the by-products the prune asked for
+/// ([`UnitRequest`]): a scan that was not asked, or chose not to, leaves
+/// them `None` and the index leaves that part of its metadata untouched.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeObservation<T: DataValue> {
     /// The scanned range, in the index's scan coordinates.
     pub range: RowRange,
     /// Number of rows in `range` satisfying the predicate.
     pub qualifying: usize,
-    /// Exact minimum over all rows of `range`.
-    pub min: T,
-    /// Exact maximum over all rows of `range`.
-    pub max: T,
-    /// 64-bin value mask of the range, present when the prune requested
-    /// one (see [`PruneOutcome::mask_requests`]).
+    /// Exact `(min, max)` over *all* rows of `range` (not only the
+    /// qualifying ones), when the scan computed them — adaptive zonemaps
+    /// materialise zone metadata from it at no extra pass.
+    pub bounds: Option<(T, T)>,
+    /// 64-bin value mask of the range, when the scan collected one.
     pub mask: Option<u64>,
 }
 
 impl<T: DataValue> RangeObservation<T> {
-    /// An observation without a mask.
+    /// An observation carrying the range's exact `(min, max)`, no mask.
     pub fn new(range: RowRange, qualifying: usize, min: T, max: T) -> Self {
         RangeObservation {
             range,
             qualifying,
-            min,
-            max,
+            bounds: Some((min, max)),
+            mask: None,
+        }
+    }
+
+    /// An observation of a scan that computed its answer only.
+    pub fn answer_only(range: RowRange, qualifying: usize) -> Self {
+        RangeObservation {
+            range,
+            qualifying,
+            bounds: None,
             mask: None,
         }
     }
@@ -390,6 +446,26 @@ impl<T: DataValue> ScanObservation<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn predicate_bins_cover_the_bin_the_scan_records() {
+        // The mask is collected by the scan kernel and tested by
+        // `predicate_bits`; a value binned differently by the two sides
+        // would be skipped while present.
+        use ads_storage::scan::ByProduct;
+        for span in (1..400i64).map(|i| i * 37 + 11) {
+            let layout = MaskRequest {
+                lo_f: 0.0,
+                hi_f: span as f64,
+            };
+            for v in 0..=span {
+                let mut bins = Bins::new(layout.lo_f, layout.hi_f);
+                bins.push(v);
+                let point = layout.predicate_bits(v as f64, v as f64);
+                assert_eq!(bins.mask(), point, "value {v} of [0, {span}]");
+            }
+        }
+    }
 
     #[test]
     fn scan_all_covers_everything() {
@@ -436,13 +512,20 @@ mod tests {
             RowRange::new(10, 20),
             RowRange::new(20, 30),
         ];
-        o.mask_requests = vec![
-            None,
-            Some(MaskRequest {
-                lo_f: 0.0,
-                hi_f: 1.0,
-            }),
-            None,
+        let layout = MaskRequest {
+            lo_f: 0.0,
+            hi_f: 1.0,
+        };
+        o.unit_requests = vec![
+            UnitRequest::NOTHING,
+            UnitRequest {
+                bounds: true,
+                bins: Some(layout),
+            },
+            UnitRequest {
+                bounds: true,
+                bins: None,
+            },
         ];
         o.full_match.push_span(40, 50);
         o.zones_probed = 4;
@@ -468,7 +551,13 @@ mod tests {
                 .iter()
                 .any(|u| u.start <= frag.start && frag.end <= u.end));
         }
-        assert!(r.mask_requests.is_empty());
+        // Only the whole-unit fragment keeps its bounds request; the
+        // fragment of the bins-requesting unit loses both.
+        assert_eq!(
+            r.unit_requests.iter().map(|q| q.bounds).collect::<Vec<_>>(),
+            [false, false, false, true]
+        );
+        assert!(r.unit_requests.iter().all(|q| q.bins.is_none()));
         assert_eq!(r.full_match.covered_rows(), 5);
         assert_eq!(r.zones_probed, 4);
         assert_eq!(r.zones_skipped, 1);

@@ -2,8 +2,9 @@
 //!
 //! The executor is the glue of the prune/observe protocol: it asks the
 //! index what to scan, runs the kernels over exactly those ranges, answers
-//! the aggregate, and feeds the per-range observations (qualifying counts
-//! and exact min/max, computed as scan by-products) back to the index.
+//! the aggregate, and feeds the per-range observations (qualifying counts,
+//! plus the exact min/max or value mask wherever the prune asked for them,
+//! computed as by-products of the same pass) back to the index.
 //!
 //! ## Parallel execution
 //!
@@ -19,11 +20,11 @@
 use crate::exec_policy::ExecPolicy;
 use crate::metrics::QueryMetrics;
 use crate::sharded_exec::{scan_sharded, ShardScanInput};
-use ads_core::outcome::MaskRequest;
 use ads_core::{
     PruneOutcome, RangeObservation, RangePredicate, ScanCoords, ScanObservation, SkippingIndex,
+    UnitRequest,
 };
-use ads_storage::scan::{self, Liveness};
+use ads_storage::scan::{self, Bins, Bounds, ByProduct, Liveness, NoByProduct};
 use ads_storage::{DataValue, DeleteVector, RowRange};
 use std::time::Instant;
 
@@ -74,8 +75,9 @@ impl<T: DataValue> Default for QueryAnswer<T> {
 pub(crate) enum WorkItem {
     /// A full-match range whose values must still be read (SUM/MIN/MAX).
     Full(RowRange),
-    /// One scan unit of the prune outcome, with its optional mask request.
-    Unit(RowRange, Option<MaskRequest>),
+    /// One scan unit of the prune outcome, with the by-products this scan
+    /// will compute for it.
+    Unit(RowRange, UnitRequest),
     /// One positional unit over a reorganized zone: index into the
     /// outcome's `reorg_units`, plus the qualifying+edge row count for
     /// load balancing (the zone's other rows are never touched).
@@ -172,6 +174,7 @@ pub fn execute_with_policy<T: DataValue>(
         zones_probed: outcome.zones_probed,
         zones_skipped: outcome.zones_skipped,
         rows_scanned: phase.rows_scanned,
+        rows_with_byproducts: phase.rows_with_byproducts,
         rows_full_match: outcome.rows_full_match() + outcome.rows_positional_match(),
         rows_matched: answer.count,
         adapt_events: index.adapt_events() - events_before,
@@ -190,6 +193,10 @@ pub fn execute_with_policy<T: DataValue>(
 pub struct ScanPhase {
     /// Rows the scan actually touched (full-match rows excluded).
     pub rows_scanned: usize,
+    /// The share of `rows_scanned` that also paid for metadata
+    /// construction: rows of units scanned with a by-product kernel
+    /// because the index asked for bounds or bins there.
+    pub rows_with_byproducts: usize,
     /// Worker threads used (1 = sequential).
     pub threads_used: usize,
     /// Wall nanoseconds of the scan phase.
@@ -225,7 +232,7 @@ pub fn scan_pruned<T: DataValue>(
 ///
 /// With tombstones present, the kernels run over the delete vector:
 /// `count`/`sum`/MIN/MAX/positions cover live rows only, while the
-/// observations fed back still carry `(min, max)` over all rows — deleted
+/// `(min, max)` an observation carries still covers all rows — deleted
 /// rows keep zone bounds conservative (sound, never wrong) until
 /// compaction rebuilds them. `live` is addressed in the same coordinates
 /// as `target`.
@@ -278,7 +285,13 @@ pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<Work
             _ => false,
         };
         if take_unit {
-            items.push(WorkItem::Unit(units[ui], outcome.mask_request(ui)));
+            let mut request = outcome.unit_request(ui);
+            if agg != AggKind::Count {
+                // Bins ride on COUNT scans only; on the others the zone
+                // keeps asking until a COUNT comes by.
+                request.bins = None;
+            }
+            items.push(WorkItem::Unit(units[ui], request));
             ui += 1;
         } else {
             items.push(WorkItem::Reorg {
@@ -291,10 +304,19 @@ pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<Work
     items
 }
 
+/// One outcome's merged scan: what [`merge_item_results`] produces.
+pub(crate) struct MergedLane<T: DataValue> {
+    pub(crate) answer: QueryAnswer<T>,
+    pub(crate) observation: ScanObservation<T>,
+    /// See [`ScanPhase::rows_scanned`].
+    pub(crate) rows_scanned: usize,
+    /// See [`ScanPhase::rows_with_byproducts`].
+    pub(crate) rows_with_byproducts: usize,
+}
+
 /// Folds one outcome's [`ItemResult`]s in item order into the answer and
 /// the observation batch. `results` must align 1:1 with `items` (which
-/// must come from [`build_work_items`] on the same outcome). Returns
-/// `(answer, observation, rows_scanned)`.
+/// must come from [`build_work_items`] on the same outcome).
 pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
     outcome: &PruneOutcome,
     pred: RangePredicate<T>,
@@ -302,9 +324,10 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
     items: &[WorkItem],
     results: Vec<ItemResult<T>>,
     live: L,
-) -> (QueryAnswer<T>, ScanObservation<T>, usize) {
+) -> MergedLane<T> {
     let mut answer = QueryAnswer::default();
     let mut rows_scanned = 0usize;
+    let mut rows_with_byproducts = 0usize;
 
     // Merge phase: fold results in item order.
     let mut sum = 0.0f64;
@@ -316,7 +339,12 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
         mmin = mmin.min_total(r.match_min);
         mmax = mmax.max_total(r.match_max);
         match item {
-            WorkItem::Unit(..) => rows_scanned += item.rows(),
+            WorkItem::Unit(_, request) => {
+                rows_scanned += item.rows();
+                if request.wants_any() {
+                    rows_with_byproducts += item.rows();
+                }
+            }
             // Positional units only touch (and predicate-test) their edge
             // pieces; the full span is answered without per-row tests.
             WorkItem::Reorg { idx, .. } => rows_scanned += outcome.reorg_units[*idx].edge_rows(),
@@ -375,14 +403,15 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
     let mut observations: Vec<RangeObservation<T>> = Vec::with_capacity(outcome.units().len());
     observations.extend(results.into_iter().filter_map(|r| r.obs));
 
-    (
+    MergedLane {
         answer,
-        ScanObservation {
+        observation: ScanObservation {
             predicate: pred,
             ranges: observations,
         },
         rows_scanned,
-    )
+        rows_with_byproducts,
+    }
 }
 
 /// Marks the base rows qualifying inside one reorg unit in a zone-local
@@ -431,6 +460,31 @@ fn for_each_set_row(bits: &[u64], zone_start: usize, mut f: impl FnMut(usize)) {
     }
 }
 
+/// Answers `agg` over one scan unit (`base` is the row of `slice[0]` in
+/// `live`'s coordinates) into `out`, feeding every row to `by`.
+fn scan_unit<T: DataValue, L: Liveness, B: ByProduct<T>>(
+    slice: &[T],
+    pred: RangePredicate<T>,
+    agg: AggKind,
+    live: L,
+    base: usize,
+    by: &mut B,
+    out: &mut ItemResult<T>,
+) {
+    let (lo, hi) = (pred.lo, pred.hi);
+    match agg {
+        AggKind::Count => out.count = scan::count(slice, lo, hi, live, base, by),
+        AggKind::Sum => (out.count, out.sum) = scan::sum(slice, lo, hi, live, base, by),
+        AggKind::Min | AggKind::Max => {
+            let m = scan::aggregate(slice, lo, hi, live, base, by);
+            (out.count, out.match_min, out.match_max) = (m.count, m.min, m.max);
+        }
+        AggKind::Positions => {
+            out.count = scan::collect(slice, lo, hi, live, base, &mut out.positions, by)
+        }
+    }
+}
+
 /// Scans one work item. Pure with respect to shared state: reads
 /// `target` (and, for reorg items, the outcome's payloads), writes only
 /// its own result — safe to run on any thread.
@@ -466,40 +520,33 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
                 }
             }
         }
-        WorkItem::Unit(u, mask_req) => {
+        WorkItem::Unit(u, request) => {
+            // The kernel is picked from what the index asked for: a unit
+            // nothing can be learnt from runs the bare answer loop.
             let slice = &target[u.start..u.end];
-            let (lo, hi) = (pred.lo, pred.hi);
-            let obs = match agg {
-                AggKind::Count => match mask_req {
-                    // The index asked for a value mask over this unit;
-                    // collect it in the same pass.
-                    Some(req) => {
-                        let (q, min, max, mask) = scan::count_minmax_bins(
-                            slice, lo, hi, req.lo_f, req.hi_f, live, u.start,
-                        );
-                        let mut o = RangeObservation::new(u, q, min, max);
-                        o.mask = Some(mask);
-                        o
-                    }
-                    None => {
-                        let (q, min, max) = scan::count_minmax(slice, lo, hi, live, u.start);
-                        RangeObservation::new(u, q, min, max)
-                    }
-                },
-                AggKind::Sum | AggKind::Min | AggKind::Max => {
-                    let a = scan::aggregate(slice, lo, hi, live, u.start);
-                    out.sum = a.sum;
-                    out.match_min = a.match_min;
-                    out.match_max = a.match_max;
-                    RangeObservation::new(u, a.count, a.range_min, a.range_max)
+            let mut obs = RangeObservation::answer_only(u, 0);
+            match (request.bounds, request.bins) {
+                (false, None) => {
+                    scan_unit(slice, pred, agg, live, u.start, &mut NoByProduct, &mut out)
                 }
-                AggKind::Positions => {
-                    let (q, min, max) =
-                        scan::collect_minmax(slice, lo, hi, live, u.start, &mut out.positions);
-                    RangeObservation::new(u, q, min, max)
+                (true, None) => {
+                    let mut bounds = Bounds::new();
+                    scan_unit(slice, pred, agg, live, u.start, &mut bounds, &mut out);
+                    obs.bounds = Some(bounds.min_max());
                 }
-            };
-            out.count = obs.qualifying;
+                (false, Some(layout)) => {
+                    let mut bins = Bins::new(layout.lo_f, layout.hi_f);
+                    scan_unit(slice, pred, agg, live, u.start, &mut bins, &mut out);
+                    obs.mask = Some(bins.mask());
+                }
+                (true, Some(layout)) => {
+                    let mut by = (Bounds::new(), Bins::new(layout.lo_f, layout.hi_f));
+                    scan_unit(slice, pred, agg, live, u.start, &mut by, &mut out);
+                    obs.bounds = Some(by.0.min_max());
+                    obs.mask = Some(by.1.mask());
+                }
+            }
+            obs.qualifying = out.count;
             out.obs = Some(obs);
         }
         WorkItem::Reorg { idx, .. } => {

@@ -11,6 +11,9 @@ pub struct QueryMetrics {
     pub zones_skipped: usize,
     /// Rows the scan actually touched.
     pub rows_scanned: usize,
+    /// The scanned rows that also paid for metadata construction (the
+    /// index asked for bounds or bins there).
+    pub rows_with_byproducts: usize,
     /// Rows answered from metadata alone (full-match ranges).
     pub rows_full_match: usize,
     /// Rows satisfying the predicate.
@@ -56,6 +59,8 @@ pub struct CumulativeMetrics {
     pub build_ns: u64,
     /// Total rows scanned.
     pub rows_scanned: u64,
+    /// Total scanned rows that also paid for metadata construction.
+    pub rows_with_byproducts: u64,
     /// Total rows answered from metadata.
     pub rows_full_match: u64,
     /// Total metadata probes.
@@ -84,6 +89,7 @@ impl CumulativeMetrics {
         self.queries += 1;
         self.wall_ns += m.wall_ns;
         self.rows_scanned += m.rows_scanned as u64;
+        self.rows_with_byproducts += m.rows_with_byproducts as u64;
         self.rows_full_match += m.rows_full_match as u64;
         self.zones_probed += m.zones_probed as u64;
         self.zones_skipped += m.zones_skipped as u64;
@@ -106,6 +112,17 @@ impl CumulativeMetrics {
         }
     }
 
+    /// Share of the scanned rows that also paid for metadata construction
+    /// — the paper's "metadata cost vs scan work" ratio on the scan side
+    /// (0 when nothing was scanned).
+    pub fn byproduct_share(&self) -> f64 {
+        if self.rows_scanned == 0 {
+            0.0
+        } else {
+            self.rows_with_byproducts as f64 / self.rows_scanned as f64
+        }
+    }
+
     /// Total wall time including the build, in nanoseconds.
     pub fn total_with_build_ns(&self) -> u64 {
         self.wall_ns + self.build_ns
@@ -124,6 +141,7 @@ mod tests {
             zones_probed: 4,
             zones_skipped: 2,
             rows_scanned: 50,
+            rows_with_byproducts: 20,
             rows_full_match: 10,
             rows_matched: 12,
             adapt_events: 1,
@@ -139,6 +157,9 @@ mod tests {
         assert_eq!(c.queries, 2);
         assert_eq!(c.wall_ns, 200);
         assert_eq!(c.rows_scanned, 100);
+        assert_eq!(c.rows_with_byproducts, 40);
+        assert!((c.byproduct_share() - 0.4).abs() < 1e-12);
+        assert_eq!(CumulativeMetrics::default().byproduct_share(), 0.0);
         assert_eq!(c.zones_probed, 8);
         assert_eq!(c.rows_matched, 24);
         assert_eq!(c.mean_latency_ns(), 100.0);

@@ -179,17 +179,19 @@ pub fn scan_sharded<T: DataValue>(
     let mut observations: Vec<ScanObservation<T>> = Vec::with_capacity(inputs.len());
     let mut lanes: Vec<ShardLaneMetrics> = Vec::with_capacity(inputs.len());
     let mut rows_scanned_total = 0usize;
+    let mut rows_with_byproducts_total = 0usize;
 
     for (s, (input, (items, lane_results))) in inputs
         .iter()
         .zip(lane_items.iter().zip(per_lane))
         .enumerate()
     {
-        let (lane_answer, lane_obs, lane_rows_scanned) = match masks[s] {
+        let merged = match masks[s] {
             Some(dv) => merge_item_results(input.outcome, pred, agg, items, lane_results, dv),
             // live: the lane has no vector, or one without a tombstone.
             None => merge_item_results(input.outcome, pred, agg, items, lane_results, AllLive),
         };
+        let lane_answer = merged.answer;
         answer.count += lane_answer.count;
         if let Some(lane_sum) = lane_answer.sum {
             sum += lane_sum;
@@ -208,18 +210,19 @@ pub fn scan_sharded<T: DataValue>(
             // contract.
             positions.extend(p.into_iter().map(|pos| pos + input.start as u32));
         }
-        rows_scanned_total += lane_rows_scanned;
+        rows_scanned_total += merged.rows_scanned;
+        rows_with_byproducts_total += merged.rows_with_byproducts;
         lanes.push(ShardLaneMetrics {
             shard: s,
             rows: input.data.len(),
             zones_probed: input.outcome.zones_probed,
             zones_skipped: input.outcome.zones_skipped,
-            rows_scanned: lane_rows_scanned,
+            rows_scanned: merged.rows_scanned,
             rows_full_match: input.outcome.rows_full_match()
                 + input.outcome.rows_positional_match(),
             rows_matched: lane_answer.count,
         });
-        observations.push(lane_obs);
+        observations.push(merged.observation);
     }
 
     match agg {
@@ -235,6 +238,7 @@ pub fn scan_sharded<T: DataValue>(
         observations,
         phase: ScanPhase {
             rows_scanned: rows_scanned_total,
+            rows_with_byproducts: rows_with_byproducts_total,
             threads_used,
             scan_ns: t_scan.elapsed().as_nanos() as u64,
         },
@@ -331,6 +335,7 @@ pub fn execute_sharded_with_deletes<T: DataValue>(
         zones_probed: result.lanes.iter().map(|l| l.zones_probed).sum(),
         zones_skipped: result.lanes.iter().map(|l| l.zones_skipped).sum(),
         rows_scanned: result.phase.rows_scanned,
+        rows_with_byproducts: result.phase.rows_with_byproducts,
         rows_full_match: result.lanes.iter().map(|l| l.rows_full_match).sum(),
         rows_matched: result.answer.count,
         adapt_events: events_after - events_before,

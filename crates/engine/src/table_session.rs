@@ -458,6 +458,8 @@ impl TableSession {
             zones_probed,
             zones_skipped,
             rows_scanned,
+            // The bitmap-filling conjunct scan always folds (min, max).
+            rows_with_byproducts: rows_scanned,
             rows_full_match: all_full.covered_rows(),
             rows_matched: count,
             adapt_events: 0,

@@ -402,17 +402,20 @@ const ENGINE: &str = "crates/engine/src/x.rs";
 fn live_mask_fires_on_seeded_all_live_source() {
     // Seeded protocol bug: a scan that hard-wires the all-live source on
     // a path that can carry tombstones silently counts dead rows —
-    // whether through the marker or through a shorthand kernel.
+    // whether through the marker or through a shorthand kernel, with
+    // a by-product or lean.
     let src = "use ads_storage::scan::{\n    self, AllLive,\n};\n\
                fn f(data: &[i64], dv: &DeleteVector) {\n\
-                   let a = scan::count_minmax(data, lo, hi, AllLive, 0);\n\
-                   let b = scan::count_minmax(data, lo, hi, dv, 0);\n\
+                   let a = scan::count(data, lo, hi, AllLive, 0, &mut bounds);\n\
+                   let b = scan::count(data, lo, hi, dv, 0, &mut NoByProduct);\n\
                    let c = count_in_range(data, lo, hi);\n\
+                   let d = scan::sum(data, lo, hi, AllLive, 0, &mut NoByProduct);\n\
+                   let e = sum_in_range(data, lo, hi);\n\
                }\n";
     let diags = only(scan(ENGINE, src), "live-mask");
     assert_eq!(
         diags,
-        vec![(ENGINE.to_string(), 5), (ENGINE.to_string(), 7)],
+        [5, 7, 8, 9].map(|line| (ENGINE.to_string(), line)),
         "the (wrapped) import and the vector-carrying call are clean"
     );
 }
@@ -447,7 +450,7 @@ fn live_mask_skips_methods_definitions_and_oracle() {
 fn live_mask_out_of_scope_in_kernels_and_tests() {
     let src = "fn f(data: &[i64]) {\n\
                    let c = count_in_range(data, lo, hi);\n\
-                   let d = count_minmax(data, lo, hi, AllLive, 0);\n\
+                   let d = count(data, lo, hi, AllLive, 0, &mut NoByProduct);\n\
                }\n";
     // The kernel module itself defines and composes these.
     assert!(only(scan("crates/storage/src/scan.rs", src), "live-mask").is_empty());

@@ -696,6 +696,10 @@ fn worker_loop<T: DataValue>(
                     job.request.agg,
                     &shared.config.exec_policy,
                 );
+                shared.stats.record_scan_rows(
+                    metrics.query.rows_scanned,
+                    metrics.query.rows_with_byproducts,
+                );
                 Reply::Answer {
                     answer,
                     snapshot_version: version,
@@ -737,6 +741,9 @@ fn worker_loop<T: DataValue>(
                     &shared.config.exec_policy,
                 );
                 let version = lanes.iter().map(|lane| lane.current().version).sum();
+                shared
+                    .stats
+                    .record_scan_rows(result.phase.rows_scanned, result.phase.rows_with_byproducts);
                 // Feedback goes out *before* the reply so a client that
                 // replies-then-flushes is guaranteed (by channel FIFO) to
                 // see its own query's adaptation applied.

@@ -69,6 +69,10 @@ pub struct StatsCollector {
     tiers_dropped: AtomicU64,
     /// Tier consultations that excluded rows the zone bounds could not.
     tier_skips: AtomicU64,
+    /// Rows the scans touched.
+    rows_scanned: AtomicU64,
+    /// The scanned rows that also paid for metadata construction.
+    rows_with_byproducts: AtomicU64,
     /// One latency shard per worker, locked only by that worker (and by
     /// the occasional stats reader).
     latency_shards: Vec<Mutex<LatencyHistogram>>,
@@ -103,6 +107,8 @@ impl StatsCollector {
             tiers_built: AtomicU64::new(0),
             tiers_dropped: AtomicU64::new(0),
             tier_skips: AtomicU64::new(0),
+            rows_scanned: AtomicU64::new(0),
+            rows_with_byproducts: AtomicU64::new(0),
             latency_shards: (0..workers.max(1))
                 .map(|_| Mutex::new(LatencyHistogram::new()))
                 .collect(),
@@ -120,6 +126,17 @@ impl StatsCollector {
             // shard lock cannot be poisoned by its only writer.
             .expect("latency shard poisoned")
             .record(wall_ns);
+    }
+
+    /// Records one query's scan volume: the rows it touched and how many
+    /// of them also computed a by-product the index asked for.
+    pub(crate) fn record_scan_rows(&self, scanned: usize, with_byproducts: usize) {
+        // ordering: Relaxed — monotone counter; see record_query.
+        self.rows_scanned
+            .fetch_add(scanned as u64, Ordering::Relaxed);
+        // ordering: Relaxed — monotone counter; see record_query.
+        self.rows_with_byproducts
+            .fetch_add(with_byproducts as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_shed(&self) {
@@ -301,6 +318,10 @@ impl StatsCollector {
             tiers_dropped: self.tiers_dropped.load(Ordering::Relaxed),
             // ordering: Relaxed — see the struct-literal comment above.
             tier_skips: self.tier_skips.load(Ordering::Relaxed),
+            // ordering: Relaxed — see the struct-literal comment above.
+            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
+            // ordering: Relaxed — see the struct-literal comment above.
+            rows_with_byproducts: self.rows_with_byproducts.load(Ordering::Relaxed),
             queue_depth,
             latency,
         }
@@ -371,6 +392,11 @@ pub struct ServerStats {
     pub tiers_dropped: u64,
     /// Tier consultations that excluded rows the zone bounds could not.
     pub tier_skips: u64,
+    /// Rows the scans touched (full-match rows excluded).
+    pub rows_scanned: u64,
+    /// The scanned rows that also paid for metadata construction: rows of
+    /// zones whose bounds (or value mask) the index still asked for.
+    pub rows_with_byproducts: u64,
     /// Request-queue depth at sampling time.
     pub queue_depth: usize,
     /// Merged end-to-end latency distribution (submit-to-reply is up to
@@ -389,6 +415,17 @@ impl ServerStats {
         }
     }
 
+    /// Share of the scanned rows that also paid for metadata construction
+    /// — the paper's "metadata cost vs scan work" ratio on the scan side
+    /// (0 when nothing was scanned).
+    pub fn byproduct_share(&self) -> f64 {
+        if self.rows_scanned == 0 {
+            0.0
+        } else {
+            self.rows_with_byproducts as f64 / self.rows_scanned as f64
+        }
+    }
+
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -398,6 +435,7 @@ impl ServerStats {
              rows_reclaimed={} tombstone_ppm={} \
              reorg_promoted={} reorg_demoted={} reorg_bytes_moved={} \
              tiers_built={} tiers_dropped={} tier_skips={} \
+             rows_scanned={} byproduct_share={:.4} \
              p50={}ns p95={}ns p99={}ns",
             self.queries,
             self.shed,
@@ -419,6 +457,8 @@ impl ServerStats {
             self.tiers_built,
             self.tiers_dropped,
             self.tier_skips,
+            self.rows_scanned,
+            self.byproduct_share(),
             self.latency.p50_ns(),
             self.latency.p95_ns(),
             self.latency.p99_ns(),
@@ -453,6 +493,8 @@ mod tests {
         c.set_tombstone_ppm(2_500);
         c.record_reorg(2, 1, 512, 9_000);
         c.record_tiers(3, 1, 8);
+        c.record_scan_rows(4_000, 1_000);
+        c.record_scan_rows(4_000, 0);
 
         let s = c.snapshot(5);
         assert_eq!(s.queries, 3);
@@ -479,6 +521,8 @@ mod tests {
         assert_eq!(s.tiers_built, 3);
         assert_eq!(s.tiers_dropped, 1);
         assert_eq!(s.tier_skips, 8);
+        assert_eq!((s.rows_scanned, s.rows_with_byproducts), (8_000, 1_000));
+        assert!((s.byproduct_share() - 0.125).abs() < 1e-12);
         assert_eq!(s.queue_depth, 5);
         assert_eq!(s.latency.count(), 3);
         assert!(s.latency.max_ns() >= 3_000 * 7 / 8);

@@ -24,6 +24,7 @@ use ads_check::sync::{thread, Arc};
 use ads_check::{model, try_model, Config};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierMode};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
+use ads_engine::{scan_sharded, AggKind, ExecPolicy, ShardScanInput};
 use ads_server::{Bounded, PushError, ShardSnapshot, ShardedCell, SnapshotCell, StatsCollector};
 use ads_storage::{DeleteVector, SharedColumn};
 
@@ -639,6 +640,135 @@ fn tier_drop_cannot_invalidate_a_held_snapshot() {
         assert_eq!(fresh.version, 2);
         assert_eq!(fresh.zonemap.zones_tiered(), 0, "drop published");
     });
+}
+
+// ------------------------------------------- Demand-driven feedback protocol
+
+/// One zone over [`reorg_data`] that deactivation retires after a single
+/// fruitless probe and revival hands back, one query later, as one
+/// unbuilt zone over the same four rows — so feedback from a reader that
+/// pruned any earlier state still aligns with the zone.
+fn revival_config() -> AdaptiveConfig {
+    AdaptiveConfig {
+        target_zone_rows: 4,
+        min_zone_rows: 2,
+        max_zone_rows: 4,
+        enable_split: false,
+        deactivate_after_probes: 1,
+        maintenance_every: 1,
+        revival_base_queries: Some(1),
+        ..AdaptiveConfig::default()
+    }
+}
+
+/// One inline query on the owner's side: prune, scan exactly what the
+/// prune asked for, observe.
+fn inline_query(zm: &mut AdaptiveZonemap<i64>, data: &[i64], pred: RangePredicate<i64>) {
+    let outcome = SkippingIndex::prune(zm, &pred);
+    let obs = scan_as_asked(data, &outcome, pred).1;
+    zm.observe(&obs);
+}
+
+/// The production scan over one lane: `(count, feedback)`, the feedback
+/// carrying only the by-products `outcome` requested.
+fn scan_as_asked(
+    data: &[i64],
+    outcome: &ads_core::PruneOutcome,
+    pred: RangePredicate<i64>,
+) -> (u64, ScanObservation<i64>) {
+    let lane = ShardScanInput {
+        data,
+        outcome,
+        start: 0,
+        live: None,
+    };
+    let mut result = scan_sharded(&[lane], pred, AggKind::Count, &ExecPolicy::sequential());
+    let obs = result.observations.pop().expect("one lane, one batch");
+    (result.answer.count, obs)
+}
+
+/// No zone is `Built` with bounds that do not cover its rows: whatever
+/// the metadata says, a point probe for any value the column holds must
+/// still reach that value's row.
+fn assert_bounds_cover_rows(zm: &AdaptiveZonemap<i64>, data: &[i64], when: &str) {
+    for (row, &v) in data.iter().enumerate() {
+        let out = zm.prune_shared(&RangePredicate::point(v));
+        assert!(
+            out.must_scan.contains(row) || out.full_match.contains(row),
+            "{when}: row {row} (value {v}) excluded by zone metadata {:?}",
+            zm.zone_snapshot()
+        );
+    }
+}
+
+/// The stale-snapshot case of the demand-driven feedback protocol. The
+/// maintenance thread builds the zone, retires it and revives it —
+/// publishing after each step — and only then applies the reader's
+/// feedback. The reader prunes whichever publication it happens to see
+/// (unbuilt: bounds requested; exact or dead: nothing requested) and its
+/// scan reports exactly that. Under every interleaving the late feedback
+/// leaves sound metadata: bounds-less evidence never builds the revived
+/// zone, bounds-carrying evidence builds it from real bounds.
+#[test]
+fn boundsless_feedback_across_revival_never_builds_unsound_bounds() {
+    let explored = model(|| {
+        let data = reorg_data();
+        let pred = RangePredicate::between(1, 2);
+        let snap = |zm: &AdaptiveZonemap<i64>, version: u64| ShardSnapshot {
+            delete: Arc::new(DeleteVector::new(4, 0)),
+            data: SharedColumn::new(reorg_data()),
+            zonemap: zm.clone(),
+            start: 0,
+            version,
+        };
+        let mut zm = AdaptiveZonemap::new(data.len(), revival_config());
+        let cell = Arc::new(ShardedCell::new(vec![snap(&zm, 0)]));
+        let feedback = Arc::new(Bounded::new(1));
+
+        let (c2, f2) = (Arc::clone(&cell), Arc::clone(&feedback));
+        let maintenance = thread::spawn(move || {
+            let data = reorg_data();
+            inline_query(&mut zm, &data, pred);
+            assert_eq!(zm.zone_snapshot()[0].1, "built");
+            c2.publish_shard(0, snap(&zm, 1));
+            inline_query(&mut zm, &data, pred);
+            assert_eq!(zm.zone_snapshot()[0].1, "dead");
+            c2.publish_shard(0, snap(&zm, 2));
+            assert!(zm.poll_revival(), "the dead zone is due");
+            assert_eq!(zm.zone_snapshot()[0].1, "unbuilt");
+            c2.publish_shard(0, snap(&zm, 3));
+
+            let obs: ScanObservation<i64> = f2.pop().expect("reader always reports");
+            let asked_bounds = obs.ranges[0].bounds.is_some();
+            zm.apply_feedback(&obs);
+            assert_bounds_cover_rows(&zm, &data, "after stale feedback");
+            assert_eq!(
+                zm.zone_snapshot()[0].1,
+                if asked_bounds { "built" } else { "unbuilt" },
+                "feedback with bounds: {asked_bounds}"
+            );
+            c2.publish_shard(0, snap(&zm, 4));
+        });
+
+        let mut cache = cell.cache();
+        cache.refresh(&cell);
+        let held = std::sync::Arc::clone(cache.lanes()[0].current());
+        let outcome = held.zonemap.prune_shared(&pred);
+        // Only a zone still unbuilt in the snapshot asks for its bounds.
+        let unbuilt = matches!(held.version, 0 | 3);
+        assert_eq!(outcome.unit_request(0).bounds, unbuilt);
+        let (count, obs) = scan_as_asked(held.data.as_slice(), &outcome, pred);
+        assert_eq!(count, 2, "stale metadata changed an answer");
+        assert_eq!(obs.ranges[0].bounds.is_some(), unbuilt);
+        feedback.try_push(obs).expect("capacity for the one report");
+
+        maintenance.join().unwrap();
+        cache.refresh(&cell);
+        let fin = cache.lanes()[0].current();
+        assert_eq!(fin.version, 4);
+        assert_bounds_cover_rows(&fin.zonemap, &data, "final publication");
+    });
+    assert!(explored.executions > 1, "explored {explored:?}");
 }
 
 // ------------------------------------------------ Mutation delta publication

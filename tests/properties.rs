@@ -15,7 +15,9 @@ use adaptive_data_skipping::engine::execute_sharded;
 use adaptive_data_skipping::engine::{
     execute, execute_reference, execute_with_policy, AggKind, ExecPolicy, Strategy,
 };
-use adaptive_data_skipping::storage::scan::{AllLive, Liveness};
+use adaptive_data_skipping::storage::scan::{
+    AllLive, Bins, Bounds, ByProduct, Liveness, NoByProduct,
+};
 use adaptive_data_skipping::storage::{
     scan, Bitmap, DataValue, DeleteVector, RangeSet, ShardedColumn,
 };
@@ -530,11 +532,77 @@ fn block_kernels_match_scalar_reference_floats() {
     }
 }
 
-/// Asserts the liveness-generic kernels over `column[base..base + len]`
-/// with liveness source `live` agree with the scalar reference run over
-/// the rows `is_live` keeps: answers (count, `f64` sum bit for bit,
-/// MIN/MAX of the matches, positions) cover live rows only, while the
-/// `(min, max)` by-product still covers every row of the slice.
+/// What the scalar reference says about one slice: the answers over the
+/// rows liveness keeps, and the by-products over every row.
+struct Expected<T: DataValue> {
+    /// Reference aggregates over the live rows only.
+    live: scan::RangeAggregates<T>,
+    /// Live qualifying positions, ascending.
+    positions: Vec<u32>,
+    /// `(min, max)` over all rows, dead ones included.
+    bounds: (T, T),
+    /// The [`BIN_LAYOUT`] mask over all rows, dead ones included.
+    bins: u64,
+}
+
+/// Bin layout of the value-mask by-product in the kernel properties.
+const BIN_LAYOUT: (f64, f64) = (-500.0, 500.0);
+
+/// Runs the four answer kernels with one by-product choice and asserts
+/// the answers — count, `f64` sum bit for bit, MIN/MAX of the matches,
+/// positions — equal the reference whatever is collected on the side,
+/// and that `check` accepts the by-product each pass leaves behind.
+fn assert_answers_match_reference<T: DataValue, L: Liveness, B: ByProduct<T>>(
+    data: &[T],
+    (base, lo, hi): (usize, T, T),
+    live: L,
+    want: &Expected<T>,
+    fresh: impl Fn() -> B,
+    check: impl Fn(&B) -> bool,
+    ctx: &str,
+) {
+    let mut by = fresh();
+    let count = scan::count(data, lo, hi, live, base, &mut by);
+    assert!(count == want.live.count && check(&by), "count {ctx}");
+
+    let mut by = fresh();
+    let (n, sum) = scan::sum(data, lo, hi, live, base, &mut by);
+    assert!(
+        n == want.live.count && sum.to_bits() == want.live.sum.to_bits() && check(&by),
+        "sum {ctx}: {sum} vs {}",
+        want.live.sum
+    );
+
+    let mut by = fresh();
+    let got = scan::aggregate(data, lo, hi, live, base, &mut by);
+    assert!(
+        got.count == want.live.count
+            && got.sum.to_bits() == want.live.sum.to_bits()
+            && same(got.min, want.live.match_min)
+            && same(got.max, want.live.match_max)
+            && check(&by),
+        "aggregate {ctx}: {got:?} vs {:?}",
+        want.live
+    );
+
+    let mut by = fresh();
+    let mut positions = vec![7u32]; // earlier content must survive
+    let n = scan::collect(data, lo, hi, live, base, &mut positions, &mut by);
+    assert!(
+        n == want.positions.len()
+            && positions[0] == 7
+            && positions[1..] == want.positions
+            && check(&by),
+        "collect {ctx}"
+    );
+}
+
+/// Asserts the generic kernels over `column[base..base + len]` with
+/// liveness source `live` agree with the scalar reference run over the
+/// rows `is_live` keeps, under every by-product choice: answers cover
+/// live rows only and do not depend on what is collected beside them,
+/// while the `(min, max)` and value-mask by-products cover every row of
+/// the slice — dead rows still widen the bounds and set their bin.
 fn assert_generic_kernels_match_reference<T: DataValue, L: Liveness>(
     column: &[T],
     (base, len): (usize, usize),
@@ -548,50 +616,62 @@ fn assert_generic_kernels_match_reference<T: DataValue, L: Liveness>(
         .filter(|&i| is_live(base + i))
         .map(|i| data[i])
         .collect();
-    let kept_pos: Vec<u32> = (0..len)
-        .filter(|&i| is_live(base + i) && data[i].ge_total(&lo) && data[i].le_total(&hi))
-        .map(|i| (base + i) as u32)
-        .collect();
-    let want = scan::scalar::aggregate_in_range(&kept, lo, hi);
     let all = scan::scalar::aggregate_in_range(data, lo, hi);
+    let scale = 64.0 / (BIN_LAYOUT.1 - BIN_LAYOUT.0);
+    let want = Expected {
+        live: scan::scalar::aggregate_in_range(&kept, lo, hi),
+        positions: (0..len)
+            .filter(|&i| is_live(base + i) && data[i].ge_total(&lo) && data[i].le_total(&hi))
+            .map(|i| (base + i) as u32)
+            .collect(),
+        bounds: (all.range_min, all.range_max),
+        bins: data.iter().fold(0u64, |m, v| {
+            m | 1 << ((v.to_f64() - BIN_LAYOUT.0) * scale).clamp(0.0, 63.0) as u32
+        }),
+    };
+    let bounds_ok = |b: &Bounds<T>| {
+        let (min, max) = b.min_max();
+        same(min, want.bounds.0) && same(max, want.bounds.1)
+    };
+    let bins_ok = |b: &Bins| b.mask() == want.bins;
+    let new_bins = || Bins::new(BIN_LAYOUT.0, BIN_LAYOUT.1);
+    let at = (base, lo, hi);
 
-    let (count, min, max) = scan::count_minmax(data, lo, hi, live, base);
-    assert!(
-        count == want.count && same(min, all.range_min) && same(max, all.range_max),
-        "count_minmax {ctx}"
+    assert_answers_match_reference(
+        data,
+        at,
+        live,
+        &want,
+        || NoByProduct,
+        |_| true,
+        &format!("{ctx} lean"),
     );
-
-    // The value mask must be the one a scan of all rows produces: dead
-    // rows still set their bin.
-    let (bins_count, bins_min, bins_max, bins) =
-        scan::count_minmax_bins(data, lo, hi, -500.0, 500.0, live, base);
-    let (_, _, _, all_bins) =
-        scan::count_in_range_with_minmax_and_mask(data, lo, hi, -500.0, 500.0);
-    assert!(
-        bins_count == count && same(bins_min, min) && same(bins_max, max) && bins == all_bins,
-        "count_minmax_bins {ctx}"
+    assert_answers_match_reference(
+        data,
+        at,
+        live,
+        &want,
+        Bounds::new,
+        bounds_ok,
+        &format!("{ctx} +bounds"),
     );
-
-    let got = scan::aggregate(data, lo, hi, live, base);
-    assert!(
-        got.count == want.count
-            && got.sum.to_bits() == want.sum.to_bits()
-            && same(got.match_min, want.match_min)
-            && same(got.match_max, want.match_max)
-            && same(got.range_min, all.range_min)
-            && same(got.range_max, all.range_max),
-        "aggregate {ctx}: {got:?} vs {want:?} / {all:?}"
+    assert_answers_match_reference(
+        data,
+        at,
+        live,
+        &want,
+        new_bins,
+        bins_ok,
+        &format!("{ctx} +bins"),
     );
-
-    let mut positions = vec![7u32]; // earlier content must survive
-    let (n, pmin, pmax) = scan::collect_minmax(data, lo, hi, live, base, &mut positions);
-    assert!(
-        n == kept_pos.len()
-            && positions[0] == 7
-            && positions[1..] == kept_pos
-            && same(pmin, all.range_min)
-            && same(pmax, all.range_max),
-        "collect_minmax {ctx}"
+    assert_answers_match_reference(
+        data,
+        at,
+        live,
+        &want,
+        || (Bounds::new(), new_bins()),
+        |by| bounds_ok(&by.0) && bins_ok(&by.1),
+        &format!("{ctx} +bounds+bins"),
     );
 
     let (rows, sum) = scan::sum_rows(data, live, base);
@@ -692,7 +772,7 @@ fn check_generic_kernels<T: DataValue>(
 }
 
 #[test]
-fn generic_kernels_match_reference_under_every_liveness_source() {
+fn generic_kernels_match_reference_under_every_byproduct_and_liveness_source() {
     for case in 0..8u64 {
         check_generic_kernels(
             "i64",
@@ -845,6 +925,70 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
                 ranges,
             });
             zm.assert_invariants();
+        }
+    }
+}
+
+#[test]
+fn restricted_prune_asks_for_what_the_full_prune_would() {
+    // The fourth prune path: `prune_within` over an alive set must scan
+    // the units — and issue the per-unit by-product requests — that the
+    // full `prune`, restricted afterwards, does. A zone asks for bounds
+    // exactly while they are missing or conservative, and only of a
+    // fragment that is the whole zone.
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x5EA8 ^ case);
+        let data = gen_data(&mut rng, 3000);
+        let mut zm = AdaptiveZonemap::new(data.len(), test_config());
+        let steps = rng.gen_range(10..40usize);
+        for step in 0..steps {
+            let pred = gen_pred(&mut rng);
+            let mut alive = RangeSet::new();
+            let mut at = 0usize;
+            while at < data.len() {
+                let end = (at + rng.gen_range(1..300usize)).min(data.len());
+                if rng.gen_range(0..3usize) > 0 {
+                    alive.push_span(at, end);
+                }
+                at = end + rng.gen_range(0..2usize);
+            }
+            let within = zm.clone().prune_within(&pred, &alive);
+            let full = zm.prune(&pred);
+            let restricted = full.restrict_to(&alive);
+            assert_eq!(
+                (
+                    &within.must_scan,
+                    &within.scan_units,
+                    &within.unit_requests,
+                    &within.full_match
+                ),
+                (
+                    &restricted.must_scan,
+                    &restricted.scan_units,
+                    &restricted.unit_requests,
+                    &restricted.full_match
+                ),
+                "case {case} step {step}: restricted prune diverged"
+            );
+            let snapshot = zm.zone_snapshot();
+            for (unit, request) in full.units().iter().zip(&full.unit_requests) {
+                let label = snapshot.iter().find(|(r, ..)| r == unit).map(|z| z.1);
+                assert_eq!(
+                    request.bounds,
+                    matches!(label, Some("unbuilt" | "built~")),
+                    "case {case} step {step}: unit {unit:?} of a {label:?} zone"
+                );
+            }
+            let mut ranges = Vec::new();
+            for unit in full.units() {
+                let (q, min, max) =
+                    scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
+                ranges.push(RangeObservation::new(*unit, q, min, max));
+            }
+            zm.observe(&ScanObservation {
+                predicate: pred,
+                ranges,
+            });
         }
     }
 }
