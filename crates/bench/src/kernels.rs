@@ -10,8 +10,9 @@
 //! all-built zone map. The report renders as machine-readable JSON (the
 //! repo's perf-trajectory format, schema `ads-kernel-bench/v2`) and as the
 //! markdown table embedded in the README. A production cell slower than
-//! [`GATE`] times its reference is a regression: `kernels_json` exits
-//! non-zero on it.
+//! [`GATE`] times its reference — a scan kernel against its scalar twin,
+//! the prune plane against the array-of-structs walk — is a regression:
+//! `kernels_json` exits non-zero on it.
 //!
 //! Run via:
 //!
@@ -106,11 +107,36 @@ fn json_num(x: f64) -> String {
 }
 
 impl KernelReport {
-    /// Cells whose production kernel is slower than [`GATE`] times its
-    /// reference.
-    pub fn below_gate(&self) -> Vec<&KernelRow> {
-        let losing = |k: &&KernelRow| k.speedup() < GATE;
-        self.kernels.iter().filter(losing).collect()
+    /// Reference-over-plane per-zone time ratio of the prune walk (>1
+    /// means the plane is faster); `None` unless both were measured.
+    fn prune_speedup(&self) -> Option<f64> {
+        let ns_per_zone = |name| {
+            let row = self.prune.iter().find(|p| p.impl_name == name)?;
+            Some(row.ns_per_zone)
+        };
+        Some(ns_per_zone("aos_reference")? / ns_per_zone("soa_plane")?)
+    }
+
+    /// One line per cell whose production side is slower than [`GATE`]
+    /// times its reference: scan kernels, then the prune plane.
+    pub fn below_gate(&self) -> Vec<String> {
+        let kernels = self.kernels.iter().filter(|k| k.speedup() < GATE).map(|k| {
+            format!(
+                "{} {} @ {}% ({} tombstones): production {:.3} ns/row vs reference {:.3} ({:.2}x < {GATE}x)",
+                k.kernel,
+                k.ty,
+                k.selectivity_pct,
+                k.tombstone_pct.map_or("no".to_string(), |t| format!("{t}%")),
+                k.production_ns_per_row,
+                k.reference_ns_per_row,
+                k.speedup(),
+            )
+        });
+        let prune = self
+            .prune_speedup()
+            .filter(|&speedup| speedup < GATE)
+            .map(|speedup| format!("prune: soa_plane at {speedup:.2}x aos_reference (< {GATE}x)"));
+        kernels.chain(prune).collect()
     }
 
     /// Renders the report as the `ads-kernel-bench/v2` JSON document.
@@ -561,9 +587,29 @@ mod tests {
             kernels: vec![row("aggregate", 1.05), row("count_minmax", 1.2)],
             prune: Vec::new(),
         };
-        let below: Vec<_> = report.below_gate().iter().map(|k| k.kernel).collect();
-        assert_eq!(below, vec!["count_minmax"], "0.95x passes, 0.83x does not");
+        let below = report.below_gate();
+        assert_eq!(below.len(), 1, "0.95x passes, 0.83x does not");
+        assert!(below[0].starts_with("count_minmax i64"), "{below:?}");
         assert!(report.to_json().contains("\"below_gate\": 1"));
+        // The prune plane is a cell like any other.
+        let prune = |plane_ns, reference_ns| {
+            let row = |impl_name, ns_per_zone| PruneRow {
+                impl_name,
+                zones: 64,
+                ns_per_zone,
+            };
+            KernelReport {
+                prune: vec![
+                    row("soa_plane", plane_ns),
+                    row("aos_reference", reference_ns),
+                ],
+                ..report.clone()
+            }
+        };
+        assert_eq!(prune(1.05, 1.0).below_gate().len(), 1);
+        let behind = prune(9.04, 7.04);
+        assert!(behind.below_gate()[1].starts_with("prune: soa_plane at 0.78x"));
+        assert!(behind.to_json().contains("\"below_gate\": 2"));
         assert!(report.to_json().contains("\"tombstone_pct\": 5.0000"));
         assert!(tombstones(1000, 0.0).deleted_count() == 0);
         assert_eq!(tombstones(1000, 0.1).deleted_count(), 1);

@@ -41,10 +41,6 @@ pub struct AdaptiveConfig {
     /// Ceiling for coarsening: merging stops once a zone would exceed this
     /// many rows; zones at the ceiling become deactivation candidates.
     pub max_zone_rows: usize,
-    /// Qualifying fraction below which a scan through a zone counts as
-    /// "wasted" (the zone was read for almost nothing — its metadata was
-    /// too coarse to exclude it).
-    pub split_low_yield: f64,
     /// Consecutive wasted scans before a zone is split.
     pub split_after_wasted: u32,
     /// Probes a zone must accumulate before it may be merged away.
@@ -74,8 +70,6 @@ pub struct AdaptiveConfig {
     /// sketches attached to zones that cannot refine positionally but keep
     /// wasting scans (the outlier case).
     pub enable_mask: bool,
-    /// Events retained in the adaptation trace ring.
-    pub trace_capacity: usize,
     /// Enable zone-local physical reorganization: hot zones are promoted
     /// to a sorted/cracked layout so in-zone skipping becomes positional.
     /// Off by default — the paper's adaptation reshapes metadata only.
@@ -107,19 +101,9 @@ pub struct AdaptiveConfig {
     /// paid `k` times the one-off cost of the tier build pass — the same
     /// amortization argument as `reorg_after_scans`.
     pub tier_after_scans: u32,
-    /// Point-predicate fraction at or above which the [`TierMode::Adaptive`]
-    /// chooser picks a bloom sketch over imprints.
-    pub tier_point_fraction: f64,
     /// Tier consultations per drop-policy window: once a tier has been
     /// consulted this many times, its hit rate is judged.
     pub tier_drop_after: u32,
-    /// Hit rate at or below which a judged tier is dropped (it is pure
-    /// probe overhead); above it the window simply resets.
-    pub tier_drop_min_hit_rate: f64,
-    /// Bloom sizing: filter bits per zone row.
-    pub tier_bloom_bits_per_row: usize,
-    /// Hard cap on any single tier payload's byte size.
-    pub tier_max_bytes: usize,
     /// Imprint sizing: rows per imprint line (sub-zone skip granularity).
     pub tier_imprint_line_rows: usize,
 }
@@ -140,7 +124,6 @@ impl AdaptiveConfig {
             target_zone_rows: 4096,
             min_zone_rows: (break_even * 8).next_power_of_two().max(64),
             max_zone_rows: 1 << 17,
-            split_low_yield: 0.02,
             split_after_wasted: 2,
             merge_after_probes: 8,
             merge_max_skip_rate: 0.05,
@@ -153,18 +136,13 @@ impl AdaptiveConfig {
             enable_merge: true,
             enable_deactivate: true,
             enable_mask: true,
-            trace_capacity: 4096,
             enable_reorg: false,
             reorg_after_scans: 4,
             reorg_demote_idle: 64,
             reorg_hot_factor: 2.0,
             tier_mode: TierMode::Off,
             tier_after_scans: 4,
-            tier_point_fraction: 0.5,
             tier_drop_after: 16,
-            tier_drop_min_hit_rate: 0.05,
-            tier_bloom_bits_per_row: 8,
-            tier_max_bytes: 1 << 16,
             tier_imprint_line_rows: 64,
         }
     }
@@ -250,10 +228,6 @@ impl AdaptiveConfig {
             "target_zone_rows exceeds max_zone_rows"
         );
         assert!(
-            (0.0..=1.0).contains(&self.split_low_yield),
-            "split_low_yield out of [0,1]"
-        );
-        assert!(
             (0.0..=1.0).contains(&self.merge_max_skip_rate),
             "merge_max_skip_rate out of [0,1]"
         );
@@ -283,19 +257,6 @@ impl AdaptiveConfig {
         );
         assert!(self.tier_after_scans >= 1, "tier_after_scans must be >= 1");
         assert!(self.tier_drop_after >= 1, "tier_drop_after must be >= 1");
-        assert!(
-            (0.0..=1.0).contains(&self.tier_point_fraction),
-            "tier_point_fraction out of [0,1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.tier_drop_min_hit_rate),
-            "tier_drop_min_hit_rate out of [0,1]"
-        );
-        assert!(
-            self.tier_bloom_bits_per_row >= 1,
-            "tier_bloom_bits_per_row must be >= 1"
-        );
-        assert!(self.tier_max_bytes >= 8, "tier_max_bytes must be >= 8");
         assert!(
             self.tier_imprint_line_rows >= 1,
             "tier_imprint_line_rows must be >= 1"
@@ -349,16 +310,6 @@ mod tests {
             TierMode::Off,
             "tiers must be opt-in"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "tier_point_fraction out of [0,1]")]
-    fn validate_catches_bad_tier_fraction() {
-        AdaptiveConfig {
-            tier_point_fraction: 1.5,
-            ..AdaptiveConfig::default()
-        }
-        .validate();
     }
 
     #[test]

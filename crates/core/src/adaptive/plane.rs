@@ -105,6 +105,12 @@ impl<T: DataValue> PrunePlane<T> {
         self.built[z / 64] & (1u64 << (z % 64)) != 0
     }
 
+    /// `(min, max)` of zone `z`, `None` unless it is built.
+    #[inline]
+    pub(crate) fn bounds(&self, z: usize) -> Option<(T, T)> {
+        self.is_built(z).then(|| (self.mins[z], self.maxs[z]))
+    }
+
     /// Records that zone `z` became (or stayed) built with bounds
     /// `(min, max)` — the lazy-build and bounds-tightening transitions.
     #[inline]

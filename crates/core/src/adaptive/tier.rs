@@ -16,7 +16,7 @@
 //!   ([`TierMode::Adaptive`]); forced modes exist for the ablation grid;
 //! * **drop** when a consultation window shows the tier almost never
 //!   excludes anything (`tier_drop_after` probes at
-//!   `tier_drop_min_hit_rate` or below), with exponential rebuild
+//!   [`DROP_MIN_HIT_RATE`] or below), with exponential rebuild
 //!   backoff so a hopeless zone stops re-paying the build.
 //!
 //! Like reorganization, tier changes run on the owner's side of the
@@ -31,6 +31,20 @@ use crate::trace::AdaptEvent;
 use ads_storage::{BloomSketch, DataValue, Imprints};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Point-predicate fraction at or above which the [`TierMode::Adaptive`]
+/// chooser picks a bloom sketch over imprints.
+const BLOOM_POINT_FRACTION: f64 = 0.5;
+
+/// Hit rate at or below which a judged tier is dropped (it is pure probe
+/// overhead); above it the window simply resets.
+const DROP_MIN_HIT_RATE: f64 = 0.05;
+
+/// Bloom sizing: filter bits per zone row.
+const BLOOM_BITS_PER_ROW: usize = 8;
+
+/// Hard cap on any single tier payload's byte size.
+const MAX_TIER_BYTES: usize = 1 << 16;
 
 /// Lifetime tier counters of one zonemap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,7 +127,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             if zone.tier.is_some() && zone.tier_stats.tier_probes >= self.config.tier_drop_after {
                 let hit_rate = f64::from(zone.tier_stats.tier_hits)
                     / f64::from(zone.tier_stats.tier_probes.max(1));
-                if hit_rate <= self.config.tier_drop_min_hit_rate {
+                if hit_rate <= DROP_MIN_HIT_RATE {
                     zone.drop_tier();
                     let drops = zone.tier_stats.drops.saturating_add(1);
                     zone.tier_stats.drops = drops;
@@ -164,7 +178,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     let Some(frac) = zone.tier_stats.point_fraction() else {
                         continue;
                     };
-                    if frac >= self.config.tier_point_fraction {
+                    if frac >= BLOOM_POINT_FRACTION {
                         TierMode::Bloom
                     } else {
                         TierMode::Imprint
@@ -179,8 +193,8 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     self.tier_lifetime.blooms_built += 1;
                     ZoneTier::Bloom(Arc::new(BloomSketch::build(
                         rows,
-                        self.config.tier_bloom_bits_per_row,
-                        self.config.tier_max_bytes,
+                        BLOOM_BITS_PER_ROW,
+                        MAX_TIER_BYTES,
                     )))
                 }
                 _ => {

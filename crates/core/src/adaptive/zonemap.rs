@@ -16,6 +16,14 @@
 //!
 //! Structural operations live in `maintenance.rs`; this file holds the
 //! container, the prune/observe protocol, and the append path.
+//!
+//! Every prune entry point is one zone walk: [`walk`] visits zones — all
+//! of them, or those an alive set still touches — and [`probe_zone`]
+//! reads each one's bounds, tests overlap, asks the one classifier about
+//! what the bounds cannot exclude and writes the decision into the
+//! [`PruneOutcome`]. Callers differ only in the [`Walker`] they bring:
+//! the [`Owner`] leaves the stat trail adaptation feeds on, the
+//! [`Reader`] leaves nothing.
 
 use crate::adaptive::config::AdaptiveConfig;
 use crate::adaptive::plane::PrunePlane;
@@ -32,6 +40,14 @@ use crate::stats::{IndexStats, PruneStats, ZoneStats};
 use crate::trace::{AdaptEvent, AdaptTrace};
 use ads_storage::{DataValue, RangeSet, RowRange, RunVerdict};
 use std::sync::Arc;
+
+/// Events retained in the adaptation trace ring.
+const TRACE_CAPACITY: usize = 4096;
+
+/// Qualifying fraction below which a scan through a zone counts as
+/// "wasted" (the zone was read for almost nothing — its metadata was too
+/// coarse to exclude it).
+const SPLIT_LOW_YIELD: f64 = 0.02;
 
 /// An adaptive zonemap over one column of `len` rows.
 ///
@@ -90,7 +106,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             zones.push(AdaptiveZone::unbuilt(start, end, config.ewma_alpha));
             start = end;
         }
-        let trace = AdaptTrace::new(config.trace_capacity);
+        let trace = AdaptTrace::new(TRACE_CAPACITY);
         let plane = PrunePlane::from_zones(&zones);
         let zm = AdaptiveZonemap {
             zones,
@@ -139,11 +155,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// The active configuration.
     pub fn config(&self) -> &AdaptiveConfig {
         &self.config
-    }
-
-    /// The cost model guiding granularity decisions.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// The reader-visible mutation epoch: increments whenever zone
@@ -262,78 +273,14 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
         self
     }
 
-    // epoch: the only reader-visible write on this path is a reorg
-    // payload crack, bumped below under `moved > 0`; everything else
-    // the probe loop touches (skip/probe counters, idle clocks, tier
-    // telemetry) is per-query stat drift that must NOT bump, or every
-    // query would force a full lane republication.
     fn prune(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
-        let mut out = self.prune_prologue();
-
-        // Hot loop over the dense SoA prune plane: the bounds test reads
-        // only the packed built-bitset and min/max arrays; the full
-        // AdaptiveZone record is touched for stat feedback and for the
-        // minority of zones the bounds cannot exclude.
-        let min_split_rows =
-            (2 * self.config.min_zone_rows).max(2 * self.cost.min_profitable_zone_rows());
-        for idx in 0..self.zones.len() {
-            out.zones_probed += 1;
-            if !self.plane.is_built(idx) {
-                // Unbuilt and Dead zones scan identically; only the
-                // former can learn from it.
-                let zone = &self.zones[idx];
-                out.push_unit(zone.range(), scan_request(zone, None));
-                out.record_decision(zone.range(), "scan:unbuilt");
-                continue;
-            }
-            let min = self.plane.mins[idx];
-            let max = self.plane.maxs[idx];
-            if !pred.overlaps(min, max) {
-                out.zones_skipped += 1;
-                out.record_decision(self.zones[idx].range(), "skip:bounds");
-                // Deferred record_skip(): one dense counter bump instead
-                // of a read-modify-write on the cold AoS zone record.
-                self.plane.defer_skip(idx);
-                // Reorganized zones additionally age their idle clock — a
-                // single dense-bitset word test, zero for flat maps.
-                if self.plane.is_reorg(idx) {
-                    if let ZoneLayout::Reorganized { idle, .. } = &mut self.zones[idx].layout {
-                        *idle = idle.saturating_add(1);
-                    }
-                }
-                continue;
-            }
-            if self.plane.is_reorg(idx) {
-                let moved = probe_reorg_zone(&mut self.zones[idx], pred, min, max, &mut out);
-                if moved > 0 {
-                    // A crack relocated payload rows — reader-visible, so
-                    // publication layers must pick it up.
-                    self.reorg_lifetime.bytes_moved += moved;
-                    self.mutation_epoch += 1;
-                }
-                continue;
-            }
-            probe_overlapping_zone(
-                &mut self.zones[idx],
-                pred,
-                min,
-                max,
-                &self.config,
-                min_split_rows,
-                &mut self.tier_lifetime,
-                &mut out,
-            );
-        }
-
-        self.prune_epilogue(&out);
-        out
+        self.prune_owned::<true>(pred, None)
     }
 
     // epoch: structural writes (bounds built/tightened, splits, mask
     // attach) set `mutated` at each site and are covered by one bump at
     // the end; the remaining writes are selectivity/yield stat drift.
     fn observe(&mut self, obs: &ScanObservation<T>) {
-        let low_yield = self.config.split_low_yield;
         let mut split_queue: Vec<usize> = Vec::new();
         let mut mutated = false;
 
@@ -395,7 +342,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
                         .record(self.query_seq, AdaptEvent::Built { range: ro.range });
                 }
             }
-            zone.stats.record_scan(frac, low_yield);
+            zone.stats.record_scan(frac, SPLIT_LOW_YIELD);
             // Every observation of a built zone marks the lane mutated,
             // bounds or not: readers decide `want_mask` from the
             // `wasted_scans` a published snapshot carries.
@@ -525,105 +472,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
     }
 
     fn prune_within(&mut self, pred: &RangePredicate<T>, alive: &RangeSet) -> PruneOutcome {
-        /// Per-zone verdict, cached so a zone spanning two alive ranges is
-        /// probed (and its stats bumped) exactly once.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Decision {
-            Unscanned,
-            Skip,
-            Full,
-            Scan,
-        }
-
-        let mut out = self.prune_prologue();
-        let min_split_rows =
-            (2 * self.config.min_zone_rows).max(2 * self.cost.min_profitable_zone_rows());
-        let mut last: Option<(usize, Decision)> = None;
-        for ar in alive.ranges() {
-            // First zone overlapping this alive range: zones partition
-            // [0, len), so it's the first with end > ar.start.
-            let mut idx = self.zones.partition_point(|z| z.end <= ar.start);
-            while idx < self.zones.len() && self.zones[idx].start < ar.end {
-                let decision = match last {
-                    Some((i, d)) if i == idx => d,
-                    _ => {
-                        out.zones_probed += 1;
-                        let d = if !self.plane.is_built(idx) {
-                            Decision::Unscanned
-                        } else {
-                            let min = self.plane.mins[idx];
-                            let max = self.plane.maxs[idx];
-                            if !pred.overlaps(min, max) {
-                                out.zones_skipped += 1;
-                                self.plane.defer_skip(idx);
-                                Decision::Skip
-                            } else {
-                                match classify_overlapping_zone(
-                                    &self.zones[idx],
-                                    pred,
-                                    min,
-                                    max,
-                                    &self.config,
-                                    min_split_rows,
-                                ) {
-                                    OverlapAction::FullMatch => {
-                                        self.zones[idx].stats.record_no_skip();
-                                        Decision::Full
-                                    }
-                                    // A tier skip is sound under the alive
-                                    // restriction: no *base* row of the
-                                    // zone qualifies, so no alive subset
-                                    // does either.
-                                    OverlapAction::MaskSkip | OverlapAction::TierSkip => {
-                                        out.zones_skipped += 1;
-                                        self.zones[idx].stats.record_skip();
-                                        Decision::Skip
-                                    }
-                                    // Tier sub-units are demoted to a
-                                    // conservative whole-zone scan here:
-                                    // intersecting two fragmentations
-                                    // (tier runs x alive ranges) would
-                                    // break the per-unit observation
-                                    // alignment this path maintains.
-                                    //
-                                    // Mask requests are not issued on the
-                                    // restricted path: a fragment's mask
-                                    // would not describe the whole zone.
-                                    OverlapAction::Scan(_) | OverlapAction::TierUnits(_) => {
-                                        self.zones[idx].stats.record_no_skip();
-                                        Decision::Scan
-                                    }
-                                }
-                            }
-                        };
-                        last = Some((idx, d));
-                        d
-                    }
-                };
-                let z = &self.zones[idx];
-                let frag_start = z.start.max(ar.start);
-                let frag_end = z.end.min(ar.end);
-                match decision {
-                    Decision::Unscanned | Decision::Scan => {
-                        // Only a fragment that is the whole zone can feed
-                        // its bounds; the rest are selectivity samples
-                        // `observe` cannot even attribute.
-                        let frag = RowRange::new(frag_start, frag_end);
-                        let request = if frag == z.range() {
-                            scan_request(z, None)
-                        } else {
-                            UnitRequest::NOTHING
-                        };
-                        out.push_unit(frag, request);
-                    }
-                    Decision::Full => out.full_match.push_span(frag_start, frag_end),
-                    Decision::Skip => {}
-                }
-                idx += 1;
-            }
-        }
-        self.prune_epilogue(&out);
-        out
+        self.prune_owned::<true>(pred, Some(alive))
     }
 
     fn maintain(&mut self, base: &[T]) {
@@ -675,20 +524,19 @@ enum OverlapAction {
     /// excluded or full-matched something — otherwise a plain `Scan` is
     /// cheaper for the executor.
     TierUnits(Vec<TierSpan>),
+    /// The zone is reorganized: its sorted/cracked payload resolves the
+    /// predicate positionally.
+    Positional,
     /// The zone must be scanned, computing what the request names beside
     /// the answer.
     Scan(UnitRequest),
 }
 
-/// The shared probe decision for a built zone whose `(min, max)` the
-/// predicate overlaps: full-match detection, value-mask secondary pruning,
-/// and the mask-request choice. Pure — reads the zone, mutates nothing.
-/// Every prune variant (the plane-driven [`prune`] loop, the AoS reference
-/// loop [`AdaptiveZonemap::prune_via_zones`], and the read-only
-/// [`AdaptiveZonemap::prune_shared`]) funnels through here, which is what
-/// keeps them decision-identical.
-///
-/// [`prune`]: SkippingIndex::prune
+/// The probe decision for a built zone whose `(min, max)` the predicate
+/// overlaps: full-match detection, positional resolution, value-mask and
+/// tier secondary pruning, and the mask-request choice. Pure — reads the
+/// zone, mutates nothing. [`probe_zone`] is its only caller, so every
+/// prune entry point decides identically by construction.
 fn classify_overlapping_zone<T: DataValue>(
     zone: &AdaptiveZone<T>,
     pred: &RangePredicate<T>,
@@ -697,8 +545,15 @@ fn classify_overlapping_zone<T: DataValue>(
     config: &AdaptiveConfig,
     min_split_rows: usize,
 ) -> OverlapAction {
+    // Full matches deliberately come before the positional path: a plain
+    // base-coordinate `full_match` span folds in the same order as the
+    // flat layout, which keeps aggregate results bit-identical across
+    // layouts.
     if pred.contains_zone(min, max) {
         return OverlapAction::FullMatch;
+    }
+    if zone.is_reorganized() {
+        return OverlapAction::Positional;
     }
     if let Some(mask) = zone.mask {
         let bits = mask
@@ -784,85 +639,6 @@ fn scan_request<T: DataValue>(zone: &AdaptiveZone<T>, bins: Option<MaskRequest>)
     }
 }
 
-/// Applies an [`OverlapAction`] to the outcome being assembled, with the
-/// zone-stat side effects the mutable prune paths perform: probe/skip
-/// feedback, predicate-shape telemetry for the tier chooser, and the
-/// tier consultation window plus lifetime benefit counters.
-#[allow(clippy::too_many_arguments)]
-fn probe_overlapping_zone<T: DataValue>(
-    zone: &mut AdaptiveZone<T>,
-    pred: &RangePredicate<T>,
-    min: T,
-    max: T,
-    config: &AdaptiveConfig,
-    min_split_rows: usize,
-    tier_life: &mut TierStats,
-    out: &mut PruneOutcome,
-) {
-    // Shape telemetry: every overlapping probe is a sample of what a
-    // tier here would have to answer.
-    if pred.is_point() {
-        zone.tier_stats.point_preds = zone.tier_stats.point_preds.saturating_add(1);
-    } else {
-        zone.tier_stats.range_preds = zone.tier_stats.range_preds.saturating_add(1);
-    }
-    let action = classify_overlapping_zone(zone, pred, min, max, config, min_split_rows);
-    // The tier was consulted unless a cheaper check resolved the zone
-    // first (full-match containment or a mask skip).
-    if zone.has_tier()
-        && matches!(
-            action,
-            OverlapAction::TierSkip | OverlapAction::TierUnits(_) | OverlapAction::Scan(_)
-        )
-    {
-        zone.tier_stats.tier_probes = zone.tier_stats.tier_probes.saturating_add(1);
-    }
-    match action {
-        OverlapAction::FullMatch => {
-            out.full_match.push_span(zone.start, zone.end);
-            out.record_decision(zone.range(), "full:bounds");
-            zone.stats.record_no_skip();
-        }
-        OverlapAction::MaskSkip => {
-            out.zones_skipped += 1;
-            out.record_decision(zone.range(), "skip:mask");
-            zone.stats.record_skip();
-        }
-        OverlapAction::TierSkip => {
-            out.zones_skipped += 1;
-            out.record_decision(zone.range(), tier_skip_label(zone));
-            zone.stats.record_skip();
-            zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
-            tier_life.tier_skips += 1;
-            tier_life.tier_rows_excluded += zone.len() as u64;
-        }
-        OverlapAction::TierUnits(spans) => {
-            // The zone is read (partially), so for zone-level adaptation
-            // this is a scan, not a skip.
-            zone.stats.record_no_skip();
-            zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
-            tier_life.tier_skips += 1;
-            let mut covered = 0usize;
-            for span in spans {
-                covered += span.range.len();
-                if span.full {
-                    out.full_match.push_span(span.range.start, span.range.end);
-                } else {
-                    // A line run is not a zone: nothing to learn from it.
-                    out.push_unit(span.range, UnitRequest::NOTHING);
-                }
-            }
-            tier_life.tier_rows_excluded += (zone.len() - covered) as u64;
-            out.record_decision(zone.range(), "tier-units");
-        }
-        OverlapAction::Scan(request) => {
-            out.push_unit(zone.range(), request);
-            out.record_decision(zone.range(), "scan");
-            zone.stats.record_no_skip();
-        }
-    }
-}
-
 /// Decision-trace label for a [`OverlapAction::TierSkip`], naming which
 /// sketch kind excluded the zone.
 fn tier_skip_label<T: DataValue>(zone: &AdaptiveZone<T>) -> &'static str {
@@ -875,172 +651,326 @@ fn tier_skip_label<T: DataValue>(zone: &AdaptiveZone<T>) -> &'static str {
     }
 }
 
-/// Probes a reorganized zone the predicate overlaps: cracks the payload
-/// around the predicate bounds (copy-on-write, so published snapshots
-/// never observe rows moving), resolves the bounds positionally, and
-/// emits either a plain full-match span or a positional [`ReorgUnit`].
-/// Returns the payload bytes moved by the crack (0 when the piece
-/// structure already covered both bounds).
-///
-/// Full matches deliberately bypass the positional path: a plain
-/// base-coordinate `full_match` span folds in the same order as the flat
-/// layout, which keeps aggregate results bit-identical across layouts.
-///
-/// epoch: returns the cracked byte count so the calling prune loop can
-/// bump `mutation_epoch` when it is non-zero; the hit/idle writes here
-/// are stat drift.
-fn probe_reorg_zone<T: DataValue>(
-    zone: &mut AdaptiveZone<T>,
-    pred: &RangePredicate<T>,
-    min: T,
-    max: T,
-    out: &mut PruneOutcome,
-) -> u64 {
-    zone.stats.record_no_skip();
-    let range = zone.range();
-    let ZoneLayout::Reorganized {
-        payload,
-        hits,
-        idle,
-    } = &mut zone.layout
-    else {
-        unreachable!("probe_reorg_zone on a flat zone");
-    };
-    *hits += 1;
-    *idle = 0;
-    if pred.contains_zone(min, max) {
-        out.full_match.push_span(range.start, range.end);
-        out.record_decision(range, "full:bounds");
-        return 0;
+/// The one thing that differs between the callers of [`walk`]: what a
+/// probe leaves behind in the map. The defaults leave nothing.
+trait Walker<T: DataValue> {
+    /// The map being walked.
+    fn map(&self) -> &AdaptiveZonemap<T>;
+
+    /// `(min, max)` of zone `idx`, `None` unless the zone is built.
+    fn bounds(&self, idx: usize) -> Option<(T, T)>;
+
+    /// The bounds of zone `idx` excluded it.
+    fn skipped_by_bounds(&mut self, _idx: usize) {}
+
+    /// Zone `idx` overlaps the predicate and the classifier chose `action`.
+    fn overlapped(&mut self, _idx: usize, _pred: &RangePredicate<T>, _action: &OverlapAction) {}
+
+    /// Reorganized zone `idx` is about to resolve `pred` against its
+    /// payload as it stands.
+    fn before_lookup(&mut self, _idx: usize, _pred: &RangePredicate<T>) {}
+}
+
+/// The concurrent reader ([`AdaptiveZonemap::prune_shared`]): decides from
+/// shared state and leaves no trace. The owner catches up when the query's
+/// feedback reaches [`AdaptiveZonemap::apply_feedback`].
+struct Reader<'a, T: DataValue>(&'a AdaptiveZonemap<T>);
+
+impl<T: DataValue> Walker<T> for Reader<'_, T> {
+    fn map(&self) -> &AdaptiveZonemap<T> {
+        self.0
     }
-    // COW crack: if a published snapshot still shares this payload,
-    // make_mut clones before partitioning — the snapshot's copy stays
-    // immutable until the next republication swaps it out.
-    let moved = Arc::make_mut(payload).crack(pred.lo, pred.hi);
-    let spans = payload.lookup(pred.lo, pred.hi);
-    let as_range = |r: &std::ops::Range<usize>| RowRange::new(r.start, r.end);
-    out.reorg_units.push(ReorgUnit {
-        zone: range,
-        full: as_range(&spans.full),
-        edges: [
-            spans.edges[0].as_ref().map(as_range),
-            spans.edges[1].as_ref().map(as_range),
-        ],
-        payload: Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>,
-    });
-    out.record_decision(range, "positional");
-    moved
+
+    fn bounds(&self, idx: usize) -> Option<(T, T)> {
+        self.0.plane.bounds(idx)
+    }
+}
+
+/// The map's owner: every probe leaves the stat trail adaptation feeds on.
+/// With `PLANE` off, bounds and the skip tally are read from and written
+/// to the full zone records instead of the plane — the array-of-structs
+/// reference ([`AdaptiveZonemap::prune_via_zones`]).
+struct Owner<'a, T: DataValue, const PLANE: bool>(&'a mut AdaptiveZonemap<T>);
+
+impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
+    fn map(&self) -> &AdaptiveZonemap<T> {
+        self.0
+    }
+
+    fn bounds(&self, idx: usize) -> Option<(T, T)> {
+        if PLANE {
+            return self.0.plane.bounds(idx);
+        }
+        match self.0.zones[idx].state {
+            ZoneState::Built { min, max, .. } => Some((min, max)),
+            ZoneState::Unbuilt | ZoneState::Dead { .. } => None,
+        }
+    }
+
+    // epoch: skip tallies and idle clocks are per-query stat drift that
+    // must NOT bump, or every query would force a full lane
+    // republication.
+    fn skipped_by_bounds(&mut self, idx: usize) {
+        let map = &mut *self.0;
+        if PLANE {
+            // Deferred record_skip(): one dense counter bump instead of a
+            // read-modify-write on the cold AoS zone record.
+            map.plane.defer_skip(idx);
+            // A single dense-bitset word test, zero for flat maps.
+            if !map.plane.is_reorg(idx) {
+                return;
+            }
+        } else {
+            map.zones[idx].stats.record_skip();
+        }
+        // Reorganized zones additionally age their idle clock.
+        if let ZoneLayout::Reorganized { idle, .. } = &mut map.zones[idx].layout {
+            *idle = idle.saturating_add(1);
+        }
+    }
+
+    // epoch: probe/skip feedback, hit and idle clocks, predicate-shape
+    // telemetry and the tier consultation window are all stat drift;
+    // nothing a reader decides from changes here.
+    fn overlapped(&mut self, idx: usize, pred: &RangePredicate<T>, action: &OverlapAction) {
+        let zone = &mut self.0.zones[idx];
+        match &mut zone.layout {
+            ZoneLayout::Reorganized { hits, idle, .. } => {
+                *hits += 1;
+                *idle = 0;
+            }
+            // Shape telemetry: every overlapping probe of a flat zone is
+            // a sample of what a tier here would have to answer.
+            ZoneLayout::Flat if pred.is_point() => {
+                zone.tier_stats.point_preds = zone.tier_stats.point_preds.saturating_add(1);
+            }
+            ZoneLayout::Flat => {
+                zone.tier_stats.range_preds = zone.tier_stats.range_preds.saturating_add(1);
+            }
+        }
+        // The tier was consulted unless a cheaper check resolved the zone
+        // first (full-match containment or a mask skip).
+        if zone.has_tier()
+            && matches!(
+                action,
+                OverlapAction::TierSkip | OverlapAction::TierUnits(_) | OverlapAction::Scan(_)
+            )
+        {
+            zone.tier_stats.tier_probes = zone.tier_stats.tier_probes.saturating_add(1);
+        }
+        let tier_life = &mut self.0.tier_lifetime;
+        match action {
+            OverlapAction::FullMatch | OverlapAction::Positional | OverlapAction::Scan(_) => {
+                zone.stats.record_no_skip();
+            }
+            OverlapAction::MaskSkip => zone.stats.record_skip(),
+            OverlapAction::TierSkip => {
+                zone.stats.record_skip();
+                zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
+                tier_life.tier_skips += 1;
+                tier_life.tier_rows_excluded += zone.len() as u64;
+            }
+            OverlapAction::TierUnits(spans) => {
+                // The zone is read (partially), so for zone-level
+                // adaptation this is a scan, not a skip.
+                zone.stats.record_no_skip();
+                zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
+                tier_life.tier_skips += 1;
+                let covered: usize = spans.iter().map(|s| s.range.len()).sum();
+                tier_life.tier_rows_excluded += (zone.len() - covered) as u64;
+            }
+        }
+    }
+
+    // epoch: the one reader-visible write of a prune — a crack that
+    // relocated payload rows — bumps under `moved > 0`, so publication
+    // layers pick it up.
+    fn before_lookup(&mut self, idx: usize, pred: &RangePredicate<T>) {
+        let map = &mut *self.0;
+        let ZoneLayout::Reorganized { payload, .. } = &mut map.zones[idx].layout else {
+            return;
+        };
+        // COW crack: if a published snapshot still shares this payload,
+        // make_mut clones before partitioning — the snapshot's copy stays
+        // immutable until the next republication swaps it out.
+        let moved = Arc::make_mut(payload).crack(pred.lo, pred.hi);
+        if moved > 0 {
+            map.reorg_lifetime.bytes_moved += moved;
+            map.mutation_epoch += 1;
+        }
+    }
+}
+
+/// The zone walk every prune entry point runs: probes each zone of the
+/// map in order — or, given `alive`, only the zones it touches, each
+/// once — and assembles the outcome.
+fn walk<T: DataValue>(
+    w: &mut impl Walker<T>,
+    pred: &RangePredicate<T>,
+    alive: Option<&RangeSet>,
+) -> PruneOutcome {
+    let mut out = PruneOutcome::for_prune();
+    let map = w.map();
+    let min_split_rows =
+        (2 * map.config.min_zone_rows).max(2 * map.cost.min_profitable_zone_rows());
+    let everything = [RowRange::new(0, map.len)];
+    let mut next = 0;
+    for span in alive.map_or(&everything[..], RangeSet::ranges) {
+        // Zones partition `[0, len)`, so those a span touches are
+        // contiguous; starting no earlier than `next` probes a zone two
+        // alive ranges touch only once.
+        let zones = &w.map().zones;
+        let first = zones.partition_point(|z| z.end <= span.start).max(next);
+        next = zones.partition_point(|z| z.start < span.end).max(first);
+        for idx in first..next {
+            probe_zone(w, idx, pred, min_split_rows, &mut out);
+        }
+    }
+    out
+}
+
+/// Probes one zone: reads its bounds, tests overlap, classifies what the
+/// bounds cannot exclude, and writes the decision into `out`.
+#[inline]
+fn probe_zone<T: DataValue>(
+    w: &mut impl Walker<T>,
+    idx: usize,
+    pred: &RangePredicate<T>,
+    min_split_rows: usize,
+    out: &mut PruneOutcome,
+) {
+    out.zones_probed += 1;
+    let Some((min, max)) = w.bounds(idx) else {
+        // Unbuilt and Dead zones scan identically; only the former can
+        // learn from it.
+        let zone = &w.map().zones[idx];
+        out.push_unit(zone.range(), scan_request(zone, None));
+        out.record_decision(zone.range(), "scan:unbuilt");
+        return;
+    };
+    if !pred.overlaps(min, max) {
+        out.zones_skipped += 1;
+        // Gated here, not only inside `record_decision`: naming the zone
+        // reads its record, and this path must stay on the plane.
+        #[cfg(feature = "audit")]
+        out.record_decision(w.map().zones[idx].range(), "skip:bounds");
+        w.skipped_by_bounds(idx);
+        return;
+    }
+    let map = w.map();
+    let action =
+        classify_overlapping_zone(&map.zones[idx], pred, min, max, &map.config, min_split_rows);
+    w.overlapped(idx, pred, &action);
+    let zone = &w.map().zones[idx];
+    let range = zone.range();
+    let label = match action {
+        OverlapAction::FullMatch => {
+            out.full_match.push_span(range.start, range.end);
+            "full:bounds"
+        }
+        OverlapAction::MaskSkip => {
+            out.zones_skipped += 1;
+            "skip:mask"
+        }
+        // Sound under an alive restriction too: no *base* row of the
+        // zone qualifies, so no alive subset does either.
+        OverlapAction::TierSkip => {
+            out.zones_skipped += 1;
+            tier_skip_label(zone)
+        }
+        OverlapAction::TierUnits(spans) => {
+            for span in spans {
+                if span.full {
+                    out.full_match.push_span(span.range.start, span.range.end);
+                } else {
+                    // A line run is not a zone: nothing to learn from it.
+                    out.push_unit(span.range, UnitRequest::NOTHING);
+                }
+            }
+            "tier-units"
+        }
+        OverlapAction::Positional => {
+            w.before_lookup(idx, pred);
+            let zone = &w.map().zones[idx];
+            // invariant: only a zone that carries a payload classifies
+            // as positional, and a crack keeps it.
+            let payload = zone.reorg_payload().expect("positional, no payload");
+            // Bounds the payload's pieces do not cover surface as edge
+            // pieces the executor predicate-tests.
+            let spans = payload.lookup(pred.lo, pred.hi);
+            let as_range = |r: &std::ops::Range<usize>| RowRange::new(r.start, r.end);
+            out.reorg_units.push(ReorgUnit {
+                zone: range,
+                full: as_range(&spans.full),
+                edges: [
+                    spans.edges[0].as_ref().map(as_range),
+                    spans.edges[1].as_ref().map(as_range),
+                ],
+                payload: Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>,
+            });
+            "positional"
+        }
+        OverlapAction::Scan(request) => {
+            out.push_unit(range, request);
+            "scan"
+        }
+    };
+    out.record_decision(range, label);
 }
 
 impl<T: DataValue> AdaptiveZonemap<T> {
-    /// The bookkeeping every prune variant runs first: advance the query
-    /// clock, revive dead zones that are due, and set up the outcome.
-    fn prune_prologue(&mut self) -> PruneOutcome {
+    /// The owner's prune: advance the query clock, revive dead zones that
+    /// are due, walk — every zone, or those `alive` touches, restricting
+    /// the outcome to it — and fold the tallies into the lifetime
+    /// statistics.
+    fn prune_owned<const PLANE: bool>(
+        &mut self,
+        pred: &RangePredicate<T>,
+        alive: Option<&RangeSet>,
+    ) -> PruneOutcome {
         self.query_seq += 1;
         self.stats.queries += 1;
-
         if self.query_seq >= self.next_revival_check {
             self.revive_due_zones();
         }
-
-        PruneOutcome::for_prune()
-    }
-
-    /// Folds one prune's tallies into the lifetime statistics.
-    fn prune_epilogue(&mut self, out: &PruneOutcome) {
+        let walked = walk(&mut Owner::<T, PLANE>(self), pred, alive);
+        let out = match alive {
+            Some(alive) => walked.restrict_to(alive),
+            None => walked,
+        };
         self.stats.total_probes += out.zones_probed as u64;
         self.stats.total_skips += out.zones_skipped as u64;
         self.stats.rows_full_match += out.rows_full_match() as u64;
+        out
     }
 
     /// Read-only prune: converts `pred` into candidate ranges against the
     /// current metadata **without mutating anything** — no query-clock
-    /// tick, no stat updates, no revival check.
+    /// tick, no stat updates, no revival check, no payload crack.
     ///
     /// This is the concurrent-reader entry point: N threads may call it on
     /// a shared (or snapshot-cloned) zonemap simultaneously. Given the same
     /// zone state, the returned outcome is identical to what the mutable
-    /// [`SkippingIndex::prune`] would produce (both funnel zone decisions
-    /// through one classifier; property-tested). The bookkeeping the
-    /// mutable path performs inline is applied later, centrally, when the
-    /// executed query's feedback reaches [`AdaptiveZonemap::apply_feedback`].
+    /// [`SkippingIndex::prune`] would produce (both are the same walk;
+    /// property-tested). The bookkeeping the mutable path performs inline
+    /// is applied later, centrally, when the executed query's feedback
+    /// reaches [`AdaptiveZonemap::apply_feedback`].
     pub fn prune_shared(&self, pred: &RangePredicate<T>) -> PruneOutcome {
-        let mut out = PruneOutcome::for_prune();
-        let min_split_rows =
-            (2 * self.config.min_zone_rows).max(2 * self.cost.min_profitable_zone_rows());
-        for idx in 0..self.zones.len() {
-            out.zones_probed += 1;
-            if !self.plane.is_built(idx) {
-                let zone = &self.zones[idx];
-                out.push_unit(zone.range(), scan_request(zone, None));
-                out.record_decision(zone.range(), "scan:unbuilt");
-                continue;
-            }
-            let min = self.plane.mins[idx];
-            let max = self.plane.maxs[idx];
-            if !pred.overlaps(min, max) {
-                out.zones_skipped += 1;
-                out.record_decision(self.zones[idx].range(), "skip:bounds");
-                continue;
-            }
-            let zone = &self.zones[idx];
-            if let Some(payload) = zone.reorg_payload() {
-                if pred.contains_zone(min, max) {
-                    out.full_match.push_span(zone.start, zone.end);
-                    out.record_decision(zone.range(), "full:bounds");
-                } else {
-                    // Read-only positional resolution: no crack on the
-                    // shared path, so uncracked bounds surface as edge
-                    // pieces the executor predicate-tests. The owner's
-                    // replayed prune (apply_feedback) cracks later.
-                    let spans = payload.lookup(pred.lo, pred.hi);
-                    let as_range = |r: &std::ops::Range<usize>| RowRange::new(r.start, r.end);
-                    out.reorg_units.push(ReorgUnit {
-                        zone: zone.range(),
-                        full: as_range(&spans.full),
-                        edges: [
-                            spans.edges[0].as_ref().map(as_range),
-                            spans.edges[1].as_ref().map(as_range),
-                        ],
-                        payload: Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>,
-                    });
-                    out.record_decision(zone.range(), "positional");
-                }
-                continue;
-            }
-            match classify_overlapping_zone(zone, pred, min, max, &self.config, min_split_rows) {
-                OverlapAction::FullMatch => {
-                    out.full_match.push_span(zone.start, zone.end);
-                    out.record_decision(zone.range(), "full:bounds");
-                }
-                OverlapAction::MaskSkip => {
-                    out.zones_skipped += 1;
-                    out.record_decision(zone.range(), "skip:mask");
-                }
-                OverlapAction::TierSkip => {
-                    out.zones_skipped += 1;
-                    out.record_decision(zone.range(), tier_skip_label(zone));
-                }
-                OverlapAction::TierUnits(spans) => {
-                    // Same spans the mutable prune emits; the stat and
-                    // telemetry bumps it performs are replayed later by
-                    // `apply_feedback`.
-                    for span in spans {
-                        if span.full {
-                            out.full_match.push_span(span.range.start, span.range.end);
-                        } else {
-                            out.push_unit(span.range, UnitRequest::NOTHING);
-                        }
-                    }
-                    out.record_decision(zone.range(), "tier-units");
-                }
-                OverlapAction::Scan(request) => {
-                    out.push_unit(zone.range(), request);
-                    out.record_decision(zone.range(), "scan");
-                }
-            }
-        }
-        out
+        walk(&mut Reader(self), pred, None)
+    }
+
+    /// The array-of-structs reference prune: the same walk as
+    /// [`SkippingIndex::prune`], with state, bounds and the skip tally
+    /// read from and written to each full zone record instead of the
+    /// dense plane.
+    ///
+    /// Decision-identical to [`SkippingIndex::prune`] (property-tested),
+    /// including every stat and trace side effect — it is a drop-in
+    /// reference, kept as the baseline the kernel benchmark
+    /// (`kernels_json`) gates the SoA plane against and as the oracle for
+    /// the plane's equivalence tests.
+    pub fn prune_via_zones(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
+        self.prune_owned::<false>(pred, None)
     }
 
     /// Applies one deferred query's worth of adaptation, exactly as if the
@@ -1064,23 +994,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         self.observe(obs);
     }
 
-    /// Applies a drained batch of deferred query feedback in arrival
-    /// order; returns how many entries were applied.
-    pub fn apply_feedback_batch<'a>(
-        &mut self,
-        batch: impl IntoIterator<Item = &'a ScanObservation<T>>,
-    ) -> usize
-    where
-        T: 'a,
-    {
-        let mut applied = 0;
-        for obs in batch {
-            self.apply_feedback(obs);
-            applied += 1;
-        }
-        applied
-    }
-
     /// Runs the revival check the *next* query's prune would run, so a
     /// snapshot published now already reflects it.
     ///
@@ -1094,71 +1007,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             return false;
         }
         self.revive_zones_due_at(self.query_seq + 1)
-    }
-
-    /// The retained array-of-structs prune loop: walks `Vec<AdaptiveZone>`
-    /// directly, reading state and bounds out of each full record.
-    ///
-    /// Decision-identical to [`SkippingIndex::prune`] (property-tested),
-    /// including every stat and trace side effect — it is a drop-in
-    /// reference implementation, kept as the baseline the kernel
-    /// benchmark (`kernels_json`) measures the SoA plane against and as
-    /// the oracle for the plane's equivalence tests.
-    ///
-    /// epoch: mirrors [`SkippingIndex::prune`] exactly — bumps under
-    /// `moved_total > 0` (payload cracks); all other probe-loop writes
-    /// are per-query stat drift.
-    pub fn prune_via_zones(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
-        let mut out = self.prune_prologue();
-
-        let min_split_rows =
-            (2 * self.config.min_zone_rows).max(2 * self.cost.min_profitable_zone_rows());
-        let mut moved_total = 0u64;
-        // Accumulated locally and merged after the loop: the loop holds
-        // the `zones` borrow, and the lifetime block lives next to it.
-        let mut tier_delta = TierStats::default();
-        for zone in &mut self.zones {
-            out.zones_probed += 1;
-            match zone.state {
-                ZoneState::Unbuilt | ZoneState::Dead { .. } => {
-                    out.push_unit(zone.range(), scan_request(zone, None));
-                    out.record_decision(zone.range(), "scan:unbuilt");
-                }
-                ZoneState::Built { min, max, .. } => {
-                    if !pred.overlaps(min, max) {
-                        out.zones_skipped += 1;
-                        out.record_decision(zone.range(), "skip:bounds");
-                        zone.stats.record_skip();
-                        if let ZoneLayout::Reorganized { idle, .. } = &mut zone.layout {
-                            *idle = idle.saturating_add(1);
-                        }
-                        continue;
-                    }
-                    if zone.is_reorganized() {
-                        moved_total += probe_reorg_zone(zone, pred, min, max, &mut out);
-                        continue;
-                    }
-                    probe_overlapping_zone(
-                        zone,
-                        pred,
-                        min,
-                        max,
-                        &self.config,
-                        min_split_rows,
-                        &mut tier_delta,
-                        &mut out,
-                    );
-                }
-            }
-        }
-        self.tier_lifetime.merge(&tier_delta);
-        if moved_total > 0 {
-            self.reorg_lifetime.bytes_moved += moved_total;
-            self.mutation_epoch += 1;
-        }
-
-        self.prune_epilogue(&out);
-        out
     }
 
     /// Applies the plane's deferred skip counts to the real zone stats and

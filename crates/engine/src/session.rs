@@ -45,21 +45,6 @@ impl<T: DataValue> ColumnSession<T> {
         }
     }
 
-    /// Wraps an already-built index (used by examples that want to keep a
-    /// concrete handle for introspection before type erasure).
-    pub fn from_index(data: Vec<T>, index: Box<dyn SkippingIndex<T>>) -> Self {
-        let label = index.name();
-        ColumnSession {
-            data,
-            index,
-            label,
-            totals: CumulativeMetrics::default(),
-            history: Vec::new(),
-            record_history: false,
-            policy: ExecPolicy::default(),
-        }
-    }
-
     /// Enables per-query metric recording (for latency-over-time plots).
     pub fn record_history(mut self, on: bool) -> Self {
         self.record_history = on;

@@ -92,6 +92,10 @@ impl From<StorageError> for TableSessionError {
 /// Result alias for table-session operations.
 pub type Result<T> = std::result::Result<T, TableSessionError>;
 
+/// Every this-many queries, a gated plan probes every conjunct anyway so
+/// estimates track a shifting workload.
+const EXPLORE_EVERY: u64 = 64;
+
 /// A table plus one skipping index per filtered column.
 pub struct TableSession {
     table: Table,
@@ -100,9 +104,6 @@ pub struct TableSession {
     cost: CostModel,
     plan_mode: PlanMode,
     last_plan: Option<PlanTrace>,
-    /// Every this-many queries, a gated plan probes every conjunct anyway
-    /// so estimates track a shifting workload; 0 disables exploration.
-    explore_every: u64,
 }
 
 impl TableSession {
@@ -133,7 +134,6 @@ impl TableSession {
             cost: CostModel::default(),
             plan_mode: PlanMode::default(),
             last_plan: None,
-            explore_every: 64,
         })
     }
 
@@ -160,16 +160,6 @@ impl TableSession {
     /// The decision record of the most recent conjunction query.
     pub fn last_plan(&self) -> Option<&PlanTrace> {
         self.last_plan.as_ref()
-    }
-
-    /// Sets the exploration period of gated plans (0 = never explore).
-    pub fn set_explore_every(&mut self, every: u64) {
-        self.explore_every = every;
-    }
-
-    /// Replaces the cost model the planner prices probes with.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Metadata footprint of the named column's index, in bytes.
@@ -229,9 +219,7 @@ impl TableSession {
         }
         let plan = planner::build_probe_plan(&self.plan_mode, &stats)
             .map_err(TableSessionError::InvalidPlan)?;
-        let explore = plan.gated
-            && self.explore_every > 0
-            && self.totals.queries.is_multiple_of(self.explore_every);
+        let explore = plan.gated && self.totals.queries.is_multiple_of(EXPLORE_EVERY);
 
         // Phase 1: probe in plan order, intersecting each probed column's
         // surviving candidates into `alive` before the next probe runs —

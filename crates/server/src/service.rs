@@ -90,7 +90,7 @@ use ads_engine::{
 use ads_storage::{DataValue, DeleteVector, RowRange, ShardedColumn, SharedColumn};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One query to answer.
 #[derive(Debug, Clone, Copy)]
@@ -255,7 +255,6 @@ pub struct QueryService<T: DataValue> {
     maint_tx: Option<SyncSender<MaintMsg<T>>>,
     workers: Vec<JoinHandle<()>>,
     maint: Option<JoinHandle<()>>,
-    started: Instant,
 }
 
 impl<T: DataValue> QueryService<T> {
@@ -336,7 +335,6 @@ impl<T: DataValue> QueryService<T> {
             maint_tx,
             workers,
             maint,
-            started: Instant::now(),
         }
     }
 
@@ -558,11 +556,6 @@ impl<T: DataValue> QueryService<T> {
             stats.tombstone_ppm = tombstone_ppm(&st.deletes);
         }
         stats
-    }
-
-    /// Time since [`QueryService::start`].
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
     }
 
     /// Number of shards the column is partitioned into.

@@ -61,11 +61,6 @@ impl AnyColumn {
     pub fn as_typed<T: ColumnAccess>(&self) -> Option<&Column<T>> {
         ColumnAccess::from_any(self)
     }
-
-    /// Mutably borrows as a typed column.
-    pub fn as_typed_mut<T: ColumnAccess>(&mut self) -> Option<&mut Column<T>> {
-        ColumnAccess::from_any_mut(self)
-    }
 }
 
 impl From<Column<i32>> for AnyColumn {
@@ -93,20 +88,12 @@ impl From<Column<f64>> for AnyColumn {
 pub trait ColumnAccess: DataValue + Sized {
     /// Borrows the matching variant, or `None` on type mismatch.
     fn from_any(col: &AnyColumn) -> Option<&Column<Self>>;
-    /// Mutably borrows the matching variant, or `None` on type mismatch.
-    fn from_any_mut(col: &mut AnyColumn) -> Option<&mut Column<Self>>;
 }
 
 macro_rules! impl_column_access {
     ($($t:ty => $variant:ident),*) => {$(
         impl ColumnAccess for $t {
             fn from_any(col: &AnyColumn) -> Option<&Column<Self>> {
-                match col {
-                    AnyColumn::$variant(c) => Some(c),
-                    _ => None,
-                }
-            }
-            fn from_any_mut(col: &mut AnyColumn) -> Option<&mut Column<Self>> {
                 match col {
                     AnyColumn::$variant(c) => Some(c),
                     _ => None,

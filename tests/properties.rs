@@ -7,7 +7,9 @@
 
 use adaptive_data_skipping::baselines::{ColumnImprints, CrackerColumn, SortedOracle};
 use adaptive_data_skipping::core::adaptive::ShardedZonemap;
-use adaptive_data_skipping::core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
+use adaptive_data_skipping::core::adaptive::{
+    AdaptiveConfig, AdaptiveZonemap, ReorgStats, TierMode, TierStats,
+};
 use adaptive_data_skipping::core::{
     RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap,
 };
@@ -935,14 +937,41 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
     // the units — and issue the per-unit by-product requests — that the
     // full `prune`, restricted afterwards, does. A zone asks for bounds
     // exactly while they are missing or conservative, and only of a
-    // fragment that is the whole zone.
-    for case in 0..CASES {
+    // fragment that is the whole zone. And a zone probed is a zone probed:
+    // when the alive set touches every zone, a map that only ever runs the
+    // restricted prune must stay in step with one that runs the full prune
+    // — tiers earned and dropped, zones promoted, cracked and demoted.
+    let configs = [
+        test_config(),
+        AdaptiveConfig {
+            tier_mode: TierMode::Adaptive,
+            tier_after_scans: 1,
+            tier_drop_after: 4,
+            tier_imprint_line_rows: 8,
+            ..test_config()
+        },
+        AdaptiveConfig {
+            enable_reorg: true,
+            reorg_after_scans: 1,
+            reorg_demote_idle: 2,
+            reorg_hot_factor: 0.0,
+            ..test_config()
+        },
+    ];
+    // Tier skips, tiers dropped, payload bytes moved and zones demoted
+    // over all cases: the extra configs must reach what they are here for.
+    let mut reached = [0u64; 4];
+    for (case, config) in (0..CASES).flat_map(|case| configs.iter().map(move |c| (case, c))) {
         let mut rng = StdRng::seed_from_u64(0x5EA8 ^ case);
         let data = gen_data(&mut rng, 3000);
-        let mut zm = AdaptiveZonemap::new(data.len(), test_config());
+        let mut zm = AdaptiveZonemap::new(data.len(), config.clone());
+        let mut within_zm = zm.clone();
         let steps = rng.gen_range(10..40usize);
         for step in 0..steps {
-            let pred = gen_pred(&mut rng);
+            let mut pred = gen_pred(&mut rng);
+            if rng.gen_range(0..4usize) == 0 {
+                pred = RangePredicate::point(pred.lo);
+            }
             let mut alive = RangeSet::new();
             let mut at = 0usize;
             while at < data.len() {
@@ -952,7 +981,17 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                 }
                 at = end + rng.gen_range(0..2usize);
             }
+            // A second alive set: some rows of every zone — of the zones
+            // the prune will walk, so those due a revival get it first.
+            zm.poll_revival();
+            within_zm.poll_revival();
+            let mut touching = RangeSet::new();
+            for (zone, ..) in zm.zone_snapshot() {
+                let from = rng.gen_range(zone.start..zone.end);
+                touching.push_span(from, rng.gen_range(from..zone.end) + 1);
+            }
             let within = zm.clone().prune_within(&pred, &alive);
+            let within_touching = within_zm.prune_within(&pred, &touching);
             let full = zm.prune(&pred);
             let restricted = full.restrict_to(&alive);
             assert_eq!(
@@ -970,6 +1009,11 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                 ),
                 "case {case} step {step}: restricted prune diverged"
             );
+            assert_eq!(
+                within_touching,
+                full.restrict_to(&touching),
+                "case {case} step {step}: restricted prune over every zone diverged"
+            );
             let snapshot = zm.zone_snapshot();
             for (unit, request) in full.units().iter().zip(&full.unit_requests) {
                 let label = snapshot.iter().find(|(r, ..)| r == unit).map(|z| z.1);
@@ -985,10 +1029,37 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                     scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
                 ranges.push(RangeObservation::new(*unit, q, min, max));
             }
-            zm.observe(&ScanObservation {
+            let obs = ScanObservation {
                 predicate: pred,
                 ranges,
-            });
+            };
+            for map in [&mut zm, &mut within_zm] {
+                map.observe(&obs);
+                map.maintain(&data);
+            }
+            // Everything but the wall-clock fields, which no two maps share.
+            let left_behind = |map: &AdaptiveZonemap<i64>| {
+                let tiers = TierStats {
+                    build_ns: 0,
+                    ..map.tier_stats()
+                };
+                let reorg = ReorgStats {
+                    reorg_ns: 0,
+                    ..map.reorg_stats()
+                };
+                (map.zone_snapshot(), tiers, reorg)
+            };
+            assert_eq!(
+                left_behind(&within_zm),
+                left_behind(&zm),
+                "case {case} step {step}: restricted prune left a different map behind"
+            );
         }
+        let (tiers, reorg) = (within_zm.tier_stats(), within_zm.reorg_stats());
+        reached[0] += tiers.tier_skips;
+        reached[1] += tiers.tiers_dropped;
+        reached[2] += reorg.bytes_moved;
+        reached[3] += reorg.zones_demoted;
     }
+    assert!(reached.iter().all(|&n| n > 0), "unreached: {reached:?}");
 }
