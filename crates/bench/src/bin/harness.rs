@@ -70,7 +70,10 @@ fn main() {
         );
     }
 
-    ids.dedup();
+    // Keep the first occurrence of each id: `all e16` must not run (and
+    // overwrite the CSV of) E16 twice.
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
     if !ids.is_empty() {
         println!(
             "scale: {} rows, {} queries, domain {}, seed {}\n",

@@ -12,7 +12,7 @@
 //! machine is.
 
 use crate::report::{fmt_us, fmt_x, Report};
-use crate::runner::{assert_same_answers, replay_with_policy, Scale};
+use crate::runner::{assert_same_answers, host_cores, replay_with_policy, Scale};
 use ads_engine::{AggKind, ExecPolicy, LatencyHistogram, Strategy};
 use ads_workloads::{DataSpec, QuerySpec};
 
@@ -40,7 +40,7 @@ pub fn run(scale: Scale) -> Report {
          host has {} core(s)",
         scale.rows,
         scale.queries,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        host_cores()
     ));
 
     let queries = QuerySpec::UniformRandom { selectivity: 0.20 }.generate(

@@ -1,14 +1,15 @@
 //! # ads-bench — the experiment harness
 //!
-//! One runner per table/figure of the reconstructed evaluation (E1–E21 in
-//! DESIGN.md), plus microbenches under `benches/` built on the local
-//! [`microbench`] timing harness. Run with:
+//! Two front doors. `harness` runs the reconstructed evaluation, one
+//! module per table/figure (E1–E21 in DESIGN.md), each building one
+//! [`Report`] that prints as a markdown table and saves as CSV.
+//! `kernels_json` is the gated kernel benchmark ([`kernels`]). Run with:
 //!
 //! ```text
 //! cargo run -p ads-bench --release --bin harness -- all
 //! cargo run -p ads-bench --release --bin harness -- e3 --rows 10000000
 //! cargo run -p ads-bench --release --bin harness -- e4 --quick
-//! cargo bench -p ads-bench
+//! cargo run -p ads-bench --release --bin kernels_json
 //! ```
 
 #![forbid(unsafe_code)]
@@ -16,15 +17,9 @@
 
 pub mod experiments;
 pub mod kernels;
-pub mod microbench;
-pub mod mutation_bench;
-pub mod plan_bench;
-pub mod reorg_bench;
+mod microbench;
 pub mod report;
 pub mod runner;
-pub mod server_bench;
-pub mod shard_bench;
-pub mod sketch_bench;
 
 pub use report::Report;
 pub use runner::{replay, replay_agg, replay_with_policy, ReplayResult, Scale};

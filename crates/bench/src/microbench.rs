@@ -1,4 +1,4 @@
-//! A dependency-free timing harness for the `benches/` targets.
+//! The dependency-free timer behind [`crate::kernels`].
 //!
 //! Each benchmark calibrates an iteration count against a ~10ms batch
 //! budget, runs several samples, and reports the best and mean
@@ -87,35 +87,6 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> BenchResult {
     result
 }
 
-/// Times `f` on a fresh `setup()` value per sample, excluding the setup
-/// from the measurement — for consuming operations (first crack, first
-/// adaptive query) that cannot be repeated on the same state.
-pub fn bench_with_setup<S, R>(
-    name: &str,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> R,
-) -> BenchResult {
-    black_box(f(setup())); // warm-up
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    for _ in 0..SAMPLES {
-        let s = setup();
-        let t = Instant::now();
-        black_box(f(s));
-        let per = t.elapsed().as_nanos() as f64;
-        best = best.min(per);
-        total += per;
-    }
-    let result = BenchResult {
-        name: name.to_string(),
-        iters: 1,
-        best_ns: best,
-        mean_ns: total / SAMPLES as f64,
-    };
-    println!("{result}");
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,13 +103,6 @@ mod tests {
         assert!(r.best_ns > 0.0);
         assert!(r.mean_ns >= r.best_ns);
         assert!(r.iters >= 1);
-    }
-
-    #[test]
-    fn bench_with_setup_excludes_setup() {
-        let r = bench_with_setup("consume", || vec![1u8; 16], |v| v.len());
-        assert!(r.best_ns > 0.0);
-        assert_eq!(r.iters, 1);
     }
 
     #[test]

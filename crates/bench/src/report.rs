@@ -1,4 +1,5 @@
-//! Plain-text report tables: what the harness prints and saves as CSV.
+//! Report tables: what the harness prints (a markdown pipe table) and
+//! saves as CSV.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -35,6 +36,17 @@ impl Report {
         self.notes.push(s.into());
     }
 
+    /// Appends `held` if `ok`, else `WARNING: ` + `failed` — how an
+    /// experiment reports a check that depends on timing or scale, where
+    /// a miss is a finding to read, not a bug to abort on.
+    pub fn verdict(&mut self, ok: bool, held: &str, failed: &str) {
+        self.note(if ok {
+            held.to_string()
+        } else {
+            format!("WARNING: {failed}")
+        });
+    }
+
     /// Appends a data row.
     ///
     /// # Panics
@@ -44,12 +56,18 @@ impl Report {
         self.rows.push(cells);
     }
 
-    /// Renders the aligned plain-text table.
+    /// Renders the title, the notes and the table as a padded GitHub pipe
+    /// table: aligned in a terminal, and valid markdown as it stands.
+    /// Columns whose every cell starts with a digit are right-aligned.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        let width = |s: &String| s.chars().count();
+        // Three dashes are the narrowest rule every markdown renderer takes.
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| width(h).max(3)).collect();
+        let mut numeric = vec![!self.rows.is_empty(); widths.len()];
         for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(width(cell));
+                numeric[i] &= cell.starts_with(|c: char| c.is_ascii_digit() || c == '-');
             }
         }
         let mut out = String::new();
@@ -57,18 +75,20 @@ impl Report {
         for note in &self.notes {
             let _ = writeln!(out, "   {note}");
         }
-        let line = |cells: &[String], widths: &[usize]| {
-            let mut s = String::from("  ");
-            for (cell, w) in cells.iter().zip(widths) {
-                let _ = write!(s, "{cell:>w$}  ", w = w);
+        out.push('\n');
+        let rule: Vec<String> = (0..widths.len())
+            .map(|i| "-".repeat(widths[i] - 1) + if numeric[i] { ":" } else { "-" })
+            .collect();
+        for cells in [&self.headers, &rule].into_iter().chain(&self.rows) {
+            for (i, cell) in cells.iter().enumerate() {
+                let w = widths[i];
+                let _ = if numeric[i] {
+                    write!(out, "| {cell:>w$} ")
+                } else {
+                    write!(out, "| {cell:<w$} ")
+                };
             }
-            s.trim_end().to_string()
-        };
-        let _ = writeln!(out, "{}", line(&self.headers, &widths));
-        let total: usize = widths.iter().sum::<usize>() + 2 * widths.len() + 2;
-        let _ = writeln!(out, "  {}", "-".repeat(total.saturating_sub(2)));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row, &widths));
+            out.push_str("|\n");
         }
         out
     }
@@ -113,6 +133,17 @@ pub fn fmt_ms(ns: u64) -> String {
     }
 }
 
+/// Formats `queries` answered in `elapsed_ns` as thousands per second
+/// (two decimals below 10 kq/s, where scan-bound cells live).
+pub fn fmt_kqps(queries: u64, elapsed_ns: u64) -> String {
+    let kqps = queries as f64 / elapsed_ns.max(1) as f64 * 1e6;
+    if kqps < 10.0 {
+        format!("{kqps:.2}")
+    } else {
+        format!("{kqps:.1}")
+    }
+}
+
 /// Formats nanoseconds as microseconds.
 pub fn fmt_us(ns: f64) -> String {
     format!("{:.1}", ns / 1e3)
@@ -147,12 +178,20 @@ mod tests {
     }
 
     #[test]
-    fn render_aligns_columns() {
+    fn render_is_a_padded_pipe_table() {
         let text = sample().render();
         assert!(text.contains("E0 — sample"));
         assert!(text.contains("a note"));
-        assert!(text.contains("foo"));
-        assert!(text.contains("barbaz"));
+        let table: Vec<&str> = text.lines().filter(|l| l.starts_with('|')).collect();
+        assert_eq!(
+            table,
+            [
+                "| name   | value |",
+                "| ------ | ----: |",
+                "| foo    |     1 |",
+                "| barbaz |    22 |",
+            ]
+        );
     }
 
     #[test]
@@ -183,6 +222,8 @@ mod tests {
         assert_eq!(fmt_ms(2_500_000), "2.50");
         assert_eq!(fmt_ms(250_000_000), "250");
         assert_eq!(fmt_ms(250_000), "0.2500");
+        assert_eq!(fmt_kqps(30, 2_000_000), "15.0");
+        assert_eq!(fmt_kqps(3, 2_000_000), "1.50");
         assert_eq!(fmt_us(1500.0), "1.5");
         assert_eq!(fmt_x(1.4), "1.40x");
         assert_eq!(fmt_bytes(512), "512B");

@@ -1,9 +1,18 @@
 //! Common experiment machinery: replay one query workload against one
-//! strategy and collect everything the reports need.
+//! strategy and collect everything the reports need (E1–E15), the
+//! closed-loop client driver of the service experiments (E16, E17), the
+//! engine's inline loop over one zonemap (E19, E21), and the checksum
+//! cross-check every grid uses to prove its cells did identical work.
 
+use ads_core::adaptive::AdaptiveZonemap;
 use ads_core::RangePredicate;
-use ads_engine::{AggKind, ColumnSession, CumulativeMetrics, ExecPolicy, QueryMetrics, Strategy};
-use ads_workloads::RangeQuery;
+use ads_engine::{
+    execute_with_policy, AggKind, ColumnSession, CumulativeMetrics, ExecPolicy, QueryMetrics,
+    Strategy,
+};
+use ads_server::QueryService;
+use ads_workloads::{queries, RangeQuery};
+use std::time::Instant;
 
 /// Experiment sizing, overridable from the harness command line.
 #[derive(Debug, Clone, Copy)]
@@ -125,15 +134,114 @@ pub fn replay_with_policy(
 /// Panics when two strategies disagree — a soundness bug, not a
 /// performance artifact, so experiments refuse to report.
 pub fn assert_same_answers(results: &[ReplayResult]) {
-    if let Some(first) = results.first() {
-        for r in &results[1..] {
-            assert_eq!(
-                r.answer_checksum, first.answer_checksum,
-                "{} and {} disagree on answers",
-                r.label, first.label
-            );
+    let mut reference = Vec::new();
+    for r in results {
+        cross_check(&mut reference, &[r.answer_checksum], &r.label);
+    }
+}
+
+/// Host cores — context for every number that depends on threads.
+pub(crate) fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The closed-loop client driver: `clients` threads, each submitting its
+/// own stream of `scale.queries` COUNT queries (5 % of the value domain)
+/// back-to-back through [`QueryService::query`]. A client's stream
+/// depends only on its index, so the same client asks the same questions
+/// of every service configuration. Returns the wall time of the loop and
+/// the per-client answer checksums.
+pub(crate) fn closed_loop(
+    svc: &QueryService<i64>,
+    clients: usize,
+    scale: Scale,
+) -> (u64, Vec<u64>) {
+    let t0 = Instant::now();
+    let checksums = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                scope.spawn(move || {
+                    let seed = scale.seed ^ (client as u64).wrapping_mul(0x9E37_79B9);
+                    let mut checksum = 0u64;
+                    for q in queries::uniform_ranges(scale.queries, scale.domain, 0.05, seed) {
+                        let pred = RangePredicate::between(q.lo, q.hi);
+                        let reply = svc.query(pred, AggKind::Count).expect("closed loop");
+                        checksum =
+                            checksum.wrapping_add(reply.answer().expect("no deadline").count);
+                    }
+                    checksum
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    });
+    (t0.elapsed().as_nanos() as u64, checksums)
+}
+
+/// The checksum cross-check: `sums[i]` (client `i`'s answers, or a
+/// single-stream cell's one checksum) must equal what the first cell that
+/// ran stream `i` recorded in `reference`.
+///
+/// # Panics
+/// Panics when two configurations answered the same stream differently —
+/// a soundness bug, so the experiment refuses to report.
+pub(crate) fn cross_check(reference: &mut Vec<u64>, sums: &[u64], ctx: &str) {
+    for (i, &sum) in sums.iter().enumerate() {
+        match reference.get(i) {
+            Some(&want) => assert_eq!(
+                sum, want,
+                "{ctx}: answers to stream {i} disagree with the first configuration that ran it"
+            ),
+            None => reference.push(sum),
         }
     }
+}
+
+/// What one pass of [`inline_loop`] measured.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InlineRun {
+    /// Wall time of the query loop, adaptation included.
+    pub elapsed_ns: u64,
+    /// Rows the scan phase touched across all queries (full-match and
+    /// positional-match rows excluded).
+    pub rows_scanned: u64,
+    /// Order-sensitive fold of every answer (counts plus exact sum bit
+    /// patterns).
+    pub checksum: u64,
+}
+
+/// Runs `stream` through the engine's inline loop (prune → scan → observe
+/// → maintain) over `zm`, so the zonemap pays its adaptation on the query
+/// path, exactly where the paper charges it. COUNT and SUM alternate, so
+/// both the count path and the order-sensitive aggregation path run.
+pub(crate) fn inline_loop(
+    data: &[i64],
+    zm: &mut AdaptiveZonemap<i64>,
+    stream: &[RangeQuery],
+) -> InlineRun {
+    let policy = ExecPolicy::sequential();
+    let mut run = InlineRun {
+        elapsed_ns: 0,
+        rows_scanned: 0,
+        checksum: 0,
+    };
+    let t0 = Instant::now();
+    for (i, q) in stream.iter().enumerate() {
+        let agg = [AggKind::Count, AggKind::Sum][i % 2];
+        let pred = RangePredicate::between(q.lo, q.hi);
+        let (ans, m) = execute_with_policy(data, zm, pred, agg, &policy);
+        run.checksum = run
+            .checksum
+            .wrapping_mul(0x0100_0000_01B3)
+            .wrapping_add(ans.count)
+            .wrapping_add(ans.sum.map_or(0, f64::to_bits));
+        run.rows_scanned += m.rows_scanned as u64;
+    }
+    run.elapsed_ns = t0.elapsed().as_nanos() as u64;
+    run
 }
 
 /// Mean latency (ns) of a window `[from, to)` of the per-query history.

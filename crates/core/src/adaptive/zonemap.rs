@@ -70,11 +70,15 @@ pub struct AdaptiveZonemap<T: DataValue> {
     pub(crate) next_revival_check: u64,
     /// Counts reader-visible metadata mutations: zone builds/tightenings,
     /// structural maintenance that changed something, revivals, appends,
-    /// reorganization promotions/demotions and payload cracks.
-    /// Publication layers compare epochs to skip republishing unchanged
-    /// state; per-query stat drift (probe/skip tallies) deliberately does
-    /// NOT bump it — staleness there costs adaptation bookkeeping
-    /// freshness, never answer correctness.
+    /// reorganization promotions/demotions and payload cracks — and every
+    /// `observe` that scanned an already-built zone, bounds changed or
+    /// not, because readers decide `want_mask` from the `wasted_scans` a
+    /// published snapshot carries (so on a scanning workload nearly every
+    /// feedback bumps it; ROADMAP item 2's publication note has the
+    /// counts and why the bump cannot simply stop). Publication layers
+    /// compare epochs to skip republishing unchanged state. Prune-side
+    /// probe/skip tallies alone do NOT bump it — staleness there costs
+    /// adaptation bookkeeping freshness, never answer correctness.
     pub(crate) mutation_epoch: u64,
     /// Lifetime reorganization counters (promotions, demotions, bytes
     /// moved, time spent); see [`ReorgStats`].
@@ -159,7 +163,8 @@ impl<T: DataValue> AdaptiveZonemap<T> {
 
     /// The reader-visible mutation epoch: increments whenever zone
     /// metadata changes in a way a fresh snapshot would reflect (build,
-    /// tighten, mask, split, merge, deactivate, coalesce, revive, append).
+    /// tighten, mask, split, merge, deactivate, coalesce, revive, append,
+    /// or a scan of a built zone moving its `wasted_scans` evidence).
     /// Two equal epochs mean a previously published clone of this zonemap
     /// still prunes identically, so republication can be skipped.
     pub fn mutation_epoch(&self) -> u64 {

@@ -12,13 +12,13 @@
 //!   currency in which skipping indexes tell scans what they may skip;
 //! * order-preserving dictionary-encoded string columns ([`DictColumn`])
 //!   that turn string predicates into integer code ranges;
-//! * out-of-place mutation primitives ([`mutation`]): epoch-stamped
-//!   tombstone vectors and tail delta buffers, so updates and deletes
-//!   never rewrite a published column version;
+//! * the out-of-place mutation primitive ([`mutation`]): epoch-stamped
+//!   tombstone vectors, so updates and deletes never rewrite a published
+//!   column version;
 //! * value-set and histogram sketches over row ranges ([`sketch`],
 //!   [`imprint`]) — the metadata tiers skipping indexes layer on top of
 //!   plain `(min, max)` bounds;
-//! * optional [`parallel`] scan helpers for full-table baselines.
+//! * the [`parallel`] per-unit scan driver the engine fans scans out with.
 //!
 //! Nothing here knows about zonemaps: the skipping logic lives in
 //! `ads-core`, keeping the substrate reusable by the baseline indexes too.
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod bitmap;
-pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod imprint;
@@ -44,11 +43,10 @@ pub mod table;
 pub mod types;
 
 pub use bitmap::Bitmap;
-pub use catalog::Catalog;
 pub use column::Column;
 pub use error::{Result, StorageError};
 pub use imprint::{Imprints, RunVerdict};
-pub use mutation::{DeleteVector, DeltaBuffer};
+pub use mutation::DeleteVector;
 pub use ranges::{RangeSet, RowRange};
 pub use reorg::{ReorgSpans, ReorgZone};
 pub use sharded::ShardedColumn;

@@ -1,13 +1,12 @@
-//! Out-of-place mutation primitives: tombstones and tail deltas.
+//! The out-of-place mutation primitive: epoch-stamped tombstones.
 //!
 //! The store's columns are immutable once published ([`crate::SharedColumn`]
 //! shares its rows behind an `Arc`), so mutations never touch them in
 //! place. A `delete(rowid)` sets a bit in an epoch-stamped [`DeleteVector`];
 //! an `update(rowid, value)` tombstones the old row and appends the new
-//! value at the tail (a fresh rowid); plain appends ride the same tail. A
-//! [`DeltaBuffer`] stages those three operations between publication
-//! rounds so a whole batch lands in one snapshot swap — readers see either
-//! none of a batch or all of it, never a torn prefix.
+//! value at the tail (a fresh rowid); plain appends ride the same tail.
+//! The server applies a whole batch of them before one snapshot swap, so
+//! readers see either none of a batch or all of it, never a torn prefix.
 //!
 //! Scan kernels consume the delete vector word-wise: one
 //! [`DeleteVector::live_window`] call covers a full 64-row block, ANDed
@@ -162,90 +161,6 @@ impl DeleteVector {
     }
 }
 
-/// A staging buffer for one publication round of out-of-place mutations.
-///
-/// Rowids are addressed in the coordinate space of the column the buffer
-/// will be applied to (global rowids for a sharded column; the applier
-/// routes them to shards). `update` decomposes into tombstone + tail
-/// append here, so downstream there are only two primitive effects:
-/// a set of rows to tombstone and a run of values to append.
-///
-/// ```
-/// use ads_storage::DeltaBuffer;
-/// let mut delta = DeltaBuffer::new();
-/// delta.delete(3);
-/// delta.update(7, 99i64); // tombstone 7, value 99 reborn at the tail
-/// delta.append(100);
-/// assert_eq!(delta.pending_deletes(), 2);
-/// assert_eq!(delta.pending_appends(), 2);
-/// let (deletes, appends) = delta.take();
-/// assert_eq!(deletes, vec![3, 7]);
-/// assert_eq!(appends, vec![99, 100]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct DeltaBuffer<T> {
-    deletes: Vec<usize>,
-    appends: Vec<T>,
-}
-
-impl<T> Default for DeltaBuffer<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> DeltaBuffer<T> {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        DeltaBuffer {
-            deletes: Vec::new(),
-            appends: Vec::new(),
-        }
-    }
-
-    /// Stages a tombstone for `rowid`.
-    pub fn delete(&mut self, rowid: usize) {
-        self.deletes.push(rowid);
-    }
-
-    /// Stages an update of `rowid` to `value`: tombstone the old row,
-    /// append the new value at the tail (it gets a fresh rowid when the
-    /// buffer is applied).
-    pub fn update(&mut self, rowid: usize, value: T) {
-        self.deletes.push(rowid);
-        self.appends.push(value);
-    }
-
-    /// Stages a plain tail append.
-    pub fn append(&mut self, value: T) {
-        self.appends.push(value);
-    }
-
-    /// Number of staged tombstones (updates count once each).
-    pub fn pending_deletes(&self) -> usize {
-        self.deletes.len()
-    }
-
-    /// Number of staged tail values (updates count once each).
-    pub fn pending_appends(&self) -> usize {
-        self.appends.len()
-    }
-
-    /// True if nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.deletes.is_empty() && self.appends.is_empty()
-    }
-
-    /// Drains the buffer, returning `(rowids to tombstone, values to
-    /// append)` in staging order. The buffer is empty afterwards.
-    pub fn take(&mut self) -> (Vec<usize>, Vec<T>) {
-        (
-            std::mem::take(&mut self.deletes),
-            std::mem::take(&mut self.appends),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,21 +248,5 @@ mod tests {
         let mut dv = DeleteVector::new(8, 1);
         dv.set_epoch(9);
         assert_eq!(dv.epoch(), 9);
-    }
-
-    #[test]
-    fn delta_buffer_stages_and_drains_in_order() {
-        let mut delta: DeltaBuffer<i64> = DeltaBuffer::default();
-        assert!(delta.is_empty());
-        delta.delete(10);
-        delta.update(20, -1);
-        delta.append(7);
-        assert!(!delta.is_empty());
-        assert_eq!(delta.pending_deletes(), 2);
-        assert_eq!(delta.pending_appends(), 2);
-        let (deletes, appends) = delta.take();
-        assert_eq!(deletes, vec![10, 20]);
-        assert_eq!(appends, vec![-1, 7]);
-        assert!(delta.is_empty());
     }
 }

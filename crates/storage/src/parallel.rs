@@ -1,21 +1,14 @@
-//! Multi-threaded scan helpers built on scoped threads.
+//! The multi-threaded scan driver, built on scoped threads.
 //!
-//! Two layers live here:
-//!
-//! * [`par_map`] / [`par_map_weighted`] — a generic per-unit driver: apply
-//!   a kernel to every work item across scoped worker threads and return
-//!   the results **in item order**, so callers that fold results (answers,
-//!   observations) see exactly the sequence a sequential loop would have
-//!   produced. Work is split into one contiguous run of items per thread,
-//!   balanced by a caller-supplied weight (rows, typically).
-//! * [`par_count_in_range`] / [`par_sum_in_range`] — whole-slice
-//!   conveniences for callers without a unit structure.
+//! [`par_map_weighted`] is a generic per-unit driver: apply a kernel to
+//! every work item across scoped worker threads and return the results
+//! **in item order**, so callers that fold results (answers,
+//! observations) see exactly the sequence a sequential loop would have
+//! produced. Work is split into one contiguous run of items per thread,
+//! balanced by a caller-supplied weight (rows, typically).
 //!
 //! Skip-heavy scans rarely benefit (they touch little data), so
 //! parallelism is opt-in via the engine's executor policy.
-
-use crate::scan;
-use crate::types::DataValue;
 
 /// Minimum rows per thread before parallelism pays for thread start-up.
 pub const MIN_ROWS_PER_THREAD: usize = 1 << 18;
@@ -34,20 +27,10 @@ pub fn effective_threads(total_weight: usize, requested: usize, min_per_thread: 
 /// worker threads, returning results in item order.
 ///
 /// `f` receives `(item_index, &item)`. Each thread processes one
-/// contiguous run of items, so result order — and therefore any
-/// order-sensitive fold the caller performs (floating-point sums,
-/// observation feedback) — is identical to a sequential `items.iter().map`.
-pub fn par_map<I, R, F>(items: &[I], threads: usize, f: F) -> Vec<R>
-where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> R + Sync,
-{
-    par_map_weighted(items, threads, |_| 1, f)
-}
-
-/// As [`par_map`], balancing the per-thread runs by `weight` (e.g. rows
-/// per scan unit) instead of item count.
+/// contiguous run of items — balanced by `weight` (e.g. rows per scan
+/// unit) — so result order, and therefore any order-sensitive fold the
+/// caller performs (floating-point sums, observation feedback), is
+/// identical to a sequential `items.iter().map`.
 pub fn par_map_weighted<I, R, F, W>(items: &[I], threads: usize, weight: W, f: F) -> Vec<R>
 where
     I: Sync,
@@ -102,73 +85,11 @@ where
     results
 }
 
-/// Counts values in `[lo, hi]` using up to `threads` worker threads.
-///
-/// Falls back to the sequential kernel when the slice is small or
-/// `threads <= 1`. Result is identical to [`scan::count_in_range`].
-pub fn par_count_in_range<T: DataValue>(data: &[T], lo: T, hi: T, threads: usize) -> usize {
-    let usable = effective_threads(data.len(), threads, MIN_ROWS_PER_THREAD);
-    if usable <= 1 {
-        // live: delete-unaware helper by contract — documented to match
-        // `scan::count_in_range`; delete-aware callers mask upstream.
-        return scan::count_in_range(data, lo, hi);
-    }
-    let chunk = data.len().div_ceil(usable);
-    let chunks: Vec<&[T]> = data.chunks(chunk).collect();
-    // live: same delete-unaware contract.
-    par_map(&chunks, usable, |_, c| scan::count_in_range(c, lo, hi))
-        .into_iter()
-        .sum()
-}
-
-/// Sums qualifying values in parallel; returns `(count, sum)`.
-pub fn par_sum_in_range<T: DataValue>(data: &[T], lo: T, hi: T, threads: usize) -> (usize, f64) {
-    let usable = effective_threads(data.len(), threads, MIN_ROWS_PER_THREAD);
-    if usable <= 1 {
-        // live: delete-unaware helper by contract, like
-        // `par_count_in_range` above.
-        return scan::sum_in_range(data, lo, hi);
-    }
-    let chunk = data.len().div_ceil(usable);
-    let chunks: Vec<&[T]> = data.chunks(chunk).collect();
-    // live: same delete-unaware contract.
-    par_map(&chunks, usable, |_, c| scan::sum_in_range(c, lo, hi))
-        .into_iter()
-        .fold((0usize, 0.0f64), |(ac, asum), (c, sum)| {
-            (ac + c, asum + sum)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ranges::RowRange;
-
-    #[test]
-    fn small_input_stays_sequential_but_correct() {
-        let data: Vec<i64> = (0..1000).collect();
-        assert_eq!(par_count_in_range(&data, 100, 199, 8), 100);
-    }
-
-    #[test]
-    fn parallel_count_matches_sequential() {
-        let data: Vec<i64> = (0..(MIN_ROWS_PER_THREAD as i64 * 4))
-            .map(|i| i % 997)
-            .collect();
-        let seq = scan::count_in_range(&data, 100, 500);
-        assert_eq!(par_count_in_range(&data, 100, 500, 4), seq);
-    }
-
-    #[test]
-    fn parallel_sum_matches_sequential() {
-        let data: Vec<i64> = (0..(MIN_ROWS_PER_THREAD as i64 * 3))
-            .map(|i| i % 101)
-            .collect();
-        let (sc, ss) = scan::sum_in_range(&data, 10, 90);
-        let (pc, ps) = par_sum_in_range(&data, 10, 90, 3);
-        assert_eq!(sc, pc);
-        assert!((ss - ps).abs() < 1e-6);
-    }
+    use crate::scan;
 
     #[test]
     fn effective_threads_clamps() {
@@ -190,18 +111,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_input() {
-        assert_eq!(par_count_in_range::<i64>(&[], 0, 1, 4), 0);
-    }
-
-    #[test]
-    fn par_map_preserves_item_order() {
+    fn par_map_weighted_preserves_item_order() {
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 2, 3, 8] {
-            let out = par_map(&items, threads, |i, &it| {
-                assert_eq!(i, it);
-                it * 2
-            });
+            let out = par_map_weighted(
+                &items,
+                threads,
+                |_| 1,
+                |i, &it| {
+                    assert_eq!(i, it);
+                    it * 2
+                },
+            );
             assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
         }
     }
@@ -231,8 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn par_map_empty_items() {
+    fn par_map_weighted_empty_items() {
         let items: Vec<usize> = Vec::new();
-        assert!(par_map(&items, 4, |_, &x| x).is_empty());
+        assert!(par_map_weighted(&items, 4, |_| 1, |_, &x| x).is_empty());
     }
 }

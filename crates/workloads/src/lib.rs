@@ -4,7 +4,7 @@
 //! controlled synthetics that parameterise exactly the axes the abstract
 //! names: sortedness (sorted / semi-sorted), value clustering, and
 //! arbitrary (uniform/zipf) distributions, plus query workloads ranging
-//! from uniform-random to hotspot, shifting-hotspot, sweep, and drill-down.
+//! from uniform-random to hotspot, shifting-hotspot and sweep.
 //!
 //! Everything is deterministic given a seed, so experiments replay the
 //! exact same workload against every strategy.

@@ -112,29 +112,6 @@ pub fn sweep(count: usize, domain: i64, selectivity: f64) -> Vec<RangeQuery> {
         .collect()
 }
 
-/// Drill-down: repeatedly narrows around a target value, halving the
-/// selectivity every `per_level` queries (interactive exploration).
-pub fn zoom_in(
-    count: usize,
-    domain: i64,
-    start_selectivity: f64,
-    per_level: usize,
-    seed: u64,
-) -> Vec<RangeQuery> {
-    assert!(per_level > 0, "per_level must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let target = rng.gen_range(0..domain);
-    (0..count)
-        .map(|i| {
-            let level = i / per_level;
-            let sel = start_selectivity / (1u64 << level.min(32)) as f64;
-            let width = width_for(domain, sel).max(1);
-            let jitter = rng.gen_range(-width / 2..=width / 2);
-            query_at(target + jitter - width / 2, width, domain)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,13 +172,6 @@ mod tests {
         all_valid(&qs);
         assert!(qs.windows(2).take(98).all(|w| w[0].lo <= w[1].lo));
         assert!(qs.last().unwrap().lo > DOMAIN / 2);
-    }
-
-    #[test]
-    fn zoom_in_narrows() {
-        let qs = zoom_in(40, DOMAIN, 0.1, 10, 5);
-        all_valid(&qs);
-        assert!(qs[0].width() > qs[39].width() * 4);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use ads_core::{PruneOutcome, RangePredicate, SkippingIndex};
 use ads_engine::{
-    execute, scan_pruned_with_deletes, scan_sharded, AggKind, ExecPolicy, ShardScanInput, Strategy,
+    execute, execute_disjunction, in_list, scan_pruned_with_deletes, scan_sharded, AggKind,
+    ExecPolicy, ShardScanInput, Strategy,
 };
 use ads_storage::{DeleteVector, RangeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,29 +54,38 @@ impl SkippingIndex<i64> for EvilIndex {
 #[test]
 fn executor_aborts_on_lying_index() {
     let data: Vec<i64> = (0..1000).collect();
-    let mut idx = EvilIndex { rows: data.len() };
-    // Qualifying rows live in the dropped half.
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        execute(
-            &data,
-            &mut idx,
-            RangePredicate::between(900, 950),
-            AggKind::Count,
-        )
-    }))
-    .expect_err("executor must abort on a false skip");
-    let msg = err
-        .downcast_ref::<String>()
-        .expect("panic carries a message");
-    assert!(msg.contains("FALSE SKIP"), "unexpected abort: {msg}");
-    assert!(
-        msg.contains("scan_sharded"),
-        "hook must name its site: {msg}"
-    );
-    assert!(
-        msg.contains("skip:bounds"),
-        "abort must surface the decision trace: {msg}"
-    );
+    // Qualifying rows live in the dropped half. Every front door reaches
+    // the oracle through `execute` -> `scan_sharded`; a disjunction is a
+    // loop of `execute` calls and must abort there too.
+    let entry_points: [(&str, fn(&[i64], &mut EvilIndex)); 2] = [
+        ("execute", |data, idx| {
+            let pred = RangePredicate::between(900, 950);
+            execute(data, idx, pred, AggKind::Count);
+        }),
+        ("execute_disjunction", |data, idx| {
+            execute_disjunction(data, idx, in_list(&[900, 950]), AggKind::Count);
+        }),
+    ];
+    for (name, entry) in entry_points {
+        let mut idx = EvilIndex { rows: data.len() };
+        let err = catch_unwind(AssertUnwindSafe(|| entry(&data, &mut idx)))
+            .expect_err("executor must abort on a false skip");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(
+            msg.contains("FALSE SKIP"),
+            "{name}: unexpected abort: {msg}"
+        );
+        assert!(
+            msg.contains("scan_sharded"),
+            "{name}: hook must name its site: {msg}"
+        );
+        assert!(
+            msg.contains("skip:bounds"),
+            "{name}: abort must surface the decision trace: {msg}"
+        );
+    }
 }
 
 /// The sharded scan is the path every server query takes: a lane whose
