@@ -1,8 +1,6 @@
 //! Service tuning knobs.
 
 use ads_core::adaptive::AdaptiveConfig;
-use ads_engine::ExecPolicy;
-use std::time::Duration;
 
 /// Where a query's adaptation feedback goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,16 +48,8 @@ pub struct ServerConfig {
     /// Most feedback entries the maintenance thread applies before it
     /// republishes a snapshot, bounding reader staleness under load.
     pub batch_max: usize,
-    /// Deadline stamped on requests that do not carry their own; a request
-    /// whose deadline has passed when a worker picks it up is answered
-    /// with [`crate::Reply::DeadlineMissed`] without scanning.
-    pub default_deadline: Option<Duration>,
     /// Feedback routing (see [`AdaptationMode`]).
     pub adaptation: AdaptationMode,
-    /// Scan policy of each reader. Defaults to sequential: the service
-    /// scales by running many queries at once, not by fanning one query
-    /// across the cores the other readers are using.
-    pub exec_policy: ExecPolicy,
     /// Zonemap configuration.
     pub adaptive: AdaptiveConfig,
     /// Tombstone fraction (deleted rows / total rows, per shard) beyond
@@ -79,9 +69,7 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             feedback_capacity: 4096,
             batch_max: 256,
-            default_deadline: None,
             adaptation: AdaptationMode::Async,
-            exec_policy: ExecPolicy::sequential(),
             adaptive: AdaptiveConfig::default(),
             compact_tombstone_ratio: None,
         }

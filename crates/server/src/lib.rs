@@ -41,6 +41,13 @@
 //! compaction densely repacks tombstoned shards and rebuilds their
 //! zonemap lanes with tight bounds (see `service` module docs).
 //!
+//! The authoritative state — column, lanes, delete vectors — and every
+//! transition on it (inline query, append, mutate, compact, feedback,
+//! maintenance) is one type, [`Owner`]; the adaptation modes differ only
+//! in who holds it. A lane is taught only by scans of the data version it
+//! describes: feedback names the version it scanned, and the owner drops
+//! what predates a lane's rebuild ([`ServerStats::feedback_stale`]).
+//!
 //! Service mechanics: a bounded request queue with shed-on-full admission
 //! ([`SubmitError::Shed`]), per-request deadlines, graceful drain on
 //! [`QueryService::shutdown`], and a stats surface ([`ServerStats`]) with
@@ -49,6 +56,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod owner;
 pub mod queue;
 pub mod service;
 pub mod snapshot;
@@ -56,7 +64,8 @@ pub mod stats;
 pub mod sync;
 
 pub use config::{AdaptationMode, ServerConfig};
+pub use owner::{Mutation, Owner};
 pub use queue::{Bounded, PushError};
-pub use service::{Mutation, MutationError, QueryService, Reply, Request, SubmitError, Ticket};
+pub use service::{MutationError, QueryService, Reply, Request, SubmitError, Ticket};
 pub use snapshot::{ShardSnapshot, ShardedCache, ShardedCell, SnapshotCache, SnapshotCell};
-pub use stats::{ServerStats, StatsCollector};
+pub use stats::{OwnerTotals, ServerStats, StatsCollector};

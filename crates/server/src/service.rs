@@ -12,6 +12,15 @@
 //! into **only the shard lanes whose zonemaps actually changed**, as told
 //! by each lane's mutation epoch.
 //!
+//! The authoritative state and every way it moves live in one place, the
+//! [`Owner`] (`owner.rs`); this module only decides who holds it. In
+//! [`AdaptationMode::Inline`] it sits under a mutex the workers take for a
+//! query's whole prune → scan → observe span — the seed architecture, and
+//! the reference the other modes are compared against. In the snapshot
+//! modes the maintenance thread holds it by value, next to what it
+//! remembers of its own publications (`Published`); client calls reach it
+//! as messages and are acknowledged after the round's publications.
+//!
 //! ## Correctness under staleness
 //!
 //! A reader may execute against shard snapshots that are several
@@ -21,6 +30,22 @@
 //! prune decisions are sound for the rows it scans, and the shards
 //! partition the column contiguously. Staleness costs skipping opportunity
 //! (an older lane excludes fewer zones), never answers.
+//!
+//! What a stale reader *reports* needs a second argument, because its
+//! observation is applied to the owner's current lane, not to the one it
+//! pruned. Across structural change of the same rows — splits, merges,
+//! deactivation, revival, appends behind the tail — `observe`'s check that
+//! an observed row range still aligns with a zone is enough: an aligned
+//! range covers the same rows it covered when it was scanned. It is not
+//! enough across a **compaction**: the shard's live rows are repacked and
+//! its lane rebuilt, cutting zones at the same multiples of the target
+//! zone size over rows that all moved, so an old observation aligns and
+//! describes other rows. What identifies a lane is therefore the shard
+//! data version it was last rebuilt at: every observation travels with
+//! the [`ads_storage::SharedColumn::version`] the reader scanned, and
+//! [`Owner::feedback`] drops — whole, no re-prune, no `observe`, counted
+//! in [`ServerStats::feedback_stale`] — any that predates the lane's
+//! rebuild.
 //!
 //! ## Convergence with the inline protocol
 //!
@@ -85,20 +110,19 @@
 //! answers). [`QueryService::shutdown`] closes admission, lets the workers
 //! drain every accepted request, then stops the maintenance thread after
 //! it has applied all queued feedback.
+//!
+//! [`AdaptiveZonemap::apply_feedback`]: ads_core::adaptive::AdaptiveZonemap::apply_feedback
+//! [`AdaptiveZonemap::mutation_epoch`]: ads_core::adaptive::AdaptiveZonemap::mutation_epoch
 
 use crate::config::{AdaptationMode, ServerConfig};
+use crate::owner::{Mutation, Owner};
 use crate::queue::{Bounded, PushError};
 use crate::snapshot::{ShardSnapshot, ShardedCell};
-use crate::stats::{ServerStats, StatsCollector};
-use crate::sync::{Arc, Mutex};
-use ads_core::adaptive::{
-    AdaptiveConfig, AdaptiveZonemap, ReorgReport, ShardedZonemap, TierReport,
-};
-use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
-use ads_engine::{
-    execute_sharded_with_deletes, scan_sharded, AggKind, QueryAnswer, ShardScanInput,
-};
-use ads_storage::{DataValue, DeleteVector, RowRange, ShardedColumn, SharedColumn};
+use crate::stats::{OwnerTotals, ServerStats, StatsCollector};
+use crate::sync::{Arc, Mutex, MutexGuard};
+use ads_core::{RangePredicate, ScanObservation, SkippingIndex};
+use ads_engine::{scan_sharded, AggKind, ExecPolicy, QueryAnswer, ShardScanInput};
+use ads_storage::{DataValue, DeleteVector, RowRange};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -111,7 +135,7 @@ pub struct Request<T: DataValue> {
     /// The aggregate to compute.
     pub agg: AggKind,
     /// Drop the request unanswered if a worker has not reached it by this
-    /// instant. `None` falls back to [`ServerConfig::default_deadline`].
+    /// instant; `None` waits for as long as it takes.
     pub deadline: Option<Instant>,
 }
 
@@ -163,20 +187,6 @@ pub enum SubmitError<T: DataValue> {
     ShuttingDown(Request<T>),
 }
 
-/// One out-of-place mutation, addressed by global row id — the same
-/// rowid space query POSITIONS answers use (`shard start + local row`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Mutation<T: DataValue> {
-    /// Tombstone the row: queries stop counting it as soon as the
-    /// mutation is acknowledged; the bytes are physically reclaimed at
-    /// the next compaction. Deleting an already-dead row is a no-op.
-    Delete(usize),
-    /// Tombstone the row and append the new value to the tail shard
-    /// under a fresh rowid. Updating an already-deleted row is a no-op
-    /// (the delete won, so no new version is written).
-    Update(usize, T),
-}
-
 /// Why a mutation batch or compaction request could not be confirmed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationError {
@@ -217,8 +227,9 @@ struct Job<T: DataValue> {
 /// feedback enqueued before the flush is applied before its ack.
 enum MaintMsg<T: DataValue> {
     /// One query's scan observations — one entry per shard, in shard
-    /// order, shard-local coordinates.
-    Feedback(Vec<ScanObservation<T>>),
+    /// order, shard-local coordinates, each beside the data version of
+    /// the shard snapshot it was scanned from.
+    Feedback(Vec<(u64, ScanObservation<T>)>),
     Append(Vec<T>, SyncSender<()>),
     /// One client's mutation batch; the ack carries how many mutations
     /// took effect and is sent only after the changed shards republish.
@@ -230,24 +241,25 @@ enum MaintMsg<T: DataValue> {
     Flush(SyncSender<()>),
 }
 
-/// The mutable engine state of [`AdaptationMode::Inline`].
-struct InlineState<T: DataValue> {
-    data: ShardedColumn<T>,
-    zonemap: ShardedZonemap<T>,
-    /// One delete vector per shard, shard-local coordinates.
-    deletes: Vec<DeleteVector>,
-    /// Mutation batches applied; stamps the delete vectors' epochs.
-    epoch: u64,
-}
-
 /// How queries reach data, per adaptation mode.
 enum Engine<T: DataValue> {
-    /// Inline: the seed architecture — one mutable state, one query at a
-    /// time, adaptation applied within the query. (Boxed: the zonemap is
-    /// two orders of magnitude bigger than the snapshot cells.)
-    Inline(Box<Mutex<InlineState<T>>>),
-    /// Async/Frozen: immutable per-shard snapshots published RCU-style.
+    /// Inline: the seed architecture — the owner under one lock, one
+    /// query at a time, adaptation applied within the query. (Boxed: the
+    /// zonemap is two orders of magnitude bigger than the snapshot cells.)
+    Inline(Box<Mutex<Owner<T>>>),
+    /// Async/Frozen: immutable per-shard snapshots published RCU-style by
+    /// the maintenance thread, which holds the owner.
     Snapshot(ShardedCell<T>),
+}
+
+impl<T: DataValue> Engine<T> {
+    /// The publication surface (`None` in inline mode, which has none).
+    fn cell(&self) -> Option<&ShardedCell<T>> {
+        match self {
+            Engine::Snapshot(cell) => Some(cell),
+            Engine::Inline(_) => None,
+        }
+    }
 }
 
 /// State shared between the service handle and its threads.
@@ -256,6 +268,10 @@ struct Shared<T: DataValue> {
     queue: Bounded<Job<T>>,
     stats: StatsCollector,
     engine: Engine<T>,
+    /// Snapshot modes: the owner's totals as of the last maintenance
+    /// round, stored before that round's acks. (Inline mode reads the
+    /// owner itself, under its lock.)
+    round_totals: Mutex<OwnerTotals>,
 }
 
 /// The service: a worker pool over a bounded request queue, plus (in
@@ -273,50 +289,33 @@ impl<T: DataValue> QueryService<T> {
     /// worker pool (and, in async/frozen modes, the maintenance thread).
     pub fn start(data: Vec<T>, config: ServerConfig) -> Self {
         config.validate();
-        let column = ShardedColumn::new(data, config.shards);
-        let zonemap = ShardedZonemap::for_column(&column, config.adaptive.clone());
+        let owner = Owner::new(data, config.shards, config.adaptive.clone());
 
-        let inline = config.adaptation == AdaptationMode::Inline;
-        // In snapshot modes the maintenance thread owns the authoritative
-        // column + zonemap; the cells only ever hold published clones.
-        let (engine, maint_state) = if inline {
-            let deletes = (0..column.num_shards())
-                .map(|s| DeleteVector::new(column.shard(s).len(), 0))
-                .collect();
-            let engine = Engine::Inline(Box::new(Mutex::new(InlineState {
-                data: column,
-                zonemap,
-                deletes,
-                epoch: 0,
-            })));
-            (engine, None)
+        // In snapshot modes the maintenance thread holds the owner; the
+        // cells only ever hold published clones.
+        let (engine, maint_owner) = if config.adaptation == AdaptationMode::Inline {
+            (Engine::Inline(Box::new(Mutex::new(owner))), None)
         } else {
-            let initial = (0..column.num_shards())
-                .map(|s| ShardSnapshot {
-                    data: column.shard(s).clone(),
-                    delete: Arc::new(DeleteVector::new(column.shard(s).len(), 0)),
-                    zonemap: zonemap.lane(s).clone(),
-                    start: column.start(s),
-                    version: 0,
-                })
+            let initial = (0..owner.num_shards())
+                .map(|s| owner.snapshot(s, Arc::new(owner.deletes(s).clone()), 0))
                 .collect();
-            let engine = Engine::Snapshot(ShardedCell::new(initial));
-            (engine, Some((column, zonemap)))
+            (Engine::Snapshot(ShardedCell::new(initial)), Some(owner))
         };
 
         let shared = Arc::new(Shared {
             queue: Bounded::new(config.queue_capacity),
             stats: StatsCollector::new(config.readers),
             engine,
+            round_totals: Mutex::new(OwnerTotals::default()),
             config,
         });
 
-        let (maint_tx, maint) = if let Some((column, zonemap)) = maint_state {
+        let (maint_tx, maint) = if let Some(owner) = maint_owner {
             let (tx, rx) = sync_channel::<MaintMsg<T>>(shared.config.feedback_capacity);
             let sh = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name("ads-maint".into())
-                .spawn(move || maintenance_loop(&sh, rx, column, zonemap))
+                .spawn(move || maintenance_loop(&sh, rx, owner))
                 // invariant: thread spawn fails only on resource
                 // exhaustion at startup; nothing to degrade to.
                 .expect("spawn maintenance thread");
@@ -350,14 +349,7 @@ impl<T: DataValue> QueryService<T> {
     }
 
     /// Admits a request, or sheds it without blocking.
-    pub fn submit(&self, mut request: Request<T>) -> Result<Ticket<T>, SubmitError<T>> {
-        if request.deadline.is_none() {
-            request.deadline = self
-                .shared
-                .config
-                .default_deadline
-                .map(|d| Instant::now() + d);
-        }
+    pub fn submit(&self, request: Request<T>) -> Result<Ticket<T>, SubmitError<T>> {
         let (reply_tx, reply_rx) = sync_channel(1);
         match self.shared.queue.try_push(Job {
             request,
@@ -381,38 +373,47 @@ impl<T: DataValue> QueryService<T> {
         self.submit(Request::new(predicate, agg)).map(Ticket::wait)
     }
 
+    /// Inline mode: the owner, locked. `None` in the snapshot modes, where
+    /// the maintenance thread holds it and [`QueryService::control`] is
+    /// the way in.
+    fn inline_owner(&self) -> Option<MutexGuard<'_, Owner<T>>> {
+        match &self.shared.engine {
+            // invariant: no owner transition panics mid-update short of a
+            // bug; poisoning means the process is already torn.
+            Engine::Inline(owner) => Some(owner.lock().expect("inline owner poisoned")),
+            Engine::Snapshot(_) => None,
+        }
+    }
+
+    /// Snapshot modes: sends one control message to the maintenance
+    /// thread and blocks until its ack — sent only after the round's
+    /// publications — comes back.
+    fn control<R>(
+        &self,
+        msg: impl FnOnce(SyncSender<R>) -> MaintMsg<T>,
+    ) -> Result<R, MutationError> {
+        let (ack_tx, ack_rx) = sync_channel(1);
+        self.maint_tx
+            .as_ref()
+            // invariant: every snapshot-mode service starts a maintenance
+            // thread and keeps its sender until shutdown consumes `self`.
+            .expect("snapshot mode without maintenance")
+            .send(msg(ack_tx))
+            .map_err(|_| MutationError::Lost)?;
+        ack_rx.recv().map_err(|_| MutationError::Lost)
+    }
+
     /// Appends rows (routed to the tail shard). Blocks until the rows are
     /// visible to new queries (inline: immediately; async/frozen: once the
     /// maintenance thread has published the extended tail-shard snapshot).
     pub fn append(&self, rows: Vec<T>) {
-        match (&self.shared.engine, &self.maint_tx) {
-            (Engine::Inline(state), _) => {
-                // invariant: the inline engine never panics mid-update;
-                // poisoning means the process is already torn.
-                let mut st = state.lock().expect("inline state poisoned");
-                let InlineState {
-                    data,
-                    zonemap,
-                    deletes,
-                    ..
-                } = &mut *st;
-                *data = data.append(&rows);
-                let tail = data.num_shards() - 1;
-                zonemap.on_append_tail(&rows, data.shard(tail).as_slice());
-                deletes[tail].grow(data.shard(tail).len());
-                self.shared.stats.record_append();
-            }
-            (Engine::Snapshot(_), Some(tx)) => {
-                let (ack_tx, ack_rx) = sync_channel(1);
-                tx.send(MaintMsg::Append(rows, ack_tx))
-                    // invariant: the maintenance thread outlives the
-                    // service handle; it exits only after maint_tx drops.
-                    .expect("maintenance thread gone");
-                // invariant: see above — the ack sender is never dropped
-                // unsent while the maintenance thread lives.
-                ack_rx.recv().expect("maintenance thread gone");
-            }
-            (Engine::Snapshot(_), None) => unreachable!("snapshot mode without maintenance"),
+        match self.inline_owner() {
+            Some(mut owner) => owner.append(&rows),
+            None => self
+                .control(|ack| MaintMsg::Append(rows, ack))
+                // invariant: the maintenance thread outlives the service
+                // handle; it exits only after maint_tx drops.
+                .expect("maintenance thread gone"),
         }
     }
 
@@ -441,46 +442,18 @@ impl<T: DataValue> QueryService<T> {
     /// # Panics
     /// Panics on a rowid at or past the current column length.
     pub fn mutate(&self, mutations: Vec<Mutation<T>>) -> Result<usize, MutationError> {
-        self.shared
-            .stats
-            .record_mutations_queued(mutations.len() as u64);
-        match (&self.shared.engine, &self.maint_tx) {
-            (Engine::Inline(state), _) => {
-                // invariant: see append — poisoning is unrecoverable.
-                let mut st = state.lock().expect("inline state poisoned");
-                let n = mutations.len() as u64;
-                let InlineState {
-                    data,
-                    zonemap,
-                    deletes,
-                    epoch,
-                } = &mut *st;
-                *epoch += 1;
-                let mut dirty = vec![false; data.num_shards()];
-                let applied =
-                    apply_mutations(&mutations, data, zonemap, deletes, &mut dirty, *epoch);
-                self.shared.stats.record_mutation_batch(n, applied as u64);
+        let n = mutations.len() as u64;
+        self.shared.stats.record_mutations_queued(n);
+        match self.inline_owner() {
+            Some(mut owner) => {
+                let applied = owner.mutate(&mutations);
+                self.shared.stats.record_mutations_processed(n);
                 if let Some(ratio) = self.shared.config.compact_tombstone_ratio {
-                    compact_shards(
-                        data,
-                        zonemap,
-                        deletes,
-                        &mut dirty,
-                        *epoch,
-                        Some(ratio),
-                        &self.shared.config.adaptive,
-                        &self.shared.stats,
-                    );
+                    owner.compact(Some(ratio));
                 }
                 Ok(applied)
             }
-            (Engine::Snapshot(_), Some(tx)) => {
-                let (ack_tx, ack_rx) = sync_channel(1);
-                tx.send(MaintMsg::Mutate(mutations, ack_tx))
-                    .map_err(|_| MutationError::Lost)?;
-                ack_rx.recv().map_err(|_| MutationError::Lost)
-            }
-            (Engine::Snapshot(_), None) => unreachable!("snapshot mode without maintenance"),
+            None => self.control(|ack| MaintMsg::Mutate(mutations, ack)),
         }
     }
 
@@ -493,36 +466,9 @@ impl<T: DataValue> QueryService<T> {
     /// # Errors
     /// [`MutationError::Lost`] when the maintenance thread is gone.
     pub fn compact(&self) -> Result<usize, MutationError> {
-        match (&self.shared.engine, &self.maint_tx) {
-            (Engine::Inline(state), _) => {
-                // invariant: see append — poisoning is unrecoverable.
-                let mut st = state.lock().expect("inline state poisoned");
-                let InlineState {
-                    data,
-                    zonemap,
-                    deletes,
-                    epoch,
-                } = &mut *st;
-                *epoch += 1;
-                let mut dirty = vec![false; data.num_shards()];
-                Ok(compact_shards(
-                    data,
-                    zonemap,
-                    deletes,
-                    &mut dirty,
-                    *epoch,
-                    None,
-                    &self.shared.config.adaptive,
-                    &self.shared.stats,
-                ))
-            }
-            (Engine::Snapshot(_), Some(tx)) => {
-                let (ack_tx, ack_rx) = sync_channel(1);
-                tx.send(MaintMsg::Compact(ack_tx))
-                    .map_err(|_| MutationError::Lost)?;
-                ack_rx.recv().map_err(|_| MutationError::Lost)
-            }
-            (Engine::Snapshot(_), None) => unreachable!("snapshot mode without maintenance"),
+        match self.inline_owner() {
+            Some(mut owner) => Ok(owner.compact(None)),
+            None => self.control(MaintMsg::Compact),
         }
     }
 
@@ -532,73 +478,40 @@ impl<T: DataValue> QueryService<T> {
     /// see exact lane state including per-query statistics). A no-op in
     /// inline mode (adaptation is never deferred).
     pub fn flush(&self) {
-        if let Some(tx) = &self.maint_tx {
-            let (ack_tx, ack_rx) = sync_channel(1);
-            // invariant: see append — maintenance outlives the handle.
-            tx.send(MaintMsg::Flush(ack_tx))
+        if self.maint_tx.is_some() {
+            self.control(MaintMsg::Flush)
+                // invariant: see append — maintenance outlives the handle.
                 .expect("maintenance thread gone");
-            // invariant: see append — maintenance outlives the handle.
-            ack_rx.recv().expect("maintenance thread gone");
         }
     }
 
     /// A point-in-time stats report.
     pub fn stats(&self) -> ServerStats {
-        self.stats_at_depth(self.shared.queue.len())
-    }
-
-    fn stats_at_depth(&self, queue_depth: usize) -> ServerStats {
-        let mut stats = self.shared.stats.snapshot(queue_depth);
-        // Inline mode reorganizes inside the query path (no maintenance
-        // thread records deltas), so its lifetime totals come straight
-        // from the authoritative zonemap.
-        if let Engine::Inline(state) = &self.shared.engine {
-            // invariant: see append — poisoning is unrecoverable.
-            let st = state.lock().expect("inline state poisoned");
-            let r = st.zonemap.reorg_stats();
-            stats.zones_promoted = r.zones_promoted;
-            stats.zones_demoted = r.zones_demoted;
-            stats.reorg_bytes_moved = r.bytes_moved;
-            stats.reorg_ns = r.reorg_ns;
-            let t = st.zonemap.tier_stats();
-            stats.tiers_built = t.tiers_built();
-            stats.tiers_dropped = t.tiers_dropped;
-            stats.tier_skips = t.tier_skips;
-            stats.tombstone_ppm = tombstone_ppm(&st.deletes);
-        }
-        stats
+        let owner = match self.inline_owner() {
+            Some(owner) => owner.totals(),
+            // invariant: the lock guards one plain copy; nothing panics
+            // while holding it.
+            None => *self.shared.round_totals.lock().expect("totals poisoned"),
+        };
+        self.shared.stats.snapshot(self.shared.queue.len(), owner)
     }
 
     /// Number of shards the column is partitioned into.
     pub fn num_shards(&self) -> usize {
-        match &self.shared.engine {
-            Engine::Inline(state) => state
-                .lock()
-                // invariant: see append — poisoning is unrecoverable.
-                .expect("inline state poisoned")
-                .data
-                .num_shards(),
-            Engine::Snapshot(cell) => cell.num_shards(),
-        }
+        self.shared.config.shards
     }
 
     /// The latest published snapshot of every shard lane, in shard order
     /// (`None` in inline mode, which has no publications).
     pub fn shard_snapshots(&self) -> Option<Vec<Arc<ShardSnapshot<T>>>> {
-        match &self.shared.engine {
-            Engine::Snapshot(cell) => Some(cell.load_all()),
-            Engine::Inline(_) => None,
-        }
+        self.shared.engine.cell().map(ShardedCell::load_all)
     }
 
     /// Per-shard publication generations, in shard order (`None` in inline
     /// mode). A lane's generation moves exactly when that lane is
     /// republished, so diffing two reads tells which shards changed.
     pub fn shard_generations(&self) -> Option<Vec<u64>> {
-        match &self.shared.engine {
-            Engine::Snapshot(cell) => Some(cell.generations()),
-            Engine::Inline(_) => None,
-        }
+        self.shared.engine.cell().map(ShardedCell::generations)
     }
 
     /// The structural state of the zonemap queries currently see, in
@@ -606,36 +519,29 @@ impl<T: DataValue> QueryService<T> {
     /// latest published lane snapshots otherwise (call
     /// [`QueryService::flush`] first for an up-to-date view).
     pub fn zone_snapshot(&self) -> Vec<(RowRange, &'static str, f64)> {
-        match &self.shared.engine {
-            Engine::Inline(state) => state
-                .lock()
-                // invariant: see append — poisoning is unrecoverable.
-                .expect("inline state poisoned")
-                .zonemap
-                .zone_snapshot(),
-            Engine::Snapshot(cell) => {
-                let mut out = Vec::new();
-                for snap in cell.load_all() {
-                    let start = snap.start;
-                    out.extend(
-                        snap.zonemap
-                            .zone_snapshot()
-                            .into_iter()
-                            .map(|(r, label, rate)| {
-                                (RowRange::new(r.start + start, r.end + start), label, rate)
-                            }),
-                    );
-                }
-                out
-            }
+        if let Some(owner) = self.inline_owner() {
+            return owner.zone_snapshot();
         }
+        let mut out = Vec::new();
+        for snap in self.shard_snapshots().into_iter().flatten() {
+            let start = snap.start;
+            out.extend(
+                snap.zonemap
+                    .zone_snapshot()
+                    .into_iter()
+                    .map(|(r, label, rate)| {
+                        (RowRange::new(r.start + start, r.end + start), label, rate)
+                    }),
+            );
+        }
+        out
     }
 
     /// Graceful shutdown: stop admission, drain and answer every accepted
     /// request, apply all queued feedback, then return the final stats.
     pub fn shutdown(mut self) -> ServerStats {
         self.shutdown_inner();
-        self.stats_at_depth(0)
+        self.stats()
     }
 
     fn shutdown_inner(&mut self) {
@@ -666,40 +572,26 @@ fn worker_loop<T: DataValue>(
     worker_id: usize,
     feedback: Option<SyncSender<MaintMsg<T>>>,
 ) {
-    let mut cache = match &shared.engine {
-        Engine::Snapshot(cell) => Some(cell.cache()),
-        Engine::Inline(_) => None,
-    };
+    let mut cache = shared.engine.cell().map(ShardedCell::cache);
+    // Sequential scans: the service scales by running many queries at
+    // once, not by fanning one query across the cores the other readers
+    // are using.
+    let policy = ExecPolicy::sequential();
     while let Some(job) = shared.queue.pop() {
         let t0 = Instant::now();
-        if let Some(deadline) = job.request.deadline {
-            if Instant::now() > deadline {
-                shared.stats.record_deadline_missed();
-                let _ = job.reply.send(Reply::DeadlineMissed);
-                continue;
-            }
+        if job.request.deadline.is_some_and(|deadline| t0 > deadline) {
+            shared.stats.record_deadline_missed();
+            let _ = job.reply.send(Reply::DeadlineMissed);
+            continue;
         }
         let reply = match &shared.engine {
-            Engine::Inline(state) => {
+            Engine::Inline(owner) => {
                 // The whole prune → scan → observe span under one lock:
                 // the seed's single-writer architecture as a service mode.
-                // invariant: see append — poisoning is unrecoverable.
-                let mut st = state.lock().expect("inline state poisoned");
-                let InlineState {
-                    data,
-                    zonemap,
-                    deletes,
-                    ..
-                } = &mut *st;
-                let version = data.shards().iter().map(SharedColumn::version).sum();
-                let (answer, metrics) = execute_sharded_with_deletes(
-                    data,
-                    zonemap,
-                    Some(deletes.as_slice()),
-                    job.request.predicate,
-                    job.request.agg,
-                    &shared.config.exec_policy,
-                );
+                // invariant: see inline_owner — poisoning is unrecoverable.
+                let mut owner = owner.lock().expect("inline owner poisoned");
+                let version = owner.data_version();
+                let (answer, metrics) = owner.execute(job.request.predicate, job.request.agg);
                 shared.stats.record_scan_rows(
                     metrics.query.rows_scanned,
                     metrics.query.rows_with_byproducts,
@@ -717,7 +609,7 @@ fn worker_loop<T: DataValue>(
                 // different publication rounds — each is sound for its own
                 // shard, which is all the merge needs.
                 // invariant: the cache is Some exactly when the engine is
-                // Snapshot — both match on the same enum above.
+                // Snapshot — both come from the same enum.
                 let cache = cache.as_mut().expect("snapshot mode has a cache");
                 cache.refresh(cell);
                 let lanes = cache.lanes();
@@ -738,21 +630,20 @@ fn worker_loop<T: DataValue>(
                         }
                     })
                     .collect();
-                let result = scan_sharded(
-                    &inputs,
-                    job.request.predicate,
-                    job.request.agg,
-                    &shared.config.exec_policy,
-                );
+                let result = scan_sharded(&inputs, job.request.predicate, job.request.agg, &policy);
                 let version = lanes.iter().map(|lane| lane.current().version).sum();
                 shared
                     .stats
                     .record_scan_rows(result.phase.rows_scanned, result.phase.rows_with_byproducts);
                 // Feedback goes out *before* the reply so a client that
                 // replies-then-flushes is guaranteed (by channel FIFO) to
-                // see its own query's adaptation applied.
+                // see its own query's adaptation applied. Each lane's
+                // observation travels with the data version it scanned:
+                // that is what the owner checks it against.
                 if let Some(tx) = &feedback {
-                    match tx.try_send(MaintMsg::Feedback(result.observations)) {
+                    let seen = lanes.iter().map(|lane| lane.current().data.version());
+                    let observations = seen.zip(result.observations).collect();
+                    match tx.try_send(MaintMsg::Feedback(observations)) {
                         Ok(()) => shared.stats.record_feedback_queued(),
                         Err(TrySendError::Full(_)) => shared.stats.record_feedback_dropped(),
                         Err(TrySendError::Disconnected(_)) => {}
@@ -772,43 +663,77 @@ fn worker_loop<T: DataValue>(
     }
 }
 
-/// The maintenance thread: drain a batch, replay its feedback against the
-/// authoritative zonemap lanes, publish the shards whose lanes changed,
-/// ack control messages.
+/// What the maintenance thread remembers of each lane's last publication.
+struct Published {
+    /// Monotone per-lane publication number (0 = the initial snapshot).
+    versions: Vec<u64>,
+    /// Each lane's zonemap mutation epoch when it was last published; a
+    /// lane republishes when its current epoch differs.
+    epochs: Vec<u64>,
+    /// The `Arc` each lane last published; re-`Arc`'d only when that
+    /// shard's tombstones changed, so a zonemap-only republish shares the
+    /// bitmap.
+    deletes: Vec<Arc<DeleteVector>>,
+}
+
+impl Published {
+    /// Publishes every lane that is dirty, whose zonemap epoch moved since
+    /// its last publication, or — under `force_all` — regardless, and
+    /// counts the round on the owner.
+    fn publish<T: DataValue>(
+        &mut self,
+        owner: &mut Owner<T>,
+        cell: &ShardedCell<T>,
+        force_all: bool,
+    ) {
+        let (mut republished, mut republish_bytes, mut whole_map_bytes) = (0u64, 0u64, 0u64);
+        for s in 0..owner.num_shards() {
+            let lane = owner.lane(s);
+            let (bytes, epoch) = (lane.metadata_bytes() as u64, lane.mutation_epoch());
+            // The counterfactual cost of a whole-map publication scheme
+            // (the pre-sharding design cloned everything every round).
+            whole_map_bytes += bytes;
+            let dirty = owner.take_dirty(s);
+            if !(force_all || dirty || epoch != self.epochs[s]) {
+                continue;
+            }
+            if dirty {
+                self.deletes[s] = Arc::new(owner.deletes(s).clone());
+            }
+            self.versions[s] += 1;
+            self.epochs[s] = epoch;
+            let delete = Arc::clone(&self.deletes[s]);
+            cell.publish_shard(s, owner.snapshot(s, delete, self.versions[s]));
+            republished += 1;
+            republish_bytes += bytes;
+        }
+        owner.note_publication(republished, republish_bytes, whole_map_bytes);
+    }
+}
+
+/// The maintenance thread: drain a batch, apply it to the owner, publish
+/// the shards whose lanes changed, store the totals, ack control messages.
 fn maintenance_loop<T: DataValue>(
     shared: &Shared<T>,
     rx: Receiver<MaintMsg<T>>,
-    mut column: ShardedColumn<T>,
-    mut zonemap: ShardedZonemap<T>,
+    mut owner: Owner<T>,
 ) {
-    let cell = match &shared.engine {
-        Engine::Snapshot(cell) => cell,
-        Engine::Inline(_) => unreachable!("inline mode has no maintenance"),
+    let Engine::Snapshot(cell) = &shared.engine else {
+        unreachable!("inline mode has no maintenance");
     };
-    let num_shards = column.num_shards();
-    let mut lane_versions = vec![0u64; num_shards];
-    // Epoch of each lane at its last publication; a lane is republished
-    // when its current epoch differs (or a flush forces it).
-    let mut published_epochs = zonemap.mutation_epochs();
-    // Authoritative per-shard tombstones, shard-local coordinates.
-    let mut deletes: Vec<DeleteVector> = (0..num_shards)
-        .map(|s| DeleteVector::new(column.shard(s).len(), 0))
-        .collect();
-    // The Arc each lane last published; re-Arc'd only when that shard's
-    // tombstones changed, so a zonemap-only republish shares the bitmap.
-    let mut published_deletes: Vec<Arc<DeleteVector>> =
-        deletes.iter().map(|d| Arc::new(d.clone())).collect();
-    // Lanes that must republish this round regardless of zonemap epochs:
-    // their tombstones changed, or compaction shifted their start.
-    let mut dirty = vec![false; num_shards];
-    // Bumped once per mutation batch; stamps the delete vectors so a
-    // published snapshot always carries the epoch of the batch that last
-    // changed its tombstones.
-    let mut mutation_epoch = 0u64;
-    // Lifetime tier skips at the last stats report; tier skips accrue on
-    // the authoritative map through feedback replay, so each round reports
-    // the delta since the previous one.
-    let mut reported_tier_skips = 0u64;
+    let initial = cell.load_all();
+    let mut published = Published {
+        versions: vec![0; initial.len()],
+        epochs: initial
+            .iter()
+            .map(|snap| snap.zonemap.mutation_epoch())
+            .collect(),
+        deletes: initial
+            .iter()
+            .map(|snap| Arc::clone(&snap.delete))
+            .collect(),
+    };
+    drop(initial);
 
     while let Ok(first) = rx.recv() {
         // Drain opportunistically up to the batch bound: one publication
@@ -825,50 +750,26 @@ fn maintenance_loop<T: DataValue>(
         let mut acks: Vec<SyncSender<()>> = Vec::new();
         let mut mutation_acks: Vec<(SyncSender<usize>, usize)> = Vec::new();
         let mut compact_acks: Vec<SyncSender<usize>> = Vec::new();
-        let mut applied = 0u64;
         let mut force_all = false;
-        let mut explicit_compact = false;
         for msg in batch {
             match msg {
                 MaintMsg::Feedback(observations) => {
-                    debug_assert_eq!(observations.len(), num_shards);
-                    for (s, obs) in observations.iter().enumerate() {
-                        zonemap.lane_mut(s).apply_feedback(obs);
-                    }
-                    applied += 1;
+                    owner.feedback(&observations);
+                    shared.stats.record_feedback_applied(1);
                 }
                 MaintMsg::Append(rows, ack) => {
-                    column = column.append(&rows);
-                    let tail = num_shards - 1;
-                    zonemap.on_append_tail(&rows, column.shard(tail).as_slice());
-                    deletes[tail].grow(column.shard(tail).len());
-                    dirty[tail] = true;
-                    shared.stats.record_append();
+                    owner.append(&rows);
                     acks.push(ack);
                 }
                 MaintMsg::Mutate(muts, ack) => {
-                    mutation_epoch += 1;
-                    let took = apply_mutations(
-                        &muts,
-                        &mut column,
-                        &mut zonemap,
-                        &mut deletes,
-                        &mut dirty,
-                        mutation_epoch,
-                    );
-                    shared
-                        .stats
-                        .record_mutation_batch(muts.len() as u64, took as u64);
-                    mutation_acks.push((ack, took));
+                    mutation_acks.push((ack, owner.mutate(&muts)));
+                    shared.stats.record_mutations_processed(muts.len() as u64);
                 }
                 // Compaction is deferred to the end of the batch: every
                 // message in this batch was sent before this round's acks,
                 // so all its rowids are pre-compaction coordinates and
                 // FIFO-applying them first is exact.
-                MaintMsg::Compact(ack) => {
-                    explicit_compact = true;
-                    compact_acks.push(ack);
-                }
+                MaintMsg::Compact(ack) => compact_acks.push(ack),
                 // A flush publishes every lane regardless of epochs:
                 // post-flush readers must see exact current lane state,
                 // per-query statistics included.
@@ -879,116 +780,25 @@ fn maintenance_loop<T: DataValue>(
             }
         }
 
-        // Compaction: an explicit request repacks every tombstoned shard;
-        // otherwise the config ratio triggers automatic repacking of the
-        // shards past it.
-        let min_ratio = if explicit_compact {
-            None
-        } else {
-            shared.config.compact_tombstone_ratio
-        };
-        let reclaimed = if explicit_compact || min_ratio.is_some() {
-            compact_shards(
-                &mut column,
-                &mut zonemap,
-                &mut deletes,
-                &mut dirty,
-                mutation_epoch,
-                min_ratio,
-                &shared.config.adaptive,
-                &shared.stats,
-            )
+        // An explicit request repacks every tombstoned shard; otherwise
+        // the config ratio, when set, repacks the shards past it.
+        let reclaimed = if !compact_acks.is_empty() {
+            owner.compact(None)
+        } else if let Some(ratio) = shared.config.compact_tombstone_ratio {
+            owner.compact(Some(ratio))
         } else {
             0
         };
 
-        // Reorganization rides the same maintenance cadence: each lane
-        // promotes hot zones / demotes cold ones against its own shard
-        // slice. Any layout change bumps the lane's mutation epoch, so the
-        // epoch diff below republishes exactly the lanes that moved —
-        // readers keep their old snapshot Arc until then and never see a
-        // half-reorganized zone.
-        let mut reorg = ReorgReport::default();
-        for s in 0..num_shards {
-            let rep = zonemap.lane_mut(s).apply_reorg(column.shard(s).as_slice());
-            reorg.promoted += rep.promoted;
-            reorg.demoted += rep.demoted;
-            reorg.bytes_moved += rep.bytes_moved;
-            reorg.reorg_ns += rep.reorg_ns;
-        }
-        if reorg.changed() {
-            shared.stats.record_reorg(
-                reorg.promoted,
-                reorg.demoted,
-                reorg.bytes_moved,
-                reorg.reorg_ns,
-            );
-        }
-
-        // Metadata tiers ride the same cadence: each lane judges its drop
-        // windows and builds sketches over zones whose replayed feedback
-        // has amortised one. Builds and drops bump the lane's epoch, so
-        // the diff below republishes them atomically — a reader never
-        // sees a tier flag without its payload.
-        let mut tiers = TierReport::default();
-        for s in 0..num_shards {
-            let rep = zonemap.lane_mut(s).apply_tiers(column.shard(s).as_slice());
-            tiers.built += rep.built;
-            tiers.dropped += rep.dropped;
-        }
-        let tier_skips = zonemap.tier_stats().tier_skips;
-        let skip_delta = tier_skips.saturating_sub(reported_tier_skips);
-        if tiers.changed() || skip_delta > 0 {
-            shared
-                .stats
-                .record_tiers(tiers.built, tiers.dropped, skip_delta);
-            reported_tier_skips = tier_skips;
-        }
-
-        // Run the revival check the next query's prune would run, so the
-        // snapshot readers see the state an inline executor would start
-        // the next query from.
-        zonemap.poll_revival();
-        let epochs = zonemap.mutation_epochs();
-        let mut republished = 0u64;
-        let mut republish_bytes = 0u64;
-        let mut whole_map_bytes = 0u64;
-        for s in 0..num_shards {
-            whole_map_bytes += zonemap.lane(s).metadata_bytes() as u64;
-            if force_all || dirty[s] || epochs[s] != published_epochs[s] {
-                lane_versions[s] += 1;
-                republish_bytes += zonemap.lane(s).metadata_bytes() as u64;
-                if dirty[s] {
-                    published_deletes[s] = Arc::new(deletes[s].clone());
-                    dirty[s] = false;
-                }
-                cell.publish_shard(
-                    s,
-                    ShardSnapshot {
-                        data: column.shard(s).clone(),
-                        delete: Arc::clone(&published_deletes[s]),
-                        zonemap: zonemap.lane(s).clone(),
-                        start: column.start(s),
-                        version: lane_versions[s],
-                    },
-                );
-                published_epochs[s] = epochs[s];
-                republished += 1;
-            }
-        }
-        if republished > 0 {
-            shared.stats.record_snapshot_published();
-            shared.stats.record_shards_republished(republished);
-            shared.stats.record_republish_bytes(republish_bytes);
-        }
-        // The counterfactual cost a whole-map publication scheme would
-        // have paid this round (the pre-sharding design cloned everything
-        // every round).
-        shared.stats.record_whole_map_bytes(whole_map_bytes);
-        if applied > 0 {
-            shared.stats.record_feedback_applied(applied);
-        }
-        shared.stats.set_tombstone_ppm(tombstone_ppm(&deletes));
+        // Reorganization, tiers and the revival check ride the same
+        // cadence. Whatever they change bumps the lane's mutation epoch,
+        // so the publication below swaps exactly the lanes that moved —
+        // readers keep their old snapshot `Arc` until then and never see
+        // a half-reorganized zone or a tier flag without its payload.
+        owner.maintain();
+        published.publish(&mut owner, cell, force_all);
+        // invariant: see stats — the totals lock never poisons.
+        *shared.round_totals.lock().expect("totals poisoned") = owner.totals();
         // Acks only after the publications: an acked append/flush/
         // mutation/compaction is visible to every subsequent query.
         for ack in acks {
@@ -1000,162 +810,5 @@ fn maintenance_loop<T: DataValue>(
         for ack in compact_acks {
             let _ = ack.send(reclaimed);
         }
-    }
-}
-
-/// Locates the shard holding global row `row`.
-///
-/// Callers guarantee `row < column.len()`, so the last shard whose start
-/// is at or below `row` holds it (empty shards share their successor's
-/// start and are skipped by taking the last).
-fn shard_of_row<T: DataValue>(column: &ShardedColumn<T>, row: usize) -> usize {
-    let s = (0..column.num_shards())
-        .rfind(|&s| column.start(s) <= row)
-        // invariant: shard 0 starts at row 0, so some start is <= row.
-        .expect("shard 0 covers row 0");
-    debug_assert!(row - column.start(s) < column.shard(s).len());
-    s
-}
-
-/// Applies one client mutation batch out-of-place: deletes tombstone
-/// their row; updates tombstone the old row and append the new value to
-/// the tail shard (rowids are resolved against the column *before* any
-/// of this batch's appends land, so a batch cannot address its own new
-/// rows). Shards whose tombstones changed get their `dirty` flag raised.
-/// Returns how many mutations took effect.
-fn apply_mutations<T: DataValue>(
-    mutations: &[Mutation<T>],
-    column: &mut ShardedColumn<T>,
-    zonemap: &mut ShardedZonemap<T>,
-    deletes: &mut [DeleteVector],
-    dirty: &mut [bool],
-    epoch: u64,
-) -> usize {
-    let mut applied = 0usize;
-    let mut tail_appends: Vec<T> = Vec::new();
-    for m in mutations {
-        let (row, update) = match m {
-            Mutation::Delete(row) => (*row, None),
-            Mutation::Update(row, value) => (*row, Some(*value)),
-        };
-        assert!(
-            row < column.len(),
-            "mutation rowid {row} out of range ({} rows)",
-            column.len()
-        );
-        let s = shard_of_row(column, row);
-        if deletes[s].delete(row - column.start(s)) {
-            deletes[s].set_epoch(epoch);
-            dirty[s] = true;
-            applied += 1;
-            if let Some(value) = update {
-                tail_appends.push(value);
-            }
-        }
-    }
-    if !tail_appends.is_empty() {
-        *column = column.append(&tail_appends);
-        let tail = column.num_shards() - 1;
-        zonemap.on_append_tail(&tail_appends, column.shard(tail).as_slice());
-        deletes[tail].grow(column.shard(tail).len());
-        deletes[tail].set_epoch(epoch);
-        dirty[tail] = true;
-    }
-    applied
-}
-
-/// Densely repacks every shard whose tombstone ratio reaches `min_ratio`
-/// (every tombstoned shard when `None`): live rows are rewritten in
-/// order via [`SharedColumn::replace`], the shard's delete vector resets
-/// to all-live at `epoch`, and its zonemap lane is rebuilt with bounds
-/// tightened by a synthetic zone-aligned observation. Downstream lanes'
-/// starts shift, so their `dirty` flags are raised alongside the
-/// repacked shard's. Returns the total rows reclaimed.
-#[allow(clippy::too_many_arguments)]
-fn compact_shards<T: DataValue>(
-    column: &mut ShardedColumn<T>,
-    zonemap: &mut ShardedZonemap<T>,
-    deletes: &mut [DeleteVector],
-    dirty: &mut [bool],
-    epoch: u64,
-    min_ratio: Option<f64>,
-    config: &AdaptiveConfig,
-    stats: &StatsCollector,
-) -> usize {
-    let mut reclaimed_total = 0usize;
-    for s in 0..column.num_shards() {
-        if !deletes[s].has_deletes() {
-            continue;
-        }
-        if let Some(ratio) = min_ratio {
-            if deletes[s].tombstone_ratio() < ratio {
-                continue;
-            }
-        }
-        let shard = column.shard(s);
-        let mut live_rows = Vec::with_capacity(deletes[s].live_count());
-        for (i, v) in shard.as_slice().iter().enumerate() {
-            if !deletes[s].is_deleted(i) {
-                live_rows.push(*v);
-            }
-        }
-        let reclaimed = shard.len() - live_rows.len();
-        let mut shards = column.shards().to_vec();
-        shards[s] = shards[s].replace(live_rows);
-        *column = ShardedColumn::from_shards(shards);
-        deletes[s] = DeleteVector::new(column.shard(s).len(), epoch);
-        zonemap.replace_lane(
-            s,
-            rebuilt_lane(column.shard(s).as_slice(), config),
-            &column.shard_lens(),
-        );
-        // The repacked lane and every lane downstream of it (their global
-        // starts shifted by `reclaimed`) must republish this round.
-        for flag in dirty.iter_mut().skip(s) {
-            *flag = true;
-        }
-        stats.record_compaction(reclaimed as u64);
-        reclaimed_total += reclaimed;
-    }
-    reclaimed_total
-}
-
-/// A fresh zonemap lane over a compacted shard, its zones eagerly built
-/// with tight bounds: one synthetic all-matching observation walks the
-/// lane's own zone-aligned prune units, so the rebuilt metadata is
-/// exactly what a full scan would have observed — no query traffic is
-/// needed to re-tighten bounds after compaction.
-fn rebuilt_lane<T: DataValue>(data: &[T], config: &AdaptiveConfig) -> AdaptiveZonemap<T> {
-    let mut lane = AdaptiveZonemap::new(data.len(), config.clone());
-    let Some(&first) = data.first() else {
-        return lane;
-    };
-    let (lo, hi) = data.iter().fold((first, first), |(lo, hi), &v| {
-        (lo.min_total(v), hi.max_total(v))
-    });
-    let predicate = RangePredicate::between(lo, hi);
-    let outcome = SkippingIndex::prune(&mut lane, &predicate);
-    let ranges = outcome
-        .units()
-        .iter()
-        .map(|unit| {
-            // live: freshly compacted shard — every tombstone dropped.
-            let (q, mn, mx) =
-                ads_storage::scan::count_in_range_with_minmax(&data[unit.start..unit.end], lo, hi);
-            RangeObservation::new(*unit, q, mn, mx)
-        })
-        .collect();
-    lane.observe(&ScanObservation { predicate, ranges });
-    lane
-}
-
-/// The column's tombstoned fraction in parts per million.
-fn tombstone_ppm(deletes: &[DeleteVector]) -> u64 {
-    let total: usize = deletes.iter().map(DeleteVector::len).sum();
-    let dead: usize = deletes.iter().map(DeleteVector::deleted_count).sum();
-    if total == 0 {
-        0
-    } else {
-        (dead as u64).saturating_mul(1_000_000) / total as u64
     }
 }

@@ -1,12 +1,16 @@
 //! The service's observability surface.
 //!
-//! Counters are plain relaxed atomics bumped from the hot paths; latency
-//! samples go into per-worker [`LatencyHistogram`] shards so readers never
-//! contend on one histogram lock. [`StatsCollector::snapshot`] folds
-//! everything into an immutable [`ServerStats`] for reporting.
+//! What many threads count — queries, sheds, the queued/applied pairs
+//! behind the two lag gauges — is a relaxed atomic bumped from the hot
+//! paths; latency samples go into per-worker [`LatencyHistogram`] shards
+//! so readers never contend on one histogram lock. What only the thread
+//! holding the [`crate::Owner`] counts is one plain [`OwnerTotals`] value
+//! the owner keeps. [`StatsCollector::snapshot`] folds both into an
+//! immutable [`ServerStats`] for reporting.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
+use ads_core::adaptive::{ReorgStats, TierStats};
 use ads_engine::LatencyHistogram;
 use std::time::Duration;
 
@@ -25,50 +29,12 @@ pub struct StatsCollector {
     feedback_queued: AtomicU64,
     /// Observations the maintenance thread has applied.
     feedback_applied: AtomicU64,
-    /// Publication rounds that republished at least one shard (the
-    /// initial snapshots are not counted).
-    snapshots_published: AtomicU64,
-    /// Individual shard lanes republished across all rounds.
-    shards_republished: AtomicU64,
-    /// Zonemap metadata bytes actually cloned for republished lanes.
-    republish_bytes: AtomicU64,
-    /// Counterfactual bytes a whole-map (every lane, every round)
-    /// publication scheme would have cloned over the same rounds.
-    whole_map_bytes: AtomicU64,
-    /// Append batches applied.
-    appends: AtomicU64,
     /// Individual mutations (deletes + updates) accepted into the
     /// maintenance channel, whether or not they end up taking effect.
     mutations_queued: AtomicU64,
     /// Individual mutations the maintenance thread has processed (every
     /// entry of every processed batch, no-ops included).
     mutations_processed: AtomicU64,
-    /// Individual mutations that took effect (deleting a dead row or
-    /// updating a dead row is a no-op and is not counted).
-    mutations_applied: AtomicU64,
-    /// Mutation batches processed.
-    mutation_batches: AtomicU64,
-    /// Shards densely repacked by compaction.
-    compactions_run: AtomicU64,
-    /// Tombstoned rows physically reclaimed by compaction.
-    rows_reclaimed: AtomicU64,
-    /// Gauge: current tombstoned fraction of the column, in parts per
-    /// million (stored, not accumulated).
-    tombstone_ppm: AtomicU64,
-    /// Zones promoted to the reorganized layout by maintenance.
-    zones_promoted: AtomicU64,
-    /// Reorganized zones demoted back to the flat layout.
-    zones_demoted: AtomicU64,
-    /// Value+rowid bytes moved by reorganization (sorts and cracks).
-    reorg_bytes_moved: AtomicU64,
-    /// Wall time spent inside reorganization passes.
-    reorg_ns: AtomicU64,
-    /// Metadata tiers (bloom sketches + imprints) built by maintenance.
-    tiers_built: AtomicU64,
-    /// Metadata tiers dropped by the feedback policy.
-    tiers_dropped: AtomicU64,
-    /// Tier consultations that excluded rows the zone bounds could not.
-    tier_skips: AtomicU64,
     /// Rows the scans touched.
     rows_scanned: AtomicU64,
     /// The scanned rows that also paid for metadata construction.
@@ -88,25 +54,8 @@ impl StatsCollector {
             feedback_dropped: AtomicU64::new(0),
             feedback_queued: AtomicU64::new(0),
             feedback_applied: AtomicU64::new(0),
-            snapshots_published: AtomicU64::new(0),
-            shards_republished: AtomicU64::new(0),
-            republish_bytes: AtomicU64::new(0),
-            whole_map_bytes: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
             mutations_queued: AtomicU64::new(0),
             mutations_processed: AtomicU64::new(0),
-            mutations_applied: AtomicU64::new(0),
-            mutation_batches: AtomicU64::new(0),
-            compactions_run: AtomicU64::new(0),
-            rows_reclaimed: AtomicU64::new(0),
-            tombstone_ppm: AtomicU64::new(0),
-            zones_promoted: AtomicU64::new(0),
-            zones_demoted: AtomicU64::new(0),
-            reorg_bytes_moved: AtomicU64::new(0),
-            reorg_ns: AtomicU64::new(0),
-            tiers_built: AtomicU64::new(0),
-            tiers_dropped: AtomicU64::new(0),
-            tier_skips: AtomicU64::new(0),
             rows_scanned: AtomicU64::new(0),
             rows_with_byproducts: AtomicU64::new(0),
             latency_shards: (0..workers.max(1))
@@ -167,90 +116,22 @@ impl StatsCollector {
         self.feedback_applied.fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_snapshot_published(&self) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.snapshots_published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shards_republished(&self, n: u64) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.shards_republished.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_republish_bytes(&self, bytes: u64) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.republish_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_whole_map_bytes(&self, bytes: u64) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.whole_map_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_append(&self) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.appends.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_mutations_queued(&self, n: u64) {
         // ordering: Relaxed — monotone counter; see record_query.
         self.mutations_queued.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one processed mutation batch of `processed` entries, of
-    /// which `applied` took effect.
-    pub(crate) fn record_mutation_batch(&self, processed: u64, applied: u64) {
+    /// Records `n` mutations as processed: every entry of a processed
+    /// batch, no-ops included.
+    pub(crate) fn record_mutations_processed(&self, n: u64) {
         // ordering: Relaxed — monotone counter; see record_query.
-        self.mutation_batches.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.mutations_processed
-            .fetch_add(processed, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.mutations_applied.fetch_add(applied, Ordering::Relaxed);
+        self.mutations_processed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one shard compaction that reclaimed `reclaimed` rows.
-    pub(crate) fn record_compaction(&self, reclaimed: u64) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.compactions_run.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.rows_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-    }
-
-    /// Stores the current tombstone gauge (parts per million of rows).
-    pub(crate) fn set_tombstone_ppm(&self, ppm: u64) {
-        // ordering: Relaxed — last-writer-wins gauge read only by the
-        // stats snapshot; no other memory is published through it.
-        self.tombstone_ppm.store(ppm, Ordering::Relaxed);
-    }
-
-    /// Records one reorganization pass's deltas (no-op rounds pass zeros).
-    pub(crate) fn record_reorg(&self, promoted: u64, demoted: u64, bytes_moved: u64, ns: u64) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.zones_promoted.fetch_add(promoted, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.zones_demoted.fetch_add(demoted, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.reorg_bytes_moved
-            .fetch_add(bytes_moved, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.reorg_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Records one tier maintenance pass's deltas plus the tier skips
-    /// observed since the previous pass (no-op rounds pass zeros).
-    pub(crate) fn record_tiers(&self, built: u64, dropped: u64, skips: u64) {
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.tiers_built.fetch_add(built, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.tiers_dropped.fetch_add(dropped, Ordering::Relaxed);
-        // ordering: Relaxed — monotone counter; see record_query.
-        self.tier_skips.fetch_add(skips, Ordering::Relaxed);
-    }
-
-    /// Folds the counters and shards into one immutable report.
-    /// `queue_depth` is sampled by the caller (the service knows its queue).
-    pub fn snapshot(&self, queue_depth: usize) -> ServerStats {
+    /// Folds the counters, the shards and the owner's totals into one
+    /// immutable report. `queue_depth` and `owner` are sampled by the
+    /// caller (the service knows its queue and where its owner lives).
+    pub fn snapshot(&self, queue_depth: usize, owner: OwnerTotals) -> ServerStats {
         let mut latency = LatencyHistogram::new();
         for shard in &self.latency_shards {
             // invariant: see record_query — shard locks never poison.
@@ -283,41 +164,25 @@ impl StatsCollector {
             feedback_dropped: self.feedback_dropped.load(Ordering::Relaxed),
             feedback_applied,
             adaptation_lag: feedback_queued.saturating_sub(feedback_applied),
-            // ordering: Relaxed — see the struct-literal comment above.
-            snapshots_published: self.snapshots_published.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            shards_republished: self.shards_republished.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            republish_bytes: self.republish_bytes.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            whole_map_bytes: self.whole_map_bytes.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            appends: self.appends.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            mutation_batches: self.mutation_batches.load(Ordering::Relaxed),
+            feedback_stale: owner.feedback_stale,
+            snapshots_published: owner.snapshots_published,
+            shards_republished: owner.shards_republished,
+            republish_bytes: owner.republish_bytes,
+            whole_map_bytes: owner.whole_map_bytes,
+            appends: owner.appends,
+            mutations_applied: owner.mutations_applied,
+            mutation_batches: owner.mutation_batches,
             deltas_pending: mutations_queued.saturating_sub(mutations_processed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            compactions_run: self.compactions_run.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            rows_reclaimed: self.rows_reclaimed.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            tombstone_ppm: self.tombstone_ppm.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            zones_promoted: self.zones_promoted.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            zones_demoted: self.zones_demoted.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            reorg_bytes_moved: self.reorg_bytes_moved.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            reorg_ns: self.reorg_ns.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            tiers_built: self.tiers_built.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            tiers_dropped: self.tiers_dropped.load(Ordering::Relaxed),
-            // ordering: Relaxed — see the struct-literal comment above.
-            tier_skips: self.tier_skips.load(Ordering::Relaxed),
+            compactions_run: owner.compactions_run,
+            rows_reclaimed: owner.rows_reclaimed,
+            tombstone_ppm: owner.tombstone_ppm,
+            zones_promoted: owner.reorg.zones_promoted,
+            zones_demoted: owner.reorg.zones_demoted,
+            reorg_bytes_moved: owner.reorg.bytes_moved,
+            reorg_ns: owner.reorg.reorg_ns,
+            tiers_built: owner.tiers.tiers_built(),
+            tiers_dropped: owner.tiers.tiers_dropped,
+            tier_skips: owner.tiers.tier_skips,
             // ordering: Relaxed — see the struct-literal comment above.
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             // ordering: Relaxed — see the struct-literal comment above.
@@ -326,6 +191,42 @@ impl StatsCollector {
             latency,
         }
     }
+}
+
+/// Lifetime totals of the owner side: what only the thread holding the
+/// [`crate::Owner`] counts, so a plain value rather than atomics. The
+/// owner assembles it ([`crate::Owner::totals`]); the maintenance thread
+/// stores a copy once per round, before the round's acks, and inline mode
+/// reads it under the owner's lock. Field for field the [`ServerStats`]
+/// values of the same names, the lanes' own counter blocks kept whole.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OwnerTotals {
+    /// Lane observations dropped as stale.
+    pub feedback_stale: u64,
+    /// Publication rounds that republished at least one shard.
+    pub snapshots_published: u64,
+    /// Shard lanes republished across all rounds.
+    pub shards_republished: u64,
+    /// Zonemap metadata bytes cloned for republished lanes.
+    pub republish_bytes: u64,
+    /// Bytes a whole-map publication scheme would have cloned.
+    pub whole_map_bytes: u64,
+    /// Append batches applied.
+    pub appends: u64,
+    /// Mutations that took effect.
+    pub mutations_applied: u64,
+    /// Mutation batches processed.
+    pub mutation_batches: u64,
+    /// Shards densely repacked by compaction.
+    pub compactions_run: u64,
+    /// Tombstoned rows reclaimed by compaction.
+    pub rows_reclaimed: u64,
+    /// Gauge: tombstoned fraction of the column, parts per million.
+    pub tombstone_ppm: u64,
+    /// Reorganization counters, summed over every lane that ever lived.
+    pub reorg: ReorgStats,
+    /// Tier counters, summed over every lane that ever lived.
+    pub tiers: TierStats,
 }
 
 /// A point-in-time view of the service's health.
@@ -345,6 +246,11 @@ pub struct ServerStats {
     /// Observations queued but not yet applied — how far adaptation lags
     /// behind execution right now.
     pub adaptation_lag: u64,
+    /// Lane observations the owner dropped unapplied because the reader
+    /// scanned a data version older than the lane's last rebuild
+    /// (compaction replaced the lane in between): the old rows' bounds
+    /// and mask bits say nothing about the repacked rows.
+    pub feedback_stale: u64,
     /// Publication rounds that republished at least one shard since start
     /// (initial snapshots excluded).
     pub snapshots_published: u64,
@@ -429,8 +335,8 @@ impl ServerStats {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "queries={} shed={} deadline_missed={} feedback_applied={} lag={} \
-             snapshots={} shards_republished={} republish_bytes={} appends={} \
+            "queries={} shed={} deadline_missed={} feedback_applied={} \
+             feedback_stale={} lag={} snapshots={} shards_republished={} republish_bytes={} appends={} \
              mutations_applied={} deltas_pending={} compactions={} \
              rows_reclaimed={} tombstone_ppm={} \
              reorg_promoted={} reorg_demoted={} reorg_bytes_moved={} \
@@ -441,6 +347,7 @@ impl ServerStats {
             self.shed,
             self.deadline_missed,
             self.feedback_applied,
+            self.feedback_stale,
             self.adaptation_lag,
             self.snapshots_published,
             self.shards_republished,
@@ -482,27 +389,45 @@ mod tests {
         c.record_feedback_queued();
         c.record_feedback_applied(1);
         c.record_feedback_dropped();
-        c.record_snapshot_published();
-        c.record_shards_republished(3);
-        c.record_republish_bytes(1_024);
-        c.record_whole_map_bytes(4_096);
-        c.record_append();
         c.record_mutations_queued(10);
-        c.record_mutation_batch(7, 6);
-        c.record_compaction(4);
-        c.set_tombstone_ppm(2_500);
-        c.record_reorg(2, 1, 512, 9_000);
-        c.record_tiers(3, 1, 8);
+        c.record_mutations_processed(7);
         c.record_scan_rows(4_000, 1_000);
         c.record_scan_rows(4_000, 0);
 
-        let s = c.snapshot(5);
+        let owner = OwnerTotals {
+            feedback_stale: 2,
+            snapshots_published: 1,
+            shards_republished: 3,
+            republish_bytes: 1_024,
+            whole_map_bytes: 4_096,
+            appends: 1,
+            mutations_applied: 6,
+            mutation_batches: 1,
+            compactions_run: 1,
+            rows_reclaimed: 4,
+            tombstone_ppm: 2_500,
+            reorg: ReorgStats {
+                zones_promoted: 2,
+                zones_demoted: 1,
+                bytes_moved: 512,
+                reorg_ns: 9_000,
+            },
+            tiers: TierStats {
+                blooms_built: 2,
+                imprints_built: 1,
+                tiers_dropped: 1,
+                tier_skips: 8,
+                ..TierStats::default()
+            },
+        };
+        let s = c.snapshot(5, owner);
         assert_eq!(s.queries, 3);
         assert_eq!(s.shed, 1);
         assert_eq!(s.deadline_missed, 1);
         assert_eq!(s.feedback_dropped, 1);
         assert_eq!(s.feedback_applied, 1);
         assert_eq!(s.adaptation_lag, 1);
+        assert_eq!(s.feedback_stale, 2);
         assert_eq!(s.snapshots_published, 1);
         assert_eq!(s.shards_republished, 3);
         assert_eq!(s.republish_bytes, 1_024);
@@ -534,10 +459,10 @@ mod tests {
         for _ in 0..100 {
             c.record_query(0, 10);
         }
-        let s = c.snapshot(0);
+        let s = c.snapshot(0, OwnerTotals::default());
         let qps = s.throughput_qps(Duration::from_secs(2));
         assert!((qps - 50.0).abs() < 1e-9);
         assert_eq!(s.throughput_qps(Duration::ZERO), 0.0);
-        assert!(!s.summary().is_empty());
+        assert!(s.summary().contains("feedback_stale=0"));
     }
 }

@@ -10,10 +10,11 @@
 //! `zone_snapshot()`), answer-by-answer, and for the frozen mode's
 //! contract (exact answers, no adaptation at all).
 
-use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, ShardedZonemap};
+use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, ShardedZonemap, TierMode};
 use ads_core::RangePredicate;
 use ads_engine::{execute, execute_reference, execute_sharded, AggKind, ExecPolicy};
-use ads_server::{AdaptationMode, QueryService, Reply, ServerConfig};
+use ads_rng::StdRng;
+use ads_server::{AdaptationMode, Mutation, QueryService, Reply, ServerConfig, ServerStats};
 use ads_storage::ShardedColumn;
 use ads_workloads::{data, queries};
 
@@ -298,5 +299,155 @@ fn reorg_enabled_service_answers_exactly_and_counts_promotions() {
             stats.summary().contains("reorg_promoted="),
             "summary must surface reorg counters"
         );
+    }
+}
+
+/// The totals every owner keeps, whoever holds it, by name; the last two
+/// are gauges, the rest only ever grow. Left out: the publication counters
+/// (inline never publishes) and `reorg_ns` (a wall time).
+fn owner_totals(s: &ServerStats) -> [(&'static str, u64); 14] {
+    [
+        ("feedback_stale", s.feedback_stale),
+        ("appends", s.appends),
+        ("mutations_applied", s.mutations_applied),
+        ("mutation_batches", s.mutation_batches),
+        ("compactions_run", s.compactions_run),
+        ("rows_reclaimed", s.rows_reclaimed),
+        ("zones_promoted", s.zones_promoted),
+        ("zones_demoted", s.zones_demoted),
+        ("reorg_bytes_moved", s.reorg_bytes_moved),
+        ("tiers_built", s.tiers_built),
+        ("tiers_dropped", s.tiers_dropped),
+        ("tier_skips", s.tier_skips),
+        ("deltas_pending", s.deltas_pending),
+        ("tombstone_ppm", s.tombstone_ppm),
+    ]
+}
+
+#[test]
+fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
+    // One owner, three ways to hold it. Serialized — one reader, a flush
+    // after every operation — the maintenance thread's owner must step
+    // through the states the inline owner does, whatever the operation:
+    // queries, appends, delete and update batches, explicit compactions,
+    // and (second pass) compactions the tombstone ratio triggers by
+    // itself; a frozen service, whose owner hears no feedback, must give
+    // the same answers. Reorganization and tiers are on so that the lanes
+    // compaction retires have counters to lose: no total may ever go
+    // backwards, in any mode. Revival is off because the maintenance
+    // thread runs the next query's revival check before it publishes and
+    // the inline service cannot be asked for the same.
+    const SHARDS: usize = 2;
+    const STEPS: usize = 260;
+    let column = data::clustered(ROWS, 80, 0.05, DOMAIN, 42);
+    let adaptive = AdaptiveConfig {
+        revival_base_queries: None,
+        maintenance_every: 1,
+        enable_reorg: true,
+        reorg_after_scans: 2,
+        tier_mode: TierMode::Adaptive,
+        tier_after_scans: 2,
+        ..AdaptiveConfig::default()
+    };
+
+    for ratio in [None, Some(0.002)] {
+        let services = [
+            AdaptationMode::Inline,
+            AdaptationMode::Async,
+            AdaptationMode::Frozen,
+        ]
+        .map(|mode| {
+            QueryService::start(
+                column.clone(),
+                ServerConfig {
+                    shards: SHARDS,
+                    adaptive: adaptive.clone(),
+                    compact_tombstone_ratio: ratio,
+                    ..config(mode)
+                },
+            )
+        });
+        let mut rng = StdRng::seed_from_u64(2016);
+        // Physical rows (what a rowid may address) and live rows.
+        let (mut rows, mut live) = (ROWS, ROWS);
+        let mut unasked = false;
+        let mut before = services.each_ref().map(|svc| svc.stats());
+
+        for step in 0..STEPS {
+            let kind = rng.gen_range(0..20u32);
+            let lo = rng.gen_range(0..DOMAIN);
+            let pred = RangePredicate::between(lo, lo + DOMAIN / 25);
+            let batch: Vec<usize> = (0..48).map(|_| rng.gen_range(0..rows)).collect();
+            let after = services.each_ref().map(|svc| {
+                // The answer of a query, or the count a mutation batch or
+                // compaction was acknowledged with.
+                let outcome = match kind {
+                    0..=11 => {
+                        let agg = [AggKind::Count, AggKind::Sum, AggKind::Positions][step % 3];
+                        let reply = svc.query(pred, agg).expect("admitted");
+                        (reply.answer().cloned(), 0)
+                    }
+                    12 | 13 => {
+                        svc.append(batch.iter().map(|&r| r as i64 % DOMAIN).collect());
+                        (None, 0)
+                    }
+                    14..=16 => {
+                        let deletes = batch.iter().map(|&r| Mutation::Delete(r)).collect();
+                        (None, svc.mutate(deletes).expect("acknowledged"))
+                    }
+                    17 | 18 => {
+                        let updates = batch[..8].iter().map(|&r| Mutation::Update(r, lo));
+                        (None, svc.mutate(updates.collect()).expect("acknowledged"))
+                    }
+                    _ => (None, svc.compact().expect("acknowledged")),
+                };
+                svc.flush();
+                (outcome, svc.zone_snapshot(), svc.stats())
+            });
+            let at = format!("step {step} (kind {kind})");
+            let [inline, served, frozen] = &after;
+            assert_eq!(served.0, inline.0, "{at}: async outcome");
+            assert_eq!(frozen.0, inline.0, "{at}: frozen outcome");
+            assert_eq!(served.1, inline.1, "{at}: zones");
+            assert_eq!(
+                owner_totals(&served.2),
+                owner_totals(&inline.2),
+                "{at}: totals"
+            );
+            for (now, was) in after.iter().zip(&before) {
+                let (now, was) = (owner_totals(&now.2), owner_totals(was));
+                let counters = now.len() - 2; // the two gauges come last
+                for ((name, now), (_, was)) in now.iter().zip(was).take(counters) {
+                    assert!(*now >= was, "{at}: {name} went from {was} to {now}");
+                }
+            }
+
+            // Follow the column's size so the next batch addresses it.
+            let (_, acknowledged) = inline.0;
+            match kind {
+                12 | 13 => (rows, live) = (rows + batch.len(), live + batch.len()),
+                14..=16 => live -= acknowledged,
+                17 | 18 => rows += acknowledged,
+                _ => {}
+            }
+            let reclaimed = inline.2.rows_reclaimed - before[0].rows_reclaimed;
+            unasked |= reclaimed > 0 && kind < 19;
+            rows -= reclaimed as usize;
+            before = after.map(|(_, _, stats)| stats);
+        }
+
+        let [inline, ..] = &before;
+        assert!(inline.compactions_run > 0, "the stream never compacted");
+        assert_eq!(unasked, ratio.is_some(), "automatic compaction");
+        assert!(
+            inline.zones_promoted > 0 && inline.tiers_built > 0 && inline.tier_skips > 0,
+            "nothing for a compaction to lose: {}",
+            inline.summary()
+        );
+        for svc in &services {
+            let everything = RangePredicate::between(0, DOMAIN);
+            let reply = svc.query(everything, AggKind::Count).expect("admitted");
+            assert_eq!(reply.answer().expect("no deadline").count, live as u64);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Model-checked protocol suites: the concurrency protocols of the
 //! server — snapshot publish/read, lane isolation, queue admission,
-//! shutdown drain, stats, reorg publication, and mutation
-//! (delta-publication and compaction) — exhaustively verified at small
-//! scale by `ads-check`.
+//! shutdown drain, stats, reorg publication, mutation
+//! (delta-publication and compaction), and lane identity across a
+//! compaction — exhaustively verified at small scale by `ads-check`.
 //!
 //! Built only under `--features check`, which swaps every primitive the
 //! server imports through `src/sync.rs` for the recording shims — these
@@ -25,7 +25,10 @@ use ads_check::{model, try_model, Config};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierMode};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_engine::{scan_sharded, AggKind, ExecPolicy, ShardScanInput};
-use ads_server::{Bounded, PushError, ShardSnapshot, ShardedCell, SnapshotCell, StatsCollector};
+use ads_server::{
+    Bounded, Mutation, Owner, OwnerTotals, PushError, ShardSnapshot, ShardedCell, SnapshotCell,
+    StatsCollector,
+};
 use ads_storage::{DeleteVector, SharedColumn};
 
 // ------------------------------------------------- SnapshotCell publish/read
@@ -294,7 +297,7 @@ fn stats_adaptation_lag_never_negative() {
         let worker = thread::spawn(move || s1.record_feedback_queued());
         let s2 = Arc::clone(&stats);
         let maint = thread::spawn(move || s2.record_feedback_applied(1));
-        let snap = stats.snapshot(0);
+        let snap = stats.snapshot(0, OwnerTotals::default());
         assert!(
             snap.adaptation_lag <= 1,
             "lag wrapped: {} (queued/applied cut raced)",
@@ -302,7 +305,7 @@ fn stats_adaptation_lag_never_negative() {
         );
         worker.join().unwrap();
         maint.join().unwrap();
-        let final_snap = stats.snapshot(0);
+        let final_snap = stats.snapshot(0, OwnerTotals::default());
         assert_eq!(final_snap.adaptation_lag, 0);
         assert_eq!(final_snap.feedback_applied, 1);
     });
@@ -893,4 +896,71 @@ fn compaction_cannot_invalidate_a_held_snapshot() {
         // content.
         assert_eq!(fresh.data.as_slice(), live.as_slice());
     });
+}
+
+// ------------------------------------------- Lane identity across compaction
+
+/// The production [`Owner`] deletes row 0 of six, compacts — the rebuilt
+/// lane cuts its two-row zones where the old one did, over rows that all
+/// moved down by one — and publishes; only then does it apply what the
+/// reader reports. The reader scans whichever publication it happens to
+/// hold and sends the data version it scanned beside its observation.
+/// Under every interleaving the late feedback leaves no zone excluding a
+/// row it holds, and every point lookup on the final publication is
+/// exact: the owner hears a reader of the rebuilt lane and refuses one of
+/// the lane it replaced.
+#[test]
+fn late_feedback_across_compaction_never_teaches_the_rebuilt_lane() {
+    let explored = model(|| {
+        let config = AdaptiveConfig {
+            target_zone_rows: 2,
+            min_zone_rows: 2,
+            max_zone_rows: 2,
+            enable_split: false,
+            ..AdaptiveConfig::default()
+        };
+        let all = RangePredicate::between(10, 15);
+        let mut owner = Owner::new((10..16).collect(), 1, config);
+        let publish = |owner: &Owner<i64>, version: u64| {
+            owner.snapshot(0, Arc::new(owner.deletes(0).clone()), version)
+        };
+        let cell = Arc::new(ShardedCell::new(vec![publish(&owner, 0)]));
+        let feedback = Arc::new(Bounded::new(1));
+
+        let (c2, f2) = (Arc::clone(&cell), Arc::clone(&feedback));
+        let maintenance = thread::spawn(move || {
+            assert_eq!(owner.mutate(&[Mutation::Delete(0)]), 1);
+            assert_eq!(owner.compact(None), 1);
+            c2.publish_shard(0, publish(&owner, 1));
+
+            let report: (u64, ScanObservation<i64>) = f2.pop().expect("reader always reports");
+            let stale = report.0 == 0;
+            owner.feedback(&[report]);
+            assert_bounds_cover_rows(owner.lane(0), &[11, 12, 13, 14, 15], "after late feedback");
+            assert_eq!(owner.totals().feedback_stale, u64::from(stale));
+            c2.publish_shard(0, publish(&owner, 2));
+        });
+
+        let mut cache = cell.cache();
+        cache.refresh(&cell);
+        let held = std::sync::Arc::clone(cache.lanes()[0].current());
+        let outcome = held.zonemap.prune_shared(&all);
+        let (count, obs) = scan_as_asked(held.data.as_slice(), &outcome, all);
+        assert_eq!(count, if held.version == 0 { 6 } else { 5 });
+        feedback
+            .try_push((held.data.version(), obs))
+            .expect("capacity for the one report");
+
+        maintenance.join().unwrap();
+        cache.refresh(&cell);
+        let fin = cache.lanes()[0].current();
+        assert_eq!(fin.version, 2);
+        for v in 10..16 {
+            let point = RangePredicate::point(v);
+            let outcome = fin.zonemap.prune_shared(&point);
+            let (count, _) = scan_as_asked(fin.data.as_slice(), &outcome, point);
+            assert_eq!(count, u64::from(v != 10), "point lookup for {v}");
+        }
+    });
+    assert!(explored.executions > 1, "explored {explored:?}");
 }

@@ -292,3 +292,62 @@ fn burst_overload_sheds_explicitly_and_loses_nothing() {
     assert_eq!(stats.shed, shed);
     assert_eq!(answered + shed, 500 * iters() as u64);
 }
+
+#[test]
+fn feedback_racing_a_compaction_never_costs_an_answer() {
+    // A reader that pruned the pre-compaction snapshot reports after the
+    // maintenance thread has repacked the shard and rebuilt its lane. The
+    // rebuilt lane cuts its zones where the old one did, over rows that
+    // all moved down by one, so the late observation aligns — and, were
+    // it applied, would stamp zone k with the bounds of the rows that
+    // used to be there, excluding the value 4096·k its last row now
+    // holds. Each attempt lets the reader get a little further into its
+    // scan before the compaction lands.
+    let rows: usize = if cfg!(debug_assertions) {
+        400_000
+    } else {
+        2_000_000
+    };
+    let mut stale = 0;
+    for attempt in 0..12 {
+        let svc = QueryService::start(
+            (0..rows as i64).collect(),
+            ServerConfig {
+                readers: 1,
+                adaptation: AdaptationMode::Async,
+                ..ServerConfig::default()
+            },
+        );
+        assert_eq!(svc.delete(0), Ok(1));
+        let all = RangePredicate::between(0, rows as i64);
+        let racing = svc
+            .submit(Request::new(all, AggKind::Positions))
+            .expect("admitted");
+        std::thread::sleep(Duration::from_micros(150 * attempt));
+        assert_eq!(svc.compact(), Ok(1));
+        let reply = racing.wait();
+        let answer = reply.answer().expect("no deadline set");
+        assert_eq!(answer.count, rows as u64 - 1, "attempt {attempt}");
+        svc.flush();
+
+        let wrong: Vec<i64> = (1..rows as i64 / 4096)
+            .map(|k| 4096 * k)
+            .filter(|&v| {
+                let reply = svc
+                    .query(RangePredicate::point(v), AggKind::Count)
+                    .expect("admitted");
+                reply.answer().expect("no deadline set").count != 1
+            })
+            .collect();
+        assert!(
+            wrong.is_empty(),
+            "attempt {attempt}: {} point lookups lost their row, first {:?}",
+            wrong.len(),
+            wrong.first()
+        );
+        stale += svc.shutdown().feedback_stale;
+    }
+    // Not every attempt has to lose the race, but a run in which none did
+    // tested nothing.
+    assert!(stale > 0, "no attempt raced the compaction");
+}
