@@ -18,7 +18,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <e1..e21|all|calibrate>... [--rows N] [--queries N] [--domain N] [--seed N] [--quick] [--out DIR] [--no-csv]"
+        "usage: harness <e1..e22|all|calibrate>... [--rows N] [--queries N] [--domain N] [--seed N] [--quick] [--out DIR] [--no-csv]"
     );
     std::process::exit(2)
 }

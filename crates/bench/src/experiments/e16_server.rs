@@ -16,7 +16,7 @@
 //! so the speedups reported here are for bit-identical work.
 
 use crate::report::{fmt_kqps, fmt_us, Report};
-use crate::runner::{closed_loop, cross_check, host_cores, Scale};
+use crate::runner::{client_streams, closed_loop, cross_check, host_cores, Scale};
 use ads_server::{AdaptationMode, QueryService, ServerConfig, ServerStats};
 use ads_workloads::DataSpec;
 
@@ -65,7 +65,7 @@ fn grid(scale: Scale) -> Vec<Cell> {
                     ..ServerConfig::default()
                 },
             );
-            let (elapsed_ns, checksums) = closed_loop(&svc, readers, scale);
+            let (elapsed_ns, checksums) = closed_loop(&svc, client_streams(readers, scale));
             let stats = svc.shutdown();
             cross_check(
                 &mut reference,

@@ -18,7 +18,7 @@
 //!   rounds, so the saving is a measured ratio, not an estimate.
 
 use crate::report::{fmt_kqps, fmt_us, Report};
-use crate::runner::{closed_loop, cross_check, host_cores, Scale};
+use crate::runner::{client_streams, closed_loop, cross_check, host_cores, Scale};
 use ads_core::RangePredicate;
 use ads_engine::AggKind;
 use ads_server::{AdaptationMode, QueryService, ServerConfig, ServerStats};
@@ -77,7 +77,7 @@ fn run_cell(
     svc.flush();
     let warm = svc.stats();
 
-    let (elapsed_ns, checksums) = closed_loop(&svc, readers, scale);
+    let (elapsed_ns, checksums) = closed_loop(&svc, client_streams(readers, scale));
     let lag_at_end = svc.stats().adaptation_lag;
     let fin = svc.shutdown();
     assert_eq!(fin.queries - warm.queries, (readers * scale.queries) as u64);

@@ -22,6 +22,7 @@ pub mod e18_plans;
 pub mod e19_reorg;
 pub mod e20_mutations;
 pub mod e21_sketches;
+pub mod e22_stationarity;
 
 use crate::report::Report;
 use crate::runner::Scale;
@@ -29,7 +30,7 @@ use crate::runner::Scale;
 /// Experiment ids in execution order.
 pub const ALL: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21",
+    "e16", "e17", "e18", "e19", "e20", "e21", "e22",
 ];
 
 /// Runs one experiment by id.
@@ -56,6 +57,7 @@ pub fn run(id: &str, scale: Scale) -> Option<Report> {
         "e19" => Some(e19_reorg::run(scale)),
         "e20" => Some(e20_mutations::run(scale)),
         "e21" => Some(e21_sketches::run(scale)),
+        "e22" => Some(e22_stationarity::run(scale)),
         _ => None,
     }
 }

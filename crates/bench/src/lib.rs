@@ -1,7 +1,7 @@
 //! # ads-bench — the experiment harness
 //!
 //! Two front doors. `harness` runs the reconstructed evaluation, one
-//! module per table/figure (E1–E21 in DESIGN.md), each building one
+//! module per table/figure (E1–E22 in DESIGN.md), each building one
 //! [`Report`] that prints as a markdown table and saves as CSV.
 //! `kernels_json` is the gated kernel benchmark ([`kernels`]). Run with:
 //!

@@ -1,6 +1,6 @@
 //! Common experiment machinery: replay one query workload against one
 //! strategy and collect everything the reports need (E1–E15), the
-//! closed-loop client driver of the service experiments (E16, E17), the
+//! closed-loop client driver of the service experiments (E16, E17, E22), the
 //! engine's inline loop over one zonemap (E19, E21), and the checksum
 //! cross-check every grid uses to prove its cells did identical work.
 
@@ -145,25 +145,37 @@ pub(crate) fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The closed-loop client driver: `clients` threads, each submitting its
-/// own stream of `scale.queries` COUNT queries (5 % of the value domain)
-/// back-to-back through [`QueryService::query`]. A client's stream
-/// depends only on its index, so the same client asks the same questions
-/// of every service configuration. Returns the wall time of the loop and
-/// the per-client answer checksums.
-pub(crate) fn closed_loop(
-    svc: &QueryService<i64>,
-    clients: usize,
-    scale: Scale,
-) -> (u64, Vec<u64>) {
+/// The query streams of E16/E17's closed-loop clients: `scale.queries`
+/// ranges (5 % of the value domain) each. A client's stream depends only
+/// on its index, so the same client asks the same questions of every
+/// service configuration.
+pub(crate) fn client_streams(clients: usize, scale: Scale) -> Vec<Vec<RangeQuery>> {
+    (0..clients)
+        .map(|client| {
+            let seed = scale.seed ^ (client as u64).wrapping_mul(0x9E37_79B9);
+            queries::uniform_ranges(scale.queries, scale.domain, 0.05, seed)
+        })
+        .collect()
+}
+
+/// The closed-loop client driver: one thread per stream, each submitting
+/// its queries as COUNTs back-to-back through [`QueryService::query`]. A
+/// stream is pulled one query at a time from its client's thread, so it
+/// may be a fixed list (E16, E17) or decide from the clock when to end
+/// (E22). Returns the wall time of the loop and the per-client answer
+/// checksums.
+pub(crate) fn closed_loop<I>(svc: &QueryService<i64>, streams: Vec<I>) -> (u64, Vec<u64>)
+where
+    I: IntoIterator<Item = RangeQuery> + Send,
+{
     let t0 = Instant::now();
     let checksums = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
+        let handles: Vec<_> = streams
+            .into_iter()
+            .map(|stream| {
                 scope.spawn(move || {
-                    let seed = scale.seed ^ (client as u64).wrapping_mul(0x9E37_79B9);
                     let mut checksum = 0u64;
-                    for q in queries::uniform_ranges(scale.queries, scale.domain, 0.05, seed) {
+                    for q in stream {
                         let pred = RangePredicate::between(q.lo, q.hi);
                         let reply = svc.query(pred, AggKind::Count).expect("closed loop");
                         checksum =

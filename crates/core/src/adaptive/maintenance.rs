@@ -32,14 +32,16 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         // Adjacent dead regions always coalesce: a single entry per dead
         // extent is what makes bypassing them effectively free.
         self.coalesce_dead();
-        // Every pass above may renumber or retire zones; one rebuild
-        // restores the SoA prune plane's mirroring invariant.
-        self.plane.rebuild(&self.zones);
         // epoch: one conditional bump covers all structural passes — the
         // trace-event/zone-count diff is true exactly when a pass changed
         // anything reader-visible; a no-op maintenance tick must NOT bump,
-        // or every tick would force a full lane republication.
+        // or every tick would force a full lane republication. Nor does
+        // it rewrite the plane: the passes above only read on such a
+        // tick, and the flush left the deferred counters at zero.
         if self.trace.total_events() != events_before || self.zones.len() != zones_before {
+            // The passes may have renumbered or retired zones; one rebuild
+            // restores the SoA prune plane's mirroring invariant.
+            self.plane.rebuild(&self.zones);
             self.mutation_epoch += 1;
         }
     }
@@ -60,6 +62,15 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 && z.stats.probes >= cfg.merge_after_probes
                 && z.stats.skip_rate() <= cfg.merge_max_skip_rate
         };
+
+        // The first merge of a pass joins two zones as they stand now, so
+        // a pass with no mergeable adjacent pair changes nothing — the
+        // usual tick, which then moves no zone record at all.
+        if !self.zones.windows(2).any(|w| {
+            mergeable(&w[0]) && mergeable(&w[1]) && w[0].len() + w[1].len() <= cfg.max_zone_rows
+        }) {
+            return;
+        }
 
         let mut merged: Vec<AdaptiveZone<T>> = Vec::with_capacity(self.zones.len());
         let mut events: Vec<(RowRange, usize)> = Vec::new();

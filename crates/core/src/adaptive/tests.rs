@@ -234,6 +234,98 @@ fn split_reduces_scanned_rows_for_outlier_queries() {
     );
 }
 
+/// Uniform point values over `0..domain`, a fixed multiplicative walk.
+fn uniform_points(domain: u64, n: usize) -> impl Iterator<Item = i64> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..n).map(move |_| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((x >> 33) % domain) as i64
+    })
+}
+
+#[test]
+fn uniform_points_on_sorted_data_stop_splitting_once_probes_outweigh_skips() {
+    // Every point lookup on ordered data is a "low yield" scan of the one
+    // zone holding the value, so wasted-scan counting alone refines every
+    // zone to the floor (489 zones -> 15 k) and each query then walks all
+    // of them to keep one. The cost gate prices that walk: a child of a
+    // zone 1 query in 489 lands on would save 1024 rows / 489 per query
+    // and cost every query a probe worth 8. Only chance clusters of early
+    // hits pass the gate (the rate is a ratio of small counts at first);
+    // the true rate sits 4x under break-even, so that dies out within a
+    // dozen scans per zone.
+    let n = 1_000_000usize;
+    let data: Vec<i64> = (0..n as i64).collect();
+    let cfg = AdaptiveConfig {
+        target_zone_rows: 2048,
+        ..AdaptiveConfig::default()
+    };
+    let mut zm = AdaptiveZonemap::new(n, cfg);
+    let initial = zm.num_zones();
+    let mut points = uniform_points(n as u64, 100_000);
+    for v in points.by_ref().take(50_000) {
+        let (count, _) = run_query(&mut zm, &data, RangePredicate::between(v, v));
+        assert_eq!(count, 1);
+    }
+    let halfway = zm.num_zones();
+    for v in points {
+        let (count, _) = run_query(&mut zm, &data, RangePredicate::between(v, v));
+        assert_eq!(count, 1);
+    }
+    assert_eq!(
+        zm.num_zones(),
+        halfway,
+        "zone count still moving after 50k queries"
+    );
+    assert!(
+        halfway <= 4 * initial,
+        "{initial} zones refined to {halfway}"
+    );
+}
+
+#[test]
+fn zone_hit_by_most_queries_for_nothing_still_splits_on_schedule() {
+    // The dual: one misplaced value stretches a zone's bounds over most
+    // of the domain, so most point lookups read all 4096 of its rows for
+    // nothing. Its waste rate is near 1 and every level of its refinement
+    // pays for the probe it adds — the gate must not slow it down.
+    let n = 1_000_000usize;
+    let mut data: Vec<i64> = (0..n as i64).collect();
+    let cfg = AdaptiveConfig::default();
+    let hot = 10 * cfg.target_zone_rows..11 * cfg.target_zone_rows;
+    data[hot.start + 7] = 2 * n as i64;
+    let mut zm = AdaptiveZonemap::new(n, cfg.clone());
+    let in_hot = |zm: &AdaptiveZonemap<i64>| {
+        zm.zone_snapshot()
+            .iter()
+            .filter(|(r, ..)| r.start >= hot.start && r.end <= hot.end)
+            .map(|(r, ..)| r.len())
+            .collect::<Vec<usize>>()
+    };
+    // Values above the hot zone's own: every one of them overlaps its
+    // stretched bounds.
+    let lookups: Vec<i64> = uniform_points((n - hot.end) as u64, 400)
+        .map(|v| v + hot.end as i64)
+        .collect();
+    // Query 1 builds the zone (one wasted scan), query 2 is the second:
+    // `split_after_wasted = 2` is met, and the split happens right there.
+    for &v in &lookups[..2] {
+        run_query(&mut zm, &data, RangePredicate::between(v, v));
+    }
+    assert_eq!(in_hot(&zm), vec![2048, 2048], "first split is late");
+    for &v in &lookups[2..] {
+        let (count, _) = run_query(&mut zm, &data, RangePredicate::between(v, v));
+        assert_eq!(count, 1);
+    }
+    // Each generation doubles the evidence it asks for (2, 4, .. 64 wasted
+    // scans: 126 in all), and the outlier's lineage goes all the way to
+    // the row floor; the halves it sheds on the way tighten to their own
+    // narrow bounds and stay whole.
+    assert_eq!(in_hot(&zm), vec![64, 64, 128, 256, 512, 1024, 2048]);
+}
+
 #[test]
 fn revival_after_backoff_lets_shifted_workload_reclaim_metadata() {
     // Phase 1: values in the first half are random (metadata dies there);

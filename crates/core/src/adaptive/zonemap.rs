@@ -6,7 +6,9 @@
 //! * starts with **unbuilt** zones and materialises `(min, max)` as a
 //!   by-product of scans the queries had to run anyway (lazy build);
 //! * **splits** zones that keep being scanned for little yield, raising
-//!   skipping resolution exactly where the workload lands;
+//!   skipping resolution exactly where the workload lands — and only while
+//!   each child saves more scanning than the probe it adds to every query
+//!   ([`CostModel::split_benefit`]);
 //! * **merges** adjacent zones whose metadata never causes skips, cutting
 //!   the per-query probe bill;
 //! * **deactivates** regions where even maximal zones never skip, restoring
@@ -48,6 +50,16 @@ const TRACE_CAPACITY: usize = 4096;
 /// "wasted" (the zone was read for almost nothing — its metadata was too
 /// coarse to exclude it).
 const SPLIT_LOW_YIELD: f64 = 0.02;
+
+/// Children a split of one `rows`-row zone produces: back to target
+/// granularity in one step for a zone merging or revival left oversized
+/// (at most 8 at a time), never below the row floor, at least 2.
+fn split_parts(rows: usize, config: &AdaptiveConfig) -> usize {
+    (rows / config.target_zone_rows)
+        .clamp(2, 8)
+        .min(rows / config.min_zone_rows.max(1))
+        .max(2)
+}
 
 /// An adaptive zonemap over one column of `len` rows.
 ///
@@ -359,7 +371,9 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             // refinement level must earn the next with proportionally more
             // evidence, so data without positional locality stops
             // splitting after a couple of speculative levels instead of
-            // racing to the floor.
+            // racing to the floor. (There every scan of every zone is
+            // wasted, the waste rate below reads 1.0, and the cost gate
+            // passes — only this evidence of no skips gained says stop.)
             let waste_needed = self
                 .config
                 .split_after_wasted
@@ -372,9 +386,17 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
                 && !zone.is_reorganized()
                 && zone.stats.wasted_scans >= waste_needed
                 && zone.len() >= 2 * self.config.min_zone_rows
-                // Children below the cost model's break-even size could
-                // never repay their own probes.
-                && zone.len() / 2 >= self.cost.min_profitable_zone_rows()
+                // The split must pay for the probes it adds: each child
+                // costs every query one probe, and saves its rows only
+                // for the share of queries that read this zone for
+                // nothing. A zone one point lookup in a thousand lands on
+                // stays whole however many times it was "wasted".
+                && self.cost.split_benefit(
+                    zone.len(),
+                    split_parts(zone.len(), &self.config),
+                    zone.stats
+                        .waste_rate_with_pending(self.plane.pending_skip(idx)),
+                ) >= 0.0
             {
                 split_queue.push(idx);
             }
@@ -1044,10 +1066,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     pub(crate) fn split_zone(&mut self, idx: usize) {
         self.flush_pending_skips();
         let zone = self.zones[idx].clone();
-        let parts = (zone.len() / self.config.target_zone_rows)
-            .clamp(2, 8)
-            .min(zone.len() / self.config.min_zone_rows.max(1))
-            .max(2);
+        let parts = split_parts(zone.len(), &self.config);
         if zone.len() < 2 * self.config.min_zone_rows {
             return;
         }
@@ -1086,6 +1105,9 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         }
         let parts_made = children.len();
         self.zones.splice(idx..=idx, children);
+        // Growing by splice doubles the capacity; a quiet maintenance tick
+        // no longer rewrites the vector, so the slack is returned here.
+        self.zones.shrink_to_fit();
         self.plane.rebuild(&self.zones);
         self.trace.record(
             self.query_seq,

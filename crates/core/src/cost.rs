@@ -4,18 +4,22 @@
 //! saves a zone's worth of scanning. Over data where skips never fire the
 //! probes are pure loss. The model reduces both sides to one unit — "tuple
 //! scan equivalents" — and answers the granularity questions adaptation
-//! needs: how small may a zone be before probing it can never pay off, and
-//! when is a region's metadata a net loss.
+//! needs: how small may a zone be before probing it can never pay off
+//! ([`CostModel::min_profitable_zone_rows`], which sizes the split floor),
+//! and does refining this zone save more scanning than the probes it adds
+//! ([`CostModel::split_benefit`], which gates every split).
 
 /// Relative costs of the two primitive operations.
 ///
 /// ```
 /// use ads_core::CostModel;
 /// let m = CostModel::new(8.0);
-/// // A 4096-row zone skipped 10% of the time clearly pays for its probe:
-/// assert!(m.zone_benefit(4096, 0.1) > 0.0);
-/// // A zone that never skips is pure loss:
-/// assert!(m.zone_benefit(4096, 0.0) < 0.0);
+/// // Halving a 4096-row zone that one query in ten reads for nothing
+/// // saves far more scanning than the probe each half adds:
+/// assert!(m.split_benefit(4096, 2, 0.1) >= 0.0);
+/// // One query in a thousand: the halves' probes cost every query more
+/// // than the rare skipped half saves.
+/// assert!(m.split_benefit(4096, 2, 0.001) < 0.0);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
@@ -98,26 +102,18 @@ impl CostModel {
         self.probe_cost_tuples.ceil() as usize
     }
 
-    /// Expected net benefit, in tuple-scan equivalents, of keeping metadata
-    /// for a zone of `rows` rows that is skipped with probability
-    /// `skip_rate`: `skip_rate * rows - probe_cost`. Negative means the
-    /// metadata is a net loss (candidate for merge or deactivation).
-    pub fn zone_benefit(&self, rows: usize, skip_rate: f64) -> f64 {
-        skip_rate * rows as f64 - self.probe_cost_tuples
-    }
-
-    /// Net benefit of splitting one `rows`-row zone into two halves, given
-    /// the probability `half_skip_rate` that a half can be skipped when the
-    /// whole could not: saves `half_skip_rate * rows/2` scans per query at
-    /// the price of one extra probe per query.
-    pub fn split_benefit(&self, rows: usize, half_skip_rate: f64) -> f64 {
-        half_skip_rate * rows as f64 / 2.0 - self.probe_cost_tuples
-    }
-
-    /// Cost of answering a query that probes `probes` zones and scans
-    /// `scanned_rows` tuples, in tuple-scan equivalents.
-    pub fn query_cost(&self, probes: usize, scanned_rows: usize) -> f64 {
-        probes as f64 * self.probe_cost_tuples + scanned_rows as f64
+    /// Net benefit per query, in tuple-scan equivalents, of each of the
+    /// `parts` children a split of one `rows`-row zone would produce.
+    /// `waste_rate` is the share of the zone's probes that ended in a
+    /// low-yield scan — the queries a finer child could have been skipped
+    /// for, each saving the child's `rows / parts` tuples — and the child
+    /// costs every query one more probe:
+    /// `waste_rate * rows / parts - probe_cost`. A split pays for the
+    /// probes it adds exactly when this is non-negative. Since
+    /// `waste_rate <= 1` and `parts >= 2`, that also implies children of
+    /// at least [`CostModel::min_profitable_zone_rows`] rows.
+    pub fn split_benefit(&self, rows: usize, parts: usize, waste_rate: f64) -> f64 {
+        waste_rate * rows as f64 / parts as f64 - self.probe_cost_tuples
     }
 }
 
@@ -139,29 +135,36 @@ mod tests {
     }
 
     #[test]
-    fn zone_benefit_signs() {
-        let m = CostModel::new(8.0);
-        // 1000-row zone skipped half the time: clearly profitable.
-        assert!(m.zone_benefit(1000, 0.5) > 0.0);
-        // Never skipped: pure loss.
-        assert!(m.zone_benefit(1000, 0.0) < 0.0);
-        // Tiny zone: probe cost dominates even at certain skip.
-        assert!(m.zone_benefit(4, 1.0) < 0.0);
-    }
-
-    #[test]
     fn split_benefit_signs() {
         let m = CostModel::new(8.0);
-        assert!(m.split_benefit(4096, 0.5) > 0.0);
-        assert!(m.split_benefit(4096, 0.0) < 0.0);
-        assert!(m.split_benefit(8, 1.0) < 0.0);
+        assert!(m.split_benefit(4096, 2, 0.5) > 0.0);
+        // Never read for nothing: the children's probes are pure loss.
+        assert!(m.split_benefit(4096, 2, 0.0) < 0.0);
+        // Tiny zone: probe cost dominates even when every probe is wasted.
+        assert!(m.split_benefit(8, 2, 1.0) < 0.0);
     }
 
     #[test]
-    fn query_cost_combines_linearly() {
-        let m = CostModel::new(10.0);
-        assert_eq!(m.query_cost(3, 100), 130.0);
-        assert_eq!(m.query_cost(0, 0), 0.0);
+    fn split_benefit_is_zero_exactly_where_a_child_saves_one_probe() {
+        let m = CostModel::new(8.0);
+        for parts in [2usize, 8] {
+            // 4096 / parts rows per child; the break-even rate is the one
+            // at which a child saves `probe_cost_tuples` rows per query.
+            let rows = 4096;
+            let at = m.probe_cost_tuples * parts as f64 / rows as f64;
+            assert_eq!(m.split_benefit(rows, parts, at), 0.0, "parts {parts}");
+            assert!(m.split_benefit(rows, parts, at * 0.999) < 0.0);
+            assert!(m.split_benefit(rows, parts, at * 1.001) > 0.0);
+            // The same boundary approached through the zone size.
+            let rate = 1.0 / 64.0;
+            let rows_at = (m.probe_cost_tuples * parts as f64 / rate) as usize;
+            assert_eq!(m.split_benefit(rows_at, parts, rate), 0.0);
+            assert!(m.split_benefit(rows_at - 1, parts, rate) < 0.0);
+        }
+        // More parts means smaller children: the same zone and rate can
+        // pay for two probes and not for eight.
+        assert!(m.split_benefit(4096, 2, 0.01) >= 0.0);
+        assert!(m.split_benefit(4096, 8, 0.01) < 0.0);
     }
 
     #[test]

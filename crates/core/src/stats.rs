@@ -48,6 +48,10 @@ impl Ewma {
 }
 
 /// Counters for one zone of an adaptive zonemap.
+///
+/// The counts saturate: a hot zone is probed ~100 k times a second, so a
+/// `u32` fills in hours, and the rates adaptation divides by must degrade
+/// to "stuck at the ceiling", never wrap to garbage (or panic in debug).
 #[derive(Debug, Clone, Copy)]
 pub struct ZoneStats {
     /// Metadata examinations (every prune that considered this zone).
@@ -78,50 +82,60 @@ impl ZoneStats {
 
     /// Fraction of probes that resulted in a skip; 0.0 before any probe.
     pub fn skip_rate(&self) -> f64 {
-        if self.probes == 0 {
-            0.0
-        } else {
-            self.skips as f64 / self.probes as f64
-        }
+        self.skip_rate_with_pending(0)
     }
 
     /// Records a probe that skipped the zone.
     pub fn record_skip(&mut self) {
-        self.probes += 1;
-        self.skips += 1;
+        self.record_skips(1);
     }
 
     /// Records `n` skipping probes at once — the bulk form used when the
     /// prune plane flushes deferred skip counts.
     pub fn record_skips(&mut self, n: u32) {
-        self.probes += n;
-        self.skips += n;
+        self.probes = self.probes.saturating_add(n);
+        self.skips = self.skips.saturating_add(n);
     }
 
     /// [`ZoneStats::skip_rate`] as if `pending` additional skipping probes
     /// had already been recorded — lets readers see through the prune
     /// plane's deferred skip counter without flushing it.
     pub fn skip_rate_with_pending(&self, pending: u32) -> f64 {
-        let probes = self.probes + pending;
+        let probes = self.probes.saturating_add(pending);
         if probes == 0 {
             0.0
         } else {
-            (self.skips + pending) as f64 / probes as f64
+            self.skips.saturating_add(pending) as f64 / probes as f64
+        }
+    }
+
+    /// Share of this zone's probes — `pending` deferred skipping probes
+    /// included — that ended in a low-yield scan: how often a query pays
+    /// to read the zone for nothing, which is what a finer child could
+    /// save. 0.0 before any scan. A scan implies a probe even where the
+    /// probe went uncounted (an observation fed without its prune), so
+    /// the rate never exceeds 1.
+    pub(crate) fn waste_rate_with_pending(&self, pending: u32) -> f64 {
+        let probes = self.probes.saturating_add(pending).max(self.wasted_scans);
+        if probes == 0 {
+            0.0
+        } else {
+            self.wasted_scans as f64 / probes as f64
         }
     }
 
     /// Records a probe that could not skip the zone.
     pub fn record_no_skip(&mut self) {
-        self.probes += 1;
+        self.probes = self.probes.saturating_add(1);
     }
 
     /// Records a completed scan through the zone with the observed
     /// qualifying fraction; flags it wasted when below `low_yield`.
     pub fn record_scan(&mut self, qualifying_fraction: f64, low_yield: f64) {
-        self.scans += 1;
+        self.scans = self.scans.saturating_add(1);
         self.selectivity.update(qualifying_fraction);
         if qualifying_fraction < low_yield {
-            self.wasted_scans += 1;
+            self.wasted_scans = self.wasted_scans.saturating_add(1);
         } else {
             // A productive scan resets the waste streak: splitting helps
             // only when the zone *keeps* being read for nothing.
@@ -217,6 +231,49 @@ mod tests {
         z.record_no_skip();
         z.record_skip();
         assert!((z.skip_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn counters_saturate_at_the_ceiling_and_rates_stay_rates() {
+        let mut z = ZoneStats::new(0.3);
+        z.probes = u32::MAX - 1;
+        z.skips = u32::MAX - 1;
+        z.scans = u32::MAX - 1;
+        z.wasted_scans = u32::MAX - 1;
+        for _ in 0..3 {
+            z.record_skip();
+            z.record_no_skip();
+            z.record_skips(7);
+            z.record_scan(0.0, 0.05);
+        }
+        assert_eq!(
+            (z.probes, z.skips, z.scans, z.wasted_scans),
+            (u32::MAX, u32::MAX, u32::MAX, u32::MAX)
+        );
+        for rate in [
+            z.skip_rate(),
+            z.skip_rate_with_pending(u32::MAX),
+            z.waste_rate_with_pending(u32::MAX),
+        ] {
+            assert!((0.0..=1.0).contains(&rate), "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn waste_rate_is_wasted_scans_over_probes_and_guards_zero() {
+        let mut z = ZoneStats::new(0.3);
+        assert_eq!(z.waste_rate_with_pending(0), 0.0);
+        // An observation that arrived without its prune: the scan stands
+        // in for the probe it implies.
+        z.record_scan(0.0, 0.05);
+        assert_eq!(z.waste_rate_with_pending(0), 1.0);
+        for _ in 0..3 {
+            z.record_no_skip();
+        }
+        z.record_scan(0.0, 0.05);
+        assert!((z.waste_rate_with_pending(0) - 2.0 / 3.0).abs() < 1e-12);
+        // Deferred skips are probes too.
+        assert!((z.waste_rate_with_pending(5) - 2.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

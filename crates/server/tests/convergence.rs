@@ -100,6 +100,59 @@ fn async_single_reader_with_flush_matches_inline_exactly() {
 }
 
 #[test]
+fn point_lookups_on_almost_sorted_data_publish_a_zone_count_that_stops_growing() {
+    // A bound on what the service publishes, not only on its answers:
+    // every point lookup on ordered data is a low-yield scan of the zone
+    // or two that may hold the value, and before splits were priced
+    // against the probes they add that alone refined both lanes to the
+    // row floor (978 zones -> 15 k here), every query walking all of
+    // them. The feedback queue drops under this load, so trajectories are
+    // not repeatable — but a zone one lookup in ~500 lands on never comes
+    // near the rate a split has to pay for, however the drops fall.
+    const POINT_ROWS: usize = 1_000_000;
+    const POINT_DOMAIN: i64 = 250_000;
+    const PER_SAMPLE: usize = 15_000;
+    let column = data::almost_sorted(POINT_ROWS, POINT_DOMAIN, 0.05, 256, 42);
+    let preds = queries::point_queries(3 * PER_SAMPLE, POINT_DOMAIN, 7);
+    let mut copies = vec![0u64; POINT_DOMAIN as usize];
+    for &v in &column {
+        copies[v as usize] += 1;
+    }
+    let svc = QueryService::start(
+        column.clone(),
+        ServerConfig {
+            shards: 2,
+            adaptive: AdaptiveConfig {
+                target_zone_rows: 1024,
+                ..AdaptiveConfig::default()
+            },
+            ..config(AdaptationMode::Async)
+        },
+    );
+    let initial = svc.zone_snapshot().len();
+    let mut samples = Vec::new();
+    for chunk in preds.chunks(PER_SAMPLE) {
+        for q in chunk {
+            let pred = RangePredicate::between(q.lo, q.hi);
+            let reply = svc.query(pred, AggKind::Count).expect("admitted");
+            assert_eq!(
+                reply.answer().expect("no deadline").count,
+                copies[q.lo as usize]
+            );
+        }
+        svc.flush();
+        samples.push(svc.zone_snapshot().len());
+    }
+    assert_eq!(
+        samples[1], samples[2],
+        "zone count still moving: {initial} -> {samples:?}"
+    );
+    assert!(samples[2] <= 4 * initial, "{initial} -> {samples:?}");
+    let stats = svc.shutdown();
+    assert!(stats.feedback_applied > 0, "{}", stats.summary());
+}
+
+#[test]
 fn async_convergence_holds_on_adversarial_uniform_data() {
     // Uniform data drives the deactivate/revive machinery; the serialized
     // equivalence must survive zones dying and coming back.

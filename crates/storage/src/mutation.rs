@@ -24,6 +24,10 @@ use crate::bitmap::Bitmap;
 /// which mutations its view includes, because the vector and its epoch
 /// travel in the same allocation.
 ///
+/// The bitmap is allocated by the first [`DeleteVector::delete`]: a column
+/// nobody deletes from — and every frozen copy published of it — holds
+/// the row count and an empty bitmap, which reads as all-live.
+///
 /// ```
 /// use ads_storage::DeleteVector;
 /// let mut dv = DeleteVector::new(100, 1);
@@ -34,7 +38,11 @@ use crate::bitmap::Bitmap;
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeleteVector {
+    /// Empty until the first tombstone, `len` bits long from then on. Bits
+    /// past a bitmap's end read as zero, so the empty one needs no case
+    /// of its own on the scan path.
     deleted: Bitmap,
+    len: usize,
     deleted_count: usize,
     epoch: u64,
 }
@@ -43,7 +51,8 @@ impl DeleteVector {
     /// Creates an all-live vector over `len` rows, stamped `epoch`.
     pub fn new(len: usize, epoch: u64) -> Self {
         DeleteVector {
-            deleted: Bitmap::new(len),
+            deleted: Bitmap::new(0),
+            len,
             deleted_count: 0,
             epoch,
         }
@@ -52,13 +61,13 @@ impl DeleteVector {
     /// Number of rows the vector addresses.
     #[inline]
     pub fn len(&self) -> usize {
-        self.deleted.len()
+        self.len
     }
 
     /// True if the vector addresses zero rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.deleted.is_empty()
+        self.len == 0
     }
 
     /// The publication epoch this version of the vector belongs to.
@@ -79,6 +88,10 @@ impl DeleteVector {
     /// # Panics
     /// Panics if `row >= len`.
     pub fn delete(&mut self, row: usize) -> bool {
+        assert!(row < self.len, "row {row} out of range {}", self.len);
+        if self.deleted.is_empty() {
+            self.deleted.grow(self.len);
+        }
         if self.deleted.get(row) {
             return false;
         }
@@ -93,7 +106,8 @@ impl DeleteVector {
     /// Panics if `row >= len`.
     #[inline]
     pub fn is_deleted(&self, row: usize) -> bool {
-        self.deleted.get(row)
+        assert!(row < self.len, "row {row} out of range {}", self.len);
+        !self.deleted.is_empty() && self.deleted.get(row)
     }
 
     /// Number of tombstoned rows.
@@ -123,12 +137,11 @@ impl DeleteVector {
     /// itself without a bounds branch.
     #[inline]
     pub fn live_window(&self, bit: usize) -> u64 {
-        let len = self.deleted.len();
-        if bit >= len {
+        if bit >= self.len {
             return 0;
         }
         let live = !self.deleted.window_at(bit);
-        let remaining = len - bit;
+        let remaining = self.len - bit;
         if remaining < 64 {
             live & (u64::MAX >> (64 - remaining))
         } else {
@@ -141,6 +154,10 @@ impl DeleteVector {
     /// # Panics
     /// Panics if `end > len` or `start > end`.
     pub fn live_count_in_range(&self, start: usize, end: usize) -> usize {
+        assert!(start <= end && end <= self.len, "bad range {start}..{end}");
+        if self.deleted.is_empty() {
+            return end - start;
+        }
         (end - start) - self.deleted.count_ones_in_range(start, end)
     }
 
@@ -150,7 +167,11 @@ impl DeleteVector {
     /// Panics if `new_len < len` (rows never disappear outside compaction,
     /// which builds a fresh vector instead).
     pub fn grow(&mut self, new_len: usize) {
-        self.deleted.grow(new_len);
+        assert!(new_len >= self.len, "delete vector cannot shrink");
+        if !self.deleted.is_empty() {
+            self.deleted.grow(new_len);
+        }
+        self.len = new_len;
     }
 
     /// True if any row is tombstoned — the fast-path gate: kernels skip
@@ -230,6 +251,54 @@ mod tests {
         assert!(!dv.is_deleted(50));
         assert_eq!(dv.live_count(), 99);
         assert_eq!(dv.epoch(), 3);
+    }
+
+    #[test]
+    fn no_bitmap_until_the_first_delete_and_all_live_meanwhile() {
+        let mut dv = DeleteVector::new(130, 4);
+        assert!(dv.deleted.is_empty());
+        assert!(!dv.has_deletes());
+        assert_eq!(
+            (dv.len(), dv.live_count(), dv.deleted_count()),
+            (130, 130, 0)
+        );
+        assert!(!dv.is_deleted(0) && !dv.is_deleted(129));
+        // Windows at block edges: full, straddling the tail, at and past it.
+        assert_eq!(dv.live_window(0), u64::MAX);
+        assert_eq!(dv.live_window(64), u64::MAX);
+        assert_eq!(dv.live_window(67), u64::MAX >> 1);
+        assert_eq!(dv.live_window(128), 0b11);
+        assert_eq!(dv.live_window(129), 0b1);
+        assert_eq!(dv.live_window(130), 0);
+        assert_eq!(dv.live_count_in_range(0, 130), 130);
+        assert_eq!(dv.live_count_in_range(63, 65), 2);
+        assert_eq!(dv.live_count_in_range(7, 7), 0);
+        // A frozen copy of an untouched vector costs no bits either.
+        assert!(dv.clone().deleted.is_empty());
+
+        // Growing before the first delete still allocates nothing …
+        dv.grow(200);
+        assert!(dv.deleted.is_empty());
+        assert_eq!(dv.live_window(192), 0xFF);
+        // … and the first delete allocates for the grown length.
+        assert!(dv.delete(199));
+        assert!(!dv.delete(199));
+        assert_eq!(dv.deleted.len(), 200);
+        assert_eq!(dv.live_window(192), 0x7F);
+        assert_eq!((dv.live_count(), dv.epoch()), (199, 4));
+        assert_eq!(dv.live_count_in_range(128, 200), 71);
+
+        // Growing after: tombstones kept, appended rows live.
+        dv.grow(260);
+        assert!(dv.is_deleted(199) && !dv.is_deleted(259));
+        assert_eq!(dv.live_window(256), 0b1111);
+        assert_eq!(dv.live_count(), 259);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn delete_past_the_end_panics_before_allocating() {
+        DeleteVector::new(10, 0).delete(10);
     }
 
     #[test]
