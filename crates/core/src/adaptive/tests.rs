@@ -234,15 +234,23 @@ fn split_reduces_scanned_rows_for_outlier_queries() {
     );
 }
 
-/// Uniform point values over `0..domain`, a fixed multiplicative walk.
-fn uniform_points(domain: u64, n: usize) -> impl Iterator<Item = i64> {
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    (0..n).map(move |_| {
-        x = x
+/// A seedable multiplicative walk: all the randomness these tests need.
+struct Walk(u64);
+
+impl Walk {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        ((x >> 33) % domain) as i64
-    })
+        (self.0 >> 33) % n
+    }
+}
+
+/// Uniform point values over `0..domain`, from a fixed seed.
+fn uniform_points(domain: u64, n: usize) -> impl Iterator<Item = i64> {
+    let mut walk = Walk(0x9E37_79B9_7F4A_7C15);
+    (0..n).map(move |_| walk.below(domain) as i64)
 }
 
 #[test]
@@ -972,4 +980,276 @@ fn boundsless_feedback_never_builds_a_revived_zone() {
         assert_eq!(run_query(&mut zm, &data, miss), (0, 0));
         assert_eq!(run_query(&mut zm, &data, all).0, oracle(&data, all));
     }
+}
+
+/// What a reader does with one query: prune `snapshot` read-only, scan
+/// what it was told to, report what it was asked for.
+fn read_through(
+    snapshot: &AdaptiveZonemap<i64>,
+    data: &[i64],
+    pred: RangePredicate<i64>,
+) -> ScanObservation<i64> {
+    let out = snapshot.prune_shared(&pred);
+    ScanObservation {
+        predicate: pred,
+        ranges: (0..out.units().len())
+            .map(|i| scan_unit(&out, i, data, pred))
+            .collect(),
+    }
+}
+
+/// Everything the executor acts on in `out` (DESIGN.md "What a reader
+/// reads off a snapshot"): the scan units with their by-product requests,
+/// the full-match spans, the skip count and how each reorganized zone
+/// resolved. (Reorg payloads compare by what the lookup returned, not by
+/// pointer: the owner's copy-on-write crack may have cloned one.)
+fn reader_decisions(out: &PruneOutcome) -> impl PartialEq + std::fmt::Debug {
+    let positional: Vec<_> = out
+        .reorg_units
+        .iter()
+        .map(|u| (u.zone, u.full, u.edges))
+        .collect();
+    (
+        out.units().to_vec(),
+        out.unit_requests.clone(),
+        out.full_match.clone(),
+        (out.zones_probed, out.zones_skipped),
+        positional,
+    )
+}
+
+/// `ADS_STRESS_ITERS`, as the server's stress suite reads it.
+fn stress_iters() -> u64 {
+    std::env::var("ADS_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
+#[test]
+fn equal_epochs_mean_identical_reader_decisions() {
+    // The sentence in `mutation_epoch()`'s doc, as a property: a clone
+    // taken when the epoch last moved prunes exactly as the live map does,
+    // whatever stat drift the owner has absorbed since. Publication rests
+    // on it — a lane is cloned for readers only when its epoch moves.
+    // Small zones and eager tiers, reorg and revival, so every mechanism
+    // fires within a couple of hundred queries over 2 k rows.
+    let small = |base: AdaptiveConfig| AdaptiveConfig {
+        revival_base_queries: Some(16),
+        tier_after_scans: 1,
+        tier_drop_after: 4,
+        tier_imprint_line_rows: 8,
+        reorg_after_scans: 1,
+        reorg_demote_idle: 2,
+        reorg_hot_factor: 0.0,
+        target_zone_rows: 128,
+        min_zone_rows: 16,
+        max_zone_rows: 1024,
+        maintenance_every: 2,
+        ..base
+    };
+    let configs = [
+        ("default", small(AdaptiveConfig::default())),
+        ("tiers", small(AdaptiveConfig::with_tiers())),
+        ("reorg", small(AdaptiveConfig::with_reorg())),
+        (
+            "masks-only",
+            small(AdaptiveConfig {
+                enable_split: false,
+                ..AdaptiveConfig::default()
+            }),
+        ),
+    ];
+    const DOMAIN: u64 = 2_000;
+    let fixed: Vec<RangePredicate<i64>> = (0..6)
+        .flat_map(|k| {
+            let lo = k * 330 + 17;
+            [
+                RangePredicate::point(lo),
+                RangePredicate::between(lo, lo + 60),
+            ]
+        })
+        .chain([RangePredicate::between(0, DOMAIN as i64)])
+        .collect();
+
+    // Steps that left the epoch alone, and what the streams reached:
+    // masks, splits, tiers, promotions, revivals.
+    let (mut quiet, mut steps_run) = (0u64, 0u64);
+    let mut reached = [0u64; 5];
+    for (seed, (name, config)) in
+        (0..64 * stress_iters()).flat_map(|s| configs.iter().map(move |c| (s, c)))
+    {
+        let mut rng = Walk(0xE90C ^ (seed << 8));
+        // Clustered values, uniform noise, or clusters whose zones an
+        // outlier pair pins wide (the shape that earns masks).
+        let shape = seed % 3;
+        let value = |rng: &mut Walk, row: usize| -> i64 {
+            let cluster = (row as u64 / 128 * 97) % DOMAIN;
+            match shape {
+                0 => (cluster + rng.below(40)) as i64,
+                1 => rng.below(DOMAIN) as i64,
+                _ if row.is_multiple_of(64) => [0, DOMAIN as i64][(row / 64) % 2],
+                _ => (cluster + rng.below(8)) as i64,
+            }
+        };
+        let mut data: Vec<i64> = (0..2_048).map(|row| value(&mut rng, row)).collect();
+        let mut zm = AdaptiveZonemap::new(data.len(), config.clone());
+        let mut published = zm.clone_for_readers();
+        // A reader that refreshes late: its feedback describes an older
+        // structure, as a busy service's does.
+        let mut lagging = zm.clone_for_readers();
+
+        for step in 0..160 {
+            let hot = (step / 40 * 500) as u64 % DOMAIN;
+            let lo = if rng.below(4) == 0 {
+                rng.below(DOMAIN)
+            } else {
+                hot + rng.below(120)
+            } as i64;
+            let pred = match rng.below(3) {
+                0 => RangePredicate::point(lo),
+                _ => RangePredicate::between(lo, lo + rng.below(80) as i64),
+            };
+            match rng.below(16) {
+                0 => {
+                    let grown: Vec<i64> = (0..1 + rng.below(200) as usize)
+                        .map(|i| value(&mut rng, data.len() + i))
+                        .collect();
+                    data.extend(&grown);
+                    zm.on_append(&grown, &data);
+                }
+                1 | 2 => {
+                    let _ = zm.apply_reorg(&data);
+                    let _ = zm.apply_tiers(&data);
+                    zm.poll_revival();
+                }
+                3 => zm.maintain(&data),
+                4 => {
+                    run_query(&mut zm, &data, pred);
+                }
+                5 | 6 => {
+                    let obs = read_through(&lagging, &data[..lagging.len()], pred);
+                    zm.apply_feedback(&obs);
+                }
+                _ => {
+                    let obs = read_through(&published, &data[..published.len()], pred);
+                    zm.apply_feedback(&obs);
+                }
+            }
+            zm.assert_invariants();
+            if step % 9 == 0 {
+                lagging = zm.clone_for_readers();
+            }
+            steps_run += 1;
+            if zm.mutation_epoch() != published.mutation_epoch() {
+                published = zm.clone_for_readers();
+                continue;
+            }
+            quiet += 1;
+            for pred in &fixed {
+                assert_eq!(
+                    reader_decisions(&published.prune_shared(pred)),
+                    reader_decisions(&zm.prune_shared(pred)),
+                    "{name} seed {seed} step {step}: epoch {} stood still while the \
+                     decision for {pred:?} moved",
+                    zm.mutation_epoch()
+                );
+            }
+        }
+        let totals = zm.trace().totals();
+        reached[0] += totals.mask_built;
+        reached[1] += totals.split;
+        reached[2] += totals.tier_built;
+        reached[3] += totals.promoted;
+        reached[4] += totals.revived;
+    }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "masks/splits/tiers/promotions/revivals reached: {reached:?}"
+    );
+    // Vacuous if every step bumped, which is what the parent did for
+    // every scan of a built zone.
+    assert!(
+        quiet * 3 >= steps_run,
+        "only {quiet} of {steps_run} steps left the epoch alone"
+    );
+}
+
+#[test]
+fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
+    // One zone at the split floor (it can refine no further), pinned wide
+    // by two outliers: the reader's only statistic, `wasted_scans`
+    // against `split_after_wasted`, decides whether its scans are asked
+    // for a mask — so crossing that threshold must republish, in both
+    // directions, and nothing else about a re-observed zone may.
+    let mut data: Vec<i64> = (0..128).map(|i| 500 + i % 8).collect();
+    (data[0], data[127]) = (0, 1_000);
+    let config = AdaptiveConfig {
+        // The mask itself would end the experiment; watch the request.
+        max_zone_rows: 128,
+        enable_merge: false,
+        enable_deactivate: false,
+        ..single_zone_config()
+    };
+    assert_eq!(config.split_after_wasted, 2);
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    let wasted = RangePredicate::between(100, 200); // inside the bounds, hits nothing
+    let productive = RangePredicate::between(400, 600);
+    let asks_for_mask = |zm: &AdaptiveZonemap<i64>| {
+        let out = zm.prune_shared(&wasted);
+        out.unit_request(0).bins.is_some()
+    };
+    // A scan told to collect nothing beyond the answer, whatever the
+    // snapshot it pruned said: the mask never lands, the evidence does.
+    let scan_without_byproducts = |zm: &mut AdaptiveZonemap<i64>, pred: RangePredicate<i64>| {
+        let epoch = zm.mutation_epoch();
+        zm.apply_feedback(&ScanObservation {
+            predicate: pred,
+            ranges: vec![RangeObservation::answer_only(
+                ads_storage::RowRange::new(0, 128),
+                oracle(&data, pred),
+            )],
+        });
+        zm.mutation_epoch() != epoch
+    };
+
+    run_query(&mut zm, &data, productive);
+    assert_eq!(zm.zone_snapshot()[0].1, "built");
+    assert!(!asks_for_mask(&zm));
+
+    assert!(
+        !scan_without_byproducts(&mut zm, wasted),
+        "one wasted scan is below the threshold: no reader decides differently"
+    );
+    assert!(!asks_for_mask(&zm));
+    assert!(
+        scan_without_byproducts(&mut zm, wasted),
+        "the second crosses it: readers must learn to ask for a mask"
+    );
+    assert!(asks_for_mask(&zm));
+    assert!(
+        !scan_without_byproducts(&mut zm, wasted),
+        "a third changes nothing a reader reads"
+    );
+    assert!(asks_for_mask(&zm));
+    assert!(
+        scan_without_byproducts(&mut zm, productive),
+        "a productive scan resets the streak: readers must stop asking"
+    );
+    assert!(!asks_for_mask(&zm));
+    assert!(
+        !scan_without_byproducts(&mut zm, productive),
+        "and a second productive scan is stat drift"
+    );
+
+    // With the evidence back and an honest scan, the mask lands (one bump)
+    // and the wasted predicate is skipped from then on, quietly.
+    scan_without_byproducts(&mut zm, wasted);
+    scan_without_byproducts(&mut zm, wasted);
+    let epoch = zm.mutation_epoch();
+    run_query(&mut zm, &data, wasted);
+    assert_eq!(zm.trace().totals().mask_built, 1);
+    assert_eq!(zm.mutation_epoch(), epoch + 1);
+    assert_eq!(run_query(&mut zm, &data, wasted), (0, 0));
+    assert_eq!(zm.mutation_epoch(), epoch + 1, "a skip publishes nothing");
 }

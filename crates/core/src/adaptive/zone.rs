@@ -1,5 +1,6 @@
 //! The zone record of an adaptive zonemap.
 
+use crate::adaptive::config::AdaptiveConfig;
 use crate::outcome::MaskRequest;
 use crate::stats::ZoneStats;
 use ads_storage::{BloomSketch, DataValue, Imprints, ReorgZone, RowRange};
@@ -242,6 +243,24 @@ impl<T: DataValue> AdaptiveZone<T> {
     /// True if the zone currently carries a metadata tier.
     pub fn has_tier(&self) -> bool {
         self.tier.is_some()
+    }
+
+    /// Whether a scan of this zone should also collect a value mask: it
+    /// keeps being read for nothing, has no mask yet and can refine no
+    /// further positionally (`min_split_rows` is the smallest zone a split
+    /// may still divide).
+    ///
+    /// This is the one *statistic* a reader decides from — everything
+    /// else its walk reads is structure (DESIGN.md "What a reader reads
+    /// off a snapshot") — so the classifier and `observe`'s publication
+    /// trigger both ask here, and a snapshot is stale exactly when this
+    /// answer, or that structure, changed.
+    pub(crate) fn wants_mask(&self, config: &AdaptiveConfig, min_split_rows: usize) -> bool {
+        let can_split = config.enable_split && !self.no_resplit && self.len() >= min_split_rows;
+        config.enable_mask
+            && self.mask.is_none()
+            && !can_split
+            && self.stats.wasted_scans >= config.split_after_wasted
     }
 
     /// Drops the tier and its drop window, remembering the drop for

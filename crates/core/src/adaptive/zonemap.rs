@@ -80,17 +80,17 @@ pub struct AdaptiveZonemap<T: DataValue> {
     /// Earliest query number at which some dead zone is due a revival
     /// check; `u64::MAX` when none are dead or revival is disabled.
     pub(crate) next_revival_check: u64,
-    /// Counts reader-visible metadata mutations: zone builds/tightenings,
-    /// structural maintenance that changed something, revivals, appends,
-    /// reorganization promotions/demotions and payload cracks — and every
-    /// `observe` that scanned an already-built zone, bounds changed or
-    /// not, because readers decide `want_mask` from the `wasted_scans` a
-    /// published snapshot carries (so on a scanning workload nearly every
-    /// feedback bumps it; ROADMAP item 2's publication note has the
-    /// counts and why the bump cannot simply stop). Publication layers
-    /// compare epochs to skip republishing unchanged state. Prune-side
-    /// probe/skip tallies alone do NOT bump it — staleness there costs
-    /// adaptation bookkeeping freshness, never answer correctness.
+    /// Counts changes to what a reader's walk reads (DESIGN.md "What a
+    /// reader reads off a snapshot"): zone bounds built or moved, masks
+    /// and tiers attached or dropped, structural maintenance that changed
+    /// something, revivals, appends, reorganization promotions/demotions,
+    /// payload cracks — and the one statistic among them, a zone's
+    /// [`AdaptiveZone::wants_mask`] answer flipping as a scan moves its
+    /// `wasted_scans` across the threshold. Publication layers compare
+    /// epochs to skip republishing unchanged state. Everything else a
+    /// query leaves behind — probe/skip tallies, scan counts, selectivity,
+    /// a re-observation of bounds the zone already holds — does NOT bump
+    /// it: a snapshot stale in those decides exactly as a fresh one.
     pub(crate) mutation_epoch: u64,
     /// Lifetime reorganization counters (promotions, demotions, bytes
     /// moved, time spent); see [`ReorgStats`].
@@ -174,11 +174,14 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     }
 
     /// The reader-visible mutation epoch: increments whenever zone
-    /// metadata changes in a way a fresh snapshot would reflect (build,
-    /// tighten, mask, split, merge, deactivate, coalesce, revive, append,
-    /// or a scan of a built zone moving its `wasted_scans` evidence).
-    /// Two equal epochs mean a previously published clone of this zonemap
-    /// still prunes identically, so republication can be skipped.
+    /// metadata changes in a way a reader would decide differently from
+    /// (build, tighten, mask, tier, split, merge, deactivate, coalesce,
+    /// revive, promote, demote, crack, append, or a scan that makes a
+    /// zone start or stop asking for a value mask). Two equal epochs mean
+    /// a previously published clone of this zonemap still prunes
+    /// identically — [`AdaptiveZonemap::prune_shared`] returns the same
+    /// units, requests, full-match spans and skip count for every
+    /// predicate (property-tested) — so republication can be skipped.
     pub fn mutation_epoch(&self) -> u64 {
         self.mutation_epoch
     }
@@ -226,6 +229,14 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             }
         }
         counts
+    }
+
+    /// The smallest zone a split may still divide: two children at the row
+    /// floor, each big enough to pay for its own probe. Below it a zone
+    /// that keeps wasting scans asks for a value mask instead
+    /// ([`AdaptiveZone::wants_mask`]).
+    fn min_split_rows(&self) -> usize {
+        (2 * self.config.min_zone_rows).max(2 * self.cost.min_profitable_zone_rows())
     }
 
     /// Verifies the zone partition invariant: contiguous, non-empty zones
@@ -294,12 +305,16 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
         self.prune_owned::<true>(pred, None)
     }
 
-    // epoch: structural writes (bounds built/tightened, splits, mask
-    // attach) set `mutated` at each site and are covered by one bump at
-    // the end; the remaining writes are selectivity/yield stat drift.
+    // epoch: every write a reader's walk would read differently — a mask
+    // attached, bounds built or moved, a split queued, the zone's
+    // `wants_mask` answer flipped by the scan just recorded — sets
+    // `mutated` at its site and is covered by one bump at the end. What
+    // remains is stat drift no reader decides from, so a scan that
+    // re-observes what the zone already knows publishes nothing.
     fn observe(&mut self, obs: &ScanObservation<T>) {
         let mut split_queue: Vec<usize> = Vec::new();
         let mut mutated = false;
+        let min_split_rows = self.min_split_rows();
 
         for ro in &obs.ranges {
             self.stats.rows_scanned += ro.range.len() as u64;
@@ -321,6 +336,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             } else {
                 ro.qualifying as f64 / zone.len() as f64
             };
+            let wanted_mask = zone.wants_mask(&self.config, min_split_rows);
             let was_built = match zone.state {
                 ZoneState::Dead { .. } => continue,
                 ZoneState::Unbuilt => false,
@@ -337,6 +353,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
                         });
                         self.trace
                             .record(self.query_seq, AdaptEvent::MaskBuilt { range: ro.range });
+                        mutated = true;
                     }
                     true
                 }
@@ -348,25 +365,36 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             // particular a zone revived to `Unbuilt` since then stays
             // unbuilt, never built from a fold identity.
             if let Some((min, max)) = ro.bounds {
-                zone.state = ZoneState::Built {
-                    min,
-                    max,
-                    exact: true,
-                };
-                self.plane.set_built(idx, min, max);
+                // Two stale readers may both have been asked for the same
+                // bounds; the second teaches nothing and publishes nothing.
+                let known = matches!(
+                    zone.state,
+                    ZoneState::Built { min: lo, max: hi, exact: true }
+                        if lo.total_key() == min.total_key() && hi.total_key() == max.total_key()
+                );
+                if !known {
+                    zone.state = ZoneState::Built {
+                        min,
+                        max,
+                        exact: true,
+                    };
+                    self.plane.set_built(idx, min, max);
+                    mutated = true;
+                }
                 if !was_built {
                     self.trace
                         .record(self.query_seq, AdaptEvent::Built { range: ro.range });
                 }
             }
             zone.stats.record_scan(frac, SPLIT_LOW_YIELD);
-            // Every observation of a built zone marks the lane mutated,
-            // bounds or not: readers decide `want_mask` from the
-            // `wasted_scans` a published snapshot carries.
-            mutated |= was_built || ro.bounds.is_some();
             if !was_built {
                 continue;
             }
+            // The scan moved `wasted_scans` across the mask threshold, in
+            // either direction (a productive scan resets the streak): the
+            // next reader of this zone would ask its scan for something
+            // else than the last snapshot's reader did.
+            mutated |= zone.wants_mask(&self.config, min_split_rows) != wanted_mask;
             // The wasted-scan threshold doubles per split generation: each
             // refinement level must earn the next with proportionally more
             // evidence, so data without positional locality stops
@@ -399,6 +427,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
                 ) >= 0.0
             {
                 split_queue.push(idx);
+                mutated = true;
             }
         }
 
@@ -638,15 +667,12 @@ fn classify_overlapping_zone<T: DataValue>(
     }
     // Ask the scan to collect a mask for zones that keep wasting scans
     // but can refine no further positionally.
-    let can_split = config.enable_split && !zone.no_resplit && zone.len() >= min_split_rows;
-    let want_mask = config.enable_mask
-        && zone.mask.is_none()
-        && !can_split
-        && zone.stats.wasted_scans >= config.split_after_wasted;
-    let bins = want_mask.then_some(MaskRequest {
-        lo_f: min.to_f64(),
-        hi_f: max.to_f64(),
-    });
+    let bins = zone
+        .wants_mask(config, min_split_rows)
+        .then_some(MaskRequest {
+            lo_f: min.to_f64(),
+            hi_f: max.to_f64(),
+        });
     OverlapAction::Scan(scan_request(zone, bins))
 }
 
@@ -809,9 +835,10 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
         }
     }
 
-    // epoch: the one reader-visible write of a prune — a crack that
-    // relocated payload rows — bumps under `moved > 0`, so publication
-    // layers pick it up.
+    // epoch: the one reader-visible write of a prune — a crack that gave
+    // the payload a new piece boundary, rows relocated or not (a bound at
+    // a piece's edge moves none, and still turns a reader's edge scan
+    // into a resolved span) — bumps, so publication layers pick it up.
     fn before_lookup(&mut self, idx: usize, pred: &RangePredicate<T>) {
         let map = &mut *self.0;
         let ZoneLayout::Reorganized { payload, .. } = &mut map.zones[idx].layout else {
@@ -820,9 +847,10 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
         // COW crack: if a published snapshot still shares this payload,
         // make_mut clones before partitioning — the snapshot's copy stays
         // immutable until the next republication swaps it out.
-        let moved = Arc::make_mut(payload).crack(pred.lo, pred.hi);
-        if moved > 0 {
-            map.reorg_lifetime.bytes_moved += moved;
+        let payload = Arc::make_mut(payload);
+        let cracks = payload.cracks_done();
+        map.reorg_lifetime.bytes_moved += payload.crack(pred.lo, pred.hi);
+        if payload.cracks_done() != cracks {
             map.mutation_epoch += 1;
         }
     }
@@ -838,8 +866,7 @@ fn walk<T: DataValue>(
 ) -> PruneOutcome {
     let mut out = PruneOutcome::for_prune();
     let map = w.map();
-    let min_split_rows =
-        (2 * map.config.min_zone_rows).max(2 * map.cost.min_profitable_zone_rows());
+    let min_split_rows = map.min_split_rows();
     let everything = [RowRange::new(0, map.len)];
     let mut next = 0;
     for span in alive.map_or(&everything[..], RangeSet::ranges) {
@@ -984,6 +1011,29 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// reaches [`AdaptiveZonemap::apply_feedback`].
     pub fn prune_shared(&self, pred: &RangePredicate<T>) -> PruneOutcome {
         walk(&mut Reader(self), pred, None)
+    }
+
+    /// A clone for publication to readers: everything
+    /// [`AdaptiveZonemap::prune_shared`] and the counting accessors read,
+    /// without the retained adaptation events (up to 4,096 of them,
+    /// comparable in bytes to the zone metadata itself) that only the
+    /// owner's [`AdaptiveZonemap::trace`] is ever asked for. Event totals
+    /// carry over.
+    pub fn clone_for_readers(&self) -> Self {
+        AdaptiveZonemap {
+            zones: self.zones.clone(),
+            plane: self.plane.clone(),
+            config: self.config.clone(),
+            cost: self.cost,
+            trace: self.trace.without_events(),
+            stats: self.stats,
+            query_seq: self.query_seq,
+            len: self.len,
+            next_revival_check: self.next_revival_check,
+            mutation_epoch: self.mutation_epoch,
+            reorg_lifetime: self.reorg_lifetime,
+            tier_lifetime: self.tier_lifetime,
+        }
     }
 
     /// The array-of-structs reference prune: the same walk as

@@ -111,6 +111,19 @@ impl AdaptTrace {
         }
     }
 
+    /// This trace with an empty, unallocated ring: the lifetime counters
+    /// and the capacity carry over, the retained events do not. What a
+    /// clone made for readers carries — they count events, only the owner
+    /// replays them.
+    pub fn without_events(&self) -> Self {
+        AdaptTrace {
+            events: Vec::new(),
+            capacity: self.capacity,
+            head: 0,
+            counts: self.counts,
+        }
+    }
+
     /// Records `event` as caused by query number `query_seq`.
     pub fn record(&mut self, query_seq: u64, event: AdaptEvent) {
         let idx = match event {

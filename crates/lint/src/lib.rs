@@ -25,7 +25,7 @@
 //!
 //! | pass                     | protocol it guards                              |
 //! |--------------------------|-------------------------------------------------|
-//! | `epoch-discipline`       | zone-structure writes bump `mutation_epoch` on every path (else `// epoch:`) |
+//! | `epoch-discipline`       | writes to what a reader decides from (zone structure; the `wants_mask` evidence) bump `mutation_epoch` on every path (else `// epoch:`) |
 //! | `publication-discipline` | `publish*` fns store payload before the generation bump, nothing after |
 //! | `live-mask`              | all-live liveness sources only with `// live:` outside scan.rs/the scalar oracle/tests |
 //! | `lifecycle-symmetry`     | tier/layout/mask promotions cleared on split/merge/deactivate/coalesce/compact paths |

@@ -8,8 +8,14 @@
 //!   write reader-visible zone/tier/layout state must bump
 //!   `mutation_epoch` on every path, or carry an `// epoch:` note
 //!   saying why the write is reader-invisible (or whose bump covers
-//!   it). Without the bump, epoch-diffed `ShardedCell` republication
-//!   skips the lane and readers serve stale metadata forever.
+//!   it). Reader-visible is what a reader's walk decides from:
+//!   structure, and the one piece of evidence among the statistics —
+//!   whether a zone's `wasted_scans` puts its `wants_mask` answer on
+//!   the other side of the threshold (`observe` tests it before and
+//!   after each scan; the pass sees the structural writes, the
+//!   `// epoch:` note there names the evidence). Without the bump,
+//!   epoch-diffed `ShardedCell` republication skips the lane and
+//!   readers serve stale metadata forever.
 //! * [`publication_pass`] — in `crates/server`, a `publish*` function
 //!   must store the payload **before** the generation bump and write
 //!   nothing afterwards; a store after the bump lets a reader observe
@@ -29,7 +35,9 @@ use crate::lexer::{TokKind, ASSIGN_OPS};
 use crate::{has_marker, Diagnostic, FileCtx, Line};
 
 /// Reader-visible zone-structure fields/collections: writing any of
-/// these changes what a republished lane would serve.
+/// these changes what a republished lane would serve. (`stats` is not
+/// listed: of the statistics readers decide from `wants_mask` alone,
+/// which `observe` compares before and after the scan it records.)
 const EPOCH_TARGETS: [&str; 6] = ["state", "layout", "tier", "mask", "zones", "plane"];
 
 /// Mutating methods that count as a structural write when their

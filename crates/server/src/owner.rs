@@ -130,15 +130,17 @@ impl<T: DataValue> Owner<T> {
     }
 
     /// Lane `s` frozen for publication as number `version`: the shard's
-    /// data version, the zonemap state over exactly that version, and
-    /// `delete` — a frozen copy of [`Owner::deletes`]`(s)`, handed in so a
-    /// publisher can keep sharing one `Arc` while the tombstones stand.
+    /// data version, the zonemap state over exactly that version — what
+    /// readers prune and count from, without the owner's retained trace
+    /// events — and `delete`, a frozen copy of [`Owner::deletes`]`(s)`,
+    /// handed in so a publisher can keep sharing one `Arc` while the
+    /// tombstones stand.
     pub fn snapshot(&self, s: usize, delete: Arc<DeleteVector>, version: u64) -> ShardSnapshot<T> {
         debug_assert_eq!(delete.len(), self.column.shard(s).len());
         ShardSnapshot {
             data: self.column.shard(s).clone(),
             delete,
-            zonemap: self.zonemap.lane(s).clone(),
+            zonemap: self.zonemap.lane(s).clone_for_readers(),
             start: self.column.start(s),
             version,
         }
@@ -426,11 +428,46 @@ mod tests {
         // they move the data version without moving a row.
         let fresh = read(&frozen(&owner, 1), RangePredicate::between(100, 200));
         owner.append(&[ROWS, ROWS + 1]);
-        let epoch = owner.lane(0).mutation_epoch();
+        // (Witnessed by the lane's query clock: the epoch only says
+        // whether a reader would now decide differently.)
+        let queries = owner.lane(0).index_stats().queries;
         owner.feedback(&[fresh]);
         assert_eq!(owner.totals().feedback_stale, 1);
-        assert_ne!(owner.lane(0).mutation_epoch(), epoch, "applied feedback");
+        assert_eq!(
+            owner.lane(0).index_stats().queries,
+            queries + 1,
+            "applied feedback"
+        );
         assert_bounds_cover_rows(&owner);
+    }
+
+    #[test]
+    fn a_published_lane_prunes_like_the_owner_s_and_carries_no_trace_events() {
+        let mut owner = Owner::new((0..ROWS).collect(), 1, AdaptiveConfig::default());
+        let preds: Vec<_> = (0..12)
+            .map(|k| RangePredicate::between(k * 1_500, k * 1_500 + 40))
+            .collect();
+        for pred in preds.iter().cycle().take(60) {
+            owner.execute(*pred, AggKind::Count);
+        }
+        let lane = owner.lane(0);
+        let retained = lane.trace().recent().len();
+        assert!(retained > 0, "builds and splits left events to retain");
+
+        let snap = frozen(&owner, 1);
+        assert!(snap.zonemap.trace().recent().is_empty());
+        assert_eq!(snap.zonemap.trace().totals(), lane.trace().totals());
+        assert_eq!(snap.zonemap.adapt_events(), lane.adapt_events());
+        assert_eq!(snap.zonemap.zone_snapshot(), lane.zone_snapshot());
+        assert_eq!(snap.zonemap.mutation_epoch(), lane.mutation_epoch());
+        for pred in &preds {
+            assert_eq!(snap.zonemap.prune_shared(pred), lane.prune_shared(pred));
+        }
+        assert_eq!(
+            lane.trace().recent().len(),
+            retained,
+            "the owner keeps its ring"
+        );
     }
 
     #[test]

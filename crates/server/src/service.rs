@@ -57,30 +57,36 @@
 //! the same query stream (tested in `tests/convergence.rs`). Under
 //! concurrency the trajectory interleaves differently but every
 //! intermediate state is one the inline protocol could have produced, and
-//! answers stay exact.
+//! answers stay exact. Without the flush a reader may hold a snapshot
+//! whose *statistics* are behind the owner's; by construction that never
+//! changes what it decides (see the publication policy below).
 //!
 //! ## Publication policy
 //!
 //! After each maintenance batch, a lane is republished only when its
 //! [`AdaptiveZonemap::mutation_epoch`] moved since its last publication.
-//! The epoch moves when zones are built, split, merged, deactivated,
-//! revived or appended to — and whenever an applied observation scanned an
-//! already-built zone of the lane, bounds changed or not, because readers
-//! decide whether to ask a scan for a value mask from the `wasted_scans`
-//! tally the published snapshot carries. Prune-side probe/skip tallies
-//! alone never force a clone, but scan feedback does: a lane that is still
-//! being scanned is cloned on nearly every maintenance batch, and only
-//! lanes no query scanned are skipped. A [`QueryService::flush`] barrier
-//! republishes **all** lanes unconditionally, so post-flush readers see
-//! the lanes' exact current state, statistics included. Republish cost is
-//! therefore proportional to the lanes that were scanned or restructured,
-//! not to the metadata that changed inside them
-//! (`ServerStats::republish_bytes` vs `ServerStats::whole_map_bytes`: E17
-//! measures 100 % at 4 and 16 shards on uniform data, where every query
-//! scans every lane). ROADMAP item 2's publication note records the
-//! counts (85,845 publications for 87,786 feedbacks on the benchmark's
-//! `clustered-hotspot`) and why the bump cannot simply stop; the fix
-//! belongs with the reader's decision stream.
+//! The epoch moves exactly when something a reader's walk reads changed:
+//! zones built, tightened, split, merged, deactivated, revived, promoted,
+//! demoted, cracked or appended to, a mask or tier attached or dropped —
+//! and the one statistic readers decide from, a zone starting or ceasing
+//! to want a value mask as a scan moves its `wasted_scans` across the
+//! threshold (DESIGN.md "What a reader reads off a snapshot"). A scan that
+//! re-observes what the zone already knows moves nothing, so a lane that
+//! is read all day and learns nothing is never cloned: steady state is
+//! quiet, and publication comes in bursts when a hotspot moves and zones
+//! split around it. What is cloned is what readers use — the lane without
+//! the owner's retained trace events ([`Owner::snapshot`]). A
+//! [`QueryService::flush`] barrier republishes **all** lanes
+//! unconditionally, so post-flush readers see the lanes' exact current
+//! state, statistics included. Republish cost is proportional to the
+//! lanes that changed, not to the metadata that changed inside them
+//! (`ServerStats::republish_bytes` vs `ServerStats::whole_map_bytes`, the
+//! every-lane-every-round counterfactual; E17 measures the ratio).
+//!
+//! A quiet round costs the maintenance thread a few microseconds, after
+//! which parking would make the next reader's `try_send` pay a thread
+//! wake-up on the query path; the loop therefore polls its channel for
+//! `LINGER` (30 us) before it blocks, and an idle service still parks.
 //!
 //! ## Mutations
 //!
@@ -123,9 +129,9 @@ use crate::sync::{Arc, Mutex, MutexGuard};
 use ads_core::{RangePredicate, ScanObservation, SkippingIndex};
 use ads_engine::{scan_sharded, AggKind, ExecPolicy, QueryAnswer, ShardScanInput};
 use ads_storage::{DataValue, DeleteVector, RowRange};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One query to answer.
 #[derive(Debug, Clone, Copy)]
@@ -670,6 +676,10 @@ struct Published {
     /// Each lane's zonemap mutation epoch when it was last published; a
     /// lane republishes when its current epoch differs.
     epochs: Vec<u64>,
+    /// Each lane's zonemap metadata bytes as of `epochs`: they move only
+    /// with the epoch, so a quiet round does not walk the zones to learn
+    /// what a clone would have cost.
+    bytes: Vec<u64>,
     /// The `Arc` each lane last published; re-`Arc`'d only when that
     /// shard's tombstones changed, so a zonemap-only republish shares the
     /// bitmap.
@@ -688,13 +698,24 @@ impl Published {
     ) {
         let (mut republished, mut republish_bytes, mut whole_map_bytes) = (0u64, 0u64, 0u64);
         for s in 0..owner.num_shards() {
+            let dirty = owner.take_dirty(s);
             let lane = owner.lane(s);
-            let (bytes, epoch) = (lane.metadata_bytes() as u64, lane.mutation_epoch());
+            let epoch = lane.mutation_epoch();
+            // A dirty lane may be a rebuilt one, whose epochs started over.
+            let moved = dirty || epoch != self.epochs[s];
+            if moved {
+                self.bytes[s] = lane.metadata_bytes() as u64;
+            }
+            let bytes = self.bytes[s];
+            debug_assert_eq!(
+                bytes,
+                lane.metadata_bytes() as u64,
+                "lane {s}'s metadata moved without its epoch"
+            );
             // The counterfactual cost of a whole-map publication scheme
             // (the pre-sharding design cloned everything every round).
             whole_map_bytes += bytes;
-            let dirty = owner.take_dirty(s);
-            if !(force_all || dirty || epoch != self.epochs[s]) {
+            if !(force_all || moved) {
                 continue;
             }
             if dirty {
@@ -709,6 +730,33 @@ impl Published {
         }
         owner.note_publication(republished, republish_bytes, whole_map_bytes);
     }
+}
+
+/// How long the maintenance thread keeps polling its channel after a
+/// round before it parks in `recv`.
+///
+/// A round that publishes nothing takes a few microseconds, less than the
+/// gap between two feedbacks of a busy reader; parking in that gap makes
+/// the reader's next `try_send` a futex wake plus a scheduler round, paid
+/// on the query path. Lingering for about one short query keeps the
+/// hand-off a plain queue push while traffic lasts, and an idle service
+/// still parks. Swept at 0 / 10 / 30 / 100 us on `sorted-point` and
+/// `clustered-hotspot` (CHANGES.md, PR 23).
+const LINGER: Duration = Duration::from_micros(30);
+
+/// The next maintenance message: polled for [`LINGER`], then waited for.
+/// `None` once every sender is gone and the channel is drained.
+fn next_message<M>(rx: &Receiver<M>) -> Option<M> {
+    let polling_since = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(msg) => return Some(msg),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if polling_since.elapsed() >= LINGER => break,
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv().ok()
 }
 
 /// The maintenance thread: drain a batch, apply it to the owner, publish
@@ -728,6 +776,9 @@ fn maintenance_loop<T: DataValue>(
             .iter()
             .map(|snap| snap.zonemap.mutation_epoch())
             .collect(),
+        bytes: (0..initial.len())
+            .map(|s| owner.lane(s).metadata_bytes() as u64)
+            .collect(),
         deletes: initial
             .iter()
             .map(|snap| Arc::clone(&snap.delete))
@@ -735,7 +786,7 @@ fn maintenance_loop<T: DataValue>(
     };
     drop(initial);
 
-    while let Ok(first) = rx.recv() {
+    while let Some(first) = next_message(&rx) {
         // Drain opportunistically up to the batch bound: one publication
         // round amortises over the whole batch, keeping reader staleness
         // low without a snapshot-per-observation storm.

@@ -355,6 +355,125 @@ fn reorg_enabled_service_answers_exactly_and_counts_promotions() {
     }
 }
 
+#[test]
+fn steady_state_publishes_only_what_a_reader_would_decide_differently() {
+    // Once every zone is built, a scan that re-observes what a zone
+    // already knows changes nothing a reader reads, so it must not cost a
+    // lane clone: a hotspot the zones have refined around publishes the
+    // bursts of splits and masks at its edges and then goes quiet. (When
+    // every scan of a built zone bumped the epoch this published ~2,000
+    // times for 2,000 queries.)
+    const STEADY_ROWS: usize = 200_000;
+    const STEADY_QUERIES: usize = 2_000;
+    let column = data::clustered(STEADY_ROWS, 80, 0.05, DOMAIN, 42);
+    let mut sorted = column.clone();
+    sorted.sort_unstable();
+    let exact = |lo: i64, hi: i64| {
+        (sorted.partition_point(|&v| v <= hi) - sorted.partition_point(|&v| v < lo)) as u64
+    };
+    let svc = QueryService::start(
+        column,
+        ServerConfig {
+            shards: 2,
+            ..config(AdaptationMode::Async)
+        },
+    );
+    // One scan of everything builds every zone; the flush publishes it.
+    let all = RangePredicate::between(0, DOMAIN);
+    let reply = svc.query(all, AggKind::Count).expect("admitted");
+    assert_eq!(
+        reply.answer().expect("no deadline").count,
+        STEADY_ROWS as u64
+    );
+    svc.flush();
+    assert!(
+        svc.zone_snapshot()
+            .iter()
+            .all(|(_, label, _)| *label != "unbuilt"),
+        "warm-up left unbuilt zones"
+    );
+
+    let before = svc.stats();
+    for q in queries::hotspot_ranges(STEADY_QUERIES, DOMAIN, 0.01, 0.3, 0.1, 7) {
+        let pred = RangePredicate::between(q.lo, q.hi);
+        let reply = svc.query(pred, AggKind::Count).expect("admitted");
+        assert_eq!(
+            reply.answer().expect("no deadline").count,
+            exact(q.lo, q.hi),
+            "wrong count for [{}, {}]",
+            q.lo,
+            q.hi
+        );
+    }
+    let stats = svc.shutdown();
+    assert_eq!(stats.feedback_dropped, 0);
+    assert_eq!(
+        stats.feedback_applied - before.feedback_applied,
+        STEADY_QUERIES as u64,
+        "every query's feedback reached the owner"
+    );
+    let published = stats.snapshots_published - before.snapshots_published;
+    assert!(
+        published <= STEADY_QUERIES as u64 / 10,
+        "{published} publication rounds for {STEADY_QUERIES} steady-state queries"
+    );
+}
+
+#[test]
+fn a_zone_that_keeps_wasting_scans_gets_its_mask_without_a_flush() {
+    // The one statistic a reader decides from is `wasted_scans`: its scan
+    // collects a value mask only when the snapshot it pruned says the zone
+    // keeps being read for nothing. If the owner's count crossed the
+    // threshold without a publication, no reader would ever ask, no mask
+    // would ever land, and merge and deactivation would retire the zones
+    // instead (uniform data went from 493 zones to 4 that way). No flush
+    // here: only epoch-driven publication may carry the news.
+    let column = data::uniform(ROWS, DOMAIN, 21);
+    let svc = QueryService::start(
+        column.clone(),
+        ServerConfig {
+            shards: 2,
+            adaptive: AdaptiveConfig {
+                // Straight to masks, and nothing else restructures: what
+                // is left to publish is the evidence alone.
+                enable_split: false,
+                enable_merge: false,
+                enable_deactivate: false,
+                ..AdaptiveConfig::default()
+            },
+            ..config(AdaptationMode::Async)
+        },
+    );
+    let zones = svc.zone_snapshot().len() as u64;
+    let masks_published = |svc: &QueryService<i64>| -> u64 {
+        let lanes = svc.shard_snapshots().expect("async mode publishes");
+        lanes
+            .iter()
+            .map(|lane| lane.zonemap.trace().totals().mask_built)
+            .sum()
+    };
+    // Narrow ranges over uniform values: every zone's bounds admit them,
+    // almost no row qualifies — each scan is a wasted one.
+    let preds = queries::uniform_ranges(4_000, DOMAIN, 0.0005, 9);
+    let mut asked = 0;
+    for q in &preds {
+        if masks_published(&svc) == zones {
+            break;
+        }
+        let pred = RangePredicate::between(q.lo, q.hi);
+        let reply = svc.query(pred, AggKind::Count).expect("admitted");
+        let want = column.iter().filter(|&&v| v >= q.lo && v <= q.hi).count() as u64;
+        assert_eq!(reply.answer().expect("no deadline").count, want);
+        asked += 1;
+    }
+    assert_eq!(
+        masks_published(&svc),
+        zones,
+        "after {asked} queries and no flush, not every zone has its mask"
+    );
+    assert!(svc.shutdown().snapshots_published > 0);
+}
+
 /// The totals every owner keeps, whoever holds it, by name; the last two
 /// are gauges, the rest only ever grow. Left out: the publication counters
 /// (inline never publishes) and `reorg_ns` (a wall time).

@@ -231,8 +231,9 @@ impl<T: DataValue> ReorgZone<T> {
     /// Ensures crack bounds exist for the inclusive range `[lo, hi]`,
     /// partitioning at most two pieces, and converts to fully sorted
     /// once enough bounds accumulate. Returns the bytes moved by this
-    /// call (0 means the payload was untouched — both bounds already
-    /// existed or the zone is sorted).
+    /// call. 0 does not mean untouched — a bound that falls at a piece's
+    /// edge is recorded without moving a row; [`ReorgZone::cracks_done`]
+    /// moves exactly when the piece structure did.
     pub fn crack(&mut self, lo: T, hi: T) -> u64 {
         if self.sorted {
             return 0;
