@@ -93,6 +93,12 @@ impl<T: DataValue> ShardedZonemap<T> {
         &self.lanes
     }
 
+    /// All lanes mutably, in shard order — one query's inline pass holds
+    /// every lane at once.
+    pub fn lanes_mut(&mut self) -> &mut [AdaptiveZonemap<T>] {
+        &mut self.lanes
+    }
+
     /// Global row id of lane `s`'s first row.
     pub fn start(&self, s: usize) -> usize {
         self.starts[s]

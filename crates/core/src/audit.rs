@@ -18,9 +18,9 @@
 //! than just the row. Without the feature both the field and the
 //! recording calls compile to nothing.
 //!
-//! The auditor is wired into the scan executors
-//! (`scan_pruned_with_deletes`, and per lane into `scan_sharded`, the
-//! path every server query takes) and the multi-column conjunction path,
+//! The auditor is wired into the one scan executor (per lane into
+//! `scan_sharded`, the path every inline and every server query takes)
+//! and the multi-column conjunction path,
 //! so building the workspace with `--features audit` turns every
 //! existing test — unit, property, and stress — into a false-skip hunt
 //! at zero test-code cost. `ads-audit` (in `crates/engine`) sweeps

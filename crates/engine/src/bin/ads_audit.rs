@@ -3,7 +3,7 @@
 //! Drives randomized query/delete/append sequences through the executor
 //! with the shadow oracle armed: every prune outcome the sweep produces
 //! is cross-checked row by row against ground truth inside
-//! `scan_pruned_with_deletes` (see `ads_core::audit`). The sweep itself
+//! `scan_sharded` (see `ads_core::audit`). The sweep itself
 //! asserts nothing — a false skip aborts the process from inside the
 //! executor with the zone, predicate, and decision trace; exiting 0
 //! means every decision across every seed was sound.
@@ -20,8 +20,8 @@
 #![forbid(unsafe_code)]
 
 use ads_core::adaptive::{AdaptiveConfig, TierMode};
-use ads_core::{RangePredicate, ScanCoords, SkippingIndex};
-use ads_engine::{scan_pruned_with_deletes, AggKind, ExecPolicy, Strategy};
+use ads_core::{RangePredicate, ScanCoords};
+use ads_engine::{AggKind, ExecPolicy, Lane, Strategy};
 use ads_rng::StdRng;
 use ads_storage::DeleteVector;
 
@@ -97,10 +97,10 @@ fn random_pred(rng: &mut StdRng) -> RangePredicate<i64> {
     }
 }
 
-/// Runs one seed's query sequence against one strategy. Mirrors
-/// `execute_with_policy` (prune → scan → observe → maintain) but goes
-/// through `scan_pruned_with_deletes` so tombstones are in play on
-/// base-coordinate strategies — the audit hook fires inside the scan.
+/// Runs one seed's query sequence against one strategy: one lane through
+/// the inline protocol, carrying its delete vector so tombstones are in
+/// play on base-coordinate strategies — the audit hook fires inside the
+/// scan.
 fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xAD17);
     let mut data = data.to_vec();
@@ -139,17 +139,14 @@ fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) 
             1 => AggKind::Sum,
             _ => AggKind::Min,
         };
-        let outcome = index.prune(&pred);
-        let target: &[i64] = match index.scan_coords() {
-            ScanCoords::Base => &data,
-            // invariant: every ScanCoords::View strategy exposes its view.
-            ScanCoords::View => index.view().expect("view strategy exposes a view"),
-        };
         // The shadow oracle fires inside this call (audit feature).
-        let (_answer, obs, _phase) =
-            scan_pruned_with_deletes(target, &outcome, pred, agg, &policy, live.as_ref());
-        index.observe(&obs);
-        index.maintain(&data);
+        let lane = Lane {
+            data: &data,
+            index: index.as_mut(),
+            live: live.as_ref(),
+            start: 0,
+        };
+        Lane::run(&mut [lane], pred, agg, &policy);
     }
 }
 

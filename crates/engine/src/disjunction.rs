@@ -47,8 +47,9 @@ pub fn in_list<T: DataValue>(values: &[T]) -> Vec<RangePredicate<T>> {
 /// Executes a disjunction of ranges with aggregate `agg`.
 ///
 /// The input is normalised first, so callers may pass overlapping ranges;
-/// metrics are summed across the per-range executions (wall time is the
-/// true total, probes count every metadata read paid).
+/// metrics fold across the per-range executions with
+/// [`QueryMetrics::absorb`] (wall and phase times are the true totals,
+/// probes count every metadata read paid).
 pub fn execute_disjunction<T: DataValue>(
     data: &[T],
     index: &mut dyn SkippingIndex<T>,
@@ -82,14 +83,8 @@ pub fn execute_disjunction<T: DataValue>(
         if let (Some(all), Some(part)) = (answer.positions.as_mut(), a.positions) {
             all.extend(part);
         }
-        metrics.wall_ns += m.wall_ns;
-        metrics.zones_probed += m.zones_probed;
-        metrics.zones_skipped += m.zones_skipped;
-        metrics.rows_scanned += m.rows_scanned;
-        metrics.rows_full_match += m.rows_full_match;
-        metrics.adapt_events += m.adapt_events;
+        metrics.absorb(&m);
     }
-    metrics.rows_matched = answer.count;
 
     if let Some(positions) = answer.positions.as_mut() {
         // Disjoint value ranges mean no duplicates, but view-coordinate
@@ -237,6 +232,27 @@ mod tests {
         let (got, m) = execute_disjunction(&data, idx.as_mut(), vec![], AggKind::Count);
         assert_eq!(got.count, 0);
         assert_eq!(m.rows_scanned, 0);
+    }
+
+    /// The per-range fold carries every field: phase times, by-product
+    /// rows and the thread count used to come back as zero.
+    #[test]
+    fn disjunction_metrics_report_what_was_spent() {
+        let data = data();
+        let mut idx = Strategy::Adaptive(Default::default()).build_index(&data);
+        let ranges = vec![
+            RangePredicate::between(100i64, 150),
+            RangePredicate::between(700, 720),
+            RangePredicate::point(999),
+        ];
+        let (got, m) = execute_disjunction(&data, idx.as_mut(), ranges, AggKind::Count);
+        assert!(m.prune_ns > 0, "prune phase untimed");
+        assert!(m.scan_ns > 0, "scan phase untimed");
+        assert_eq!(m.threads_used, 1);
+        assert!(m.wall_ns >= m.prune_ns + m.scan_ns);
+        assert!(m.rows_with_byproducts > 0, "a cold index asks for bounds");
+        assert!(m.rows_with_byproducts <= m.rows_scanned);
+        assert_eq!(m.rows_matched, got.count);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The scan executor: runs one pruned query end-to-end.
+//! The scan executor: the one-lane front doors and the work-item kernels.
 //!
-//! The executor is the glue of the prune/observe protocol: it asks the
-//! index what to scan, runs the kernels over exactly those ranges, answers
-//! the aggregate, and feeds the per-range observations (qualifying counts,
-//! plus the exact min/max or value mask wherever the prune asked for them,
-//! computed as by-products of the same pass) back to the index.
+//! [`execute`] / [`execute_with_policy`] run one query end-to-end through
+//! the inline protocol ([`Lane::run`]): the index says what to scan, the
+//! kernels here run over exactly those ranges and answer the aggregate,
+//! and the per-range observations (qualifying counts, plus the exact
+//! min/max or value mask wherever the prune asked for them, computed as
+//! by-products of the same pass) go back to the index.
 //!
 //! ## Parallel execution
 //!
@@ -18,15 +19,13 @@
 //! count. Parallelism changes latency, never state.
 
 use crate::exec_policy::ExecPolicy;
+use crate::lane::Lane;
 use crate::metrics::QueryMetrics;
-use crate::sharded_exec::{scan_sharded, ShardScanInput};
 use ads_core::{
-    PruneOutcome, RangeObservation, RangePredicate, ScanCoords, ScanObservation, SkippingIndex,
-    UnitRequest,
+    PruneOutcome, RangeObservation, RangePredicate, ScanObservation, SkippingIndex, UnitRequest,
 };
 use ads_storage::scan::{self, Bins, Bounds, ByProduct, Liveness, NoByProduct};
 use ads_storage::{DataValue, DeleteVector, RowRange};
-use std::time::Instant;
 
 /// Which aggregate a scan query computes over the qualifying rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,9 +124,9 @@ pub fn execute<T: DataValue>(
     execute_with_policy(data, index, pred, agg, &ExecPolicy::sequential())
 }
 
-/// As [`execute`], with an explicit execution policy. Answers and
-/// post-query index state are identical under every policy; only latency
-/// (and `threads_used`) differ.
+/// As [`execute`], with an explicit execution policy: the one-lane call
+/// of [`Lane::run`]. Answers and post-query index state are identical
+/// under every policy; only latency (and `threads_used`) differ.
 pub fn execute_with_policy<T: DataValue>(
     data: &[T],
     index: &mut dyn SkippingIndex<T>,
@@ -135,57 +134,8 @@ pub fn execute_with_policy<T: DataValue>(
     agg: AggKind,
     policy: &ExecPolicy,
 ) -> (QueryAnswer<T>, QueryMetrics) {
-    let t0 = Instant::now();
-    let events_before = index.adapt_events();
-    let outcome = index.prune(&pred);
-    let prune_ns = t0.elapsed().as_nanos() as u64;
-
-    let coords = index.scan_coords();
-    let (mut answer, observation, phase) = {
-        let target: &[T] = match coords {
-            ScanCoords::Base => data,
-            ScanCoords::View => index
-                .view()
-                // invariant: ScanCoords::View is only reported by indexes
-                // that expose a view (checked by the SkippingIndex
-                // contract tests).
-                .expect("view-coordinate index must expose a view"),
-        };
-        scan_pruned(target, &outcome, pred, agg, policy)
-    };
-
-    if let Some(positions) = answer.positions.as_mut() {
-        if coords == ScanCoords::View {
-            index.translate_positions(positions);
-            positions.sort_unstable();
-        }
-    }
-
-    // The inline path is "execute, then immediately apply the feedback",
-    // then give the index its periodic self-maintenance slot (zone
-    // promotion/demotion for reorg-enabled adaptive zonemaps).
-    let t_obs = Instant::now();
-    index.observe(&observation);
-    index.maintain(data);
-    let observe_ns = t_obs.elapsed().as_nanos() as u64;
-
-    let metrics = QueryMetrics {
-        wall_ns: t0.elapsed().as_nanos() as u64,
-        zones_probed: outcome.zones_probed,
-        zones_skipped: outcome.zones_skipped,
-        rows_scanned: phase.rows_scanned,
-        rows_with_byproducts: phase.rows_with_byproducts,
-        rows_full_match: outcome.rows_full_match() + outcome.rows_positional_match(),
-        rows_matched: answer.count,
-        adapt_events: index.adapt_events() - events_before,
-        prune_ns,
-        scan_ns: phase.scan_ns,
-        observe_ns,
-        threads_used: phase.threads_used,
-        conjuncts_probed: 0,
-        plan_fallback: false,
-    };
-    (answer, metrics)
+    let (answer, metrics) = Lane::run(&mut [Lane::new(data, index)], pred, agg, policy);
+    (answer, metrics.query)
 }
 
 /// Timing and sizing facts of one scan phase.
@@ -201,62 +151,6 @@ pub struct ScanPhase {
     pub threads_used: usize,
     /// Wall nanoseconds of the scan phase.
     pub scan_ns: u64,
-}
-
-/// The pure read path of a query: scans an already-pruned outcome over
-/// `target` and returns the answer plus the observation batch, touching no
-/// index state.
-///
-/// This is [`execute_with_policy`] minus pruning and minus `observe()` —
-/// callable with only shared references, so any number of threads can
-/// execute queries against an immutable snapshot concurrently. The caller
-/// decides what to do with the returned [`ScanObservation`]: apply it
-/// immediately (inline adaptation, what [`execute_with_policy`] does),
-/// queue it for a maintenance thread (asynchronous adaptation), or drop it
-/// (frozen metadata). Dropping or delaying feedback never affects answer
-/// correctness — only how fast the index adapts.
-///
-/// `target` must be in the outcome's scan coordinates; positions are
-/// returned untranslated.
-pub fn scan_pruned<T: DataValue>(
-    target: &[T],
-    outcome: &PruneOutcome,
-    pred: RangePredicate<T>,
-    agg: AggKind,
-    policy: &ExecPolicy,
-) -> (QueryAnswer<T>, ScanObservation<T>, ScanPhase) {
-    scan_pruned_with_deletes(target, outcome, pred, agg, policy, None)
-}
-
-/// As [`scan_pruned`], masking tombstoned rows via `live` when given.
-///
-/// With tombstones present, the kernels run over the delete vector:
-/// `count`/`sum`/MIN/MAX/positions cover live rows only, while the
-/// `(min, max)` an observation carries still covers all rows — deleted
-/// rows keep zone bounds conservative (sound, never wrong) until
-/// compaction rebuilds them. `live` is addressed in the same coordinates
-/// as `target`.
-pub fn scan_pruned_with_deletes<T: DataValue>(
-    target: &[T],
-    outcome: &PruneOutcome,
-    pred: RangePredicate<T>,
-    agg: AggKind,
-    policy: &ExecPolicy,
-    live: Option<&DeleteVector>,
-) -> (QueryAnswer<T>, ScanObservation<T>, ScanPhase) {
-    // One lane of the sharded scan: the unsharded path *is* the sharded
-    // one at S = 1, so liveness is resolved, the oracle hooked and the
-    // items fanned and merged in exactly one place.
-    let lane = ShardScanInput {
-        data: target,
-        outcome,
-        start: 0,
-        live,
-    };
-    let mut result = scan_sharded(&[lane], pred, agg, policy);
-    // invariant: `scan_sharded` returns one observation batch per lane.
-    let observation = result.observations.pop().expect("one lane, one batch");
-    (result.answer, observation, result.phase)
 }
 
 /// Builds the work list of one prune outcome: full-match ranges first

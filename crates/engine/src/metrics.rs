@@ -38,6 +38,26 @@ pub struct QueryMetrics {
 }
 
 impl QueryMetrics {
+    /// Folds one part of a query (one range of a disjunction) into the
+    /// whole: threads as a max, the fallback flag as an or, the rest
+    /// summed.
+    pub fn absorb(&mut self, part: &QueryMetrics) {
+        self.wall_ns += part.wall_ns;
+        self.zones_probed += part.zones_probed;
+        self.zones_skipped += part.zones_skipped;
+        self.rows_scanned += part.rows_scanned;
+        self.rows_with_byproducts += part.rows_with_byproducts;
+        self.rows_full_match += part.rows_full_match;
+        self.rows_matched += part.rows_matched;
+        self.adapt_events += part.adapt_events;
+        self.prune_ns += part.prune_ns;
+        self.scan_ns += part.scan_ns;
+        self.observe_ns += part.observe_ns;
+        self.threads_used = self.threads_used.max(part.threads_used);
+        self.conjuncts_probed += part.conjuncts_probed;
+        self.plan_fallback |= part.plan_fallback;
+    }
+
     /// Fraction of an `n`-row table the scan did not touch.
     pub fn skip_fraction(&self, n: usize) -> f64 {
         if n == 0 {
@@ -168,6 +188,44 @@ mod tests {
         assert_eq!(c.plan_fallbacks, 2);
         c.absorb(&QueryMetrics::default());
         assert_eq!(c.max_threads_used, 4, "max, not last");
+    }
+
+    /// Every field is named and non-default here, so a field added to
+    /// `QueryMetrics` fails to compile until it is given a value, and one
+    /// left out of the fold fails `one part is the whole`.
+    #[test]
+    fn query_parts_fold_into_the_whole() {
+        let part = QueryMetrics {
+            wall_ns: 100,
+            zones_probed: 4,
+            zones_skipped: 2,
+            rows_scanned: 50,
+            rows_with_byproducts: 20,
+            rows_full_match: 10,
+            rows_matched: 12,
+            adapt_events: 1,
+            prune_ns: 5,
+            scan_ns: 80,
+            observe_ns: 15,
+            threads_used: 4,
+            conjuncts_probed: 2,
+            plan_fallback: true,
+        };
+        let mut whole = QueryMetrics::default();
+        whole.absorb(&part);
+        assert_eq!(whole, part, "one part is the whole");
+        whole.absorb(&QueryMetrics {
+            threads_used: 1,
+            plan_fallback: false,
+            ..part
+        });
+        assert_eq!((whole.wall_ns, whole.rows_with_byproducts), (200, 40));
+        assert_eq!(
+            (whole.prune_ns, whole.scan_ns, whole.observe_ns),
+            (10, 160, 30)
+        );
+        assert_eq!(whole.threads_used, 4, "max, not sum or last");
+        assert!(whole.plan_fallback, "or, not last");
     }
 
     #[test]

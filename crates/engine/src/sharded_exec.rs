@@ -4,9 +4,8 @@
 //! This is the one scan executor: per shard it builds the work-item list
 //! ([`build_work_items`]), scans items with the pure kernel dispatch
 //! ([`scan_item`]) and folds per-item results ([`merge_item_results`]),
-//! with a shard-major concatenation around it; the unsharded
-//! [`scan_pruned`] is this path with a single lane. Two consequences,
-//! both load-bearing:
+//! with a shard-major concatenation around it; an unsharded query is this
+//! path with a single lane. Two consequences, both load-bearing:
 //!
 //! * **Equivalence at one shard.** With `shards = 1` the item list, the
 //!   thread split, every kernel call, the answer fold, and the
@@ -17,17 +16,16 @@
 //!   shard-major and each shard's partial results fold in item order, so
 //!   f64 SUM accumulation order is a pure function of the prune outcomes
 //!   — never of the thread count.
-//!
-//! [`scan_pruned`]: crate::executor::scan_pruned
 
 use crate::exec_policy::ExecPolicy;
 use crate::executor::{
     build_work_items, merge_item_results, scan_item, AggKind, ItemResult, QueryAnswer, ScanPhase,
     WorkItem,
 };
+use crate::lane::Lane;
 use crate::metrics::QueryMetrics;
 use ads_core::adaptive::ShardedZonemap;
-use ads_core::{PruneOutcome, RangePredicate, ScanObservation, SkippingIndex};
+use ads_core::{PruneOutcome, RangePredicate, ScanObservation};
 use ads_storage::scan::AllLive;
 use ads_storage::{parallel, DataValue, DeleteVector, ShardedColumn};
 use std::time::Instant;
@@ -92,15 +90,24 @@ pub struct ShardedScanResult<T: DataValue> {
     pub lanes: Vec<ShardLaneMetrics>,
 }
 
-/// The pure read path of a sharded query: scans every shard's pruned
-/// outcome in one weighted parallel fan and merges shard-major.
+/// The pure read path of a query: scans every lane's already-pruned
+/// outcome in one weighted parallel fan and merges shard-major, returning
+/// the answer plus one observation batch per lane.
 ///
-/// Like [`scan_pruned`](crate::executor::scan_pruned) this touches no
+/// This is [`Lane::run`] minus pruning and minus learning: it touches no
 /// index state and is callable with shared references only, so concurrent
 /// readers can execute against immutable per-shard snapshots — each lane
 /// of which may be a *different* published version: soundness is
 /// shard-local (each outcome describes exactly its own slice), so any mix
 /// of lane versions yields exact answers for the union of those versions.
+/// The caller decides what to do with the observations: apply them
+/// immediately (inline adaptation, what [`Lane::run`] does), queue them
+/// for a maintenance thread (asynchronous adaptation), or drop them
+/// (frozen metadata). Dropping or delaying feedback never affects answer
+/// correctness — only how fast the index adapts.
+///
+/// Each lane's `data` must be in its outcome's scan coordinates;
+/// positions are returned untranslated.
 pub fn scan_sharded<T: DataValue>(
     inputs: &[ShardScanInput<'_, T>],
     pred: RangePredicate<T>,
@@ -246,31 +253,11 @@ pub fn scan_sharded<T: DataValue>(
     }
 }
 
-/// Executes one query over a sharded column with inline adaptation: every
-/// lane runs prune → scan → observe exactly as the unsharded
-/// [`execute_with_policy`](crate::executor::execute_with_policy) does,
-/// with the scan phase fused across shards.
+/// Executes one query over a sharded column with inline adaptation: one
+/// [`Lane`] per shard — its rows, its zonemap lane, its tombstones when
+/// `deletes` carries one [`DeleteVector`] per shard (shard-local
+/// coordinates) — through [`Lane::run`].
 pub fn execute_sharded<T: DataValue>(
-    column: &ShardedColumn<T>,
-    zonemap: &mut ShardedZonemap<T>,
-    pred: RangePredicate<T>,
-    agg: AggKind,
-    policy: &ExecPolicy,
-) -> (QueryAnswer<T>, ShardedQueryMetrics) {
-    execute_sharded_with_deletes(column, zonemap, None, pred, agg, policy)
-}
-
-/// As [`execute_sharded`], masking each shard's tombstoned rows via
-/// `deletes` when given (one [`DeleteVector`] per shard, in shard-local
-/// coordinates). This is the inline-adaptation mutation path: answers
-/// cover live rows only, while the observations applied to each lane keep
-/// `(min, max)` over all rows so zone bounds stay conservative over
-/// tombstones.
-///
-/// # Panics
-/// Panics if shard layouts differ, or `deletes` is `Some` with a vector
-/// count or per-shard length not matching the column.
-pub fn execute_sharded_with_deletes<T: DataValue>(
     column: &ShardedColumn<T>,
     zonemap: &mut ShardedZonemap<T>,
     deletes: Option<&[DeleteVector]>,
@@ -278,81 +265,18 @@ pub fn execute_sharded_with_deletes<T: DataValue>(
     agg: AggKind,
     policy: &ExecPolicy,
 ) -> (QueryAnswer<T>, ShardedQueryMetrics) {
-    assert_eq!(
-        column.num_shards(),
-        zonemap.num_shards(),
-        "column and zonemap shard layouts differ"
-    );
-    if let Some(dvs) = deletes {
-        assert_eq!(
-            dvs.len(),
-            column.num_shards(),
-            "one delete vector per shard required"
-        );
-        for (s, dv) in dvs.iter().enumerate() {
-            assert_eq!(
-                dv.len(),
-                column.shard(s).len(),
-                "shard {s} delete vector length mismatch"
-            );
-        }
-    }
-    let t0 = Instant::now();
-    let events_before: u64 = zonemap.lanes().iter().map(|l| l.adapt_events()).sum();
-
-    // Prune every lane mutably — each lane's query clock, skip counters,
-    // and revival checks advance every query, matching the inline
-    // protocol even for shards the predicate entirely skips.
-    let outcomes: Vec<PruneOutcome> = (0..zonemap.num_shards())
-        .map(|s| zonemap.lane_mut(s).prune(&pred))
-        .collect();
-    let prune_ns = t0.elapsed().as_nanos() as u64;
-
-    let inputs: Vec<ShardScanInput<'_, T>> = outcomes
-        .iter()
+    let mut lanes: Vec<Lane<'_, T>> = zonemap
+        .lanes_mut()
+        .iter_mut()
         .enumerate()
-        .map(|(s, outcome)| ShardScanInput {
+        .map(|(s, index)| Lane {
             data: column.shard(s).as_slice(),
-            outcome,
-            start: column.start(s),
+            index,
             live: deletes.map(|dvs| &dvs[s]),
+            start: column.start(s),
         })
         .collect();
-    let result = scan_sharded(&inputs, pred, agg, policy);
-    drop(inputs);
-
-    let t_obs = Instant::now();
-    for (s, obs) in result.observations.iter().enumerate() {
-        let lane = zonemap.lane_mut(s);
-        lane.observe(obs);
-        SkippingIndex::maintain(lane, column.shard(s).as_slice());
-    }
-    let observe_ns = t_obs.elapsed().as_nanos() as u64;
-
-    let events_after: u64 = zonemap.lanes().iter().map(|l| l.adapt_events()).sum();
-    let query = QueryMetrics {
-        wall_ns: t0.elapsed().as_nanos() as u64,
-        zones_probed: result.lanes.iter().map(|l| l.zones_probed).sum(),
-        zones_skipped: result.lanes.iter().map(|l| l.zones_skipped).sum(),
-        rows_scanned: result.phase.rows_scanned,
-        rows_with_byproducts: result.phase.rows_with_byproducts,
-        rows_full_match: result.lanes.iter().map(|l| l.rows_full_match).sum(),
-        rows_matched: result.answer.count,
-        adapt_events: events_after - events_before,
-        prune_ns,
-        scan_ns: result.phase.scan_ns,
-        observe_ns,
-        threads_used: result.phase.threads_used,
-        conjuncts_probed: 0,
-        plan_fallback: false,
-    };
-    (
-        result.answer,
-        ShardedQueryMetrics {
-            query,
-            shards: result.lanes,
-        },
-    )
+    Lane::run(&mut lanes, pred, agg, policy)
 }
 
 #[cfg(test)]
@@ -393,7 +317,7 @@ mod tests {
                     let lo = (q * 211) % 4500;
                     let pred = RangePredicate::between(lo, lo + 400);
                     let agg = ALL_AGGS[q as usize % ALL_AGGS.len()];
-                    let (got, m) = execute_sharded(&column, &mut zm, pred, agg, &policy);
+                    let (got, m) = execute_sharded(&column, &mut zm, None, pred, agg, &policy);
                     let want = execute_reference(&data, pred, agg);
                     assert_eq!(got, want, "s={shards} t={threads} q={q} {agg:?}");
                     assert_eq!(m.shards.len(), shards);
@@ -435,14 +359,8 @@ mod tests {
                     let lo = (q * 307) % 3500;
                     let pred = RangePredicate::between(lo, lo + 500);
                     let agg = ALL_AGGS[q as usize % ALL_AGGS.len()];
-                    let (got, _) = execute_sharded_with_deletes(
-                        &column,
-                        &mut zm,
-                        Some(&per_shard),
-                        pred,
-                        agg,
-                        &policy,
-                    );
+                    let (got, _) =
+                        execute_sharded(&column, &mut zm, Some(&per_shard), pred, agg, &policy);
                     let want = execute_reference_with_deletes(&data, &global, pred, agg);
                     assert_eq!(
                         got.count, want.count,
@@ -475,8 +393,15 @@ mod tests {
         let mut zm2 = ShardedZonemap::for_column(&column, cfg());
         let pred = RangePredicate::between(100, 400);
         for agg in ALL_AGGS {
-            let (a, _) = execute_sharded(&column, &mut zm1, pred, agg, &ExecPolicy::sequential());
-            let (b, _) = execute_sharded_with_deletes(
+            let (a, _) = execute_sharded(
+                &column,
+                &mut zm1,
+                None,
+                pred,
+                agg,
+                &ExecPolicy::sequential(),
+            );
+            let (b, _) = execute_sharded(
                 &column,
                 &mut zm2,
                 Some(&empty),
@@ -498,9 +423,9 @@ mod tests {
         let pred = RangePredicate::between(100, 200);
         let policy = ExecPolicy::sequential();
         for _ in 0..3 {
-            execute_sharded(&column, &mut zm, pred, AggKind::Count, &policy);
+            execute_sharded(&column, &mut zm, None, pred, AggKind::Count, &policy);
         }
-        let (_, m) = execute_sharded(&column, &mut zm, pred, AggKind::Count, &policy);
+        let (_, m) = execute_sharded(&column, &mut zm, None, pred, AggKind::Count, &policy);
         assert_eq!(m.shards[0].rows_matched, 101);
         for lane in &m.shards[1..] {
             assert_eq!(lane.rows_matched, 0, "shard {}", lane.shard);
@@ -520,6 +445,7 @@ mod tests {
         let (got, m) = execute_sharded(
             &column,
             &mut zm,
+            None,
             pred,
             AggKind::Positions,
             &ExecPolicy::sequential(),

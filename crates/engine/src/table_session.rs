@@ -9,7 +9,8 @@
 //! intersection; constructing a table session with one is an error —
 //! matching the literature, where cracking is a single-column technique.
 
-use crate::executor::AggKind;
+use crate::executor::ScanPhase;
+use crate::lane::{Lane, Protocol};
 use crate::metrics::{CumulativeMetrics, QueryMetrics};
 use crate::planner::{self, FallbackReason, PlanMode, PlanStep, PlanTrace};
 use crate::strategy::Strategy;
@@ -17,8 +18,11 @@ use ads_core::{
     CostModel, PruneOutcome, PruneStats, RangeObservation, RangePredicate, ScanObservation,
     SkippingIndex,
 };
-use ads_storage::{scan, Bitmap, Column, DataValue, RangeSet, StorageError, Table};
-use std::collections::BTreeMap;
+use ads_storage::{
+    scan, AnyColumn, Bitmap, Column, ColumnAccess, DataValue, RangeSet, RowRange, StorageError,
+    Table,
+};
+use std::any::Any;
 use std::time::Instant;
 
 /// A range predicate over a column of any supported type.
@@ -34,12 +38,17 @@ pub enum AnyPredicate {
     F64(RangePredicate<f64>),
 }
 
-/// A skipping index over a column of any supported type.
-enum AnyIndex {
-    I32(Box<dyn SkippingIndex<i32>>),
-    I64(Box<dyn SkippingIndex<i64>>),
-    U64(Box<dyn SkippingIndex<u64>>),
-    F64(Box<dyn SkippingIndex<f64>>),
+impl AnyPredicate {
+    /// The predicate in value type `T`; `None` when it is over another.
+    fn typed<T: DataValue>(&self) -> Option<RangePredicate<T>> {
+        let pred: &dyn Any = match self {
+            AnyPredicate::I32(p) => p,
+            AnyPredicate::I64(p) => p,
+            AnyPredicate::U64(p) => p,
+            AnyPredicate::F64(p) => p,
+        };
+        pred.downcast_ref().copied()
+    }
 }
 
 /// Errors from table-session operations.
@@ -96,10 +105,145 @@ pub type Result<T> = std::result::Result<T, TableSessionError>;
 /// estimates track a shifting workload.
 const EXPLORE_EVERY: u64 = 64;
 
+/// One filtered column's side of a conjunction, with the column's value
+/// type erased. Implemented once, by [`TypedConjunct`], over the same
+/// [`Lane`] steps every other inline query runs; `col` is the indexed
+/// column and `pred` a predicate [`Conjunct::mismatch`] had nothing against.
+trait Conjunct: Send {
+    /// The column's value type, when `pred` is over another.
+    fn mismatch(&self, pred: &AnyPredicate) -> Option<&'static str>;
+    /// The index's pre-probe planner summary.
+    fn prune_stats(&self) -> Option<PruneStats>;
+    /// Metadata footprint of the index, in bytes.
+    fn metadata_bytes(&self) -> usize;
+    /// The lane's prune step, restricted to `alive` when given.
+    fn prune(
+        &mut self,
+        col: &AnyColumn,
+        pred: &AnyPredicate,
+        alive: Option<&RangeSet>,
+        protocol: &mut Protocol,
+    ) -> PruneOutcome;
+    /// Marks the rows of `piece` satisfying `pred` in `bm`; when `record`,
+    /// keeps the piece's qualifying count and exact `(min, max)` for
+    /// [`Conjunct::learn`].
+    fn fill(
+        &mut self,
+        col: &AnyColumn,
+        pred: &AnyPredicate,
+        piece: RowRange,
+        record: bool,
+        bm: &mut Bitmap,
+    );
+    /// The lane's learn step over everything `fill` recorded.
+    fn learn(&mut self, col: &AnyColumn, pred: &AnyPredicate, protocol: &mut Protocol);
+}
+
+/// A column's index in the column's own value type. Scan by-products stay
+/// in that type from the kernel to `observe` — routed through `f64`, an
+/// `i64`/`u64` bound at or above 2^53 rounds, a recorded zone max can land
+/// *below* the true max, and a later predicate falsely skips the row.
+struct TypedConjunct<T: DataValue> {
+    index: Box<dyn SkippingIndex<T>>,
+    /// What this query's scan has recorded for the index so far.
+    recorded: Vec<RangeObservation<T>>,
+}
+
+impl<T: ColumnAccess> TypedConjunct<T> {
+    fn boxed(column: &Column<T>, strategy: &Strategy) -> Box<dyn Conjunct> {
+        Box::new(TypedConjunct {
+            index: strategy.build_index(column.as_slice()),
+            recorded: Vec::new(),
+        })
+    }
+
+    /// The column and the predicate in this conjunct's value type.
+    fn typed<'a>(col: &'a AnyColumn, pred: &AnyPredicate) -> (&'a [T], RangePredicate<T>) {
+        // invariant: the session built this conjunct from `col`.
+        let column = T::from_any(col).expect("conjunct built over this column");
+        // invariant: `run_conjunction` checks `mismatch(pred)` first.
+        let pred = pred.typed().expect("predicate accepted in phase 0");
+        (column.as_slice(), pred)
+    }
+}
+
+impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
+    fn mismatch(&self, pred: &AnyPredicate) -> Option<&'static str> {
+        pred.typed::<T>().is_none().then_some(T::TYPE_NAME)
+    }
+
+    fn prune_stats(&self) -> Option<PruneStats> {
+        self.index.prune_stats()
+    }
+
+    fn metadata_bytes(&self) -> usize {
+        self.index.metadata_bytes()
+    }
+
+    fn prune(
+        &mut self,
+        col: &AnyColumn,
+        pred: &AnyPredicate,
+        alive: Option<&RangeSet>,
+        protocol: &mut Protocol,
+    ) -> PruneOutcome {
+        let (data, pred) = Self::typed(col, pred);
+        let out = Lane::new(data, self.index.as_mut()).prune(&pred, alive, protocol);
+        // Shadow oracle: rows outside `alive` were excluded by earlier
+        // conjuncts, so a restricted outcome is only accountable for the
+        // candidates still in play. (The table path is append-only: no
+        // delete vector to thread through.)
+        #[cfg(feature = "audit")]
+        ads_core::audit::verify_outcome(data, None, &pred, &out, alive, "run_conjunction");
+        // The conjunction derives its alive set from `must_scan ∪
+        // full_match` and re-tests predicates row by row, so positional
+        // reorg units fold back into plain scan units first.
+        if out.reorg_units.is_empty() {
+            out
+        } else {
+            out.demote_reorg_units()
+        }
+    }
+
+    fn fill(
+        &mut self,
+        col: &AnyColumn,
+        pred: &AnyPredicate,
+        piece: RowRange,
+        record: bool,
+        bm: &mut Bitmap,
+    ) {
+        let (data, pred) = Self::typed(col, pred);
+        // live: the table path is append-only — `TableSession` carries
+        // no delete vector, so every row is live.
+        let (qualifying, min, max) = scan::fill_bitmap_in_range_with_minmax(
+            &data[piece.start..piece.end],
+            0,
+            pred.lo,
+            pred.hi,
+            bm,
+        );
+        if record {
+            self.recorded
+                .push(RangeObservation::new(piece, qualifying, min, max));
+        }
+    }
+
+    fn learn(&mut self, col: &AnyColumn, pred: &AnyPredicate, protocol: &mut Protocol) {
+        let (data, predicate) = Self::typed(col, pred);
+        let observation = ScanObservation {
+            predicate,
+            ranges: std::mem::take(&mut self.recorded),
+        };
+        Lane::new(data, self.index.as_mut()).learn(&observation, protocol);
+    }
+}
+
 /// A table plus one skipping index per filtered column.
 pub struct TableSession {
     table: Table,
-    indexes: BTreeMap<String, AnyIndex>,
+    /// The indexed columns by name, in the order they were given.
+    indexes: Vec<(String, Box<dyn Conjunct>)>,
     totals: CumulativeMetrics,
     cost: CostModel,
     plan_mode: PlanMode,
@@ -113,16 +257,15 @@ impl TableSession {
             return Err(TableSessionError::ViewStrategy(strategy.label()));
         }
         let t0 = Instant::now();
-        let mut indexes = BTreeMap::new();
+        let mut indexes = Vec::with_capacity(columns.len());
         for &name in columns {
-            let col = table.column(name)?;
-            let idx = match col {
-                ads_storage::AnyColumn::I32(c) => AnyIndex::I32(strategy.build_index(c.as_slice())),
-                ads_storage::AnyColumn::I64(c) => AnyIndex::I64(strategy.build_index(c.as_slice())),
-                ads_storage::AnyColumn::U64(c) => AnyIndex::U64(strategy.build_index(c.as_slice())),
-                ads_storage::AnyColumn::F64(c) => AnyIndex::F64(strategy.build_index(c.as_slice())),
+            let conjunct = match table.column(name)? {
+                AnyColumn::I32(c) => TypedConjunct::boxed(c, strategy),
+                AnyColumn::I64(c) => TypedConjunct::boxed(c, strategy),
+                AnyColumn::U64(c) => TypedConjunct::boxed(c, strategy),
+                AnyColumn::F64(c) => TypedConjunct::boxed(c, strategy),
             };
-            indexes.insert(name.to_string(), idx);
+            indexes.push((name.to_string(), conjunct));
         }
         Ok(TableSession {
             table,
@@ -164,12 +307,8 @@ impl TableSession {
 
     /// Metadata footprint of the named column's index, in bytes.
     pub fn index_metadata_bytes(&self, column: &str) -> Option<usize> {
-        self.indexes.get(column).map(|idx| match idx {
-            AnyIndex::I32(i) => i.metadata_bytes(),
-            AnyIndex::I64(i) => i.metadata_bytes(),
-            AnyIndex::U64(i) => i.metadata_bytes(),
-            AnyIndex::F64(i) => i.metadata_bytes(),
-        })
+        let (_, conjunct) = self.indexes.iter().find(|(name, _)| name == column)?;
+        Some(conjunct.metadata_bytes())
     }
 
     /// Counts rows satisfying every conjunct.
@@ -177,8 +316,8 @@ impl TableSession {
         &mut self,
         conjuncts: &[(&str, AnyPredicate)],
     ) -> Result<(u64, QueryMetrics)> {
-        let (answer, metrics) = self.run_conjunction(conjuncts, AggKind::Count, None)?;
-        Ok((answer, metrics))
+        let (count, _, metrics) = self.run_conjunction(conjuncts, None)?;
+        Ok((count, metrics))
     }
 
     /// Sums `agg_column` (any numeric type, as f64) over rows satisfying
@@ -188,35 +327,39 @@ impl TableSession {
         conjuncts: &[(&str, AnyPredicate)],
         agg_column: &str,
     ) -> Result<(u64, f64, QueryMetrics)> {
-        let mut sum = 0.0;
-        let (count, metrics) =
-            self.run_conjunction(conjuncts, AggKind::Sum, Some((agg_column, &mut sum)))?;
-        Ok((count, sum, metrics))
+        self.run_conjunction(conjuncts, Some(agg_column))
     }
 
+    /// One conjunction query: `(count, sum over agg_column or 0, metrics)`.
     fn run_conjunction(
         &mut self,
         conjuncts: &[(&str, AnyPredicate)],
-        agg: AggKind,
-        sum_out: Option<(&str, &mut f64)>,
-    ) -> Result<(u64, QueryMetrics)> {
-        let t0 = Instant::now();
+        agg_column: Option<&str>,
+    ) -> Result<(u64, f64, QueryMetrics)> {
+        let mut protocol = Protocol::start();
         let n = self.table.num_rows();
-        let mut zones_probed = 0usize;
-        let mut zones_skipped = 0usize;
 
-        // Phase 0: validate every conjunct up front — missing-index and
-        // type-mismatch errors must fire even for conjuncts the plan would
-        // not probe — and collect pre-probe stats for the planner.
+        // Phase 0: resolve and validate every conjunct up front — missing-
+        // index and type-mismatch errors must fire even for conjuncts the
+        // plan would not probe — and collect pre-probe stats for the planner.
+        let mut slots: Vec<usize> = Vec::with_capacity(conjuncts.len());
+        let mut cols: Vec<&AnyColumn> = Vec::with_capacity(conjuncts.len());
         let mut stats: Vec<Option<PruneStats>> = Vec::with_capacity(conjuncts.len());
         for &(name, pred) in conjuncts {
-            let idx = self
-                .indexes
-                .get(name)
+            let slot = (self.indexes.iter().position(|(indexed, _)| indexed == name))
                 .ok_or_else(|| TableSessionError::NoIndex(name.to_string()))?;
-            check_predicate_type(idx, &pred, name)?;
-            stats.push(stats_any(idx));
+            let conjunct = &self.indexes[slot].1;
+            if let Some(expected) = conjunct.mismatch(&pred) {
+                return Err(TableSessionError::PredicateType {
+                    column: name.to_string(),
+                    expected,
+                });
+            }
+            slots.push(slot);
+            cols.push(self.table.column(name)?);
+            stats.push(conjunct.prune_stats());
         }
+        let agg_col = agg_column.map(|c| self.table.column(c)).transpose()?;
         let plan = planner::build_probe_plan(&self.plan_mode, &stats)
             .map_err(TableSessionError::InvalidPlan)?;
         let explore = plan.gated && self.totals.queries.is_multiple_of(EXPLORE_EVERY);
@@ -230,8 +373,7 @@ impl TableSession {
         for &ci in &plan.order {
             let (name, pred) = conjuncts[ci];
             let alive_before = alive.covered_rows();
-            let est = stats[ci].map(|s| s.est_skip_fraction);
-            let (probe, benefit) = if plan.forced_fallback {
+            let (probe, est_benefit) = if plan.forced_fallback {
                 (false, 0.0)
             } else if plan.gated && !explore {
                 match &stats[ci] {
@@ -246,48 +388,27 @@ impl TableSession {
             } else {
                 (true, 0.0)
             };
+            let mut step = PlanStep {
+                column: name.to_string(),
+                probed: probe,
+                est_skip_fraction: stats[ci].map(|s| s.est_skip_fraction),
+                est_benefit,
+                zones_probed: 0,
+                zones_skipped: 0,
+                alive_before,
+                alive_after: alive_before,
+            };
             if probe {
-                let idx = self
-                    .indexes
-                    .get_mut(name)
-                    // invariant: phase 0 verified the entry exists.
-                    .expect("index validated in phase 0");
-                let out = if plan.restricted && alive_before < n {
-                    prune_any_within(idx, &pred, &alive, name)?
-                } else {
-                    prune_any(idx, &pred, name)?
-                };
-                // Shadow oracle: rows outside `alive` were excluded by
-                // earlier conjuncts, so this outcome is only accountable
-                // for the candidates still in play.
-                #[cfg(feature = "audit")]
-                audit_verify_any(&self.table, name, &pred, &out, &alive)?;
-                zones_probed += out.zones_probed;
-                zones_skipped += out.zones_skipped;
+                let within = (plan.restricted && alive_before < n).then_some(&alive);
+                let conjunct = &mut self.indexes[slots[ci]].1;
+                let out = conjunct.prune(cols[ci], &pred, within, &mut protocol);
                 alive = alive.intersect(&out.must_scan.union(&out.full_match));
-                steps.push(PlanStep {
-                    column: name.to_string(),
-                    probed: true,
-                    est_skip_fraction: est,
-                    est_benefit: benefit,
-                    zones_probed: out.zones_probed,
-                    zones_skipped: out.zones_skipped,
-                    alive_before,
-                    alive_after: alive.covered_rows(),
-                });
+                step.zones_probed = out.zones_probed;
+                step.zones_skipped = out.zones_skipped;
+                step.alive_after = alive.covered_rows();
                 outcomes[ci] = Some(out);
-            } else {
-                steps.push(PlanStep {
-                    column: name.to_string(),
-                    probed: false,
-                    est_skip_fraction: est,
-                    est_benefit: benefit,
-                    zones_probed: 0,
-                    zones_skipped: 0,
-                    alive_before,
-                    alive_after: alive_before,
-                });
             }
+            steps.push(step);
         }
         let conjuncts_probed = outcomes.iter().filter(|o| o.is_some()).count();
         let fallback = if conjuncts_probed == 0 && !conjuncts.is_empty() {
@@ -315,7 +436,6 @@ impl TableSession {
         } else {
             RangeSet::new()
         };
-        let prune_ns = t0.elapsed().as_nanos() as u64;
         let t_scan = Instant::now();
 
         let mut count = all_full.covered_rows() as u64;
@@ -335,51 +455,41 @@ impl TableSession {
         }
         cuts.sort_unstable();
         cuts.dedup();
-        let mut scan_pieces: Vec<ads_storage::RowRange> = Vec::new();
+        let mut scan_pieces: Vec<RowRange> = Vec::new();
         for r in to_scan.ranges() {
             let mut start = r.start;
             let lo = cuts.partition_point(|&c| c <= r.start);
             let hi = cuts.partition_point(|&c| c < r.end);
             for &c in &cuts[lo..hi] {
                 if c > start {
-                    scan_pieces.push(ads_storage::RowRange::new(start, c));
+                    scan_pieces.push(RowRange::new(start, c));
                     start = c;
                 }
             }
             if start < r.end {
-                scan_pieces.push(ads_storage::RowRange::new(start, r.end));
+                scan_pieces.push(RowRange::new(start, r.end));
             }
         }
 
         let mut rows_scanned = 0usize;
-        let mut per_col_obs: BTreeMap<&str, Vec<ObservationRec>> = BTreeMap::new();
         let mut survivors_per_range: Vec<(usize, Bitmap)> = Vec::new();
         for r in &scan_pieces {
             let mut combined: Option<Bitmap> = None;
-            for (ci, &(name, pred)) in conjuncts.iter().enumerate() {
+            for (ci, (_, pred)) in conjuncts.iter().enumerate() {
                 let probed = outcomes[ci].as_ref();
                 // A probed column whose full-match covers this range
                 // entirely does not constrain it further and needs no
                 // scan; an unprobed column always filters.
-                if let Some(out) = probed {
-                    if out.full_match.covers_span(r.start, r.end) {
-                        continue;
-                    }
+                if probed.is_some_and(|out| out.full_match.covers_span(r.start, r.end)) {
+                    continue;
                 }
                 let mut bm = Bitmap::new(r.len());
-                let (q, bounds) = fill_any(&self.table, name, &pred, r.start, r.end, &mut bm)?;
-                rows_scanned += r.len();
                 // Observations feed back only to probed indexes — observe
                 // without the matching prune would desynchronise an
                 // adaptive structure's query clock.
-                if probed.is_some() {
-                    per_col_obs.entry(name).or_default().push(ObservationRec {
-                        start: r.start,
-                        end: r.end,
-                        qualifying: q,
-                        bounds,
-                    });
-                }
+                let conjunct = &mut self.indexes[slots[ci]].1;
+                conjunct.fill(cols[ci], pred, *r, probed.is_some(), &mut bm);
+                rows_scanned += r.len();
                 combined = Some(match combined {
                     None => bm,
                     Some(mut prev) => {
@@ -390,314 +500,69 @@ impl TableSession {
             }
             let survivors = combined.unwrap_or_else(|| Bitmap::ones(r.len()));
             count += survivors.count_ones() as u64;
-            if agg == AggKind::Sum {
+            if agg_col.is_some() {
                 survivors_per_range.push((r.start, survivors));
             }
         }
 
         // Phase 3: optional SUM over the aggregate column.
-        if let Some((agg_col, sum)) = sum_out {
-            let col = self.table.column(agg_col)?;
-            let mut total = 0.0f64;
-            // Full-match rows qualify entirely.
-            for r in all_full.ranges() {
-                total += sum_any_range(col, r.start, r.end);
-            }
-            for (start, bm) in &survivors_per_range {
-                // Word-wise walk: skip empty words outright, iterate set
-                // bits of the rest in ascending order (deterministic sum).
-                for (w, word) in bm.iter_set_words() {
-                    let word_base = start + w * 64;
-                    let mut m = word;
-                    while m != 0 {
-                        // narrowing: trailing_zeros of a u64 is at most
-                        // 64.
-                        total += value_as_f64(col, word_base + m.trailing_zeros() as usize);
-                        m &= m - 1;
-                    }
-                }
-            }
-            *sum = total;
-        }
-
-        let scan_ns = t_scan.elapsed().as_nanos() as u64;
-        let t_observe = Instant::now();
-
-        // Phase 4: feed observations back per probed column (min/max here
-        // are of the scanned range, computed as typed scan by-products).
-        for (ci, &(name, pred)) in conjuncts.iter().enumerate() {
-            if outcomes[ci].is_none() {
-                continue;
-            }
-            if let Some(obs) = per_col_obs.remove(name) {
-                let idx = self
-                    .indexes
-                    .get_mut(name)
-                    // invariant: phase 0 verified the entry exists.
-                    .expect("index validated in phase 0");
-                observe_any(idx, &pred, obs);
-            }
-        }
-        let observe_ns = t_observe.elapsed().as_nanos() as u64;
-
-        self.last_plan = Some(PlanTrace { steps, fallback });
-        let metrics = QueryMetrics {
-            wall_ns: t0.elapsed().as_nanos() as u64,
-            zones_probed,
-            zones_skipped,
+        let sum = agg_col.map_or(0.0, |col| sum_any(col, &all_full, &survivors_per_range));
+        let phase = ScanPhase {
             rows_scanned,
             // The bitmap-filling conjunct scan always folds (min, max).
             rows_with_byproducts: rows_scanned,
-            rows_full_match: all_full.covered_rows(),
-            rows_matched: count,
-            adapt_events: 0,
-            prune_ns,
-            scan_ns,
-            observe_ns,
             threads_used: 1,
-            conjuncts_probed,
-            plan_fallback: fallback.is_some(),
+            scan_ns: t_scan.elapsed().as_nanos() as u64,
         };
+
+        // Phase 4: every probed column learns from what its scans
+        // recorded (min/max of each scanned piece, typed by-products).
+        for (ci, (_, pred)) in conjuncts.iter().enumerate() {
+            if outcomes[ci].is_some() {
+                let conjunct = &mut self.indexes[slots[ci]].1;
+                conjunct.learn(cols[ci], pred, &mut protocol);
+            }
+        }
+
+        let mut metrics = protocol.finish(phase, all_full.covered_rows(), count);
+        metrics.conjuncts_probed = conjuncts_probed;
+        metrics.plan_fallback = fallback.is_some();
+        self.last_plan = Some(PlanTrace { steps, fallback });
         self.totals.absorb(&metrics);
-        Ok((count, metrics))
+        Ok((count, sum, metrics))
     }
 }
 
-/// Typed `(min, max)` scan by-products, preserved exactly through the
-/// type-erased observation path. These used to travel through `f64`; for
-/// `i64`/`u64` magnitudes at or above 2^53 the nearest-rounding round-trip
-/// could move a recorded zone max *below* the true max (or a min above the
-/// true min), making a later predicate falsely skip qualifying rows. Keeping
-/// the native type end-to-end removes that failure mode outright.
-enum AnyBounds {
-    I32(i32, i32),
-    I64(i64, i64),
-    U64(u64, u64),
-    F64(f64, f64),
-}
-
-/// Type-erased observation carrying exact typed bounds; converted to the
-/// typed observation at the observe step.
-struct ObservationRec {
-    start: usize,
-    end: usize,
-    qualifying: usize,
-    bounds: AnyBounds,
-}
-
-/// The error for a predicate whose type does not match the index's column.
-fn type_mismatch(idx: &AnyIndex, _pred: &AnyPredicate, column: &str) -> TableSessionError {
-    TableSessionError::PredicateType {
-        column: column.to_string(),
-        expected: match idx {
-            AnyIndex::I32(_) => "i32",
-            AnyIndex::I64(_) => "i64",
-            AnyIndex::U64(_) => "u64",
-            AnyIndex::F64(_) => "f64",
-        },
-    }
-}
-
-/// Validates that `pred`'s type matches the index's column type.
-fn check_predicate_type(idx: &AnyIndex, pred: &AnyPredicate, column: &str) -> Result<()> {
-    match (idx, pred) {
-        (AnyIndex::I32(_), AnyPredicate::I32(_))
-        | (AnyIndex::I64(_), AnyPredicate::I64(_))
-        | (AnyIndex::U64(_), AnyPredicate::U64(_))
-        | (AnyIndex::F64(_), AnyPredicate::F64(_)) => Ok(()),
-        (idx, pred) => Err(type_mismatch(idx, pred, column)),
-    }
-}
-
-/// The index's pre-probe planner summary.
-fn stats_any(idx: &AnyIndex) -> Option<PruneStats> {
-    match idx {
-        AnyIndex::I32(i) => i.prune_stats(),
-        AnyIndex::I64(i) => i.prune_stats(),
-        AnyIndex::U64(i) => i.prune_stats(),
-        AnyIndex::F64(i) => i.prune_stats(),
-    }
-}
-
-/// The table path derives its alive set from `must_scan ∪ full_match`
-/// and re-tests predicates row by row, so positional reorg units must be
-/// folded back into plain scan units before the outcome is consumed.
-fn demote_if_reorg(out: PruneOutcome) -> PruneOutcome {
-    if out.reorg_units.is_empty() {
-        out
-    } else {
-        out.demote_reorg_units()
-    }
-}
-
-fn prune_any(idx: &mut AnyIndex, pred: &AnyPredicate, column: &str) -> Result<PruneOutcome> {
-    match (idx, pred) {
-        (AnyIndex::I32(i), AnyPredicate::I32(p)) => Ok(demote_if_reorg(i.prune(p))),
-        (AnyIndex::I64(i), AnyPredicate::I64(p)) => Ok(demote_if_reorg(i.prune(p))),
-        (AnyIndex::U64(i), AnyPredicate::U64(p)) => Ok(demote_if_reorg(i.prune(p))),
-        (AnyIndex::F64(i), AnyPredicate::F64(p)) => Ok(demote_if_reorg(i.prune(p))),
-        (idx, pred) => Err(type_mismatch(idx, pred, column)),
-    }
-}
-
-fn prune_any_within(
-    idx: &mut AnyIndex,
-    pred: &AnyPredicate,
-    alive: &RangeSet,
-    column: &str,
-) -> Result<PruneOutcome> {
-    match (idx, pred) {
-        (AnyIndex::I32(i), AnyPredicate::I32(p)) => Ok(demote_if_reorg(i.prune_within(p, alive))),
-        (AnyIndex::I64(i), AnyPredicate::I64(p)) => Ok(demote_if_reorg(i.prune_within(p, alive))),
-        (AnyIndex::U64(i), AnyPredicate::U64(p)) => Ok(demote_if_reorg(i.prune_within(p, alive))),
-        (AnyIndex::F64(i), AnyPredicate::F64(p)) => Ok(demote_if_reorg(i.prune_within(p, alive))),
-        (idx, pred) => Err(type_mismatch(idx, pred, column)),
-    }
-}
-
-/// Cross-checks one conjunct's prune outcome against the base column
-/// (see [`ads_core::audit`]). The table path is append-only, so there is
-/// no delete vector to thread through; `within` carries the candidate
-/// set surviving earlier conjuncts.
-#[cfg(feature = "audit")]
-fn audit_verify_any(
-    table: &Table,
-    name: &str,
-    pred: &AnyPredicate,
-    out: &PruneOutcome,
-    within: &RangeSet,
-) -> Result<()> {
-    fn go<T: DataValue>(
-        col: &Column<T>,
-        p: &RangePredicate<T>,
-        out: &PruneOutcome,
-        within: &RangeSet,
-    ) {
-        ads_core::audit::verify_outcome(
-            col.as_slice(),
-            None,
-            p,
-            out,
-            Some(within),
-            "run_conjunction",
-        );
-    }
-    match pred {
-        AnyPredicate::I32(p) => go(table.typed_column::<i32>(name)?, p, out, within),
-        AnyPredicate::I64(p) => go(table.typed_column::<i64>(name)?, p, out, within),
-        AnyPredicate::U64(p) => go(table.typed_column::<u64>(name)?, p, out, within),
-        AnyPredicate::F64(p) => go(table.typed_column::<f64>(name)?, p, out, within),
-    }
-    Ok(())
-}
-
-fn fill_any(
-    table: &Table,
-    name: &str,
-    pred: &AnyPredicate,
-    start: usize,
-    end: usize,
-    bm: &mut Bitmap,
-) -> Result<(usize, AnyBounds)> {
-    fn go<T: DataValue>(
-        col: &Column<T>,
-        p: &RangePredicate<T>,
-        start: usize,
-        end: usize,
-        bm: &mut Bitmap,
-    ) -> (usize, T, T) {
-        // live: the table path is append-only — `TableSession` carries
-        // no delete vector, so every row is live.
-        scan::fill_bitmap_in_range_with_minmax(col.slice(start, end), 0, p.lo, p.hi, bm)
-    }
-    match pred {
-        AnyPredicate::I32(p) => {
-            let (q, lo, hi) = go(table.typed_column::<i32>(name)?, p, start, end, bm);
-            Ok((q, AnyBounds::I32(lo, hi)))
+/// SUM of `col` (as f64) over the full-match ranges, then over the rows
+/// surviving each scanned piece — ascending rows within each, so the f64
+/// accumulation order is a function of the plan alone.
+fn sum_any(col: &AnyColumn, all_full: &RangeSet, survivors: &[(usize, Bitmap)]) -> f64 {
+    fn go<T: DataValue>(c: &Column<T>, all_full: &RangeSet, survivors: &[(usize, Bitmap)]) -> f64 {
+        let mut total = 0.0f64;
+        for r in all_full.ranges() {
+            // live: append-only table path — no delete vector exists.
+            total += scan::sum_in_range(c.slice(r.start, r.end), T::MIN_VALUE, T::MAX_VALUE).1;
         }
-        AnyPredicate::I64(p) => {
-            let (q, lo, hi) = go(table.typed_column::<i64>(name)?, p, start, end, bm);
-            Ok((q, AnyBounds::I64(lo, hi)))
+        for (start, bm) in survivors {
+            // Word-wise walk: skip empty words outright, iterate set
+            // bits of the rest in ascending order.
+            for (w, word) in bm.iter_set_words() {
+                let word_base = start + w * 64;
+                let mut m = word;
+                while m != 0 {
+                    // narrowing: trailing_zeros of a u64 is at most 64.
+                    total += c.value(word_base + m.trailing_zeros() as usize).to_f64();
+                    m &= m - 1;
+                }
+            }
         }
-        AnyPredicate::U64(p) => {
-            let (q, lo, hi) = go(table.typed_column::<u64>(name)?, p, start, end, bm);
-            Ok((q, AnyBounds::U64(lo, hi)))
-        }
-        AnyPredicate::F64(p) => {
-            let (q, lo, hi) = go(table.typed_column::<f64>(name)?, p, start, end, bm);
-            Ok((q, AnyBounds::F64(lo, hi)))
-        }
-    }
-}
-
-fn observe_any(idx: &mut AnyIndex, pred: &AnyPredicate, obs: Vec<ObservationRec>) {
-    fn go<T: DataValue>(
-        idx: &mut Box<dyn SkippingIndex<T>>,
-        pred: &RangePredicate<T>,
-        obs: Vec<ObservationRec>,
-        extract: impl Fn(&AnyBounds) -> Option<(T, T)>,
-    ) {
-        // Observations whose bounds are not of the column's type cannot
-        // occur (fill_any produced them from the same predicate), but the
-        // feedback channel is advisory, so dropping beats panicking.
-        let ranges = obs
-            .into_iter()
-            .filter_map(|o| {
-                let (min, max) = extract(&o.bounds)?;
-                Some(RangeObservation::new(
-                    ads_storage::RowRange::new(o.start, o.end),
-                    o.qualifying,
-                    min,
-                    max,
-                ))
-            })
-            .collect();
-        idx.observe(&ScanObservation {
-            predicate: *pred,
-            ranges,
-        });
-    }
-    match (idx, pred) {
-        (AnyIndex::I32(i), AnyPredicate::I32(p)) => go(i, p, obs, |b| match b {
-            AnyBounds::I32(lo, hi) => Some((*lo, *hi)),
-            _ => None,
-        }),
-        (AnyIndex::I64(i), AnyPredicate::I64(p)) => go(i, p, obs, |b| match b {
-            AnyBounds::I64(lo, hi) => Some((*lo, *hi)),
-            _ => None,
-        }),
-        (AnyIndex::U64(i), AnyPredicate::U64(p)) => go(i, p, obs, |b| match b {
-            AnyBounds::U64(lo, hi) => Some((*lo, *hi)),
-            _ => None,
-        }),
-        (AnyIndex::F64(i), AnyPredicate::F64(p)) => go(i, p, obs, |b| match b {
-            AnyBounds::F64(lo, hi) => Some((*lo, *hi)),
-            _ => None,
-        }),
-        _ => {}
-    }
-}
-
-fn sum_any_range(col: &ads_storage::AnyColumn, start: usize, end: usize) -> f64 {
-    fn go<T: DataValue>(c: &Column<T>, start: usize, end: usize) -> f64 {
-        // live: append-only table path — no delete vector exists.
-        let (_, s) = scan::sum_in_range(c.slice(start, end), T::MIN_VALUE, T::MAX_VALUE);
-        s
+        total
     }
     match col {
-        ads_storage::AnyColumn::I32(c) => go(c, start, end),
-        ads_storage::AnyColumn::I64(c) => go(c, start, end),
-        ads_storage::AnyColumn::U64(c) => go(c, start, end),
-        ads_storage::AnyColumn::F64(c) => go(c, start, end),
-    }
-}
-
-fn value_as_f64(col: &ads_storage::AnyColumn, row: usize) -> f64 {
-    match col {
-        ads_storage::AnyColumn::I32(c) => c.value(row).to_f64(),
-        ads_storage::AnyColumn::I64(c) => c.value(row).to_f64(),
-        ads_storage::AnyColumn::U64(c) => c.value(row).to_f64(),
-        ads_storage::AnyColumn::F64(c) => c.value(row),
+        AnyColumn::I32(c) => go(c, all_full, survivors),
+        AnyColumn::I64(c) => go(c, all_full, survivors),
+        AnyColumn::U64(c) => go(c, all_full, survivors),
+        AnyColumn::F64(c) => go(c, all_full, survivors),
     }
 }
 
@@ -881,7 +746,8 @@ mod tests {
     /// nearest double is 2^53, so an adaptive zone built from that
     /// observation recorded max = 2^53 — strictly below the true max —
     /// and a later point query for the needle was *falsely skipped*.
-    /// Typed [`AnyBounds`] transport keeps the native value end-to-end.
+    /// Bounds that never leave the column's type keep the native value
+    /// end-to-end.
     #[test]
     fn u64_bounds_beyond_f64_precision_are_exact() {
         const P53: u64 = 1 << 53;
@@ -948,6 +814,70 @@ mod tests {
             assert_eq!(c, 1, "needle {needle} lost");
             assert!(m.zones_skipped > 0, "metadata never engaged");
         }
+    }
+
+    /// The multi-column path runs the whole protocol: `maintain` after
+    /// `observe`, and the adaptation events counted. It used to stop at
+    /// `observe` with `adapt_events: 0`, so a table session configured
+    /// for tiers could never earn one and kept scanning every zone whose
+    /// bounds a point probe overlapped.
+    #[test]
+    fn table_session_earns_tiers_and_counts_adaptation() {
+        use crate::session::ColumnSession;
+        // Even values scattered over the domain: every zone's (min, max)
+        // spans nearly everything, so only a bloom can skip a point probe.
+        let vals: Vec<i64> = (0..20_000)
+            .map(|i| ((i * 2654435761i64) % 1000) * 2)
+            .collect();
+        let tiered = AdaptiveConfig {
+            target_zone_rows: 256,
+            min_zone_rows: 64,
+            max_zone_rows: 1024,
+            tier_after_scans: 2,
+            maintenance_every: 1,
+            ..AdaptiveConfig::with_tiers()
+        };
+        let untiered = AdaptiveConfig {
+            tier_mode: ads_core::adaptive::TierMode::Off,
+            ..tiered.clone()
+        };
+        let session = |config: AdaptiveConfig| {
+            let mut t = Table::new("points");
+            t.add_column("v", Column::from_values(vals.clone()))
+                .unwrap();
+            let mut ts = TableSession::new(t, &Strategy::Adaptive(config), &["v"]).unwrap();
+            ts.set_plan_mode(PlanMode::FixedOrder);
+            ts
+        };
+        let (mut ts, mut flat) = (session(tiered.clone()), session(untiered));
+        let mut cs = ColumnSession::new(vals.clone(), &Strategy::Adaptive(tiered));
+        let mut late_skips = 0usize;
+        for q in 0..200i64 {
+            // Odd values are absent everywhere.
+            let needle = (q * 66 + 1) % 2000;
+            let conj = [("v", AnyPredicate::I64(RangePredicate::point(needle)))];
+            let (count, m) = ts.count_conjunction(&conj).unwrap();
+            flat.count_conjunction(&conj).unwrap();
+            assert_eq!(count, cs.count(RangePredicate::point(needle)), "q{q}");
+            if q >= 100 {
+                late_skips += m.zones_skipped;
+            }
+        }
+        assert!(ts.totals().adapt_events > 0, "adaptation went uncounted");
+        assert!(
+            late_skips > 0,
+            "no zone skipped: bounds overlap every probe, so no tier was ever earned"
+        );
+        assert!(
+            ts.index_metadata_bytes("v") > flat.index_metadata_bytes("v"),
+            "tiers add metadata the untiered twin does not carry"
+        );
+        assert!(
+            ts.totals().rows_scanned < flat.totals().rows_scanned / 2,
+            "blooms should cut scans: {} vs {}",
+            ts.totals().rows_scanned,
+            flat.totals().rows_scanned
+        );
     }
 
     #[test]

@@ -33,9 +33,7 @@ use crate::stats::OwnerTotals;
 use crate::sync::Arc;
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, ShardedZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
-use ads_engine::{
-    execute_sharded_with_deletes, AggKind, ExecPolicy, QueryAnswer, ShardedQueryMetrics,
-};
+use ads_engine::{execute_sharded, AggKind, ExecPolicy, QueryAnswer, ShardedQueryMetrics};
 use ads_storage::{DataValue, DeleteVector, RowRange, ShardedColumn, SharedColumn};
 
 /// One out-of-place mutation, addressed by global row id — the same
@@ -153,7 +151,7 @@ impl<T: DataValue> Owner<T> {
         predicate: RangePredicate<T>,
         agg: AggKind,
     ) -> (QueryAnswer<T>, ShardedQueryMetrics) {
-        execute_sharded_with_deletes(
+        execute_sharded(
             &self.column,
             &mut self.zonemap,
             Some(&self.deletes),

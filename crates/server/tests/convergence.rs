@@ -202,7 +202,14 @@ fn sharded_async_with_flush_matches_sharded_inline_replay() {
         .iter()
         .map(|q| {
             let pred = RangePredicate::between(q.lo, q.hi);
-            let (ans, _) = execute_sharded(&sharded, &mut inline_zm, pred, AggKind::Count, &policy);
+            let (ans, _) = execute_sharded(
+                &sharded,
+                &mut inline_zm,
+                None,
+                pred,
+                AggKind::Count,
+                &policy,
+            );
             ans.count
         })
         .collect();

@@ -10,8 +10,8 @@
 
 use ads_core::{PruneOutcome, RangePredicate, SkippingIndex};
 use ads_engine::{
-    execute, execute_disjunction, in_list, scan_pruned_with_deletes, scan_sharded, AggKind,
-    ExecPolicy, ShardScanInput, Strategy,
+    execute, execute_disjunction, in_list, scan_sharded, AggKind, ExecPolicy, Lane, ShardScanInput,
+    Strategy,
 };
 use ads_storage::{DeleteVector, RangeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -182,12 +182,14 @@ fn honest_strategies_sweep_clean_under_deletes() {
         let mut idx = strategy.build_index(&data);
         for q in 0..40i64 {
             let pred = RangePredicate::between(q * 100, q * 100 + 250);
-            let out = idx.prune(&pred);
             // The audit hook inside the scan cross-checks every decision.
-            let (_, obs, _) =
-                scan_pruned_with_deletes(&data, &out, pred, AggKind::Count, &policy, Some(&live));
-            idx.observe(&obs);
-            idx.maintain(&data);
+            let lane = Lane {
+                data: &data,
+                index: idx.as_mut(),
+                live: Some(&live),
+                start: 0,
+            };
+            Lane::run(&mut [lane], pred, AggKind::Count, &policy);
         }
     }
 }
@@ -238,7 +240,12 @@ fn oracle_tolerates_skipping_tombstoned_rows() {
     };
     let pred = RangePredicate::between(600, 700);
     let policy = ExecPolicy::default();
-    let (answer, _, _) =
-        scan_pruned_with_deletes(&data, &out, pred, AggKind::Count, &policy, Some(&live));
-    assert_eq!(answer.count, 0);
+    let lane = ShardScanInput {
+        data: &data,
+        outcome: &out,
+        start: 0,
+        live: Some(&live),
+    };
+    let result = scan_sharded(&[lane], pred, AggKind::Count, &policy);
+    assert_eq!(result.answer.count, 0);
 }

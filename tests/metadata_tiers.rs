@@ -248,7 +248,7 @@ fn tiered_sharded_answers_match_at_any_shard_count() {
                     let want = execute_reference(&data, *pred, agg);
                     let mut baseline: Option<QueryAnswer<i64>> = None;
                     for (mode, zm) in TIER_MODES.iter().zip(&mut maps) {
-                        let (ans, _) = execute_sharded(&column, zm, *pred, agg, &policy);
+                        let (ans, _) = execute_sharded(&column, zm, None, *pred, agg, &policy);
                         let ctx =
                             format!("case {case} s={shards} t={threads} q{qi} {agg:?} {mode:?}");
                         assert_answers_identical(&ans, &want, &ctx);

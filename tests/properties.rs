@@ -252,7 +252,7 @@ fn sharded_execution_matches_reference_on_random_workloads() {
             let mut zonemap = ShardedZonemap::for_column(&column, test_config());
             for (qi, pred) in preds.iter().enumerate() {
                 let agg = AGGS[qi % AGGS.len()];
-                let (got, _) = execute_sharded(&column, &mut zonemap, *pred, agg, &policy);
+                let (got, _) = execute_sharded(&column, &mut zonemap, None, *pred, agg, &policy);
                 let want = execute_reference(&data, *pred, agg);
                 let ctx = format!("case {case} shards={shards} q{qi} {agg:?}");
                 assert_eq!(got.count, want.count, "count {ctx}");

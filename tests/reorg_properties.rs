@@ -225,8 +225,8 @@ fn reorg_sharded_answers_match_flat_at_any_shard_count() {
                 let mut reorg = ShardedZonemap::for_column(&column, reorg_config());
                 for (qi, pred) in preds.iter().enumerate() {
                     let agg = ALL_AGGS[qi % ALL_AGGS.len()];
-                    let (f, _) = execute_sharded(&column, &mut flat, *pred, agg, &policy);
-                    let (r, _) = execute_sharded(&column, &mut reorg, *pred, agg, &policy);
+                    let (f, _) = execute_sharded(&column, &mut flat, None, *pred, agg, &policy);
+                    let (r, _) = execute_sharded(&column, &mut reorg, None, *pred, agg, &policy);
                     let want = execute_reference(&data, *pred, agg);
                     let ctx = format!("case {case} s={shards} t={threads} q{qi} {agg:?}");
                     assert_answers_identical(&r, &f, &ctx);

@@ -83,7 +83,8 @@ fn check_against_reference(
             let mut zonemap = ShardedZonemap::for_column(&column, test_config());
             for (qi, pred) in preds.iter().enumerate() {
                 let agg = AGGS[qi % AGGS.len()];
-                let (got, metrics) = execute_sharded(&column, &mut zonemap, *pred, agg, &policy);
+                let (got, metrics) =
+                    execute_sharded(&column, &mut zonemap, None, *pred, agg, &policy);
                 let want = execute_reference(rows, *pred, agg);
                 let ctx = format!(
                     "{label} shards={shards} threads={} q{qi} {agg:?}",
@@ -160,7 +161,7 @@ fn appends_into_the_tail_shard_stay_exact() {
                     zonemap.on_append_tail(&batch, column.shard(tail).as_slice());
                 }
                 let agg = AGGS[qi % AGGS.len()];
-                let (got, _) = execute_sharded(&column, &mut zonemap, *pred, agg, &policy);
+                let (got, _) = execute_sharded(&column, &mut zonemap, None, *pred, agg, &policy);
                 let want = execute_reference(&rows, *pred, agg);
                 assert_same_answer(
                     &got,
@@ -201,7 +202,7 @@ fn single_shard_path_reproduces_the_unsharded_zonemap_exactly() {
             for (qi, pred) in preds_for(60, 0xE405).iter().enumerate() {
                 let agg = AGGS[qi % AGGS.len()];
                 let (sharded_ans, _) =
-                    execute_sharded(&column, &mut sharded_zm, *pred, agg, &policy);
+                    execute_sharded(&column, &mut sharded_zm, None, *pred, agg, &policy);
                 let (plain_ans, _) = execute_with_policy(&rows, &mut plain_zm, *pred, agg, &policy);
                 let ctx = format!("{label} threads={} q{qi} {agg:?}", policy.threads);
                 assert_same_answer(&sharded_ans, &plain_ans, &ctx);
