@@ -9,14 +9,15 @@
 //!
 //! ## Parallel execution
 //!
-//! [`execute_with_policy`] fans the prune outcome's scan units (plus the
-//! full-match ranges, for value-reading aggregates) across scoped worker
-//! threads via [`ads_storage::parallel::par_map_weighted`]. Every work
-//! item produces its result independently and the executor merges them
-//! **in item order** — the exact order the sequential loop folds in — so
-//! answers (including floating-point SUMs), the observation feedback, and
-//! therefore all adaptation downstream are bit-identical at any thread
-//! count. Parallelism changes latency, never state.
+//! [`execute_with_policy`] cuts the prune outcome's scan units (plus the
+//! full-match ranges, for value-reading aggregates) into contiguous runs
+//! and scans them on scoped worker threads
+//! ([`crate::sharded_exec::ScanPlan`]). Every work item produces its
+//! result independently and the executor merges them **in item order** —
+//! the exact order the sequential loop folds in — so answers (including
+//! floating-point SUMs), the observation feedback, and therefore all
+//! adaptation downstream are bit-identical at any thread count.
+//! Parallelism changes latency, never state.
 
 use crate::exec_policy::ExecPolicy;
 use crate::lane::Lane;

@@ -48,8 +48,8 @@ pub use metrics::{CumulativeMetrics, QueryMetrics};
 pub use planner::{FallbackReason, PlanMode, PlanStep, PlanTrace};
 pub use session::ColumnSession;
 pub use sharded_exec::{
-    execute_sharded, scan_sharded, ShardLaneMetrics, ShardScanInput, ShardedQueryMetrics,
-    ShardedScanResult,
+    execute_sharded, scan_sharded, RunResult, ScanPlan, ShardLaneMetrics, ShardScanInput,
+    ShardedQueryMetrics, ShardedScanResult,
 };
 pub use strategy::Strategy;
 pub use string_session::StringColumnSession;

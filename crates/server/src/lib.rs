@@ -13,8 +13,10 @@
 //!   caches ([`ShardedCache`]) whose steady-state cost is one atomic load
 //!   per shard. Pruning uses the read-only
 //!   `AdaptiveZonemap::prune_shared`, which is decision-identical to the
-//!   mutable prune; the per-shard scans fan through one weighted parallel
-//!   map and merge deterministically in shard order.
+//!   mutable prune; the per-shard scans are cut into one plan's runs and
+//!   merge deterministically in shard order. A large scan's runs are
+//!   shared with the worker's persistent scan helpers ([`helpers`]), one
+//!   per core the readers leave free.
 //! * **Adaptation** is deferred: each query's per-shard scan observations
 //!   go into a bounded feedback channel; a single maintenance thread
 //!   drains them in batches, replays the exact inline prune/observe
@@ -56,6 +58,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod helpers;
 pub mod owner;
 pub mod queue;
 pub mod service;
@@ -64,6 +67,7 @@ pub mod stats;
 pub mod sync;
 
 pub use config::{AdaptationMode, ServerConfig};
+pub use helpers::{help_loop, Board, Fan, Runs};
 pub use owner::{Mutation, Owner};
 pub use queue::{Bounded, PushError};
 pub use service::{MutationError, QueryService, Reply, Request, SubmitError, Ticket};

@@ -21,6 +21,25 @@
 //! remembers of its own publications (`Published`); client calls reach it
 //! as messages and are acknowledged after the round's publications.
 //!
+//! ## Threads
+//!
+//! A service runs `readers` workers, in the snapshot modes one
+//! maintenance thread, and — also only in the snapshot modes — each
+//! worker's scan helpers: `available_parallelism / readers - 1` of them,
+//! so none once the readers fill the host. All are spawned in
+//! [`QueryService::start`] and joined in [`QueryService::shutdown`]; no
+//! thread is started or stopped per query.
+//!
+//! A worker parallelises one query only through its helpers. It plans
+//! every scan with `ExecPolicy::parallel(1 + helpers)`, so a scan below
+//! two threads' worth of `MIN_ROWS_PER_THREAD` rows stays one run on the
+//! worker, exactly the sequential path. A plan of more than one run is
+//! posted on the worker's job board (`crate::helpers`): worker and
+//! helpers claim runs through one cursor, the worker scans until no run
+//! is unclaimed and then waits only for runs a helper already started,
+//! and the runs merge in item order — so answers and every observation
+//! the owner learns from are the ones a sequential scan produces.
+//!
 //! ## Correctness under staleness
 //!
 //! A reader may execute against shard snapshots that are several
@@ -114,21 +133,26 @@
 //! Shed`]); requests carry optional deadlines checked at dequeue; feedback
 //! beyond the channel bound is dropped (slower adaptation, never wrong
 //! answers). [`QueryService::shutdown`] closes admission, lets the workers
-//! drain every accepted request, then stops the maintenance thread after
-//! it has applied all queued feedback.
+//! drain every accepted request, closes the job boards so the helpers
+//! exit, then stops the maintenance thread after it has applied all
+//! queued feedback.
 //!
 //! [`AdaptiveZonemap::apply_feedback`]: ads_core::adaptive::AdaptiveZonemap::apply_feedback
 //! [`AdaptiveZonemap::mutation_epoch`]: ads_core::adaptive::AdaptiveZonemap::mutation_epoch
 
 use crate::config::{AdaptationMode, ServerConfig};
+use crate::helpers::{help_loop, Board, Runs};
 use crate::owner::{Mutation, Owner};
 use crate::queue::{Bounded, PushError};
 use crate::snapshot::{ShardSnapshot, ShardedCell};
 use crate::stats::{OwnerTotals, ServerStats, StatsCollector};
 use crate::sync::{Arc, Mutex, MutexGuard};
-use ads_core::{RangePredicate, ScanObservation, SkippingIndex};
-use ads_engine::{scan_sharded, AggKind, ExecPolicy, QueryAnswer, ShardScanInput};
+use ads_core::{PruneOutcome, RangePredicate, ScanObservation, SkippingIndex};
+use ads_engine::{
+    AggKind, ExecPolicy, QueryAnswer, RunResult, ScanPlan, ShardScanInput, ShardedScanResult,
+};
 use ads_storage::{DataValue, DeleteVector, RowRange};
+use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -278,6 +302,22 @@ struct Shared<T: DataValue> {
     /// round, stored before that round's acks. (Inline mode reads the
     /// owner itself, under its lock.)
     round_totals: Mutex<OwnerTotals>,
+    /// Scan helper threads per worker (see [`scan_helpers`]).
+    helpers: usize,
+    /// One job board per worker when it has helpers; empty otherwise.
+    boards: Vec<Board<ScanWork<T>>>,
+}
+
+/// How many scan helpers each worker gets: the cores the readers leave
+/// free, shared out evenly — `available_parallelism / readers - 1`, so 0
+/// whenever the readers alone fill the host, and 0 in inline mode, whose
+/// queries keep the owner's sequential policy.
+fn scan_helpers(config: &ServerConfig) -> usize {
+    if config.adaptation == AdaptationMode::Inline {
+        return 0;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    (cores / config.readers).saturating_sub(1)
 }
 
 /// The service: a worker pool over a bounded request queue, plus (in
@@ -287,6 +327,7 @@ pub struct QueryService<T: DataValue> {
     shared: Arc<Shared<T>>,
     maint_tx: Option<SyncSender<MaintMsg<T>>>,
     workers: Vec<JoinHandle<()>>,
+    helpers: Vec<JoinHandle<()>>,
     maint: Option<JoinHandle<()>>,
 }
 
@@ -308,12 +349,21 @@ impl<T: DataValue> QueryService<T> {
             (Engine::Snapshot(ShardedCell::new(initial)), Some(owner))
         };
 
+        let helpers = scan_helpers(&config);
+        let boards = if helpers > 0 {
+            (0..config.readers).map(|_| Board::new()).collect()
+        } else {
+            Vec::new()
+        };
         let shared = Arc::new(Shared {
             queue: Bounded::new(config.queue_capacity),
-            stats: StatsCollector::new(config.readers),
+            stats: StatsCollector::new(config.readers)
+                .with_scan_helpers((config.readers * helpers) as u64),
             engine,
             round_totals: Mutex::new(OwnerTotals::default()),
             config,
+            helpers,
+            boards,
         });
 
         let (maint_tx, maint) = if let Some(owner) = maint_owner {
@@ -346,10 +396,25 @@ impl<T: DataValue> QueryService<T> {
             })
             .collect();
 
+        // Spawned once, parked on their worker's board between jobs,
+        // joined at shutdown: no thread is born or dies per query.
+        let helpers = (0..shared.boards.len())
+            .flat_map(|id| (0..shared.helpers).map(move |h| (id, h)))
+            .map(|(id, h)| {
+                let sh = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("ads-helper-{id}.{h}"))
+                    .spawn(move || help_loop(&sh.boards[id]))
+                    // invariant: see the maintenance spawn above.
+                    .expect("spawn scan helper thread")
+            })
+            .collect();
+
         QueryService {
             shared,
             maint_tx,
             workers,
+            helpers,
             maint,
         }
     }
@@ -555,6 +620,14 @@ impl<T: DataValue> QueryService<T> {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // No worker is left to post a job; helpers wake, see the closed
+        // board and exit.
+        for board in &self.shared.boards {
+            board.close();
+        }
+        for h in self.helpers.drain(..) {
+            let _ = h.join();
+        }
         // All worker-held senders are gone; dropping ours closes the
         // maintenance channel after the queued feedback drains.
         self.maint_tx = None;
@@ -566,23 +639,28 @@ impl<T: DataValue> QueryService<T> {
 
 impl<T: DataValue> Drop for QueryService<T> {
     fn drop(&mut self) {
-        if !self.workers.is_empty() || self.maint.is_some() {
+        if !self.workers.is_empty() || !self.helpers.is_empty() || self.maint.is_some() {
             self.shutdown_inner();
         }
     }
 }
 
-/// One reader: pop → (deadline check) → execute → feedback → reply.
+/// One reader: pop → (deadline check) → execute → feedback → reply. In
+/// the snapshot modes "execute" is prune → plan → scan (with the helpers
+/// on `board` when the plan has more than one run) → merge.
 fn worker_loop<T: DataValue>(
     shared: &Shared<T>,
     worker_id: usize,
     feedback: Option<SyncSender<MaintMsg<T>>>,
 ) {
     let mut cache = shared.engine.cell().map(ShardedCell::cache);
-    // Sequential scans: the service scales by running many queries at
-    // once, not by fanning one query across the cores the other readers
-    // are using.
-    let policy = ExecPolicy::sequential();
+    // A scan is as wide as this worker plus its helpers — the cores the
+    // readers leave free, so just the worker when they fill the host.
+    // The policy's floor keeps every scan under two threads' worth of
+    // rows one run on this thread: the point and hotspot lookups never
+    // touch the board.
+    let policy = ExecPolicy::parallel(1 + shared.helpers);
+    let board = shared.boards.get(worker_id);
     while let Some(job) = shared.queue.pop() {
         let t0 = Instant::now();
         if job.request.deadline.is_some_and(|deadline| t0 > deadline) {
@@ -610,7 +688,7 @@ fn worker_loop<T: DataValue>(
             }
             Engine::Snapshot(cell) => {
                 // Lock-free steady state: one atomic generation load per
-                // lane, then read-only prunes and one fanned scan against
+                // lane, then read-only prunes and one planned scan against
                 // the immutable shard snapshots. Lanes may be from
                 // different publication rounds — each is sound for its own
                 // shard, which is all the merge needs.
@@ -619,24 +697,35 @@ fn worker_loop<T: DataValue>(
                 let cache = cache.as_mut().expect("snapshot mode has a cache");
                 cache.refresh(cell);
                 let lanes = cache.lanes();
-                let outcomes: Vec<_> = lanes
+                let (pred, agg) = (job.request.predicate, job.request.agg);
+                let outcomes: Vec<PruneOutcome> = lanes
                     .iter()
-                    .map(|lane| lane.current().zonemap.prune_shared(&job.request.predicate))
+                    .map(|lane| lane.current().zonemap.prune_shared(&pred))
                     .collect();
                 let inputs: Vec<ShardScanInput<'_, T>> = lanes
                     .iter()
                     .zip(&outcomes)
-                    .map(|(lane, outcome)| {
-                        let snap = lane.current();
-                        ShardScanInput {
-                            data: snap.data.as_slice(),
-                            outcome,
-                            start: snap.start,
-                            live: Some(snap.delete.as_ref()),
-                        }
-                    })
+                    .map(|(lane, outcome)| scan_input(lane.current(), outcome))
                     .collect();
-                let result = scan_sharded(&inputs, job.request.predicate, job.request.agg, &policy);
+                let plan = ScanPlan::new(&inputs, pred, agg, &policy);
+                let result = match board {
+                    // More than one run: the helpers take what they can,
+                    // which is why the job owns what its runs read.
+                    Some(board) if plan.runs() > 1 => {
+                        drop(inputs);
+                        shared.stats.record_scan_fanned();
+                        let lanes = lanes.iter().map(|lane| Arc::clone(lane.current()));
+                        scan_fanned(
+                            board,
+                            ScanWork {
+                                lanes: lanes.collect(),
+                                outcomes,
+                                plan,
+                            },
+                        )
+                    }
+                    _ => plan.run_scoped(&inputs),
+                };
                 let version = lanes.iter().map(|lane| lane.current().version).sum();
                 shared
                     .stats
@@ -667,6 +756,60 @@ fn worker_loop<T: DataValue>(
             .record_query(worker_id, t0.elapsed().as_nanos() as u64);
         let _ = job.reply.send(reply);
     }
+}
+
+/// One lane's scan input, read off its snapshot.
+fn scan_input<'a, T: DataValue>(
+    snap: &'a ShardSnapshot<T>,
+    outcome: &'a PruneOutcome,
+) -> ShardScanInput<'a, T> {
+    ShardScanInput {
+        data: snap.data.as_slice(),
+        outcome,
+        start: snap.start,
+        live: Some(snap.delete.as_ref()),
+    }
+}
+
+/// A fanned scan as its helpers see it: everything a run reads, owned —
+/// the worker's cached snapshots, its prune outcomes and the plan cut
+/// from them.
+struct ScanWork<T: DataValue> {
+    lanes: Vec<Arc<ShardSnapshot<T>>>,
+    outcomes: Vec<PruneOutcome>,
+    plan: ScanPlan<T>,
+}
+
+impl<T: DataValue> ScanWork<T> {
+    /// The lanes the plan was built from, rebuilt on the scanning thread.
+    fn inputs(&self) -> Vec<ShardScanInput<'_, T>> {
+        let lanes = self.lanes.iter().zip(&self.outcomes);
+        lanes
+            .map(|(snap, outcome)| scan_input(snap, outcome))
+            .collect()
+    }
+}
+
+impl<T: DataValue> Runs for ScanWork<T> {
+    type Out = RunResult<T>;
+
+    fn runs(&self) -> usize {
+        self.plan.runs()
+    }
+
+    fn run(&self, k: usize) -> RunResult<T> {
+        self.plan.scan_run(&self.inputs(), k)
+    }
+}
+
+/// Scans `work` with this worker's helpers and merges in run order.
+fn scan_fanned<T: DataValue>(
+    board: &Board<ScanWork<T>>,
+    work: ScanWork<T>,
+) -> ShardedScanResult<T> {
+    let (fan, runs) = board.run(work);
+    let work = fan.work();
+    work.plan.merge(&work.inputs(), runs)
 }
 
 /// What the maintenance thread remembers of each lane's last publication.

@@ -39,6 +39,10 @@ pub struct StatsCollector {
     rows_scanned: AtomicU64,
     /// The scanned rows that also paid for metadata construction.
     rows_with_byproducts: AtomicU64,
+    /// Queries whose scan ran as more than one run beside scan helpers.
+    scans_fanned: AtomicU64,
+    /// Scan helper threads the service runs (fixed at start).
+    scan_helpers: u64,
     /// One latency shard per worker, locked only by that worker (and by
     /// the occasional stats reader).
     latency_shards: Vec<Mutex<LatencyHistogram>>,
@@ -58,9 +62,19 @@ impl StatsCollector {
             mutations_processed: AtomicU64::new(0),
             rows_scanned: AtomicU64::new(0),
             rows_with_byproducts: AtomicU64::new(0),
+            scans_fanned: AtomicU64::new(0),
+            scan_helpers: 0,
             latency_shards: (0..workers.max(1))
                 .map(|_| Mutex::new(LatencyHistogram::new()))
                 .collect(),
+        }
+    }
+
+    /// The same collector, reporting `helpers` scan helper threads.
+    pub(crate) fn with_scan_helpers(self, helpers: u64) -> Self {
+        StatsCollector {
+            scan_helpers: helpers,
+            ..self
         }
     }
 
@@ -86,6 +100,12 @@ impl StatsCollector {
         // ordering: Relaxed — monotone counter; see record_query.
         self.rows_with_byproducts
             .fetch_add(with_byproducts as u64, Ordering::Relaxed);
+    }
+
+    /// Records one query whose scan was fanned out to the helpers.
+    pub(crate) fn record_scan_fanned(&self) {
+        // ordering: Relaxed — monotone counter; see record_query.
+        self.scans_fanned.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_shed(&self) {
@@ -187,6 +207,9 @@ impl StatsCollector {
             rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
             // ordering: Relaxed — see the struct-literal comment above.
             rows_with_byproducts: self.rows_with_byproducts.load(Ordering::Relaxed),
+            scan_helpers: self.scan_helpers,
+            // ordering: Relaxed — see the struct-literal comment above.
+            scans_fanned: self.scans_fanned.load(Ordering::Relaxed),
             queue_depth,
             latency,
         }
@@ -303,6 +326,15 @@ pub struct ServerStats {
     /// The scanned rows that also paid for metadata construction: rows of
     /// zones whose bounds (or value mask) the index still asked for.
     pub rows_with_byproducts: u64,
+    /// Scan helper threads the service runs beside its readers: each
+    /// worker gets `available_parallelism / readers - 1` of them in the
+    /// snapshot modes (so none once the readers fill the host), none in
+    /// inline mode. Spawned at start, joined at shutdown.
+    pub scan_helpers: u64,
+    /// Queries whose scan ran as more than one run, split between a
+    /// worker and its helpers — only scans past the policy's floor of
+    /// `MIN_ROWS_PER_THREAD` rows per thread are.
+    pub scans_fanned: u64,
     /// Request-queue depth at sampling time.
     pub queue_depth: usize,
     /// Merged end-to-end latency distribution (submit-to-reply is up to
@@ -342,6 +374,7 @@ impl ServerStats {
              reorg_promoted={} reorg_demoted={} reorg_bytes_moved={} \
              tiers_built={} tiers_dropped={} tier_skips={} \
              rows_scanned={} byproduct_share={:.4} \
+             scan_helpers={} scans_fanned={} \
              p50={}ns p95={}ns p99={}ns",
             self.queries,
             self.shed,
@@ -366,6 +399,8 @@ impl ServerStats {
             self.tier_skips,
             self.rows_scanned,
             self.byproduct_share(),
+            self.scan_helpers,
+            self.scans_fanned,
             self.latency.p50_ns(),
             self.latency.p95_ns(),
             self.latency.p99_ns(),
@@ -393,6 +428,8 @@ mod tests {
         c.record_mutations_processed(7);
         c.record_scan_rows(4_000, 1_000);
         c.record_scan_rows(4_000, 0);
+        c.record_scan_fanned();
+        let c = c.with_scan_helpers(2);
 
         let owner = OwnerTotals {
             feedback_stale: 2,
@@ -447,6 +484,7 @@ mod tests {
         assert_eq!(s.tiers_dropped, 1);
         assert_eq!(s.tier_skips, 8);
         assert_eq!((s.rows_scanned, s.rows_with_byproducts), (8_000, 1_000));
+        assert_eq!((s.scan_helpers, s.scans_fanned), (2, 1));
         assert!((s.byproduct_share() - 0.125).abs() < 1e-12);
         assert_eq!(s.queue_depth, 5);
         assert_eq!(s.latency.count(), 3);
@@ -464,5 +502,6 @@ mod tests {
         assert!((qps - 50.0).abs() < 1e-9);
         assert_eq!(s.throughput_qps(Duration::ZERO), 0.0);
         assert!(s.summary().contains("feedback_stale=0"));
+        assert!(s.summary().contains("scan_helpers=0 scans_fanned=0"));
     }
 }

@@ -1,21 +1,23 @@
 //! Model-checked protocol suites: the concurrency protocols of the
 //! server — snapshot publish/read, lane isolation, queue admission,
 //! shutdown drain, stats, reorg publication, mutation
-//! (delta-publication and compaction), and lane identity across a
-//! compaction — exhaustively verified at small scale by `ads-check`.
+//! (delta-publication and compaction), lane identity across a
+//! compaction, and the scan helpers' job board — exhaustively verified
+//! at small scale by `ads-check`.
 //!
 //! Built only under `--features check`, which swaps every primitive the
 //! server imports through `src/sync.rs` for the recording shims — these
 //! tests drive the *production* `SnapshotCell` / `ShardedCell` /
-//! `Bounded` / `StatsCollector` code, not models of it. Every
+//! `Bounded` / `StatsCollector` / `Board` code, not models of it. Every
 //! interleaving and every weak-memory-legal read visibility within the
 //! configured bounds is explored; a single failing execution panics the
 //! test with the violating trace.
 //!
-//! The final suite seeds a known bug (the generation read downgraded to
-//! `Relaxed`, the shape PR 2's snapshot cache would have had without its
-//! Acquire) and asserts the checker *finds* it — the soundness witness
-//! for everything above.
+//! Two suites seed a known bug and assert the checker *finds* it — the
+//! soundness witnesses for everything else: the generation read
+//! downgraded to `Relaxed` (the shape PR 2's snapshot cache would have
+//! had without its Acquire), and a job-board cursor whose claim is a
+//! load and a store instead of one `fetch_add`.
 
 #![cfg(feature = "check")]
 
@@ -26,8 +28,8 @@ use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierMode};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_engine::{scan_sharded, AggKind, ExecPolicy, ShardScanInput};
 use ads_server::{
-    Bounded, Mutation, Owner, OwnerTotals, PushError, ShardSnapshot, ShardedCell, SnapshotCell,
-    StatsCollector,
+    help_loop, Board, Bounded, Mutation, Owner, OwnerTotals, PushError, Runs, ShardSnapshot,
+    ShardedCell, SnapshotCell, StatsCollector,
 };
 use ads_storage::{DeleteVector, SharedColumn};
 
@@ -963,4 +965,112 @@ fn late_feedback_across_compaction_never_teaches_the_rebuilt_lane() {
         }
     });
     assert!(explored.executions > 1, "explored {explored:?}");
+}
+
+// ------------------------------------------------- Scan-helper job board
+
+/// A job of `runs` runs in which run `k` returns `k` and counts how often
+/// it was executed.
+struct Tally(Vec<AtomicU64>);
+
+impl Runs for Tally {
+    type Out = u64;
+
+    fn runs(&self) -> usize {
+        self.0.len()
+    }
+
+    fn run(&self, k: usize) -> u64 {
+        // ordering: Relaxed — a tally read only after the slot lock (or a
+        // join) has ordered this run before the read.
+        self.0[k].fetch_add(1, Ordering::Relaxed);
+        k as u64
+    }
+}
+
+fn tally(runs: usize) -> Tally {
+    Tally((0..runs).map(|_| AtomicU64::new(0)).collect())
+}
+
+/// Every run of `job` was executed exactly once.
+fn assert_each_run_once(job: &Tally) {
+    for (k, count) in job.0.iter().enumerate() {
+        // ordering: Relaxed — ordered by the slot lock `finish` took
+        // after the run stored its output (or by the joins).
+        let n = count.load(Ordering::Relaxed);
+        assert_eq!(n, 1, "run {k} executed {n} times");
+    }
+}
+
+/// The production job board with one worker and one helper thread
+/// racing on its claim cursor. Under every interleaving: every run is
+/// executed exactly once; `finish` returns only once every run has
+/// stored its output, in run order (it panics rather than read an empty
+/// slot); and closing the board while a job is posted and unclaimed —
+/// the shutdown race — neither hangs the helper (a hang is reported as a
+/// deadlock) nor loses a run, because the posting worker executes
+/// whatever no helper claimed.
+#[test]
+fn scan_helper_board_runs_every_run_once_and_closes_clean() {
+    for runs in [2, 3] {
+        let explored = model(move || {
+            let board = Arc::new(Board::new());
+            let b2 = Arc::clone(&board);
+            let helper = thread::spawn(move || help_loop(&b2));
+            let (job, outs) = board.run(tally(runs));
+            assert_eq!(outs, (0..runs as u64).collect::<Vec<_>>());
+            assert_each_run_once(job.work());
+            board.close();
+            helper.join().unwrap();
+        });
+        assert!(explored.executions > 1, "explored {explored:?}");
+    }
+    // The shutdown race: the board closes while the job is posted and
+    // the helper may not have claimed anything yet.
+    let explored = model(|| {
+        let board = Arc::new(Board::new());
+        let b2 = Arc::clone(&board);
+        let helper = thread::spawn(move || help_loop(&b2));
+        let job = board.post(tally(2));
+        board.close();
+        assert_eq!(job.finish(), vec![0, 1], "a run was lost to the close");
+        board.take_down();
+        assert_each_run_once(job.work());
+        helper.join().unwrap();
+    });
+    assert!(explored.executions > 1, "explored {explored:?}");
+}
+
+/// `Fan::help` with its claim split into a load and a store — the bug a
+/// hand-rolled cursor invites. The checker MUST find the interleaving in
+/// which worker and helper both read the same cursor value and execute
+/// one run twice.
+#[test]
+fn seeded_split_cursor_claim_is_caught() {
+    fn racy_help(next: &AtomicU64, job: &Tally) {
+        loop {
+            // ordering: Relaxed — BUG under test: a claim that is not one
+            // read-modify-write.
+            let k = next.load(Ordering::Relaxed);
+            // ordering: Relaxed — see above.
+            next.store(k + 1, Ordering::Relaxed);
+            if k as usize >= job.runs() {
+                return;
+            }
+            job.run(k as usize);
+        }
+    }
+    let report = try_model(Config::default(), || {
+        let (next, job) = (Arc::new(AtomicU64::new(0)), Arc::new(tally(2)));
+        let (n2, j2) = (Arc::clone(&next), Arc::clone(&job));
+        let helper = thread::spawn(move || racy_help(&n2, &j2));
+        racy_help(&next, &job);
+        helper.join().unwrap();
+        assert_each_run_once(&job);
+    })
+    .expect_err("the split claim must be caught");
+    assert!(
+        report.contains("executed 2 times"),
+        "unexpected report: {report}"
+    );
 }

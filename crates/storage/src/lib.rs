@@ -18,7 +18,8 @@
 //! * value-set and histogram sketches over row ranges ([`sketch`],
 //!   [`imprint`]) — the metadata tiers skipping indexes layer on top of
 //!   plain `(min, max)` bounds;
-//! * the [`parallel`] per-unit scan driver the engine fans scans out with.
+//! * the [`parallel`] weighted cut that splits a scan's work list into
+//!   per-thread runs.
 //!
 //! Nothing here knows about zonemaps: the skipping logic lives in
 //! `ads-core`, keeping the substrate reusable by the baseline indexes too.

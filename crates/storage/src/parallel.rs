@@ -1,14 +1,20 @@
-//! The multi-threaded scan driver, built on scoped threads.
+//! How a weighted work list is split across threads.
 //!
-//! [`par_map_weighted`] is a generic per-unit driver: apply a kernel to
-//! every work item across scoped worker threads and return the results
-//! **in item order**, so callers that fold results (answers,
-//! observations) see exactly the sequence a sequential loop would have
-//! produced. Work is split into one contiguous run of items per thread,
-//! balanced by a caller-supplied weight (rows, typically).
+//! [`effective_threads`] decides how many threads a scan of a given size
+//! can keep profitably busy; [`weighted_runs`] cuts the item list into
+//! that many contiguous runs of roughly equal weight (rows, typically).
+//! Runs are contiguous and in item order, so a caller that scans them on
+//! any threads, in any order, and then folds their results run by run
+//! sees exactly the sequence a sequential loop would have produced —
+//! floating-point sums and observation feedback included. The engine's
+//! scan plan (`ads_engine::sharded_exec`) is the one caller; who runs
+//! the runs (scoped threads, or a server's persistent scan helpers) is
+//! its business.
 //!
 //! Skip-heavy scans rarely benefit (they touch little data), so
 //! parallelism is opt-in via the engine's executor policy.
+
+use std::ops::Range;
 
 /// Minimum rows per thread before parallelism pays for thread start-up.
 pub const MIN_ROWS_PER_THREAD: usize = 1 << 18;
@@ -23,73 +29,42 @@ pub fn effective_threads(total_weight: usize, requested: usize, min_per_thread: 
     requested.min(total_weight / min_per_thread.max(1)).max(1)
 }
 
-/// Applies `f` to every item of `items` using up to `threads` scoped
-/// worker threads, returning results in item order.
-///
-/// `f` receives `(item_index, &item)`. Each thread processes one
-/// contiguous run of items — balanced by `weight` (e.g. rows per scan
-/// unit) — so result order, and therefore any order-sensitive fold the
-/// caller performs (floating-point sums, observation feedback), is
-/// identical to a sequential `items.iter().map`.
-pub fn par_map_weighted<I, R, F, W>(items: &[I], threads: usize, weight: W, f: F) -> Vec<R>
+/// Cuts a list of items, given by their weights in item order, into at
+/// most `threads` contiguous runs of roughly `total / threads` weight
+/// each. The runs partition `0..len` in order; there is always at least
+/// one (`0..0` for an empty list).
+pub fn weighted_runs<W>(weights: W, threads: usize) -> Vec<Range<usize>>
 where
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &I) -> R + Sync,
-    W: Fn(&I) -> usize,
+    W: Iterator<Item = usize> + Clone,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
+    let len = weights.clone().count();
+    if threads <= 1 || len <= 1 {
+        return std::iter::once(0..len).collect();
     }
-    let total: usize = items.iter().map(&weight).sum();
-    let threads = threads.min(items.len());
+    let total: usize = weights.clone().sum();
+    let threads = threads.min(len);
     let per_thread = total.div_ceil(threads).max(1);
 
-    // Cut the item list into contiguous runs of ~per_thread weight.
-    let mut runs: Vec<(usize, usize)> = Vec::with_capacity(threads);
+    let mut runs: Vec<Range<usize>> = Vec::with_capacity(threads);
     let mut start = 0usize;
     let mut acc = 0usize;
-    for (i, it) in items.iter().enumerate() {
-        acc += weight(it);
-        if acc >= per_thread && i + 1 < items.len() {
-            runs.push((start, i + 1));
+    for (i, w) in weights.enumerate() {
+        acc += w;
+        if acc >= per_thread && i + 1 < len {
+            runs.push(start..i + 1);
             start = i + 1;
             acc = 0;
         }
     }
-    if start < items.len() {
-        runs.push((start, items.len()));
+    if start < len {
+        runs.push(start..len);
     }
-
-    let f = &f;
-    let mut results: Vec<R> = Vec::with_capacity(items.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = runs
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || {
-                    items[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(off, it)| f(lo + off, it))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // invariant: worker closures contain no panicking operations;
-            // a panic there is a bug worth propagating loudly.
-            results.extend(h.join().expect("scan worker panicked"));
-        }
-    });
-    results
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranges::RowRange;
-    use crate::scan;
 
     #[test]
     fn effective_threads_clamps() {
@@ -110,50 +85,38 @@ mod tests {
         );
     }
 
-    #[test]
-    fn par_map_weighted_preserves_item_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 3, 8] {
-            let out = par_map_weighted(
-                &items,
-                threads,
-                |_| 1,
-                |i, &it| {
-                    assert_eq!(i, it);
-                    it * 2
-                },
-            );
-            assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
+    /// The runs partition the item list in order, whatever the weights.
+    fn assert_partition(runs: &[Range<usize>], len: usize) {
+        assert!(!runs.is_empty());
+        assert_eq!(runs[0].start, 0);
+        assert_eq!(runs.last().map(|r| r.end), Some(len));
+        for pair in runs.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start, "runs not contiguous");
+            assert!(pair[0].start < pair[0].end, "empty run inside the list");
         }
     }
 
     #[test]
-    fn par_map_weighted_matches_sequential_on_uneven_units() {
-        let data: Vec<i64> = (0..100_000).collect();
-        let units = [
-            RowRange::new(0, 10),
-            RowRange::new(10, 60_000),
-            RowRange::new(60_000, 60_001),
-            RowRange::new(60_001, 100_000),
-        ];
-        for threads in [1, 2, 3, 8] {
-            let out = par_map_weighted(
-                &units,
-                threads,
-                |u| u.len(),
-                |_, u| scan::count_in_range(&data[u.start..u.end], 100, 70_000),
-            );
-            let seq: Vec<usize> = units
-                .iter()
-                .map(|u| scan::count_in_range(&data[u.start..u.end], 100, 70_000))
-                .collect();
-            assert_eq!(out, seq, "threads={threads}");
+    fn weighted_runs_partition_items_in_order() {
+        for len in [0, 1, 2, 7, 100] {
+            for threads in [1, 2, 3, 8, 200] {
+                let runs = weighted_runs((0..len).map(|_| 1), threads);
+                assert_partition(&runs, len);
+                assert!(runs.len() <= threads.max(1), "len={len} threads={threads}");
+            }
         }
+        assert_eq!(weighted_runs((0..100).map(|_| 1), 4).len(), 4);
     }
 
     #[test]
-    fn par_map_weighted_empty_items() {
-        let items: Vec<usize> = Vec::new();
-        assert!(par_map_weighted(&items, 4, |_| 1, |_, &x| x).is_empty());
+    fn weighted_runs_balance_uneven_units() {
+        let weights = [10, 59_990, 1, 39_999];
+        let whole = weighted_runs(weights.iter().copied(), 1);
+        assert_eq!((whole.len(), whole[0].clone()), (1, 0..4));
+        // Half the weight is 50,000: the cut falls after the big unit.
+        assert_eq!(weighted_runs(weights.iter().copied(), 2), [0..2, 2..4]);
+        for threads in [3, 8] {
+            assert_partition(&weighted_runs(weights.iter().copied(), threads), 4);
+        }
     }
 }
