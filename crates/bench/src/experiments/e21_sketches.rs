@@ -1,43 +1,42 @@
-//! E21 — per-zone metadata tiers: workload grid × tier policies.
+//! E21 — per-zone metadata tiers: workload grid × tiers off/on.
 //!
-//! Bloom sketches and column imprints are built lazily per zone, chosen
-//! from observed predicate shape, and dropped when hitless. The
-//! measurement is the engine's inline loop (`runner::inline_loop`), so every
-//! mode pays its tier builds, probes, and drops on the query path. Four
-//! workload cells are each swept over four tier policies:
+//! Bloom sketches are built lazily per zone once its scans amortise the
+//! build, and dropped (with quadrupling rebuild backoff) when a
+//! consultation window shows no hits. The measurement is the engine's
+//! inline loop (`runner::inline_loop`), so the `tiers` mode pays its tier
+//! builds, probes, and drops on the query path. Four workload cells:
 //!
 //! * **points** — equality probes on uniform data: zone bounds are wide,
 //!   so `(min, max)` never skips, but almost no zone actually holds the
 //!   probed value. The bloom tier's home turf.
 //! * **ranges-sawtooth** — mid-selectivity ranges on sawtooth data whose
 //!   ascending runs are much shorter than a zone: zone bounds cover the
-//!   whole domain, but per-cache-line bounds are tight. The imprint
-//!   tier's home turf.
-//! * **mixed** — points and ranges interleaved 3:2 on uniform data; the
-//!   per-zone chooser must read the predicate shape and pick the paying
-//!   tier.
-//! * **ranges-uniform** — mid-selectivity ranges on uniform data: no
-//!   sub-zone structure exists for any tier to exploit. The null cell —
-//!   tiers must be dropped and the drop-side overhead must stay noise.
+//!   whole domain. A value-set sketch cannot answer a range, so every
+//!   tier built here is judged hitless and dropped.
+//! * **mixed** — points and ranges interleaved 3:2 on uniform data: the
+//!   points keep each zone's sketch paying through the ranges.
+//! * **ranges-uniform** — mid-selectivity ranges on uniform data. The
+//!   null cell — tiers must be dropped and the drop-side overhead must
+//!   stay noise.
 //!
-//! Tier modes: `off` (plain adaptive zonemap), `bloom` / `imprint`
-//! (forced single-tier ablations), and `adaptive` (the shipped
-//! shape-driven chooser). Two things are under test. **Equivalence** —
-//! per-cell answer checksums (counts plus exact sum bit patterns) must
-//! be identical across all four modes; the run asserts it, so every
-//! speedup is for proven-identical work. **The policy** — each tier must
-//! win the cell built for it, the chooser must stay within a small
-//! factor of the best forced mode everywhere, and the null cell must
-//! drop its tiers.
+//! Two things are under test. **Equivalence** — per-cell answer
+//! checksums (counts plus exact sum bit patterns) must be identical with
+//! tiers off and on; the run asserts it, so every speedup is for
+//! proven-identical work. **The policy** — the tier must win the cell
+//! built for it, and the null cell must drop every tier it built.
+//!
+//! An imprint tier and a shape-driven chooser between it and the bloom
+//! once ran here too; the imprint lost every cell (EXPERIMENTS.md E21)
+//! and both were deleted.
 
 use crate::report::{fmt_ms, Report};
 use crate::runner::{cross_check, inline_loop, InlineRun, Scale};
-use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierMode, TierStats};
+use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierStats};
 use ads_workloads::{data, queries};
 
-/// Tier policies each workload cell is swept over, `off` (the baseline of
+/// Tier modes each workload cell is swept over, `off` (the baseline of
 /// `vs off`) first.
-const MODES: &[&str] = &["off", "bloom", "imprint", "adaptive"];
+const MODES: &[&str] = &["off", "tiers"];
 
 /// Workload cell labels, in grid order.
 const WORKLOADS: &[&str] = &["points", "ranges-sawtooth", "mixed", "ranges-uniform"];
@@ -53,25 +52,18 @@ struct Cell {
     zones_tiered_end: usize,
 }
 
-/// The four tier policies as zonemap configurations. Structural
-/// adaptation (split / merge / deactivate) is pinned off in *every*
-/// mode: these workloads are built so `(min, max)` bounds cannot skip,
-/// which makes the structural policies churn the layout (merging
-/// never-skipping zones, splitting without bound improvement) and clear
-/// tiers mid-window — identically in all modes, but drowning the tier
-/// signal the grid exists to measure. The tier × structural-adaptation
-/// interplay is covered by `tests/metadata_tiers.rs`, which runs with
-/// structural adaptation on.
+/// Tiers off or on as zonemap configurations. Structural adaptation
+/// (split / merge / deactivate) is pinned off in *both* modes: these
+/// workloads are built so `(min, max)` bounds cannot skip, which makes
+/// the structural policies churn the layout (merging never-skipping
+/// zones, splitting without bound improvement) and clear tiers
+/// mid-window — identically in both modes, but drowning the tier signal
+/// the grid exists to measure. The tier × structural-adaptation interplay
+/// is covered by `tests/metadata_tiers.rs`, which runs with structural
+/// adaptation on.
 fn mode_config(mode: &str) -> AdaptiveConfig {
-    let tier_mode = match mode {
-        "off" => TierMode::Off,
-        "bloom" => TierMode::Bloom,
-        "imprint" => TierMode::Imprint,
-        "adaptive" => TierMode::Adaptive,
-        other => unreachable!("unknown mode {other}"),
-    };
     AdaptiveConfig {
-        tier_mode,
+        enable_tiers: mode == "tiers",
         enable_split: false,
         enable_merge: false,
         enable_deactivate: false,
@@ -86,8 +78,8 @@ fn stream_for(workload: &str, count: usize, domain: i64, seed: u64) -> Vec<queri
         // Mid-selectivity ranges; zone bounds on sawtooth/uniform data
         // cover the whole domain, so skipping must come from tiers.
         "ranges-sawtooth" | "ranges-uniform" => queries::uniform_ranges(count, domain, 0.05, seed),
-        // 3:2 points to ranges, so the per-zone point fraction sits
-        // robustly above the chooser threshold where bloom pays.
+        // 3:2 points to ranges, so each zone's sketch sees enough point
+        // misses to pay through the ranges it cannot answer.
         "mixed" => {
             let points = queries::point_queries(count, domain, seed);
             let ranges = queries::uniform_ranges(count, domain, 0.05, seed ^ 0x9E37);
@@ -102,9 +94,8 @@ fn stream_for(workload: &str, count: usize, domain: i64, seed: u64) -> Vec<queri
 /// The column for one workload cell.
 fn data_for(workload: &str, rows: usize, domain: i64, seed: u64) -> Vec<i64> {
     match workload {
-        // Ascending runs of ~400 rows: far shorter than a zone, far
-        // longer than an imprint cache line — zone bounds are useless,
-        // line bounds are tight.
+        // Ascending runs of ~400 rows: far shorter than a zone, so zone
+        // bounds are useless.
         "ranges-sawtooth" => data::sawtooth(rows, (rows / 400).max(2), domain),
         "points" | "mixed" | "ranges-uniform" => data::uniform(rows, domain, seed),
         other => unreachable!("unknown workload {other}"),
@@ -145,24 +136,13 @@ fn grid(scale: Scale) -> Vec<Cell> {
     cells
 }
 
-/// True when the forced `mode` is strictly faster than `off` and the
-/// other forced tier on at least one workload — with the skip counters
-/// showing the win came from the tier, not timing noise. The `adaptive`
-/// chooser is excluded from the comparison: on a cell's home turf it
-/// picks the same tier and does identical work, so forced-vs-adaptive
-/// ordering is a coin flip.
-fn wins_some_cell(cells: &[Cell], mode: &str) -> bool {
+/// True when `tiers` is strictly faster than `off` on at least one
+/// workload — with the skip counters showing the win came from the tier,
+/// not timing noise.
+fn tiers_win_some_cell(cells: &[Cell]) -> bool {
     cells.chunks(MODES.len()).any(|group| {
-        let elapsed = |c: &Cell| c.run.elapsed_ns;
-        let rivals = || {
-            group
-                .iter()
-                .filter(|c| c.mode != mode && c.mode != "adaptive")
-        };
-        group
-            .iter()
-            .filter(|c| c.mode == mode && c.tiers.tier_skips > 0)
-            .any(|c| rivals().all(|other| elapsed(c) < elapsed(other)))
+        let (off, tiers) = (&group[0], &group[1]);
+        tiers.tiers.tier_skips > 0 && tiers.run.elapsed_ns < off.run.elapsed_ns
     })
 }
 
@@ -170,7 +150,7 @@ fn wins_some_cell(cells: &[Cell], mode: &str) -> bool {
 pub fn run(scale: Scale) -> Report {
     let mut report = Report::new(
         "e21",
-        "per-zone metadata tiers: bloom and imprint sketches, adaptively chosen",
+        "per-zone metadata tiers: bloom sketches, built and dropped by feedback",
         &[
             "workload",
             "mode",
@@ -178,7 +158,7 @@ pub fn run(scale: Scale) -> Report {
             "total ms",
             "vs off",
             "rows scanned",
-            "built (b/i)",
+            "built",
             "dropped",
             "tier skips",
             "rows excluded",
@@ -195,13 +175,10 @@ pub fn run(scale: Scale) -> Report {
         seed: scale.seed ^ 0xE21,
         ..scale
     });
-    let (mut chooser_tracks_best, mut null_cell_drops) = (true, true);
+    let mut null_cell_drops = true;
     for group in cells.chunks(MODES.len()) {
         let off_ns = group[0].run.elapsed_ns;
-        let best_ns = group.iter().map(|c| c.run.elapsed_ns).min().unwrap_or(0);
         for c in group {
-            chooser_tracks_best &=
-                c.mode != "adaptive" || c.run.elapsed_ns as f64 <= 1.25 * best_ns as f64;
             null_cell_drops &=
                 c.workload != "ranges-uniform" || c.mode == "off" || c.tiers.tiers_dropped > 0;
             report.row(vec![
@@ -211,7 +188,7 @@ pub fn run(scale: Scale) -> Report {
                 fmt_ms(c.run.elapsed_ns),
                 format!("{:.2}x", off_ns as f64 / c.run.elapsed_ns.max(1) as f64),
                 c.run.rows_scanned.to_string(),
-                format!("{}/{}", c.tiers.blooms_built, c.tiers.imprints_built),
+                c.tiers.tiers_built().to_string(),
                 c.tiers.tiers_dropped.to_string(),
                 c.tiers.tier_skips.to_string(),
                 c.tiers.tier_rows_excluded.to_string(),
@@ -221,19 +198,9 @@ pub fn run(scale: Scale) -> Report {
         }
     }
     report.verdict(
-        wins_some_cell(&cells, "bloom"),
+        tiers_win_some_cell(&cells),
         "the bloom tier wins its home cell outright",
         "the bloom tier won no cell on this host",
-    );
-    report.verdict(
-        wins_some_cell(&cells, "imprint"),
-        "the imprint tier wins its home cell outright",
-        "the imprint tier won no cell on this host",
-    );
-    report.verdict(
-        chooser_tracks_best,
-        "the adaptive chooser stays within 1.25x of the best policy in every cell",
-        "the adaptive chooser exceeded 1.25x the per-cell best",
     );
     report.verdict(
         null_cell_drops,
@@ -248,7 +215,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tiny_grid_builds_only_the_tiers_its_mode_allows() {
+    fn tiny_grid_builds_tiers_only_when_on() {
         let cells = grid(Scale {
             rows: 40_000,
             queries: 24,
@@ -264,15 +231,9 @@ mod tests {
         for c in &cells {
             assert_eq!(c.queries, 24);
             assert!(c.run.elapsed_ns > 0);
-            let (blooms, imprints) = (c.tiers.blooms_built, c.tiers.imprints_built);
-            match c.mode {
-                "off" => {
-                    assert_eq!(blooms + imprints, 0, "off mode built a tier");
-                    assert_eq!(c.tiers.tier_skips, 0);
-                }
-                "bloom" => assert_eq!(imprints, 0, "forced bloom built an imprint"),
-                "imprint" => assert_eq!(blooms, 0, "forced imprint built a bloom"),
-                _ => {}
+            if c.mode == "off" {
+                assert_eq!(c.tiers.tiers_built(), 0, "off mode built a tier");
+                assert_eq!(c.tiers.tier_skips, 0);
             }
         }
     }

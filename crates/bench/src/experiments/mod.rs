@@ -12,7 +12,6 @@ pub mod e08_footprint;
 pub mod e09_appends;
 pub mod e10_ablation;
 pub mod e11_multicolumn;
-pub mod e12_activation;
 pub mod e13_strings;
 pub mod e14_masks;
 pub mod e15_parallel;
@@ -29,8 +28,8 @@ use crate::runner::Scale;
 
 /// Experiment ids in execution order.
 pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14", "e15", "e16",
+    "e17", "e18", "e19", "e20", "e21", "e22",
 ];
 
 /// Runs one experiment by id.
@@ -47,7 +46,6 @@ pub fn run(id: &str, scale: Scale) -> Option<Report> {
         "e9" => Some(e09_appends::run(scale)),
         "e10" => Some(e10_ablation::run(scale)),
         "e11" => Some(e11_multicolumn::run(scale)),
-        "e12" => Some(e12_activation::run(scale)),
         "e13" => Some(e13_strings::run(scale)),
         "e14" => Some(e14_masks::run(scale)),
         "e15" => Some(e15_parallel::run(scale)),

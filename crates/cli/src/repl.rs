@@ -43,8 +43,7 @@ commands:
   load <dist> <rows>         load a column: sorted | semi | clustered | uniform |
                              zipf | sawtooth | mixed
   strategy <name> [param]    fullscan | static [zone_rows] | adaptive | reorg |
-                             tiers | lazy | imprints | cracking | oracle |
-                             activated-static [zone_rows]
+                             tiers | lazy | imprints | cracking | oracle
   count <lo> <hi>            COUNT rows with lo <= v <= hi
   sum <lo> <hi>              SUM of qualifying values
   workload <kind> <n> <sel%> replay n queries: uniform | hotspot | shift | sweep
@@ -97,7 +96,6 @@ impl Repl {
             },
             "cracking" => Strategy::Cracking,
             "oracle" | "sorted" => Strategy::SortedOracle,
-            "activated-static" => Strategy::StaticZonemap { zone_rows }.activated(),
             _ => return None,
         })
     }
@@ -198,7 +196,7 @@ impl Repl {
             "strategy" => {
                 let Some(strategy) = words.get(1).and_then(|_| Self::parse_strategy(&words[1..]))
                 else {
-                    return Err("usage: strategy <fullscan|static|adaptive|reorg|tiers|lazy|imprints|cracking|oracle|activated-static> [zone_rows]".into());
+                    return Err("usage: strategy <fullscan|static|adaptive|reorg|tiers|lazy|imprints|cracking|oracle> [zone_rows]".into());
                 };
                 self.strategy = strategy;
                 if let Some(session) = self.session.take() {
@@ -440,10 +438,8 @@ impl Repl {
                     let t = zm.tier_stats();
                     let _ = write!(
                         out,
-                        "\ntiers:  built {} (bloom {} / imprint {}) | dropped {} | tiered now {} | skips {} | rows excluded {}",
+                        "\ntiers:  built {} | dropped {} | tiered now {} | skips {} | rows excluded {}",
                         t.tiers_built(),
-                        t.blooms_built,
-                        t.imprints_built,
                         t.tiers_dropped,
                         zm.zones_tiered(),
                         t.tier_skips,

@@ -2,29 +2,6 @@
 
 use crate::cost::CostModel;
 
-/// Which secondary metadata tier zones may earn (see
-/// [`crate::adaptive::zone::ZoneTier`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TierMode {
-    /// No tiers — zones carry `(min, max)` bounds (and masks) only.
-    #[default]
-    Off,
-    /// Every eligible zone builds a bloom value-set sketch.
-    Bloom,
-    /// Every eligible zone builds a column-imprint sketch.
-    Imprint,
-    /// Per-zone choice from observed predicate shape: point-heavy zones
-    /// get a bloom sketch, range-heavy zones get imprints.
-    Adaptive,
-}
-
-impl TierMode {
-    /// True unless tiers are disabled.
-    pub fn enabled(self) -> bool {
-        self != TierMode::Off
-    }
-}
-
 /// Configuration for an [`crate::adaptive::AdaptiveZonemap`].
 ///
 /// The defaults are derived from the [`CostModel`] and behave well across
@@ -58,8 +35,6 @@ pub struct AdaptiveConfig {
     /// another chance; doubles with each re-deactivation. `None` disables
     /// revival (dead regions stay dead).
     pub revival_base_queries: Option<u64>,
-    /// EWMA smoothing factor for per-zone selectivity tracking.
-    pub ewma_alpha: f64,
     /// Ablation switch: allow refinement splits.
     pub enable_split: bool,
     /// Ablation switch: allow coarsening merges.
@@ -93,9 +68,11 @@ pub struct AdaptiveConfig {
     /// (always-reorg ablation). Single-zone maps bypass the gate — there
     /// is no population to compare against.
     pub reorg_hot_factor: f64,
-    /// Which secondary metadata tier zones may earn. Off by default — the
+    /// Enable per-zone metadata tiers: a bloom value-set sketch over a
+    /// zone whose bounds cannot exclude the point probes that keep reading
+    /// it (see [`crate::adaptive::ZoneTier`]). Off by default — the
     /// paper's zones carry `(min, max)` bounds only.
-    pub tier_mode: TierMode,
+    pub enable_tiers: bool,
     /// Scans a built flat zone must absorb before a tier is built over it.
     /// Each scan read the whole zone, so after `k` scans the zone has
     /// paid `k` times the one-off cost of the tier build pass — the same
@@ -104,8 +81,6 @@ pub struct AdaptiveConfig {
     /// Tier consultations per drop-policy window: once a tier has been
     /// consulted this many times, its hit rate is judged.
     pub tier_drop_after: u32,
-    /// Imprint sizing: rows per imprint line (sub-zone skip granularity).
-    pub tier_imprint_line_rows: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -131,7 +106,6 @@ impl AdaptiveConfig {
             deactivate_max_skip_rate: 0.02,
             maintenance_every: 8,
             revival_base_queries: Some(256),
-            ewma_alpha: 0.25,
             enable_split: true,
             enable_merge: true,
             enable_deactivate: true,
@@ -140,10 +114,9 @@ impl AdaptiveConfig {
             reorg_after_scans: 4,
             reorg_demote_idle: 64,
             reorg_hot_factor: 2.0,
-            tier_mode: TierMode::Off,
+            enable_tiers: false,
             tier_after_scans: 4,
             tier_drop_after: 16,
-            tier_imprint_line_rows: 64,
         }
     }
 
@@ -155,20 +128,10 @@ impl AdaptiveConfig {
         }
     }
 
-    /// Preset: adaptive per-zone metadata tiers (bloom sketches on
-    /// point-heavy zones, imprints on range-heavy ones).
+    /// Preset: the defaults plus per-zone metadata tiers.
     pub fn with_tiers() -> Self {
         AdaptiveConfig {
-            tier_mode: TierMode::Adaptive,
-            ..AdaptiveConfig::default()
-        }
-    }
-
-    /// Preset: the given tier on every eligible zone (or tiers off) —
-    /// the forced modes the equivalence harness and E21 grid sweep.
-    pub fn with_tier_mode(mode: TierMode) -> Self {
-        AdaptiveConfig {
-            tier_mode: mode,
+            enable_tiers: true,
             ..AdaptiveConfig::default()
         }
     }
@@ -236,10 +199,6 @@ impl AdaptiveConfig {
             "deactivate_max_skip_rate out of [0,1]"
         );
         assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "bad ewma_alpha"
-        );
-        assert!(
             self.maintenance_every >= 1,
             "maintenance_every must be >= 1"
         );
@@ -257,10 +216,6 @@ impl AdaptiveConfig {
         );
         assert!(self.tier_after_scans >= 1, "tier_after_scans must be >= 1");
         assert!(self.tier_drop_after >= 1, "tier_drop_after must be >= 1");
-        assert!(
-            self.tier_imprint_line_rows >= 1,
-            "tier_imprint_line_rows must be >= 1"
-        );
     }
 }
 
@@ -301,13 +256,9 @@ mod tests {
 
         let tiers = AdaptiveConfig::with_tiers();
         tiers.validate();
-        assert_eq!(tiers.tier_mode, TierMode::Adaptive);
-        let forced = AdaptiveConfig::with_tier_mode(TierMode::Bloom);
-        forced.validate();
-        assert!(forced.tier_mode.enabled());
-        assert_eq!(
-            AdaptiveConfig::default().tier_mode,
-            TierMode::Off,
+        assert!(tiers.enable_tiers);
+        assert!(
+            !AdaptiveConfig::default().enable_tiers,
             "tiers must be opt-in"
         );
     }
@@ -325,16 +276,6 @@ mod tests {
     fn validate_catches_inverted_sizes() {
         AdaptiveConfig {
             min_zone_rows: 1 << 20,
-            ..AdaptiveConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "bad ewma_alpha")]
-    fn validate_catches_bad_alpha() {
-        AdaptiveConfig {
-            ewma_alpha: 1.5,
             ..AdaptiveConfig::default()
         }
         .validate();

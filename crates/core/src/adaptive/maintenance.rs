@@ -115,7 +115,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     // for the union.
                     exact: pexact && zexact,
                 };
-                prev.stats = ZoneStats::new(cfg.ewma_alpha);
+                prev.stats = ZoneStats::default();
                 prev.deactivations = prev.deactivations.max(zone.deactivations);
                 prev.no_resplit = true;
                 // Masks describe a single zone's rows; the union needs a
@@ -236,7 +236,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             return false;
         }
         let target = self.config.target_zone_rows;
-        let alpha = self.config.ewma_alpha;
         let mut rebuilt: Vec<AdaptiveZone<T>> = Vec::with_capacity(self.zones.len());
         let mut revived: Vec<RowRange> = Vec::new();
         for zone in self.zones.drain(..) {
@@ -245,7 +244,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 let mut start = zone.start;
                 while start < zone.end {
                     let end = (start + target).min(zone.end);
-                    let mut child = AdaptiveZone::unbuilt(start, end, alpha);
+                    let mut child = AdaptiveZone::unbuilt(start, end);
                     child.deactivations = zone.deactivations;
                     rebuilt.push(child);
                     start = end;

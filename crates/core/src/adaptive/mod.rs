@@ -13,7 +13,7 @@ mod tier;
 mod zone;
 mod zonemap;
 
-pub use config::{AdaptiveConfig, TierMode};
+pub use config::AdaptiveConfig;
 pub use reorg::{ReorgReport, ReorgStats};
 pub use sharded::ShardedZonemap;
 pub use tier::{TierReport, TierStats};

@@ -667,7 +667,6 @@ fn masks_keep_paying_on_uniform_data_with_narrow_predicates() {
 
 #[test]
 fn bloom_tier_skips_point_misses_inside_wide_bounds() {
-    use crate::adaptive::TierMode;
     // Even values scattered over the domain: every zone's (min, max)
     // spans nearly everything, so bounds can never skip a point probe —
     // exactly the gap a value-set sketch closes.
@@ -675,7 +674,7 @@ fn bloom_tier_skips_point_misses_inside_wide_bounds() {
         .map(|i| ((i * 2654435761i64) % 1000) * 2)
         .collect();
     let cfg = AdaptiveConfig {
-        tier_mode: TierMode::Bloom,
+        enable_tiers: true,
         tier_after_scans: 1,
         // Splits and merges reset scan counters (and clear tiers); pin the
         // layout so the test exercises the tier lifecycle, not zone
@@ -711,130 +710,86 @@ fn bloom_tier_skips_point_misses_inside_wide_bounds() {
 }
 
 #[test]
-fn imprint_tier_fragments_zone_into_line_runs() {
-    use crate::adaptive::TierMode;
-    // Sorted data: within one zone, a narrow predicate touches only a
-    // couple of imprint lines; the rest of the zone's lines miss the
-    // predicate's bins and are excluded without scanning.
-    let data: Vec<i64> = (0..1024).collect();
-    let cfg = AdaptiveConfig {
-        tier_mode: TierMode::Imprint,
-        tier_imprint_line_rows: 16,
-        target_zone_rows: 512,
-        max_zone_rows: 512,
-        enable_merge: false,
-        enable_deactivate: false,
-        ..small_config()
-    };
-    let mut zm = AdaptiveZonemap::new(data.len(), cfg);
-    let pred = RangePredicate::between(100, 119);
-    for _ in 0..4 {
-        run_query(&mut zm, &data, pred);
-    }
-    assert!(zm.apply_tiers(&data).built > 0);
-
-    let (count, scanned) = run_query(&mut zm, &data, pred);
-    assert_eq!(count, 20);
-    assert!(
-        scanned < 512,
-        "imprints should exclude line runs inside the zone, scanned {scanned}"
-    );
-    assert!(zm.tier_stats().tier_rows_excluded > 0);
-}
-
-#[test]
-fn adaptive_chooser_matches_tier_to_predicate_shape() {
-    use crate::adaptive::TierMode;
+fn range_stream_drops_every_bloom_with_backoff_point_stream_keeps_them() {
+    // Even values scattered over the domain: every zone's (min, max) spans
+    // nearly everything, so every query reads every zone until a tier can
+    // say otherwise — and a bloom can say so only to a point probe.
     let data: Vec<i64> = (0..2048)
         .map(|i| ((i * 2654435761i64) % 1000) * 2)
         .collect();
-
-    // Point-heavy workload -> bloom sketches.
-    let mut zm = AdaptiveZonemap::new(
-        data.len(),
-        AdaptiveConfig {
-            tier_mode: TierMode::Adaptive,
-            tier_after_scans: 1,
-            enable_split: false,
-            enable_merge: false,
-            enable_deactivate: false,
-            ..small_config()
-        },
-    );
-    for v in 0..6i64 {
-        run_query(&mut zm, &data, RangePredicate::point(v * 200));
-    }
-    zm.apply_tiers(&data);
-    let stats = zm.tier_stats();
-    assert!(stats.blooms_built > 0, "point workload should pick blooms");
-    assert_eq!(stats.imprints_built, 0);
-
-    // Range-heavy workload -> imprints.
-    let mut zm = AdaptiveZonemap::new(
-        data.len(),
-        AdaptiveConfig {
-            tier_mode: TierMode::Adaptive,
-            tier_after_scans: 1,
-            enable_split: false,
-            enable_merge: false,
-            enable_deactivate: false,
-            ..small_config()
-        },
-    );
-    for q in 0..6i64 {
-        run_query(
-            &mut zm,
-            &data,
-            RangePredicate::between(q * 100, q * 100 + 80),
-        );
-    }
-    zm.apply_tiers(&data);
-    let stats = zm.tier_stats();
-    assert!(
-        stats.imprints_built > 0,
-        "range workload should pick imprints"
-    );
-    assert_eq!(stats.blooms_built, 0);
-}
-
-#[test]
-fn useless_tier_is_dropped_with_rebuild_backoff() {
-    use crate::adaptive::TierMode;
-    let data: Vec<i64> = (0..1024).map(|i| (i * 2654435761i64) % 1000).collect();
-    // Bloom sketches answer only point predicates; a pure range workload
-    // consults them for nothing, so the drop window must retire them.
     let cfg = AdaptiveConfig {
-        tier_mode: TierMode::Bloom,
-        tier_after_scans: 1,
+        enable_tiers: true,
+        tier_after_scans: 2,
         tier_drop_after: 8,
-        // Merges would clear the tier before its drop window is judged.
+        // Pin the layout (splits, merges and deactivations reset scan
+        // counters and clear tiers) and keep masks from resolving zones
+        // before the tier is consulted: this is the tier lifecycle alone.
         enable_split: false,
         enable_merge: false,
         enable_deactivate: false,
+        enable_mask: false,
         ..small_config()
     };
-    let mut zm = AdaptiveZonemap::new(data.len(), cfg);
-    let pred = RangePredicate::between(200, 400);
-    for _ in 0..4 {
-        run_query(&mut zm, &data, pred);
-    }
-    assert!(zm.apply_tiers(&data).built > 0);
-    let epoch_after_build = zm.mutation_epoch();
+    let zones = data.len() / 128;
+    let build_after = cfg.tier_after_scans as usize;
+    let window = cfg.tier_drop_after as usize;
+    let wide = RangePredicate::between(200, 400);
 
-    for _ in 0..8 {
-        run_query(&mut zm, &data, pred);
+    let mut zm = AdaptiveZonemap::new(data.len(), cfg.clone());
+    for _ in 0..build_after {
+        run_query(&mut zm, &data, wide);
+    }
+    assert_eq!(
+        zm.apply_tiers(&data).built as usize,
+        zones,
+        "one bloom per zone"
+    );
+    let epoch_after_build = zm.mutation_epoch();
+    for _ in 0..window {
+        run_query(&mut zm, &data, wide);
     }
     let report = zm.apply_tiers(&data);
-    assert!(report.dropped > 0, "hitless tier survived its window");
+    assert_eq!(report.dropped as usize, zones, "a range stream never hits");
     assert_eq!(zm.zones_tiered(), 0);
-    assert!(zm.trace().totals().tier_dropped > 0);
+    assert_eq!(zm.trace().totals().tier_dropped as usize, zones);
     assert!(
         zm.mutation_epoch() > epoch_after_build,
         "tier drop must be reader-visible"
     );
+    assert_eq!(zm.tier_stats().tier_skips, 0);
 
-    // Backoff: the very next pass must not rebuild immediately.
-    assert_eq!(zm.apply_tiers(&data).built, 0, "rebuild ignored backoff");
+    // Backoff: the rebuild waits for a quadrupled batch of fresh scans.
+    let scans_at_drop: Vec<u32> = zm.zones.iter().map(|z| z.stats.scans).collect();
+    let mut waited = 0;
+    while zm.apply_tiers(&data).built == 0 {
+        assert!(waited < 64, "a dropped tier never came back");
+        run_query(&mut zm, &data, wide);
+        waited += 1;
+    }
+    assert!(waited >= 4 * build_after, "rebuilt after {waited} queries");
+    assert_eq!(zm.zones_tiered(), zones);
+    for (z, at_drop) in zm.zones.iter().zip(scans_at_drop) {
+        assert!(z.stats.scans - at_drop >= 4 * cfg.tier_after_scans);
+    }
+
+    // The same data under point probes: the blooms exclude the zones
+    // that lack the value, so every window is judged worth keeping.
+    let mut zm = AdaptiveZonemap::new(data.len(), cfg);
+    let point = |q: usize| RangePredicate::point(data[(q * 389) % data.len()]);
+    for q in 0..build_after {
+        run_query(&mut zm, &data, point(q));
+    }
+    assert_eq!(zm.apply_tiers(&data).built as usize, zones);
+    for q in 0..4 * window {
+        let pred = point(q);
+        assert_eq!(run_query(&mut zm, &data, pred).0, oracle(&data, pred));
+        if (q + 1) % window == 0 {
+            assert!(!zm.apply_tiers(&data).changed(), "window {q}");
+        }
+    }
+    assert_eq!(zm.zones_tiered(), zones);
+    assert_eq!(zm.tier_stats().tiers_dropped, 0);
+    assert!(zm.tier_stats().tier_skips > 0);
 }
 
 /// Seeded protocol bug: a bloom sketch built over the *wrong* value set
@@ -845,7 +800,6 @@ fn useless_tier_is_dropped_with_rebuild_backoff() {
 #[test]
 fn audit_catches_seeded_bloom_false_skip() {
     use crate::adaptive::zone::ZoneTier;
-    use crate::adaptive::TierMode;
     use ads_storage::BloomSketch;
     use std::sync::Arc;
 
@@ -853,7 +807,7 @@ fn audit_catches_seeded_bloom_false_skip() {
         .map(|i| ((i * 2654435761i64) % 1000) * 2)
         .collect();
     let cfg = AdaptiveConfig {
-        tier_mode: TierMode::Bloom,
+        enable_tiers: true,
         tier_after_scans: 1,
         enable_split: false,
         enable_merge: false,
@@ -1038,7 +992,6 @@ fn equal_epochs_mean_identical_reader_decisions() {
         revival_base_queries: Some(16),
         tier_after_scans: 1,
         tier_drop_after: 4,
-        tier_imprint_line_rows: 8,
         reorg_after_scans: 1,
         reorg_demote_idle: 2,
         reorg_hot_factor: 0.0,

@@ -3,7 +3,7 @@
 use crate::adaptive::config::AdaptiveConfig;
 use crate::outcome::MaskRequest;
 use crate::stats::ZoneStats;
-use ads_storage::{BloomSketch, DataValue, Imprints, ReorgZone, RowRange};
+use ads_storage::{BloomSketch, DataValue, ReorgZone, RowRange};
 use std::sync::Arc;
 
 /// Secondary zone metadata: a 64-bin value-presence mask, used when a zone
@@ -72,31 +72,27 @@ pub enum ZoneLayout<T: DataValue> {
 }
 
 /// An optional secondary metadata tier attached to one zone: a value-set
-/// sketch for equality-heavy zones or a per-cache-line imprint for
-/// wide-range zones. Both are earned lazily (built by [`apply_tiers`]
-/// once the zone's scan volume amortises the build pass) and dropped
-/// under the same observe/deactivate feedback the zones themselves use.
-/// Payloads sit behind `Arc`s so published zonemap snapshots share them
-/// immutably, exactly like reorganized-zone payloads.
+/// sketch that excludes point probes the zone's bounds cannot. Earned
+/// lazily (built by [`apply_tiers`] once the zone's scan volume amortises
+/// the build pass) and dropped under the same observe/deactivate feedback
+/// the zones themselves use. Payloads sit behind `Arc`s so published
+/// zonemap snapshots share them immutably, exactly like reorganized-zone
+/// payloads.
 ///
 /// [`apply_tiers`]: crate::adaptive::AdaptiveZonemap::apply_tiers
 #[derive(Debug, Clone)]
-pub enum ZoneTier<T: DataValue> {
+pub enum ZoneTier {
     /// Word-packed bloom filter over the zone's value set; excludes point
     /// predicates that fall inside the zone's `[min, max]` but hit no
     /// actual value.
     Bloom(Arc<BloomSketch>),
-    /// Column-imprint histogram sketch over the zone's rows; excludes or
-    /// full-matches sub-zone line runs for range predicates.
-    Imprint(Arc<Imprints<T>>),
 }
 
-impl<T: DataValue> ZoneTier<T> {
+impl ZoneTier {
     /// Short kind label for snapshots and reports.
     pub fn kind(&self) -> &'static str {
         match self {
             ZoneTier::Bloom(_) => "bloom",
-            ZoneTier::Imprint(_) => "imprint",
         }
     }
 
@@ -104,24 +100,18 @@ impl<T: DataValue> ZoneTier<T> {
     pub fn metadata_bytes(&self) -> usize {
         match self {
             ZoneTier::Bloom(s) => s.metadata_bytes(),
-            ZoneTier::Imprint(s) => s.metadata_bytes(),
         }
     }
 }
 
-/// Per-zone tier bookkeeping: predicate-shape telemetry feeding the tier
-/// chooser, plus the probe/hit window driving the drop policy. Lives
-/// outside [`ZoneStats`] because its lifecycle follows the *tier*, not
-/// the zone's adaptation history.
+/// Per-zone tier bookkeeping: the probe/hit window driving the drop
+/// policy and the rebuild backoff. Lives outside [`ZoneStats`] because
+/// its lifecycle follows the *tier*, not the zone's adaptation history.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TierTelemetry {
-    /// Overlapping probes whose predicate was a point (`lo == hi`).
-    pub point_preds: u32,
-    /// Overlapping probes whose predicate was a proper range.
-    pub range_preds: u32,
     /// Tier consultations in the current drop window.
     pub tier_probes: u32,
-    /// Consultations that excluded rows (full skip or sub-zone skip).
+    /// Consultations that excluded the zone.
     pub tier_hits: u32,
     /// Times a tier was dropped here; drives exponential rebuild backoff.
     pub drops: u8,
@@ -130,15 +120,8 @@ pub struct TierTelemetry {
 }
 
 impl TierTelemetry {
-    /// Fraction of observed overlapping predicates that were points;
-    /// `None` before any sample.
-    pub fn point_fraction(&self) -> Option<f64> {
-        let total = self.point_preds + self.range_preds;
-        (total > 0).then(|| f64::from(self.point_preds) / f64::from(total))
-    }
-
-    /// Resets the probe/hit drop window (kept across windows: shape
-    /// counters and backoff state).
+    /// Resets the probe/hit drop window (kept across windows: the
+    /// backoff state).
     pub fn reset_window(&mut self) {
         self.tier_probes = 0;
         self.tier_hits = 0;
@@ -179,19 +162,19 @@ pub struct AdaptiveZone<T: DataValue> {
     /// Optional secondary metadata tier (see [`ZoneTier`]). Dropped on
     /// any structural change to the zone's row range, on reorganization
     /// promotion, and by the tier drop policy.
-    pub tier: Option<ZoneTier<T>>,
-    /// Tier chooser/drop bookkeeping (see [`TierTelemetry`]).
+    pub tier: Option<ZoneTier>,
+    /// Tier drop/backoff bookkeeping (see [`TierTelemetry`]).
     pub tier_stats: TierTelemetry,
 }
 
 impl<T: DataValue> AdaptiveZone<T> {
     /// A fresh unbuilt zone.
-    pub fn unbuilt(start: usize, end: usize, ewma_alpha: f64) -> Self {
+    pub fn unbuilt(start: usize, end: usize) -> Self {
         AdaptiveZone {
             start,
             end,
             state: ZoneState::Unbuilt,
-            stats: ZoneStats::new(ewma_alpha),
+            stats: ZoneStats::default(),
             deactivations: 0,
             no_resplit: false,
             split_generation: 0,
@@ -282,7 +265,7 @@ mod tests {
 
     #[test]
     fn fresh_zone() {
-        let z: AdaptiveZone<i64> = AdaptiveZone::unbuilt(10, 20, 0.25);
+        let z: AdaptiveZone<i64> = AdaptiveZone::unbuilt(10, 20);
         assert_eq!(z.len(), 10);
         assert!(!z.is_empty());
         assert!(!z.is_built() && !z.is_dead());
@@ -293,7 +276,7 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        let mut z: AdaptiveZone<i64> = AdaptiveZone::unbuilt(0, 5, 0.25);
+        let mut z: AdaptiveZone<i64> = AdaptiveZone::unbuilt(0, 5);
         z.state = ZoneState::Built {
             min: 1,
             max: 4,

@@ -40,7 +40,7 @@ use crate::outcome::{MaskRequest, PruneOutcome, ReorgUnit, ScanObservation, Unit
 use crate::predicate::RangePredicate;
 use crate::stats::{IndexStats, PruneStats, ZoneStats};
 use crate::trace::{AdaptEvent, AdaptTrace};
-use ads_storage::{DataValue, RangeSet, RowRange, RunVerdict};
+use ads_storage::{DataValue, RangeSet, RowRange};
 use std::sync::Arc;
 
 /// Events retained in the adaptation trace ring.
@@ -88,8 +88,8 @@ pub struct AdaptiveZonemap<T: DataValue> {
     /// [`AdaptiveZone::wants_mask`] answer flipping as a scan moves its
     /// `wasted_scans` across the threshold. Publication layers compare
     /// epochs to skip republishing unchanged state. Everything else a
-    /// query leaves behind — probe/skip tallies, scan counts, selectivity,
-    /// a re-observation of bounds the zone already holds — does NOT bump
+    /// query leaves behind — probe/skip tallies, scan counts, a
+    /// re-observation of bounds the zone already holds — does NOT bump
     /// it: a snapshot stale in those decides exactly as a fresh one.
     pub(crate) mutation_epoch: u64,
     /// Lifetime reorganization counters (promotions, demotions, bytes
@@ -119,7 +119,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         let mut start = 0;
         while start < len {
             let end = (start + config.target_zone_rows).min(len);
-            zones.push(AdaptiveZone::unbuilt(start, end, config.ewma_alpha));
+            zones.push(AdaptiveZone::unbuilt(start, end));
             start = end;
         }
         let trace = AdaptTrace::new(TRACE_CAPACITY);
@@ -199,12 +199,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     ZoneState::Built { .. } if z.is_reorganized() => "reorg",
                     // A tier likewise outranks it — the tier is the
                     // zone's defining metadata investment.
-                    ZoneState::Built { .. } if matches!(z.tier, Some(ZoneTier::Bloom(_))) => {
-                        "built+bloom"
-                    }
-                    ZoneState::Built { .. } if matches!(z.tier, Some(ZoneTier::Imprint(_))) => {
-                        "built+imprint"
-                    }
+                    ZoneState::Built { .. } if z.has_tier() => "built+bloom",
                     ZoneState::Unbuilt => "unbuilt",
                     ZoneState::Built { exact: true, .. } => "built",
                     ZoneState::Built { exact: false, .. } => "built~",
@@ -285,7 +280,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
         if self.config.enable_reorg {
             flags.push('r'); // zone-local reorganization
         }
-        if self.config.tier_mode.enabled() {
+        if self.config.enable_tiers {
             flags.push('t'); // per-zone metadata tiers
         }
         if flags.is_empty() {
@@ -320,7 +315,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             self.stats.rows_scanned += ro.range.len() as u64;
             // An observation feeds adaptation only when it covers exactly
             // one zone: then its (min, max) is exact zone metadata and its
-            // qualifying count is an exact zone selectivity sample.
+            // qualifying count an exact sample of the zone's yield.
             // (Composite ranges arise on the multi-column path, where
             // intersection breaks zone alignment; they are ignored here.)
             let idx = match self
@@ -463,8 +458,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
         }
         while start < new_len {
             let end = (start + target).min(new_len);
-            self.zones
-                .push(AdaptiveZone::unbuilt(start, end, self.config.ewma_alpha));
+            self.zones.push(AdaptiveZone::unbuilt(start, end));
             self.plane.push_unbuilt();
             start = end;
         }
@@ -539,27 +533,11 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             if self.config.enable_reorg {
                 let _ = self.apply_reorg(base);
             }
-            if self.config.tier_mode.enabled() {
+            if self.config.enable_tiers {
                 let _ = self.apply_tiers(base);
             }
         }
     }
-}
-
-/// An imprint consultation must resolve (exclude or full-match) at
-/// least `1/TIER_MIN_BENEFIT_DENOM` of the zone's rows to fragment the
-/// zone into line runs — and to count as a tier hit. Weaker outcomes
-/// scan the whole zone as one unit and feed the drop window as misses.
-const TIER_MIN_BENEFIT_DENOM: usize = 8;
-
-/// One sub-zone row span resolved by an imprint tier: either a run of
-/// lines the executor must scan-and-filter, or a run proven to contain
-/// only qualifying rows.
-struct TierSpan {
-    /// The span's row range in base coordinates.
-    range: RowRange,
-    /// True when every row in the span qualifies (no scan needed).
-    full: bool,
 }
 
 /// What pruning decided for a built zone whose `(min, max)` the predicate
@@ -570,16 +548,9 @@ enum OverlapAction {
     /// The secondary value mask excludes the zone despite overlapping
     /// bounds — the outlier case.
     MaskSkip,
-    /// The zone's metadata tier excludes every row despite overlapping
-    /// bounds: a bloom miss on a point predicate, or imprints whose runs
-    /// all miss the predicate's bins.
+    /// The zone's bloom tier excludes it despite overlapping bounds: the
+    /// point predicate's value is in no row of the zone.
     TierSkip,
-    /// The imprint tier fragmented the zone: scan only the listed spans
-    /// (the omitted rows are proven non-qualifying, the `full` spans
-    /// proven all-qualifying). Emitted only when the tier actually
-    /// excluded or full-matched something — otherwise a plain `Scan` is
-    /// cheaper for the executor.
-    TierUnits(Vec<TierSpan>),
     /// The zone is reorganized: its sorted/cracked payload resolves the
     /// predicate positionally.
     Positional,
@@ -620,50 +591,16 @@ fn classify_overlapping_zone<T: DataValue>(
         }
     }
     // Metadata tier, consulted only when the cheap checks above could
-    // not resolve the zone. Both tiers are sound-but-conservative: they
-    // may over-admit (scan a zone for nothing) but never exclude a row
-    // that qualifies — deleted rows in particular are still present in
-    // the base column the tier was built over, so delete churn can only
-    // make a tier admit *more* than necessary.
-    match &zone.tier {
-        // A value-set sketch answers only equality probes; range
-        // predicates (and admitted points) fall through to a plain scan
-        // via the catch-all arm.
-        Some(ZoneTier::Bloom(sketch)) if pred.is_point() && !sketch.may_contain(pred.lo) => {
+    // not resolve the zone. The sketch is sound-but-conservative: it may
+    // over-admit (scan a zone for nothing) but never exclude a row that
+    // qualifies — deleted rows in particular are still present in the
+    // base column the tier was built over, so delete churn can only make
+    // a tier admit *more* than necessary. A value-set sketch answers only
+    // equality probes; range predicates (and admitted points) scan.
+    if let Some(ZoneTier::Bloom(sketch)) = &zone.tier {
+        if pred.is_point() && !sketch.may_contain(pred.lo) {
             return OverlapAction::TierSkip;
         }
-        Some(ZoneTier::Imprint(imp)) => {
-            let mut spans: Vec<TierSpan> = Vec::new();
-            let mut resolved_rows = 0usize;
-            imp.classify(pred.lo, pred.hi, |r, verdict| {
-                let range = RowRange::new(zone.start + r.start, zone.start + r.end);
-                match verdict {
-                    RunVerdict::Skip => resolved_rows += range.len(),
-                    RunVerdict::FullMatch => {
-                        resolved_rows += range.len();
-                        spans.push(TierSpan { range, full: true });
-                    }
-                    RunVerdict::Scan => spans.push(TierSpan { range, full: false }),
-                }
-            });
-            if spans.is_empty() {
-                // Every line run missed the predicate's bins.
-                return OverlapAction::TierSkip;
-            }
-            // Fragmenting the zone into line runs trades one scan unit
-            // for many; that only pays when the runs resolve (exclude or
-            // full-match) a meaningful share of the zone. Below the
-            // threshold the consultation is also *recorded* as a miss —
-            // an imprint that shaves a line or two per probe costs more
-            // in fragmentation than it saves, and the drop window should
-            // see through it.
-            if resolved_rows * TIER_MIN_BENEFIT_DENOM >= zone.len() {
-                return OverlapAction::TierUnits(spans);
-            }
-            // Too little resolved: a single whole-zone scan unit beats
-            // many fragments, so fall through.
-        }
-        _ => {}
     }
     // Ask the scan to collect a mask for zones that keep wasting scans
     // but can refine no further positionally.
@@ -692,18 +629,6 @@ fn scan_request<T: DataValue>(zone: &AdaptiveZone<T>, bins: Option<MaskRequest>)
     }
 }
 
-/// Decision-trace label for a [`OverlapAction::TierSkip`], naming which
-/// sketch kind excluded the zone.
-fn tier_skip_label<T: DataValue>(zone: &AdaptiveZone<T>) -> &'static str {
-    match &zone.tier {
-        Some(ZoneTier::Bloom(_)) => "skip:bloom",
-        Some(ZoneTier::Imprint(_)) => "skip:imprint",
-        // TierSkip is only produced by a tier probe, but keep the
-        // fallback total rather than panicking inside diagnostics.
-        None => "skip:tier",
-    }
-}
-
 /// The one thing that differs between the callers of [`walk`]: what a
 /// probe leaves behind in the map. The defaults leave nothing.
 trait Walker<T: DataValue> {
@@ -717,7 +642,7 @@ trait Walker<T: DataValue> {
     fn skipped_by_bounds(&mut self, _idx: usize) {}
 
     /// Zone `idx` overlaps the predicate and the classifier chose `action`.
-    fn overlapped(&mut self, _idx: usize, _pred: &RangePredicate<T>, _action: &OverlapAction) {}
+    fn overlapped(&mut self, _idx: usize, _action: &OverlapAction) {}
 
     /// Reorganized zone `idx` is about to resolve `pred` against its
     /// payload as it stands.
@@ -782,33 +707,18 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
         }
     }
 
-    // epoch: probe/skip feedback, hit and idle clocks, predicate-shape
-    // telemetry and the tier consultation window are all stat drift;
-    // nothing a reader decides from changes here.
-    fn overlapped(&mut self, idx: usize, pred: &RangePredicate<T>, action: &OverlapAction) {
+    // epoch: probe/skip feedback, hit and idle clocks and the tier
+    // consultation window are all stat drift; nothing a reader decides
+    // from changes here.
+    fn overlapped(&mut self, idx: usize, action: &OverlapAction) {
         let zone = &mut self.0.zones[idx];
-        match &mut zone.layout {
-            ZoneLayout::Reorganized { hits, idle, .. } => {
-                *hits += 1;
-                *idle = 0;
-            }
-            // Shape telemetry: every overlapping probe of a flat zone is
-            // a sample of what a tier here would have to answer.
-            ZoneLayout::Flat if pred.is_point() => {
-                zone.tier_stats.point_preds = zone.tier_stats.point_preds.saturating_add(1);
-            }
-            ZoneLayout::Flat => {
-                zone.tier_stats.range_preds = zone.tier_stats.range_preds.saturating_add(1);
-            }
+        if let ZoneLayout::Reorganized { hits, idle, .. } = &mut zone.layout {
+            *hits += 1;
+            *idle = 0;
         }
         // The tier was consulted unless a cheaper check resolved the zone
         // first (full-match containment or a mask skip).
-        if zone.has_tier()
-            && matches!(
-                action,
-                OverlapAction::TierSkip | OverlapAction::TierUnits(_) | OverlapAction::Scan(_)
-            )
-        {
+        if zone.has_tier() && matches!(action, OverlapAction::TierSkip | OverlapAction::Scan(_)) {
             zone.tier_stats.tier_probes = zone.tier_stats.tier_probes.saturating_add(1);
         }
         let tier_life = &mut self.0.tier_lifetime;
@@ -822,15 +732,6 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
                 zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
                 tier_life.tier_skips += 1;
                 tier_life.tier_rows_excluded += zone.len() as u64;
-            }
-            OverlapAction::TierUnits(spans) => {
-                // The zone is read (partially), so for zone-level
-                // adaptation this is a scan, not a skip.
-                zone.stats.record_no_skip();
-                zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
-                tier_life.tier_skips += 1;
-                let covered: usize = spans.iter().map(|s| s.range.len()).sum();
-                tier_life.tier_rows_excluded += (zone.len() - covered) as u64;
             }
         }
     }
@@ -914,7 +815,7 @@ fn probe_zone<T: DataValue>(
     let map = w.map();
     let action =
         classify_overlapping_zone(&map.zones[idx], pred, min, max, &map.config, min_split_rows);
-    w.overlapped(idx, pred, &action);
+    w.overlapped(idx, &action);
     let zone = &w.map().zones[idx];
     let range = zone.range();
     let label = match action {
@@ -930,18 +831,7 @@ fn probe_zone<T: DataValue>(
         // zone qualifies, so no alive subset does either.
         OverlapAction::TierSkip => {
             out.zones_skipped += 1;
-            tier_skip_label(zone)
-        }
-        OverlapAction::TierUnits(spans) => {
-            for span in spans {
-                if span.full {
-                    out.full_match.push_span(span.range.start, span.range.end);
-                } else {
-                    // A line run is not a zone: nothing to learn from it.
-                    out.push_unit(span.range, UnitRequest::NOTHING);
-                }
-            }
-            "tier-units"
+            "skip:bloom"
         }
         OverlapAction::Positional => {
             w.before_lookup(idx, pred);
@@ -1137,7 +1027,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 start,
                 end,
                 state: inherited,
-                stats: ZoneStats::new(self.config.ewma_alpha),
+                stats: ZoneStats::default(),
                 deactivations: zone.deactivations,
                 no_resplit: false,
                 split_generation: zone.split_generation.saturating_add(1),

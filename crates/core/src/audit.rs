@@ -12,8 +12,8 @@
 //!
 //! The trace side lives in [`PruneOutcome::audit_trace`]: every prune
 //! path records one [`AuditDecision`] per zone it resolves (label
-//! vocabulary: `skip:bounds`, `skip:mask`, `skip:bloom`, `skip:imprint`,
-//! `tier-units`, `scan`, `scan:unbuilt`, `full:bounds`, `positional`),
+//! vocabulary: `skip:bounds`, `skip:mask`, `skip:bloom`, `scan`,
+//! `scan:unbuilt`, `full:bounds`, `positional`),
 //! so a violation names the exact decision that excluded the row rather
 //! than just the row. Without the feature both the field and the
 //! recording calls compile to nothing.

@@ -23,10 +23,7 @@
 //!   zonemap (the paper's comparison point);
 //! * [`adaptive::AdaptiveZonemap`] — lazy building, refinement splits,
 //!   coarsening merges, deactivation and backoff revival, driven by the
-//!   [`CostModel`];
-//! * [`Activated`] — index-level adaptation: wraps *any* base-coordinate
-//!   structure with benefit metering and dormancy/backoff, turning static
-//!   structures adaptive at their on/off granularity.
+//!   [`CostModel`].
 //!
 //! Baseline structures from the wider literature (column imprints,
 //! database cracking, a sorted oracle) implement the same trait in
@@ -64,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod activation;
 pub mod adaptive;
 #[cfg(feature = "audit")]
 pub mod audit;
@@ -76,11 +72,10 @@ pub mod stats;
 pub mod trace;
 pub mod zonemap_static;
 
-pub use activation::{Activated, ActivationConfig};
 pub use cost::CostModel;
 pub use index::{ScanCoords, SkippingIndex};
 pub use outcome::{PruneOutcome, RangeObservation, ReorgUnit, ScanObservation, UnitRequest};
 pub use predicate::RangePredicate;
-pub use stats::{Ewma, IndexStats, PruneStats, ZoneStats};
+pub use stats::{IndexStats, PruneStats, ZoneStats};
 pub use trace::{AdaptEvent, AdaptTrace, TraceTotals};
 pub use zonemap_static::StaticZonemap;

@@ -1,58 +1,11 @@
 //! Per-zone and whole-index statistics driving adaptation decisions.
 
-/// Exponentially-weighted moving average with fixed smoothing factor.
-///
-/// Adaptation reacts to the *recent* workload; EWMA forgets old behaviour at
-/// a controlled rate so a shifted workload re-trains the structure (E7).
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    value: f64,
-    alpha: f64,
-    primed: bool,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`; larger
-    /// alpha weights recent samples more.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma {
-            value: 0.0,
-            alpha,
-            primed: false,
-        }
-    }
-
-    /// Feeds a sample.
-    pub fn update(&mut self, sample: f64) {
-        if self.primed {
-            self.value += self.alpha * (sample - self.value);
-        } else {
-            self.value = sample;
-            self.primed = true;
-        }
-    }
-
-    /// Current smoothed value; 0.0 before any sample.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// True once at least one sample has arrived.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-}
-
 /// Counters for one zone of an adaptive zonemap.
 ///
 /// The counts saturate: a hot zone is probed ~100 k times a second, so a
 /// `u32` fills in hours, and the rates adaptation divides by must degrade
 /// to "stuck at the ceiling", never wrap to garbage (or panic in debug).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ZoneStats {
     /// Metadata examinations (every prune that considered this zone).
     pub probes: u32,
@@ -64,22 +17,9 @@ pub struct ZoneStats {
     /// metadata is too coarse ("false-positive" scans that a finer zone
     /// might have skipped).
     pub wasted_scans: u32,
-    /// Recent qualifying fraction of scans through this zone.
-    pub selectivity: Ewma,
 }
 
 impl ZoneStats {
-    /// Fresh counters. `alpha` is the EWMA smoothing factor.
-    pub fn new(alpha: f64) -> Self {
-        ZoneStats {
-            probes: 0,
-            skips: 0,
-            scans: 0,
-            wasted_scans: 0,
-            selectivity: Ewma::new(alpha),
-        }
-    }
-
     /// Fraction of probes that resulted in a skip; 0.0 before any probe.
     pub fn skip_rate(&self) -> f64 {
         self.skip_rate_with_pending(0)
@@ -133,7 +73,6 @@ impl ZoneStats {
     /// qualifying fraction; flags it wasted when below `low_yield`.
     pub fn record_scan(&mut self, qualifying_fraction: f64, low_yield: f64) {
         self.scans = self.scans.saturating_add(1);
-        self.selectivity.update(qualifying_fraction);
         if qualifying_fraction < low_yield {
             self.wasted_scans = self.wasted_scans.saturating_add(1);
         } else {
@@ -145,8 +84,7 @@ impl ZoneStats {
 
     /// Resets counters (after a structural change invalidates history).
     pub fn reset(&mut self) {
-        let alpha = self.selectivity.alpha;
-        *self = ZoneStats::new(alpha);
+        *self = ZoneStats::default();
     }
 }
 
@@ -199,33 +137,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ewma_first_sample_primes() {
-        let mut e = Ewma::new(0.3);
-        assert!(!e.is_primed());
-        e.update(10.0);
-        assert_eq!(e.value(), 10.0);
-        assert!(e.is_primed());
-    }
-
-    #[test]
-    fn ewma_converges_toward_samples() {
-        let mut e = Ewma::new(0.5);
-        e.update(0.0);
-        for _ in 0..20 {
-            e.update(1.0);
-        }
-        assert!(e.value() > 0.99);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0,1]")]
-    fn ewma_rejects_bad_alpha() {
-        Ewma::new(0.0);
-    }
-
-    #[test]
     fn zone_stats_skip_rate() {
-        let mut z = ZoneStats::new(0.3);
+        let mut z = ZoneStats::default();
         assert_eq!(z.skip_rate(), 0.0);
         z.record_skip();
         z.record_no_skip();
@@ -235,11 +148,12 @@ mod tests {
 
     #[test]
     fn counters_saturate_at_the_ceiling_and_rates_stay_rates() {
-        let mut z = ZoneStats::new(0.3);
-        z.probes = u32::MAX - 1;
-        z.skips = u32::MAX - 1;
-        z.scans = u32::MAX - 1;
-        z.wasted_scans = u32::MAX - 1;
+        let mut z = ZoneStats {
+            probes: u32::MAX - 1,
+            skips: u32::MAX - 1,
+            scans: u32::MAX - 1,
+            wasted_scans: u32::MAX - 1,
+        };
         for _ in 0..3 {
             z.record_skip();
             z.record_no_skip();
@@ -261,7 +175,7 @@ mod tests {
 
     #[test]
     fn waste_rate_is_wasted_scans_over_probes_and_guards_zero() {
-        let mut z = ZoneStats::new(0.3);
+        let mut z = ZoneStats::default();
         assert_eq!(z.waste_rate_with_pending(0), 0.0);
         // An observation that arrived without its prune: the scan stands
         // in for the probe it implies.
@@ -278,7 +192,7 @@ mod tests {
 
     #[test]
     fn wasted_scan_streak_resets_on_productive_scan() {
-        let mut z = ZoneStats::new(0.3);
+        let mut z = ZoneStats::default();
         z.record_scan(0.0, 0.05);
         z.record_scan(0.01, 0.05);
         assert_eq!(z.wasted_scans, 2);
@@ -287,14 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_counters_keeps_alpha() {
-        let mut z = ZoneStats::new(0.25);
+    fn reset_clears_counters() {
+        let mut z = ZoneStats::default();
         z.record_skip();
         z.record_scan(0.9, 0.05);
         z.reset();
         assert_eq!(z.probes, 0);
         assert_eq!(z.scans, 0);
-        assert!(!z.selectivity.is_primed());
     }
 
     #[test]

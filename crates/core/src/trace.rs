@@ -54,11 +54,11 @@ pub enum AdaptEvent {
         /// The zone's row range.
         range: RowRange,
     },
-    /// A metadata tier (bloom sketch or imprints) was built over a zone.
+    /// A metadata tier (a bloom sketch) was built over a zone.
     TierBuilt {
         /// The zone's row range.
         range: RowRange,
-        /// Tier kind label ("bloom" or "imprint").
+        /// Tier kind label ("bloom").
         kind: &'static str,
     },
     /// A zone's metadata tier was dropped by the feedback policy.

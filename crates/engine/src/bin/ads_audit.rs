@@ -10,22 +10,22 @@
 //!
 //! The configurations are deliberately hostile: tiny zones, hair-trigger
 //! split/merge/deactivate/revival thresholds, zone-local reorganization,
-//! masks, and forced metadata tiers, so a sweep exercises every prune
-//! path (bounds, mask, bloom, imprint, tier units, positional) orders of
-//! magnitude more often than the defaults would.
+//! masks, and metadata tiers, so a sweep exercises every prune path
+//! (bounds, mask, bloom, positional) orders of magnitude more often than
+//! the defaults would.
 //!
 //! Usage: `ads-audit [SEEDS] [QUERIES_PER_SEED] [ROWS]`
 //! (defaults: 16 seeds × 300 queries over 48k rows — a few seconds).
 
 #![forbid(unsafe_code)]
 
-use ads_core::adaptive::{AdaptiveConfig, TierMode};
+use ads_core::adaptive::AdaptiveConfig;
 use ads_core::{RangePredicate, ScanCoords};
 use ads_engine::{AggKind, ExecPolicy, Lane, Strategy};
 use ads_rng::StdRng;
 use ads_storage::DeleteVector;
 
-fn aggressive_adaptive(tier_mode: TierMode) -> AdaptiveConfig {
+fn aggressive_adaptive() -> AdaptiveConfig {
     AdaptiveConfig {
         target_zone_rows: 512,
         min_zone_rows: 64,
@@ -42,7 +42,7 @@ fn aggressive_adaptive(tier_mode: TierMode) -> AdaptiveConfig {
         reorg_demote_idle: 8,
         // Always-reorg: no hotness gate, so promotions fire constantly.
         reorg_hot_factor: 0.0,
-        tier_mode,
+        enable_tiers: true,
         tier_after_scans: 2,
         tier_drop_after: 8,
         ..AdaptiveConfig::default()
@@ -51,22 +51,19 @@ fn aggressive_adaptive(tier_mode: TierMode) -> AdaptiveConfig {
 
 fn roster() -> Vec<Strategy> {
     vec![
-        Strategy::Adaptive(aggressive_adaptive(TierMode::Adaptive)),
-        Strategy::Adaptive(aggressive_adaptive(TierMode::Bloom)),
-        Strategy::Adaptive(aggressive_adaptive(TierMode::Imprint)),
+        Strategy::Adaptive(aggressive_adaptive()),
         Strategy::StaticZonemap { zone_rows: 1024 },
         Strategy::Imprints {
             values_per_line: 8,
             bins: 64,
         },
         Strategy::Cracking,
-        Strategy::StaticZonemap { zone_rows: 512 }.activated(),
     ]
 }
 
 /// Synthesizes a column whose shape depends on the seed: interleaved
 /// uniform noise, sorted runs (skippable), and heavy duplicates (bloom
-/// and imprint fodder).
+/// fodder).
 fn make_data(rng: &mut StdRng, rows: usize) -> Vec<i64> {
     let mut data = Vec::with_capacity(rows);
     while data.len() < rows {

@@ -2,7 +2,7 @@
 
 use ads_baselines::{ColumnImprints, CrackerColumn, FullScan, SortedOracle};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
-use ads_core::{Activated, SkippingIndex, StaticZonemap};
+use ads_core::{SkippingIndex, StaticZonemap};
 use ads_storage::DataValue;
 
 /// A declarative description of which skipping structure to use; the
@@ -29,9 +29,6 @@ pub enum Strategy {
     Cracking,
     /// Fully sorted projection (upper bound).
     SortedOracle,
-    /// Index-level adaptation: any base-coordinate strategy wrapped with
-    /// benefit metering and dormancy (see [`ads_core::Activated`]).
-    Activated(Box<Strategy>),
 }
 
 impl Strategy {
@@ -52,14 +49,6 @@ impl Strategy {
             } => Box::new(ColumnImprints::build(data, *values_per_line, *bins)),
             Strategy::Cracking => Box::new(CrackerColumn::build(data)),
             Strategy::SortedOracle => Box::new(SortedOracle::build(data)),
-            Strategy::Activated(inner) => {
-                assert!(
-                    inner.base_coords(),
-                    "Activated requires a base-coordinate inner strategy"
-                );
-                let built = inner.build_index(data);
-                Box::new(Activated::with_defaults(built, data.len()))
-            }
         }
     }
 
@@ -75,7 +64,6 @@ impl Strategy {
             } => format!("imprints({values_per_line}x{bins})"),
             Strategy::Cracking => "cracking".into(),
             Strategy::SortedOracle => "sorted-oracle".into(),
-            Strategy::Activated(inner) => format!("activated({})", inner.label()),
         }
     }
 
@@ -98,11 +86,6 @@ impl Strategy {
     /// (required for multi-column intersection).
     pub fn base_coords(&self) -> bool {
         !matches!(self, Strategy::Cracking | Strategy::SortedOracle)
-    }
-
-    /// Convenience: wraps this strategy in index-level activation.
-    pub fn activated(self) -> Strategy {
-        Strategy::Activated(Box::new(self))
     }
 }
 
@@ -142,25 +125,5 @@ mod tests {
         assert!(Strategy::StaticZonemap { zone_rows: 64 }.base_coords());
         assert!(!Strategy::Cracking.base_coords());
         assert!(!Strategy::SortedOracle.base_coords());
-        assert!(Strategy::StaticZonemap { zone_rows: 64 }
-            .activated()
-            .base_coords());
-    }
-
-    #[test]
-    fn activated_strategy_builds_and_answers() {
-        let data: Vec<i64> = (0..5000).collect();
-        let strat = Strategy::StaticZonemap { zone_rows: 256 }.activated();
-        assert_eq!(strat.label(), "activated(static-zonemap(256))");
-        let mut idx = strat.build_index(&data);
-        let out = idx.prune(&RangePredicate::between(100, 199));
-        assert!(out.rows_to_scan() + out.rows_full_match() >= 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "base-coordinate")]
-    fn activated_rejects_view_strategies() {
-        let data: Vec<i64> = vec![1, 2, 3];
-        Strategy::Cracking.activated().build_index(&data);
     }
 }

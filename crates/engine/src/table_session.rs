@@ -838,7 +838,7 @@ mod tests {
             ..AdaptiveConfig::with_tiers()
         };
         let untiered = AdaptiveConfig {
-            tier_mode: ads_core::adaptive::TierMode::Off,
+            enable_tiers: false,
             ..tiered.clone()
         };
         let session = |config: AdaptiveConfig| {

@@ -314,7 +314,7 @@ pub struct ServerStats {
     pub reorg_bytes_moved: u64,
     /// Wall time spent inside reorganization passes.
     pub reorg_ns: u64,
-    /// Metadata tiers (bloom sketches + imprints) built by maintenance.
+    /// Metadata tiers (bloom sketches) built by maintenance.
     pub tiers_built: u64,
     /// Metadata tiers dropped by the feedback policy after a hitless
     /// consultation window.
@@ -450,8 +450,7 @@ mod tests {
                 reorg_ns: 9_000,
             },
             tiers: TierStats {
-                blooms_built: 2,
-                imprints_built: 1,
+                blooms_built: 3,
                 tiers_dropped: 1,
                 tier_skips: 8,
                 ..TierStats::default()

@@ -24,7 +24,7 @@
 use ads_check::sync::atomic::{AtomicU64, Ordering};
 use ads_check::sync::{thread, Arc};
 use ads_check::{model, try_model, Config};
-use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierMode};
+use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_engine::{scan_sharded, AggKind, ExecPolicy, ShardScanInput};
 use ads_server::{
@@ -526,7 +526,7 @@ fn tier_snap(version: u64) -> ShardSnapshot<i64> {
         AdaptiveConfig {
             tier_after_scans: 1,
             tier_drop_after: 1,
-            ..AdaptiveConfig::with_tier_mode(TierMode::Bloom)
+            ..AdaptiveConfig::with_tiers()
         },
     );
     let pred = RangePredicate::point(2);

@@ -15,9 +15,8 @@
 //! * the out-of-place mutation primitive ([`mutation`]): epoch-stamped
 //!   tombstone vectors, so updates and deletes never rewrite a published
 //!   column version;
-//! * value-set and histogram sketches over row ranges ([`sketch`],
-//!   [`imprint`]) — the metadata tiers skipping indexes layer on top of
-//!   plain `(min, max)` bounds;
+//! * value-set sketches over row ranges ([`sketch`]) — the metadata
+//!   tier skipping indexes layer on top of plain `(min, max)` bounds;
 //! * the [`parallel`] weighted cut that splits a scan's work list into
 //!   per-thread runs.
 //!
@@ -30,7 +29,6 @@
 pub mod bitmap;
 pub mod column;
 pub mod error;
-pub mod imprint;
 pub mod mutation;
 pub mod parallel;
 pub mod ranges;
@@ -46,7 +44,6 @@ pub mod types;
 pub use bitmap::Bitmap;
 pub use column::Column;
 pub use error::{Result, StorageError};
-pub use imprint::{Imprints, RunVerdict};
 pub use mutation::DeleteVector;
 pub use ranges::{RangeSet, RowRange};
 pub use reorg::{ReorgSpans, ReorgZone};

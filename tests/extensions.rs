@@ -1,12 +1,10 @@
-//! Integration tests for the framework extensions: string skipping,
-//! disjunctions, and index-level activation — exercised together with
-//! appends and strategy switches.
+//! Integration tests for the framework extensions: string skipping and
+//! disjunctions — exercised together with appends and strategy switches.
 
 use adaptive_data_skipping::core::adaptive::AdaptiveConfig;
 use adaptive_data_skipping::core::RangePredicate;
 use adaptive_data_skipping::engine::{
-    execute_disjunction, execute_reference, in_list, AggKind, ColumnSession, Strategy,
-    StringColumnSession,
+    execute_disjunction, execute_reference, in_list, AggKind, Strategy, StringColumnSession,
 };
 use adaptive_data_skipping::workloads::{data, DataSpec};
 
@@ -120,49 +118,6 @@ fn in_list_skipping_on_session_data() {
         m.rows_scanned < 50_000 / 2,
         "IN-list should not scan the world: {}",
         m.rows_scanned
-    );
-}
-
-#[test]
-fn activated_static_tracks_best_of_both_worlds() {
-    let queries: Vec<RangePredicate<i64>> = (0..200)
-        .map(|q| {
-            let lo = (q * 7919) % 900_000;
-            RangePredicate::between(lo, lo + 10_000)
-        })
-        .collect();
-
-    // Sorted data: wrapper must not cost skipping.
-    let sorted = DataSpec::Sorted.generate(100_000, 1_000_000, 1);
-    let mut wrapped = ColumnSession::new(
-        sorted.clone(),
-        &Strategy::StaticZonemap { zone_rows: 256 }.activated(),
-    );
-    let mut bare = ColumnSession::new(sorted, &Strategy::StaticZonemap { zone_rows: 256 });
-    for pred in &queries {
-        assert_eq!(wrapped.count(*pred), bare.count(*pred));
-    }
-    assert_eq!(
-        wrapped.totals().rows_scanned,
-        bare.totals().rows_scanned,
-        "wrapper must stay out of the way on sorted data"
-    );
-
-    // Uniform data: wrapper must cut the probe bill.
-    let uniform = DataSpec::Uniform.generate(100_000, 1_000_000, 2);
-    let mut wrapped = ColumnSession::new(
-        uniform.clone(),
-        &Strategy::StaticZonemap { zone_rows: 256 }.activated(),
-    );
-    let mut bare = ColumnSession::new(uniform, &Strategy::StaticZonemap { zone_rows: 256 });
-    for pred in &queries {
-        assert_eq!(wrapped.count(*pred), bare.count(*pred));
-    }
-    assert!(
-        wrapped.totals().zones_probed < bare.totals().zones_probed / 2,
-        "dormancy should cut probes: {} vs {}",
-        wrapped.totals().zones_probed,
-        bare.totals().zones_probed
     );
 }
 

@@ -1,25 +1,20 @@
 //! Equivalence suites for the per-zone metadata tier layer.
 //!
-//! The layer's contract is purely advisory: a bloom sketch or imprint
-//! tier may exclude zones (or line runs inside them) that the `(min,
-//! max)` bounds cannot, but it never changes which rows qualify or what
-//! any aggregate over them returns. Each test replays randomised
-//! workloads across many deterministic seeds and checks every tier mode
-//! — `Off`, forced `Bloom`, forced `Imprint`, and the `Adaptive` chooser
-//! — against the untiered path and a straight-scan reference, at shard
-//! counts {1, 8} and thread counts {1, 8}.
+//! The layer's contract is purely advisory: a bloom sketch tier may
+//! exclude zones that the `(min, max)` bounds cannot, but it never
+//! changes which rows qualify or what any aggregate over them returns.
+//! Each test replays randomised workloads across many deterministic
+//! seeds and checks tiers off and on against each other and a
+//! straight-scan reference, at shard counts {1, 8} and thread counts
+//! {1, 8}.
 //!
-//! f64 SUMs are compared by bit pattern. A tier legitimately reorders
-//! the answer fold (imprint sub-zone full-match spans fold before scan
-//! units), so the data generator keeps every finite sum exactly
-//! representable (dyadic values, well under 2^53) and never mixes data
-//! NaNs with inf + -inf indefinites in one column — the propagated NaN
-//! payload of such a mix is fold-order-dependent by IEEE semantics, an
-//! artifact no skipping layer can (or should) mask.
+//! f64 SUMs are compared by bit pattern. The data generator keeps every
+//! finite sum exactly representable (dyadic values, well under 2^53) and
+//! never mixes data NaNs with inf + -inf indefinites in one column — the
+//! propagated NaN payload of such a mix is fold-order-dependent by IEEE
+//! semantics, an artifact no skipping layer can (or should) mask.
 
-use adaptive_data_skipping::core::adaptive::{
-    AdaptiveConfig, AdaptiveZonemap, ShardedZonemap, TierMode,
-};
+use adaptive_data_skipping::core::adaptive::{AdaptiveConfig, AdaptiveZonemap, ShardedZonemap};
 use adaptive_data_skipping::core::RangePredicate;
 use adaptive_data_skipping::engine::{
     execute_reference, execute_sharded, execute_with_policy, AggKind, ExecPolicy, QueryAnswer,
@@ -39,27 +34,22 @@ const ALL_AGGS: [AggKind; 5] = [
     AggKind::Positions,
 ];
 
-const TIER_MODES: [TierMode; 4] = [
-    TierMode::Off,
-    TierMode::Bloom,
-    TierMode::Imprint,
-    TierMode::Adaptive,
-];
+/// Tiers off, then on.
+const TIER_MODES: [bool; 2] = [false, true];
 
 /// Small zones and eager tier policy so builds, drops, and tier probes
 /// all happen at test scale, composed with full structural adaptation
 /// (splits, merges, deactivation stay on: tier clearing on every
 /// structural change is part of what these suites exercise).
-fn tier_config(mode: TierMode) -> AdaptiveConfig {
+fn tier_config(tiers: bool) -> AdaptiveConfig {
     AdaptiveConfig {
         target_zone_rows: 64,
         min_zone_rows: 8,
         max_zone_rows: 512,
         maintenance_every: 1,
-        tier_mode: mode,
+        enable_tiers: tiers,
         tier_after_scans: 1,
         tier_drop_after: 8,
-        tier_imprint_line_rows: 8,
         ..AdaptiveConfig::default()
     }
 }
@@ -95,10 +85,9 @@ fn gen_i64(rng: &mut StdRng, max_len: usize) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(-1000i64..1000)).collect()
 }
 
-/// Point-and-range mix so both tier kinds are exercised (and so the
-/// Adaptive chooser sees both predicate shapes): half the probes are
-/// equality predicates, many on absent values — the case bounds cannot
-/// skip but a sketch can.
+/// Point-and-range mix so tiers are both built and dropped: half the
+/// probes are equality predicates, many on absent values — the case
+/// bounds cannot skip but a sketch can.
 fn gen_mixed_preds(rng: &mut StdRng, n: usize) -> Vec<RangePredicate<i64>> {
     (0..n)
         .map(|_| {
@@ -125,15 +114,15 @@ fn tiered_answers_match_untiered_and_reference_on_i64_workloads() {
             };
             let mut maps: Vec<AdaptiveZonemap<i64>> = TIER_MODES
                 .iter()
-                .map(|&m| AdaptiveZonemap::new(data.len(), tier_config(m)))
+                .map(|&tiers| AdaptiveZonemap::new(data.len(), tier_config(tiers)))
                 .collect();
             for (qi, pred) in preds.iter().enumerate() {
                 let agg = ALL_AGGS[qi % ALL_AGGS.len()];
                 let want = execute_reference(&data, *pred, agg);
                 let mut baseline: Option<QueryAnswer<i64>> = None;
-                for (mode, zm) in TIER_MODES.iter().zip(&mut maps) {
+                for (tiers, zm) in TIER_MODES.iter().zip(&mut maps) {
                     let (ans, _) = execute_with_policy(&data, zm, *pred, agg, &policy);
-                    let ctx = format!("case {case} t={threads} q{qi} {agg:?} {mode:?}");
+                    let ctx = format!("case {case} t={threads} q{qi} {agg:?} tiers={tiers}");
                     assert_answers_identical(&ans, &want, &ctx);
                     match &baseline {
                         Some(b) => assert_answers_identical(&ans, b, &ctx),
@@ -142,12 +131,12 @@ fn tiered_answers_match_untiered_and_reference_on_i64_workloads() {
                 }
             }
             // The workload was tier-heavy enough to exercise the layer:
-            // every enabled mode must actually have built sketches.
+            // the tiered map must actually have built sketches.
             if threads == 1 && case % 8 == 0 {
-                for (mode, zm) in TIER_MODES.iter().zip(&maps).skip(1) {
+                for zm in maps.iter().skip(1) {
                     assert!(
                         zm.tier_stats().tiers_built() > 0,
-                        "case {case}: {mode:?} never built a tier"
+                        "case {case}: the tiered map never built a tier"
                     );
                 }
             }
@@ -191,7 +180,7 @@ fn tiered_f64_answers_bit_identical_including_nan_and_signed_zero() {
             };
             let mut maps: Vec<AdaptiveZonemap<f64>> = TIER_MODES
                 .iter()
-                .map(|&m| AdaptiveZonemap::new(data.len(), tier_config(m)))
+                .map(|&tiers| AdaptiveZonemap::new(data.len(), tier_config(tiers)))
                 .collect();
             for qi in 0..15 {
                 // Bounds drawn from the same edgy distribution (ordered
@@ -212,9 +201,9 @@ fn tiered_f64_answers_bit_identical_including_nan_and_signed_zero() {
                 let agg = ALL_AGGS[qi % ALL_AGGS.len()];
                 let want = execute_reference(&data, pred, agg);
                 let mut baseline: Option<QueryAnswer<f64>> = None;
-                for (mode, zm) in TIER_MODES.iter().zip(&mut maps) {
+                for (tiers, zm) in TIER_MODES.iter().zip(&mut maps) {
                     let (ans, _) = execute_with_policy(&data, zm, pred, agg, &policy);
-                    let ctx = format!("f64 case {case} t={threads} q{qi} {agg:?} {mode:?}");
+                    let ctx = format!("f64 case {case} t={threads} q{qi} {agg:?} tiers={tiers}");
                     assert_answers_identical(&ans, &want, &ctx);
                     match &baseline {
                         Some(b) => assert_answers_identical(&ans, b, &ctx),
@@ -241,16 +230,17 @@ fn tiered_sharded_answers_match_at_any_shard_count() {
                 let column = ShardedColumn::new(data.clone(), shards);
                 let mut maps: Vec<ShardedZonemap<i64>> = TIER_MODES
                     .iter()
-                    .map(|&m| ShardedZonemap::for_column(&column, tier_config(m)))
+                    .map(|&tiers| ShardedZonemap::for_column(&column, tier_config(tiers)))
                     .collect();
                 for (qi, pred) in preds.iter().enumerate() {
                     let agg = ALL_AGGS[qi % ALL_AGGS.len()];
                     let want = execute_reference(&data, *pred, agg);
                     let mut baseline: Option<QueryAnswer<i64>> = None;
-                    for (mode, zm) in TIER_MODES.iter().zip(&mut maps) {
+                    for (tiers, zm) in TIER_MODES.iter().zip(&mut maps) {
                         let (ans, _) = execute_sharded(&column, zm, None, *pred, agg, &policy);
-                        let ctx =
-                            format!("case {case} s={shards} t={threads} q{qi} {agg:?} {mode:?}");
+                        let ctx = format!(
+                            "case {case} s={shards} t={threads} q{qi} {agg:?} tiers={tiers}"
+                        );
                         assert_answers_identical(&ans, &want, &ctx);
                         match &baseline {
                             Some(b) => assert_answers_identical(&ans, b, &ctx),
@@ -390,7 +380,7 @@ fn verify(
 /// One randomized interleaving of queries, point probes, delete/update
 /// batches, appends, and a compaction epilogue against a tier-enabled
 /// service. Returns the answer checksum.
-fn run_churn(seed: u64, mode: TierMode, adaptation: AdaptationMode) -> u64 {
+fn run_churn(seed: u64, tiers: bool, adaptation: AdaptationMode) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(3));
     let base: Vec<i64> = (0..1_200).map(|_| rng.gen_range(0..DOMAIN)).collect();
     let svc = QueryService::start(
@@ -399,13 +389,13 @@ fn run_churn(seed: u64, mode: TierMode, adaptation: AdaptationMode) -> u64 {
             readers: 1,
             shards: 8,
             adaptation,
-            adaptive: tier_config(mode),
+            adaptive: tier_config(tiers),
             compact_tombstone_ratio: None,
             ..ServerConfig::default()
         },
     );
     let mut model = Model::new(&base);
-    let ctx = format!("seed {seed} {mode:?} {}", adaptation.label());
+    let ctx = format!("seed {seed} tiers={tiers} {}", adaptation.label());
     let mut checksum = 0u64;
 
     for step in 0..70 {
@@ -471,20 +461,20 @@ fn run_churn(seed: u64, mode: TierMode, adaptation: AdaptationMode) -> u64 {
 }
 
 /// The tier lifecycle never produces a false negative under mutation
-/// churn, and the answer stream is identical whatever tier mode (or
-/// adaptation mode) runs underneath.
+/// churn, and the answer stream is identical with tiers off or on (and
+/// whatever adaptation mode runs underneath).
 #[test]
 fn tier_lifecycle_never_false_negative_under_churn() {
     for seed in 0..3u64 {
         let mut reference: Option<u64> = None;
         for adaptation in [AdaptationMode::Async, AdaptationMode::Inline] {
-            for mode in TIER_MODES {
-                let sum = run_churn(seed, mode, adaptation);
+            for tiers in TIER_MODES {
+                let sum = run_churn(seed, tiers, adaptation);
                 match reference {
                     Some(want) => assert_eq!(
                         sum,
                         want,
-                        "seed {seed}: answers diverged under {mode:?} {}",
+                        "seed {seed}: answers diverged under tiers={tiers} {}",
                         adaptation.label()
                     ),
                     None => reference = Some(sum),

@@ -8,7 +8,7 @@
 use adaptive_data_skipping::baselines::{ColumnImprints, CrackerColumn, SortedOracle};
 use adaptive_data_skipping::core::adaptive::ShardedZonemap;
 use adaptive_data_skipping::core::adaptive::{
-    AdaptiveConfig, AdaptiveZonemap, ReorgStats, TierMode, TierStats,
+    AdaptiveConfig, AdaptiveZonemap, ReorgStats, TierStats,
 };
 use adaptive_data_skipping::core::{
     RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap,
@@ -944,10 +944,9 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
     let configs = [
         test_config(),
         AdaptiveConfig {
-            tier_mode: TierMode::Adaptive,
+            enable_tiers: true,
             tier_after_scans: 1,
             tier_drop_after: 4,
-            tier_imprint_line_rows: 8,
             ..test_config()
         },
         AdaptiveConfig {
