@@ -71,11 +71,6 @@ impl<T: DataValue> CrackerColumn<T> {
         }
     }
 
-    /// Number of pieces the cracked region is currently divided into.
-    pub fn num_pieces(&self) -> usize {
-        self.bounds.len() + 1
-    }
-
     /// Total partition (crack) operations performed.
     pub fn partitions_done(&self) -> u64 {
         self.partitions_done

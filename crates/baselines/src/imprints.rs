@@ -15,7 +15,7 @@ use ads_core::{PruneOutcome, RangePredicate, SkippingIndex};
 use ads_storage::{DataValue, RowRange};
 
 /// Maximum number of histogram bins (one bit each in a 64-bit imprint).
-pub const MAX_BINS: usize = 64;
+const MAX_BINS: usize = 64;
 
 /// A run of consecutive cache lines sharing one imprint.
 #[derive(Debug, Clone, Copy)]
@@ -69,13 +69,8 @@ impl<T: DataValue> ColumnImprints<T> {
         imp
     }
 
-    /// Default parameters: 8-value lines (one i64 cache line), 64 bins.
-    pub fn with_defaults(data: &[T]) -> Self {
-        ColumnImprints::build(data, 8, MAX_BINS)
-    }
-
     /// Number of compressed imprint runs (probe cost per query).
-    pub fn num_runs(&self) -> usize {
+    fn num_runs(&self) -> usize {
         self.runs.len()
     }
 
@@ -301,7 +296,7 @@ mod tests {
     #[test]
     fn sound_on_sorted_data() {
         let data: Vec<i64> = (0..10_000).collect();
-        let mut imp = ColumnImprints::with_defaults(&data);
+        let mut imp = ColumnImprints::build(&data, 8, MAX_BINS);
         for lo in [0i64, 100, 5000, 9990] {
             check_sound(&mut imp, &data, RangePredicate::between(lo, lo + 500));
         }
@@ -321,11 +316,11 @@ mod tests {
     fn skips_on_clustered_data() {
         let mut data = vec![10i64; 4096];
         data.extend(vec![10_000i64; 4096]);
-        let mut imp = ColumnImprints::with_defaults(&data);
+        let mut imp = ColumnImprints::build(&data, 8, MAX_BINS);
         // With two distinct values the bins are (-inf,10), [10,10000),
         // [10000,inf): a predicate inside the top bin skips the low cluster.
         let out = imp.prune(&RangePredicate::between(10_000, 11_000));
-        assert!(out.rows_to_scan() + out.rows_full_match() <= 4096 + 8);
+        assert!(out.must_scan.covered_rows() + out.rows_full_match() <= 4096 + 8);
         assert!(out.zones_skipped > 0);
         check_sound(&mut imp, &data, RangePredicate::between(9_000, 11_000));
     }
@@ -333,14 +328,14 @@ mod tests {
     #[test]
     fn rle_compresses_constant_regions() {
         let data = vec![7i64; 64 * 100];
-        let imp = ColumnImprints::with_defaults(&data);
+        let imp = ColumnImprints::build(&data, 8, MAX_BINS);
         assert_eq!(imp.num_runs(), 1);
     }
 
     #[test]
     fn full_match_on_interior_bins() {
         let data: Vec<i64> = (0..64_000).collect(); // sorted, wide domain
-        let mut imp = ColumnImprints::with_defaults(&data);
+        let mut imp = ColumnImprints::build(&data, 8, MAX_BINS);
         let out = imp.prune(&RangePredicate::between(10_000, 50_000));
         assert!(
             out.rows_full_match() > 0,
@@ -381,7 +376,7 @@ mod tests {
         // The single boundary sits at 42, so everything below it skips;
         // ranges above 42 share the constant's bin and cannot skip.
         let out = imp.prune(&RangePredicate::between(10, 20));
-        assert_eq!(out.rows_to_scan() + out.rows_full_match(), 0);
+        assert_eq!(out.must_scan.covered_rows() + out.rows_full_match(), 0);
     }
 
     #[test]
@@ -395,7 +390,7 @@ mod tests {
     fn empty_column() {
         let mut imp = ColumnImprints::build(&[] as &[i64], 8, 8);
         let out = imp.prune(&RangePredicate::all());
-        assert_eq!(out.rows_to_scan(), 0);
+        assert_eq!(out.must_scan.covered_rows(), 0);
     }
 
     /// The run-level soundness suite: classify against a scalar oracle.
@@ -428,7 +423,7 @@ mod tests {
         #[test]
         fn classify_covers_every_row_exactly_once() {
             let data: Vec<i64> = (0..10_000).map(|i| (i * 37) % 1000).collect();
-            let imp = ColumnImprints::with_defaults(&data);
+            let imp = ColumnImprints::build(&data, 8, MAX_BINS);
             let mut covered = 0usize;
             imp.classify(100, 300, |range, _| {
                 assert_eq!(range.start, covered, "gap or overlap");
@@ -444,7 +439,7 @@ mod tests {
             let mut clustered = vec![10i64; 4096];
             clustered.extend(vec![10_000i64; 4096]);
             for data in [&sorted, &random, &clustered] {
-                let imp = ColumnImprints::with_defaults(data);
+                let imp = ColumnImprints::build(data, 8, MAX_BINS);
                 for q in 0..20 {
                     let lo = (q * 331) % 9000;
                     check_sound(&imp, data, lo, lo + 400);
@@ -455,7 +450,7 @@ mod tests {
         #[test]
         fn wide_predicate_full_matches_interior_lines() {
             let data: Vec<i64> = (0..64_000).collect();
-            let imp = ColumnImprints::with_defaults(&data);
+            let imp = ColumnImprints::build(&data, 8, MAX_BINS);
             let mut full = 0usize;
             imp.classify(10_000, 50_000, |range, verdict| {
                 if verdict == RunVerdict::FullMatch {
@@ -501,7 +496,7 @@ mod tests {
             data[100] = f64::NAN;
             data[2000] = f64::NEG_INFINITY;
             data[3000] = -0.0;
-            let imp = ColumnImprints::with_defaults(&data);
+            let imp = ColumnImprints::build(&data, 8, MAX_BINS);
             for (lo, hi) in [(0.0, 5.0), (-1.0, 0.0), (20.0, 24.0)] {
                 imp.classify(lo, hi, |range, verdict| {
                     for &v in &data[range.start..range.end] {

@@ -103,7 +103,7 @@ mod tests {
         let out = so.prune(&RangePredicate::between(3, 7));
         // Sorted: 1 3 3 5 7 9 — region [1, 5).
         assert_eq!(out.rows_full_match(), 4);
-        assert_eq!(out.rows_to_scan(), 0);
+        assert_eq!(out.must_scan.covered_rows(), 0);
         assert_eq!(out.full_match.ranges()[0].start, 1);
     }
 

@@ -10,7 +10,7 @@
 //! all-built zone map. The report renders as machine-readable JSON (the
 //! repo's perf-trajectory format, schema `ads-kernel-bench/v2`) and as the
 //! markdown table embedded in the README. A production cell slower than
-//! [`GATE`] times its reference — a scan kernel against its scalar twin,
+//! `GATE` times its reference — a scan kernel against its scalar twin,
 //! the prune plane against the array-of-structs walk — is a regression:
 //! `kernels_json` exits non-zero on it.
 //!
@@ -44,7 +44,7 @@ const TOMBSTONES: [f64; 3] = [0.0, 0.1, 5.0];
 const MASKED_SELECTIVITY: u32 = 1;
 
 /// The least reference-over-production time ratio a cell may show.
-pub const GATE: f64 = 0.9;
+const GATE: f64 = 0.9;
 
 /// One kernel × type × selectivity measurement.
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ pub struct KernelRow {
 impl KernelRow {
     /// Reference-over-production time ratio (>1 means production is
     /// faster).
-    pub fn speedup(&self) -> f64 {
+    fn speedup(&self) -> f64 {
         self.reference_ns_per_row / self.production_ns_per_row
     }
 }
@@ -117,7 +117,7 @@ impl KernelReport {
         Some(ns_per_zone("aos_reference")? / ns_per_zone("soa_plane")?)
     }
 
-    /// One line per cell whose production side is slower than [`GATE`]
+    /// One line per cell whose production side is slower than `GATE`
     /// times its reference: scan kernels, then the prune plane.
     pub fn below_gate(&self) -> Vec<String> {
         let kernels = self.kernels.iter().filter(|k| k.speedup() < GATE).map(|k| {

@@ -22,4 +22,4 @@ pub mod report;
 pub mod runner;
 
 pub use report::Report;
-pub use runner::{replay, replay_agg, replay_with_policy, ReplayResult, Scale};
+pub use runner::{replay, replay_with_policy, ReplayResult, Scale};

@@ -94,7 +94,7 @@ impl Report {
     }
 
     /// Renders CSV (headers + rows).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let esc = |s: &String| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))

@@ -88,17 +88,13 @@ impl ReplayResult {
 
 /// Replays `queries` (as COUNT aggregates) over `data` with `strategy`.
 pub fn replay(data: &[i64], queries: &[RangeQuery], strategy: &Strategy) -> ReplayResult {
-    replay_agg(data, queries, strategy, AggKind::Count)
-}
-
-/// Replays with an explicit aggregate kind.
-pub fn replay_agg(
-    data: &[i64],
-    queries: &[RangeQuery],
-    strategy: &Strategy,
-    agg: AggKind,
-) -> ReplayResult {
-    replay_with_policy(data, queries, strategy, agg, ExecPolicy::default())
+    replay_with_policy(
+        data,
+        queries,
+        strategy,
+        AggKind::Count,
+        ExecPolicy::default(),
+    )
 }
 
 /// Replays with an explicit aggregate kind and execution policy (E15).

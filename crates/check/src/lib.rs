@@ -58,12 +58,7 @@ pub use sched::{Config, Explored};
 /// assertion), deadlocks, or the state space exceeds the configured
 /// bounds.
 pub fn model<F: Fn()>(f: F) -> Explored {
-    model_with(Config::default(), f)
-}
-
-/// [`model`] with explicit exploration bounds.
-pub fn model_with<F: Fn()>(config: Config, f: F) -> Explored {
-    match sched::explore(config, f) {
+    match sched::explore(Config::default(), f) {
         Ok(explored) => explored,
         Err(report) => panic!("{report}"),
     }
@@ -73,6 +68,8 @@ pub fn model_with<F: Fn()>(config: Config, f: F) -> Explored {
 /// panicking — `Err(report)` when a violation was found, `Ok(explored)`
 /// when the model is clean. This is how the test suite proves the
 /// checker *can* fail: seed a bug, assert `try_model` returns `Err`.
+// api: the seeded-bug tests of crates/server/tests/model.rs and
+// crates/check/tests/litmus.rs, which must see the checker fail.
 pub fn try_model<F: Fn()>(config: Config, f: F) -> Result<Explored, String> {
     sched::explore(config, f)
 }

@@ -128,13 +128,11 @@ pub(crate) enum Op {
         kind: RmwKind,
         operand: u64,
     },
-    Yield,
 }
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RmwKind {
     Add,
-    Sub,
     Swap,
 }
 
@@ -147,8 +145,6 @@ pub(crate) enum OpResult {
 /// The footprint of an op, for the sleep-set independence relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Footprint {
-    /// Never conflicts (pure scheduling point).
-    Local,
     Read(Addr),
     Write(Addr),
     /// Touches two locations as writes (condvar ops touch cv + mutex).
@@ -161,7 +157,6 @@ impl Op {
     fn footprint(&self) -> Footprint {
         match self {
             Op::Start | Op::Spawn | Op::Join(_) => Footprint::ThreadCtl,
-            Op::Yield => Footprint::Local,
             Op::Lock(a) | Op::Unlock(a) => Footprint::Write(*a),
             Op::CvWait { cv, mutex } => Footprint::Write2(*cv, *mutex),
             Op::CvNotifyOne(a) | Op::CvNotifyAll(a) => Footprint::Write(*a),
@@ -193,7 +188,6 @@ impl Op {
             } => {
                 format!("rmw-{kind:?}(a{:x}, {operand}, {ord:?})", addr & 0xffff)
             }
-            Op::Yield => "yield".into(),
         }
     }
 }
@@ -202,14 +196,12 @@ impl Op {
 fn dependent(a: Footprint, b: Footprint) -> bool {
     use Footprint::*;
     let touches = |f: Footprint, addr: Addr, write: bool| match f {
-        Local => false,
         Read(x) => x == addr && write,
         Write(x) => x == addr,
         Write2(x, y) => x == addr || y == addr,
         ThreadCtl => true,
     };
     match (a, b) {
-        (Local, _) | (_, Local) => false,
         (ThreadCtl, _) | (_, ThreadCtl) => true,
         (Read(x), other) => touches(other, x, true),
         (Write(x), other) => touches(other, x, false) || matches!(other, Read(y) if y == x),
@@ -667,7 +659,7 @@ impl Exec {
         st.sleep.retain(|&(_, sfp)| !dependent(sfp, fp));
         st.last_exec = me;
         let result = match *op {
-            Op::Start | Op::Spawn | Op::Yield => {
+            Op::Start | Op::Spawn => {
                 st.threads[me].vc.tick(me);
                 OpResult::Unit
             }
@@ -797,7 +789,6 @@ impl Exec {
                 }
                 let new = match kind {
                     RmwKind::Add => old.wrapping_add(operand),
-                    RmwKind::Sub => old.wrapping_sub(operand),
                     RmwKind::Swap => operand,
                 };
                 let event_vc = st.threads[me].vc.clone();

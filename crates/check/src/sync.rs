@@ -12,7 +12,7 @@
 //!
 //! Only the API surface the repo actually uses is shimmed: `Mutex::new/
 //! lock`, `Condvar::new/wait/notify_one/notify_all`, atomic `new/load/
-//! store/swap/fetch_add/fetch_sub`, `thread::spawn/join/yield_now`.
+//! store/swap/fetch_add`, `thread::spawn/join`.
 //! `Arc` is re-exported from `std` — its refcount protocol is not under
 //! test, and modeled payloads flow through it unchanged.
 
@@ -336,11 +336,6 @@ pub mod atomic {
                     self.rmw(RmwKind::Add, ($to)(val), ord)
                         .unwrap_or_else(|| self.inner.fetch_add(val, ord))
                 }
-
-                pub fn fetch_sub(&self, val: $raw, ord: Ordering) -> $raw {
-                    self.rmw(RmwKind::Sub, ($to)(val), ord)
-                        .unwrap_or_else(|| self.inner.fetch_sub(val, ord))
-                }
             }
         };
     }
@@ -448,18 +443,6 @@ pub mod thread {
                 // spawn failure.
                 imp: Imp::Std(std::thread::Builder::new().spawn(f).expect("spawn thread")),
             },
-        }
-    }
-
-    /// A pure scheduling point in a model; `std::thread::yield_now`
-    /// otherwise.
-    pub fn yield_now() {
-        if sched::with_ctx(|exec, me| {
-            exec.yield_op(me, Op::Yield);
-        })
-        .is_none()
-        {
-            std::thread::yield_now();
         }
     }
 }

@@ -343,7 +343,7 @@ fn preemption_bound_shrinks_space() {
         let _ = x.load(Ordering::Relaxed);
         t.join().unwrap();
     });
-    let bounded = ads_check::model_with(
+    let bounded = try_model(
         Config {
             preemption_bound: Some(0),
             ..Config::default()
@@ -361,7 +361,8 @@ fn preemption_bound_shrinks_space() {
             let _ = x.load(Ordering::Relaxed);
             t.join().unwrap();
         },
-    );
+    )
+    .expect("bounded exploration is clean");
     assert!(
         bounded.executions <= full.executions,
         "bounded {bounded:?} vs full {full:?}"

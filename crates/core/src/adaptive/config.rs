@@ -93,7 +93,7 @@ impl AdaptiveConfig {
     /// Derives sizing knobs from a measured or assumed cost model: the
     /// split floor sits well above the break-even zone size so refined
     /// zones can still repay their probes.
-    pub fn from_cost_model(cost: &CostModel) -> Self {
+    fn from_cost_model(cost: &CostModel) -> Self {
         let break_even = cost.min_profitable_zone_rows().max(1);
         AdaptiveConfig {
             target_zone_rows: 4096,

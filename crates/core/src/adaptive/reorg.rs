@@ -69,7 +69,11 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// One reorganization pass over `base` (the column this zonemap
     /// indexes): promotes hot flat zones whose scan volume has amortized
     /// a build copy, demotes reorganized zones whose payload has sat
-    /// idle. No-op (and free) unless `enable_reorg` is set.
+    /// idle. No-op (and free) unless `enable_reorg` is set, and a no-op
+    /// when a pass already ran at the current query clock: the hot bar is
+    /// the map-wide mean scan rate, which each promotion lowers (it resets
+    /// the promoted zone's scans), so a repeated pass with no query in
+    /// between would promote zones the first one judged cold.
     ///
     /// Runs on the owner's side of the publication protocol — inline
     /// after a query, or on the server's maintenance thread — never on a
@@ -80,9 +84,10 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// exactly when a zone was promoted or demoted; a pass that only
     /// read counters is reader-invisible.
     pub fn apply_reorg(&mut self, base: &[T]) -> ReorgReport {
-        if !self.config.enable_reorg {
+        if !self.config.enable_reorg || self.reorg_at == self.query_seq {
             return ReorgReport::default();
         }
+        self.reorg_at = self.query_seq;
         debug_assert_eq!(base.len(), self.len(), "base column / zonemap mismatch");
         let t0 = Instant::now();
         // Promotion reads scan counters; bank the plane's deferred skip

@@ -1,7 +1,7 @@
 //! Behavioural tests for the adaptive zonemap, driven through the same
 //! prune → scan → observe loop the engine runs.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap};
+use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap, ReorgReport};
 use crate::index::SkippingIndex;
 use crate::outcome::{PruneOutcome, RangeObservation, ScanObservation, UnitRequest};
 use crate::predicate::RangePredicate;
@@ -41,7 +41,7 @@ fn run_query(
         .map(|i| scan_unit(&out, i, data, pred))
         .collect();
     let count = out.rows_full_match() + ranges.iter().map(|o| o.qualifying).sum::<usize>();
-    let scanned = out.rows_to_scan();
+    let scanned = out.must_scan.covered_rows();
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
@@ -418,8 +418,11 @@ fn full_match_zones_are_answered_without_scanning() {
     run_query(&mut zm, &data, pred); // builds
     let out = zm.prune(&pred);
     assert_eq!(out.rows_full_match(), 4096);
-    assert_eq!(out.rows_to_scan(), 0);
-    zm.observe(&ScanObservation::empty(pred));
+    assert_eq!(out.must_scan.covered_rows(), 0);
+    zm.observe(&ScanObservation {
+        predicate: pred,
+        ranges: Vec::new(),
+    });
 }
 
 #[test]
@@ -455,7 +458,7 @@ fn empty_column() {
     let mut zm = AdaptiveZonemap::<i64>::new(0, small_config());
     assert!(zm.is_empty());
     let out = zm.prune(&RangePredicate::all());
-    assert_eq!(out.rows_to_scan(), 0);
+    assert_eq!(out.must_scan.covered_rows(), 0);
     assert_eq!(out.zones_probed, 0);
 }
 
@@ -1205,4 +1208,35 @@ fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
     assert_eq!(zm.mutation_epoch(), epoch + 1);
     assert_eq!(run_query(&mut zm, &data, wasted), (0, 0));
     assert_eq!(zm.mutation_epoch(), epoch + 1, "a skip publishes nothing");
+}
+
+#[test]
+fn a_second_reorg_pass_at_the_same_query_clock_promotes_nothing() {
+    // Zone 0 is scanned by every query, zone 1 by every other one, the
+    // rest are skipped. The first pass promotes zone 0 alone; promotion
+    // resets its scans, which lowers the map-wide mean scan rate the hot
+    // bar is drawn from — a pass repeated with no query in between must
+    // not read that lower bar and promote zone 1 as well.
+    let config = AdaptiveConfig {
+        enable_split: false,
+        enable_merge: false,
+        enable_deactivate: false,
+        enable_mask: false,
+        revival_base_queries: None,
+        enable_reorg: true,
+        reorg_after_scans: 4,
+        reorg_hot_factor: 3.0,
+        ..small_config()
+    };
+    let data: Vec<i64> = (0..1024).collect();
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    run_query(&mut zm, &data, RangePredicate::all());
+    for q in 0..20 {
+        let hi = if q % 2 == 0 { 10 } else { 140 };
+        run_query(&mut zm, &data, RangePredicate::between(5, hi));
+    }
+    assert_eq!(zm.apply_reorg(&data).promoted, 1);
+    let epoch = zm.mutation_epoch();
+    assert_eq!(zm.apply_reorg(&data), ReorgReport::default());
+    assert_eq!((zm.zones_reorganized(), zm.mutation_epoch()), (1, epoch));
 }

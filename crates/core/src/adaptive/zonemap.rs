@@ -95,6 +95,10 @@ pub struct AdaptiveZonemap<T: DataValue> {
     /// Lifetime reorganization counters (promotions, demotions, bytes
     /// moved, time spent); see [`ReorgStats`].
     pub(crate) reorg_lifetime: ReorgStats,
+    /// `query_seq` of the last reorganization pass (`u64::MAX` before the
+    /// first): a second pass at the same query clock would see the hot
+    /// bar its own promotions lowered, so it does nothing.
+    pub(crate) reorg_at: u64,
     /// Lifetime metadata-tier counters (builds, drops, skip benefit);
     /// see [`TierStats`].
     pub(crate) tier_lifetime: TierStats,
@@ -136,6 +140,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             next_revival_check: u64::MAX,
             mutation_epoch: 0,
             reorg_lifetime: ReorgStats::default(),
+            reorg_at: u64::MAX,
             tier_lifetime: TierStats::default(),
         };
         zm.assert_invariants();
@@ -922,6 +927,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             next_revival_check: self.next_revival_check,
             mutation_epoch: self.mutation_epoch,
             reorg_lifetime: self.reorg_lifetime,
+            reorg_at: self.reorg_at,
             tier_lifetime: self.tier_lifetime,
         }
     }

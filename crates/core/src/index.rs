@@ -203,13 +203,16 @@ mod tests {
         d.translate_positions(&mut pos);
         assert_eq!(pos, vec![1, 2]);
         let out = d.prune(&RangePredicate::all());
-        assert_eq!(out.rows_to_scan(), 10);
-        d.observe(&ScanObservation::empty(RangePredicate::all()));
+        assert_eq!(out.must_scan.covered_rows(), 10);
+        d.observe(&ScanObservation {
+            predicate: RangePredicate::all(),
+            ranges: Vec::new(),
+        });
         assert!(d.prune_stats().is_none());
         let mut alive = RangeSet::new();
         alive.push_span(2, 6);
         let restricted = d.prune_within(&RangePredicate::all(), &alive);
-        assert_eq!(restricted.rows_to_scan(), 4);
+        assert_eq!(restricted.must_scan.covered_rows(), 4);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //!
 //! // The second identical query skips nearly everything.
 //! let outcome = zm.prune(&pred);
-//! assert!(outcome.rows_to_scan() < 10_000);
+//! assert!(outcome.must_scan.covered_rows() < 10_000);
 //! ```
 
 #![forbid(unsafe_code)]

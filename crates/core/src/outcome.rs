@@ -59,7 +59,7 @@ pub struct UnitRequest {
 
 impl UnitRequest {
     /// Nothing wanted: the scan computes its answer only.
-    pub const NOTHING: UnitRequest = UnitRequest {
+    pub(crate) const NOTHING: UnitRequest = UnitRequest {
         bounds: false,
         bins: None,
     };
@@ -245,11 +245,6 @@ impl PruneOutcome {
         }
     }
 
-    /// Rows that must be touched by the scan.
-    pub fn rows_to_scan(&self) -> usize {
-        self.must_scan.covered_rows()
-    }
-
     /// Rows answered from metadata alone.
     pub fn rows_full_match(&self) -> usize {
         self.full_match.covered_rows()
@@ -260,16 +255,6 @@ impl PruneOutcome {
     /// [`PruneOutcome::rows_full_match`].
     pub fn rows_positional_match(&self) -> usize {
         self.reorg_units.iter().map(ReorgUnit::full_rows).sum()
-    }
-
-    /// Fraction of an `n`-row table the scan avoids touching
-    /// (full-match rows count as avoided for COUNT-style work).
-    pub fn skip_fraction(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            1.0 - self.rows_to_scan() as f64 / n as f64
-        }
     }
 
     /// Folds positional reorg units back into plain scan units over their
@@ -423,26 +408,6 @@ pub struct ScanObservation<T: DataValue> {
     pub ranges: Vec<RangeObservation<T>>,
 }
 
-impl<T: DataValue> ScanObservation<T> {
-    /// Observation with no scanned ranges (fully skipped or fully matched).
-    pub fn empty(predicate: RangePredicate<T>) -> Self {
-        ScanObservation {
-            predicate,
-            ranges: Vec::new(),
-        }
-    }
-
-    /// Total qualifying rows across scanned ranges.
-    pub fn total_qualifying(&self) -> usize {
-        self.ranges.iter().map(|r| r.qualifying).sum()
-    }
-
-    /// Total rows scanned.
-    pub fn total_scanned(&self) -> usize {
-        self.ranges.iter().map(|r| r.range.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,23 +435,9 @@ mod tests {
     #[test]
     fn scan_all_covers_everything() {
         let o = PruneOutcome::scan_all(100);
-        assert_eq!(o.rows_to_scan(), 100);
+        assert_eq!(o.must_scan.covered_rows(), 100);
         assert_eq!(o.rows_full_match(), 0);
-        assert_eq!(o.skip_fraction(100), 0.0);
         assert_eq!(o.zones_probed, 0);
-    }
-
-    #[test]
-    fn skip_fraction_counts_full_match_as_skipped() {
-        let mut o = PruneOutcome::default();
-        o.must_scan.push_span(0, 25);
-        o.full_match.push_span(50, 75);
-        assert!((o.skip_fraction(100) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skip_fraction_empty_table() {
-        assert_eq!(PruneOutcome::default().skip_fraction(0), 0.0);
     }
 
     #[test]
@@ -589,20 +540,5 @@ mod tests {
         assert!(r.must_scan.is_empty());
         assert!(r.scan_units.is_empty());
         assert!(r.full_match.is_empty());
-    }
-
-    #[test]
-    fn observation_totals() {
-        let pred = RangePredicate::between(0i64, 10);
-        let obs = ScanObservation {
-            predicate: pred,
-            ranges: vec![
-                RangeObservation::new(RowRange::new(0, 10), 3, -5, 40),
-                RangeObservation::new(RowRange::new(20, 25), 5, 0, 9),
-            ],
-        };
-        assert_eq!(obs.total_qualifying(), 8);
-        assert_eq!(obs.total_scanned(), 15);
-        assert_eq!(ScanObservation::empty(pred).total_scanned(), 0);
     }
 }

@@ -31,14 +31,6 @@ impl<T: DataValue> RangePredicate<T> {
         RangePredicate { lo: x, hi: x }
     }
 
-    /// `v <= x`.
-    pub fn at_most(x: T) -> Self {
-        RangePredicate {
-            lo: T::MIN_VALUE,
-            hi: x,
-        }
-    }
-
     /// `v >= x`.
     pub fn at_least(x: T) -> Self {
         RangePredicate {
@@ -102,7 +94,6 @@ mod tests {
         let p = RangePredicate::between(3i64, 7);
         assert_eq!((p.lo, p.hi), (3, 7));
         assert_eq!(RangePredicate::point(5i64), RangePredicate::between(5, 5));
-        assert_eq!(RangePredicate::at_most(9i64).lo, i64::MIN);
         assert_eq!(RangePredicate::at_least(9i64).hi, i64::MAX);
         let all = RangePredicate::<i64>::all();
         assert!(all.matches(i64::MIN) && all.matches(i64::MAX));

@@ -21,7 +21,7 @@ use ads_storage::{scan, DataValue, RangeSet, RowRange};
 /// let mut zm = StaticZonemap::build(&data, 1000);
 /// let out = zm.prune(&RangePredicate::between(2500, 2600));
 /// assert_eq!(out.zones_skipped, 9); // sorted data: one candidate zone
-/// assert_eq!(out.rows_to_scan(), 1000);
+/// assert_eq!(out.must_scan.covered_rows(), 1000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StaticZonemap<T: DataValue> {
@@ -78,11 +78,6 @@ impl<T: DataValue> StaticZonemap<T> {
     /// Number of zones.
     pub fn num_zones(&self) -> usize {
         self.mins.len()
-    }
-
-    /// `(min, max)` metadata of zone `z`.
-    pub fn zone_bounds(&self, z: usize) -> (T, T) {
-        (self.mins[z], self.maxs[z])
     }
 
     /// Row range of zone `z`.
@@ -224,8 +219,8 @@ mod tests {
         let data = sorted_data(100);
         let zm = StaticZonemap::build(&data, 32);
         assert_eq!(zm.num_zones(), 4);
-        assert_eq!(zm.zone_bounds(0), (0, 31));
-        assert_eq!(zm.zone_bounds(3), (96, 99)); // partial last zone
+        assert_eq!((zm.mins[0], zm.maxs[0]), (0, 31));
+        assert_eq!((zm.mins[3], zm.maxs[3]), (96, 99)); // partial last zone
     }
 
     #[test]
@@ -241,7 +236,7 @@ mod tests {
         let out = zm.prune(&RangePredicate::between(250, 260));
         assert_eq!(out.zones_probed, 10);
         assert_eq!(out.zones_skipped, 9);
-        assert_eq!(out.rows_to_scan(), 100);
+        assert_eq!(out.must_scan.covered_rows(), 100);
         assert!(out.must_scan.contains(255));
     }
 
@@ -253,7 +248,7 @@ mod tests {
         // partially overlaps zones [100,200) and [400,500).
         let out = zm.prune(&RangePredicate::between(150, 450));
         assert_eq!(out.rows_full_match(), 200);
-        assert_eq!(out.rows_to_scan(), 200);
+        assert_eq!(out.must_scan.covered_rows(), 200);
         assert_eq!(out.zones_skipped, 6);
     }
 
@@ -266,7 +261,7 @@ mod tests {
         let mut zm = StaticZonemap::build(&data, 100);
         let out = zm.prune(&RangePredicate::between(400, 500));
         assert_eq!(out.zones_skipped, 0);
-        assert_eq!(out.rows_to_scan(), 1000);
+        assert_eq!(out.must_scan.covered_rows(), 1000);
         assert_eq!(out.zones_probed, 10);
     }
 
@@ -297,8 +292,8 @@ mod tests {
         data.extend_from_slice(&appended);
         zm.on_append(&appended, &data);
         assert_eq!(zm.num_zones(), 4);
-        assert_eq!(zm.zone_bounds(1), (100, 199)); // partial zone repaired
-        assert_eq!(zm.zone_bounds(3), (300, 319));
+        assert_eq!((zm.mins[1], zm.maxs[1]), (100, 199)); // partial zone repaired
+        assert_eq!((zm.mins[3], zm.maxs[3]), (300, 319));
         // Soundness after append.
         let pred = RangePredicate::between(190, 210);
         let out = zm.prune(&pred);
@@ -317,7 +312,7 @@ mod tests {
         data.extend_from_slice(&appended);
         zm.on_append(&appended, &data);
         assert_eq!(zm.num_zones(), 3);
-        assert_eq!(zm.zone_bounds(2), (200, 249));
+        assert_eq!((zm.mins[2], zm.maxs[2]), (200, 249));
     }
 
     #[test]
@@ -382,6 +377,6 @@ mod tests {
         let mut zm = StaticZonemap::build(&[] as &[i64], 64);
         assert_eq!(zm.num_zones(), 0);
         let out = zm.prune(&RangePredicate::all());
-        assert_eq!(out.rows_to_scan(), 0);
+        assert_eq!(out.must_scan.covered_rows(), 0);
     }
 }

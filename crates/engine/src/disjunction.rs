@@ -13,7 +13,7 @@ use ads_storage::{Bitmap, DataValue};
 
 /// Sorts and merges overlapping/adjacent ranges into a canonical disjoint
 /// set. The result covers exactly the union of the inputs.
-pub fn normalize_ranges<T: DataValue>(mut preds: Vec<RangePredicate<T>>) -> Vec<RangePredicate<T>> {
+fn normalize_ranges<T: DataValue>(mut preds: Vec<RangePredicate<T>>) -> Vec<RangePredicate<T>> {
     preds.sort_by(|a, b| a.lo.total_cmp(&b.lo));
     let mut out: Vec<RangePredicate<T>> = Vec::with_capacity(preds.len());
     for p in preds {
@@ -40,6 +40,7 @@ pub fn normalize_ranges<T: DataValue>(mut preds: Vec<RangePredicate<T>>) -> Vec<
 /// let (answer, _) = execute_disjunction(&data, idx.as_mut(), in_list(&[5, 500, 2000]), AggKind::Count);
 /// assert_eq!(answer.count, 2);
 /// ```
+// api: the doctest above; tests/extensions.rs.
 pub fn in_list<T: DataValue>(values: &[T]) -> Vec<RangePredicate<T>> {
     normalize_ranges(values.iter().map(|&v| RangePredicate::point(v)).collect())
 }
@@ -50,6 +51,7 @@ pub fn in_list<T: DataValue>(values: &[T]) -> Vec<RangePredicate<T>> {
 /// metrics fold across the per-range executions with
 /// [`QueryMetrics::absorb`] (wall and phase times are the true totals,
 /// probes count every metadata read paid).
+// api: the `in_list` doctest; tests/extensions.rs.
 pub fn execute_disjunction<T: DataValue>(
     data: &[T],
     index: &mut dyn SkippingIndex<T>,

@@ -561,6 +561,8 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
 
 /// Reference implementation used by tests and the soundness harness:
 /// answers the same query with a plain scan, no index involved.
+// api: the reference oracle of the correctness, sharding, property and
+// stress suites in tests/ and crates/server/tests/.
 pub fn execute_reference<T: DataValue>(
     data: &[T],
     pred: RangePredicate<T>,
@@ -615,6 +617,8 @@ pub fn execute_reference<T: DataValue>(
 /// over the live rows, no index and no block kernels involved. The f64
 /// SUM accumulates in ascending row order, so masked execution must match
 /// it bit for bit; positions come back in original row coordinates.
+// api: the reference oracle of the masked-scan tests in lane.rs and
+// sharded_exec.rs.
 pub fn execute_reference_with_deletes<T: DataValue>(
     data: &[T],
     live: &DeleteVector,

@@ -26,8 +26,6 @@ pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
     sum: u128,
-    min: u64,
-    max: u64,
 }
 
 /// Bucket index of a sample.
@@ -69,8 +67,6 @@ impl LatencyHistogram {
             buckets: vec![0; BUCKETS],
             count: 0,
             sum: 0,
-            min: u64::MAX,
-            max: 0,
         }
     }
 
@@ -80,8 +76,6 @@ impl LatencyHistogram {
         self.buckets[bucket_of(ns)] += 1;
         self.count += 1;
         self.sum += ns as u128;
-        self.min = self.min.min(ns);
-        self.max = self.max.max(ns);
     }
 
     /// Folds `other`'s samples into this histogram.
@@ -91,8 +85,6 @@ impl LatencyHistogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples recorded.
@@ -109,24 +101,10 @@ impl LatencyHistogram {
         }
     }
 
-    /// Smallest sample (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample.
-    pub fn max_ns(&self) -> u64 {
-        self.max
-    }
-
     /// The `p`-quantile (`p` in `[0, 1]`), reported as the lower bound of
     /// the containing bucket: at most the true sample value and within
     /// 12.5% below it. Returns 0 when empty.
-    pub fn percentile_ns(&self, p: f64) -> u64 {
+    fn percentile_ns(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -138,7 +116,7 @@ impl LatencyHistogram {
                 return bucket_lower(i);
             }
         }
-        self.max
+        unreachable!("the buckets hold all {} samples", self.count)
     }
 
     /// Median.
@@ -179,8 +157,6 @@ mod tests {
         }
         assert_eq!(h.p50_ns(), 3);
         assert_eq!(h.p99_ns(), 3);
-        assert_eq!(h.min_ns(), 3);
-        assert_eq!(h.max_ns(), 3);
         assert_eq!(h.mean_ns(), 3.0);
     }
 
@@ -200,7 +176,6 @@ mod tests {
             );
         }
         assert!((h.mean_ns() - 500.5).abs() < 1e-9);
-        assert_eq!((h.min_ns(), h.max_ns()), (1, 1000));
     }
 
     #[test]
@@ -213,7 +188,6 @@ mod tests {
         h.record(1_000_000);
         assert!(h.p50_ns() <= 1_000 && h.p50_ns() >= 875);
         assert!(h.percentile_ns(1.0) >= 875_000);
-        assert_eq!(h.max_ns(), 1_000_000);
     }
 
     #[test]
@@ -233,8 +207,6 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert_eq!(a.p50_ns(), whole.p50_ns());
         assert_eq!(a.p99_ns(), whole.p99_ns());
-        assert_eq!(a.min_ns(), whole.min_ns());
-        assert_eq!(a.max_ns(), whole.max_ns());
         assert!((a.mean_ns() - whole.mean_ns()).abs() < 1e-9);
     }
 
@@ -244,7 +216,5 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.p50_ns(), 0);
         assert_eq!(h.mean_ns(), 0.0);
-        assert_eq!(h.min_ns(), 0);
-        assert_eq!(h.max_ns(), 0);
     }
 }

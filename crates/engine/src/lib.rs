@@ -36,7 +36,7 @@ pub mod strategy;
 pub mod string_session;
 pub mod table_session;
 
-pub use disjunction::{execute_disjunction, in_list, normalize_ranges};
+pub use disjunction::{execute_disjunction, in_list};
 pub use exec_policy::ExecPolicy;
 pub use executor::{
     execute, execute_reference, execute_reference_with_deletes, execute_with_policy, AggKind,

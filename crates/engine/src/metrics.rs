@@ -57,15 +57,6 @@ impl QueryMetrics {
         self.conjuncts_probed += part.conjuncts_probed;
         self.plan_fallback |= part.plan_fallback;
     }
-
-    /// Fraction of an `n`-row table the scan did not touch.
-    pub fn skip_fraction(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            1.0 - self.rows_scanned as f64 / n as f64
-        }
-    }
 }
 
 /// Running totals over a query sequence.
@@ -226,16 +217,6 @@ mod tests {
         );
         assert_eq!(whole.threads_used, 4, "max, not sum or last");
         assert!(whole.plan_fallback, "or, not last");
-    }
-
-    #[test]
-    fn skip_fraction() {
-        let m = QueryMetrics {
-            rows_scanned: 25,
-            ..Default::default()
-        };
-        assert!((m.skip_fraction(100) - 0.75).abs() < 1e-12);
-        assert_eq!(m.skip_fraction(0), 0.0);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl<T: DataValue> ColumnSession<T> {
         self.policy = policy;
     }
 
-    /// The current execution policy.
-    pub fn exec_policy(&self) -> ExecPolicy {
-        self.policy
-    }
-
     /// Executes one query.
     pub fn query(
         &mut self,

@@ -103,7 +103,8 @@ mod tests {
             // Soundness smoke check: candidates plus full matches must be
             // able to hold the 11 qualifying rows.
             assert!(
-                out.rows_to_scan() + out.rows_full_match() >= 11 || out.rows_full_match() == 11,
+                out.must_scan.covered_rows() + out.rows_full_match() >= 11
+                    || out.rows_full_match() == 11,
                 "{} lost rows",
                 strat.label()
             );

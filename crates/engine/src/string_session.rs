@@ -6,7 +6,7 @@
 //! unseen strings remap the code space; the session rebuilds its index and
 //! reports the cost.
 
-use crate::executor::{execute, AggKind, QueryAnswer};
+use crate::executor::{execute, AggKind};
 use crate::metrics::{CumulativeMetrics, QueryMetrics};
 use crate::strategy::Strategy;
 use ads_core::{RangePredicate, SkippingIndex};
@@ -41,54 +41,41 @@ impl StringColumnSession {
         }
     }
 
-    fn run(&mut self, range: Option<(u32, u32)>, agg: AggKind) -> (QueryAnswer<u32>, QueryMetrics) {
+    /// COUNT of rows whose code falls in the inclusive `range`.
+    fn count(&mut self, range: Option<(u32, u32)>) -> (u64, QueryMetrics) {
         let Some((lo, hi)) = range else {
             // Dictionary miss: provably empty without touching data. The
             // dictionary acted as the (free) skipping metadata here.
-            let mut answer = QueryAnswer::default();
-            if agg == AggKind::Positions {
-                answer.positions = Some(Vec::new());
-            }
             let metrics = QueryMetrics::default();
             self.totals.absorb(&metrics);
-            return (answer, metrics);
+            return (0, metrics);
         };
         let (answer, metrics) = execute(
             self.column.codes().as_slice(),
             self.index.as_mut(),
             RangePredicate::between(lo, hi),
-            agg,
+            AggKind::Count,
         );
         self.totals.absorb(&metrics);
-        (answer, metrics)
+        (answer.count, metrics)
     }
 
     /// COUNT of rows with `lo <= value <= hi` (string order).
     pub fn count_between(&mut self, lo: &str, hi: &str) -> (u64, QueryMetrics) {
         let range = self.column.code_range(lo, hi);
-        let (answer, m) = self.run(range, AggKind::Count);
-        (answer.count, m)
+        self.count(range)
     }
 
     /// COUNT of rows equal to `s`.
     pub fn count_eq(&mut self, s: &str) -> (u64, QueryMetrics) {
         let range = self.column.code_of(s).map(|c| (c, c));
-        let (answer, m) = self.run(range, AggKind::Count);
-        (answer.count, m)
+        self.count(range)
     }
 
     /// COUNT of rows starting with `prefix`.
     pub fn count_prefix(&mut self, prefix: &str) -> (u64, QueryMetrics) {
         let range = self.column.code_range_prefix(prefix);
-        let (answer, m) = self.run(range, AggKind::Count);
-        (answer.count, m)
-    }
-
-    /// Row ids of rows starting with `prefix`, ascending.
-    pub fn positions_prefix(&mut self, prefix: &str) -> (Vec<u32>, QueryMetrics) {
-        let range = self.column.code_range_prefix(prefix);
-        let (answer, m) = self.run(range, AggKind::Positions);
-        (answer.positions.unwrap_or_default(), m)
+        self.count(range)
     }
 
     /// Appends rows; rebuilds the index when the code space was remapped.
@@ -216,19 +203,7 @@ mod tests {
         assert_eq!(m.rows_scanned, 0);
         let (c2, _) = s.count_between("x", "z");
         assert_eq!(c2, 0);
-        let (pos, _) = s.positions_prefix("zz");
-        assert!(pos.is_empty());
-    }
-
-    #[test]
-    fn positions_are_base_row_ids() {
-        let values: Vec<String> = ["b", "a", "ab", "abc", "a"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut s = StringColumnSession::new(&values, &Strategy::StaticZonemap { zone_rows: 2 });
-        let (pos, _) = s.positions_prefix("a");
-        assert_eq!(pos, vec![1, 2, 3, 4]);
+        assert_eq!(s.count_prefix("zz").0, 0);
     }
 
     #[test]

@@ -114,8 +114,6 @@ trait Conjunct: Send {
     fn mismatch(&self, pred: &AnyPredicate) -> Option<&'static str>;
     /// The index's pre-probe planner summary.
     fn prune_stats(&self) -> Option<PruneStats>;
-    /// Metadata footprint of the index, in bytes.
-    fn metadata_bytes(&self) -> usize;
     /// The lane's prune step, restricted to `alive` when given.
     fn prune(
         &mut self,
@@ -174,10 +172,6 @@ impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
 
     fn prune_stats(&self) -> Option<PruneStats> {
         self.index.prune_stats()
-    }
-
-    fn metadata_bytes(&self) -> usize {
-        self.index.metadata_bytes()
     }
 
     fn prune(
@@ -303,12 +297,6 @@ impl TableSession {
     /// The decision record of the most recent conjunction query.
     pub fn last_plan(&self) -> Option<&PlanTrace> {
         self.last_plan.as_ref()
-    }
-
-    /// Metadata footprint of the named column's index, in bytes.
-    pub fn index_metadata_bytes(&self, column: &str) -> Option<usize> {
-        let (_, conjunct) = self.indexes.iter().find(|(name, _)| name == column)?;
-        Some(conjunct.metadata_bytes())
     }
 
     /// Counts rows satisfying every conjunct.
@@ -583,23 +571,26 @@ mod tests {
         t
     }
 
+    /// Column `name` of `t` with its stored type.
+    fn typed<'t, T: ColumnAccess>(t: &'t Table, name: &str) -> &'t Column<T> {
+        T::from_any(t.column(name).expect("column exists")).expect("column type")
+    }
+
+    /// The planner summary of the index over `column`, if one is held.
+    fn index_stats(ts: &TableSession, column: &str) -> Option<PruneStats> {
+        let (_, conjunct) = ts.indexes.iter().find(|(name, _)| name == column)?;
+        conjunct.prune_stats()
+    }
+
     fn reference_count(t: &Table, conjuncts: &[(&str, AnyPredicate)]) -> u64 {
         let n = t.num_rows();
         (0..n)
             .filter(|&i| {
                 conjuncts.iter().all(|(name, p)| match p {
-                    AnyPredicate::I64(p) => {
-                        p.matches(t.typed_column::<i64>(name).unwrap().value(i))
-                    }
-                    AnyPredicate::F64(p) => {
-                        p.matches(t.typed_column::<f64>(name).unwrap().value(i))
-                    }
-                    AnyPredicate::I32(p) => {
-                        p.matches(t.typed_column::<i32>(name).unwrap().value(i))
-                    }
-                    AnyPredicate::U64(p) => {
-                        p.matches(t.typed_column::<u64>(name).unwrap().value(i))
-                    }
+                    AnyPredicate::I64(p) => p.matches(typed::<i64>(t, name).value(i)),
+                    AnyPredicate::F64(p) => p.matches(typed::<f64>(t, name).value(i)),
+                    AnyPredicate::I32(p) => p.matches(typed::<i32>(t, name).value(i)),
+                    AnyPredicate::U64(p) => p.matches(typed::<u64>(t, name).value(i)),
                 })
             })
             .count() as u64
@@ -864,13 +855,21 @@ mod tests {
             }
         }
         assert!(ts.totals().adapt_events > 0, "adaptation went uncounted");
+        // The blooms are metadata the planner prices: the untiered twin's
+        // bounds overlap every probe, so it estimates far fewer skips.
+        let (tiered_est, flat_est) = (
+            index_stats(&ts, "v").expect("adaptive estimates"),
+            index_stats(&flat, "v").expect("adaptive estimates"),
+        );
+        assert!(
+            tiered_est.est_skip_fraction > flat_est.est_skip_fraction,
+            "tiers add skips the untiered twin cannot: {} vs {}",
+            tiered_est.est_skip_fraction,
+            flat_est.est_skip_fraction
+        );
         assert!(
             late_skips > 0,
             "no zone skipped: bounds overlap every probe, so no tier was ever earned"
-        );
-        assert!(
-            ts.index_metadata_bytes("v") > flat.index_metadata_bytes("v"),
-            "tiers add metadata the untiered twin does not carry"
         );
         assert!(
             ts.totals().rows_scanned < flat.totals().rows_scanned / 2,
@@ -911,8 +910,13 @@ mod tests {
         assert_eq!(trace.steps.len(), 2);
         assert_eq!(trace.conjuncts_probed(), 2);
         assert!(trace.fallback.is_none());
-        assert!(ts.index_metadata_bytes("time").unwrap() > 0);
-        assert!(ts.index_metadata_bytes("missing").is_none());
+        assert!(
+            index_stats(&ts, "time")
+                .expect("zonemap estimates")
+                .probe_entries
+                > 0
+        );
+        assert!(index_stats(&ts, "missing").is_none());
     }
 
     #[test]

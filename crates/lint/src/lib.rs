@@ -5,7 +5,7 @@
 //! a line scanner; v2 lexes every file into a token stream
 //! ([`lexer`]), parses function bodies into statement trees with a
 //! branch-join dataflow layer ([`flow`]), and runs both the original
-//! style rules (now token-exact) and four protocol passes
+//! style rules (now token-exact) and five repo passes
 //! ([`passes`]) over that IR. The tool stays dependency-free (the
 //! offline build forbids syn/clippy plugins) and fast enough to gate
 //! CI.
@@ -21,7 +21,7 @@
 //! | `unsafe-allow`     | `allow(unsafe_code)` requires a DESIGN.md pointer    |
 //! | `forbid-unsafe`    | every crate root declares `#![forbid(unsafe_code)]`  |
 //!
-//! Protocol passes (the v2 additions):
+//! Repo passes (the v2 additions):
 //!
 //! | pass                     | protocol it guards                              |
 //! |--------------------------|-------------------------------------------------|
@@ -29,6 +29,16 @@
 //! | `publication-discipline` | `publish*` fns store payload before the generation bump, nothing after |
 //! | `live-mask`              | all-live liveness sources only with `// live:` outside scan.rs/the scalar oracle/tests |
 //! | `lifecycle-symmetry`     | tier/layout/mask promotions cleared on split/merge/deactivate/coalesce/compact paths |
+//! | `dead-surface`           | a `pub` fn/const/static/struct/enum/trait/type of a library target (a crate's `src/` minus `src/bin/` and `main.rs`) has a user outside its own file (else `// api: <user>`) |
+//!
+//! A dead-surface user is any mention in another file's non-test code:
+//! other crates, `benchmark/`, `examples/`, binaries. Not users: code
+//! under `#[cfg(test)]` or in a `tests/` directory, `use` / `pub use`
+//! lines (a re-export is not a use) and comments, doc comments
+//! included. A type named in the signature of a `pub` item that has a
+//! user counts as used — callers reach it through that item. The
+//! `// api:` tag is for what the index cannot see: a doctest-only item,
+//! or a reference oracle that tests compare against.
 //!
 //! False-positive escape hatches, in order of preference: a
 //! justification comment at the site, or a `rule path-prefix` line in
@@ -81,7 +91,7 @@ pub struct Line {
 /// Lexes `src` into per-line (code, comment) pairs. Handles nested
 /// block comments, ordinary/raw string literals, char literals, and
 /// distinguishes lifetimes (`'a`) from char literals (`'a'`).
-pub fn strip_source(src: &str) -> Vec<Line> {
+fn strip_source(src: &str) -> Vec<Line> {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -241,7 +251,7 @@ pub fn strip_source(src: &str) -> Vec<Line> {
 /// Marks each line that is test-only code: inside a `#[cfg(test)]` /
 /// `#[test]` / `#[bench]` item (tracked by brace depth), so production
 /// rules skip it.
-pub fn test_mask(lines: &[Line]) -> Vec<bool> {
+fn test_mask(lines: &[Line]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut depth: i32 = 0;
     // Brace depths at which a test item opened; while non-empty we are
@@ -358,26 +368,9 @@ pub(crate) fn has_marker(lines: &[Line], idx: usize, marker: &str, window: usize
 
 const ATOMIC_ORDERING_VARIANTS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// Runs every file-local rule and pass over one file. Allowlisting and
-/// the cross-file lifecycle pass happen in the caller (see
-/// [`Allowlist`] and [`scan_repo`]).
-pub fn scan_file(ctx: &FileCtx, src: &str) -> Vec<Diagnostic> {
-    let lines = strip_source(src);
-    let mask = test_mask(&lines);
-    let tf = TokenFile::new(lex(src));
-    let fs = FileScan {
-        ctx,
-        lines: &lines,
-        mask: &mask,
-        tf: &tf,
-    };
-    let mut out = scan_one(&fs);
-    out.sort_by_key(|d| d.line);
-    out
-}
-
 /// Runs the whole suite — file-local rules plus the cross-file
-/// lifecycle pass — over a set of `(ctx, source)` pairs.
+/// lifecycle and dead-surface passes — over a set of `(ctx, source)`
+/// pairs.
 pub fn scan_repo(files: &[(FileCtx, String)]) -> Vec<Diagnostic> {
     let parsed: Vec<(usize, Vec<Line>, Vec<bool>, TokenFile)> = files
         .iter()
@@ -402,6 +395,7 @@ pub fn scan_repo(files: &[(FileCtx, String)]) -> Vec<Diagnostic> {
         out.extend(scan_one(fs));
     }
     passes::lifecycle_pass(&scans, &mut out);
+    passes::dead_surface_pass(&scans, &mut out);
     out.sort_by(|a, b| a.path.cmp(&b.path).then(a.line.cmp(&b.line)));
     out
 }
@@ -612,5 +606,55 @@ impl Allowlist {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lexer_strips_strings_and_comments() {
+        let src = "let x = \"Ordering::Relaxed .unwrap()\"; // ordering: not code\n\
+                   let y = 1; /* as u32 */\n";
+        let lines = strip_source(src);
+        assert!(!lines[0].code.contains("Relaxed"));
+        assert!(lines[0].comment.contains("ordering:"));
+        assert!(!lines[1].code.contains("u32"));
+        assert!(lines[1].comment.contains("as u32"));
+    }
+
+    #[test]
+    fn lexer_handles_raw_strings_and_chars() {
+        let src = "let s = r#\"x.unwrap() \"quoted\" \"#;\n\
+                   let c = '\"'; let l: &'static str = \"ok\";\n\
+                   let esc = '\\n'; x.unwrap();\n";
+        let lines = strip_source(src);
+        assert!(!lines[0].code.contains("unwrap"), "{:?}", lines[0].code);
+        // The double quote hidden in a char literal must not open a string.
+        assert!(!lines[1].code.contains("ok"));
+        // Code after an escaped char literal is still seen.
+        assert!(lines[2].code.contains(".unwrap()"));
+    }
+
+    #[test]
+    fn lexer_handles_nested_block_comments() {
+        let src = "/* outer /* inner */ still comment .unwrap() */ let x = 1;\n";
+        let lines = strip_source(src);
+        assert!(!lines[0].code.contains("unwrap"));
+        assert!(lines[0].code.contains("let x = 1;"));
+    }
+
+    #[test]
+    fn test_mask_tracks_cfg_test_modules() {
+        let src = "fn prod() { x.unwrap(); }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn t() { y.unwrap(); }\n\
+                   }\n\
+                   fn prod2() {}\n";
+        let lines = strip_source(src);
+        let mask = test_mask(&lines);
+        assert_eq!(mask, vec![false, true, true, true, true, false]);
     }
 }

@@ -1,7 +1,7 @@
-//! The four repo-specific protocol passes.
+//! The five repo-specific passes.
 //!
 //! Each pass encodes one hand-maintained invariant of the adaptive
-//! skipping system as a machine check (see DESIGN.md "Correctness
+//! skipping system (or, for the last, of its API) as a machine check (see DESIGN.md "Correctness
 //! tooling" for the protocol rationale):
 //!
 //! * [`epoch_pass`] — functions in `crates/core/src/adaptive/` that
@@ -29,10 +29,14 @@
 //!   `Some(...)` sites) must be cleared symmetrically on the
 //!   split/merge/deactivate/coalesce/compact paths: a structural
 //!   transition that keeps a stale tier answers from dead metadata.
+//! * [`dead_surface_pass`] — a `pub` item of a library target must have
+//!   a user outside its own file: surface nobody calls is code kept for
+//!   no one.
 
 use crate::flow::{leaves, on_every_path, FnItem, TokenFile};
-use crate::lexer::{TokKind, ASSIGN_OPS};
+use crate::lexer::{Tok, TokKind, ASSIGN_OPS};
 use crate::{has_marker, Diagnostic, FileCtx, Line};
+use std::collections::{HashMap, HashSet};
 
 /// Reader-visible zone-structure fields/collections: writing any of
 /// these changes what a republished lane would serve. (`stats` is not
@@ -55,17 +59,15 @@ const ALL_LIVE_MARKER: &str = "AllLive";
 
 /// The all-live shorthand kernels of `ads_storage::scan`: correct only
 /// when every row of the slice is known live.
-pub const ALL_LIVE_KERNELS: [&str; 12] = [
+const ALL_LIVE_KERNELS: [&str; 10] = [
     "count_in_range",
     "count_in_range_with_minmax",
     "collect_in_range",
     "fill_bitmap_in_range",
     "sum_in_range",
-    "sum_all",
     "aggregate_in_range",
     "collect_in_range_with_minmax",
     "fill_bitmap_in_range_with_minmax",
-    "count_in_range_with_minmax_and_mask",
     "min_max",
     "min_max_in_range",
 ];
@@ -498,5 +500,184 @@ pub fn lifecycle_pass(files: &[FileScan<'_>], out: &mut Vec<Diagnostic>) {
                 }
             }
         }
+    }
+}
+
+/// Item kinds after `pub` that the dead-surface pass tracks.
+const SURFACE_KINDS: [&str; 7] = ["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+/// Keywords whose next identifier is a definition, not a use.
+const DEF_KEYWORDS: [&str; 9] = [
+    "fn", "const", "static", "struct", "enum", "trait", "type", "mod", "union",
+];
+
+/// One `pub` item of a library target.
+struct SurfaceItem<'a> {
+    file: usize,
+    kind: &'a str,
+    name: &'a str,
+    line: usize,
+    /// Identifiers of its signature (a fn up to its body; a type, const
+    /// or trait through its body): what a caller reaches through it.
+    sig: Vec<&'a str>,
+    /// Carries an `// api: <user>` tag.
+    tagged: bool,
+}
+
+/// Library-target source: a crate's `src/` minus `src/bin/` and
+/// `main.rs`. (`benchmark/` is a separate package: a user, not surface.)
+fn is_library_source(path: &str) -> bool {
+    (path.starts_with("src/") || (path.starts_with("crates/") && path.contains("/src/")))
+        && !path.contains("/bin/")
+        && !path.ends_with("/main.rs")
+}
+
+/// Identifiers from the item keyword at `kw` to the end of its
+/// signature: a fn's body `{`, or the `;` / closing `}` of anything else.
+fn signature(code: &[Tok], kw: usize) -> Vec<&str> {
+    let is_fn = code[kw].text == "fn";
+    let mut depth = 0i32;
+    let mut sig = Vec::new();
+    for t in &code[kw + 1..] {
+        match t.text.as_str() {
+            "{" if depth == 0 && is_fn => break,
+            ";" if depth == 0 => break,
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            name if t.kind == TokKind::Ident => sig.push(name),
+            _ => {}
+        }
+    }
+    sig
+}
+
+/// The files a `#[cfg(test)] mod name;` declaration in `fs` pulls in.
+fn test_module_files(fs: &FileScan<'_>) -> Vec<String> {
+    let code = &fs.tf.code;
+    let p = fs.ctx.path.as_str();
+    let dir = match p.rsplit_once('/') {
+        Some((dir, "mod.rs" | "lib.rs" | "main.rs")) => dir.to_string(),
+        _ => p.trim_end_matches(".rs").to_string(),
+    };
+    let mut out = Vec::new();
+    for w in code.windows(3) {
+        if w[0].text == "mod" && w[2].text == ";" && fs.line_masked(w[0].line) {
+            out.push(format!("{dir}/{}.rs", w[1].text));
+            out.push(format!("{dir}/{}/mod.rs", w[1].text));
+        }
+    }
+    out
+}
+
+/// Pass 5: dead public surface, repo-wide.
+///
+/// One name index covers every file outside `tests/` directories and
+/// `#[cfg(test)]` code (test-only module files included), with `use` /
+/// `pub use` declarations, comments and definition names left out. A
+/// `pub` fn/const/static/struct/enum/trait/type of a library target is a
+/// finding when its name is in no other file's index — unless a type is
+/// named in the signature of a `pub` item that is not itself a finding
+/// (the returned type is how callers reach it), or the item carries an
+/// `// api: <user>` tag for a user the index cannot see (a doctest, or a
+/// reference oracle other crates' tests compare against).
+pub fn dead_surface_pass(files: &[FileScan<'_>], out: &mut Vec<Diagnostic>) {
+    let test_modules: HashSet<String> = files.iter().flat_map(test_module_files).collect();
+    let mut users: HashMap<&str, Vec<usize>> = HashMap::new();
+    let mut items: Vec<SurfaceItem<'_>> = Vec::new();
+    for (f, fs) in files.iter().enumerate() {
+        let p = fs.ctx.path.as_str();
+        if p.starts_with("tests/") || p.contains("/tests/") || test_modules.contains(p) {
+            continue;
+        }
+        let code = &fs.tf.code;
+        let library = is_library_source(p);
+        let mut in_use = false;
+        for (k, t) in code.iter().enumerate() {
+            if t.kind != TokKind::Ident {
+                in_use &= t.text != ";";
+                continue;
+            }
+            in_use |= t.text == "use";
+            if in_use || fs.line_masked(t.line) {
+                continue;
+            }
+            let prev = k.checked_sub(1).map(|j| code[j].text.as_str());
+            if prev.is_some_and(|p| DEF_KEYWORDS.contains(&p)) {
+                continue;
+            }
+            let files = users.entry(t.text.as_str()).or_default();
+            if files.last() != Some(&f) {
+                files.push(f);
+            }
+            // `pub [const|async|unsafe] <kind> <name>`; `pub(crate)` and
+            // `pub mod` are not surface.
+            if !library || t.text != "pub" {
+                continue;
+            }
+            let Some(kw) = (k + 1..code.len().min(k + 4)).find(|&j| {
+                SURFACE_KINDS.contains(&code[j].text.as_str())
+                    && code
+                        .get(j + 1)
+                        .is_some_and(|n| n.kind == TokKind::Ident && n.text != "fn")
+            }) else {
+                continue;
+            };
+            if code[k + 1..kw].iter().any(|q| q.text == "(") {
+                continue;
+            }
+            items.push(SurfaceItem {
+                file: f,
+                kind: &code[kw].text,
+                name: &code[kw + 1].text,
+                line: t.line,
+                sig: signature(code, kw),
+                tagged: fs.site_justified(t.line, "api:"),
+            });
+        }
+    }
+    let mut live: Vec<bool> = items
+        .iter()
+        .map(|it| {
+            it.tagged
+                || users
+                    .get(it.name)
+                    .is_some_and(|fs| fs.iter().any(|&f| f != it.file))
+        })
+        .collect();
+    // Reach through the signatures of live items until nothing changes.
+    loop {
+        let reached: HashSet<&str> = items
+            .iter()
+            .zip(&live)
+            .filter(|(_, &l)| l)
+            .flat_map(|(it, _)| it.sig.iter().copied())
+            .collect();
+        let mut changed = false;
+        for (it, l) in items.iter().zip(live.iter_mut()) {
+            if !*l && reached.contains(it.name) {
+                *l = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    for (it, _) in items.iter().zip(&live).filter(|(_, &l)| !l) {
+        out.push(files[it.file].diag(
+            "dead-surface",
+            it.line,
+            format!(
+                "pub {} `{}` has no user outside this file (tests, `use` lines and \
+                 comments do not count); delete it, narrow it, or tag it `// api: <user>`",
+                it.kind, it.name
+            ),
+        ));
     }
 }

@@ -3,14 +3,18 @@
 //! (the rule fires at the right line) and negative cases (justified or
 //! out-of-scope code stays clean).
 
-use ads_lint::{scan_file, scan_repo, strip_source, test_mask, Allowlist, Diagnostic, FileCtx};
+use ads_lint::{scan_repo, Allowlist, Diagnostic, FileCtx};
 
 fn rules_at(diags: &[Diagnostic]) -> Vec<(&'static str, usize)> {
     diags.iter().map(|d| (d.rule, d.line)).collect()
 }
 
+/// One file through the whole suite, minus the dead-surface pass (a
+/// lone fixture file has no users, so every `pub` item in it is dead).
 fn scan(path: &str, src: &str) -> Vec<Diagnostic> {
-    scan_file(&FileCtx::new(path), src)
+    let mut diags = scan_repo(&[(FileCtx::new(path), src.to_string())]);
+    diags.retain(|d| d.rule != "dead-surface");
+    diags
 }
 
 /// Diagnostics of one rule only — pass fixtures often trip a second
@@ -25,51 +29,6 @@ fn only(diags: Vec<Diagnostic>, rule: &str) -> Vec<(String, usize)> {
 }
 
 // ---------------------------------------------------------------- lexer
-
-#[test]
-fn lexer_strips_strings_and_comments() {
-    let src = "let x = \"Ordering::Relaxed .unwrap()\"; // ordering: not code\n\
-               let y = 1; /* as u32 */\n";
-    let lines = strip_source(src);
-    assert!(!lines[0].code.contains("Relaxed"));
-    assert!(lines[0].comment.contains("ordering:"));
-    assert!(!lines[1].code.contains("u32"));
-    assert!(lines[1].comment.contains("as u32"));
-}
-
-#[test]
-fn lexer_handles_raw_strings_and_chars() {
-    let src = "let s = r#\"x.unwrap() \"quoted\" \"#;\n\
-               let c = '\"'; let l: &'static str = \"ok\";\n\
-               let esc = '\\n'; x.unwrap();\n";
-    let lines = strip_source(src);
-    assert!(!lines[0].code.contains("unwrap"), "{:?}", lines[0].code);
-    // The double quote hidden in a char literal must not open a string.
-    assert!(!lines[1].code.contains("ok"));
-    // Code after an escaped char literal is still seen.
-    assert!(lines[2].code.contains(".unwrap()"));
-}
-
-#[test]
-fn lexer_handles_nested_block_comments() {
-    let src = "/* outer /* inner */ still comment .unwrap() */ let x = 1;\n";
-    let lines = strip_source(src);
-    assert!(!lines[0].code.contains("unwrap"));
-    assert!(lines[0].code.contains("let x = 1;"));
-}
-
-#[test]
-fn test_mask_tracks_cfg_test_modules() {
-    let src = "fn prod() { x.unwrap(); }\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-                   fn t() { y.unwrap(); }\n\
-               }\n\
-               fn prod2() {}\n";
-    let lines = strip_source(src);
-    let mask = test_mask(&lines);
-    assert_eq!(mask, vec![false, true, true, true, true, false]);
-}
 
 // ------------------------------------------------------ ordering-comment
 
@@ -594,4 +553,98 @@ fn scan_reports_diagnostics_in_line_order_with_display_format() {
         "crates/core/src/x.rs:1: [ordering-comment] `Ordering::Release` \
          without an adjacent `// ordering:` justification"
     );
+}
+
+// ------------------------------------------------------------ dead-surface
+
+/// Dead-surface findings over a small repo: `(path, line)` pairs.
+fn dead(files: &[(&str, &str)]) -> Vec<(String, usize)> {
+    let files: Vec<(FileCtx, String)> = files
+        .iter()
+        .map(|(path, src)| (FileCtx::new(*path), src.to_string()))
+        .collect();
+    only(scan_repo(&files), "dead-surface")
+}
+
+const DEFINER: &str = "crates/storage/src/bits.rs";
+const DEFINER_SRC: &str = "pub fn widen(x: u32) -> u64 {\n\
+                               x as u64\n\
+                           }\n";
+
+#[test]
+fn dead_surface_flags_an_item_used_only_under_cfg_test() {
+    let user = "pub fn caller() {}\n\
+                #[cfg(test)]\n\
+                mod tests {\n\
+                    fn t() { widen(3); caller(); }\n\
+                }\n";
+    let got = dead(&[(DEFINER, DEFINER_SRC), ("crates/engine/src/a.rs", user)]);
+    assert_eq!(
+        got,
+        vec![
+            ("crates/engine/src/a.rs".to_string(), 1),
+            (DEFINER.to_string(), 1)
+        ]
+    );
+}
+
+#[test]
+fn dead_surface_flags_an_item_reached_only_through_pub_use() {
+    let lib = "pub mod bits;\npub use bits::widen;\n";
+    let got = dead(&[(DEFINER, DEFINER_SRC), ("crates/storage/src/lib.rs", lib)]);
+    assert_eq!(got, vec![(DEFINER.to_string(), 1)]);
+}
+
+#[test]
+fn dead_surface_flags_an_item_used_only_from_a_tests_directory() {
+    let test = "use ads_storage::bits::widen;\n#[test]\nfn t() { widen(1); }\n";
+    for path in ["tests/widen.rs", "crates/storage/tests/widen.rs"] {
+        let got = dead(&[(DEFINER, DEFINER_SRC), (path, test)]);
+        assert_eq!(got, vec![(DEFINER.to_string(), 1)], "{path}");
+    }
+    // A `#[cfg(test)] mod name;` file is test code too.
+    let parent = "#[cfg(test)]\nmod tests;\n";
+    let got = dead(&[
+        (DEFINER, DEFINER_SRC),
+        ("crates/core/src/adaptive/mod.rs", parent),
+        (
+            "crates/core/src/adaptive/tests.rs",
+            "fn t() { widen(1); }\n",
+        ),
+    ]);
+    assert_eq!(got, vec![(DEFINER.to_string(), 1)]);
+}
+
+#[test]
+fn dead_surface_accepts_non_test_users_tags_and_signature_types() {
+    // A user in another crate, in `benchmark/`, or in an example.
+    for path in [
+        "crates/engine/src/a.rs",
+        "benchmark/src/main.rs",
+        "examples/demo.rs",
+    ] {
+        let user = "fn f() -> u64 { widen(1) }\n";
+        assert!(
+            dead(&[(DEFINER, DEFINER_SRC), (path, user)]).is_empty(),
+            "{path}"
+        );
+    }
+    // A doctest-only item carries its user in a tag.
+    let tagged = "/// ```\n/// ads_storage::bits::widen(1);\n/// ```\n\
+                  // api: the doctest above.\n\
+                  pub fn widen(x: u32) -> u64 {\n\
+                      x as u64\n\
+                  }\n";
+    assert!(dead(&[(DEFINER, tagged)]).is_empty());
+    // A type returned by a used item is how callers reach it; narrowed
+    // items and binaries are not surface.
+    let src = "pub struct Wide(u64);\n\
+               pub fn widen(x: u32) -> Wide {\n\
+                   Wide(x as u64)\n\
+               }\n\
+               pub(crate) fn helper() {}\n";
+    let user = "fn f() { let _ = widen(1); }\n";
+    assert!(dead(&[(DEFINER, src), ("crates/engine/src/a.rs", user)]).is_empty());
+    assert!(dead(&[("crates/cli/src/main.rs", DEFINER_SRC)]).is_empty());
+    assert!(dead(&[("crates/bench/src/bin/x.rs", DEFINER_SRC)]).is_empty());
 }

@@ -143,7 +143,7 @@ impl<W: Runs> Board<W> {
     }
 
     /// Posts `work` and wakes the helpers; the poster must [`Fan::finish`]
-    /// it and then [`Board::take_down`] the board.
+    /// it. ([`Board::run`] also takes the finished job down.)
     pub fn post(&self, work: W) -> Arc<Fan<W>> {
         let fan = Arc::new(Fan::new(work));
         {
@@ -158,7 +158,7 @@ impl<W: Runs> Board<W> {
 
     /// Takes the finished job down, so the board does not keep its
     /// snapshots alive until the next fanned query.
-    pub fn take_down(&self) {
+    fn take_down(&self) {
         // invariant: see post.
         self.state.lock().expect("board poisoned").job = None;
     }

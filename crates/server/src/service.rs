@@ -420,6 +420,9 @@ impl<T: DataValue> QueryService<T> {
     }
 
     /// Admits a request, or sheds it without blocking.
+    // api: clients that pipeline requests or give them deadlines. It is
+    // the only way to set `Request::deadline`, so the only way a client
+    // can meet the `Reply::DeadlineMissed` that benchmark/ matches on.
     pub fn submit(&self, request: Request<T>) -> Result<Ticket<T>, SubmitError<T>> {
         let (reply_tx, reply_rx) = sync_channel(1);
         match self.shared.queue.try_push(Job {
@@ -576,13 +579,6 @@ impl<T: DataValue> QueryService<T> {
     /// (`None` in inline mode, which has no publications).
     pub fn shard_snapshots(&self) -> Option<Vec<Arc<ShardSnapshot<T>>>> {
         self.shared.engine.cell().map(ShardedCell::load_all)
-    }
-
-    /// Per-shard publication generations, in shard order (`None` in inline
-    /// mode). A lane's generation moves exactly when that lane is
-    /// republished, so diffing two reads tells which shards changed.
-    pub fn shard_generations(&self) -> Option<Vec<u64>> {
-        self.shared.engine.cell().map(ShardedCell::generations)
     }
 
     /// The structural state of the zonemap queries currently see, in

@@ -188,11 +188,6 @@ impl<T: DataValue> ShardedCell<T> {
         self.lanes[s].publish(snapshot);
     }
 
-    /// Per-lane publication generations, in shard order.
-    pub fn generations(&self) -> Vec<u64> {
-        self.lanes.iter().map(SnapshotCell::generation).collect()
-    }
-
     /// Loads every lane's current snapshot (cold path: takes each slot
     /// lock once).
     pub fn load_all(&self) -> Vec<Arc<ShardSnapshot<T>>> {
@@ -226,11 +221,6 @@ impl<T: DataValue> ShardedCache<T> {
     /// The cached lanes, in shard order.
     pub fn lanes(&self) -> &[SnapshotCache<ShardSnapshot<T>>] {
         &self.lanes
-    }
-
-    /// Cached per-lane generations, in shard order.
-    pub fn generations(&self) -> Vec<u64> {
-        self.lanes.iter().map(SnapshotCache::generation).collect()
     }
 }
 
@@ -291,7 +281,7 @@ mod tests {
         let cell = ShardedCell::new((0..4).map(|s| shard_snap(s * 100, 100, 0)).collect());
         let mut cache = cell.cache();
         cache.refresh(&cell);
-        let before_gens = cache.generations();
+        let before_gens: Vec<u64> = cache.lanes.iter().map(SnapshotCache::generation).collect();
         let before_ptrs: Vec<_> = cache
             .lanes()
             .iter()
@@ -300,10 +290,11 @@ mod tests {
         assert_eq!(before_gens, vec![0, 0, 0, 0]);
 
         cell.publish_shard(2, shard_snap(200, 100, 1));
-        assert_eq!(cell.generations(), vec![0, 0, 1, 0]);
+        let gens: Vec<u64> = cell.lanes.iter().map(SnapshotCell::generation).collect();
+        assert_eq!(gens, vec![0, 0, 1, 0]);
 
         cache.refresh(&cell);
-        let after_gens = cache.generations();
+        let after_gens: Vec<u64> = cache.lanes.iter().map(SnapshotCache::generation).collect();
         for s in 0..4 {
             if s == 2 {
                 assert_eq!(after_gens[s], before_gens[s] + 1);

@@ -487,7 +487,7 @@ mod tests {
         assert!((s.byproduct_share() - 0.125).abs() < 1e-12);
         assert_eq!(s.queue_depth, 5);
         assert_eq!(s.latency.count(), 3);
-        assert!(s.latency.max_ns() >= 3_000 * 7 / 8);
+        assert!(s.latency.p99_ns() >= 3_000 * 7 / 8);
     }
 
     #[test]

@@ -523,12 +523,8 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
         revival_base_queries: None,
         maintenance_every: 1,
         enable_reorg: true,
-        reorg_after_scans: 6,
-        // Ungated: a promotion reads only the zone's own scans, so a
-        // maintenance pass repeated with no feedback between promotes
-        // nothing new. The hot gate compares against the map-wide mean,
-        // which each promotion moves.
-        reorg_hot_factor: 0.0,
+        reorg_hot_factor: 1.0,
+        reorg_after_scans: 4,
         enable_tiers: true,
         tier_after_scans: 2,
         ..AdaptiveConfig::default()

@@ -9,10 +9,10 @@
 /// ```
 /// use ads_storage::Bitmap;
 /// let mut bm = Bitmap::new(100);
-/// bm.set_range(10, 20);
+/// bm.or_mask_at(10, 0b111);
 /// bm.set(55);
-/// assert_eq!(bm.count_ones(), 11);
-/// assert_eq!(bm.iter_ones().next(), Some(10));
+/// assert_eq!(bm.count_ones(), 4);
+/// assert_eq!(bm.to_positions(), vec![10, 11, 12, 55]);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Bitmap {
@@ -111,7 +111,7 @@ impl Bitmap {
     /// # Panics
     /// Panics if any set bit of `mask` addresses a bit at or past `len`.
     #[inline]
-    pub fn or_word_at(&mut self, word_idx: usize, mask: u64) {
+    fn or_word_at(&mut self, word_idx: usize, mask: u64) {
         let top = 64 * word_idx + (64 - mask.leading_zeros() as usize);
         assert!(
             mask == 0 || top <= self.len,
@@ -126,7 +126,7 @@ impl Bitmap {
 
     /// ORs a 64-bit `mask` into the bitmap starting at bit `bit`: mask bit
     /// `i` lands on bitmap bit `bit + i`. Word-aligned calls take the
-    /// single-store [`Bitmap::or_word_at`] path; unaligned calls split the
+    /// single-store `or_word_at` path; unaligned calls split the
     /// mask across two adjacent words.
     ///
     /// # Panics
@@ -142,31 +142,6 @@ impl Bitmap {
         }
     }
 
-    /// Sets all bits in `start..end`.
-    ///
-    /// # Panics
-    /// Panics if `end > len` or `start > end`.
-    pub fn set_range(&mut self, start: usize, end: usize) {
-        assert!(
-            start <= end && end <= self.len,
-            "range {start}..{end} out of bounds"
-        );
-        if start == end {
-            return;
-        }
-        let (first_word, first_bit) = (start / 64, start % 64);
-        let (last_word, last_bit) = ((end - 1) / 64, (end - 1) % 64);
-        if first_word == last_word {
-            self.words[first_word] |= Self::word_mask(first_bit, last_bit);
-        } else {
-            self.words[first_word] |= Self::word_mask(first_bit, 63);
-            for w in &mut self.words[first_word + 1..last_word] {
-                *w = u64::MAX;
-            }
-            self.words[last_word] |= Self::word_mask(0, last_bit);
-        }
-    }
-
     /// In-place word-wise intersection with `other`.
     ///
     /// # Panics
@@ -175,17 +150,6 @@ impl Bitmap {
         assert_eq!(self.len, other.len, "bitmap length mismatch in AND");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= *b;
-        }
-    }
-
-    /// In-place word-wise union with `other`.
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn union_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch in OR");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
         }
     }
 
@@ -241,14 +205,6 @@ impl Bitmap {
         total + (self.words[last_word] & Self::word_mask(0, last_bit)).count_ones() as usize
     }
 
-    /// In-place complement.
-    pub fn not_assign(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
     /// Grows the bitmap to `new_len` bits; new bits are zero.
     ///
     /// # Panics
@@ -257,15 +213,6 @@ impl Bitmap {
         assert!(new_len >= self.len, "bitmap cannot shrink");
         self.len = new_len;
         self.words.resize(new_len.div_ceil(64), 0);
-    }
-
-    /// Iterator over the positions of set bits, in increasing order.
-    pub fn iter_ones(&self) -> Ones<'_> {
-        Ones {
-            bitmap: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
     }
 
     /// Iterator over the non-zero words as `(word_idx, word)`, in
@@ -284,7 +231,7 @@ impl Bitmap {
     ///
     /// # Panics
     /// Panics if the bitmap addresses rows past the `u32` position ceiling
-    /// (see [`crate::scan::MAX_ADDRESSABLE_ROWS`]).
+    /// (see `scan::MAX_ADDRESSABLE_ROWS`).
     pub fn to_positions(&self) -> Vec<u32> {
         assert!(
             self.len <= u32::MAX as usize + 1,
@@ -320,35 +267,16 @@ impl std::fmt::Debug for Bitmap {
     }
 }
 
-/// Iterator over set-bit positions of a [`Bitmap`].
-pub struct Ones<'a> {
-    bitmap: &'a Bitmap,
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for Ones<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1; // clear lowest set bit
-                return Some(self.word_idx * 64 + bit);
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.bitmap.words.len() {
-                return None;
-            }
-            self.current = self.bitmap.words[self.word_idx];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A bitmap of `len` bits with `start..end` set.
+    fn ranged(len: usize, start: usize, end: usize) -> Bitmap {
+        let mut bm = Bitmap::new(len);
+        (start..end).for_each(|i| bm.set(i));
+        bm
+    }
 
     #[test]
     fn new_is_all_zero() {
@@ -386,60 +314,15 @@ mod tests {
     }
 
     #[test]
-    fn set_range_within_word() {
-        let mut bm = Bitmap::new(64);
-        bm.set_range(3, 7);
-        assert_eq!(bm.to_positions(), vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn set_range_across_words() {
-        let mut bm = Bitmap::new(200);
-        bm.set_range(60, 135);
-        assert_eq!(bm.count_ones(), 75);
-        assert!(bm.get(60) && bm.get(134));
-        assert!(!bm.get(59) && !bm.get(135));
-    }
-
-    #[test]
-    fn set_range_empty_is_noop() {
-        let mut bm = Bitmap::new(64);
-        bm.set_range(5, 5);
-        assert_eq!(bm.count_ones(), 0);
-    }
-
-    #[test]
-    fn set_range_full() {
-        let mut bm = Bitmap::new(190);
-        bm.set_range(0, 190);
-        assert_eq!(bm.count_ones(), 190);
-    }
-
-    #[test]
-    fn and_or_not() {
-        let mut a = Bitmap::new(70);
-        a.set_range(0, 40);
-        let mut b = Bitmap::new(70);
-        b.set_range(30, 70);
-
-        let mut and = a.clone();
-        and.intersect_with(&b);
+    fn intersect() {
+        let mut and = ranged(70, 0, 40);
+        and.intersect_with(&ranged(70, 30, 70));
         assert_eq!(and.count_ones(), 10);
-
-        let mut or = a.clone();
-        or.union_with(&b);
-        assert_eq!(or.count_ones(), 70);
-
-        a.not_assign();
-        assert_eq!(a.count_ones(), 30);
-        assert!(a.get(40) && !a.get(39));
     }
 
     #[test]
-    fn not_masks_tail_bits() {
-        let mut bm = Bitmap::new(65);
-        bm.not_assign();
-        assert_eq!(bm.count_ones(), 65);
+    fn ones_masks_tail_bits() {
+        assert_eq!(Bitmap::ones(65).window_at(64), 1);
     }
 
     #[test]
@@ -451,22 +334,6 @@ mod tests {
         assert!(bm.get(9));
         assert!(!bm.get(150));
         assert_eq!(bm.count_ones(), 1);
-    }
-
-    #[test]
-    fn iter_ones_order() {
-        let mut bm = Bitmap::new(300);
-        for i in [0usize, 63, 64, 128, 299] {
-            bm.set(i);
-        }
-        let got: Vec<usize> = bm.iter_ones().collect();
-        assert_eq!(got, vec![0, 63, 64, 128, 299]);
-    }
-
-    #[test]
-    fn iter_ones_empty() {
-        let bm = Bitmap::new(0);
-        assert_eq!(bm.iter_ones().count(), 0);
     }
 
     #[test]
@@ -512,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn union_intersect_match_per_bit_reference() {
+    fn intersect_matches_per_bit_reference() {
         let mut a = Bitmap::new(150);
         let mut b = Bitmap::new(150);
         for i in (0..150).step_by(3) {
@@ -521,12 +388,9 @@ mod tests {
         for i in (0..150).step_by(5) {
             b.set(i);
         }
-        let mut union = a.clone();
-        union.union_with(&b);
         let mut inter = a.clone();
         inter.intersect_with(&b);
         for i in 0..150 {
-            assert_eq!(union.get(i), a.get(i) || b.get(i), "union bit {i}");
             assert_eq!(inter.get(i), a.get(i) && b.get(i), "intersect bit {i}");
         }
     }
@@ -572,21 +436,6 @@ mod tests {
         for (start, end) in [(0, 0), (0, 300), (5, 70), (63, 65), (64, 128), (297, 300)] {
             let want = (start..end).filter(|&i| bm.get(i)).count();
             assert_eq!(bm.count_ones_in_range(start, end), want, "{start}..{end}");
-        }
-    }
-
-    #[test]
-    fn set_range_matches_per_bit_reference_around_word_boundaries() {
-        for start in [0usize, 1, 62, 63, 64, 65] {
-            for end in [start, start + 1, start + 63, start + 64, start + 65] {
-                let mut ranged = Bitmap::new(256);
-                ranged.set_range(start, end);
-                let mut per_bit = Bitmap::new(256);
-                for i in start..end {
-                    per_bit.set(i);
-                }
-                assert_eq!(ranged, per_bit, "range {start}..{end}");
-            }
         }
     }
 }

@@ -7,17 +7,6 @@ use std::fmt;
 pub enum StorageError {
     /// A named column was not found in a table.
     ColumnNotFound(String),
-    /// A named table was not found in the catalog.
-    TableNotFound(String),
-    /// A column was accessed as the wrong type.
-    TypeMismatch {
-        /// Column that was mis-accessed.
-        column: String,
-        /// Type the column actually holds.
-        expected: &'static str,
-        /// Type the caller asked for.
-        actual: &'static str,
-    },
     /// Appended columns did not all have the same length.
     LengthMismatch {
         /// Expected number of rows.
@@ -25,15 +14,6 @@ pub enum StorageError {
         /// Number of rows actually supplied.
         actual: usize,
     },
-    /// A row index was out of bounds.
-    RowOutOfBounds {
-        /// Requested row.
-        row: usize,
-        /// Number of rows in the table/column.
-        len: usize,
-    },
-    /// A table with the same name already exists.
-    DuplicateTable(String),
     /// A column with the same name already exists.
     DuplicateColumn(String),
 }
@@ -42,22 +22,9 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::ColumnNotFound(name) => write!(f, "column not found: {name}"),
-            StorageError::TableNotFound(name) => write!(f, "table not found: {name}"),
-            StorageError::TypeMismatch {
-                column,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "type mismatch on column {column}: stored {expected}, requested {actual}"
-            ),
             StorageError::LengthMismatch { expected, actual } => {
                 write!(f, "length mismatch: expected {expected} rows, got {actual}")
             }
-            StorageError::RowOutOfBounds { row, len } => {
-                write!(f, "row {row} out of bounds for length {len}")
-            }
-            StorageError::DuplicateTable(name) => write!(f, "table already exists: {name}"),
             StorageError::DuplicateColumn(name) => write!(f, "column already exists: {name}"),
         }
     }
@@ -79,17 +46,6 @@ mod tests {
     }
 
     #[test]
-    fn display_type_mismatch() {
-        let e = StorageError::TypeMismatch {
-            column: "x".into(),
-            expected: "i64",
-            actual: "f64",
-        };
-        assert!(e.to_string().contains("stored i64"));
-        assert!(e.to_string().contains("requested f64"));
-    }
-
-    #[test]
     fn display_length_mismatch() {
         let e = StorageError::LengthMismatch {
             expected: 10,
@@ -100,7 +56,7 @@ mod tests {
 
     #[test]
     fn error_trait_object() {
-        let e: Box<dyn std::error::Error> = Box::new(StorageError::TableNotFound("t".into()));
-        assert!(e.to_string().contains('t'));
+        let e: Box<dyn std::error::Error> = Box::new(StorageError::DuplicateColumn("t".into()));
+        assert_eq!(e.to_string(), "column already exists: t");
     }
 }

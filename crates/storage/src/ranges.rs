@@ -66,7 +66,7 @@ impl RowRange {
 /// rs.push_span(0, 10);
 /// rs.push_span(10, 20); // coalesces with the previous span
 /// rs.push_span(50, 60);
-/// assert_eq!(rs.num_ranges(), 2);
+/// assert_eq!(rs.ranges().len(), 2);
 /// assert_eq!(rs.covered_rows(), 30);
 /// assert_eq!(rs.complement(100).covered_rows(), 70);
 /// ```
@@ -129,11 +129,6 @@ impl RangeSet {
     /// The ranges, sorted and disjoint.
     pub fn ranges(&self) -> &[RowRange] {
         &self.ranges
-    }
-
-    /// Number of ranges.
-    pub fn num_ranges(&self) -> usize {
-        self.ranges.len()
     }
 
     /// Total number of rows covered.
@@ -239,20 +234,6 @@ impl RangeSet {
         }
         out
     }
-
-    /// Iterates over every covered row position in increasing order.
-    pub fn iter_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ranges.iter().flat_map(|r| r.start..r.end)
-    }
-
-    /// Fraction of `[0, n)` covered; 0.0 when `n == 0`.
-    pub fn coverage_fraction(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.covered_rows() as f64 / n as f64
-        }
-    }
 }
 
 impl FromIterator<RowRange> for RangeSet {
@@ -302,7 +283,7 @@ mod tests {
         rs.push_span(0, 10);
         rs.push_span(10, 20);
         rs.push_span(25, 30);
-        assert_eq!(rs.num_ranges(), 2);
+        assert_eq!(rs.ranges().len(), 2);
         assert_eq!(rs.covered_rows(), 25);
     }
 
@@ -311,7 +292,7 @@ mod tests {
         let mut rs = RangeSet::new();
         rs.push_span(0, 15);
         rs.push_span(10, 20);
-        assert_eq!(rs.num_ranges(), 1);
+        assert_eq!(rs.ranges().len(), 1);
         assert_eq!(rs.ranges()[0], RowRange::new(0, 20));
     }
 
@@ -448,26 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_rows_flattens() {
-        let mut rs = RangeSet::new();
-        rs.push_span(1, 3);
-        rs.push_span(7, 9);
-        let rows: Vec<usize> = rs.iter_rows().collect();
-        assert_eq!(rows, vec![1, 2, 7, 8]);
-    }
-
-    #[test]
-    fn coverage_fraction() {
-        let rs = RangeSet::full(50);
-        assert!((rs.coverage_fraction(100) - 0.5).abs() < 1e-12);
-        assert_eq!(RangeSet::new().coverage_fraction(0), 0.0);
-    }
-
-    #[test]
     fn from_iterator() {
         let rs: RangeSet = [RowRange::new(0, 5), RowRange::new(5, 10)]
             .into_iter()
             .collect();
-        assert_eq!(rs.num_ranges(), 1);
+        assert_eq!(rs.ranges().len(), 1);
     }
 }

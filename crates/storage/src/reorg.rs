@@ -124,20 +124,6 @@ impl<T: DataValue> ReorgZone<T> {
         self.values.is_empty()
     }
 
-    /// True once the payload has converted to fully sorted order.
-    pub fn is_sorted(&self) -> bool {
-        self.sorted
-    }
-
-    /// Number of pieces the payload is divided into (1 when sorted).
-    pub fn num_pieces(&self) -> usize {
-        if self.sorted {
-            1
-        } else {
-            self.bounds.len() + 1
-        }
-    }
-
     /// Crack partitions performed over the payload's lifetime.
     pub fn cracks_done(&self) -> u64 {
         self.cracks_done
@@ -294,7 +280,7 @@ impl<T: DataValue> ReorgZone<T> {
     /// Converts to the canonical fully sorted layout: `(value, rowid)`
     /// pairs ordered by total order, ties broken by ascending rowid so
     /// the permutation is deterministic regardless of crack history.
-    pub fn sort_fully(&mut self) {
+    fn sort_fully(&mut self) {
         if self.sorted {
             return;
         }
@@ -370,10 +356,7 @@ mod tests {
             // A cracked predicate needs no edge scans at all.
             assert_eq!(z.lookup(lo, hi).edge_rows(), 0);
         }
-        assert!(
-            z.is_sorted(),
-            "enough bounds should trigger sort conversion"
-        );
+        assert!(z.sorted, "enough bounds should trigger sort conversion");
     }
 
     #[test]
@@ -479,10 +462,10 @@ mod tests {
     fn empty_and_single_row_zones() {
         let z = ReorgZone::<i64>::build(&[], 0);
         assert!(z.is_empty());
-        assert!(z.is_sorted());
+        assert!(z.sorted);
         assert_eq!(z.lookup(0, 10), ReorgSpans::default());
         let z = ReorgZone::build(&[42i64], 7);
-        assert!(z.is_sorted(), "single row is trivially sorted");
+        assert!(z.sorted, "single row is trivially sorted");
         assert_eq!(z.lookup(40, 50).full, 0..1);
         assert_eq!(z.rowids(), &[7]);
         assert_eq!(z.min_max(), (42, 42));

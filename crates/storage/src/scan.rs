@@ -3,7 +3,7 @@
 //! These loops are the "fast scans" the paper's setting assumes. All of
 //! them take *inclusive* value bounds `[lo, hi]`, matching how zonemap
 //! `(min, max)` metadata is compared against predicates, and walk the
-//! slice in 64-row blocks ([`LANES`]) plus one short tail block.
+//! slice in 64-row blocks (`LANES`) plus one short tail block.
 //!
 //! ## One family, generic over liveness and by-product
 //!
@@ -65,13 +65,13 @@ use std::hint::cold_path;
 use std::mem::size_of;
 
 /// Lanes per block: one qualifying bit per lane fills exactly one `u64`.
-pub const LANES: usize = 64;
+const LANES: usize = 64;
 
 /// One past the largest row position representable in the `u32` position
 /// lists ([`collect_in_range`], [`Bitmap::to_positions`]). Columns at or
 /// above this row count must grow the position type before they can use
 /// positional kernels; the guard asserts instead of silently truncating.
-pub const MAX_ADDRESSABLE_ROWS: usize = u32::MAX as usize + 1;
+const MAX_ADDRESSABLE_ROWS: usize = u32::MAX as usize + 1;
 
 /// Guards the `u32` position encoding: `base + len` rows must stay within
 /// [`MAX_ADDRESSABLE_ROWS`].
@@ -604,28 +604,11 @@ pub fn count_in_range_with_minmax<T: DataValue>(data: &[T], lo: T, hi: T) -> (us
     (count, min, max)
 }
 
-/// As [`count_in_range_with_minmax`], additionally collecting the
-/// [`Bins`] mask over `[bin_lo, bin_hi]` in the same pass:
-/// `(count, min, max, mask)`.
-#[inline]
-pub fn count_in_range_with_minmax_and_mask<T: DataValue>(
-    data: &[T],
-    lo: T,
-    hi: T,
-    bin_lo: f64,
-    bin_hi: f64,
-) -> (usize, T, T, u64) {
-    let mut by = (Bounds::new(), Bins::new(bin_lo, bin_hi));
-    let count = count(data, lo, hi, AllLive, 0, &mut by);
-    let (min, max) = by.0.min_max();
-    (count, min, max, by.1.mask())
-}
-
 /// Appends the positions (`base + offset`) of **live** qualifying rows to
 /// `out`, feeding every row to `by`; returns how many were appended.
 ///
 /// # Panics
-/// Panics if `base + data.len()` exceeds [`MAX_ADDRESSABLE_ROWS`] or the
+/// Panics if `base + data.len()` exceeds `MAX_ADDRESSABLE_ROWS` or the
 /// rows `live` addresses.
 #[inline]
 pub fn collect<T: DataValue, L: Liveness, B: ByProduct<T>>(
@@ -793,12 +776,6 @@ pub fn sum_rows<T: DataValue, L: Liveness>(data: &[T], live: L, base: usize) -> 
     (count, sum)
 }
 
-/// [`sum_rows`] over an all-live slice: the sum of every value.
-#[inline]
-pub fn sum_all<T: DataValue>(data: &[T]) -> f64 {
-    sum_rows(data, AllLive, 0).1
-}
-
 /// COUNT, SUM, MIN and MAX of the **live** qualifying rows of one scanned
 /// range, produced in a single pass by [`aggregate`].
 #[derive(Debug, Clone, Copy)]
@@ -924,7 +901,7 @@ pub fn min_max_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> Option<(T, T)
 /// full-match POSITIONS path, where no value needs reading.
 ///
 /// # Panics
-/// Panics if `end` exceeds [`MAX_ADDRESSABLE_ROWS`] or the rows `live`
+/// Panics if `end` exceeds `MAX_ADDRESSABLE_ROWS` or the rows `live`
 /// addresses.
 #[inline]
 pub fn live_positions<L: Liveness>(live: L, start: usize, end: usize, out: &mut Vec<u32>) {
@@ -1196,15 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_all_matches_predicate_free_sum() {
-        let data = [1i64, -2, 30, 4];
-        assert_eq!(sum_all(&data), 33.0);
-        let (_, s) = sum_in_range(&data, i64::MIN, i64::MAX);
-        assert_eq!(sum_all(&data), s);
-        assert_eq!(sum_all::<i64>(&[]), 0.0);
-    }
-
-    #[test]
     fn min_max_slice() {
         assert_eq!(min_max(&[3i64, 1, 2]), Some((1, 3)));
         assert_eq!(min_max::<i64>(&[]), None);
@@ -1249,10 +1217,25 @@ mod tests {
         assert_eq!((min, max), (1, 9));
     }
 
+    /// COUNT with `(min, max)` and the [`Bins`] mask over `[bin_lo,
+    /// bin_hi]` in one pass.
+    fn count_with_mask(
+        data: &[i64],
+        lo: i64,
+        hi: i64,
+        bin_lo: f64,
+        bin_hi: f64,
+    ) -> (usize, i64, i64, u64) {
+        let mut by = (Bounds::new(), Bins::new(bin_lo, bin_hi));
+        let count = count(data, lo, hi, AllLive, 0, &mut by);
+        let (min, max) = by.0.min_max();
+        (count, min, max, by.1.mask())
+    }
+
     #[test]
     fn mask_kernel_sets_expected_bins() {
         let data = [0i64, 50, 99];
-        let (c, min, max, mask) = count_in_range_with_minmax_and_mask(&data, 0, 99, 0.0, 100.0);
+        let (c, min, max, mask) = count_with_mask(&data, 0, 99, 0.0, 100.0);
         assert_eq!(c, 3);
         assert_eq!((min, max), (0, 99));
         assert_eq!(mask.count_ones(), 3);
@@ -1264,7 +1247,7 @@ mod tests {
     #[test]
     fn mask_kernel_clamps_out_of_layout_values() {
         let data = [-100i64, 500];
-        let (_, _, _, mask) = count_in_range_with_minmax_and_mask(&data, 0, 0, 0.0, 100.0);
+        let (_, _, _, mask) = count_with_mask(&data, 0, 0, 0.0, 100.0);
         assert!(mask & 1 != 0, "below-layout clamps to bin 0");
         assert!(mask & (1 << 63) != 0, "above-layout clamps to bin 63");
     }
@@ -1272,7 +1255,7 @@ mod tests {
     #[test]
     fn mask_kernel_degenerate_layout() {
         let data = [7i64, 7];
-        let (_, _, _, mask) = count_in_range_with_minmax_and_mask(&data, 0, 10, 7.0, 7.0);
+        let (_, _, _, mask) = count_with_mask(&data, 0, 10, 7.0, 7.0);
         assert_eq!(mask, 1, "zero span puts everything in bin 0");
     }
 

@@ -19,7 +19,6 @@
 //!   before. Readers holding older shard versions are unaffected, and
 //!   publication layers only need to republish the one shard that moved.
 
-use crate::ranges::RowRange;
 use crate::shared::SharedColumn;
 use crate::types::DataValue;
 
@@ -108,11 +107,6 @@ impl<T: DataValue> ShardedColumn<T> {
         &self.starts
     }
 
-    /// Global row range shard `s` covers.
-    pub fn shard_range(&self, s: usize) -> RowRange {
-        RowRange::new(self.starts[s], self.starts[s] + self.shards[s].len())
-    }
-
     /// Rows per shard, in shard order.
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(SharedColumn::len).collect()
@@ -166,10 +160,6 @@ mod tests {
             let mut at = 0;
             for s in 0..shards {
                 assert_eq!(col.start(s), at, "{shards} shards: gap at {s}");
-                assert_eq!(
-                    col.shard_range(s),
-                    RowRange::new(at, at + col.shard(s).len())
-                );
                 at += col.shard(s).len();
             }
             assert_eq!(at, 103);
@@ -183,7 +173,7 @@ mod tests {
         assert_eq!(col.len(), 5);
         assert!(!col.is_empty());
         // Empty shards still have well-defined (empty) ranges at the end.
-        assert_eq!(col.shard_range(7), RowRange::new(5, 5));
+        assert_eq!((col.start(7), col.shard(7).len()), (5, 0));
     }
 
     #[test]
@@ -216,7 +206,7 @@ mod tests {
         let v1 = v0.append(&[3, 4]);
         assert_eq!(v1.to_vec(), vec![0, 1, 2, 3, 4]);
         assert_eq!(v1.shard(7).as_slice(), &[3, 4]);
-        assert_eq!(v1.shard_range(7), RowRange::new(3, 5));
+        assert_eq!((v1.start(7), v1.shard(7).len()), (3, 2));
         // Intermediate empty shards stay empty; contiguity holds because
         // they all start at the same global row as the tail.
         assert_eq!(v1.shard_lens(), vec![1, 1, 1, 0, 0, 0, 0, 2]);

@@ -91,11 +91,6 @@ impl DictColumn {
         &self.codes
     }
 
-    /// The sorted dictionary.
-    pub fn dictionary(&self) -> &[String] {
-        &self.dict
-    }
-
     /// Code of an exact string, if present.
     pub fn code_of(&self, s: &str) -> Option<u32> {
         self.dict

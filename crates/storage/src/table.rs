@@ -37,16 +37,6 @@ impl AnyColumn {
         self.len() == 0
     }
 
-    /// Name of the stored value type.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            AnyColumn::I32(_) => i32::TYPE_NAME,
-            AnyColumn::I64(_) => i64::TYPE_NAME,
-            AnyColumn::U64(_) => u64::TYPE_NAME,
-            AnyColumn::F64(_) => f64::TYPE_NAME,
-        }
-    }
-
     /// Heap bytes held by the column.
     pub fn memory_bytes(&self) -> usize {
         match self {
@@ -55,11 +45,6 @@ impl AnyColumn {
             AnyColumn::U64(c) => c.memory_bytes(),
             AnyColumn::F64(c) => c.memory_bytes(),
         }
-    }
-
-    /// Borrows as a typed column.
-    pub fn as_typed<T: ColumnAccess>(&self) -> Option<&Column<T>> {
-        ColumnAccess::from_any(self)
     }
 }
 
@@ -133,16 +118,6 @@ impl Table {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Column names in declaration order.
-    pub fn column_names(&self) -> impl Iterator<Item = &str> {
-        self.columns.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Adds a column. On a non-empty table the column must match the
     /// current row count.
     pub fn add_column(&mut self, name: impl Into<String>, col: impl Into<AnyColumn>) -> Result<()> {
@@ -171,56 +146,6 @@ impl Table {
             .ok_or_else(|| StorageError::ColumnNotFound(name.to_string()))
     }
 
-    /// Borrows a column by name with its stored type.
-    pub fn typed_column<T: ColumnAccess>(&self, name: &str) -> Result<&Column<T>> {
-        let col = self.column(name)?;
-        col.as_typed::<T>()
-            .ok_or_else(|| StorageError::TypeMismatch {
-                column: name.to_string(),
-                expected: col.type_name(),
-                actual: T::TYPE_NAME,
-            })
-    }
-
-    /// Appends a batch of rows given as per-column value slices, in column
-    /// declaration order. All slices must have the same length; the append
-    /// is rejected (and nothing is modified) otherwise.
-    pub fn append_batch(&mut self, batch: &[AnyColumn]) -> Result<usize> {
-        if batch.len() != self.columns.len() {
-            return Err(StorageError::LengthMismatch {
-                expected: self.columns.len(),
-                actual: batch.len(),
-            });
-        }
-        let added = batch.first().map_or(0, AnyColumn::len);
-        for (incoming, (name, existing)) in batch.iter().zip(&self.columns) {
-            if incoming.len() != added {
-                return Err(StorageError::LengthMismatch {
-                    expected: added,
-                    actual: incoming.len(),
-                });
-            }
-            if incoming.type_name() != existing.type_name() {
-                return Err(StorageError::TypeMismatch {
-                    column: name.clone(),
-                    expected: existing.type_name(),
-                    actual: incoming.type_name(),
-                });
-            }
-        }
-        for (incoming, (_, existing)) in batch.iter().zip(&mut self.columns) {
-            match (incoming, existing) {
-                (AnyColumn::I32(src), AnyColumn::I32(dst)) => dst.extend_from_slice(src.as_slice()),
-                (AnyColumn::I64(src), AnyColumn::I64(dst)) => dst.extend_from_slice(src.as_slice()),
-                (AnyColumn::U64(src), AnyColumn::U64(dst)) => dst.extend_from_slice(src.as_slice()),
-                (AnyColumn::F64(src), AnyColumn::F64(dst)) => dst.extend_from_slice(src.as_slice()),
-                _ => unreachable!("type equality checked above"),
-            }
-        }
-        self.rows += added;
-        Ok(added)
-    }
-
     /// Total heap bytes held by all columns.
     pub fn memory_bytes(&self) -> usize {
         self.columns.iter().map(|(_, c)| c.memory_bytes()).sum()
@@ -245,22 +170,15 @@ mod tests {
         let t = sample_table();
         assert_eq!(t.name(), "trades");
         assert_eq!(t.num_rows(), 3);
-        assert_eq!(t.num_columns(), 2);
-        assert_eq!(t.column_names().collect::<Vec<_>>(), vec!["price", "qty"]);
+        assert!(t.column("qty").is_ok());
     }
 
     #[test]
     fn typed_access() {
         let t = sample_table();
-        let price = t.typed_column::<i64>("price").unwrap();
-        assert_eq!(price.as_slice(), &[10, 20, 30]);
-    }
-
-    #[test]
-    fn typed_access_wrong_type_errors() {
-        let t = sample_table();
-        let err = t.typed_column::<f64>("price").unwrap_err();
-        assert!(matches!(err, StorageError::TypeMismatch { .. }));
+        let price = t.column("price").unwrap();
+        assert_eq!(i64::from_any(price).unwrap().as_slice(), &[10, 20, 30]);
+        assert!(f64::from_any(price).is_none(), "wrong type");
     }
 
     #[test]
@@ -286,54 +204,6 @@ mod tests {
         let mut t = sample_table();
         let err = t
             .add_column("bad", Column::from_values(vec![1i64]))
-            .unwrap_err();
-        assert!(matches!(err, StorageError::LengthMismatch { .. }));
-    }
-
-    #[test]
-    fn append_batch_grows_all_columns() {
-        let mut t = sample_table();
-        let added = t
-            .append_batch(&[
-                Column::from_values(vec![40i64, 50]).into(),
-                Column::from_values(vec![4.0f64, 5.0]).into(),
-            ])
-            .unwrap();
-        assert_eq!(added, 2);
-        assert_eq!(t.num_rows(), 5);
-        assert_eq!(t.typed_column::<i64>("price").unwrap().value(4), 50);
-    }
-
-    #[test]
-    fn append_batch_rejects_ragged_input_atomically() {
-        let mut t = sample_table();
-        let err = t
-            .append_batch(&[
-                Column::from_values(vec![40i64, 50]).into(),
-                Column::from_values(vec![4.0f64]).into(),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, StorageError::LengthMismatch { .. }));
-        assert_eq!(t.num_rows(), 3, "failed append must not mutate");
-    }
-
-    #[test]
-    fn append_batch_rejects_wrong_type() {
-        let mut t = sample_table();
-        let err = t
-            .append_batch(&[
-                Column::from_values(vec![1.5f64]).into(),
-                Column::from_values(vec![4.0f64]).into(),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, StorageError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn append_batch_wrong_arity() {
-        let mut t = sample_table();
-        let err = t
-            .append_batch(&[Column::from_values(vec![1i64]).into()])
             .unwrap_err();
         assert!(matches!(err, StorageError::LengthMismatch { .. }));
     }

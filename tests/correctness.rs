@@ -100,7 +100,7 @@ fn point_and_boundary_predicates() {
         RangePredicate::point(dmax),
         RangePredicate::point((dmin + dmax) / 2),
         RangePredicate::between(dmin, dmax),
-        RangePredicate::at_most(dmin),
+        RangePredicate::between(i64::MIN, dmin),
         RangePredicate::at_least(dmax),
         RangePredicate::all(),
         RangePredicate::between(dmax + 1, i64::MAX), // empty result

@@ -1,18 +1,18 @@
 //! The prose may only cite code that exists.
 //!
-//! DESIGN.md and README.md name functions, types and modules in
-//! backticks. Every backticked `a::b[::c]` path, and every backticked
-//! bare identifier of at least twelve characters (short ones are too
-//! often ordinary words or placeholders), must occur as a word somewhere
-//! in the sources, the benchmark package or the CI workflow — a grep, not
-//! a resolver, but enough that a rename or a deletion cannot leave the
-//! documents describing what is gone.
+//! DESIGN.md, README.md and EXPERIMENTS.md name functions, types and
+//! modules in backticks. Every backticked `a::b[::c]` path, and every
+//! backticked bare identifier of at least twelve characters (short ones
+//! are too often ordinary words or placeholders), must occur as a word
+//! somewhere in the sources, the benchmark package or the CI workflow — a
+//! grep, not a resolver, but enough that a rename or a deletion cannot
+//! leave the documents describing what is gone.
 
 use std::collections::HashSet;
 use std::fs;
 use std::path::Path;
 
-const DOCS: [&str; 2] = ["DESIGN.md", "README.md"];
+const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
 const SOURCES: [&str; 6] = ["crates", "src", "tests", "examples", "benchmark", ".github"];
 const MIN_BARE_IDENT: usize = 12;
 

@@ -52,18 +52,6 @@ fn string_sessions_survive_mixed_append_and_query_storms() {
 }
 
 #[test]
-fn string_positions_round_trip_rows() {
-    let values = string_stream(5000);
-    let mut s = StringColumnSession::new(&values, &Strategy::StaticZonemap { zone_rows: 256 });
-    let (positions, _) = s.positions_prefix("hot01");
-    assert!(!positions.is_empty());
-    for &p in &positions {
-        assert!(s.value(p as usize).starts_with("hot01"));
-    }
-    assert!(positions.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
-}
-
-#[test]
 fn disjunctions_match_reference_across_distributions_and_appends() {
     for spec in [DataSpec::Sorted, DataSpec::Uniform, DataSpec::MixedRegions] {
         let mut column = spec.generate(30_000, 50_000, 3);

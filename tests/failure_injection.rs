@@ -74,7 +74,10 @@ fn empty_and_degenerate_observations() {
     let column = data::uniform(5_000, 50_000, 2);
     let mut zm = AdaptiveZonemap::new(column.len(), config());
     let pred = RangePredicate::all();
-    zm.observe(&ScanObservation::empty(pred));
+    zm.observe(&ScanObservation {
+        predicate: pred,
+        ranges: Vec::new(),
+    });
     // Observation for a range beyond the column end: no zone starts there,
     // so it must be ignored rather than panic.
     zm.observe(&ScanObservation {
