@@ -7,9 +7,11 @@
 //! against the same (unmasked) references, and
 //! the SoA prune plane of `AdaptiveZonemap` against its retained
 //! array-of-structs loop ([`AdaptiveZonemap::prune_via_zones`]) on an
-//! all-built zone map, and the reader's walk beside them
-//! ([`AdaptiveZonemap::prune_shared`]). The report renders as JSON (the
-//! repo's perf-trajectory format, schema `ads-kernel-bench/v2`) and as the
+//! all-built zone map of a shuffled column, which forms no ordered runs,
+//! and the reader's walk beside them ([`AdaptiveZonemap::prune_shared`]),
+//! then the plane's walk over a sorted column, one run crossed with two
+//! binary searches, at 4 k zones and at the prune row's count. The report renders as JSON (the
+//! repo's perf-trajectory format, schema `ads-kernel-bench/v3`) and as the
 //! markdown table embedded in the README. A production cell slower than
 //! `GATE` times its reference — a scan kernel against its scalar twin,
 //! the prune plane against the array-of-structs walk — is a regression:
@@ -27,7 +29,7 @@ use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_rng::StdRng;
 use ads_storage::scan::{self, Bounds, NoByProduct};
-use ads_storage::{Bitmap, DataValue, DeleteVector, RowRange};
+use ads_storage::{Bitmap, DataValue, DeleteVector};
 use std::fmt::Write as _;
 
 /// Value domain the generated columns draw from; selectivity percentages
@@ -46,6 +48,9 @@ const MASKED_SELECTIVITY: u32 = 1;
 
 /// The least reference-over-production time ratio a cell may show.
 const GATE: f64 = 0.9;
+
+/// Zones of the smaller run-walk row; the larger has the prune row's.
+const RUN_WALK_ZONES: usize = 4096;
 
 /// One kernel × type × selectivity measurement.
 #[derive(Debug, Clone)]
@@ -78,8 +83,10 @@ impl KernelRow {
 /// One prune-loop measurement.
 #[derive(Debug, Clone)]
 pub struct PruneRow {
-    /// `soa_plane`, `aos_reference` or `reader`.
+    /// `soa_plane`, `aos_reference`, `reader` or `run_walk`.
     pub impl_name: &'static str,
+    /// Zone order of the column: `shuffled` (no runs) or `sorted` (one).
+    pub column: &'static str,
     /// Zones probed per prune call.
     pub zones: usize,
     /// Best-of-samples per-zone probe time.
@@ -140,11 +147,11 @@ impl KernelReport {
         kernels.chain(prune).collect()
     }
 
-    /// Renders the report as the `ads-kernel-bench/v2` JSON document.
+    /// Renders the report as the `ads-kernel-bench/v3` JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"ads-kernel-bench/v2\",\n");
+        s.push_str("  \"schema\": \"ads-kernel-bench/v3\",\n");
         let _ = writeln!(s, "  \"rows\": {},", self.rows);
         let _ = writeln!(s, "  \"gate\": {},", json_num(GATE));
         let _ = writeln!(s, "  \"below_gate\": {},", self.below_gate().len());
@@ -173,8 +180,9 @@ impl KernelReport {
         for (i, p) in self.prune.iter().enumerate() {
             let _ = write!(
                 s,
-                "    {{\"impl\": \"{}\", \"zones\": {}, \"ns_per_zone\": {}}}",
+                "    {{\"impl\": \"{}\", \"column\": \"{}\", \"zones\": {}, \"ns_per_zone\": {}}}",
                 p.impl_name,
+                p.column,
                 p.zones,
                 json_num(p.ns_per_zone),
             );
@@ -212,13 +220,13 @@ impl KernelReport {
             );
         }
         let _ = writeln!(s);
-        let _ = writeln!(s, "| Prune loop | Zones | ns/zone probe |");
-        let _ = writeln!(s, "|---|---:|---:|");
+        let _ = writeln!(s, "| Prune loop | Column | Zones | ns/zone |");
+        let _ = writeln!(s, "|---|---|---:|---:|");
         for p in &self.prune {
             let _ = writeln!(
                 s,
-                "| {} | {} | {:.2} |",
-                p.impl_name, p.zones, p.ns_per_zone
+                "| {} | {} | {} | {:.2} |",
+                p.impl_name, p.column, p.zones, p.ns_per_zone
             );
         }
         s
@@ -439,10 +447,11 @@ fn bench_type<T: DataValue>(
     }
 }
 
-/// Builds an adaptive zonemap over a sorted column with every zone Built —
-/// the steady state the prune loop is measured in.
-fn all_built_zonemap(zones: usize, rows_per_zone: usize) -> AdaptiveZonemap<i64> {
-    let len = zones * rows_per_zone;
+/// Builds an adaptive zonemap with every zone Built — the steady state
+/// the prune loop is measured in — over a column whose zone `z` holds the
+/// values `[order[z] * rows_per_zone, (order[z] + 1) * rows_per_zone)`.
+/// The scan that builds every zone also derives the plane's ordered runs.
+fn built_zonemap(order: &[usize], rows_per_zone: usize) -> AdaptiveZonemap<i64> {
     let config = AdaptiveConfig {
         target_zone_rows: rows_per_zone,
         min_zone_rows: 2,
@@ -450,20 +459,15 @@ fn all_built_zonemap(zones: usize, rows_per_zone: usize) -> AdaptiveZonemap<i64>
         revival_base_queries: None,
         ..AdaptiveConfig::lazy_only()
     };
-    let mut zm = AdaptiveZonemap::new(len, config);
-    // Sorted column: zone z covers values [z*rows_per_zone, (z+1)*rows_per_zone).
+    let mut zm = AdaptiveZonemap::new(order.len() * rows_per_zone, config);
     let pred = RangePredicate::all();
     let out = zm.prune(&pred);
     let ranges = out
         .units()
         .iter()
         .map(|u| {
-            RangeObservation::new(
-                RowRange::new(u.start, u.end),
-                u.len(),
-                u.start as i64,
-                (u.end - 1) as i64,
-            )
+            let base = (order[u.start / rows_per_zone] * rows_per_zone) as i64;
+            RangeObservation::new(*u, u.len(), base, base + rows_per_zone as i64 - 1)
         })
         .collect();
     zm.observe(&ScanObservation {
@@ -473,42 +477,78 @@ fn all_built_zonemap(zones: usize, rows_per_zone: usize) -> AdaptiveZonemap<i64>
     zm
 }
 
+/// The zone order of a sorted column.
+fn sorted_order(zones: usize) -> Vec<usize> {
+    (0..zones).collect()
+}
+
+/// A shuffled zone order: no stretch of it is long and ordered enough to
+/// form a run, so the plane is walked zone by zone.
+fn shuffled_order(zones: usize) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(0xAD50_0002);
+    let mut order = sorted_order(zones);
+    for i in (1..zones).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
+    }
+    order
+}
+
+/// ~1% of the values of a `zones`-zone column: the predicate overlaps ~1%
+/// of the zones, and the rest exercise the bounds-exclusion path, which
+/// is where the layouts differ.
+fn one_percent(zones: usize, rows_per_zone: usize) -> RangePredicate<i64> {
+    RangePredicate::between(0, (zones as i64 * rows_per_zone as i64) / 100)
+}
+
 /// Measures the SoA plane prune against the retained AoS loop, and the
-/// read-only reader walk beside them.
+/// read-only reader walk beside them, over a shuffled column: the plane
+/// has no runs, so both walk every zone.
 fn bench_prune(zones: usize, rows_per_zone: usize, out: &mut Vec<PruneRow>) {
-    section(&format!("prune: {zones} built zones (sorted column)"));
-    let zm = all_built_zonemap(zones, rows_per_zone);
-    // ~1% of zones overlap this predicate; the rest exercise the
-    // bounds-exclusion fast path, which is where the layouts differ.
-    let pred = RangePredicate::between(0, (zones as i64 * rows_per_zone as i64) / 100);
+    section(&format!("prune: {zones} built zones (shuffled column)"));
+    let zm = built_zonemap(&shuffled_order(zones), rows_per_zone);
+    let pred = one_percent(zones, rows_per_zone);
+    let mut row = |impl_name, best_ns: f64| {
+        out.push(PruneRow {
+            impl_name,
+            column: "shuffled",
+            zones,
+            ns_per_zone: best_ns / zones as f64,
+        })
+    };
 
     let mut plane_zm = zm.clone();
     let b = bench("prune/soa_plane", || {
         black_box(plane_zm.prune(black_box(&pred))).zones_probed
     });
-    out.push(PruneRow {
-        impl_name: "soa_plane",
-        zones,
-        ns_per_zone: b.best_ns / zones as f64,
-    });
+    row("soa_plane", b.best_ns);
 
     let mut aos_zm = zm.clone();
     let r = bench("prune/aos_reference", || {
         black_box(aos_zm.prune_via_zones(black_box(&pred))).zones_probed
     });
-    out.push(PruneRow {
-        impl_name: "aos_reference",
-        zones,
-        ns_per_zone: r.best_ns / zones as f64,
-    });
+    row("aos_reference", r.best_ns);
 
     let s = bench("prune/reader", || {
         black_box(zm.prune_shared(black_box(&pred))).zones_probed
     });
+    row("reader", s.best_ns);
+}
+
+/// Measures the plane prune over a sorted column, whose zones form one
+/// run: two binary searches, then a probe of each zone the predicate
+/// overlaps.
+fn bench_run_walk(zones: usize, rows_per_zone: usize, out: &mut Vec<PruneRow>) {
+    section(&format!("prune: {zones} built zones (sorted column)"));
+    let mut zm = built_zonemap(&sorted_order(zones), rows_per_zone);
+    let pred = one_percent(zones, rows_per_zone);
+    let b = bench("prune/run_walk", || {
+        black_box(zm.prune(black_box(&pred))).zones_probed
+    });
     out.push(PruneRow {
-        impl_name: "reader",
+        impl_name: "run_walk",
+        column: "sorted",
         zones,
-        ns_per_zone: s.best_ns / zones as f64,
+        ns_per_zone: b.best_ns / zones as f64,
     });
 }
 
@@ -525,6 +565,11 @@ pub fn run(rows: usize, prune_zones: usize) -> KernelReport {
     // 16 rows per zone keeps the map metadata-bound: the point is to time
     // the probe loop, not the scans it saves.
     bench_prune(prune_zones, 16, &mut prune);
+    let mut run_walk_zones = vec![RUN_WALK_ZONES, prune_zones];
+    run_walk_zones.dedup();
+    for zones in run_walk_zones {
+        bench_run_walk(zones, 16, &mut prune);
+    }
 
     KernelReport {
         rows,
@@ -538,11 +583,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_built_zonemap_is_fully_built() {
-        let zm = all_built_zonemap(64, 16);
-        let (unbuilt, built, dead) = zm.state_counts();
-        assert_eq!((unbuilt, built, dead), (0, 64, 0));
-        assert_eq!(zm.num_zones(), 64);
+    fn built_zonemaps_are_fully_built_and_decide_as_the_reference() {
+        for order in [sorted_order(64), shuffled_order(64)] {
+            let zm = built_zonemap(&order, 16);
+            let (unbuilt, built, dead) = zm.state_counts();
+            assert_eq!((unbuilt, built, dead), (0, 64, 0));
+            // The sorted map forms a run, the shuffled one none; both
+            // decide as the reference walk.
+            let pred = one_percent(64, 16);
+            let mut reference = zm.clone();
+            assert_eq!(zm.prune_shared(&pred), reference.prune_via_zones(&pred));
+        }
+        let mut order = shuffled_order(4096);
+        order.sort_unstable();
+        assert_eq!(order, sorted_order(4096), "a permutation");
     }
 
     #[test]
@@ -560,12 +614,13 @@ mod tests {
             }],
             prune: vec![PruneRow {
                 impl_name: "soa_plane",
+                column: "shuffled",
                 zones: 64,
                 ns_per_zone: 0.75,
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"ads-kernel-bench/v2\""));
+        assert!(json.contains("\"schema\": \"ads-kernel-bench/v3\""));
         assert!(json.contains("\"tombstone_pct\": null"));
         assert!(json.contains("\"below_gate\": 0"));
         assert!(json.contains("\"speedup\": 2.0000"));
@@ -606,6 +661,7 @@ mod tests {
         let prune = |plane_ns, reference_ns| {
             let row = |impl_name, ns_per_zone| PruneRow {
                 impl_name,
+                column: "shuffled",
                 zones: 64,
                 ns_per_zone,
             };

@@ -184,24 +184,20 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// them (a reorganized zone is never deactivated, so `layout` is
     /// `Flat` here by construction — `assert_invariants` checks this).
     fn coalesce_dead(&mut self) {
-        let mut i = 0;
-        while i + 1 < self.zones.len() {
-            if self.zones[i].is_dead() && self.zones[i + 1].is_dead() {
-                let next = self.zones.remove(i + 1);
-                let prev = &mut self.zones[i];
-                prev.end = next.end;
-                prev.deactivations = prev.deactivations.max(next.deactivations);
-                if let (ZoneState::Dead { since_query: a }, ZoneState::Dead { since_query: b }) =
-                    (prev.state, next.state)
-                {
-                    prev.state = ZoneState::Dead {
-                        since_query: a.max(b),
-                    };
-                }
-            } else {
-                i += 1;
-            }
-        }
+        // One pass: each dead zone folds into the dead zone kept before it.
+        self.zones.dedup_by(|next, prev| {
+            let (ZoneState::Dead { since_query: a }, ZoneState::Dead { since_query: b }) =
+                (prev.state, next.state)
+            else {
+                return false;
+            };
+            prev.end = next.end;
+            prev.deactivations = prev.deactivations.max(next.deactivations);
+            prev.state = ZoneState::Dead {
+                since_query: a.max(b),
+            };
+            true
+        });
     }
 
     /// Replaces every dead zone whose backoff has elapsed with fresh

@@ -1,5 +1,5 @@
 //! The SoA prune plane: dense, probe-order copies of the only zone fields
-//! the hot prune loop needs.
+//! the hot prune loop needs, and the run index derived from them.
 //!
 //! `AdaptiveZonemap` stores zones as an array of structs — enum state,
 //! stats, mask, split bookkeeping — which is the right shape for
@@ -20,16 +20,30 @@
 //! write: its probe and skip counts follow from the map's probe clock
 //! (see [`ZoneStats`](crate::stats::ZoneStats)).
 //!
+//! Where the data is ordered the bounds are too, and the plane notices:
+//! `runs` lists stretches of at least [`MIN_RUN`] built zones whose `mins`
+//! and whose `maxs` are both non-decreasing under the total order. Inside
+//! a run the zones a predicate overlaps are one contiguous slice, so the
+//! walk finds it with two binary searches instead of testing every zone.
+//!
 //! **Invariant:** the plane mirrors `zones` exactly — same length, same
-//! built-set, same bounds. Cheap transitions (lazy build, bounds
-//! tightening, appended zones) update it incrementally; structural
-//! rewrites (split/merge/deactivate/coalesce/revive) call
-//! [`PrunePlane::rebuild`]. `assert_invariants` checks the mirror in
-//! debug builds, and the property suite checks prune outcomes against the
-//! retained AoS reference loop.
+//! built-set, same bounds — and every run covers only built zones in
+//! order. Cheap transitions (lazy build, bounds tightening, appended
+//! zones) update it incrementally, and a bounds change that breaks a
+//! run's order cuts the run there; structural rewrites
+//! (split/merge/deactivate/coalesce/revive) call [`PrunePlane::rebuild`],
+//! which also derives the runs afresh, as does a scan that built a good
+//! share of the zones at once — so no single write pays O(zones) for
+//! them. `assert_invariants` checks the mirror in debug builds, and
+//! the property suite checks prune outcomes against the retained AoS
+//! reference loop.
 
 use crate::adaptive::zone::{AdaptiveZone, ZoneState};
 use ads_storage::DataValue;
+
+/// The fewest zones a run is kept for: below it two binary searches save
+/// too little over a linear pass to pay for the bookkeeping.
+pub(crate) const MIN_RUN: usize = 8;
 
 /// Dense structure-of-arrays mirror of the probe-critical zone fields.
 #[derive(Debug, Clone)]
@@ -38,6 +52,11 @@ pub(crate) struct PrunePlane<T: DataValue> {
     pub(crate) maxs: Vec<T>,
     /// Bit `z` set iff zone `z` is `Built`.
     pub(crate) built: Vec<u64>,
+    /// Disjoint zone-index ranges `[a, b)` in ascending order, each of at
+    /// least [`MIN_RUN`] built zones whose `mins` and `maxs` are both
+    /// non-decreasing. Maximal when [`PrunePlane::rebuild`] derives them;
+    /// a bounds change may cut one since.
+    pub(crate) runs: Vec<(usize, usize)>,
 }
 
 impl<T: DataValue> PrunePlane<T> {
@@ -50,13 +69,15 @@ impl<T: DataValue> PrunePlane<T> {
             mins: Vec::new(),
             maxs: Vec::new(),
             built: Vec::new(),
+            runs: Vec::new(),
         };
         plane.rebuild(zones);
         plane
     }
 
     /// Rewrites the plane to mirror `zones` — the catch-all used after
-    /// structural operations that reorder or renumber zones.
+    /// structural operations that reorder or renumber zones — and derives
+    /// its runs.
     pub(crate) fn rebuild(&mut self, zones: &[AdaptiveZone<T>]) {
         self.mins.clear();
         self.maxs.clear();
@@ -77,6 +98,38 @@ impl<T: DataValue> PrunePlane<T> {
                 }
             }
         }
+        self.derive_runs();
+    }
+
+    /// Derives the runs afresh from the bounds: O(zones), so only callers
+    /// that already paid as much — a rebuild, or a scan that built a good
+    /// share of the zones at once — call it.
+    pub(crate) fn derive_runs(&mut self) {
+        self.runs.clear();
+        let mut start = 0;
+        for z in 0..self.mins.len() {
+            if !self.is_built(z) {
+                self.keep_run(start, z);
+                start = z + 1;
+            } else if z > start && !self.ordered(z - 1, z) {
+                self.keep_run(start, z);
+                start = z;
+            }
+        }
+        self.keep_run(start, self.mins.len());
+    }
+
+    /// Appends `[a, b)` to the runs if it is long enough to be one.
+    fn keep_run(&mut self, a: usize, b: usize) {
+        if b >= a + MIN_RUN {
+            self.runs.push((a, b));
+        }
+    }
+
+    /// True iff zone `z`'s bounds are both at least zone `y`'s.
+    #[inline]
+    fn ordered(&self, y: usize, z: usize) -> bool {
+        self.mins[y].le_total(&self.mins[z]) && self.maxs[y].le_total(&self.maxs[z])
     }
 
     /// True iff zone `z` is built.
@@ -93,11 +146,39 @@ impl<T: DataValue> PrunePlane<T> {
 
     /// Records that zone `z` became (or stayed) built with bounds
     /// `(min, max)` — the lazy-build and bounds-tightening transitions.
+    /// A zone newly built joins no run until the runs are next derived;
+    /// one inside a run whose new bounds break the run's order cuts it
+    /// there.
     #[inline]
     pub(crate) fn set_built(&mut self, z: usize, min: T, max: T) {
         self.mins[z] = min;
         self.maxs[z] = max;
         self.built[z / 64] |= 1u64 << (z % 64);
+        let i = self.runs.partition_point(|&(_, b)| b <= z);
+        if let Some(&(a, b)) = self.runs.get(i).filter(|&&(a, _)| a <= z) {
+            self.cut_run(i, a, z, b);
+        }
+    }
+
+    /// Cuts run `i`, `[a, b)`, where zone `z` in it no longer keeps order
+    /// with a neighbour: the pieces on either side of the broken edges
+    /// stay runs if they are still long enough.
+    #[cold]
+    fn cut_run(&mut self, i: usize, a: usize, z: usize, b: usize) {
+        let after_prev = z == a || self.ordered(z - 1, z);
+        let before_next = z + 1 == b || self.ordered(z, z + 1);
+        if after_prev && before_next {
+            return;
+        }
+        // `z` stays with whichever neighbour it still follows in order.
+        let left_end = if after_prev { z + 1 } else { z };
+        let right_start = if before_next { z } else { z + 1 };
+        self.runs.remove(i);
+        for (from, to) in [(right_start, b), (a, left_end)] {
+            if to >= from + MIN_RUN {
+                self.runs.insert(i, (from, to));
+            }
+        }
     }
 
     /// Appends one unbuilt zone at the end — the append path.
@@ -110,7 +191,9 @@ impl<T: DataValue> PrunePlane<T> {
         }
     }
 
-    /// Heap bytes held by the plane (for metadata accounting).
+    /// Heap bytes held by the plane's per-zone arrays (for metadata
+    /// accounting). The run index is left out: it holds at most one entry
+    /// per [`MIN_RUN`] zones and is derived from the bounds counted here.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.mins.capacity() * std::mem::size_of::<T>()
             + self.maxs.capacity() * std::mem::size_of::<T>()
@@ -118,7 +201,9 @@ impl<T: DataValue> PrunePlane<T> {
     }
 
     /// True iff the plane exactly mirrors `zones` (length, built-set,
-    /// bounds). Used by `assert_invariants` and the property tests.
+    /// bounds) and every run is sound: ascending, disjoint, long enough,
+    /// and over built zones whose bounds are in order. Used by
+    /// `assert_invariants` and the property tests.
     pub(crate) fn mirrors(&self, zones: &[AdaptiveZone<T>]) -> bool {
         if self.mins.len() != zones.len()
             || self.maxs.len() != zones.len()
@@ -130,11 +215,22 @@ impl<T: DataValue> PrunePlane<T> {
         // (a zone containing NaN has max = NaN under totalOrder) and must
         // still compare equal to their plane copy.
         let same = |a: T, b: T| a.total_cmp(&b) == std::cmp::Ordering::Equal;
-        zones.iter().enumerate().all(|(z, zone)| match zone.state {
+        let mirrored = zones.iter().enumerate().all(|(z, zone)| match zone.state {
             ZoneState::Built { min, max, .. } => {
                 self.is_built(z) && same(self.mins[z], min) && same(self.maxs[z], max)
             }
             _ => !self.is_built(z),
-        })
+        });
+        let mut next = 0;
+        let runs_sound = self.runs.iter().all(|&(a, b)| {
+            let sound = a >= next
+                && b >= a + MIN_RUN
+                && b <= zones.len()
+                && (a..b).all(|z| self.is_built(z))
+                && (a + 1..b).all(|z| self.ordered(z - 1, z));
+            next = b;
+            sound
+        });
+        mirrored && runs_sound
     }
 }

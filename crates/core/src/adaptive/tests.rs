@@ -1,11 +1,13 @@
 //! Behavioural tests for the adaptive zonemap, driven through the same
 //! prune → scan → observe loop the engine runs.
 
+use crate::adaptive::zone::ZoneState;
 use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap, ReorgReport};
 use crate::index::SkippingIndex;
 use crate::outcome::{PruneOutcome, RangeObservation, ScanObservation, UnitRequest};
 use crate::predicate::RangePredicate;
 use ads_storage::scan::{self, AllLive, Bins, Bounds};
+use ads_storage::RowRange;
 
 /// Scans unit `i` of `out` the way the engine does: the answer, plus
 /// exactly the by-products the prune asked for — nothing it did not.
@@ -1036,16 +1038,18 @@ fn equal_epochs_mean_identical_reader_decisions() {
         (0..64 * stress_iters()).flat_map(|s| configs.iter().map(move |c| (s, c)))
     {
         let mut rng = Walk(0xE90C ^ (seed << 8));
-        // Clustered values, uniform noise, or clusters whose zones an
-        // outlier pair pins wide (the shape that earns masks).
-        let shape = seed % 3;
+        // Clustered values, uniform noise, clusters whose zones an
+        // outlier pair pins wide (the shape that earns masks), or a sorted
+        // column (the shape whose zones form ordered runs).
+        let shape = seed % 4;
         let value = |rng: &mut Walk, row: usize| -> i64 {
             let cluster = (row as u64 / 128 * 97) % DOMAIN;
             match shape {
                 0 => (cluster + rng.below(40)) as i64,
                 1 => rng.below(DOMAIN) as i64,
-                _ if row.is_multiple_of(64) => [0, DOMAIN as i64][(row / 64) % 2],
-                _ => (cluster + rng.below(8)) as i64,
+                2 if row.is_multiple_of(64) => [0, DOMAIN as i64][(row / 64) % 2],
+                2 => (cluster + rng.below(8)) as i64,
+                _ => (row as u64 * DOMAIN / 2_048 + rng.below(2)) as i64,
             }
         };
         let mut data: Vec<i64> = (0..2_048).map(|row| value(&mut rng, row)).collect();
@@ -1287,4 +1291,229 @@ fn a_bounds_skip_writes_nothing() {
         }
     }
     assert_eq!(zm.apply_reorg(&data).demoted, 2);
+}
+
+/// A map over `data` with every 128-row zone built exactly, by one scan
+/// of the whole column — which also derives the plane's runs.
+fn built_with_runs(data: &[i64]) -> AdaptiveZonemap<i64> {
+    let config = AdaptiveConfig {
+        revival_base_queries: None,
+        ..AdaptiveConfig {
+            enable_split: false,
+            enable_merge: false,
+            enable_deactivate: false,
+            enable_mask: false,
+            ..small_config()
+        }
+    };
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    run_query(&mut zm, data, RangePredicate::all());
+    zm
+}
+
+#[test]
+fn runs_are_the_maximal_ordered_stretches_of_built_zones() {
+    // Sorted for 20 zones, then a zone whose values step back and six
+    // sorted ones after it (a stretch of 7, too few for a run), then an
+    // unbuilt tail.
+    let mut data: Vec<i64> = (0..27 * 128).collect();
+    data[20 * 128..21 * 128]
+        .iter_mut()
+        .for_each(|v| *v -= 1_000);
+    let mut zm = built_with_runs(&data);
+    assert_eq!(zm.plane.runs, vec![(0, 20)]);
+    zm.on_append(&[0; 300], &[data.clone(), vec![0; 300]].concat());
+    zm.plane.rebuild(&zm.zones);
+    assert_eq!(zm.plane.runs, vec![(0, 20)], "unbuilt zones join no run");
+
+    // Sorted with equal neighbours: non-decreasing is enough.
+    let flat: Vec<i64> = (0..16 * 128).map(|i| i / 512).collect();
+    assert_eq!(built_with_runs(&flat).plane.runs, vec![(0, 16)]);
+    // A sawtooth forms one run per tooth.
+    let saw: Vec<i64> = (0..32 * 128).map(|i| i % (16 * 128)).collect();
+    assert_eq!(built_with_runs(&saw).plane.runs, vec![(0, 16), (16, 32)]);
+    // Uniform data forms none.
+    let mut rng = Walk(7);
+    let uniform: Vec<i64> = (0..64 * 128).map(|_| rng.below(1 << 20) as i64).collect();
+    assert!(built_with_runs(&uniform).plane.runs.is_empty());
+}
+
+#[test]
+fn a_bounds_change_that_breaks_order_cuts_the_run_there() {
+    let data: Vec<i64> = (0..40 * 128).collect();
+    let zm = built_with_runs(&data);
+    assert_eq!(zm.plane.runs, vec![(0, 40)]);
+    let rebound = |z: usize, min: i64, max: i64| {
+        let mut zm = zm.clone();
+        zm.zones[z].state = ZoneState::Built {
+            min,
+            max,
+            exact: true,
+        };
+        zm.plane.set_built(z, min, max);
+        zm.assert_invariants();
+        zm.plane.runs
+    };
+    let lo = |z: i64| z * 128;
+    let hi = |z: i64| z * 128 + 127;
+    // Tightened, still in order: nothing to cut.
+    assert_eq!(rebound(9, lo(9) + 3, hi(9) - 3), vec![(0, 40)]);
+    // Behind its predecessor: the run breaks before zone 9.
+    assert_eq!(rebound(9, lo(8), hi(8) - 1), vec![(0, 9), (9, 40)]);
+    // Ahead of its successor: the run breaks after zone 30.
+    assert_eq!(rebound(30, lo(31) + 1, hi(31) + 1), vec![(0, 31), (31, 40)]);
+    // Out of order on both sides: zone 20 leaves, both sides stay runs.
+    assert_eq!(rebound(20, 0, 1 << 30), vec![(0, 20), (21, 40)]);
+    // A piece shorter than a run is dropped.
+    assert_eq!(rebound(3, 0, 1 << 30), vec![(4, 40)]);
+    assert_eq!(rebound(37, 0, 1 << 30), vec![(0, 37)]);
+    // A zone outside every run is nobody's business.
+    let mut short = zm.clone();
+    short.plane.runs = vec![(0, 10)];
+    short.zones[20].state = ZoneState::Built {
+        min: 0,
+        max: 0,
+        exact: true,
+    };
+    short.plane.set_built(20, 0, 0);
+    assert_eq!(short.plane.runs, vec![(0, 10)]);
+    // The next rebuild finds the maximal runs again.
+    let mut cut = zm.clone();
+    cut.zones[20].state = ZoneState::Built {
+        min: lo(20) + 1,
+        max: hi(20),
+        exact: true,
+    };
+    cut.plane.set_built(20, 0, 1 << 30);
+    cut.plane.set_built(20, lo(20) + 1, hi(20));
+    assert_eq!(cut.plane.runs, vec![(0, 20), (21, 40)]);
+    cut.plane.rebuild(&cut.zones);
+    assert_eq!(cut.plane.runs, vec![(0, 40)]);
+}
+
+#[test]
+fn a_run_is_crossed_with_two_binary_searches_deciding_as_the_linear_walk() {
+    // Two teeth with duplicated values at every zone edge, and a predicate
+    // grid that lands on, between, below and above the zone bounds.
+    let data: Vec<i64> = (0..48 * 128).map(|i| (i % (24 * 128) + 1) / 2).collect();
+    let mut zm = built_with_runs(&data);
+    assert_eq!(zm.plane.runs, vec![(0, 24), (24, 48)]);
+    let mut preds = vec![RangePredicate::all(), RangePredicate::point(-1)];
+    // Multiples of 64 are the zones' edge values, where `max == lo` or
+    // `min == hi` still overlaps.
+    for lo in (-64..1_600).step_by(61).chain((0..1_600).step_by(64)) {
+        preds.push(RangePredicate::point(lo));
+        for width in [0, 63, 64, 65, 700] {
+            preds.push(RangePredicate::between(lo, lo + width));
+        }
+    }
+    for pred in preds {
+        let shared = zm.prune_shared(&pred);
+        let mut reference = zm.clone();
+        let linear = reference.prune_via_zones(&pred);
+        assert_eq!(shared, linear, "{pred:?}");
+        assert_eq!(zm.prune(&pred), linear, "{pred:?}");
+        let want = data.iter().filter(|&&v| pred.matches(v)).count();
+        let have: usize = linear
+            .units()
+            .iter()
+            .map(|u| {
+                data[u.start..u.end]
+                    .iter()
+                    .filter(|&&v| pred.matches(v))
+                    .count()
+            })
+            .sum::<usize>()
+            + linear.rows_full_match();
+        assert_eq!(have, want, "{pred:?}");
+    }
+}
+
+#[cfg(feature = "audit")]
+#[test]
+fn the_run_walk_labels_every_zone_it_excludes() {
+    // The shadow oracle reads one decision per zone; a run's binary
+    // searches exclude zones without probing them, and must still name
+    // each one, in zone order, as the linear walk does.
+    let data: Vec<i64> = (0..32 * 128).collect();
+    let mut zm = built_with_runs(&data);
+    assert_eq!(zm.plane.runs, vec![(0, 32)]);
+    let pred = RangePredicate::between(1_000, 1_300);
+    let labels = |out: &PruneOutcome| {
+        out.audit_trace
+            .iter()
+            .map(|d| (d.zone, d.action))
+            .collect::<Vec<_>>()
+    };
+    let shared = labels(&zm.prune_shared(&pred));
+    assert_eq!(shared, labels(&zm.clone().prune_via_zones(&pred)));
+    assert_eq!(shared, labels(&zm.prune(&pred)));
+    assert_eq!(shared.len(), 32);
+    assert_eq!(shared.iter().filter(|d| d.1 == "skip:bounds").count(), 28);
+}
+
+#[test]
+fn zones_built_lazily_form_runs_once_one_scan_builds_enough_of_them() {
+    // 64 sorted zones, built by scans of 7, 3, 13 and 41 zones. A scan
+    // re-derives the runs when it built a run's worth (8) and a
+    // sixteenth of the zones: the first two build too few to pay for the
+    // pass over the bounds, the third and fourth do.
+    let data: Vec<i64> = (0..64 * 128).collect();
+    let config = AdaptiveConfig {
+        enable_split: false,
+        enable_merge: false,
+        enable_deactivate: false,
+        enable_mask: false,
+        revival_base_queries: None,
+        ..small_config()
+    };
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    let rows = |zones: std::ops::Range<i64>| {
+        RangePredicate::between(zones.start * 128, zones.end * 128 - 1)
+    };
+    // An unbuilt zone scans whatever the predicate: observe only the
+    // zones the predicate covers, as a planner restricted to them would.
+    let build = |zm: &mut AdaptiveZonemap<i64>, zones: std::ops::Range<i64>| {
+        let pred = rows(zones.clone());
+        let ranges = (zones.start as usize..zones.end as usize)
+            .map(|z| {
+                let unit = RowRange::new(z * 128, z * 128 + 128);
+                RangeObservation::new(unit, 128, unit.start as i64, unit.end as i64 - 1)
+            })
+            .collect();
+        let _ = zm.prune(&pred);
+        zm.observe(&ScanObservation {
+            predicate: pred,
+            ranges,
+        });
+        zm.assert_invariants();
+    };
+    build(&mut zm, 0..7);
+    build(&mut zm, 20..23);
+    assert!(zm.plane.runs.is_empty());
+    build(&mut zm, 7..20);
+    assert_eq!(zm.plane.runs, vec![(0, 23)]);
+    build(&mut zm, 23..64);
+    assert_eq!(zm.plane.runs, vec![(0, 64)]);
+}
+
+#[test]
+fn a_range_observed_twice_splits_its_zone_once() {
+    // Three observations of zone 0 in one feedback, each finding nothing:
+    // the second and third both pass the waste threshold, and the zone
+    // must still split exactly once.
+    let data: Vec<i64> = (0..1024).collect();
+    let mut zm = AdaptiveZonemap::new(data.len(), small_config());
+    run_query(&mut zm, &data, RangePredicate::all());
+    let zones = zm.num_zones();
+    let pred = RangePredicate::between(5_000, 6_000);
+    let _ = zm.prune(&pred);
+    let wasted = RangeObservation::new(RowRange::new(0, 128), 0, 0, 127);
+    zm.observe(&ScanObservation {
+        predicate: pred,
+        ranges: vec![wasted; 3],
+    });
+    zm.assert_invariants();
+    assert_eq!(zm.num_zones(), zones + 1);
+    assert_eq!(zm.trace().totals().split, 1);
 }

@@ -205,11 +205,6 @@ impl<T: DataValue> AdaptiveZone<T> {
         matches!(self.state, ZoneState::Built { .. })
     }
 
-    /// True if the zone is retired.
-    pub fn is_dead(&self) -> bool {
-        matches!(self.state, ZoneState::Dead { .. })
-    }
-
     /// True if the zone currently carries a reorganized payload.
     pub fn is_reorganized(&self) -> bool {
         matches!(self.layout, ZoneLayout::Reorganized { .. })
@@ -268,7 +263,7 @@ mod tests {
         let z: AdaptiveZone<i64> = AdaptiveZone::unbuilt(10, 20);
         assert_eq!(z.len(), 10);
         assert!(!z.is_empty());
-        assert!(!z.is_built() && !z.is_dead());
+        assert!(matches!(z.state, ZoneState::Unbuilt));
         assert_eq!(z.range(), RowRange::new(10, 20));
         assert_eq!(z.deactivations, 0);
         assert!(!z.no_resplit);
@@ -284,7 +279,7 @@ mod tests {
         };
         assert!(z.is_built());
         z.state = ZoneState::Dead { since_query: 7 };
-        assert!(z.is_dead());
+        assert!(matches!(z.state, ZoneState::Dead { .. }));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! counts follow from it ([`ZoneStats`]).
 
 use crate::adaptive::config::AdaptiveConfig;
-use crate::adaptive::plane::PrunePlane;
+use crate::adaptive::plane::{PrunePlane, MIN_RUN};
 use crate::adaptive::reorg::ReorgStats;
 use crate::adaptive::tier::TierStats;
 use crate::adaptive::zone::{
@@ -48,6 +48,10 @@ use std::sync::Arc;
 
 /// Events retained in the adaptation trace ring.
 const TRACE_CAPACITY: usize = 4096;
+
+/// A scan that builds at least one zone in this many (and at least a
+/// run's worth) re-derives the plane's runs.
+const REDERIVE_SHARE: usize = 16;
 
 /// Qualifying fraction below which a scan through a zone counts as
 /// "wasted" (the zone was read for almost nothing — its metadata was too
@@ -318,6 +322,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
     fn observe(&mut self, obs: &ScanObservation<T>) {
         let mut split_queue: Vec<usize> = Vec::new();
         let mut mutated = false;
+        let mut newly_built = 0;
         let min_split_rows = self.min_split_rows();
 
         for ro in &obs.ranges {
@@ -386,6 +391,7 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
                     mutated = true;
                 }
                 if !was_built {
+                    newly_built += 1;
                     // Every walk from now on probes the zone.
                     zone.stats.since = self.probe_clock;
                     self.trace
@@ -436,9 +442,19 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             }
         }
 
-        // Apply splits back-to-front so queued indices stay valid.
-        for idx in split_queue.into_iter().rev() {
-            self.split_zone(idx);
+        if !split_queue.is_empty() {
+            // Ranges arrive one per scan unit, in row order; a caller that
+            // broke that must not get a zone split twice or out of order.
+            split_queue.sort_unstable();
+            split_queue.dedup();
+            // Rebuilds the plane, and so derives its runs.
+            self.split_zones(&split_queue);
+        } else if newly_built >= MIN_RUN && newly_built * REDERIVE_SHARE >= self.zones.len() {
+            // A scan that built a good share of the zones at once — a cold
+            // map's first, a compacted lane's rebuild — paid for more than
+            // a pass over the bounds: runs form now, not at the next
+            // structural change.
+            self.plane.derive_runs();
         }
         if mutated {
             self.mutation_epoch += 1;
@@ -646,6 +662,12 @@ trait Walker<T: DataValue> {
     /// Zone `idx` overlaps the predicate and the classifier chose `action`.
     fn overlapped(&mut self, _idx: usize, _action: &OverlapAction) {}
 
+    /// The ordered runs an unrestricted walk may binary-search: the
+    /// plane's, for a walker that reads its bounds off the plane.
+    fn runs(&self) -> &[(usize, usize)] {
+        &[]
+    }
+
     /// Reorganized zone `idx` is about to resolve `pred` against its
     /// payload as it stands.
     fn before_lookup(&mut self, _idx: usize, _pred: &RangePredicate<T>) {}
@@ -663,6 +685,10 @@ impl<T: DataValue> Walker<T> for Reader<'_, T> {
 
     fn bounds(&self, idx: usize) -> Option<(T, T)> {
         self.0.plane.bounds(idx)
+    }
+
+    fn runs(&self) -> &[(usize, usize)] {
+        &self.0.plane.runs
     }
 }
 
@@ -684,6 +710,14 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
         match self.0.zones[idx].state {
             ZoneState::Built { min, max, .. } => Some((min, max)),
             ZoneState::Unbuilt | ZoneState::Dead { .. } => None,
+        }
+    }
+
+    fn runs(&self) -> &[(usize, usize)] {
+        if PLANE {
+            &self.0.plane.runs
+        } else {
+            &[]
         }
     }
 
@@ -738,7 +772,8 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
 
 /// The zone walk every prune entry point runs: probes each zone of the
 /// map in order — or, given `alive`, only the zones it touches, each
-/// once — and assembles the outcome.
+/// once — and assembles the outcome. Unrestricted over a map with ordered
+/// runs, [`walk_runs`] takes it up to the end of the last run first.
 fn walk<T: DataValue>(
     w: &mut impl Walker<T>,
     pred: &RangePredicate<T>,
@@ -749,6 +784,10 @@ fn walk<T: DataValue>(
     let min_split_rows = map.min_split_rows();
     let everything = [RowRange::new(0, map.len)];
     let mut next = 0;
+    if alive.is_none() && !w.runs().is_empty() {
+        next = walk_runs(w, pred, min_split_rows, &mut out);
+    }
+    // The plain pass: every zone from `next` on, or those `alive` touches.
     for span in alive.map_or(&everything[..], RangeSet::ranges) {
         let zones = touched(&w.map().zones, *span, next);
         next = zones.end;
@@ -757,6 +796,51 @@ fn walk<T: DataValue>(
         }
     }
     out
+}
+
+/// Walks the zones up to the end of the walker's last ordered run and
+/// returns that end. Each run `[a, b)` is crossed with two binary
+/// searches: the zones the predicate overlaps are the slice
+/// `[first, last)` — below it every `max < lo`, above it every
+/// `min > hi` — and only those are probed. The rest are bounds skips,
+/// counted as the plain pass counts them, and like them write nothing.
+/// Zones between runs are probed one by one.
+///
+/// Kept out of line, so that [`walk`]'s plain pass compiles as it does
+/// for a map without runs.
+#[inline(never)]
+fn walk_runs<T: DataValue>(
+    w: &mut impl Walker<T>,
+    pred: &RangePredicate<T>,
+    min_split_rows: usize,
+    out: &mut PruneOutcome,
+) -> usize {
+    let mut next = 0;
+    for r in 0..w.runs().len() {
+        let (a, b) = w.runs()[r];
+        for idx in next..a {
+            probe_zone(w, idx, pred, min_split_rows, out);
+        }
+        let plane = &w.map().plane;
+        let first = a + plane.maxs[a..b].partition_point(|max| max.lt_total(&pred.lo));
+        let last = first + plane.mins[first..b].partition_point(|min| min.le_total(&pred.hi));
+        let excluded = (b - a) - (last - first);
+        out.zones_probed += excluded;
+        out.zones_skipped += excluded;
+        #[cfg(feature = "audit")]
+        for idx in a..first {
+            out.record_decision(w.map().zones[idx].range(), "skip:bounds");
+        }
+        for idx in first..last {
+            probe_zone(w, idx, pred, min_split_rows, out);
+        }
+        #[cfg(feature = "audit")]
+        for idx in last..b {
+            out.record_decision(w.map().zones[idx].range(), "skip:bounds");
+        }
+        next = b;
+    }
+    next
 }
 
 /// The zones `span` touches, from `next` on. Zones partition `[0, len)`,
@@ -772,8 +856,11 @@ fn touched<T: DataValue>(
 }
 
 /// Probes one zone: reads its bounds, tests overlap, classifies what the
-/// bounds cannot exclude, and writes the decision into `out`.
-#[inline]
+/// bounds cannot exclude, and writes the decision into `out`. Inlined at
+/// each of its three loops: left to the inliner, a function with more
+/// than one caller became a call per zone, which slowed the plain pass by
+/// about half.
+#[inline(always)]
 fn probe_zone<T: DataValue>(
     w: &mut impl Walker<T>,
     idx: usize,
@@ -982,67 +1069,90 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         self.revive_zones_due_at(self.query_seq + 1)
     }
 
-    /// Splits zone `idx` into parts, inheriting the parent's bounds as
-    /// conservative (non-exact) metadata so skipping keeps working until
-    /// the next scan tightens each part.
+    /// Splits each zone of `queue` (non-empty, ascending indices of zones
+    /// of at least twice the row floor) into parts,
+    /// inheriting the parent's bounds as conservative (non-exact) metadata
+    /// so skipping keeps working until the next scan tightens each part.
+    /// One pass: the zone vector grows in place, zones move back to front
+    /// to their final slots, and the plane is rebuilt once.
     ///
-    /// epoch: the only caller (`observe`'s split-queue drain) sets
-    /// `mutated` for every queued split and bumps once at its end.
+    /// epoch: the only caller (`observe`) sets `mutated` for every queued
+    /// split and bumps once at its end.
     ///
     /// lifecycle: children are constructed with `mask: None`,
     /// `layout: Flat`, `tier: None` below — the parent's metadata
     /// covered a different row range and must not survive the split.
-    pub(crate) fn split_zone(&mut self, idx: usize) {
-        let zone = self.zones[idx].clone();
-        let parts = split_parts(zone.len(), &self.config);
-        if zone.len() < 2 * self.config.min_zone_rows {
-            return;
+    fn split_zones(&mut self, queue: &[usize]) {
+        debug_assert!(
+            queue.windows(2).all(|w| w[0] < w[1]),
+            "split queue out of order"
+        );
+        let part_rows =
+            |zone: &AdaptiveZone<T>| zone.len().div_ceil(split_parts(zone.len(), &self.config));
+        let added: usize = queue
+            .iter()
+            .map(|&idx| self.zones[idx].len().div_ceil(part_rows(&self.zones[idx])) - 1)
+            .sum();
+        let old_len = self.zones.len();
+        // Grown by `realloc`: a second vector beside the first would
+        // hold both at once.
+        self.zones.reserve_exact(added);
+        self.zones
+            .resize_with(old_len + added, || AdaptiveZone::unbuilt(0, 0));
+        let mut to = old_len + added;
+        let mut queued = queue.iter().rev().peekable();
+        for idx in (0..old_len).rev() {
+            if queued.next_if_eq(&&idx).is_none() {
+                to -= 1;
+                self.zones.swap(idx, to);
+                continue;
+            }
+            let zone = std::mem::replace(&mut self.zones[idx], AdaptiveZone::unbuilt(0, 0));
+            let inherited = match zone.state {
+                ZoneState::Built { min, max, .. } => ZoneState::Built {
+                    min,
+                    max,
+                    exact: false,
+                },
+                other => other,
+            };
+            let part_rows = part_rows(&zone);
+            let parts = zone.len().div_ceil(part_rows);
+            to -= parts;
+            for (k, child) in self.zones[to..to + parts].iter_mut().enumerate() {
+                let start = zone.start + k * part_rows;
+                *child = AdaptiveZone {
+                    start,
+                    end: (start + part_rows).min(zone.end),
+                    state: inherited,
+                    stats: ZoneStats::starting_at(self.probe_clock),
+                    deactivations: zone.deactivations,
+                    no_resplit: false,
+                    split_generation: zone.split_generation.saturating_add(1),
+                    // The parent's mask covered a different row range.
+                    mask: None,
+                    // Reorganized zones are never queued for splitting;
+                    // any parent reaching here is flat.
+                    layout: ZoneLayout::Flat,
+                    // Likewise the parent's tier: built over different
+                    // rows, so children re-earn their own.
+                    tier: None,
+                    tier_stats: TierTelemetry::default(),
+                };
+            }
+            // Back to front, as the splits are applied.
+            self.trace.record(
+                self.query_seq,
+                AdaptEvent::Split {
+                    range: zone.range(),
+                    parts,
+                },
+            );
         }
-        let inherited = match zone.state {
-            ZoneState::Built { min, max, .. } => ZoneState::Built {
-                min,
-                max,
-                exact: false,
-            },
-            other => other,
-        };
-        let part_rows = zone.len().div_ceil(parts);
-        let mut children = Vec::with_capacity(parts);
-        let mut start = zone.start;
-        while start < zone.end {
-            let end = (start + part_rows).min(zone.end);
-            children.push(AdaptiveZone {
-                start,
-                end,
-                state: inherited,
-                stats: ZoneStats::starting_at(self.probe_clock),
-                deactivations: zone.deactivations,
-                no_resplit: false,
-                split_generation: zone.split_generation.saturating_add(1),
-                // The parent's mask covered a different row range.
-                mask: None,
-                // Reorganized zones are never queued for splitting; any
-                // parent reaching here is flat.
-                layout: ZoneLayout::Flat,
-                // Likewise the parent's tier: built over different rows,
-                // so children re-earn their own.
-                tier: None,
-                tier_stats: TierTelemetry::default(),
-            });
-            start = end;
-        }
-        let parts_made = children.len();
-        self.zones.splice(idx..=idx, children);
-        // Growing by splice doubles the capacity; a quiet maintenance tick
-        // no longer rewrites the vector, so the slack is returned here.
+        debug_assert_eq!(to, 0, "split children left a gap");
+        // `metadata_bytes` counts capacity: return any slack a merge or
+        // revival left.
         self.zones.shrink_to_fit();
         self.plane.rebuild(&self.zones);
-        self.trace.record(
-            self.query_seq,
-            AdaptEvent::Split {
-                range: zone.range(),
-                parts: parts_made,
-            },
-        );
     }
 }

@@ -1,5 +1,6 @@
-//! Word-packed set sketches (blocked bloom filters) for equality-heavy
-//! zones.
+//! Word-packed set sketches (plain bloom filters: each of a key's two
+//! probes picks its own bit anywhere in the array, so they usually land
+//! in different words) for equality-heavy zones.
 //!
 //! A [`BloomSketch`] summarises the *value set* of a contiguous row range
 //! so an equality probe can prove "no row here equals `v`" without

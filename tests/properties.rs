@@ -1062,3 +1062,182 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
     }
     assert!(reached.iter().all(|&n| n > 0), "unreached: {reached:?}");
 }
+
+/// One honest observation of every unit of `out`, as an executor's scan
+/// of `data` reports it.
+fn observe_units<T: DataValue>(
+    out: &adaptive_data_skipping::core::PruneOutcome,
+    data: &[T],
+    pred: RangePredicate<T>,
+) -> ScanObservation<T> {
+    let ranges = out
+        .units()
+        .iter()
+        .map(|unit| {
+            let (q, min, max) =
+                scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
+            RangeObservation::new(*unit, q, min, max)
+        })
+        .collect();
+    ScanObservation {
+        predicate: pred,
+        ranges,
+    }
+}
+
+/// A map built the way a compacted lane is rebuilt: fresh zones, every
+/// one built by one full-range query.
+fn rebuilt_map<T: DataValue>(data: &[T], config: AdaptiveConfig) -> AdaptiveZonemap<T> {
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    if let Some(&first) = data.first() {
+        let (lo, hi) = data.iter().fold((first, first), |(lo, hi), &v| {
+            (lo.min_total(v), hi.max_total(v))
+        });
+        let pred = RangePredicate::between(lo, hi);
+        let out = zm.prune(&pred);
+        zm.observe(&observe_units(&out, data, pred));
+    }
+    zm
+}
+
+/// Drives the three prune paths over one column in lock step — the reader
+/// (`prune_shared`) and the owner (`prune`) on the plane-backed map, the
+/// array-of-structs reference (`prune_via_zones`) on its twin — through
+/// queries, appends and compactions, and holds them equal after every
+/// step: outcome (units, requests, full-match spans, probe and skip
+/// counts), lifetime counters and `zone_snapshot()`.
+fn check_prune_paths<T: DataValue>(
+    case: u64,
+    shape: &str,
+    rng: &mut StdRng,
+    value: &mut dyn FnMut(&mut StdRng, usize) -> T,
+    gen_pred: &mut dyn FnMut(&mut StdRng, &[T]) -> RangePredicate<T>,
+) {
+    let len = rng.gen_range(200..3000usize);
+    let mut data: Vec<T> = (0..len).map(|row| value(rng, row)).collect();
+    let mut next_row = len;
+    let mut plane_zm = AdaptiveZonemap::new(data.len(), test_config());
+    let mut aos_zm = plane_zm.clone();
+    for step in 0..rng.gen_range(20..60usize) {
+        let ctx = format!("{shape} case {case} step {step}");
+        match rng.gen_range(0..12usize) {
+            0 => {
+                let batch: Vec<T> = (0..rng.gen_range(1..200usize))
+                    .map(|i| value(rng, next_row + i))
+                    .collect();
+                next_row += batch.len();
+                let old = data.len();
+                data.extend_from_slice(&batch);
+                plane_zm.on_append(&data[old..], &data);
+                aos_zm.on_append(&data[old..], &data);
+            }
+            1 => {
+                // A compaction: some rows leave, the lane is rebuilt.
+                let keep = rng.gen_range(2..10u64);
+                let mut row = 0u64;
+                data.retain(|_| {
+                    row += 1;
+                    !row.is_multiple_of(keep)
+                });
+                plane_zm = rebuilt_map(&data, test_config());
+                aos_zm = plane_zm.clone();
+            }
+            _ => {
+                let pred = gen_pred(rng, &data);
+                plane_zm.poll_revival();
+                aos_zm.poll_revival();
+                let shared = plane_zm.prune_shared(&pred);
+                let owned = plane_zm.prune(&pred);
+                let reference = aos_zm.prune_via_zones(&pred);
+                // Debug, not `==`: a mask layout over NaN bounds holds a
+                // NaN, which equals nothing.
+                let [shared, owned_dbg, reference] =
+                    [&shared, &owned, &reference].map(|out| format!("{out:?}"));
+                assert_eq!(shared, owned_dbg, "{ctx}: reader diverged from owner");
+                assert_eq!(
+                    owned_dbg, reference,
+                    "{ctx}: owner diverged from AoS reference"
+                );
+                let obs = observe_units(&owned, &data, pred);
+                plane_zm.observe(&obs);
+                aos_zm.observe(&obs);
+            }
+        }
+        plane_zm.assert_invariants();
+        assert_eq!(
+            plane_zm.zone_snapshot(),
+            aos_zm.zone_snapshot(),
+            "{ctx}: zone snapshots diverged"
+        );
+        assert_eq!(
+            format!("{:?}", plane_zm.index_stats()),
+            format!("{:?}", aos_zm.index_stats()),
+            "{ctx}: lifetime counters diverged"
+        );
+    }
+}
+
+#[test]
+fn prune_paths_agree_on_ordered_and_unordered_columns() {
+    // The plane's run index turns the walk over an ordered stretch of
+    // zones into two binary searches; it must decide, count and adapt
+    // exactly as the linear walk. Sorted and almost-sorted columns form
+    // long runs, a sawtooth forms one per tooth, uniform data forms none,
+    // and NaN (the top of the total order) pins runs' ends. Splits,
+    // merges, deactivation and revival come from `test_config`.
+    type Shape = fn(&mut StdRng, usize) -> i64;
+    let int_shapes: [(&str, Shape); 4] = [
+        ("sorted", |_, row| row as i64),
+        ("almost-sorted", |rng, row| {
+            if rng.gen_range(0..20u32) == 0 {
+                rng.gen_range(0..4000i64)
+            } else {
+                row as i64 + rng.gen_range(0..8i64)
+            }
+        }),
+        ("sawtooth", |_, row| (row % 700) as i64),
+        ("uniform", |rng, _| rng.gen_range(0..4000i64)),
+    ];
+    for case in 0..CASES {
+        for (shape, value) in int_shapes {
+            let mut rng = StdRng::seed_from_u64(0x5EA9 ^ case);
+            check_prune_paths(
+                case,
+                shape,
+                &mut rng,
+                &mut |rng, row| value(rng, row),
+                &mut |rng, _| {
+                    let lo = rng.gen_range(-100i64..4100);
+                    match rng.gen_range(0..4u32) {
+                        0 => RangePredicate::point(lo),
+                        1 => RangePredicate::between(lo, lo + rng.gen_range(0..3000i64)),
+                        _ => RangePredicate::between(lo, lo + rng.gen_range(0..300i64)),
+                    }
+                },
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(0x5EAA ^ case);
+        check_prune_paths(
+            case,
+            "sorted-nan",
+            &mut rng,
+            &mut |rng, row| match rng.gen_range(0..100u32) {
+                0 => f64::NAN,
+                1 => -0.0,
+                _ => row as f64 * 0.5,
+            },
+            &mut |rng, data| {
+                let pick = |rng: &mut StdRng| data[rng.gen_range(0..data.len().max(1))];
+                match (rng.gen_range(0..6u32), data.is_empty()) {
+                    (_, true) | (0, _) => RangePredicate::point(f64::NAN),
+                    (1, _) => RangePredicate::between(pick(rng), f64::NAN),
+                    (2, _) => RangePredicate::point(pick(rng)),
+                    _ => {
+                        let lo = rng.gen_range(-10.0..1600.0);
+                        RangePredicate::between(lo, lo + rng.gen_range(0.0..150.0))
+                    }
+                }
+            },
+        );
+    }
+}
