@@ -1,6 +1,6 @@
 //! E19 — zone-local adaptive reorganization: flat vs always vs adaptive.
 //!
-//! Hot zones may sort in place for positional skipping; the
+//! Hot zones may be copied and sorted for positional skipping; the
 //! relative-hotness gate decides per zone. The measurement is the
 //! engine's inline loop (`runner::inline_loop`), so each mode pays its
 //! adaptation — including promotion build copies — on the query path.

@@ -46,7 +46,7 @@ pub struct AdaptiveConfig {
     /// wasting scans (the outlier case).
     pub enable_mask: bool,
     /// Enable zone-local physical reorganization: hot zones are promoted
-    /// to a sorted/cracked layout so in-zone skipping becomes positional.
+    /// to a sorted layout so in-zone skipping becomes positional.
     /// Off by default — the paper's adaptation reshapes metadata only.
     pub enable_reorg: bool,
     /// Partial scans a built zone must absorb before promotion to the

@@ -219,7 +219,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         };
         let due = |z: &AdaptiveZone<T>| match z.state {
             ZoneState::Dead { since_query } => {
-                at_seq >= since_query + revival_backoff(base, z.deactivations)
+                at_seq >= since_query.saturating_add(revival_backoff(base, z.deactivations))
             }
             _ => false,
         };
@@ -267,7 +267,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             .iter()
             .filter_map(|z| match z.state {
                 ZoneState::Dead { since_query } => {
-                    Some(since_query + revival_backoff(base, z.deactivations))
+                    Some(since_query.saturating_add(revival_backoff(base, z.deactivations)))
                 }
                 _ => None,
             })

@@ -161,7 +161,7 @@ impl<T: DataValue> PrunePlane<T> {
     }
 
     /// Cuts run `i`, `[a, b)`, where zone `z` in it no longer keeps order
-    /// with a neighbour: the pieces on either side of the broken edges
+    /// with a neighbour: the pieces on either side of the broken order
     /// stay runs if they are still long enough.
     #[cold]
     fn cut_run(&mut self, i: usize, a: usize, z: usize, b: usize) {

@@ -3,7 +3,7 @@
 //! The feedback loop that decides *where* physical reorganization pays.
 //! Metadata adaptation (split/merge/deactivate) reshapes what the zonemap
 //! knows; promotion goes one step further and reshapes the *data*: a zone
-//! that keeps absorbing partial scans is copied into a sorted/cracked
+//! that keeps absorbing partial scans is copied into a sorted
 //! [`ReorgZone`] payload so subsequent predicates resolve positionally
 //! instead of rescanning the zone. Demotion unwinds the investment when
 //! the hotspot moves and the payload sits idle.
@@ -29,8 +29,8 @@ pub struct ReorgStats {
     pub zones_promoted: u64,
     /// Zones demoted back to flat.
     pub zones_demoted: u64,
-    /// Payload bytes copied or relocated: build copies, crack partition
-    /// swaps, and sort conversions.
+    /// Payload bytes copied or relocated by promotion builds (the copy
+    /// and the sort); no other path moves data.
     pub bytes_moved: u64,
     /// Nanoseconds spent inside [`AdaptiveZonemap::apply_reorg`].
     pub reorg_ns: u64,
@@ -53,7 +53,7 @@ pub struct ReorgReport {
     pub promoted: u64,
     /// Zones demoted by this pass.
     pub demoted: u64,
-    /// Payload bytes copied by this pass (build copies).
+    /// Payload bytes moved by this pass (build copies and sorts).
     pub bytes_moved: u64,
     /// Wall time of this pass in nanoseconds.
     pub reorg_ns: u64,
@@ -187,8 +187,8 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         report
     }
 
-    /// Lifetime reorganization counters (includes crack bytes moved by
-    /// prune-time partitioning, not only `apply_reorg` build copies).
+    /// Lifetime reorganization counters. Every byte they count was moved
+    /// inside [`AdaptiveZonemap::apply_reorg`].
     pub fn reorg_stats(&self) -> ReorgStats {
         self.reorg_lifetime
     }

@@ -960,20 +960,14 @@ fn read_through(
 /// Everything the executor acts on in `out` (DESIGN.md "What a reader
 /// reads off a snapshot"): the scan units with their by-product requests,
 /// the full-match spans, the skip count and how each reorganized zone
-/// resolved. (Reorg payloads compare by what the lookup returned, not by
-/// pointer: the owner's copy-on-write crack may have cloned one.)
+/// resolved, down to the payload it resolved against.
 fn reader_decisions(out: &PruneOutcome) -> impl PartialEq + std::fmt::Debug {
-    let positional: Vec<_> = out
-        .reorg_units
-        .iter()
-        .map(|u| (u.zone, u.full, u.edges))
-        .collect();
     (
         out.units().to_vec(),
         out.unit_requests.clone(),
         out.full_match.clone(),
         (out.zones_probed, out.zones_skipped),
-        positional,
+        out.reorg_units.clone(),
     )
 }
 
@@ -1243,6 +1237,66 @@ fn a_second_reorg_pass_at_the_same_query_clock_promotes_nothing() {
     let epoch = zm.mutation_epoch();
     assert_eq!(zm.apply_reorg(&data), ReorgReport::default());
     assert_eq!((zm.zones_reorganized(), zm.mutation_epoch()), (1, epoch));
+}
+
+#[test]
+fn a_positional_prune_writes_no_payload() {
+    // Zone 0 is promoted and published; the owner then resolves it
+    // positionally, through its own prunes and through the re-prune of
+    // `apply_feedback`. The payload is built once, at promotion: the
+    // owner and the published clone keep sharing it, and no epoch moves.
+    let config = AdaptiveConfig {
+        enable_split: false,
+        enable_merge: false,
+        enable_deactivate: false,
+        enable_mask: false,
+        revival_base_queries: None,
+        enable_reorg: true,
+        reorg_after_scans: 2,
+        reorg_hot_factor: 0.0,
+        ..small_config()
+    };
+    let data: Vec<i64> = (0..1024).rev().collect();
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    run_query(&mut zm, &data, RangePredicate::all());
+    run_query(&mut zm, &data, RangePredicate::between(1000, 1010));
+    assert_eq!(zm.apply_reorg(&data).promoted, 1);
+    let published = zm.clone_for_readers();
+    let epoch = zm.mutation_epoch();
+    for q in 0..16 {
+        let pred = RangePredicate::between(900 + q, 950 + 3 * q);
+        assert_eq!(zm.prune(&pred).reorg_units.len(), 1, "query {q}");
+        zm.apply_feedback(&read_through(&published, &data, pred));
+    }
+    let payload = |m: &AdaptiveZonemap<i64>| m.zones[0].reorg_payload().cloned();
+    let (owned, shared) = (payload(&zm).unwrap(), payload(&published).unwrap());
+    assert!(std::sync::Arc::ptr_eq(&owned, &shared), "payload cloned");
+    assert_eq!(zm.mutation_epoch(), epoch, "a prune moved the epoch");
+}
+
+#[test]
+fn a_dead_zone_under_a_saturated_revival_backoff_stays_dead() {
+    // `revival_backoff` saturates at u64::MAX by design; the due time
+    // built from it must saturate too, not overflow (debug) or wrap to a
+    // revival at once (release).
+    let config = AdaptiveConfig {
+        revival_base_queries: Some(u64::MAX),
+        ..single_zone_config()
+    };
+    let data: Vec<i64> = (0..128).map(|i| (i * 37) % 128).collect();
+    let all = RangePredicate::between(10, 100);
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    for _ in 0..2 {
+        run_query(&mut zm, &data, all);
+    }
+    assert_eq!(zm.zone_snapshot()[0].1, "dead");
+    assert_eq!(zm.next_revival_check, u64::MAX);
+    for _ in 0..8 {
+        assert!(!zm.poll_revival());
+        run_query(&mut zm, &data, all);
+        assert_eq!(zm.zone_snapshot()[0].1, "dead");
+    }
+    assert_eq!(zm.next_revival_check, u64::MAX);
 }
 
 #[test]

@@ -48,20 +48,19 @@ pub enum ZoneState<T: DataValue> {
 ///
 /// `Flat` is the paper's world: the zone is a contiguous slice of the
 /// base column and qualifying zones are scanned row by row.
-/// `Reorganized` holds a [`ReorgZone`] payload — a sorted/cracked copy
-/// of the zone with its rowid permutation — so range predicates resolve
-/// positionally. The payload sits behind an `Arc`: published snapshots
-/// share it immutably, and the owning (maintenance-side) zonemap cracks
-/// it copy-on-write via `Arc::make_mut`, which is what makes a payload
-/// immutable-until-republished.
+/// `Reorganized` holds a [`ReorgZone`] payload — a sorted copy of the
+/// zone with its rowid permutation, built once at promotion — so range
+/// predicates resolve positionally. The payload is immutable from
+/// construction and sits behind an `Arc` that the owner and every
+/// published snapshot share.
 #[derive(Debug, Clone, Default)]
 pub enum ZoneLayout<T: DataValue> {
     /// Contiguous slice of the base column (the default).
     #[default]
     Flat,
-    /// Sorted/cracked permuted copy; predicates resolve positionally.
+    /// Sorted permuted copy; predicates resolve positionally.
     Reorganized {
-        /// The shared payload (values + rowid permutation + pieces).
+        /// The shared payload (sorted values + rowid permutation).
         payload: Arc<ReorgZone<T>>,
         /// The zone's probe count (`ZoneStats::probe_count`) when a
         /// probe last overlapped it, or at promotion. Every probe since

@@ -94,8 +94,8 @@ pub struct AdaptiveZonemap<T: DataValue> {
     /// Counts changes to what a reader's walk reads (DESIGN.md "What a
     /// reader reads off a snapshot"): zone bounds built or moved, masks
     /// and tiers attached or dropped, structural maintenance that changed
-    /// something, revivals, appends, reorganization promotions/demotions,
-    /// payload cracks — and the one statistic among them, a zone's
+    /// something, revivals, appends, reorganization promotions/demotions
+    /// — and the one statistic among them, a zone's
     /// [`AdaptiveZone::wants_mask`] answer flipping as a scan moves its
     /// `wasted_scans` across the threshold. Publication layers compare
     /// epochs to skip republishing unchanged state. Everything else a
@@ -193,7 +193,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// The reader-visible mutation epoch: increments whenever zone
     /// metadata changes in a way a reader would decide differently from
     /// (build, tighten, mask, tier, split, merge, deactivate, coalesce,
-    /// revive, promote, demote, crack, append, or a scan that makes a
+    /// revive, promote, demote, append, or a scan that makes a
     /// zone start or stop asking for a value mask). Two equal epochs mean
     /// a previously published clone of this zonemap still prunes
     /// identically — [`AdaptiveZonemap::prune_shared`] returns the same
@@ -571,7 +571,7 @@ enum OverlapAction {
     /// The zone's bloom tier excludes it despite overlapping bounds: the
     /// point predicate's value is in no row of the zone.
     TierSkip,
-    /// The zone is reorganized: its sorted/cracked payload resolves the
+    /// The zone is reorganized: its sorted payload resolves the
     /// predicate positionally.
     Positional,
     /// The zone must be scanned, computing what the request names beside
@@ -667,10 +667,6 @@ trait Walker<T: DataValue> {
     fn runs(&self) -> &[(usize, usize)] {
         &[]
     }
-
-    /// Reorganized zone `idx` is about to resolve `pred` against its
-    /// payload as it stands.
-    fn before_lookup(&mut self, _idx: usize, _pred: &RangePredicate<T>) {}
 }
 
 /// The concurrent reader ([`AdaptiveZonemap::prune_shared`]): decides from
@@ -746,26 +742,6 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
                 tier_life.tier_skips += 1;
                 tier_life.tier_rows_excluded += zone.len() as u64;
             }
-        }
-    }
-
-    // epoch: the one reader-visible write of a prune — a crack that gave
-    // the payload a new piece boundary, rows relocated or not (a bound at
-    // a piece's edge moves none, and still turns a reader's edge scan
-    // into a resolved span) — bumps, so publication layers pick it up.
-    fn before_lookup(&mut self, idx: usize, pred: &RangePredicate<T>) {
-        let map = &mut *self.0;
-        let ZoneLayout::Reorganized { payload, .. } = &mut map.zones[idx].layout else {
-            return;
-        };
-        // COW crack: if a published snapshot still shares this payload,
-        // make_mut clones before partitioning — the snapshot's copy stays
-        // immutable until the next republication swaps it out.
-        let payload = Arc::make_mut(payload);
-        let cracks = payload.cracks_done();
-        map.reorg_lifetime.bytes_moved += payload.crack(pred.lo, pred.hi);
-        if payload.cracks_done() != cracks {
-            map.mutation_epoch += 1;
         }
     }
 }
@@ -907,22 +883,13 @@ fn probe_zone<T: DataValue>(
             "skip:bloom"
         }
         OverlapAction::Positional => {
-            w.before_lookup(idx, pred);
-            let zone = &w.map().zones[idx];
             // invariant: only a zone that carries a payload classifies
-            // as positional, and a crack keeps it.
+            // as positional.
             let payload = zone.reorg_payload().expect("positional, no payload");
-            // Bounds the payload's pieces do not cover surface as edge
-            // pieces the executor predicate-tests.
-            let spans = payload.lookup(pred.lo, pred.hi);
-            let as_range = |r: &std::ops::Range<usize>| RowRange::new(r.start, r.end);
+            let full = payload.lookup(pred.lo, pred.hi);
             out.reorg_units.push(ReorgUnit {
                 zone: range,
-                full: as_range(&spans.full),
-                edges: [
-                    spans.edges[0].as_ref().map(as_range),
-                    spans.edges[1].as_ref().map(as_range),
-                ],
+                full: RowRange::new(full.start, full.end),
                 payload: Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>,
             });
             "positional"
@@ -982,7 +949,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
 
     /// Read-only prune: converts `pred` into candidate ranges against the
     /// current metadata **without mutating anything** — no query-clock
-    /// tick, no stat updates, no revival check, no payload crack.
+    /// tick, no stat updates, no revival check.
     ///
     /// This is the concurrent-reader entry point: N threads may call it on
     /// a shared (or snapshot-cloned) zonemap simultaneously. Given the same

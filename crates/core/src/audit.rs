@@ -55,10 +55,10 @@ pub struct AuditDecision {
 ///    lies in `must_scan` ∪ `full_match` ∪ a reorg unit's zone.
 /// 2. **Full-match purity**: every live in-scope row of `full_match`
 ///    satisfies `pred`.
-/// 3. **Positional soundness**: within a reorg unit, every `full`-span
-///    view position satisfies `pred`, and no live position outside
-///    `full` ∪ `edges` does (those rows are claimed resolved without a
-///    scan).
+/// 3. **Positional exactness**: within a reorg unit, every `full`-span
+///    view position satisfies `pred`, and no live, in-scope position
+///    outside it does (the span is claimed to be the zone's answer,
+///    with no per-row test).
 pub fn verify_outcome<T: DataValue>(
     target: &[T],
     live: Option<&DeleteVector>,
@@ -105,7 +105,7 @@ pub fn verify_outcome<T: DataValue>(
         }
     }
 
-    // Check 3: positional soundness of reorg units.
+    // Check 3: positional exactness of reorg units.
     for ru in &outcome.reorg_units {
         let Some(payload) = ru.payload.downcast_ref::<ReorgZone<T>>() else {
             panic!(
@@ -116,7 +116,6 @@ pub fn verify_outcome<T: DataValue>(
         };
         let values = payload.values();
         let rowids = payload.rowids();
-        let in_edges = |pos: usize| ru.edges.iter().flatten().any(|e| e.contains(pos));
         for pos in 0..values.len() {
             // narrowing: rowids are u32 by column construction (rows <= u32::MAX).
             let base_row = rowids[pos] as usize;
@@ -131,7 +130,7 @@ pub fn verify_outcome<T: DataValue>(
                         values[pos], ru.zone, pred.lo, pred.hi
                     );
                 }
-            } else if !in_edges(pos) && qualifies && is_live(base_row) && in_scope(base_row) {
+            } else if qualifies && is_live(base_row) && in_scope(base_row) {
                 abort_false_skip(outcome, pred, base_row, values[pos], source);
             }
         }
@@ -273,6 +272,46 @@ mod tests {
             Some(&within),
             "test",
         );
+    }
+
+    /// An outcome resolving the whole of `d` as one reorg unit over a
+    /// payload built from a shuffled copy, whose `full` span is the
+    /// lookup's for `pred` with its end moved by `shift` view positions.
+    fn positional(d: &[i64], pred: &RangePredicate<i64>, shift: isize) -> PruneOutcome {
+        let shuffled: Vec<i64> = (0..d.len()).map(|i| d[(i * 37) % d.len()]).collect();
+        let payload = ReorgZone::build(&shuffled, 0);
+        let run = payload.lookup(pred.lo, pred.hi);
+        let mut outcome = PruneOutcome::default();
+        outcome.reorg_units.push(crate::outcome::ReorgUnit {
+            zone: RowRange::new(0, d.len()),
+            full: RowRange::new(run.start, run.end.saturating_add_signed(shift)),
+            payload: std::sync::Arc::new(payload),
+        });
+        outcome.record_decision(RowRange::new(0, d.len()), "positional");
+        outcome
+    }
+
+    #[test]
+    fn exact_positional_unit_passes() {
+        let d = data();
+        let pred = RangePredicate::between(10, 20);
+        verify_outcome(&d, None, &pred, &positional(&d, &pred, 0), None, "test");
+    }
+
+    #[test]
+    #[should_panic(expected = "FALSE SKIP")]
+    fn positional_span_one_row_short_aborts_as_false_skip() {
+        let d = data();
+        let pred = RangePredicate::between(10, 20);
+        verify_outcome(&d, None, &pred, &positional(&d, &pred, -1), None, "test");
+    }
+
+    #[test]
+    #[should_panic(expected = "positional full span")]
+    fn positional_span_one_row_long_aborts_as_over_claim() {
+        let d = data();
+        let pred = RangePredicate::between(10, 20);
+        verify_outcome(&d, None, &pred, &positional(&d, &pred, 1), None, "test");
     }
 
     #[test]

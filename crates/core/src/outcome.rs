@@ -72,13 +72,12 @@ impl UnitRequest {
 
 /// A positional scan unit over one reorganized zone.
 ///
-/// The prune resolved the predicate against the zone's sorted/cracked
-/// payload: every view position in `full` qualifies, the up-to-two
-/// `edges` pieces must still be predicate-tested, and the payload's
-/// rowid permutation maps view positions back to base rows. The payload
-/// `Arc` travels *inside* the outcome so decision and data are published
-/// atomically — an executor can never pair these spans with a different
-/// payload generation (no torn zones by construction).
+/// The prune resolved the predicate against the zone's sorted payload:
+/// the view positions in `full` are exactly the zone's qualifying rows,
+/// and the payload's rowid permutation maps them back to base rows. The
+/// payload `Arc` travels *inside* the outcome so decision and data are
+/// published atomically — an executor can never pair this span with a
+/// different payload (no torn zones by construction).
 ///
 /// The payload is type-erased (`dyn Any`) so `PruneOutcome` stays
 /// non-generic; executors downcast it to `ReorgZone<T>` for the column's
@@ -89,18 +88,11 @@ pub struct ReorgUnit {
     pub zone: RowRange,
     /// View positions (into the payload) that all qualify.
     pub full: RowRange,
-    /// Boundary pieces (view positions) to scan with the predicate.
-    pub edges: [Option<RowRange>; 2],
     /// The reorganized payload; downcast to `ads_storage::ReorgZone<T>`.
     pub payload: Arc<dyn std::any::Any + Send + Sync>,
 }
 
 impl ReorgUnit {
-    /// View rows the executor must still test one by one.
-    pub fn edge_rows(&self) -> usize {
-        self.edges.iter().flatten().map(RowRange::len).sum()
-    }
-
     /// View rows known to qualify without any test.
     pub fn full_rows(&self) -> usize {
         self.full.len()
@@ -112,7 +104,6 @@ impl std::fmt::Debug for ReorgUnit {
         f.debug_struct("ReorgUnit")
             .field("zone", &self.zone)
             .field("full", &self.full)
-            .field("edges", &self.edges)
             .finish_non_exhaustive()
     }
 }
@@ -121,7 +112,6 @@ impl PartialEq for ReorgUnit {
     fn eq(&self, other: &Self) -> bool {
         self.zone == other.zone
             && self.full == other.full
-            && self.edges == other.edges
             && Arc::ptr_eq(&self.payload, &other.payload)
     }
 }

@@ -44,7 +44,7 @@ pub enum AdaptEvent {
         /// The zone's row range.
         range: RowRange,
     },
-    /// A hot zone was promoted to the reorganized (sorted/cracked) layout.
+    /// A hot zone was promoted to the reorganized (sorted) layout.
     Promoted {
         /// The zone's row range.
         range: RowRange,

@@ -6,7 +6,10 @@
 //! `scan_sharded` (see `ads_core::audit`). The sweep itself
 //! asserts nothing — a false skip aborts the process from inside the
 //! executor with the zone, predicate, and decision trace; exiting 0
-//! means every decision across every seed was sound.
+//! means every decision across every seed was sound. The sweep does
+//! check that it reached the positional path: it prints the zones the
+//! adaptive strategy promoted per seed and exits 1 when the whole sweep
+//! promoted none, since then no reorg unit was audited.
 //!
 //! The configurations are deliberately hostile: tiny zones, hair-trigger
 //! split/merge/deactivate/revival thresholds, zone-local reorganization,
@@ -19,7 +22,7 @@
 
 #![forbid(unsafe_code)]
 
-use ads_core::adaptive::AdaptiveConfig;
+use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangePredicate, ScanCoords};
 use ads_engine::{AggKind, ExecPolicy, Lane, Strategy};
 use ads_rng::StdRng;
@@ -97,8 +100,9 @@ fn random_pred(rng: &mut StdRng) -> RangePredicate<i64> {
 /// Runs one seed's query sequence against one strategy: one lane through
 /// the inline protocol, carrying its delete vector so tombstones are in
 /// play on base-coordinate strategies — the audit hook fires inside the
-/// scan.
-fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) {
+/// scan. Returns the zones the strategy promoted to the reorganized
+/// layout (0 for every strategy but the adaptive zonemap).
+fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xAD17);
     let mut data = data.to_vec();
     let mut index = strategy.build_index(&data);
@@ -145,6 +149,10 @@ fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) 
         };
         Lane::run(&mut [lane], pred, agg, &policy);
     }
+    index
+        .as_any()
+        .downcast_ref::<AdaptiveZonemap<i64>>()
+        .map_or(0, |zm| zm.reorg_stats().zones_promoted)
 }
 
 fn main() {
@@ -161,16 +169,24 @@ fn main() {
     let rows = args.get(2).copied().unwrap_or(48 * 1024);
 
     let roster = roster();
+    let mut promoted_total = 0;
     for seed in 0..seeds as u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = make_data(&mut rng, rows);
-        for strategy in &roster {
-            sweep_strategy(strategy, &data, queries, seed);
-        }
+        let promoted: u64 = roster
+            .iter()
+            .map(|strategy| sweep_strategy(strategy, &data, queries, seed))
+            .sum();
+        promoted_total += promoted;
         println!(
-            "seed {seed}: {} strategies x {queries} queries audited clean",
+            "seed {seed}: {} strategies x {queries} queries audited clean, \
+             {promoted} zone(s) promoted",
             roster.len()
         );
     }
-    println!("ads-audit: {seeds} seed(s) swept, no false skips");
+    if promoted_total == 0 {
+        eprintln!("ads-audit: no zone was promoted, so no positional unit was audited");
+        std::process::exit(1);
+    }
+    println!("ads-audit: {seeds} seed(s) swept, no false skips, {promoted_total} zone(s) promoted");
 }

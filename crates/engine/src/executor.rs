@@ -79,8 +79,8 @@ pub(crate) enum WorkItem {
     /// will compute for it.
     Unit(RowRange, UnitRequest),
     /// One positional unit over a reorganized zone: index into the
-    /// outcome's `reorg_units`, plus the qualifying+edge row count for
-    /// load balancing (the zone's other rows are never touched).
+    /// outcome's `reorg_units`, plus the qualifying row count for load
+    /// balancing (the zone's other rows are never touched).
     Reorg { idx: usize, rows: usize },
 }
 
@@ -191,7 +191,7 @@ pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<Work
         } else {
             items.push(WorkItem::Reorg {
                 idx: ri,
-                rows: reorg[ri].full_rows() + reorg[ri].edge_rows(),
+                rows: reorg[ri].full_rows(),
             });
             ri += 1;
         }
@@ -240,10 +240,8 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
                     rows_with_byproducts += item.rows();
                 }
             }
-            // Positional units only touch (and predicate-test) their edge
-            // pieces; the full span is answered without per-row tests.
-            WorkItem::Reorg { idx, .. } => rows_scanned += outcome.reorg_units[*idx].edge_rows(),
-            WorkItem::Full(_) => {}
+            // A positional unit's span is answered without per-row tests.
+            WorkItem::Reorg { .. } | WorkItem::Full(_) => {}
         }
     }
     match agg {
@@ -309,38 +307,21 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
     }
 }
 
-/// Marks the base rows qualifying inside one reorg unit in a zone-local
-/// bitmap (bit `i` = base row `zone.start + i`): the full span's rowids
-/// wholesale plus edge rows passing the predicate. Replaying the bitmap
+/// Marks the base rows of one reorg unit's full span in a zone-local
+/// bitmap (bit `i` = base row `zone.start + i`). Replaying the bitmap
 /// with [`for_each_set_row`] recovers ascending base order in O(zone)
 /// word scans instead of the O(k log k) sort a rowid list would need —
 /// and ascending base order is what makes downstream f64 accumulation
 /// match the flat scan bit for bit.
-fn reorg_unit_bitmap<T: DataValue>(
-    unit: &ads_core::ReorgUnit,
-    values: &[T],
-    rowids: &[u32],
-    pred: RangePredicate<T>,
-) -> (Vec<u64>, usize) {
+fn reorg_unit_bitmap(unit: &ads_core::ReorgUnit, rowids: &[u32]) -> Vec<u64> {
     let zone_start = unit.zone.start;
     let mut bits = vec![0u64; (unit.zone.end - zone_start).div_ceil(64)];
-    let mut count = unit.full_rows();
     for &r in &rowids[unit.full.start..unit.full.end] {
         // narrowing: u32 row id to usize is lossless on 32/64-bit hosts.
         let off = r as usize - zone_start;
         bits[off / 64] |= 1 << (off % 64);
     }
-    for e in unit.edges.iter().flatten() {
-        for (i, v) in values[e.start..e.end].iter().enumerate() {
-            if pred.matches(*v) {
-                // narrowing: u32 row id to usize is lossless here too.
-                let off = rowids[e.start + i] as usize - zone_start;
-                bits[off / 64] |= 1 << (off % 64);
-                count += 1;
-            }
-        }
-    }
-    (bits, count)
+    bits
 }
 
 /// Visits the base rows of a zone-local bitmap in ascending order.
@@ -452,7 +433,6 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
                 // invariant: the prune that emitted this unit built the
                 // payload from the same column, so T always matches.
                 .expect("reorg payload downcasts to the column's value type");
-            let values = payload.values();
             let rowids = payload.rowids();
             let (zmin, zmax) = payload.min_max();
             if !L::ALL_LIVE {
@@ -462,7 +442,7 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
                 // answered from counts alone, and replaying the masked
                 // bitmap in ascending base order keeps SUM bit-identical
                 // to the masked flat scan.
-                let (mut bits, _) = reorg_unit_bitmap(unit, values, rowids, pred);
+                let mut bits = reorg_unit_bitmap(unit, rowids);
                 let zone_start = unit.zone.start;
                 let mut count = 0usize;
                 for (w, word) in bits.iter_mut().enumerate() {
@@ -499,51 +479,29 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
                 out.obs = Some(RangeObservation::new(unit.zone, out.count, zmin, zmax));
                 return out;
             }
+            out.count = unit.full_rows();
             match agg {
-                AggKind::Count => {
-                    let mut q = unit.full_rows();
-                    for e in unit.edges.iter().flatten() {
-                        q += values[e.start..e.end]
-                            .iter()
-                            .filter(|v| pred.matches(**v))
-                            .count();
-                    }
-                    out.count = q;
-                }
+                AggKind::Count => {}
                 AggKind::Sum => {
-                    let (bits, count) = reorg_unit_bitmap(unit, values, rowids, pred);
-                    out.count = count;
                     // Ascending base-row accumulation: the exact order a
                     // flat scan of this zone adds in, so the partial sum
                     // is bit-identical across layouts.
+                    let bits = reorg_unit_bitmap(unit, rowids);
                     let mut sum = 0.0;
                     for_each_set_row(&bits, unit.zone.start, |r| sum += target[r].to_f64());
                     out.sum = sum;
                 }
                 AggKind::Min | AggKind::Max => {
-                    let mut q = unit.full_rows();
-                    for &v in &values[unit.full.start..unit.full.end] {
-                        out.match_min = out.match_min.min_total(v);
-                        out.match_max = out.match_max.max_total(v);
+                    // The span is sorted: its ends are its total-order
+                    // extremes, bit for bit what a fold would find.
+                    let full = &payload.values()[unit.full.start..unit.full.end];
+                    if let (Some(&lo), Some(&hi)) = (full.first(), full.last()) {
+                        (out.match_min, out.match_max) = (lo, hi);
                     }
-                    // min_total/max_total folds are order-independent at
-                    // the bit level (total-order ties have identical bit
-                    // patterns), so view order is as good as base order.
-                    for e in unit.edges.iter().flatten() {
-                        for &v in &values[e.start..e.end] {
-                            if pred.matches(v) {
-                                q += 1;
-                                out.match_min = out.match_min.min_total(v);
-                                out.match_max = out.match_max.max_total(v);
-                            }
-                        }
-                    }
-                    out.count = q;
                 }
                 AggKind::Positions => {
-                    let (bits, count) = reorg_unit_bitmap(unit, values, rowids, pred);
-                    out.count = count;
-                    out.positions.reserve(count);
+                    out.positions.reserve(out.count);
+                    let bits = reorg_unit_bitmap(unit, rowids);
                     for_each_set_row(&bits, unit.zone.start, |r| {
                         // narrowing: row ids are u32 by storage-wide
                         // contract (columns are bounded below 2^32 rows).

@@ -86,7 +86,7 @@
 //! [`AdaptiveZonemap::mutation_epoch`] moved since its last publication.
 //! The epoch moves exactly when something a reader's walk reads changed:
 //! zones built, tightened, split, merged, deactivated, revived, promoted,
-//! demoted, cracked or appended to, a mask or tier attached or dropped —
+//! demoted or appended to, a mask or tier attached or dropped —
 //! and the one statistic readers decide from, a zone starting or ceasing
 //! to want a value mask as a scan moves its `wasted_scans` across the
 //! threshold (DESIGN.md "What a reader reads off a snapshot"). A scan that

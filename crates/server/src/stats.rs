@@ -305,12 +305,13 @@ pub struct ServerStats {
     /// Currently tombstoned fraction of the column, in parts per million
     /// (a gauge sampled at the last maintenance round).
     pub tombstone_ppm: u64,
-    /// Zones promoted to the reorganized (sorted/cracked) layout.
+    /// Zones promoted to the reorganized (sorted) layout.
     pub zones_promoted: u64,
     /// Reorganized zones demoted back to the flat layout after going
     /// cold.
     pub zones_demoted: u64,
-    /// Value+rowid bytes moved by reorganization sorts and cracks.
+    /// Value+rowid bytes moved by promotion builds (each zone's copy and
+    /// sort, all on the maintenance thread).
     pub reorg_bytes_moved: u64,
     /// Wall time spent inside reorganization passes.
     pub reorg_ns: u64,

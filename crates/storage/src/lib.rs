@@ -46,7 +46,7 @@ pub use column::Column;
 pub use error::{Result, StorageError};
 pub use mutation::DeleteVector;
 pub use ranges::{RangeSet, RowRange};
-pub use reorg::{ReorgSpans, ReorgZone};
+pub use reorg::ReorgZone;
 pub use sharded::ShardedColumn;
 pub use shared::SharedColumn;
 pub use sketch::BloomSketch;

@@ -940,7 +940,7 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
     // fragment that is the whole zone. And a zone probed is a zone probed:
     // when the alive set touches every zone, a map that only ever runs the
     // restricted prune must stay in step with one that runs the full prune
-    // — tiers earned and dropped, zones promoted, cracked and demoted.
+    // — tiers earned and dropped, zones promoted and demoted.
     let configs = [
         test_config(),
         AdaptiveConfig {

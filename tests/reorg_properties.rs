@@ -1,7 +1,7 @@
 //! Property suites for the zone-local reorganization layer.
 //!
 //! The layer's contract is purely physical: promoting a hot zone to the
-//! sorted/cracked layout (or demoting it again) changes how the executor
+//! sorted layout (or demoting it again) changes how the executor
 //! finds qualifying rows, never which rows qualify or what any aggregate
 //! over them returns — including the exact bit pattern of f64 SUMs, which
 //! the positional path preserves by adding qualifying values in the same
