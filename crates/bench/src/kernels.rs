@@ -4,18 +4,22 @@
 //! their per-row references (`scan::scalar`) across value type ×
 //! selectivity, the liveness-generic kernels over a `DeleteVector` at 0 %,
 //! 0.1 % and 5 % tombstones — lean and with the bounds by-product —
-//! against the same (unmasked) references, and
+//! against the same (unmasked) references, the masked aggregate over
+//! blocks both densely qualifying and tombstoned (100 %, 5 %), and
 //! the SoA prune plane of `AdaptiveZonemap` against its retained
 //! array-of-structs loop ([`AdaptiveZonemap::prune_via_zones`]) on an
 //! all-built zone map of a shuffled column, which forms no ordered runs,
 //! and the reader's walk beside them ([`AdaptiveZonemap::prune_shared`]),
 //! then the plane's walk over a sorted column, one run crossed with two
 //! binary searches, at 4 k zones and at the prune row's count. The report renders as JSON (the
-//! repo's perf-trajectory format, schema `ads-kernel-bench/v3`) and as the
+//! repo's perf-trajectory format, schema `ads-kernel-bench/v4`, which names
+//! the instruction-set extensions the kernels were compiled for) and as the
 //! markdown table embedded in the README. A production cell slower than
 //! `GATE` times its reference — a scan kernel against its scalar twin,
 //! the prune plane against the array-of-structs walk — is a regression:
-//! `kernels_json` exits non-zero on it.
+//! `kernels_json` exits non-zero on it. The two sides of a cell are timed
+//! in alternating batches ([`bench_pair`]), so a slow stretch of a shared
+//! host cannot land on one side only.
 //!
 //! Run via:
 //!
@@ -24,7 +28,7 @@
 //! cargo run -p ads-bench --release --bin kernels_json -- --rows 4096 --out results/BENCH_kernels.json
 //! ```
 
-use crate::microbench::{bench, black_box, section};
+use crate::microbench::{bench, bench_pair, black_box, section};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_rng::StdRng;
@@ -98,6 +102,8 @@ pub struct PruneRow {
 pub struct KernelReport {
     /// Rows per scanned column.
     pub rows: usize,
+    /// The instruction-set extensions the kernels were compiled for.
+    pub target_features: Vec<&'static str>,
     /// Scan-kernel measurements.
     pub kernels: Vec<KernelRow>,
     /// Prune-loop measurements.
@@ -147,11 +153,17 @@ impl KernelReport {
         kernels.chain(prune).collect()
     }
 
-    /// Renders the report as the `ads-kernel-bench/v3` JSON document.
+    /// Renders the report as the `ads-kernel-bench/v4` JSON document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"ads-kernel-bench/v3\",\n");
+        s.push_str("  \"schema\": \"ads-kernel-bench/v4\",\n");
+        let features: Vec<String> = self
+            .target_features
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect();
+        let _ = writeln!(s, "  \"target_features\": [{}],", features.join(", "));
         let _ = writeln!(s, "  \"rows\": {},", self.rows);
         let _ = writeln!(s, "  \"gate\": {},", json_num(GATE));
         let _ = writeln!(s, "  \"below_gate\": {},", self.below_gate().len());
@@ -233,6 +245,25 @@ impl KernelReport {
     }
 }
 
+/// The instruction-set extensions this binary was compiled for, of those
+/// that decide the shape of a scan loop: a figure measured under one set
+/// says nothing about another.
+fn target_features() -> Vec<&'static str> {
+    [
+        ("sse2", cfg!(target_feature = "sse2")),
+        ("sse4.2", cfg!(target_feature = "sse4.2")),
+        ("avx", cfg!(target_feature = "avx")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("bmi2", cfg!(target_feature = "bmi2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("neon", cfg!(target_feature = "neon")),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect()
+}
+
 /// A column of `rows` values drawn uniformly from `[0, DOMAIN)`.
 fn gen_column(rows: usize, seed: u64) -> Vec<i64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -271,8 +302,10 @@ fn bench_type<T: DataValue>(
     // Opaque bounds: a constant range would let the compiler specialise
     // the reference loops in a way no query ever sees.
     let lo = black_box(cast(0));
-    let mut positions = Vec::with_capacity(rows);
-    let mut bm = Bitmap::new(rows);
+    // Each side of a pair writes its own buffers: the two closures are
+    // alive at once.
+    let (mut positions, mut ref_positions) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+    let (mut bm, mut ref_bm) = (Bitmap::new(rows), Bitmap::new(rows));
     let mut push_row =
         |kernel, selectivity_pct, tombstone_pct, production_ns: f64, reference_ns: f64| {
             out.push(KernelRow {
@@ -292,84 +325,101 @@ fn bench_type<T: DataValue>(
             push_row(kernel, pct, None, production_ns, reference_ns)
         };
 
-        let p = bench("count_in_range/production", || {
-            scan::count_in_range(black_box(&data), lo, hi)
-        });
-        let r = bench("count_in_range/reference", || {
-            scan::scalar::count_in_range(black_box(&data), lo, hi)
-        });
+        let (p, r) = bench_pair(
+            "count_in_range",
+            || scan::count_in_range(black_box(&data), lo, hi),
+            || scan::scalar::count_in_range(black_box(&data), lo, hi),
+        );
         push("count_in_range", p.best_ns, r.best_ns);
 
-        let p = bench("count_with_minmax/production", || {
-            scan::count_in_range_with_minmax(black_box(&data), lo, hi)
-        });
-        let r = bench("count_with_minmax/reference", || {
-            scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi)
-        });
+        let (p, r) = bench_pair(
+            "count_in_range_with_minmax",
+            || scan::count_in_range_with_minmax(black_box(&data), lo, hi),
+            || scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi),
+        );
         push("count_in_range_with_minmax", p.best_ns, r.best_ns);
 
-        let p = bench("sum_in_range/production", || {
-            scan::sum_in_range(black_box(&data), lo, hi)
-        });
-        let r = bench("sum_in_range/reference", || {
-            scan::scalar::sum_in_range(black_box(&data), lo, hi)
-        });
+        let (p, r) = bench_pair(
+            "sum_in_range",
+            || scan::sum_in_range(black_box(&data), lo, hi),
+            || scan::scalar::sum_in_range(black_box(&data), lo, hi),
+        );
         push("sum_in_range", p.best_ns, r.best_ns);
 
-        let p = bench("aggregate_in_range/production", || {
-            scan::aggregate_in_range(black_box(&data), lo, hi)
-        });
-        let r = bench("aggregate_in_range/reference", || {
-            scan::scalar::aggregate_in_range(black_box(&data), lo, hi)
-        });
+        let (p, r) = bench_pair(
+            "aggregate_in_range",
+            || scan::aggregate_in_range(black_box(&data), lo, hi),
+            || scan::scalar::aggregate_in_range(black_box(&data), lo, hi),
+        );
         push("aggregate_in_range", p.best_ns, r.best_ns);
 
-        let p = bench("collect_in_range/production", || {
-            positions.clear();
-            scan::collect_in_range(black_box(&data), 0, lo, hi, &mut positions);
-            positions.len()
-        });
-        let r = bench("collect_in_range/reference", || {
-            positions.clear();
-            scan::scalar::collect_in_range(black_box(&data), 0, lo, hi, &mut positions);
-            positions.len()
-        });
+        let (p, r) = bench_pair(
+            "collect_in_range",
+            || {
+                positions.clear();
+                scan::collect_in_range(black_box(&data), 0, lo, hi, &mut positions);
+                positions.len()
+            },
+            || {
+                ref_positions.clear();
+                scan::scalar::collect_in_range(black_box(&data), 0, lo, hi, &mut ref_positions);
+                ref_positions.len()
+            },
+        );
         push("collect_in_range", p.best_ns, r.best_ns);
 
-        let p = bench("collect_with_minmax/production", || {
-            positions.clear();
-            scan::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
-        });
-        let r = bench("collect_with_minmax/reference", || {
-            positions.clear();
-            scan::scalar::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
-        });
+        let (p, r) = bench_pair(
+            "collect_in_range_with_minmax",
+            || {
+                positions.clear();
+                scan::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
+            },
+            || {
+                ref_positions.clear();
+                scan::scalar::collect_in_range_with_minmax(
+                    black_box(&data),
+                    0,
+                    lo,
+                    hi,
+                    &mut ref_positions,
+                )
+            },
+        );
         push("collect_in_range_with_minmax", p.best_ns, r.best_ns);
 
-        let p = bench("fill_bitmap_in_range/production", || {
-            scan::fill_bitmap_in_range(black_box(&data), 0, lo, hi, &mut bm);
-            bm.len()
-        });
-        let r = bench("fill_bitmap_in_range/reference", || {
-            scan::scalar::fill_bitmap_in_range(black_box(&data), 0, lo, hi, &mut bm);
-            bm.len()
-        });
+        let (p, r) = bench_pair(
+            "fill_bitmap_in_range",
+            || {
+                scan::fill_bitmap_in_range(black_box(&data), 0, lo, hi, &mut bm);
+                bm.len()
+            },
+            || {
+                scan::scalar::fill_bitmap_in_range(black_box(&data), 0, lo, hi, &mut ref_bm);
+                ref_bm.len()
+            },
+        );
         push("fill_bitmap_in_range", p.best_ns, r.best_ns);
 
-        let p = bench("fill_bitmap_with_minmax/production", || {
-            scan::fill_bitmap_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut bm)
-        });
-        let r = bench("fill_bitmap_with_minmax/reference", || {
-            scan::scalar::fill_bitmap_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut bm)
-        });
+        let (p, r) = bench_pair(
+            "fill_bitmap_in_range_with_minmax",
+            || scan::fill_bitmap_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut bm),
+            || {
+                scan::scalar::fill_bitmap_in_range_with_minmax(
+                    black_box(&data),
+                    0,
+                    lo,
+                    hi,
+                    &mut ref_bm,
+                )
+            },
+        );
         push("fill_bitmap_in_range_with_minmax", p.best_ns, r.best_ns);
 
-        let p = bench("min_max_in_range/production", || {
-            scan::min_max_in_range(black_box(&data), lo, hi)
-        });
-        let r = bench("min_max_in_range/reference", || {
-            scan::scalar::min_max_in_range(black_box(&data), lo, hi)
-        });
+        let (p, r) = bench_pair(
+            "min_max_in_range",
+            || scan::min_max_in_range(black_box(&data), lo, hi),
+            || scan::scalar::min_max_in_range(black_box(&data), lo, hi),
+        );
         push("min_max_in_range", p.best_ns, r.best_ns);
     }
 
@@ -378,22 +428,6 @@ fn bench_type<T: DataValue>(
     // bounds by-product (`*_minmax`, `aggregate`) and lean, as a unit the
     // index asked nothing of runs them (`count`, `sum`).
     let hi = black_box(cast(sel_bound(MASKED_SELECTIVITY)));
-    let count_ref = bench("count/reference", || {
-        scan::scalar::count_in_range(black_box(&data), lo, hi)
-    });
-    let sum_ref = bench("sum/reference", || {
-        scan::scalar::sum_in_range(black_box(&data), lo, hi)
-    });
-    let count_minmax_ref = bench("count_minmax/reference", || {
-        scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi)
-    });
-    let aggregate_ref = bench("aggregate/reference", || {
-        scan::scalar::aggregate_in_range(black_box(&data), lo, hi)
-    });
-    let collect_ref = bench("collect_minmax/reference", || {
-        positions.clear();
-        scan::scalar::collect_in_range_with_minmax(black_box(&data), 0, lo, hi, &mut positions)
-    });
     for dead_pct in TOMBSTONES {
         section(&format!(
             "{ty} masked, {dead_pct}% tombstones ({rows} rows)"
@@ -409,42 +443,86 @@ fn bench_type<T: DataValue>(
                 reference_ns,
             )
         };
-        let p = bench("count/masked", || {
-            scan::count(black_box(&data), lo, hi, &live, 0, &mut NoByProduct)
-        });
-        push("count", p.best_ns, count_ref.best_ns);
-        let p = bench("sum/masked", || {
-            scan::sum(black_box(&data), lo, hi, &live, 0, &mut NoByProduct)
-        });
-        push("sum", p.best_ns, sum_ref.best_ns);
-        let p = bench("count_minmax/masked", || {
-            let mut bounds = Bounds::new();
-            let count = scan::count(black_box(&data), lo, hi, &live, 0, &mut bounds);
-            (count, bounds.min_max())
-        });
-        push("count_minmax", p.best_ns, count_minmax_ref.best_ns);
-        let p = bench("aggregate/masked", || {
+        let (p, r) = bench_pair(
+            "count",
+            || scan::count(black_box(&data), lo, hi, &live, 0, &mut NoByProduct),
+            || scan::scalar::count_in_range(black_box(&data), lo, hi),
+        );
+        push("count", p.best_ns, r.best_ns);
+        let (p, r) = bench_pair(
+            "sum",
+            || scan::sum(black_box(&data), lo, hi, &live, 0, &mut NoByProduct),
+            || scan::scalar::sum_in_range(black_box(&data), lo, hi),
+        );
+        push("sum", p.best_ns, r.best_ns);
+        let (p, r) = bench_pair(
+            "count_minmax",
+            || {
+                let mut bounds = Bounds::new();
+                let count = scan::count(black_box(&data), lo, hi, &live, 0, &mut bounds);
+                (count, bounds.min_max())
+            },
+            || scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi),
+        );
+        push("count_minmax", p.best_ns, r.best_ns);
+        let (p, r) = bench_pair(
+            "aggregate",
+            || {
+                let mut bounds = Bounds::new();
+                let matches = scan::aggregate(black_box(&data), lo, hi, &live, 0, &mut bounds);
+                (matches, bounds.min_max())
+            },
+            || scan::scalar::aggregate_in_range(black_box(&data), lo, hi),
+        );
+        push("aggregate", p.best_ns, r.best_ns);
+        let (p, r) = bench_pair(
+            "collect_minmax",
+            || {
+                positions.clear();
+                let mut bounds = Bounds::new();
+                let hits = scan::collect(
+                    black_box(&data),
+                    lo,
+                    hi,
+                    &live,
+                    0,
+                    &mut positions,
+                    &mut bounds,
+                );
+                (hits, bounds.min_max())
+            },
+            || {
+                ref_positions.clear();
+                scan::scalar::collect_in_range_with_minmax(
+                    black_box(&data),
+                    0,
+                    lo,
+                    hi,
+                    &mut ref_positions,
+                )
+            },
+        );
+        push("collect_minmax", p.best_ns, r.best_ns);
+    }
+
+    // The aggregate over blocks that are both densely qualifying and
+    // tombstoned: nearly every row is a hit, and the mask has holes.
+    let (pct, dead_pct) = (100, 5.0);
+    let hi = black_box(cast(sel_bound(pct)));
+    section(&format!(
+        "{ty} masked @ {pct}%, {dead_pct}% tombstones ({rows} rows)"
+    ));
+    let live = tombstones(rows, dead_pct);
+    let (p, r) = bench_pair(
+        "aggregate",
+        || {
             let mut bounds = Bounds::new();
             let matches = scan::aggregate(black_box(&data), lo, hi, &live, 0, &mut bounds);
             (matches, bounds.min_max())
-        });
-        push("aggregate", p.best_ns, aggregate_ref.best_ns);
-        let p = bench("collect_minmax/masked", || {
-            positions.clear();
-            let mut bounds = Bounds::new();
-            let hits = scan::collect(
-                black_box(&data),
-                lo,
-                hi,
-                &live,
-                0,
-                &mut positions,
-                &mut bounds,
-            );
-            (hits, bounds.min_max())
-        });
-        push("collect_minmax", p.best_ns, collect_ref.best_ns);
-    }
+        },
+        || scan::scalar::aggregate_in_range(black_box(&data), lo, hi),
+    );
+    push_row("aggregate", pct, Some(dead_pct), p.best_ns, r.best_ns);
 }
 
 /// Builds an adaptive zonemap with every zone Built — the steady state
@@ -516,16 +594,13 @@ fn bench_prune(zones: usize, rows_per_zone: usize, out: &mut Vec<PruneRow>) {
         })
     };
 
-    let mut plane_zm = zm.clone();
-    let b = bench("prune/soa_plane", || {
-        black_box(plane_zm.prune(black_box(&pred))).zones_probed
-    });
+    let (mut plane_zm, mut aos_zm) = (zm.clone(), zm.clone());
+    let (b, r) = bench_pair(
+        "prune/soa_plane-vs-aos",
+        || black_box(plane_zm.prune(black_box(&pred))).zones_probed,
+        || black_box(aos_zm.prune_via_zones(black_box(&pred))).zones_probed,
+    );
     row("soa_plane", b.best_ns);
-
-    let mut aos_zm = zm.clone();
-    let r = bench("prune/aos_reference", || {
-        black_box(aos_zm.prune_via_zones(black_box(&pred))).zones_probed
-    });
     row("aos_reference", r.best_ns);
 
     let s = bench("prune/reader", || {
@@ -573,6 +648,7 @@ pub fn run(rows: usize, prune_zones: usize) -> KernelReport {
 
     KernelReport {
         rows,
+        target_features: target_features(),
         kernels,
         prune,
     }
@@ -603,6 +679,7 @@ mod tests {
     fn json_report_shape() {
         let report = KernelReport {
             rows: 128,
+            target_features: vec!["sse2", "avx2"],
             kernels: vec![KernelRow {
                 kernel: "count_in_range",
                 ty: "i64",
@@ -620,7 +697,8 @@ mod tests {
             }],
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"ads-kernel-bench/v3\""));
+        assert!(json.contains("\"schema\": \"ads-kernel-bench/v4\""));
+        assert!(json.contains("\"target_features\": [\"sse2\", \"avx2\"],"));
         assert!(json.contains("\"tombstone_pct\": null"));
         assert!(json.contains("\"below_gate\": 0"));
         assert!(json.contains("\"speedup\": 2.0000"));
@@ -650,6 +728,7 @@ mod tests {
         };
         let report = KernelReport {
             rows: 128,
+            target_features: Vec::new(),
             kernels: vec![row("aggregate", 1.05), row("count_minmax", 1.2)],
             prune: Vec::new(),
         };

@@ -20,7 +20,7 @@
 //!   (exact `(min, max)`), [`Bins`] (a 64-bin value mask), both as a
 //!   pair, or [`NoByProduct`], whose hook is empty so only the answer is
 //!   computed. The fold is not free — the `i64` count loop runs at
-//!   roughly 0.5 ns/row lean and 0.8 with `Bounds` — which is why it is
+//!   roughly 0.2 ns/row lean and 0.45 with `Bounds` — which is why it is
 //!   the caller's choice and not a fixed part of the loop.
 //!
 //! The `(data, lo, hi)` functions ([`count_in_range`],
@@ -33,27 +33,32 @@
 //!
 //! ## Formulations, chosen by measurement
 //!
-//! The fastest loop shape depends on the aggregate, the value width and
-//! the selectivity. Each body uses what `kernels_json` measured fastest on
-//! baseline x86-64 (SSE2, no `target-cpu` flag), and that bench fails when
-//! a production cell drops below 0.9x the per-row [`scalar`] reference:
+//! The fastest loop shape depends on the aggregate, the value width, the
+//! selectivity and the instruction set. On x86-64 the workspace is built
+//! for x86-64-v3 (AVX2, BMI2, FMA: Haswell / Zen or newer; the root
+//! `.cargo/config.toml`), which compares and shifts four 64-bit lanes at
+//! a time, and each body uses what `kernels_json` measured fastest there.
+//! That bench fails when a production cell drops below 0.9x the per-row
+//! [`scalar`] reference. Any other target compiles the same code and gets
+//! the same answers (a baseline x86-64 build is tested for that); it is
+//! just not what the shapes were chosen on.
 //!
 //! * **One compare per row.** A range test is `v - lo <= hi - lo` on
 //!   unsigned key offsets ([`DataValue::in_span_total`]), with `lo <= hi`
 //!   checked once per block.
-//! * **Counting never builds a mask.** [`count`] adds the test result
-//!   per row (`InRange::count_and`): scalar for 8-byte lanes
-//!   (baseline x86-64 has no packed 64-bit compare, so a mask nobody
-//!   consumes only adds work), packed for narrower ones. Tombstones are
+//! * **Counting never builds a mask.** [`count`] adds the test results
+//!   of a block up in packed lanes (`InRange::count`). Tombstones are
 //!   un-counted afterwards, one dead qualifier at a time.
-//! * **Mask consumers learn from the block before** (`InRange::visit`).
-//!   SUM, MIN/MAX of the matches, POSITIONS and bitmap fills normally test
-//!   into one 0/1 byte per lane, pack the bytes into a `u64` and consume
-//!   the mask in word units — flat cost at any selectivity. After a block
-//!   of all hits (or, 8-byte lanes, at most one) they test and consume row
-//!   by row instead, which a well-predicted branch makes cheaper still.
-//!   Either way selected values are consumed in ascending row order, so
-//!   `f64` sums are bit-identical to the reference.
+//! * **Mask consumers test branch-free at every selectivity**
+//!   (`InRange::mask`) and consume the mask in word units. SUM and
+//!   MIN/MAX of the matches fold the selected rows by their set bits when
+//!   the mask is sparse and row by row, with a select, when it is dense
+//!   (`for_each_selected`); either way in ascending row order, so `f64`
+//!   sums are bit-identical to the reference.
+//! * **By-products get a pass of their own** over each 4096-row stretch,
+//!   just before its blocks are tested (`for_each_block!`): a packed
+//!   `(min, max)` fold is then reduced once per stretch, not once per
+//!   block, and the block pass reads the stretch from L1.
 //! * **MIN/MAX folds run in key space** ([`DataValue::total_key`]): an
 //!   integer compare-and-select per row, never a float `total_cmp` on the
 //!   loop-carried value.
@@ -61,7 +66,6 @@
 use crate::bitmap::Bitmap;
 use crate::mutation::DeleteVector;
 use crate::types::DataValue;
-use std::hint::cold_path;
 use std::mem::size_of;
 
 /// Lanes per block: one qualifying bit per lane fills exactly one `u64`.
@@ -156,29 +160,46 @@ fn low_bits(n: usize) -> u64 {
     u64::MAX >> (LANES - n)
 }
 
-/// Runs `$body` for every full 64-row block of `$data` and once more for
-/// the short tail block, if any (blocks are never empty). In `$body`,
-/// `$block` is the block's rows, `$bit` its first row in `$live`'s
-/// coordinates (`$base` is the row of `data[0]`), and `$dead` has bit `i`
-/// set iff `block[i]` is tombstoned — zero at and past `block.len()`, and
-/// the constant zero for [`AllLive`]. A macro rather than a closure so
-/// that both copies of the body are inlined by construction and the
-/// full-block copy sees a compile-time length of 64.
+/// Rows per stretch: the unit a by-product is folded over, in a pass of
+/// its own ahead of the stretch's blocks. Long enough that the packed
+/// accumulators of a `(min, max)` fold are reduced rarely, short enough
+/// (32 KB of 8-byte values) that the block pass after it reads the
+/// stretch from L1. A multiple of [`LANES`], so blocks never straddle two
+/// stretches.
+const STRETCH: usize = 64 * LANES;
+
+/// Feeds every row of `$data` to the by-product `$by`, then runs `$body`
+/// for every full 64-row block and once more for the short tail block,
+/// if any (blocks are never empty). In `$body`, `$block` is the block's
+/// rows, `$bit` its first row in `$live`'s coordinates (`$base` is the
+/// row of `data[0]`), and `$dead` has bit `i` set iff `block[i]` is
+/// tombstoned — zero at and past `block.len()`, and the constant zero for
+/// [`AllLive`]. A macro rather than a closure so that both copies of the
+/// body are inlined by construction and the full-block copy sees a
+/// compile-time length of 64.
+///
+/// The by-product is folded stretch by stretch ([`STRETCH`]) in its own
+/// loop: fused into the block loop, its packed accumulators were reduced
+/// once per 64 rows, and that reduction cost more than reading the
+/// stretch twice. With [`NoByProduct`] the fold is empty.
 macro_rules! for_each_block {
-    ($data:expr, $base:expr, $live:expr, |$block:ident, $bit:ident, $dead:ident| $body:block) => {{
-        let (data, live) = ($data, $live);
+    ($data:expr, $base:expr, $live:expr, $by:expr, |$block:ident, $bit:ident, $dead:ident| $body:block) => {{
+        let (data, live, by) = ($data, $live, $by);
         live.assert_covers($base, data.len());
-        let mut chunks = data.chunks_exact(LANES);
         let mut $bit: usize = $base;
-        for $block in chunks.by_ref() {
-            let $dead: u64 = !live.window($bit);
-            $body
-            $bit += LANES;
-        }
-        let $block = chunks.remainder();
-        if !$block.is_empty() {
-            let $dead: u64 = !live.window($bit) & low_bits($block.len());
-            $body
+        for stretch in data.chunks(STRETCH) {
+            stretch.iter().for_each(|&v| by.push(v));
+            let mut chunks = stretch.chunks_exact(LANES);
+            for $block in chunks.by_ref() {
+                let $dead: u64 = !live.window($bit);
+                $body
+                $bit += LANES;
+            }
+            let $block = chunks.remainder();
+            if !$block.is_empty() {
+                let $dead: u64 = !live.window($bit) & low_bits($block.len());
+                $body
+            }
         }
     }};
 }
@@ -203,11 +224,6 @@ struct InRange<T: DataValue> {
     /// `lo <= hi`; the offset test is only meaningful when it holds, so
     /// the block helpers answer an empty range without looking at rows.
     nonempty: bool,
-    /// What [`Self::visit`] expects of the next block's rows, learnt from
-    /// the block before it: `Some(true)` after a block where every row
-    /// qualified, `Some(false)` after one where at most one did (8-byte
-    /// lanes only), `None` otherwise.
-    expect: Option<bool>,
 }
 
 impl<T: DataValue> InRange<T> {
@@ -217,7 +233,6 @@ impl<T: DataValue> InRange<T> {
             lo,
             hi,
             nonempty: lo.le_total(&hi),
-            expect: None,
         }
     }
 
@@ -233,167 +248,63 @@ impl<T: DataValue> InRange<T> {
         self.nonempty & self.holds_unchecked(v)
     }
 
-    /// Qualifying rows of one block, without materialising a mask, with
-    /// `each(v)` called for every row in the same pass. The counter is as
-    /// wide as the lanes: for 8-byte values the loop stays scalar either
-    /// way and a `usize` avoids a widening step, for narrower values a
-    /// `u32` keeps compare and add in the same packed lanes.
+    /// Qualifying rows of one block, without materialising a mask: the
+    /// test results are added up in packed lanes. The counter is as wide
+    /// as the lanes, so compare and add stay in the same register shape.
     #[inline(always)]
-    fn count_and(&self, block: &[T], mut each: impl FnMut(T)) -> usize {
+    fn count(&self, block: &[T]) -> usize {
         if !self.nonempty {
-            block.iter().for_each(|&v| each(v));
             return 0;
         }
         if size_of::<T>() >= 8 {
-            let mut count = 0usize;
-            for &v in block {
-                count += self.holds_unchecked(v) as usize;
-                each(v);
-            }
-            count
+            block
+                .iter()
+                .map(|&v| self.holds_unchecked(v) as usize)
+                .sum()
         } else {
-            let mut count = 0u32;
-            for &v in block {
-                count += self.holds_unchecked(v) as u32;
-                each(v);
-            }
-            count as usize
+            block
+                .iter()
+                .map(|&v| self.holds_unchecked(v) as u32)
+                .sum::<u32>() as usize
         }
     }
 
-    /// The mask-consuming pass over one block: calls `each(v)` for every
-    /// row and `hit(v)` for every qualifying row that `dead` does not
-    /// tombstone, both in ascending row order, and returns the mask of
-    /// the rows `hit` saw (bits at and past `block.len()` are zero).
+    /// The per-block predicate mask of the rows `dead` does not
+    /// tombstone: bit `i` of the result is set when `block[i]` lies in the
+    /// range; bits at and past `block.len()` are zero.
     ///
-    /// Rows are normally tested branch-free into a mask first
-    /// ([`Self::lane_mask`]) and `hit` runs off the mask, which costs the
-    /// same at every selectivity. Where the block before was all hits —
-    /// or, for 8-byte lanes, all misses but at most one — the rows are
-    /// instead tested and consumed one by one, the scalar reference's
-    /// shape: with the branch that predictable nothing is cheaper, and
-    /// the test no longer sits between two blocks' dependent `f64` adds.
-    /// A miss among expected hits hands the rest of the block back to the
-    /// mask; hits among expected misses are consumed where they fall, so
-    /// a wrong guess there costs at most that one block's mispredictions
-    /// — what the reference pays on every block of such data.
+    /// The mask is built branch-free at every selectivity, in the shape
+    /// that packs the compare results fastest for the lane width. 8-byte
+    /// lanes shift each result to its bit and OR them together, which
+    /// x86-64-v3 does four lanes at a time (`vpsllvq`). Narrower lanes
+    /// write one 0/1 byte per lane first — a loop with no
+    /// cross-iteration dependency, eight or more packed compares per
+    /// instruction — and then eight multiply-packs fold each 8-byte group
+    /// into 8 mask bits; widening their results to 64-bit shift lanes
+    /// measured 1.3-1.4x slower.
     #[inline(always)]
-    fn visit(&mut self, block: &[T], dead: u64, each: impl FnMut(T), hit: impl FnMut(T)) -> u64 {
-        self.visit_impl::<true>(block, dead, each, hit)
-    }
-
-    /// [`Self::visit`] for consumers that only want the mask.
-    #[inline(always)]
-    fn mask(&mut self, block: &[T], dead: u64, each: impl FnMut(T)) -> u64 {
-        self.visit_impl::<false>(block, dead, each, |_| {})
-    }
-
-    /// `HIT` says whether `hit` does anything: without it the rows the
-    /// mask selects need no second look.
-    #[inline(always)]
-    fn visit_impl<const HIT: bool>(
-        &mut self,
-        block: &[T],
-        dead: u64,
-        mut each: impl FnMut(T),
-        mut hit: impl FnMut(T),
-    ) -> u64 {
+    fn mask(&self, block: &[T], dead: u64) -> u64 {
         debug_assert!((1..=LANES).contains(&block.len()));
-        let mut mask = 0u64;
-        let mut done = 0usize; // rows tested so far
-
-        // Narrow lanes test faster packed than one by one; only a `hit`
-        // worth fusing with the test makes the row loop pay there.
-        if self.nonempty && (HIT || size_of::<T>() >= 8) {
-            match self.expect {
-                Some(true) if dead == 0 => {
-                    let mut hits = 0usize;
-                    for &v in block {
-                        each(v);
-                        if !self.holds_unchecked(v) {
-                            cold_path();
-                            break;
-                        }
-                        hit(v);
-                        hits += 1;
-                    }
-                    // The row that broke the run, if any, is tested too.
-                    done = block.len().min(hits + 1);
-                    mask = if hits == 0 { 0 } else { low_bits(hits) };
-                }
-                Some(false) => {
-                    for (i, &v) in block.iter().enumerate() {
-                        each(v);
-                        if self.holds_unchecked(v) {
-                            // Keeps the test a (well-predicted) branch:
-                            // as a select it would drag the mask update
-                            // into every row.
-                            cold_path();
-                            if dead >> i & 1 == 0 {
-                                hit(v);
-                                mask |= 1 << i;
-                            }
-                        }
-                    }
-                    done = block.len();
-                }
-                _ => {}
-            }
-        }
-        if done == 0 {
-            mask = self.lane_mask(block, &mut each) & !dead;
-            if HIT {
-                for_each_selected(block, mask, &mut hit);
-            }
-        } else if done < block.len() {
-            let rest = &block[done..];
-            let rest_mask = self.lane_mask(rest, &mut each) & !(dead >> done);
-            if HIT {
-                for_each_selected(rest, rest_mask, &mut hit);
-            }
-            mask |= rest_mask << done;
-        }
-        self.expect = if mask == low_bits(block.len()) {
-            Some(true)
-        } else if size_of::<T>() >= 8 && mask & mask.wrapping_sub(1) == 0 {
-            Some(false)
-        } else {
-            None
-        };
-        mask
-    }
-
-    /// The per-block predicate mask: bit `i` of the result is set when
-    /// `block[i]` lies in the range; bits at and past `block.len()` are
-    /// zero. `each` sees every row once, in the compare pass.
-    ///
-    /// Two branchless passes: the tests write one 0/1 *byte* per lane — a
-    /// loop with no cross-iteration dependency, which becomes packed
-    /// compares for 4-byte and narrower lanes and stays a run of
-    /// independent scalar compares for 8-byte lanes (baseline x86-64 has
-    /// no packed 64-bit compare) — and then eight multiply-packs fold
-    /// each 8-byte group into 8 mask bits. A single-pass `mask |= q << i`
-    /// loop is a 64-deep dependent OR chain and measured slower at every
-    /// width.
-    #[inline(always)]
-    fn lane_mask(&self, block: &[T], mut each: impl FnMut(T)) -> u64 {
-        debug_assert!(block.len() <= LANES);
         if !self.nonempty {
-            block.iter().for_each(|&v| each(v));
             return 0;
         }
-        let mut lanes = [0u8; LANES];
-        for (b, &v) in lanes.iter_mut().zip(block) {
-            *b = self.holds_unchecked(v) as u8;
-            each(v);
-        }
         let mut mask = 0u64;
-        for (w, group) in lanes.chunks_exact(8).enumerate() {
-            // invariant: chunks_exact(8) yields exactly 8 bytes per group.
-            let word = u64::from_le_bytes(group.try_into().expect("chunks_exact(8)"));
-            mask |= (word.wrapping_mul(PACK_MUL) >> 56) << (8 * w);
+        if size_of::<T>() >= 8 {
+            for (i, &v) in block.iter().enumerate() {
+                mask |= (self.holds_unchecked(v) as u64) << i;
+            }
+        } else {
+            let mut lanes = [0u8; LANES];
+            for (b, &v) in lanes.iter_mut().zip(block) {
+                *b = self.holds_unchecked(v) as u8;
+            }
+            for (w, group) in lanes.chunks_exact(8).enumerate() {
+                // invariant: chunks_exact(8) yields exactly 8 bytes per group.
+                let word = u64::from_le_bytes(group.try_into().expect("chunks_exact(8)"));
+                mask |= (word.wrapping_mul(PACK_MUL) >> 56) << (8 * w);
+            }
         }
-        mask
+        mask & !dead
     }
 }
 
@@ -444,6 +355,14 @@ impl<T: DataValue> Bounds<T> {
         }
     }
 
+    /// Folds `v` in when `q` holds, with a select rather than a branch.
+    #[inline(always)]
+    fn push_if(&mut self, v: T, q: bool) {
+        let key = v.total_key();
+        self.min = if q { self.min.min(key) } else { self.min };
+        self.max = if q { self.max.max(key) } else { self.max };
+    }
+
     /// The folded `(min, max)` as values; the identity when no row was
     /// pushed.
     #[inline(always)]
@@ -461,9 +380,7 @@ impl<T: DataValue> Default for Bounds<T> {
 impl<T: DataValue> ByProduct<T> for Bounds<T> {
     #[inline(always)]
     fn push(&mut self, v: T) {
-        let key = v.total_key();
-        self.min = self.min.min(key);
-        self.max = self.max.max(key);
+        self.push_if(v, true);
     }
 }
 
@@ -526,20 +443,26 @@ impl<T: DataValue, A: ByProduct<T>, B: ByProduct<T>> ByProduct<T> for (A, B) {
     }
 }
 
-/// Calls `f(v)` for every row of `block` selected by `mask`, in ascending
-/// row order — the order the scalar reference adds in, so an `f64` sum
-/// accumulated through this is bit-identical to it (the accumulator can
-/// never become `-0.0`, so skipping the non-qualifying `+0.0` adds changes
-/// nothing). A fully selected block takes the plain loop instead of 64
-/// dependent bit extractions.
+/// Folds the rows of `block` that `mask` selects into `f`, in ascending
+/// row order — the order the scalar reference adds in. `f(v, q)` must
+/// fold `v` only when `q` holds, as a select and not a branch: a dense
+/// mask (at least 7 of 8 rows) is consumed row by row with `q` read off
+/// its bit, where finding the set bits one by one would put a bit
+/// extraction in front of each dependent `f64` add; a sparse one visits
+/// its set bits only, always with `q` true. A fully selected block takes
+/// the plain loop. An `f64` sum accumulated either way is bit-identical
+/// to the reference: the accumulator can never become `-0.0`, so adding
+/// `+0.0` for a row that does not qualify is the same as skipping it.
 #[inline(always)]
-fn for_each_selected<T: DataValue>(block: &[T], mask: u64, mut f: impl FnMut(T)) {
-    if mask == u64::MAX {
-        for &v in block {
-            f(v);
+fn for_each_selected<T: DataValue>(block: &[T], mask: u64, mut f: impl FnMut(T, bool)) {
+    if mask == low_bits(block.len()) {
+        block.iter().for_each(|&v| f(v, true));
+    } else if mask.count_ones() as usize * 8 >= block.len() * 7 {
+        for (i, &v) in block.iter().enumerate() {
+            f(v, mask >> i & 1 != 0);
         }
     } else {
-        for_each_set(mask, |i| f(block[i]));
+        for_each_set(mask, |i| f(block[i], true));
     }
 }
 
@@ -578,8 +501,8 @@ pub fn count<T: DataValue, L: Liveness, B: ByProduct<T>>(
 ) -> usize {
     let range = InRange::new(lo, hi);
     let mut count = 0usize;
-    for_each_block!(data, base, live, |block, _bit, dead| {
-        count += range.count_and(block, |v| by.push(v));
+    for_each_block!(data, base, live, by, |block, _bit, dead| {
+        count += range.count(block);
         // Tombstones are rare: un-count the dead qualifiers one by one
         // instead of masking every row.
         for_each_set(dead, |i| count -= range.holds(block[i]) as usize);
@@ -621,10 +544,10 @@ pub fn collect<T: DataValue, L: Liveness, B: ByProduct<T>>(
     by: &mut B,
 ) -> usize {
     assert_positions_addressable(base, data.len());
-    let mut range = InRange::new(lo, hi);
+    let range = InRange::new(lo, hi);
     let before = out.len();
-    for_each_block!(data, base, live, |block, bit, dead| {
-        push_positions(range.mask(block, dead, |v| by.push(v)), bit, out);
+    for_each_block!(data, base, live, by, |block, bit, dead| {
+        push_positions(range.mask(block, dead), bit, out);
     });
     out.len() - before
 }
@@ -667,10 +590,10 @@ fn fill_bitmap<T: DataValue, B: ByProduct<T>>(
         base + data.len() <= bm.len(),
         "bitmap too small for scan output"
     );
-    let mut range = InRange::new(lo, hi);
+    let range = InRange::new(lo, hi);
     let mut count = 0usize;
-    for_each_block!(data, base, AllLive, |block, bit, dead| {
-        let mask = range.mask(block, dead, |v| by.push(v));
+    for_each_block!(data, base, AllLive, by, |block, bit, dead| {
+        let mask = range.mask(block, dead);
         bm.or_mask_at(bit, mask);
         count += mask.count_ones() as usize;
     });
@@ -706,11 +629,10 @@ pub fn fill_bitmap_in_range_with_minmax<T: DataValue>(
     (count, min, max)
 }
 
-/// The mask-consuming pass every value-reading aggregate shares: calls
-/// `hit(v)` for each **live** qualifying row in ascending row order —
-/// the order the scalar reference adds in, so an `f64` sum accumulated
-/// through it is bit-identical — feeds every row to `by`, and returns the
-/// number of hits.
+/// The mask-consuming pass every value-reading aggregate shares: folds
+/// each **live** qualifying row into `hit` in ascending row order
+/// ([`for_each_selected`], which also says what `hit(v, q)` must do with
+/// `q`), feeds every row to `by`, and returns the number of hits.
 #[inline(always)]
 fn for_each_match<T: DataValue, L: Liveness, B: ByProduct<T>>(
     data: &[T],
@@ -718,12 +640,13 @@ fn for_each_match<T: DataValue, L: Liveness, B: ByProduct<T>>(
     live: L,
     base: usize,
     by: &mut B,
-    mut hit: impl FnMut(T),
+    mut hit: impl FnMut(T, bool),
 ) -> usize {
-    let mut range = InRange::new(lo, hi);
+    let range = InRange::new(lo, hi);
     let mut count = 0usize;
-    for_each_block!(data, base, live, |block, _bit, dead| {
-        let mask = range.visit(block, dead, |v| by.push(v), &mut hit);
+    for_each_block!(data, base, live, by, |block, _bit, dead| {
+        let mask = range.mask(block, dead);
+        for_each_selected(block, mask, &mut hit);
         count += mask.count_ones() as usize;
     });
     count
@@ -747,7 +670,9 @@ pub fn sum<T: DataValue, L: Liveness, B: ByProduct<T>>(
     by: &mut B,
 ) -> (usize, f64) {
     let mut sum = 0.0f64;
-    let count = for_each_match(data, (lo, hi), live, base, by, |v| sum += v.to_f64());
+    let count = for_each_match(data, (lo, hi), live, base, by, |v, q| {
+        sum += if q { v.to_f64() } else { 0.0 }
+    });
     (count, sum)
 }
 
@@ -768,10 +693,10 @@ pub fn sum_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> (usize, f64) {
 pub fn sum_rows<T: DataValue, L: Liveness>(data: &[T], live: L, base: usize) -> (usize, f64) {
     let mut count = 0usize;
     let mut sum = 0.0f64;
-    for_each_block!(data, base, live, |block, _bit, dead| {
+    for_each_block!(data, base, live, &mut NoByProduct, |block, _bit, dead| {
         let mask = !dead & low_bits(block.len());
         count += mask.count_ones() as usize;
-        for_each_selected(block, mask, |v| sum += v.to_f64());
+        for_each_selected(block, mask, |v, q| sum += if q { v.to_f64() } else { 0.0 });
     });
     (count, sum)
 }
@@ -806,9 +731,9 @@ pub fn aggregate<T: DataValue, L: Liveness, B: ByProduct<T>>(
 ) -> MatchAggregates<T> {
     let mut sum = 0.0f64;
     let mut matched = Bounds::new();
-    let count = for_each_match(data, (lo, hi), live, base, by, |v| {
-        sum += v.to_f64();
-        matched.push(v);
+    let count = for_each_match(data, (lo, hi), live, base, by, |v, q| {
+        sum += if q { v.to_f64() } else { 0.0 };
+        matched.push_if(v, q);
     });
     let (min, max) = matched.min_max();
     MatchAggregates {
@@ -866,14 +791,10 @@ pub fn aggregate_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> RangeAggreg
 pub fn min_max_rows<T: DataValue, L: Liveness>(data: &[T], live: L, base: usize) -> Option<(T, T)> {
     let mut found = false;
     let mut bounds = Bounds::new();
-    for_each_block!(data, base, live, |block, _bit, dead| {
+    for_each_block!(data, base, live, &mut NoByProduct, |block, _bit, dead| {
         let mask = !dead & low_bits(block.len());
         found |= mask != 0;
-        if dead == 0 {
-            block.iter().for_each(|&v| bounds.push(v));
-        } else {
-            for_each_set(mask, |i| bounds.push(block[i]));
-        }
+        for_each_selected(block, mask, |v, q| bounds.push_if(v, q));
     });
     found.then(|| bounds.min_max())
 }
@@ -888,11 +809,13 @@ pub fn min_max<T: DataValue>(data: &[T]) -> Option<(T, T)> {
 /// qualifies. Used by MIN/MAX aggregates.
 #[inline]
 pub fn min_max_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> Option<(T, T)> {
-    let mut range = InRange::new(lo, hi);
+    let range = InRange::new(lo, hi);
     let mut found = false;
     let mut matched = Bounds::new();
-    for_each_block!(data, 0, AllLive, |block, _bit, dead| {
-        found |= 0 != range.visit(block, dead, |_| {}, |v| matched.push(v));
+    for_each_block!(data, 0, AllLive, &mut NoByProduct, |block, _bit, dead| {
+        let mask = range.mask(block, dead);
+        found |= mask != 0;
+        for_each_selected(block, mask, |v, q| matched.push_if(v, q));
     });
     found.then(|| matched.min_max())
 }
@@ -1267,7 +1190,7 @@ mod tests {
     }
 
     fn mask(lo: i64, hi: i64, block: &[i64]) -> u64 {
-        InRange::new(lo, hi).lane_mask(block, |_| {})
+        InRange::new(lo, hi).mask(block, 0)
     }
 
     #[test]
@@ -1282,7 +1205,7 @@ mod tests {
         assert_eq!(mask(8, 10, &all), 0);
         // An inverted range is empty, not "everything the offsets wrap to".
         assert_eq!(mask(10, 0, &all), 0);
-        assert_eq!(InRange::new(10, 0).count_and(&all, |_| {}), 0);
+        assert_eq!(InRange::new(10, 0).count(&all), 0);
         assert!(!InRange::new(10, 0).holds(7));
         // The tail block: bits at and past its length stay clear.
         assert_eq!(mask(0, 10, &all[..3]), 0b111);

@@ -711,10 +711,63 @@ fn assert_generic_kernels_match_reference<T: DataValue, L: Liveness>(
 /// Lengths around one block, and around the 4096-row default zone.
 const GENERIC_LENS: [usize; 8] = [0, 1, 63, 64, 65, 4095, 4096, 4097];
 
-/// Runs [`assert_generic_kernels_match_reference`] over one typed column
-/// for every length, two block-unaligned bases, and four tombstone
-/// layouts: none (where an all-live vector, no vector, and the scalar
-/// reference must all agree), block edges, whole dead blocks, and random.
+/// Runs [`assert_generic_kernels_match_reference`] over
+/// `column[base..base + len]` under every liveness source: none (where an
+/// all-live vector, no vector, and the scalar reference must all agree),
+/// and tombstones on block edges, on whole blocks, and at random rows
+/// drawn from `rng`.
+fn assert_under_every_liveness<T: DataValue>(
+    column: &[T],
+    (base, len): (usize, usize),
+    range: (T, T),
+    rng: &mut StdRng,
+    ctx: &str,
+) {
+    let rows = column.len();
+    let all_live = DeleteVector::new(rows, 0);
+    assert_generic_kernels_match_reference(
+        column,
+        (base, len),
+        range,
+        AllLive,
+        |_| true,
+        &format!("{ctx} no vector"),
+    );
+    assert_generic_kernels_match_reference(
+        column,
+        (base, len),
+        range,
+        &all_live,
+        |_| true,
+        &format!("{ctx} all-live vector"),
+    );
+
+    let edges = |r: usize| matches!((r - base.min(r)) % 64, 0 | 63);
+    let dead_blocks = |r: usize| (r / 64) % 3 == 1;
+    let random: Vec<bool> = (0..rows).map(|_| rng.gen_range(0..7usize) == 0).collect();
+    let layouts: [(&str, &dyn Fn(usize) -> bool); 3] = [
+        ("block edges", &edges),
+        ("dead blocks", &dead_blocks),
+        ("random", &|r| random[r]),
+    ];
+    for (name, is_dead) in layouts {
+        let mut dv = DeleteVector::new(rows, 1);
+        for r in (0..rows).filter(|&r| is_dead(r)) {
+            dv.delete(r);
+        }
+        assert_generic_kernels_match_reference(
+            column,
+            (base, len),
+            range,
+            &dv,
+            |r| !is_dead(r),
+            &format!("{ctx} {name}"),
+        );
+    }
+}
+
+/// Runs [`assert_under_every_liveness`] over one typed column for every
+/// length and two block-unaligned bases.
 fn check_generic_kernels<T: DataValue>(
     ty: &str,
     gen: impl Fn(&mut StdRng) -> T,
@@ -728,47 +781,7 @@ fn check_generic_kernels<T: DataValue>(
             let column: Vec<T> = (0..rows).map(|_| gen(&mut rng)).collect();
             let range = bounds(&mut rng);
             let ctx = format!("{ty} len {len} base {base} [{:?}, {:?}]", range.0, range.1);
-
-            let all_live = DeleteVector::new(rows, 0);
-            assert_generic_kernels_match_reference(
-                &column,
-                (base, len),
-                range,
-                AllLive,
-                |_| true,
-                &format!("{ctx} no vector"),
-            );
-            assert_generic_kernels_match_reference(
-                &column,
-                (base, len),
-                range,
-                &all_live,
-                |_| true,
-                &format!("{ctx} all-live vector"),
-            );
-
-            let edges = |r: usize| matches!((r - base.min(r)) % 64, 0 | 63);
-            let dead_blocks = |r: usize| (r / 64) % 3 == 1;
-            let random: Vec<bool> = (0..rows).map(|_| rng.gen_range(0..7usize) == 0).collect();
-            let layouts: [(&str, &dyn Fn(usize) -> bool); 3] = [
-                ("block edges", &edges),
-                ("dead blocks", &dead_blocks),
-                ("random", &|r| random[r]),
-            ];
-            for (name, is_dead) in layouts {
-                let mut dv = DeleteVector::new(rows, 1);
-                for r in (0..rows).filter(|&r| is_dead(r)) {
-                    dv.delete(r);
-                }
-                assert_generic_kernels_match_reference(
-                    &column,
-                    (base, len),
-                    range,
-                    &dv,
-                    |r| !is_dead(r),
-                    &format!("{ctx} {name}"),
-                );
-            }
+            assert_under_every_liveness(&column, (base, len), range, &mut rng, &ctx);
         }
     }
 }
@@ -810,6 +823,142 @@ fn generic_kernels_match_reference_under_every_byproduct_and_liveness_source() {
             },
             0x500F ^ case,
         );
+    }
+}
+
+/// A named column and the ranges it is checked under.
+type RunCase = (String, Vec<i64>, Vec<(i64, i64)>);
+
+/// Columns built from runs, each with the ranges that cut them where the
+/// kernels switch shape: a predicate mask that is all hits, dense (at
+/// least 7 of 8 rows), sparse or empty, a block that follows one of
+/// another kind, a range that starts or ends mid-block or mid-stretch,
+/// and every tail length. Random columns reach these transitions only by
+/// chance; these reach each one on purpose.
+fn run_structured_columns() -> Vec<RunCase> {
+    let mut rng = StdRng::seed_from_u64(0x5010);
+    let mut cases = Vec::new();
+
+    // Sorted with duplicates, across three 4096-row stretches; the ranges
+    // start and end mid-block, mid-stretch, and outside the column.
+    let sorted: Vec<i64> = (0..9000).map(|r| r / 3).collect();
+    let cuts = vec![
+        (12, 33),
+        (21, 42),
+        (0, 1365),
+        (1300, 1400),
+        (1500, 3100),
+        (-5, 5000),
+    ];
+    cases.push(("sorted".to_string(), sorted, cuts));
+
+    // Clustered: alternating runs of hits (1..=3) and misses, the run
+    // lengths straddling one block.
+    for case in 0..6 {
+        let mut column = Vec::new();
+        let mut hit = case % 2 == 0;
+        while column.len() < 1500 {
+            let run = [1, 7, 56, 63, 64, 65, 130][rng.gen_range(0..7usize)];
+            for _ in 0..run {
+                column.push(if hit {
+                    rng.gen_range(1i64..4)
+                } else {
+                    rng.gen_range(4i64..500)
+                });
+            }
+            hit = !hit;
+        }
+        cases.push((
+            format!("clustered {case}"),
+            column,
+            vec![(1, 3), (2, 2), (1, 499)],
+        ));
+    }
+
+    // One hit moving through every lane: a block of misses, one with the
+    // hit only, one all hits, one all hits but that lane, one with the
+    // hit only again.
+    for lane in 0..64 {
+        let column: Vec<i64> = (0..5 * 64)
+            .map(|r| {
+                let (block, at) = (r / 64, r % 64 == lane);
+                let hit = match block {
+                    0 => false,
+                    1 | 4 => at,
+                    2 => true,
+                    _ => !at,
+                };
+                if hit {
+                    1
+                } else {
+                    7
+                }
+            })
+            .collect();
+        cases.push((format!("lane {lane}"), column, vec![(1, 1), (0, 7)]));
+    }
+
+    // Blocks holding 0..=16 evenly spread misses: across the line between
+    // a dense mask and a sparse one.
+    let holes: Vec<i64> = (0..17 * 64)
+        .map(|r| {
+            if (r % 64) * (r / 64) % 64 < r / 64 {
+                9
+            } else {
+                2
+            }
+        })
+        .collect();
+    cases.push(("holes".to_string(), holes, vec![(2, 2), (0, 5)]));
+
+    // Every tail length after one full block.
+    for tail in 1..=64 {
+        let column: Vec<i64> = (0..64 + tail).map(|_| rng.gen_range(0i64..8)).collect();
+        cases.push((format!("tail {tail}"), column, vec![(0, 7), (3, 3), (2, 5)]));
+    }
+    cases
+}
+
+#[test]
+fn generic_kernels_match_reference_on_run_structured_columns() {
+    let mut rng = StdRng::seed_from_u64(0x5011);
+    for (name, column, ranges) in run_structured_columns() {
+        let bases: &[usize] = if name.starts_with("tail") {
+            &[0]
+        } else {
+            &[0, 5]
+        };
+        for &base in bases {
+            let len = column.len() - base;
+            for &(lo, hi) in &ranges {
+                let ctx = format!("{name} base {base} [{lo}, {hi}]");
+                assert_under_every_liveness(
+                    &column,
+                    (base, len),
+                    (lo, hi),
+                    &mut rng,
+                    &format!("i64 {ctx}"),
+                );
+                let floats: Vec<f64> = column.iter().map(|&v| v as f64).collect();
+                let range = (lo as f64, hi as f64);
+                assert_under_every_liveness(
+                    &floats,
+                    (base, len),
+                    range,
+                    &mut rng,
+                    &format!("f64 {ctx}"),
+                );
+                let floats: Vec<f32> = column.iter().map(|&v| v as f32).collect();
+                let range = (lo as f32, hi as f32);
+                assert_under_every_liveness(
+                    &floats,
+                    (base, len),
+                    range,
+                    &mut rng,
+                    &format!("f32 {ctx}"),
+                );
+            }
+        }
     }
 }
 
