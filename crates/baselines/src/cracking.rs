@@ -163,16 +163,13 @@ impl<T: DataValue> SkippingIndex<T> for CrackerColumn<T> {
         if pos_lo < pos_hi {
             full_match.push_span(pos_lo, pos_hi);
         }
-        let mut must_scan = RangeSet::new();
-        if self.cracked_len < self.values.len() {
-            must_scan.push_span(self.cracked_len, self.values.len());
-        }
-        PruneOutcome {
-            must_scan,
+        let mut out = PruneOutcome {
             full_match,
             zones_probed: 2, // two cracker-index lookups
             ..Default::default()
-        }
+        };
+        out.push_scan(self.cracked_len, self.values.len());
+        out
     }
 
     fn on_append(&mut self, appended: &[T], base: &[T]) {
@@ -225,7 +222,7 @@ mod tests {
             .expect("cracker has a view")
             .to_vec();
         let mut count = out.rows_full_match();
-        for r in out.must_scan.ranges() {
+        for r in out.units.iter().map(|u| u.range) {
             count += ads_storage::scan::count_in_range(&view[r.start..r.end], pred.lo, pred.hi);
         }
         count

@@ -47,7 +47,7 @@ mod tests {
     fn always_scans_everything() {
         let mut fs = FullScan::new(1000);
         let out = SkippingIndex::<i64>::prune(&mut fs, &RangePredicate::between(5, 6));
-        assert_eq!(out.must_scan.covered_rows(), 1000);
+        assert_eq!(out.unit_set().covered_rows(), 1000);
         assert_eq!(out.zones_probed, 0);
         assert_eq!(SkippingIndex::<i64>::metadata_bytes(&fs), 0);
     }
@@ -58,6 +58,6 @@ mod tests {
         let base = [1i64, 2, 3, 4, 5];
         fs.on_append(&base[3..], &base);
         let out = SkippingIndex::<i64>::prune(&mut fs, &RangePredicate::all());
-        assert_eq!(out.must_scan.covered_rows(), 5);
+        assert_eq!(out.unit_set().covered_rows(), 5);
     }
 }

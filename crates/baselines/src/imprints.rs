@@ -256,7 +256,7 @@ impl<T: DataValue> SkippingIndex<T> for ColumnImprints<T> {
         self.classify(pred.lo, pred.hi, |range, verdict| match verdict {
             RunVerdict::Skip => out.zones_skipped += 1,
             RunVerdict::FullMatch => out.full_match.push_span(range.start, range.end),
-            RunVerdict::Scan => out.must_scan.push_span(range.start, range.end),
+            RunVerdict::Scan => out.push_scan(range.start, range.end),
         });
         out
     }
@@ -277,10 +277,11 @@ mod tests {
 
     fn check_sound(imp: &mut ColumnImprints<i64>, data: &[i64], pred: RangePredicate<i64>) {
         let out = imp.prune(&pred);
+        let scanned = out.unit_set();
         for (i, &v) in data.iter().enumerate() {
             if pred.matches(v) {
                 assert!(
-                    out.must_scan.contains(i) || out.full_match.contains(i),
+                    scanned.contains(i) || out.full_match.contains(i),
                     "row {i} (value {v}) lost for {pred}"
                 );
             }
@@ -320,7 +321,7 @@ mod tests {
         // With two distinct values the bins are (-inf,10), [10,10000),
         // [10000,inf): a predicate inside the top bin skips the low cluster.
         let out = imp.prune(&RangePredicate::between(10_000, 11_000));
-        assert!(out.must_scan.covered_rows() + out.rows_full_match() <= 4096 + 8);
+        assert!(out.unit_set().covered_rows() + out.rows_full_match() <= 4096 + 8);
         assert!(out.zones_skipped > 0);
         check_sound(&mut imp, &data, RangePredicate::between(9_000, 11_000));
     }
@@ -376,7 +377,7 @@ mod tests {
         // The single boundary sits at 42, so everything below it skips;
         // ranges above 42 share the constant's bin and cannot skip.
         let out = imp.prune(&RangePredicate::between(10, 20));
-        assert_eq!(out.must_scan.covered_rows() + out.rows_full_match(), 0);
+        assert_eq!(out.unit_set().covered_rows() + out.rows_full_match(), 0);
     }
 
     #[test]
@@ -390,7 +391,7 @@ mod tests {
     fn empty_column() {
         let mut imp = ColumnImprints::build(&[] as &[i64], 8, 8);
         let out = imp.prune(&RangePredicate::all());
-        assert_eq!(out.must_scan.covered_rows(), 0);
+        assert!(out.units.is_empty());
     }
 
     /// The run-level soundness suite: classify against a scalar oracle.

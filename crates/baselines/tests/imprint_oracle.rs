@@ -71,7 +71,7 @@ fn imprint_admission_matches_sorted_oracle_exactly() {
             // Never-false-negative + exact-full-match: filtering the
             // candidates recovers exactly the oracle's qualifying count.
             let mut got = out.rows_full_match();
-            for r in out.must_scan.ranges() {
+            for r in out.units.iter().map(|u| u.range) {
                 got += data[r.start..r.end]
                     .iter()
                     .filter(|&&v| pred.matches(v))
@@ -111,7 +111,7 @@ fn imprint_admission_matches_oracle_through_appends() {
             let want = oracle.prune(&pred).rows_full_match();
             let out = imp.prune(&pred);
             let mut got = out.rows_full_match();
-            for r in out.must_scan.ranges() {
+            for r in out.units.iter().map(|u| u.range) {
                 got += data[r.start..r.end]
                     .iter()
                     .filter(|&&v| pred.matches(v))

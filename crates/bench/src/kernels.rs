@@ -3,9 +3,10 @@
 //! Measures the production scan kernels of `ads_storage::scan` against
 //! their per-row references (`scan::scalar`) across value type ×
 //! selectivity, the liveness-generic kernels over a `DeleteVector` at 0 %,
-//! 0.1 % and 5 % tombstones — lean and with the bounds by-product —
-//! against the same (unmasked) references, the masked aggregate over
-//! blocks both densely qualifying and tombstoned (100 %, 5 %), and
+//! 0.1 % and 5 % tombstones — lean and with the bounds by-product — and
+//! the masked aggregate over blocks both densely qualifying and
+//! tombstoned (100 %, 5 %), against per-row references that test each
+//! row's tombstone as well as its range (`masked`), and
 //! the SoA prune plane of `AdaptiveZonemap` against its retained
 //! array-of-structs loop ([`AdaptiveZonemap::prune_via_zones`]) on an
 //! all-built zone map of a shuffled column, which forms no ordered runs,
@@ -65,8 +66,8 @@ pub struct KernelRow {
     pub ty: &'static str,
     /// Predicate selectivity in percent of the domain.
     pub selectivity_pct: u32,
-    /// Tombstoned rows in percent, for a masked row (production ran over
-    /// a `DeleteVector`, the reference unmasked); `None` for all-live.
+    /// Tombstoned rows in percent, for a masked row (both sides ran over
+    /// the same `DeleteVector`); `None` for all-live.
     pub tombstone_pct: Option<f64>,
     /// Rows scanned per call.
     pub rows: usize,
@@ -424,7 +425,7 @@ fn bench_type<T: DataValue>(
     }
 
     // Masked rows: the kernels a scan unit runs under deletes, over a
-    // delete vector, against the references' unmasked pass — with the
+    // delete vector, against the masked per-row references — with the
     // bounds by-product (`*_minmax`, `aggregate`) and lean, as a unit the
     // index asked nothing of runs them (`count`, `sum`).
     let hi = black_box(cast(sel_bound(MASKED_SELECTIVITY)));
@@ -446,13 +447,13 @@ fn bench_type<T: DataValue>(
         let (p, r) = bench_pair(
             "count",
             || scan::count(black_box(&data), lo, hi, &live, 0, &mut NoByProduct),
-            || scan::scalar::count_in_range(black_box(&data), lo, hi),
+            || masked::count((black_box(&data), lo, hi, &live)),
         );
         push("count", p.best_ns, r.best_ns);
         let (p, r) = bench_pair(
             "sum",
             || scan::sum(black_box(&data), lo, hi, &live, 0, &mut NoByProduct),
-            || scan::scalar::sum_in_range(black_box(&data), lo, hi),
+            || masked::sum((black_box(&data), lo, hi, &live)),
         );
         push("sum", p.best_ns, r.best_ns);
         let (p, r) = bench_pair(
@@ -462,7 +463,7 @@ fn bench_type<T: DataValue>(
                 let count = scan::count(black_box(&data), lo, hi, &live, 0, &mut bounds);
                 (count, bounds.min_max())
             },
-            || scan::scalar::count_in_range_with_minmax(black_box(&data), lo, hi),
+            || masked::count_minmax((black_box(&data), lo, hi, &live)),
         );
         push("count_minmax", p.best_ns, r.best_ns);
         let (p, r) = bench_pair(
@@ -472,7 +473,7 @@ fn bench_type<T: DataValue>(
                 let matches = scan::aggregate(black_box(&data), lo, hi, &live, 0, &mut bounds);
                 (matches, bounds.min_max())
             },
-            || scan::scalar::aggregate_in_range(black_box(&data), lo, hi),
+            || masked::aggregate((black_box(&data), lo, hi, &live)),
         );
         push("aggregate", p.best_ns, r.best_ns);
         let (p, r) = bench_pair(
@@ -493,13 +494,7 @@ fn bench_type<T: DataValue>(
             },
             || {
                 ref_positions.clear();
-                scan::scalar::collect_in_range_with_minmax(
-                    black_box(&data),
-                    0,
-                    lo,
-                    hi,
-                    &mut ref_positions,
-                )
+                masked::collect_minmax((black_box(&data), lo, hi, &live), &mut ref_positions)
             },
         );
         push("collect_minmax", p.best_ns, r.best_ns);
@@ -520,9 +515,87 @@ fn bench_type<T: DataValue>(
             let matches = scan::aggregate(black_box(&data), lo, hi, &live, 0, &mut bounds);
             (matches, bounds.min_max())
         },
-        || scan::scalar::aggregate_in_range(black_box(&data), lo, hi),
+        || masked::aggregate((black_box(&data), lo, hi, &live)),
     );
     push_row("aggregate", pct, Some(dead_pct), p.best_ns, r.best_ns);
+}
+
+/// Per-row references of the masked cells, shaped like the engine's
+/// `execute_reference_with_deletes`: a row is a hit when it is live and
+/// in `[lo, hi]`. The `(min, max)` by-product folds every row, live or
+/// not, as the production kernels' [`Bounds`] does.
+mod masked {
+    use ads_storage::scan::RangeAggregates;
+    use ads_storage::{DataValue, DeleteVector};
+
+    /// A masked cell's input: the column, `lo`, `hi` and its tombstones.
+    pub(super) type Cell<'a, T> = (&'a [T], T, T, &'a DeleteVector);
+
+    /// Feeds every row to `all` and every hit, with its row, to `hit`;
+    /// returns the hits.
+    #[inline(always)]
+    fn fold<T: DataValue>(
+        (data, lo, hi, live): Cell<'_, T>,
+        mut all: impl FnMut(T),
+        mut hit: impl FnMut(usize, T),
+    ) -> usize {
+        let mut count = 0;
+        for (i, &v) in data.iter().enumerate() {
+            all(v);
+            if live.is_deleted(i) || !(v.ge_total(&lo) && v.le_total(&hi)) {
+                continue;
+            }
+            count += 1;
+            hit(i, v);
+        }
+        count
+    }
+
+    pub(super) fn count<T: DataValue>(cell: Cell<'_, T>) -> usize {
+        fold(cell, |_| {}, |_, _| {})
+    }
+
+    pub(super) fn sum<T: DataValue>(cell: Cell<'_, T>) -> (usize, f64) {
+        let mut sum = 0.0;
+        (fold(cell, |_| {}, |_, v| sum += v.to_f64()), sum)
+    }
+
+    pub(super) fn count_minmax<T: DataValue>(cell: Cell<'_, T>) -> (usize, T, T) {
+        let (mut min, mut max) = (T::MAX_VALUE, T::MIN_VALUE);
+        let all = |v: T| (min, max) = (min.min_total(v), max.max_total(v));
+        (fold(cell, all, |_, _| {}), min, max)
+    }
+
+    pub(super) fn aggregate<T: DataValue>(cell: Cell<'_, T>) -> RangeAggregates<T> {
+        let (mut range_min, mut range_max) = (T::MAX_VALUE, T::MIN_VALUE);
+        let (mut sum, mut match_min, mut match_max) = (0.0, T::MAX_VALUE, T::MIN_VALUE);
+        let count = fold(
+            cell,
+            |v| (range_min, range_max) = (range_min.min_total(v), range_max.max_total(v)),
+            |_, v| {
+                sum += v.to_f64();
+                (match_min, match_max) = (match_min.min_total(v), match_max.max_total(v));
+            },
+        );
+        RangeAggregates {
+            count,
+            sum,
+            range_min,
+            range_max,
+            match_min,
+            match_max,
+        }
+    }
+
+    pub(super) fn collect_minmax<T: DataValue>(
+        cell: Cell<'_, T>,
+        out: &mut Vec<u32>,
+    ) -> (usize, T, T) {
+        let (mut min, mut max) = (T::MAX_VALUE, T::MIN_VALUE);
+        let all = |v: T| (min, max) = (min.min_total(v), max.max_total(v));
+        // narrowing: row ids are u32 by the storage-wide contract.
+        (fold(cell, all, |i, _| out.push(i as u32)), min, max)
+    }
 }
 
 /// Builds an adaptive zonemap with every zone Built — the steady state
@@ -541,11 +614,16 @@ fn built_zonemap(order: &[usize], rows_per_zone: usize) -> AdaptiveZonemap<i64> 
     let pred = RangePredicate::all();
     let out = zm.prune(&pred);
     let ranges = out
-        .units()
+        .units
         .iter()
         .map(|u| {
-            let base = (order[u.start / rows_per_zone] * rows_per_zone) as i64;
-            RangeObservation::new(*u, u.len(), base, base + rows_per_zone as i64 - 1)
+            let base = (order[u.range.start / rows_per_zone] * rows_per_zone) as i64;
+            RangeObservation::new(
+                u.range,
+                u.range.len(),
+                base,
+                base + rows_per_zone as i64 - 1,
+            )
         })
         .collect();
     zm.observe(&ScanObservation {
@@ -657,6 +735,62 @@ pub fn run(rows: usize, prune_zones: usize) -> KernelReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn masked_references_answer_as_the_kernels_do() {
+        fn check<T: DataValue>(data: &[T], lo: T, hi: T, live: &DeleteVector) {
+            let by = |f: &dyn Fn(&mut Bounds<T>) -> usize| {
+                let mut bounds = Bounds::new();
+                let n = f(&mut bounds);
+                let (min, max) = bounds.min_max();
+                (n, min, max)
+            };
+            assert_eq!(
+                masked::count((data, lo, hi, live)),
+                scan::count(data, lo, hi, live, 0, &mut NoByProduct)
+            );
+            assert_eq!(
+                masked::sum((data, lo, hi, live)),
+                scan::sum(data, lo, hi, live, 0, &mut NoByProduct)
+            );
+            assert_eq!(
+                masked::count_minmax((data, lo, hi, live)),
+                by(&|b| scan::count(data, lo, hi, live, 0, b))
+            );
+            let reference = masked::aggregate((data, lo, hi, live));
+            let mut bounds = Bounds::new();
+            let m = scan::aggregate(data, lo, hi, live, 0, &mut bounds);
+            assert_eq!(
+                (m.count, m.sum, m.min, m.max, bounds.min_max()),
+                (
+                    reference.count,
+                    reference.sum,
+                    reference.match_min,
+                    reference.match_max,
+                    (reference.range_min, reference.range_max)
+                )
+            );
+            let (mut positions, mut ref_positions) = (Vec::new(), Vec::new());
+            let mut bounds = Bounds::new();
+            let hits = scan::collect(data, lo, hi, live, 0, &mut positions, &mut bounds);
+            let (min, max) = bounds.min_max();
+            assert_eq!(
+                masked::collect_minmax((data, lo, hi, live), &mut ref_positions),
+                (hits, min, max)
+            );
+            assert_eq!(positions, ref_positions);
+        }
+        let base = gen_column(5000, 11);
+        for dead_pct in TOMBSTONES {
+            let live = tombstones(base.len(), dead_pct);
+            for pct in [MASKED_SELECTIVITY, 100] {
+                let hi = sel_bound(pct);
+                check(&base, 0, hi, &live);
+                let floats: Vec<f64> = base.iter().map(|&v| v as f64 * 0.5).collect();
+                check(&floats, 0.0, hi as f64 * 0.5, &live);
+            }
+        }
+    }
 
     #[test]
     fn built_zonemaps_are_fully_built_and_decide_as_the_reference() {

@@ -4,21 +4,25 @@
 use crate::adaptive::zone::ZoneState;
 use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap, ReorgReport};
 use crate::index::SkippingIndex;
-use crate::outcome::{PruneOutcome, RangeObservation, ScanObservation, UnitRequest};
+use crate::outcome::{
+    PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest, UnitWork,
+};
 use crate::predicate::RangePredicate;
 use ads_storage::scan::{self, AllLive, Bins, Bounds};
 use ads_storage::RowRange;
 
-/// Scans unit `i` of `out` the way the engine does: the answer, plus
-/// exactly the by-products the prune asked for — nothing it did not.
-fn scan_unit(
-    out: &PruneOutcome,
-    i: usize,
-    data: &[i64],
-    pred: RangePredicate<i64>,
-) -> RangeObservation<i64> {
-    let unit = out.units()[i];
-    let request = out.unit_request(i);
+/// Scans `unit` the way the engine does: the answer, plus exactly the
+/// by-products the prune asked for — nothing it did not. A positional
+/// unit reports its zone's exact bounds, as the executor's does.
+fn scan_unit(unit: &ScanUnit, data: &[i64], pred: RangePredicate<i64>) -> RangeObservation<i64> {
+    let request = match unit.work {
+        UnitWork::Scan(request) => request,
+        UnitWork::Positional { .. } => UnitRequest {
+            bounds: true,
+            bins: None,
+        },
+    };
+    let unit = unit.range;
     let layout = request.bins.map_or((0.0, 0.0), |l| (l.lo_f, l.hi_f));
     let mut by = (Bounds::new(), Bins::new(layout.0, layout.1));
     let slice = &data[unit.start..unit.end];
@@ -39,11 +43,9 @@ fn run_query(
     pred: RangePredicate<i64>,
 ) -> (usize, usize) {
     let out = zm.prune(&pred);
-    let ranges: Vec<_> = (0..out.units().len())
-        .map(|i| scan_unit(&out, i, data, pred))
-        .collect();
+    let ranges: Vec<_> = out.units.iter().map(|u| scan_unit(u, data, pred)).collect();
     let count = out.rows_full_match() + ranges.iter().map(|o| o.qualifying).sum::<usize>();
-    let scanned = out.must_scan.covered_rows();
+    let scanned = out.unit_set().covered_rows();
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
@@ -420,7 +422,7 @@ fn full_match_zones_are_answered_without_scanning() {
     run_query(&mut zm, &data, pred); // builds
     let out = zm.prune(&pred);
     assert_eq!(out.rows_full_match(), 4096);
-    assert_eq!(out.must_scan.covered_rows(), 0);
+    assert!(out.units.is_empty());
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: Vec::new(),
@@ -460,7 +462,7 @@ fn empty_column() {
     let mut zm = AdaptiveZonemap::<i64>::new(0, small_config());
     assert!(zm.is_empty());
     let out = zm.prune(&RangePredicate::all());
-    assert_eq!(out.must_scan.covered_rows(), 0);
+    assert!(out.units.is_empty());
     assert_eq!(out.zones_probed, 0);
 }
 
@@ -650,8 +652,10 @@ fn masks_keep_paying_on_uniform_data_with_narrow_predicates() {
         let out_skips = {
             let out = zm.prune(&pred);
             // Complete the protocol manually for this inspection loop.
-            let ranges = (0..out.units().len())
-                .map(|i| scan_unit(&out, i, &data, pred))
+            let ranges = out
+                .units
+                .iter()
+                .map(|u| scan_unit(u, &data, pred))
                 .collect();
             zm.observe(&ScanObservation {
                 predicate: pred,
@@ -911,17 +915,18 @@ fn boundsless_feedback_never_builds_a_revived_zone() {
         let stale = stale.unwrap_or_else(|| zm.clone());
 
         let out = stale.prune_shared(&all);
-        assert_eq!(out.units().len(), 1);
-        assert_eq!(out.unit_request(0), UnitRequest::NOTHING);
+        assert_eq!(out.units.len(), 1);
+        assert_eq!(out.units[0].work, UnitWork::Scan(UnitRequest::NOTHING));
         let obs = ScanObservation {
             predicate: all,
-            ranges: vec![scan_unit(&out, 0, &data, all)],
+            ranges: vec![scan_unit(&out.units[0], &data, all)],
         };
         assert!(obs.ranges[0].bounds.is_none());
 
         assert!(zm.poll_revival(), "the dead zone is due");
         assert_eq!(zm.zone_snapshot()[0].1, "unbuilt");
-        assert_eq!(zm.zone_snapshot()[0].0, out.units()[0], "same row range");
+        let range = out.units[0].range;
+        assert_eq!(zm.zone_snapshot()[0].0, range, "same row range");
         zm.apply_feedback(&obs);
         zm.assert_invariants();
         assert_eq!(
@@ -951,23 +956,19 @@ fn read_through(
     let out = snapshot.prune_shared(&pred);
     ScanObservation {
         predicate: pred,
-        ranges: (0..out.units().len())
-            .map(|i| scan_unit(&out, i, data, pred))
-            .collect(),
+        ranges: out.units.iter().map(|u| scan_unit(u, data, pred)).collect(),
     }
 }
 
 /// Everything the executor acts on in `out` (DESIGN.md "What a reader
-/// reads off a snapshot"): the scan units with their by-product requests,
+/// reads off a snapshot"): the units with their by-product requests,
 /// the full-match spans, the skip count and how each reorganized zone
 /// resolved, down to the payload it resolved against.
 fn reader_decisions(out: &PruneOutcome) -> impl PartialEq + std::fmt::Debug {
     (
-        out.units().to_vec(),
-        out.unit_requests.clone(),
+        out.units.clone(),
         out.full_match.clone(),
         (out.zones_probed, out.zones_skipped),
-        out.reorg_units.clone(),
     )
 }
 
@@ -1151,7 +1152,7 @@ fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
     let productive = RangePredicate::between(400, 600);
     let asks_for_mask = |zm: &AdaptiveZonemap<i64>| {
         let out = zm.prune_shared(&wasted);
-        out.unit_request(0).bins.is_some()
+        matches!(out.units[0].work, UnitWork::Scan(request) if request.bins.is_some())
     };
     // A scan told to collect nothing beyond the answer, whatever the
     // snapshot it pruned said: the mask never lands, the evidence does.
@@ -1265,7 +1266,9 @@ fn a_positional_prune_writes_no_payload() {
     let epoch = zm.mutation_epoch();
     for q in 0..16 {
         let pred = RangePredicate::between(900 + q, 950 + 3 * q);
-        assert_eq!(zm.prune(&pred).reorg_units.len(), 1, "query {q}");
+        let out = zm.prune(&pred);
+        let positional = |u: &&ScanUnit| matches!(u.work, UnitWork::Positional { .. });
+        assert_eq!(out.units.iter().filter(positional).count(), 1, "query {q}");
         zm.apply_feedback(&read_through(&published, &data, pred));
     }
     let payload = |m: &AdaptiveZonemap<i64>| m.zones[0].reorg_payload().cloned();
@@ -1469,10 +1472,10 @@ fn a_run_is_crossed_with_two_binary_searches_deciding_as_the_linear_walk() {
         assert_eq!(zm.prune(&pred), linear, "{pred:?}");
         let want = data.iter().filter(|&&v| pred.matches(v)).count();
         let have: usize = linear
-            .units()
+            .units
             .iter()
             .map(|u| {
-                data[u.start..u.end]
+                data[u.range.start..u.range.end]
                     .iter()
                     .filter(|&&v| pred.matches(v))
                     .count()

@@ -39,7 +39,7 @@ use crate::adaptive::zone::{
 };
 use crate::cost::CostModel;
 use crate::index::SkippingIndex;
-use crate::outcome::{MaskRequest, PruneOutcome, ReorgUnit, ScanObservation, UnitRequest};
+use crate::outcome::{MaskRequest, Payload, PruneOutcome, ScanObservation, UnitRequest, UnitWork};
 use crate::predicate::RangePredicate;
 use crate::stats::{IndexStats, PruneStats, ZoneStats};
 use crate::trace::{AdaptEvent, AdaptTrace};
@@ -849,7 +849,7 @@ fn probe_zone<T: DataValue>(
         // Unbuilt and Dead zones scan identically; only the former can
         // learn from it.
         let zone = &w.map().zones[idx];
-        out.push_unit(zone.range(), scan_request(zone, None));
+        out.push_unit(zone.range(), UnitWork::Scan(scan_request(zone, None)));
         out.record_decision(zone.range(), "scan:unbuilt");
         return;
     };
@@ -887,15 +887,17 @@ fn probe_zone<T: DataValue>(
             // as positional.
             let payload = zone.reorg_payload().expect("positional, no payload");
             let full = payload.lookup(pred.lo, pred.hi);
-            out.reorg_units.push(ReorgUnit {
-                zone: range,
-                full: RowRange::new(full.start, full.end),
-                payload: Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>,
-            });
+            out.push_unit(
+                range,
+                UnitWork::Positional {
+                    full: RowRange::new(full.start, full.end),
+                    payload: Payload(Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>),
+                },
+            );
             "positional"
         }
         OverlapAction::Scan(request) => {
-            out.push_unit(range, request);
+            out.push_unit(range, UnitWork::Scan(request));
             "scan"
         }
     };

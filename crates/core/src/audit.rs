@@ -26,7 +26,7 @@
 //! at zero test-code cost. `ads-audit` (in `crates/engine`) sweeps
 //! random seeds through the same hook.
 
-use crate::outcome::PruneOutcome;
+use crate::outcome::{PruneOutcome, UnitWork};
 use crate::predicate::RangePredicate;
 use ads_storage::{DataValue, DeleteVector, RangeSet, ReorgZone, RowRange};
 
@@ -49,16 +49,19 @@ pub struct AuditDecision {
 /// *earlier* conjuncts, not by this outcome). `source` names the call
 /// site for the abort message.
 ///
-/// Three checks, all against a per-row recompute:
+/// First the outcome's shape: its units are ascending, pairwise
+/// disjoint and disjoint from `full_match`, and each positional unit's
+/// `full` span lies inside its payload. Then three checks, all against a
+/// per-row recompute:
 ///
 /// 1. **No false skips**: every live in-scope row satisfying `pred`
-///    lies in `must_scan` ∪ `full_match` ∪ a reorg unit's zone.
+///    lies in a unit or in `full_match`.
 /// 2. **Full-match purity**: every live in-scope row of `full_match`
 ///    satisfies `pred`.
-/// 3. **Positional exactness**: within a reorg unit, every `full`-span
-///    view position satisfies `pred`, and no live, in-scope position
-///    outside it does (the span is claimed to be the zone's answer,
-///    with no per-row test).
+/// 3. **Positional exactness**: within a positional unit, every
+///    `full`-span view position satisfies `pred`, and no live, in-scope
+///    position outside it does (the span is claimed to be the zone's
+///    answer, with no per-row test).
 pub fn verify_outcome<T: DataValue>(
     target: &[T],
     live: Option<&DeleteVector>,
@@ -69,15 +72,11 @@ pub fn verify_outcome<T: DataValue>(
 ) {
     let in_scope = |row: usize| within.is_none_or(|w| w.contains(row));
     let is_live = |row: usize| live.is_none_or(|dv| !dv.is_deleted(row));
+    let positional = verify_shape::<T>(outcome, source);
 
     // Check 1: no false skips. Walk the complement of the outcome's
     // coverage; any live qualifying row there was wrongly excluded.
-    let mut covered = outcome.must_scan.union(&outcome.full_match);
-    for ru in &outcome.reorg_units {
-        let mut zone = RangeSet::new();
-        zone.push_span(ru.zone.start, ru.zone.end);
-        covered = covered.union(&zone);
-    }
+    let covered = outcome.unit_set().union(&outcome.full_match);
     for gap in covered.complement(target.len()).ranges() {
         for (off, &v) in target[gap.start..gap.end].iter().enumerate() {
             let row = gap.start + off;
@@ -105,29 +104,22 @@ pub fn verify_outcome<T: DataValue>(
         }
     }
 
-    // Check 3: positional exactness of reorg units.
-    for ru in &outcome.reorg_units {
-        let Some(payload) = ru.payload.downcast_ref::<ReorgZone<T>>() else {
-            panic!(
-                "shadow-oracle VIOLATION [{source}]: reorg unit over zone \
-                 {:?} carries a payload of the wrong value type",
-                ru.zone
-            );
-        };
+    // Check 3: positional exactness.
+    for (zone, full, payload) in positional {
         let values = payload.values();
         let rowids = payload.rowids();
         for pos in 0..values.len() {
             // narrowing: rowids are u32 by column construction (rows <= u32::MAX).
             let base_row = rowids[pos] as usize;
             let qualifies = pred.matches(values[pos]);
-            if ru.full.contains(pos) {
+            if full.contains(pos) {
                 if !qualifies {
                     panic!(
                         "shadow-oracle VIOLATION [{source}]: view position \
                          {pos} (base row {base_row}, value {:?}) lies in the \
-                         positional full span of zone {:?} but does not \
+                         positional full span of zone {zone:?} but does not \
                          satisfy predicate [{:?}, {:?}]",
-                        values[pos], ru.zone, pred.lo, pred.hi
+                        values[pos], pred.lo, pred.hi
                     );
                 }
             } else if qualifies && is_live(base_row) && in_scope(base_row) {
@@ -135,6 +127,49 @@ pub fn verify_outcome<T: DataValue>(
             }
         }
     }
+}
+
+/// Checks the shape of `outcome.units`, panicking on the first unit out
+/// of order, overlapping its predecessor or `full_match`, or claiming a
+/// positional span its payload does not hold. Returns the positional
+/// units with their payloads downcast, for the exactness check.
+fn verify_shape<'a, T: DataValue>(
+    outcome: &'a PruneOutcome,
+    source: &str,
+) -> Vec<(RowRange, RowRange, &'a ReorgZone<T>)> {
+    let fm = outcome.full_match.ranges();
+    let mut positional = Vec::new();
+    let violation = format!("shadow-oracle VIOLATION [{source}]");
+    for (i, unit) in outcome.units.iter().enumerate() {
+        let r = unit.range;
+        if let Some(prev) = i.checked_sub(1).map(|p| outcome.units[p].range) {
+            assert!(
+                prev.start <= r.start,
+                "{violation}: unit {i} {r:?} starts before unit {prev:?} — units out of order"
+            );
+            assert!(
+                prev.end <= r.start,
+                "{violation}: unit {i} {r:?} overlaps the unit before it, {prev:?}"
+            );
+        }
+        let f = fm.get(fm.partition_point(|f| f.end <= r.start));
+        assert!(
+            f.is_none_or(|f| r.end <= f.start),
+            "{violation}: unit {i} {r:?} overlaps full_match range {f:?}"
+        );
+        if let UnitWork::Positional { full, payload } = &unit.work {
+            let payload = payload.0.downcast_ref::<ReorgZone<T>>().unwrap_or_else(|| {
+                panic!("{violation}: positional unit over zone {r:?} carries a payload of the wrong value type")
+            });
+            let rows = payload.values().len();
+            assert!(
+                full.end <= rows,
+                "{violation}: positional unit over zone {r:?} claims view span {full:?} of a {rows}-row payload"
+            );
+            positional.push((r, *full, payload));
+        }
+    }
+    positional
 }
 
 /// The abort path of the auditor: a qualifying live row the prune
@@ -149,8 +184,8 @@ fn abort_false_skip<T: DataValue>(
 ) -> ! {
     panic!(
         "shadow-oracle FALSE SKIP [{source}]: row {row} (value {value:?}) \
-         satisfies predicate [{:?}, {:?}] but is covered by neither \
-         must_scan, full_match, nor a reorg unit; {}",
+         satisfies predicate [{:?}, {:?}] but is covered by neither a \
+         unit nor full_match; {}",
         pred.lo,
         pred.hi,
         trace_for(outcome, row)
@@ -205,7 +240,7 @@ mod tests {
         let d = data();
         let mut outcome = PruneOutcome::default();
         // Rows 0..50 scanned; 50..100 skipped — sound for pred <= 30.
-        outcome.must_scan.push_span(0, 50);
+        outcome.push_scan(0, 50);
         outcome.record_decision(RowRange::new(0, 50), "scan");
         outcome.record_decision(RowRange::new(50, 100), "skip:bounds");
         verify_outcome(
@@ -224,7 +259,7 @@ mod tests {
         let d = data();
         let mut outcome = PruneOutcome::default();
         // Rows 60..70 qualify but only 0..50 is covered.
-        outcome.must_scan.push_span(0, 50);
+        outcome.push_scan(0, 50);
         outcome.record_decision(RowRange::new(50, 100), "skip:bounds");
         verify_outcome(
             &d,
@@ -244,7 +279,7 @@ mod tests {
             live.delete(row);
         }
         let mut outcome = PruneOutcome::default();
-        outcome.must_scan.push_span(0, 50);
+        outcome.push_scan(0, 50);
         // Qualifying rows 60..69 are all tombstoned: skipping them is sound.
         verify_outcome(
             &d,
@@ -260,7 +295,7 @@ mod tests {
     fn out_of_scope_rows_may_be_skipped() {
         let d = data();
         let mut outcome = PruneOutcome::default();
-        outcome.must_scan.push_span(0, 50);
+        outcome.push_scan(0, 50);
         let mut within = RangeSet::new();
         within.push_span(0, 50);
         // Rows 60..69 qualify but earlier conjuncts already excluded them.
@@ -274,7 +309,7 @@ mod tests {
         );
     }
 
-    /// An outcome resolving the whole of `d` as one reorg unit over a
+    /// An outcome resolving the whole of `d` as one positional unit over a
     /// payload built from a shuffled copy, whose `full` span is the
     /// lookup's for `pred` with its end moved by `shift` view positions.
     fn positional(d: &[i64], pred: &RangePredicate<i64>, shift: isize) -> PruneOutcome {
@@ -282,11 +317,13 @@ mod tests {
         let payload = ReorgZone::build(&shuffled, 0);
         let run = payload.lookup(pred.lo, pred.hi);
         let mut outcome = PruneOutcome::default();
-        outcome.reorg_units.push(crate::outcome::ReorgUnit {
-            zone: RowRange::new(0, d.len()),
-            full: RowRange::new(run.start, run.end.saturating_add_signed(shift)),
-            payload: std::sync::Arc::new(payload),
-        });
+        outcome.push_unit(
+            RowRange::new(0, d.len()),
+            UnitWork::Positional {
+                full: RowRange::new(run.start, run.end.saturating_add_signed(shift)),
+                payload: crate::outcome::Payload(std::sync::Arc::new(payload)),
+            },
+        );
         outcome.record_decision(RowRange::new(0, d.len()), "positional");
         outcome
     }
@@ -312,6 +349,55 @@ mod tests {
         let d = data();
         let pred = RangePredicate::between(10, 20);
         verify_outcome(&d, None, &pred, &positional(&d, &pred, 1), None, "test");
+    }
+
+    #[test]
+    #[should_panic(expected = "positional unit over zone")]
+    fn positional_span_past_the_payload_aborts() {
+        let d = data();
+        let pred = RangePredicate::between(95, 99);
+        verify_outcome(&d, None, &pred, &positional(&d, &pred, 1), None, "test");
+    }
+
+    /// An outcome scanning `units` (each a plain unit, as written) over
+    /// a column where every row qualifies for the audited predicate.
+    fn shaped(units: &[(usize, usize)]) -> PruneOutcome {
+        let mut outcome = PruneOutcome::default();
+        for &(start, end) in units {
+            outcome.push_unit(
+                RowRange::new(start, end),
+                UnitWork::Scan(crate::outcome::UnitRequest {
+                    bounds: false,
+                    bins: None,
+                }),
+            );
+        }
+        outcome
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps the unit before it")]
+    fn overlapping_unit_aborts() {
+        let d = data();
+        let outcome = shaped(&[(0, 60), (50, 100)]);
+        verify_outcome(&d, None, &RangePredicate::all(), &outcome, None, "test");
+    }
+
+    #[test]
+    #[should_panic(expected = "units out of order")]
+    fn out_of_order_unit_aborts() {
+        let d = data();
+        let outcome = shaped(&[(50, 100), (0, 50)]);
+        verify_outcome(&d, None, &RangePredicate::all(), &outcome, None, "test");
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps full_match")]
+    fn unit_overlapping_full_match_aborts() {
+        let d = data();
+        let mut outcome = shaped(&[(0, 50)]);
+        outcome.full_match.push_span(40, 100);
+        verify_outcome(&d, None, &RangePredicate::all(), &outcome, None, "test");
     }
 
     #[test]

@@ -179,10 +179,7 @@ mod tests {
         }
 
         fn prune(&mut self, _pred: &RangePredicate<i64>) -> PruneOutcome {
-            PruneOutcome {
-                must_scan: RangeSet::full(10),
-                ..Default::default()
-            }
+            PruneOutcome::scan_all(10)
         }
 
         fn on_append(&mut self, _appended: &[i64], _base: &[i64]) {}
@@ -203,7 +200,7 @@ mod tests {
         d.translate_positions(&mut pos);
         assert_eq!(pos, vec![1, 2]);
         let out = d.prune(&RangePredicate::all());
-        assert_eq!(out.must_scan.covered_rows(), 10);
+        assert_eq!(out.unit_set().covered_rows(), 10);
         d.observe(&ScanObservation {
             predicate: RangePredicate::all(),
             ranges: Vec::new(),
@@ -212,7 +209,7 @@ mod tests {
         let mut alive = RangeSet::new();
         alive.push_span(2, 6);
         let restricted = d.prune_within(&RangePredicate::all(), &alive);
-        assert_eq!(restricted.must_scan.covered_rows(), 4);
+        assert_eq!(restricted.unit_set().covered_rows(), 4);
     }
 
     #[test]

@@ -44,18 +44,18 @@
 //! let outcome = zm.prune(&pred);
 //! let mut observations = Vec::new();
 //! let mut count = outcome.rows_full_match();
-//! for unit in outcome.units() {
-//!     let (q, min, max) =
-//!         scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
+//! for unit in &outcome.units {
+//!     let r = unit.range;
+//!     let (q, min, max) = scan::count_in_range_with_minmax(&data[r.start..r.end], pred.lo, pred.hi);
 //!     count += q;
-//!     observations.push(RangeObservation::new(*unit, q, min, max));
+//!     observations.push(RangeObservation::new(r, q, min, max));
 //! }
 //! zm.observe(&ScanObservation { predicate: pred, ranges: observations });
 //! assert_eq!(count, 100);
 //!
 //! // The second identical query skips nearly everything.
 //! let outcome = zm.prune(&pred);
-//! assert!(outcome.must_scan.covered_rows() < 10_000);
+//! assert!(outcome.unit_set().covered_rows() < 10_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,7 +74,9 @@ pub mod zonemap_static;
 
 pub use cost::CostModel;
 pub use index::{ScanCoords, SkippingIndex};
-pub use outcome::{PruneOutcome, RangeObservation, ReorgUnit, ScanObservation, UnitRequest};
+pub use outcome::{
+    Payload, PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest, UnitWork,
+};
 pub use predicate::RangePredicate;
 pub use stats::{IndexStats, PruneStats, ZoneStats};
 pub use trace::{AdaptEvent, AdaptTrace, TraceTotals};

@@ -70,84 +70,79 @@ impl UnitRequest {
     }
 }
 
-/// A positional scan unit over one reorganized zone.
-///
-/// The prune resolved the predicate against the zone's sorted payload:
-/// the view positions in `full` are exactly the zone's qualifying rows,
-/// and the payload's rowid permutation maps them back to base rows. The
-/// payload `Arc` travels *inside* the outcome so decision and data are
-/// published atomically — an executor can never pair this span with a
-/// different payload (no torn zones by construction).
-///
-/// The payload is type-erased (`dyn Any`) so `PruneOutcome` stays
-/// non-generic; executors downcast it to `ReorgZone<T>` for the column's
-/// value type.
+/// A reorganized zone's payload, type-erased (`dyn Any`) so
+/// `PruneOutcome` stays non-generic: executors downcast it to
+/// `ads_storage::ReorgZone<T>` for the column's value type. Two payloads
+/// are equal when they are the same allocation.
 #[derive(Clone)]
-pub struct ReorgUnit {
-    /// The zone's row range in base coordinates.
-    pub zone: RowRange,
-    /// View positions (into the payload) that all qualify.
-    pub full: RowRange,
-    /// The reorganized payload; downcast to `ads_storage::ReorgZone<T>`.
-    pub payload: Arc<dyn std::any::Any + Send + Sync>,
-}
+pub struct Payload(pub Arc<dyn std::any::Any + Send + Sync>);
 
-impl ReorgUnit {
-    /// View rows known to qualify without any test.
-    pub fn full_rows(&self) -> usize {
-        self.full.len()
-    }
-}
-
-impl std::fmt::Debug for ReorgUnit {
+impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReorgUnit")
-            .field("zone", &self.zone)
-            .field("full", &self.full)
-            .finish_non_exhaustive()
+        f.write_str("Payload(..)")
     }
 }
 
-impl PartialEq for ReorgUnit {
+impl PartialEq for Payload {
     fn eq(&self, other: &Self) -> bool {
-        self.zone == other.zone
-            && self.full == other.full
-            && Arc::ptr_eq(&self.payload, &other.payload)
+        Arc::ptr_eq(&self.0, &other.0)
     }
+}
+
+/// What the executor does over one [`ScanUnit`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum UnitWork {
+    /// Test every row of the unit against the predicate, computing the
+    /// by-products the request asks for in the same pass.
+    Scan(UnitRequest),
+    /// Resolve the unit — one reorganized zone — positionally.
+    ///
+    /// The prune resolved the predicate against the zone's sorted
+    /// payload: the view positions in `full` are exactly the zone's
+    /// qualifying rows, and the payload's rowid permutation maps them
+    /// back to base rows. The payload travels *inside* the outcome so
+    /// decision and data are published atomically — an executor can never
+    /// pair this span with a different payload (no torn zones by
+    /// construction).
+    Positional {
+        /// View positions (into the payload) that all qualify.
+        full: RowRange,
+        /// The reorganized zone the span indexes.
+        payload: Payload,
+    },
+}
+
+/// One entry of a prune's scan work: a row range the metadata could not
+/// exclude, and what the executor does there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanUnit {
+    /// The unit's rows, in the index's scan coordinates.
+    pub range: RowRange,
+    /// How the executor resolves them.
+    pub work: UnitWork,
 }
 
 /// What a skipping index tells the executor after pruning a predicate.
 ///
-/// Soundness contract: every qualifying row lies in `must_scan`,
-/// `full_match`, or a `reorg_units` zone (in the index's scan coordinates
-/// — base-table positions for positional indexes, view positions for
-/// indexes that answer from their own reorganised copy, such as cracking).
-/// The `audit` feature checks this contract at runtime: see
-/// [`crate::audit`].
+/// Soundness contract: every qualifying row lies in a unit of `units` or
+/// in `full_match` (in the index's scan coordinates — base-table
+/// positions for positional indexes, view positions for indexes that
+/// answer from their own reorganised copy, such as cracking). The units
+/// are ascending, pairwise disjoint and disjoint from `full_match`. The
+/// `audit` feature checks both the contract and the shape at runtime:
+/// see [`crate::audit`].
 #[derive(Debug, Clone, Default)]
 pub struct PruneOutcome {
-    /// Ranges the executor must scan and filter. Disjoint from `full_match`.
-    pub must_scan: RangeSet,
-    /// The units the executor should scan *individually*, reporting one
-    /// [`RangeObservation`] per unit. Same total coverage as `must_scan`
-    /// but possibly finer: adaptive zonemaps emit one unit per zone so the
-    /// fed-back `(min, max)` is exact at zone granularity. Empty means
-    /// "use `must_scan.ranges()` as the units".
-    pub scan_units: Vec<RowRange>,
-    /// Per-unit by-product requests, aligned 1:1 with `scan_units` when
-    /// non-empty; empty means "nothing wanted anywhere" (what every index
-    /// that learns nothing from scans emits). A scan honouring entry `i`
-    /// computes what it asks for over unit `i` in the same pass and
-    /// returns it in the unit's [`RangeObservation`].
-    pub unit_requests: Vec<UnitRequest>,
+    /// The scan work, in ascending row order. The executor resolves each
+    /// unit individually and reports one [`RangeObservation`] per unit,
+    /// in this order. Adaptive zonemaps emit one unit per zone, so the
+    /// fed-back `(min, max)` is exact at zone granularity; indexes that
+    /// learn nothing from scans emit coalesced ranges
+    /// ([`PruneOutcome::push_scan`]).
+    pub units: Vec<ScanUnit>,
     /// Ranges known to contain *only* qualifying rows (predicate contains
     /// the zone's value range). COUNT-style queries take these for free.
     pub full_match: RangeSet,
-    /// Positional units over reorganized zones, one per overlapping
-    /// reorganized zone, disjoint from `must_scan` and `full_match`.
-    /// Executors that cannot handle positional units demote them via
-    /// [`PruneOutcome::demote_reorg_units`].
-    pub reorg_units: Vec<ReorgUnit>,
     /// Zone-metadata entries examined to produce this outcome — the
     /// "metadata reads" whose cost the paper warns about.
     pub zones_probed: usize,
@@ -165,11 +160,8 @@ pub struct PruneOutcome {
 /// Manual impl: every field except the cfg-gated `audit_trace`.
 impl PartialEq for PruneOutcome {
     fn eq(&self, other: &Self) -> bool {
-        self.must_scan == other.must_scan
-            && self.scan_units == other.scan_units
-            && self.unit_requests == other.unit_requests
+        self.units == other.units
             && self.full_match == other.full_match
-            && self.reorg_units == other.reorg_units
             && self.zones_probed == other.zones_probed
             && self.zones_skipped == other.zones_skipped
     }
@@ -178,18 +170,16 @@ impl PartialEq for PruneOutcome {
 impl PruneOutcome {
     /// An outcome that scans everything: what a store without skipping does.
     pub fn scan_all(rows: usize) -> Self {
-        PruneOutcome {
-            must_scan: RangeSet::full(rows),
-            ..Default::default()
-        }
+        let mut out = PruneOutcome::default();
+        out.push_scan(0, rows);
+        out
     }
 
     /// An empty outcome with the working capacities a zone-walking prune
     /// loop wants pre-reserved.
     pub fn for_prune() -> Self {
         PruneOutcome {
-            must_scan: RangeSet::with_capacity(32),
-            scan_units: Vec::with_capacity(32),
+            units: Vec::with_capacity(32),
             full_match: RangeSet::with_capacity(8),
             ..Default::default()
         }
@@ -208,31 +198,47 @@ impl PruneOutcome {
     #[inline(always)]
     pub fn record_decision(&mut self, _zone: RowRange, _action: &'static str) {}
 
-    /// Appends one scan unit with its by-product request, keeping
-    /// `must_scan`, `scan_units` and `unit_requests` aligned.
+    /// Appends one zone's unit: the writer of an index that scans zone by
+    /// zone and learns from each.
     #[inline]
-    pub fn push_unit(&mut self, unit: RowRange, request: UnitRequest) {
-        self.must_scan.push_span(unit.start, unit.end);
-        self.scan_units.push(unit);
-        self.unit_requests.push(request);
+    pub fn push_unit(&mut self, range: RowRange, work: UnitWork) {
+        self.units.push(ScanUnit { range, work });
     }
 
-    /// The by-product request for scan unit `i`.
-    pub fn unit_request(&self, i: usize) -> UnitRequest {
-        self.unit_requests
-            .get(i)
-            .copied()
-            .unwrap_or(UnitRequest::NOTHING)
-    }
-
-    /// The ranges the executor should scan one-by-one: `scan_units` when
-    /// the index provided them, the coalesced `must_scan` ranges otherwise.
-    pub fn units(&self) -> &[RowRange] {
-        if self.scan_units.is_empty() {
-            self.must_scan.ranges()
-        } else {
-            &self.scan_units
+    /// Appends rows to scan with nothing asked, coalescing with the
+    /// previous unit when adjacent: the writer of every index that learns
+    /// nothing from scans. The coalescing is part of the answer, not a
+    /// nicety — a SUM accumulates one running `f64` per unit, so cutting
+    /// a range in two changes its bits.
+    pub fn push_scan(&mut self, start: usize, end: usize) {
+        if start >= end {
+            return;
         }
+        if let Some(ScanUnit {
+            range,
+            work: UnitWork::Scan(request),
+        }) = self.units.last_mut()
+        {
+            if !request.wants_any() && start <= range.end {
+                range.end = range.end.max(end);
+                return;
+            }
+        }
+        self.push_unit(
+            RowRange::new(start, end),
+            UnitWork::Scan(UnitRequest::NOTHING),
+        );
+    }
+
+    /// The units' rows as one coalesced set, for the callers that reason
+    /// about coverage rather than work: the auditor and a conjunction's
+    /// alive set. Derived on each call; the units are the record.
+    pub fn unit_set(&self) -> RangeSet {
+        let mut set = RangeSet::with_capacity(self.units.len());
+        for unit in &self.units {
+            set.push(unit.range);
+        }
+        set
     }
 
     /// Rows answered from metadata alone.
@@ -244,73 +250,36 @@ impl PruneOutcome {
     /// per-row predicate tests — the reorg analogue of
     /// [`PruneOutcome::rows_full_match`].
     pub fn rows_positional_match(&self) -> usize {
-        self.reorg_units.iter().map(ReorgUnit::full_rows).sum()
-    }
-
-    /// Folds positional reorg units back into plain scan units over their
-    /// zones' base row ranges, dropping the positional spans and payload.
-    ///
-    /// Sound (the zone's base rows cover every row its payload permutes)
-    /// but slower: the executor re-tests the predicate row by row. Used
-    /// by paths that cannot carry positional units — conjunction
-    /// restriction and the type-erased table path. A demoted unit asks
-    /// for nothing: a reorganized zone's bounds are exact already.
-    pub fn demote_reorg_units(&self) -> PruneOutcome {
-        if self.reorg_units.is_empty() {
-            return self.clone();
-        }
-        let mut units: Vec<(RowRange, UnitRequest)> = self
-            .units()
+        self.units
             .iter()
-            .enumerate()
-            .map(|(i, u)| (*u, self.unit_request(i)))
-            .collect();
-        let mut must_scan = self.must_scan.clone();
-        for ru in &self.reorg_units {
-            units.push((ru.zone, UnitRequest::NOTHING));
-            let mut zone = RangeSet::new();
-            zone.push_span(ru.zone.start, ru.zone.end);
-            must_scan = must_scan.union(&zone);
-        }
-        units.sort_by_key(|(u, _)| u.start);
-        #[cfg_attr(not(feature = "audit"), allow(unused_mut))]
-        let mut out = PruneOutcome {
-            must_scan,
-            scan_units: units.iter().map(|(u, _)| *u).collect(),
-            unit_requests: units.iter().map(|(_, r)| *r).collect(),
-            full_match: self.full_match.clone(),
-            zones_probed: self.zones_probed,
-            zones_skipped: self.zones_skipped,
-            ..Default::default()
-        };
-        #[cfg(feature = "audit")]
-        {
-            out.audit_trace = self.audit_trace.clone();
-        }
-        out
+            .map(|unit| match &unit.work {
+                UnitWork::Positional { full, .. } => full.len(),
+                UnitWork::Scan(_) => 0,
+            })
+            .sum()
     }
 
     /// Restricts the outcome to rows still `alive` after earlier conjuncts.
     ///
-    /// `must_scan` and `full_match` are intersected with `alive`; scan
-    /// units are fragmented at `alive` boundaries so each surviving unit
-    /// is still a subrange of exactly one original unit (observation
-    /// alignment stays per-unit exact). A fragment keeps its unit's
-    /// bounds request only when it is the whole unit — the bounds of a
-    /// part say nothing about the zone — and bins are dropped: masks are
-    /// not collected on the restricted path. Reorg units are demoted to
-    /// plain units first: a positional span is meaningless under a
-    /// base-coordinate restriction. Probe counters are kept: the metadata
+    /// `full_match` is intersected with `alive`; units are fragmented at
+    /// `alive` boundaries so each surviving unit is still a subrange of
+    /// exactly one original unit (observation alignment stays per-unit
+    /// exact). A fragment keeps its unit's bounds request only when it is
+    /// the whole unit — the bounds of a part say nothing about the zone —
+    /// and bins are dropped: masks are not collected on the restricted
+    /// path. A positional unit is fragmented as a plain scan of its zone
+    /// that asks for nothing: a positional span is meaningless under a
+    /// base-coordinate restriction, and scanning the zone's base rows is
+    /// sound, since they hold every row its payload permutes, and its
+    /// bounds are exact already. Probe counters are kept: the metadata
     /// reads already happened.
     pub fn restrict_to(&self, alive: &RangeSet) -> PruneOutcome {
-        if !self.reorg_units.is_empty() {
-            return self.demote_reorg_units().restrict_to(alive);
-        }
         let mut units = Vec::new();
-        let mut requests = Vec::new();
         let alive_ranges = alive.ranges();
         let mut j = 0;
-        for (i, u) in self.units().iter().enumerate() {
+        for unit in &self.units {
+            let u = unit.range;
+            let bounds = matches!(unit.work, UnitWork::Scan(request) if request.bounds);
             // Advance past alive ranges entirely before this unit.
             while j < alive_ranges.len() && alive_ranges[j].end <= u.start {
                 j += 1;
@@ -320,30 +289,26 @@ impl PruneOutcome {
             let mut k = j;
             while k < alive_ranges.len() && alive_ranges[k].start < u.end {
                 if let Some(frag) = u.intersect(&alive_ranges[k]) {
-                    units.push(frag);
-                    requests.push(UnitRequest {
-                        bounds: frag == *u && self.unit_request(i).bounds,
+                    let request = UnitRequest {
+                        bounds: frag == u && bounds,
                         bins: None,
+                    };
+                    units.push(ScanUnit {
+                        range: frag,
+                        work: UnitWork::Scan(request),
                     });
                 }
                 k += 1;
             }
         }
-        #[cfg_attr(not(feature = "audit"), allow(unused_mut))]
-        let mut out = PruneOutcome {
-            must_scan: self.must_scan.intersect(alive),
-            scan_units: units,
-            unit_requests: requests,
+        PruneOutcome {
+            units,
             full_match: self.full_match.intersect(alive),
             zones_probed: self.zones_probed,
             zones_skipped: self.zones_skipped,
-            ..Default::default()
-        };
-        #[cfg(feature = "audit")]
-        {
-            out.audit_trace = self.audit_trace.clone();
+            #[cfg(feature = "audit")]
+            audit_trace: self.audit_trace.clone(),
         }
-        out
     }
 }
 
@@ -394,7 +359,9 @@ impl<T: DataValue> RangeObservation<T> {
 pub struct ScanObservation<T: DataValue> {
     /// The predicate that was evaluated.
     pub predicate: RangePredicate<T>,
-    /// One entry per scanned range of `PruneOutcome::must_scan`, in order.
+    /// The scanned ranges, ascending: the scan executor reports exactly
+    /// one per unit of [`PruneOutcome::units`], in unit order; a
+    /// conjunction reports finer pieces cut at every column's units.
     pub ranges: Vec<RangeObservation<T>>,
 }
 
@@ -425,59 +392,89 @@ mod tests {
     #[test]
     fn scan_all_covers_everything() {
         let o = PruneOutcome::scan_all(100);
-        assert_eq!(o.must_scan.covered_rows(), 100);
+        assert_eq!(o.units.len(), 1);
+        assert_eq!(o.unit_set().covered_rows(), 100);
         assert_eq!(o.rows_full_match(), 0);
         assert_eq!(o.zones_probed, 0);
+        assert!(PruneOutcome::scan_all(0).units.is_empty());
     }
 
     #[test]
-    fn units_fall_back_to_must_scan() {
+    fn push_scan_coalesces_only_plain_scans() {
         let mut o = PruneOutcome::default();
-        o.must_scan.push_span(0, 10);
-        o.must_scan.push_span(20, 30);
-        assert_eq!(o.units().len(), 2);
-        o.scan_units = vec![
-            RowRange::new(0, 5),
-            RowRange::new(5, 10),
-            RowRange::new(20, 30),
-        ];
-        assert_eq!(o.units().len(), 3);
+        o.push_scan(0, 10);
+        o.push_scan(10, 20);
+        o.push_scan(30, 40);
+        let ranges = |o: &PruneOutcome| o.units.iter().map(|u| u.range).collect::<Vec<_>>();
+        assert_eq!(ranges(&o), [RowRange::new(0, 20), RowRange::new(30, 40)]);
+        // A unit that asks for a by-product is its own zone's unit.
+        let request = UnitRequest {
+            bounds: true,
+            bins: None,
+        };
+        o.push_unit(RowRange::new(40, 50), UnitWork::Scan(request));
+        o.push_scan(50, 60);
+        assert_eq!(o.units.len(), 4);
+        assert_eq!(
+            o.unit_set().ranges(),
+            [RowRange::new(0, 20), RowRange::new(30, 60)]
+        );
+    }
+
+    fn scan(start: usize, end: usize, request: UnitRequest) -> ScanUnit {
+        ScanUnit {
+            range: RowRange::new(start, end),
+            work: UnitWork::Scan(request),
+        }
+    }
+
+    fn requests(o: &PruneOutcome) -> Vec<UnitRequest> {
+        o.units
+            .iter()
+            .map(|u| match u.work {
+                UnitWork::Scan(request) => request,
+                UnitWork::Positional { .. } => panic!("positional unit"),
+            })
+            .collect()
     }
 
     #[test]
     fn restrict_to_intersects_and_fragments_units() {
-        let mut o = PruneOutcome::default();
-        o.must_scan.push_span(0, 30);
-        o.scan_units = vec![
-            RowRange::new(0, 10),
-            RowRange::new(10, 20),
-            RowRange::new(20, 30),
-        ];
         let layout = MaskRequest {
             lo_f: 0.0,
             hi_f: 1.0,
         };
-        o.unit_requests = vec![
-            UnitRequest::NOTHING,
-            UnitRequest {
-                bounds: true,
-                bins: Some(layout),
-            },
-            UnitRequest {
-                bounds: true,
-                bins: None,
-            },
-        ];
+        let mut o = PruneOutcome {
+            units: vec![
+                scan(0, 10, UnitRequest::NOTHING),
+                scan(
+                    10,
+                    20,
+                    UnitRequest {
+                        bounds: true,
+                        bins: Some(layout),
+                    },
+                ),
+                scan(
+                    20,
+                    30,
+                    UnitRequest {
+                        bounds: true,
+                        bins: None,
+                    },
+                ),
+            ],
+            zones_probed: 4,
+            zones_skipped: 1,
+            ..Default::default()
+        };
         o.full_match.push_span(40, 50);
-        o.zones_probed = 4;
-        o.zones_skipped = 1;
         let mut alive = RangeSet::new();
         alive.push_span(5, 12);
         alive.push_span(18, 45);
         let r = o.restrict_to(&alive);
-        assert_eq!(r.must_scan.covered_rows(), 7 + 2 + 10);
         assert_eq!(
-            r.scan_units,
+            r.units.iter().map(|u| u.range).collect::<Vec<_>>(),
             vec![
                 RowRange::new(5, 10),
                 RowRange::new(10, 12),
@@ -486,49 +483,75 @@ mod tests {
             ]
         );
         // Each fragment sits inside exactly one original unit.
-        for frag in &r.scan_units {
+        for frag in &r.units {
             assert!(o
-                .scan_units
+                .units
                 .iter()
-                .any(|u| u.start <= frag.start && frag.end <= u.end));
+                .any(|u| u.range.start <= frag.range.start && frag.range.end <= u.range.end));
         }
         // Only the whole-unit fragment keeps its bounds request; the
         // fragment of the bins-requesting unit loses both.
+        let kept = requests(&r);
         assert_eq!(
-            r.unit_requests.iter().map(|q| q.bounds).collect::<Vec<_>>(),
+            kept.iter().map(|q| q.bounds).collect::<Vec<_>>(),
             [false, false, false, true]
         );
-        assert!(r.unit_requests.iter().all(|q| q.bins.is_none()));
+        assert!(kept.iter().all(|q| q.bins.is_none()));
         assert_eq!(r.full_match.covered_rows(), 5);
         assert_eq!(r.zones_probed, 4);
         assert_eq!(r.zones_skipped, 1);
-        // Unit coverage equals the restricted must_scan coverage.
-        let total: usize = r.scan_units.iter().map(RowRange::len).sum();
-        assert_eq!(total, r.must_scan.covered_rows());
+        assert_eq!(r.unit_set().covered_rows(), 7 + 2 + 10);
     }
 
     #[test]
-    fn restrict_to_uses_must_scan_when_no_units() {
-        let mut o = PruneOutcome::default();
-        o.must_scan.push_span(0, 10);
-        o.must_scan.push_span(20, 30);
+    fn restrict_to_fragments_a_scan_all_and_empty_alive_clears_everything() {
+        let o = PruneOutcome::scan_all(100);
         let mut alive = RangeSet::new();
         alive.push_span(5, 25);
+        alive.push_span(40, 50);
         let r = o.restrict_to(&alive);
         assert_eq!(
-            r.scan_units,
-            vec![RowRange::new(5, 10), RowRange::new(20, 25)]
+            r.units,
+            vec![
+                scan(5, 25, UnitRequest::NOTHING),
+                scan(40, 50, UnitRequest::NOTHING)
+            ]
         );
-        // One alive range spanning two units must not be consumed early.
-        assert_eq!(r.must_scan.covered_rows(), 10);
+        let r = o.restrict_to(&RangeSet::new());
+        assert!(r.units.is_empty());
+        assert!(r.full_match.is_empty());
     }
 
     #[test]
-    fn restrict_to_empty_alive_clears_everything() {
-        let o = PruneOutcome::scan_all(100);
-        let r = o.restrict_to(&RangeSet::new());
-        assert!(r.must_scan.is_empty());
-        assert!(r.scan_units.is_empty());
-        assert!(r.full_match.is_empty());
+    fn restrict_to_turns_positional_units_into_plain_scans() {
+        let payload = Payload(Arc::new(()));
+        let o = PruneOutcome {
+            units: vec![
+                scan(0, 10, UnitRequest::NOTHING),
+                ScanUnit {
+                    range: RowRange::new(10, 20),
+                    work: UnitWork::Positional {
+                        full: RowRange::new(2, 5),
+                        payload,
+                    },
+                },
+                scan(
+                    20,
+                    30,
+                    UnitRequest {
+                        bounds: true,
+                        bins: None,
+                    },
+                ),
+            ],
+            ..Default::default()
+        };
+        assert_eq!(o.rows_positional_match(), 3);
+        // Every unit stays in place; the positional one asks for nothing.
+        let restricted = o.restrict_to(&RangeSet::full(30));
+        assert_eq!(restricted.units.len(), 3);
+        assert_eq!(restricted.units[1], scan(10, 20, UnitRequest::NOTHING));
+        assert_eq!(restricted.units[2], o.units[2]);
+        assert_eq!(restricted.rows_positional_match(), 0);
     }
 }

@@ -21,7 +21,7 @@ use ads_storage::{scan, DataValue, RangeSet, RowRange};
 /// let mut zm = StaticZonemap::build(&data, 1000);
 /// let out = zm.prune(&RangePredicate::between(2500, 2600));
 /// assert_eq!(out.zones_skipped, 9); // sorted data: one candidate zone
-/// assert_eq!(out.must_scan.covered_rows(), 1000);
+/// assert_eq!(out.unit_set().covered_rows(), 1000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StaticZonemap<T: DataValue> {
@@ -97,25 +97,7 @@ impl<T: DataValue> SkippingIndex<T> for StaticZonemap<T> {
     }
 
     fn prune(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
-        let mut out = PruneOutcome::for_prune();
-        out.zones_probed = self.mins.len();
-        for (z, (&min, &max)) in self.mins.iter().zip(&self.maxs).enumerate() {
-            let (start, end) = self.zone_span(z);
-            if !pred.overlaps(min, max) {
-                out.zones_skipped += 1;
-                out.record_decision(RowRange::new(start, end), "skip:bounds");
-            } else if pred.contains_zone(min, max) {
-                out.full_match.push_span(start, end);
-                out.record_decision(RowRange::new(start, end), "full:bounds");
-            } else {
-                out.must_scan.push_span(start, end);
-                out.record_decision(RowRange::new(start, end), "scan");
-            }
-        }
-        self.queries += 1;
-        self.total_probes += out.zones_probed as u64;
-        self.total_skips += out.zones_skipped as u64;
-        out
+        self.prune_within(pred, &RangeSet::full(self.len))
     }
 
     fn prune_stats(&self) -> Option<PruneStats> {
@@ -162,7 +144,7 @@ impl<T: DataValue> SkippingIndex<T> for StaticZonemap<T> {
                     out.full_match.push_span(frag_start, frag_end);
                     out.record_decision(RowRange::new(frag_start, frag_end), "full:bounds");
                 } else {
-                    out.must_scan.push_span(frag_start, frag_end);
+                    out.push_scan(frag_start, frag_end);
                     out.record_decision(RowRange::new(frag_start, frag_end), "scan");
                 }
             }
@@ -236,8 +218,8 @@ mod tests {
         let out = zm.prune(&RangePredicate::between(250, 260));
         assert_eq!(out.zones_probed, 10);
         assert_eq!(out.zones_skipped, 9);
-        assert_eq!(out.must_scan.covered_rows(), 100);
-        assert!(out.must_scan.contains(255));
+        assert_eq!(out.unit_set().covered_rows(), 100);
+        assert!(out.unit_set().contains(255));
     }
 
     #[test]
@@ -248,7 +230,7 @@ mod tests {
         // partially overlaps zones [100,200) and [400,500).
         let out = zm.prune(&RangePredicate::between(150, 450));
         assert_eq!(out.rows_full_match(), 200);
-        assert_eq!(out.must_scan.covered_rows(), 200);
+        assert_eq!(out.unit_set().covered_rows(), 200);
         assert_eq!(out.zones_skipped, 6);
     }
 
@@ -261,7 +243,7 @@ mod tests {
         let mut zm = StaticZonemap::build(&data, 100);
         let out = zm.prune(&RangePredicate::between(400, 500));
         assert_eq!(out.zones_skipped, 0);
-        assert_eq!(out.must_scan.covered_rows(), 1000);
+        assert_eq!(out.unit_set().covered_rows(), 1000);
         assert_eq!(out.zones_probed, 10);
     }
 
@@ -273,10 +255,11 @@ mod tests {
         let mut zm = StaticZonemap::build(&data, 128);
         let pred = RangePredicate::between(40, 60);
         let out = zm.prune(&pred);
+        let scanned = out.unit_set();
         for (i, &v) in data.iter().enumerate() {
             if pred.matches(v) {
                 assert!(
-                    out.must_scan.contains(i) || out.full_match.contains(i),
+                    scanned.contains(i) || out.full_match.contains(i),
                     "row {i} lost"
                 );
             }
@@ -297,9 +280,10 @@ mod tests {
         // Soundness after append.
         let pred = RangePredicate::between(190, 210);
         let out = zm.prune(&pred);
+        let scanned = out.unit_set();
         for (i, &v) in data.iter().enumerate() {
             if pred.matches(v) {
-                assert!(out.must_scan.contains(i) || out.full_match.contains(i));
+                assert!(scanned.contains(i) || out.full_match.contains(i));
             }
         }
     }
@@ -353,7 +337,7 @@ mod tests {
         alive.push_span(610, 900);
         let restricted = zm.prune_within(&pred, &alive);
         let full = zm.prune(&pred).restrict_to(&alive);
-        assert_eq!(restricted.must_scan, full.must_scan);
+        assert_eq!(restricted.units, full.units);
         assert_eq!(restricted.full_match, full.full_match);
         // Only zones overlapping `alive` were examined.
         assert_eq!(restricted.zones_probed, 7);
@@ -377,6 +361,65 @@ mod tests {
         let mut zm = StaticZonemap::build(&[] as &[i64], 64);
         assert_eq!(zm.num_zones(), 0);
         let out = zm.prune(&RangePredicate::all());
-        assert_eq!(out.must_scan.covered_rows(), 0);
+        assert!(out.units.is_empty());
+    }
+
+    #[test]
+    fn static_zones_coalesce_where_adaptive_zones_keep_one_unit_each() {
+        // Four 100-row zones: 0, 1 and 3 span the predicate without
+        // falling inside it, zone 2 lies above it.
+        let data: Vec<i64> = (0..400)
+            .map(|i| {
+                if (200..300).contains(&i) {
+                    5_000 + i
+                } else {
+                    (i * 37) % 1000
+                }
+            })
+            .collect();
+        let pred = RangePredicate::between(500, 510);
+        let ranges = |out: &PruneOutcome| out.units.iter().map(|u| u.range).collect::<Vec<_>>();
+
+        // Adjacent scanned zones leave the static map as one unit: a SUM
+        // folds one running f64 per unit, so this is part of its answer.
+        let out = StaticZonemap::build(&data, 100).prune(&pred);
+        assert_eq!(
+            ranges(&out),
+            [RowRange::new(0, 200), RowRange::new(300, 400)]
+        );
+
+        // The adaptive map with the same zones, built by one scan, keeps
+        // one unit per zone: each zone learns from its own observation.
+        let config = crate::adaptive::AdaptiveConfig {
+            target_zone_rows: 100,
+            min_zone_rows: 100,
+            max_zone_rows: 100,
+            ..crate::adaptive::AdaptiveConfig::lazy_only()
+        };
+        let mut zm = crate::adaptive::AdaptiveZonemap::new(data.len(), config);
+        let all = RangePredicate::all();
+        let ranges_built = zm
+            .prune(&all)
+            .units
+            .iter()
+            .map(|u| {
+                let zone = &data[u.range.start..u.range.end];
+                let (min, max) = scan::min_max(zone).expect("zones are non-empty");
+                crate::RangeObservation::new(u.range, zone.len(), min, max)
+            })
+            .collect();
+        zm.observe(&crate::ScanObservation {
+            predicate: all,
+            ranges: ranges_built,
+        });
+        let out = zm.prune(&pred);
+        assert_eq!(
+            ranges(&out),
+            [
+                RowRange::new(0, 100),
+                RowRange::new(100, 200),
+                RowRange::new(300, 400)
+            ]
+        );
     }
 }

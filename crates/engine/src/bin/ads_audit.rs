@@ -9,7 +9,7 @@
 //! means every decision across every seed was sound. The sweep does
 //! check that it reached the positional path: it prints the zones the
 //! adaptive strategy promoted per seed and exits 1 when the whole sweep
-//! promoted none, since then no reorg unit was audited.
+//! promoted none, since then no positional unit was audited.
 //!
 //! The configurations are deliberately hostile: tiny zones, hair-trigger
 //! split/merge/deactivate/revival thresholds, zone-local reorganization,

@@ -23,7 +23,8 @@ use crate::exec_policy::ExecPolicy;
 use crate::lane::Lane;
 use crate::metrics::QueryMetrics;
 use ads_core::{
-    PruneOutcome, RangeObservation, RangePredicate, ScanObservation, SkippingIndex, UnitRequest,
+    PruneOutcome, RangeObservation, RangePredicate, ScanObservation, ScanUnit, SkippingIndex,
+    UnitRequest, UnitWork,
 };
 use ads_storage::scan::{self, Bins, Bounds, ByProduct, Liveness, NoByProduct};
 use ads_storage::{DataValue, DeleteVector, RowRange};
@@ -70,17 +71,19 @@ impl<T: DataValue> Default for QueryAnswer<T> {
     }
 }
 
-/// One parallelisable piece of a query's scan work.
+/// One parallelisable piece of a query's scan work: a full-match range,
+/// or one unit of the prune outcome's [`PruneOutcome::units`] — every
+/// unit becomes exactly one item, in unit order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum WorkItem {
     /// A full-match range whose values must still be read (SUM/MIN/MAX).
     Full(RowRange),
-    /// One scan unit of the prune outcome, with the by-products this scan
-    /// will compute for it.
+    /// A [`UnitWork::Scan`] unit, with the by-products this scan will
+    /// compute for it.
     Unit(RowRange, UnitRequest),
-    /// One positional unit over a reorganized zone: index into the
-    /// outcome's `reorg_units`, plus the qualifying row count for load
-    /// balancing (the zone's other rows are never touched).
+    /// A [`UnitWork::Positional`] unit: its index into the outcome's
+    /// `units`, plus the qualifying row count for load balancing (the
+    /// zone's other rows are never touched).
     Reorg { idx: usize, rows: usize },
 }
 
@@ -155,12 +158,11 @@ pub struct ScanPhase {
 }
 
 /// Builds the work list of one prune outcome: full-match ranges first
-/// (only when their values must be read), then the scan units and
-/// positional reorg units merged by ascending zone start — the order the
-/// answer fold visits them, which keeps f64 accumulation bit-identical
-/// between sequential and parallel execution *and* between the flat and
-/// reorganized layouts (a reorg item folds exactly where the same zone's
-/// flat unit would).
+/// (only when their values must be read), then one item per unit in unit
+/// order — ascending rows, the order the answer fold visits them, which
+/// keeps f64 accumulation bit-identical between sequential and parallel
+/// execution *and* between the flat and reorganized layouts (a positional
+/// item folds exactly where the same zone's flat unit would).
 pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<WorkItem> {
     let reads_full_values = matches!(agg, AggKind::Sum | AggKind::Min | AggKind::Max);
     let fulls = if reads_full_values {
@@ -168,33 +170,23 @@ pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<Work
     } else {
         &[]
     };
-    let units = outcome.units();
-    let reorg = &outcome.reorg_units;
-    let mut items: Vec<WorkItem> = Vec::with_capacity(fulls.len() + units.len() + reorg.len());
+    let mut items: Vec<WorkItem> = Vec::with_capacity(fulls.len() + outcome.units.len());
     items.extend(fulls.iter().map(|r| WorkItem::Full(*r)));
-    let (mut ui, mut ri) = (0usize, 0usize);
-    while ui < units.len() || ri < reorg.len() {
-        let take_unit = match (units.get(ui), reorg.get(ri)) {
-            (Some(u), Some(r)) => u.start < r.zone.start,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_unit {
-            let mut request = outcome.unit_request(ui);
-            if agg != AggKind::Count {
-                // Bins ride on COUNT scans only; on the others the zone
-                // keeps asking until a COUNT comes by.
-                request.bins = None;
+    for (idx, unit) in outcome.units.iter().enumerate() {
+        items.push(match unit.work {
+            UnitWork::Scan(mut request) => {
+                if agg != AggKind::Count {
+                    // Bins ride on COUNT scans only; on the others the zone
+                    // keeps asking until a COUNT comes by.
+                    request.bins = None;
+                }
+                WorkItem::Unit(unit.range, request)
             }
-            items.push(WorkItem::Unit(units[ui], request));
-            ui += 1;
-        } else {
-            items.push(WorkItem::Reorg {
-                idx: ri,
-                rows: reorg[ri].full_rows(),
-            });
-            ri += 1;
-        }
+            UnitWork::Positional { full, .. } => WorkItem::Reorg {
+                idx,
+                rows: full.len(),
+            },
+        });
     }
     items
 }
@@ -259,10 +251,10 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
         AggKind::Min => answer.min = (answer.count > 0).then_some(mmin),
         AggKind::Max => answer.max = (answer.count > 0).then_some(mmax),
         AggKind::Positions => {
-            // POSITIONS items are units and reorg units in ascending
-            // start order, aligned 1:1 with results: merge-walk the
-            // full-match ranges against the item stream so
-            // base-coordinate output comes out sorted.
+            // POSITIONS items are the units in ascending start order,
+            // aligned 1:1 with results: merge-walk the full-match ranges
+            // against the item stream so base-coordinate output comes
+            // out sorted.
             let full_ranges = outcome.full_match.ranges();
             let mut positions: Vec<u32> =
                 Vec::with_capacity(results.iter().map(|r| r.positions.len()).sum::<usize>());
@@ -276,7 +268,7 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
             for (item, r) in items.iter().zip(&results) {
                 let item_start = match item {
                     WorkItem::Unit(u, _) => u.start,
-                    WorkItem::Reorg { idx, .. } => outcome.reorg_units[*idx].zone.start,
+                    WorkItem::Reorg { idx, .. } => outcome.units[*idx].range.start,
                     // Full items are never built for POSITIONS.
                     WorkItem::Full(_) => continue,
                 };
@@ -293,30 +285,27 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
             answer.positions = Some(positions);
         }
     }
-    let mut observations: Vec<RangeObservation<T>> = Vec::with_capacity(outcome.units().len());
-    observations.extend(results.into_iter().filter_map(|r| r.obs));
-
     MergedLane {
         answer,
         observation: ScanObservation {
             predicate: pred,
-            ranges: observations,
+            ranges: results.into_iter().filter_map(|r| r.obs).collect(),
         },
         rows_scanned,
         rows_with_byproducts,
     }
 }
 
-/// Marks the base rows of one reorg unit's full span in a zone-local
-/// bitmap (bit `i` = base row `zone.start + i`). Replaying the bitmap
-/// with [`for_each_set_row`] recovers ascending base order in O(zone)
-/// word scans instead of the O(k log k) sort a rowid list would need —
-/// and ascending base order is what makes downstream f64 accumulation
-/// match the flat scan bit for bit.
-fn reorg_unit_bitmap(unit: &ads_core::ReorgUnit, rowids: &[u32]) -> Vec<u64> {
-    let zone_start = unit.zone.start;
-    let mut bits = vec![0u64; (unit.zone.end - zone_start).div_ceil(64)];
-    for &r in &rowids[unit.full.start..unit.full.end] {
+/// Marks the base rows of a positional unit's `full` span over `zone` in
+/// a zone-local bitmap (bit `i` = base row `zone.start + i`). Replaying
+/// the bitmap with [`for_each_set_row`] recovers ascending base order in
+/// O(zone) word scans instead of the O(k log k) sort a rowid list would
+/// need — and ascending base order is what makes downstream f64
+/// accumulation match the flat scan bit for bit.
+fn reorg_unit_bitmap(zone: RowRange, full: RowRange, rowids: &[u32]) -> Vec<u64> {
+    let zone_start = zone.start;
+    let mut bits = vec![0u64; (zone.end - zone_start).div_ceil(64)];
+    for &r in &rowids[full.start..full.end] {
         // narrowing: u32 row id to usize is lossless on 32/64-bit hosts.
         let off = r as usize - zone_start;
         bits[off / 64] |= 1 << (off % 64);
@@ -361,12 +350,13 @@ fn scan_unit<T: DataValue, L: Liveness, B: ByProduct<T>>(
     }
 }
 
-/// Scans one work item. Pure with respect to shared state: reads
-/// `target` (and, for reorg items, the outcome's payloads), writes only
-/// its own result — safe to run on any thread.
+/// Scans one work item of the outcome whose units are `units`. Pure with
+/// respect to shared state: reads `target` (and, for positional items,
+/// the unit's payload), writes only its own result — safe to run on any
+/// thread.
 pub(crate) fn scan_item<T: DataValue, L: Liveness>(
     target: &[T],
-    reorg_units: &[ads_core::ReorgUnit],
+    units: &[ScanUnit],
     pred: RangePredicate<T>,
     agg: AggKind,
     item: &WorkItem,
@@ -426,83 +416,62 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
             out.obs = Some(obs);
         }
         WorkItem::Reorg { idx, .. } => {
-            let unit = &reorg_units[idx];
-            let payload = unit
-                .payload
+            let zone = units[idx].range;
+            let UnitWork::Positional { full, payload } = &units[idx].work else {
+                // invariant: build_work_items makes a Reorg item only of a
+                // positional unit.
+                unreachable!("a reorg item indexes a positional unit");
+            };
+            let payload = payload
+                .0
                 .downcast_ref::<ads_storage::ReorgZone<T>>()
                 // invariant: the prune that emitted this unit built the
                 // payload from the same column, so T always matches.
                 .expect("reorg payload downcasts to the column's value type");
-            let rowids = payload.rowids();
-            let (zmin, zmax) = payload.min_max();
-            if !L::ALL_LIVE {
-                // Under deletes every aggregate routes through the
-                // zone-local qualifying bitmap ANDed word-wise with the
-                // live windows: positional full spans can no longer be
-                // answered from counts alone, and replaying the masked
-                // bitmap in ascending base order keeps SUM bit-identical
-                // to the masked flat scan.
-                let mut bits = reorg_unit_bitmap(unit, rowids);
-                let zone_start = unit.zone.start;
-                let mut count = 0usize;
-                for (w, word) in bits.iter_mut().enumerate() {
-                    *word &= live.window(zone_start + w * 64);
-                    // narrowing: count_ones of a u64 is at most 64.
-                    count += word.count_ones() as usize;
-                }
-                out.count = count;
-                match agg {
-                    AggKind::Count => {}
-                    AggKind::Sum => {
-                        let mut sum = 0.0;
-                        for_each_set_row(&bits, zone_start, |r| sum += target[r].to_f64());
-                        out.sum = sum;
-                    }
-                    AggKind::Min | AggKind::Max => {
-                        // Reading base values: identical bit patterns to
-                        // the view copies, and min/max folds are
-                        // order-independent.
-                        for_each_set_row(&bits, zone_start, |r| {
-                            out.match_min = out.match_min.min_total(target[r]);
-                            out.match_max = out.match_max.max_total(target[r]);
-                        });
-                    }
-                    AggKind::Positions => {
-                        out.positions.reserve(count);
-                        for_each_set_row(&bits, zone_start, |r| {
-                            // narrowing: row ids are u32 by storage-wide
-                            // contract (columns bounded below 2^32 rows).
-                            out.positions.push(r as u32);
-                        });
-                    }
-                }
-                out.obs = Some(RangeObservation::new(unit.zone, out.count, zmin, zmax));
-                return out;
+            // All live, the span's length is the count and its sorted ends
+            // are MIN and MAX. Otherwise — and for the aggregates that read
+            // base rows — the zone-local qualifying bitmap, ANDed word-wise
+            // with the live windows under deletes, is replayed in ascending
+            // base order: the exact order a flat scan of this zone adds in,
+            // so SUM stays bit-identical across layouts.
+            let needs_bits = !L::ALL_LIVE || matches!(agg, AggKind::Sum | AggKind::Positions);
+            let mut bits = Vec::new();
+            if needs_bits {
+                bits = reorg_unit_bitmap(zone, *full, payload.rowids());
             }
-            out.count = unit.full_rows();
+            out.count = full.len();
+            if !L::ALL_LIVE {
+                out.count = 0;
+                for (w, word) in bits.iter_mut().enumerate() {
+                    *word &= live.window(zone.start + w * 64);
+                    // narrowing: count_ones of a u64 is at most 64.
+                    out.count += word.count_ones() as usize;
+                }
+            }
             match agg {
                 AggKind::Count => {}
                 AggKind::Sum => {
-                    // Ascending base-row accumulation: the exact order a
-                    // flat scan of this zone adds in, so the partial sum
-                    // is bit-identical across layouts.
-                    let bits = reorg_unit_bitmap(unit, rowids);
-                    let mut sum = 0.0;
-                    for_each_set_row(&bits, unit.zone.start, |r| sum += target[r].to_f64());
-                    out.sum = sum;
+                    for_each_set_row(&bits, zone.start, |r| out.sum += target[r].to_f64())
                 }
-                AggKind::Min | AggKind::Max => {
+                AggKind::Min | AggKind::Max if L::ALL_LIVE => {
                     // The span is sorted: its ends are its total-order
                     // extremes, bit for bit what a fold would find.
-                    let full = &payload.values()[unit.full.start..unit.full.end];
-                    if let (Some(&lo), Some(&hi)) = (full.first(), full.last()) {
+                    let span = &payload.values()[full.start..full.end];
+                    if let (Some(&lo), Some(&hi)) = (span.first(), span.last()) {
                         (out.match_min, out.match_max) = (lo, hi);
                     }
                 }
+                AggKind::Min | AggKind::Max => {
+                    // Reading base values: identical bit patterns to the
+                    // view copies, and min/max folds are order-independent.
+                    for_each_set_row(&bits, zone.start, |r| {
+                        out.match_min = out.match_min.min_total(target[r]);
+                        out.match_max = out.match_max.max_total(target[r]);
+                    });
+                }
                 AggKind::Positions => {
                     out.positions.reserve(out.count);
-                    let bits = reorg_unit_bitmap(unit, rowids);
-                    for_each_set_row(&bits, unit.zone.start, |r| {
+                    for_each_set_row(&bits, zone.start, |r| {
                         // narrowing: row ids are u32 by storage-wide
                         // contract (columns are bounded below 2^32 rows).
                         out.positions.push(r as u32);
@@ -511,14 +480,16 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
             }
             // The payload's build-time (min, max) covers every zone row —
             // the same exact metadata a flat scan would feed back.
-            out.obs = Some(RangeObservation::new(unit.zone, out.count, zmin, zmax));
+            let (zmin, zmax) = payload.min_max();
+            out.obs = Some(RangeObservation::new(zone, out.count, zmin, zmax));
         }
     }
     out
 }
 
 /// Reference implementation used by tests and the soundness harness:
-/// answers the same query with a plain scan, no index involved.
+/// answers the same query with a plain per-row loop, no index involved —
+/// [`execute_reference_with_deletes`] over a column without tombstones.
 // api: the reference oracle of the correctness, sharding, property and
 // stress suites in tests/ and crates/server/tests/.
 pub fn execute_reference<T: DataValue>(
@@ -526,49 +497,7 @@ pub fn execute_reference<T: DataValue>(
     pred: RangePredicate<T>,
     agg: AggKind,
 ) -> QueryAnswer<T> {
-    let outcome = PruneOutcome::scan_all(data.len());
-    let mut answer = QueryAnswer::default();
-    match agg {
-        AggKind::Count => {
-            // live: delete-free reference by contract — callers with
-            // tombstones use `execute_reference_with_deletes`.
-            answer.count = scan::count_in_range(data, pred.lo, pred.hi) as u64;
-        }
-        AggKind::Sum => {
-            // live: same delete-free reference contract.
-            let (c, s) = scan::sum_in_range(data, pred.lo, pred.hi);
-            answer.count = c as u64;
-            answer.sum = Some(s);
-        }
-        AggKind::Min | AggKind::Max => {
-            // live: same delete-free reference contract.
-            let a = scan::aggregate_in_range(data, pred.lo, pred.hi);
-            answer.count = a.count as u64;
-            if a.count > 0 {
-                match agg {
-                    AggKind::Min => answer.min = Some(a.match_min),
-                    AggKind::Max => answer.max = Some(a.match_max),
-                    _ => unreachable!(),
-                }
-            }
-        }
-        AggKind::Positions => {
-            let mut positions = Vec::new();
-            for r in outcome.must_scan.ranges() {
-                // live: same delete-free reference contract.
-                scan::collect_in_range(
-                    &data[r.start..r.end],
-                    r.start,
-                    pred.lo,
-                    pred.hi,
-                    &mut positions,
-                );
-            }
-            answer.count = positions.len() as u64;
-            answer.positions = Some(positions);
-        }
-    }
-    answer
+    execute_reference_with_deletes(data, &DeleteVector::new(data.len(), 0), pred, agg)
 }
 
 /// Delete-aware reference: answers the query with a naive per-row loop

@@ -230,18 +230,18 @@ impl<T: DataValue> ScanPlan<T> {
         for (input, items) in inputs.iter().zip(&self.lane_items) {
             let (lo, hi) = (run.start.max(base), run.end.min(base + items.len()));
             if lo < hi {
-                let (data, reorg) = (input.data, &input.outcome.reorg_units);
+                let (data, units) = (input.data, &input.outcome.units[..]);
                 let items = &items[lo - base..hi - base];
                 match mask(input) {
                     Some(dv) => results.extend(
                         items
                             .iter()
-                            .map(|item| scan_item(data, reorg, pred, agg, item, dv)),
+                            .map(|item| scan_item(data, units, pred, agg, item, dv)),
                     ),
                     None => results.extend(items.iter().map(|item| {
                         // live: the lane has no vector, or one without a
                         // tombstone.
-                        scan_item(data, reorg, pred, agg, item, AllLive)
+                        scan_item(data, units, pred, agg, item, AllLive)
                     })),
                 }
             }
@@ -535,7 +535,7 @@ mod tests {
                 let (pred, agg) = (pred(q % 4), ALL_AGGS[q % ALL_AGGS.len()]);
                 let outcomes: Vec<PruneOutcome> =
                     zm.lanes().iter().map(|l| l.prune_shared(&pred)).collect();
-                saw_reorg |= outcomes.iter().any(|o| !o.reorg_units.is_empty());
+                saw_reorg |= outcomes.iter().any(|o| o.rows_positional_match() > 0);
                 let inputs: Vec<ShardScanInput<'_, f64>> = outcomes
                     .iter()
                     .enumerate()

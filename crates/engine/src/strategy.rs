@@ -103,7 +103,7 @@ mod tests {
             // Soundness smoke check: candidates plus full matches must be
             // able to hold the 11 qualifying rows.
             assert!(
-                out.must_scan.covered_rows() + out.rows_full_match() >= 11
+                out.unit_set().covered_rows() + out.rows_full_match() >= 11
                     || out.rows_full_match() == 11,
                 "{} lost rows",
                 strat.label()

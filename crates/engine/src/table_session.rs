@@ -189,14 +189,7 @@ impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
         // delete vector to thread through.)
         #[cfg(feature = "audit")]
         ads_core::audit::verify_outcome(data, None, &pred, &out, alive, "run_conjunction");
-        // The conjunction derives its alive set from `must_scan ∪
-        // full_match` and re-tests predicates row by row, so positional
-        // reorg units fold back into plain scan units first.
-        if out.reorg_units.is_empty() {
-            out
-        } else {
-            out.demote_reorg_units()
-        }
+        out
     }
 
     fn fill(
@@ -390,7 +383,9 @@ impl TableSession {
                 let within = (plan.restricted && alive_before < n).then_some(&alive);
                 let conjunct = &mut self.indexes[slots[ci]].1;
                 let out = conjunct.prune(cols[ci], &pred, within, &mut protocol);
-                alive = alive.intersect(&out.must_scan.union(&out.full_match));
+                // A positional unit keeps its whole zone alive: the scan
+                // below re-tests every row of it.
+                alive = alive.intersect(&out.unit_set().union(&out.full_match));
                 step.zones_probed = out.zones_probed;
                 step.zones_skipped = out.zones_skipped;
                 step.alive_after = alive.covered_rows();
@@ -436,9 +431,9 @@ impl TableSession {
         // never materialise metadata from multi-column scans.
         let mut cuts: Vec<usize> = Vec::new();
         for out in outcomes.iter().flatten() {
-            for u in out.units() {
-                cuts.push(u.start);
-                cuts.push(u.end);
+            for u in &out.units {
+                cuts.push(u.range.start);
+                cuts.push(u.range.end);
             }
         }
         cuts.sort_unstable();

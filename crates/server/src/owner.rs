@@ -351,13 +351,14 @@ fn rebuilt_lane<T: DataValue>(data: &[T], config: AdaptiveConfig) -> AdaptiveZon
     let predicate = RangePredicate::between(lo, hi);
     let outcome = SkippingIndex::prune(&mut lane, &predicate);
     let ranges = outcome
-        .units()
+        .units
         .iter()
         .map(|unit| {
+            let r = unit.range;
             // live: freshly compacted shard — every tombstone dropped.
             let (q, mn, mx) =
-                ads_storage::scan::count_in_range_with_minmax(&data[unit.start..unit.end], lo, hi);
-            RangeObservation::new(*unit, q, mn, mx)
+                ads_storage::scan::count_in_range_with_minmax(&data[r.start..r.end], lo, hi);
+            RangeObservation::new(r, q, mn, mx)
         })
         .collect();
     lane.observe(&ScanObservation { predicate, ranges });
@@ -397,7 +398,7 @@ mod tests {
         for (row, &v) in snap.data.as_slice().iter().enumerate() {
             let out = snap.zonemap.prune_shared(&RangePredicate::point(v));
             assert!(
-                out.must_scan.contains(row) || out.full_match.contains(row),
+                out.unit_set().contains(row) || out.full_match.contains(row),
                 "row {row} (value {v}) excluded by zone metadata"
             );
         }

@@ -25,7 +25,7 @@ use ads_check::sync::atomic::{AtomicU64, Ordering};
 use ads_check::sync::{thread, Arc};
 use ads_check::{model, try_model, Config};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
-use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
+use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex, UnitWork};
 use ads_engine::{scan_sharded, AggKind, ExecPolicy, ShardScanInput};
 use ads_server::{
     help_loop, Board, Bounded, Mutation, Owner, OwnerTotals, PushError, Runs, ShardSnapshot,
@@ -400,12 +400,13 @@ fn reorg_snap(version: u64) -> ShardSnapshot<i64> {
     let pred = RangePredicate::between(1, 2);
     let outcome = SkippingIndex::prune(&mut zm, &pred);
     let ranges = outcome
-        .units()
+        .units
         .iter()
         .map(|u| {
+            let u = u.range;
             let (q, min, max) =
                 ads_storage::scan::count_in_range_with_minmax(&data[u.start..u.end], 1, 2);
-            RangeObservation::new(*u, q, min, max)
+            RangeObservation::new(u, q, min, max)
         })
         .collect();
     zm.observe(&ScanObservation {
@@ -451,7 +452,11 @@ fn reorg_promotion_publishes_layout_and_payload_atomically() {
             // The flag is backed by a live payload: a shared prune
             // resolves the predicate positionally, with the right rows.
             let out = snap.zonemap.prune_shared(&RangePredicate::between(1, 2));
-            assert_eq!(out.reorg_units.len(), 1, "layout flag without payload");
+            assert_eq!(
+                out.rows_positional_match(),
+                2,
+                "layout flag without payload"
+            );
         }
         writer.join().unwrap();
         cache.refresh(&cell);
@@ -502,10 +507,11 @@ fn reorg_demotion_cannot_invalidate_a_held_snapshot() {
         // positionally, with correct row coverage.
         assert_eq!(held.zonemap.zones_reorganized(), 1);
         let out = held.zonemap.prune_shared(&RangePredicate::between(1, 2));
-        assert_eq!(out.reorg_units.len(), 1);
-        let unit = &out.reorg_units[0];
-        assert_eq!(unit.zone.start, 0);
-        assert_eq!(unit.zone.end, 4);
+        assert_eq!(out.units.len(), 1);
+        let unit = &out.units[0];
+        assert!(matches!(unit.work, UnitWork::Positional { .. }));
+        assert_eq!(unit.range.start, 0);
+        assert_eq!(unit.range.end, 4);
 
         writer.join().unwrap();
         cache.refresh(&cell);
@@ -535,12 +541,13 @@ fn tier_snap(version: u64) -> ShardSnapshot<i64> {
     let pred = RangePredicate::point(2);
     let outcome = SkippingIndex::prune(&mut zm, &pred);
     let ranges = outcome
-        .units()
+        .units
         .iter()
         .map(|u| {
+            let u = u.range;
             let (q, min, max) =
                 ads_storage::scan::count_in_range_with_minmax(&data[u.start..u.end], 2, 2);
-            RangeObservation::new(*u, q, min, max)
+            RangeObservation::new(u, q, min, max)
         })
         .collect();
     zm.observe(&ScanObservation {
@@ -589,7 +596,7 @@ fn tier_build_publishes_flag_and_sketch_atomically() {
             // can have skipped it).
             let out = snap.zonemap.prune_shared(&RangePredicate::point(7));
             assert_eq!(out.zones_skipped, 1, "tier flag without a payload");
-            assert!(out.units().is_empty(), "sketch present but not consulted");
+            assert!(out.units.is_empty(), "sketch present but not consulted");
         }
         writer.join().unwrap();
         cache.refresh(&cell);
@@ -640,7 +647,7 @@ fn tier_drop_cannot_invalidate_a_held_snapshot() {
         assert_eq!(held.zonemap.zones_tiered(), 1);
         let out = held.zonemap.prune_shared(&RangePredicate::point(7));
         assert_eq!(out.zones_skipped, 1);
-        assert!(out.units().is_empty());
+        assert!(out.units.is_empty());
 
         writer.join().unwrap();
         cache.refresh(&cell);
@@ -702,7 +709,7 @@ fn assert_bounds_cover_rows(zm: &AdaptiveZonemap<i64>, data: &[i64], when: &str)
     for (row, &v) in data.iter().enumerate() {
         let out = zm.prune_shared(&RangePredicate::point(v));
         assert!(
-            out.must_scan.contains(row) || out.full_match.contains(row),
+            out.unit_set().contains(row) || out.full_match.contains(row),
             "{when}: row {row} (value {v}) excluded by zone metadata {:?}",
             zm.zone_snapshot()
         );
@@ -764,7 +771,9 @@ fn boundsless_feedback_across_revival_never_builds_unsound_bounds() {
         let outcome = held.zonemap.prune_shared(&pred);
         // Only a zone still unbuilt in the snapshot asks for its bounds.
         let unbuilt = matches!(held.version, 0 | 3);
-        assert_eq!(outcome.unit_request(0).bounds, unbuilt);
+        assert!(
+            matches!(outcome.units[0].work, UnitWork::Scan(request) if request.bounds == unbuilt)
+        );
         let (count, obs) = scan_as_asked(held.data.as_slice(), &outcome, pred);
         assert_eq!(count, 2, "stale metadata changed an answer");
         assert_eq!(obs.ranges[0].bounds.is_some(), unbuilt);

@@ -40,11 +40,12 @@ fn run_query(zm: &mut AdaptiveZonemap<i64>, data: &[i64], pred: RangePredicate<i
     let out = zm.prune(&pred);
     let mut observations = Vec::new();
     let mut count = out.rows_full_match();
-    for unit in out.units() {
+    for unit in &out.units {
+        let r = unit.range;
         let (q, min, max) =
-            scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
+            scan::count_in_range_with_minmax(&data[r.start..r.end], pred.lo, pred.hi);
         count += q;
-        observations.push(RangeObservation::new(*unit, q, min, max));
+        observations.push(RangeObservation::new(r, q, min, max));
     }
     zm.observe(&ScanObservation {
         predicate: pred,

@@ -13,7 +13,7 @@ use ads_engine::{
     execute, execute_disjunction, in_list, scan_sharded, AggKind, ExecPolicy, Lane, ShardScanInput,
     Strategy,
 };
-use ads_storage::{DeleteVector, RangeSet};
+use ads_storage::DeleteVector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An index that silently drops the upper half of the column from its
@@ -33,7 +33,7 @@ impl SkippingIndex<i64> for EvilIndex {
 
     fn prune(&mut self, _pred: &RangePredicate<i64>) -> PruneOutcome {
         let mut out = PruneOutcome::default();
-        out.must_scan.push_span(0, self.rows / 2);
+        out.push_scan(0, self.rows / 2);
         out.record_decision(ads_storage::RowRange::new(0, self.rows / 2), "scan");
         out.record_decision(
             ads_storage::RowRange::new(self.rows / 2, self.rows),
@@ -234,10 +234,7 @@ fn oracle_tolerates_skipping_tombstoned_rows() {
     for row in 500..1000 {
         live.delete(row);
     }
-    let out = PruneOutcome {
-        must_scan: RangeSet::full(500),
-        ..Default::default()
-    };
+    let out = PruneOutcome::scan_all(500);
     let pred = RangePredicate::between(600, 700);
     let policy = ExecPolicy::default();
     let lane = ShardScanInput {

@@ -104,15 +104,16 @@ fn stale_observations_after_structural_change_stay_sound() {
     let pred = RangePredicate::between(0, 25_000);
     let out = zm.prune(&pred);
     let stale: Vec<RangeObservation<i64>> = out
-        .units()
+        .units
         .iter()
         .map(|u| {
+            let u = u.range;
             let (q, min, max) = adaptive_data_skipping::storage::scan::count_in_range_with_minmax(
                 &column[u.start..u.end],
                 pred.lo,
                 pred.hi,
             );
-            RangeObservation::new(*u, q, min, max)
+            RangeObservation::new(u, q, min, max)
         })
         .collect();
     // Reorganise with live queries in between.
@@ -137,9 +138,10 @@ fn observation_with_wrong_qualifying_count_cannot_break_answers() {
     let pred = RangePredicate::between(10_000, 12_000);
     let out = zm.prune(&pred);
     let lying: Vec<RangeObservation<i64>> = out
-        .units()
+        .units
         .iter()
         .map(|u| {
+            let u = u.range;
             let (_, min, max) = adaptive_data_skipping::storage::scan::count_in_range_with_minmax(
                 &column[u.start..u.end],
                 pred.lo,
@@ -147,7 +149,7 @@ fn observation_with_wrong_qualifying_count_cannot_break_answers() {
             );
             // Exaggerate wildly; min/max stay honest (they are the part
             // with soundness weight).
-            RangeObservation::new(*u, u.len(), min, max)
+            RangeObservation::new(u, u.len(), min, max)
         })
         .collect();
     zm.observe(&ScanObservation {

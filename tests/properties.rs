@@ -11,7 +11,7 @@ use adaptive_data_skipping::core::adaptive::{
     AdaptiveConfig, AdaptiveZonemap, ReorgStats, TierStats,
 };
 use adaptive_data_skipping::core::{
-    RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap,
+    RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap, UnitWork,
 };
 use adaptive_data_skipping::engine::execute_sharded;
 use adaptive_data_skipping::engine::{
@@ -61,7 +61,7 @@ fn gen_preds(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<RangePredicate<i64>>
 }
 
 /// Drives the prune/scan/observe loop once and checks soundness: every
-/// qualifying row is covered by must_scan or full_match, and full_match
+/// qualifying row is covered by a unit or full_match, and full_match
 /// ranges contain only qualifying rows.
 fn check_soundness(index: &mut dyn SkippingIndex<i64>, data: &[i64], pred: RangePredicate<i64>) {
     let out = index.prune(&pred);
@@ -69,10 +69,11 @@ fn check_soundness(index: &mut dyn SkippingIndex<i64>, data: &[i64], pred: Range
         Some(v) => v.to_vec(),
         None => data.to_vec(),
     };
+    let scanned = out.unit_set();
     for (i, &v) in target.iter().enumerate() {
         if pred.matches(v) {
             assert!(
-                out.must_scan.contains(i) || out.full_match.contains(i),
+                scanned.contains(i) || out.full_match.contains(i),
                 "row {i} (value {v}) lost under {}",
                 index.name()
             );
@@ -88,16 +89,7 @@ fn check_soundness(index: &mut dyn SkippingIndex<i64>, data: &[i64], pred: Range
         }
     }
     // Feed honest observations so adaptive structures keep evolving.
-    let mut ranges = Vec::new();
-    for unit in out.units() {
-        let (q, min, max) =
-            scan::count_in_range_with_minmax(&target[unit.start..unit.end], pred.lo, pred.hi);
-        ranges.push(RangeObservation::new(*unit, q, min, max));
-    }
-    index.observe(&ScanObservation {
-        predicate: pred,
-        ranges,
-    });
+    index.observe(&observe_units(&out, &target, pred));
 }
 
 #[test]
@@ -994,19 +986,7 @@ fn soa_prune_plane_matches_aos_reference() {
                 );
                 // Feed both the same honest observation so adaptation
                 // (splits, merges, deactivation, revival) stays in step.
-                let mut ranges = Vec::new();
-                for unit in plane_out.units() {
-                    let (q, min, max) = scan::count_in_range_with_minmax(
-                        &data[unit.start..unit.end],
-                        pred.lo,
-                        pred.hi,
-                    );
-                    ranges.push(RangeObservation::new(*unit, q, min, max));
-                }
-                let obs = ScanObservation {
-                    predicate: pred,
-                    ranges,
-                };
+                let obs = observe_units(&plane_out, &data, pred);
                 plane_zm.observe(&obs);
                 aos_zm.observe(&obs);
             }
@@ -1065,16 +1045,7 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
             );
             // Honest observations keep splits/merges/deactivation moving so
             // the equivalence is exercised across structural change.
-            let mut ranges = Vec::new();
-            for unit in mutable_out.units() {
-                let (q, min, max) =
-                    scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
-                ranges.push(RangeObservation::new(*unit, q, min, max));
-            }
-            zm.observe(&ScanObservation {
-                predicate: pred,
-                ranges,
-            });
+            zm.observe(&observe_units(&mutable_out, &data, pred));
             zm.assert_invariants();
         }
     }
@@ -1143,18 +1114,8 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
             let full = zm.prune(&pred);
             let restricted = full.restrict_to(&alive);
             assert_eq!(
-                (
-                    &within.must_scan,
-                    &within.scan_units,
-                    &within.unit_requests,
-                    &within.full_match
-                ),
-                (
-                    &restricted.must_scan,
-                    &restricted.scan_units,
-                    &restricted.unit_requests,
-                    &restricted.full_match
-                ),
+                (&within.units, &within.full_match),
+                (&restricted.units, &restricted.full_match),
                 "case {case} step {step}: restricted prune diverged"
             );
             assert_eq!(
@@ -1163,24 +1124,21 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                 "case {case} step {step}: restricted prune over every zone diverged"
             );
             let snapshot = zm.zone_snapshot();
-            for (unit, request) in full.units().iter().zip(&full.unit_requests) {
-                let label = snapshot.iter().find(|(r, ..)| r == unit).map(|z| z.1);
+            for unit in &full.units {
+                let UnitWork::Scan(request) = unit.work else {
+                    continue;
+                };
+                let label = snapshot
+                    .iter()
+                    .find(|(r, ..)| *r == unit.range)
+                    .map(|z| z.1);
                 assert_eq!(
                     request.bounds,
                     matches!(label, Some("unbuilt" | "built~")),
                     "case {case} step {step}: unit {unit:?} of a {label:?} zone"
                 );
             }
-            let mut ranges = Vec::new();
-            for unit in full.units() {
-                let (q, min, max) =
-                    scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
-                ranges.push(RangeObservation::new(*unit, q, min, max));
-            }
-            let obs = ScanObservation {
-                predicate: pred,
-                ranges,
-            };
+            let obs = observe_units(&full, &data, pred);
             for map in [&mut zm, &mut within_zm] {
                 map.observe(&obs);
                 map.maintain(&data);
@@ -1220,12 +1178,13 @@ fn observe_units<T: DataValue>(
     pred: RangePredicate<T>,
 ) -> ScanObservation<T> {
     let ranges = out
-        .units()
+        .units
         .iter()
         .map(|unit| {
+            let r = unit.range;
             let (q, min, max) =
-                scan::count_in_range_with_minmax(&data[unit.start..unit.end], pred.lo, pred.hi);
-            RangeObservation::new(*unit, q, min, max)
+                scan::count_in_range_with_minmax(&data[r.start..r.end], pred.lo, pred.hi);
+            RangeObservation::new(r, q, min, max)
         })
         .collect();
     ScanObservation {
