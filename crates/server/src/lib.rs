@@ -68,8 +68,8 @@ pub mod sync;
 
 pub use config::{AdaptationMode, ServerConfig};
 pub use helpers::{help_loop, Board, Fan, Runs};
-pub use owner::{Mutation, Owner};
+pub use owner::{Mutation, MutationError, Owner};
 pub use queue::{Bounded, PushError};
-pub use service::{MutationError, QueryService, Reply, Request, SubmitError, Ticket};
+pub use service::{QueryService, Reply, Request, SubmitError, Ticket};
 pub use snapshot::{ShardSnapshot, ShardedCache, ShardedCell, SnapshotCache, SnapshotCell};
 pub use stats::{OwnerTotals, ServerStats, StatsCollector};

@@ -27,6 +27,20 @@
 //! observation *does* align — and would stamp the old rows' `(min, max)`,
 //! mask bits or reorganized-payload bounds onto zones that now hold
 //! other rows.
+//!
+//! ## Which tail versions are alive
+//!
+//! An append builds the tail shard's next version; the version it
+//! replaces stays alive for as long as a published snapshot, a worker's
+//! cache or a scan helper holds it. The owner keeps the replaced version
+//! as its *spare*, and the next append reclaims it if by then nobody else
+//! does ([`SharedColumn::into_buffer`]): the spare is a prefix of the
+//! current tail, so catching it up costs only the rows appended since,
+//! not a copy of the shard. A spare still held elsewhere is let go and
+//! the append copies. At most one spare is alive per owner — the tail
+//! shard's rows plus the 1/64 of slack an append reserves — and a
+//! compaction that repacks the tail drops it, because the repacked rows
+//! no longer extend it.
 
 use crate::snapshot::ShardSnapshot;
 use crate::stats::OwnerTotals;
@@ -50,6 +64,33 @@ pub enum Mutation<T: DataValue> {
     Update(usize, T),
 }
 
+impl<T: DataValue> Mutation<T> {
+    /// The global rowid the mutation addresses.
+    fn row(&self) -> usize {
+        match *self {
+            Mutation::Delete(row) | Mutation::Update(row, _) => row,
+        }
+    }
+}
+
+/// Why a mutation batch or compaction request could not be confirmed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MutationError {
+    /// The batch addresses `row`, but the column holds only `rows` rows.
+    /// Nothing in the batch was applied.
+    OutOfRange {
+        /// The first rowid of the batch at or past the column's length.
+        row: usize,
+        /// The column's length when the batch arrived.
+        rows: usize,
+    },
+    /// The maintenance thread is gone — the service is tearing down or
+    /// the thread died — so no acknowledgement will arrive. The caller
+    /// must treat the batch as lost; it is reported, never silently
+    /// dropped.
+    Lost,
+}
+
 /// The service's authoritative state; see the module docs.
 #[derive(Debug)]
 pub struct Owner<T: DataValue> {
@@ -68,6 +109,9 @@ pub struct Owner<T: DataValue> {
     /// The data version of each shard when its lane was last rebuilt from
     /// scratch (0 = the initial load).
     rebuilt_at: Vec<u64>,
+    /// The tail version the last append replaced, which the next append
+    /// builds in when no reader holds it any more; see the module docs.
+    spare: Option<SharedColumn<T>>,
     /// The totals as far as they are counted here: events as they happen,
     /// and the reorg and tier counters of the lanes compaction has
     /// retired — so no total goes backwards when a fresh lane starts from
@@ -90,6 +134,7 @@ impl<T: DataValue> Owner<T> {
             dirty: vec![false; shards],
             epoch: 0,
             rebuilt_at: vec![0; shards],
+            spare: None,
             counted: OwnerTotals::default(),
             column,
         }
@@ -167,10 +212,14 @@ impl<T: DataValue> Owner<T> {
         self.counted.appends += 1;
     }
 
-    /// Grows the tail shard by `rows`; returns the tail shard's index.
+    /// Grows the tail shard by `rows`, in the spare's allocation when no
+    /// reader holds it any more; returns the tail shard's index.
     fn extend_tail(&mut self, rows: &[T]) -> usize {
-        self.column = self.column.append(rows);
         let tail = self.num_shards() - 1;
+        let buffer = self.spare.take().and_then(SharedColumn::into_buffer);
+        let replaced = self.column.shard(tail).clone();
+        self.column = self.column.append(rows, buffer.unwrap_or_default());
+        self.spare = Some(replaced);
         let shard = self.column.shard(tail);
         self.zonemap.on_append_tail(rows, shard.as_slice());
         self.deletes[tail].grow(shard.len());
@@ -184,9 +233,15 @@ impl<T: DataValue> Owner<T> {
     /// any of this batch's appends land, so a batch cannot address its own
     /// new rows). Returns how many mutations took effect.
     ///
-    /// # Panics
-    /// Panics on a rowid at or past the current column length.
-    pub fn mutate(&mut self, mutations: &[Mutation<T>]) -> usize {
+    /// # Errors
+    /// [`MutationError::OutOfRange`] when any rowid is at or past the
+    /// column's length; the batch is then refused whole, before any of it
+    /// is applied.
+    pub fn mutate(&mut self, mutations: &[Mutation<T>]) -> Result<usize, MutationError> {
+        let rows = self.column.len();
+        if let Some(row) = mutations.iter().map(Mutation::row).find(|&row| row >= rows) {
+            return Err(MutationError::OutOfRange { row, rows });
+        }
         self.epoch += 1;
         let mut applied = 0usize;
         let mut tail_appends: Vec<T> = Vec::new();
@@ -195,11 +250,6 @@ impl<T: DataValue> Owner<T> {
                 Mutation::Delete(row) => (row, None),
                 Mutation::Update(row, value) => (row, Some(value)),
             };
-            assert!(
-                row < self.column.len(),
-                "mutation rowid {row} out of range ({} rows)",
-                self.column.len()
-            );
             let s = self.shard_of_row(row);
             if self.deletes[s].delete(row - self.column.start(s)) {
                 self.deletes[s].set_epoch(self.epoch);
@@ -214,7 +264,7 @@ impl<T: DataValue> Owner<T> {
         }
         self.counted.mutation_batches += 1;
         self.counted.mutations_applied += applied as u64;
-        applied
+        Ok(applied)
     }
 
     /// Locates the shard holding global row `row < len`: the last shard
@@ -254,6 +304,10 @@ impl<T: DataValue> Owner<T> {
             let reclaimed = shard.len() - live_rows.len();
             let mut shards = self.column.shards().to_vec();
             shards[s] = shards[s].replace(live_rows);
+            if s + 1 == shards.len() {
+                // The repacked rows do not extend the spare's.
+                self.spare = None;
+            }
             self.column = ShardedColumn::from_shards(shards);
             let repacked = self.column.shard(s);
             self.deletes[s] = DeleteVector::new(repacked.len(), self.epoch);
@@ -416,7 +470,7 @@ mod tests {
             "the cold scan carries bounds to teach"
         );
 
-        assert_eq!(owner.mutate(&[Mutation::Delete(0)]), 1);
+        assert_eq!(owner.mutate(&[Mutation::Delete(0)]), Ok(1));
         assert_eq!(owner.compact(None), 1);
         assert!(owner.take_dirty(0), "a repacked lane must republish");
         owner.feedback(&[late]);
@@ -469,6 +523,103 @@ mod tests {
         );
     }
 
+    /// Where the tail shard's current version lives. The snapshot taken to
+    /// look is dropped before this returns, so it holds nothing.
+    fn tail_at(owner: &Owner<i64>) -> *const i64 {
+        let tail = owner.num_shards() - 1;
+        let snap = owner.snapshot(tail, Arc::new(owner.deletes(tail).clone()), 0);
+        snap.data.as_slice().as_ptr()
+    }
+
+    #[test]
+    fn with_no_reader_each_batch_builds_in_the_version_before_last() {
+        // Queries between the batches, as inline mode runs them: nothing
+        // but the owner ever holds a tail version.
+        let mut owner = Owner::new((0..ROWS).collect(), 2, AdaptiveConfig::default());
+        let mut at = vec![tail_at(&owner)];
+        // A tail-sized allocation after every batch takes any tail version
+        // a batch freed, so a copy cannot come back at a recycled address.
+        let mut pins: Vec<Vec<i64>> = Vec::new();
+        for k in 0..40 {
+            let batch = [Mutation::Update(k * 7, ROWS + k as i64)];
+            assert_eq!(owner.mutate(&batch), Ok(1));
+            owner.execute(RangePredicate::between(0, ROWS / 4), AggKind::Count);
+            at.push(tail_at(&owner));
+            pins.push(Vec::with_capacity(owner.deletes(1).len()));
+        }
+        // Version 0 was loaded without slack, so version 2 reallocated
+        // it; from version 1 on every version was built with room to spare.
+        for n in 1..at.len() - 2 {
+            assert_eq!(at[n + 2], at[n], "version {} copied", n + 2);
+        }
+        let want: Vec<i64> = (ROWS / 2..ROWS).chain(ROWS..ROWS + 40).collect();
+        let tail = owner.snapshot(1, Arc::new(owner.deletes(1).clone()), 0);
+        assert_eq!(tail.data.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn a_held_snapshot_keeps_its_rows_and_forces_a_copy() {
+        let mut owner = Owner::new((0..ROWS).collect(), 1, AdaptiveConfig::default());
+        owner.append(&[ROWS]);
+        let held = frozen(&owner, 1);
+        let rows = held.data.as_slice().to_vec();
+        let mut at = vec![tail_at(&owner)];
+        for k in 0..3 {
+            assert_eq!(owner.mutate(&[Mutation::Update(k, -1 - k as i64)]), Ok(1));
+            at.push(tail_at(&owner));
+        }
+        assert_eq!(
+            held.data.as_slice(),
+            rows.as_slice(),
+            "a reader's rows moved"
+        );
+        assert_ne!(at[2], at[0], "a held version was built in");
+        assert_eq!(at[3], at[1], "the unheld one is reused");
+        drop(held);
+        owner.append(&[ROWS + 1]);
+        assert_eq!(
+            tail_at(&owner),
+            at[2],
+            "reuse resumes once the reader lets go"
+        );
+    }
+
+    #[test]
+    fn a_tail_compaction_drops_the_spare() {
+        let mut owner = Owner::new((0..ROWS).collect(), 1, AdaptiveConfig::default());
+        let mut want: Vec<i64> = (0..ROWS).collect();
+        for k in 0..4usize {
+            assert_eq!(owner.mutate(&[Mutation::Update(k, 7 * k as i64)]), Ok(1));
+            want.push(7 * k as i64);
+        }
+        assert_eq!(owner.compact(None), 4);
+        want.drain(..4);
+        for k in 0..3 {
+            owner.append(&[-k]);
+            want.push(-k);
+            assert_eq!(frozen(&owner, 0).data.as_slice(), want.as_slice());
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_batch_is_refused_whole() {
+        let mut owner = Owner::new((0..ROWS).collect(), 4, AdaptiveConfig::default());
+        let rows = ROWS as usize;
+        let version = owner.data_version();
+        let batch = [Mutation::Delete(5), Mutation::Update(rows, 1)];
+        assert_eq!(
+            owner.mutate(&batch),
+            Err(MutationError::OutOfRange { row: rows, rows })
+        );
+        assert_eq!(owner.data_version(), version);
+        assert!(
+            !owner.deletes(0).is_deleted(5),
+            "half a refused batch landed"
+        );
+        assert_eq!(owner.totals().mutation_batches, 0);
+        assert_eq!(owner.mutate(&[Mutation::Delete(5)]), Ok(1));
+    }
+
     #[test]
     fn mutate_append_and_compact_keep_lanes_tombstones_and_totals_in_step() {
         let mut owner = Owner::new((0..ROWS).collect(), 4, AdaptiveConfig::default());
@@ -486,7 +637,7 @@ mod tests {
             Mutation::Delete(5),
             Mutation::Update(6_000, ROWS + 7),
         ];
-        assert_eq!(owner.mutate(&batch), 2);
+        assert_eq!(owner.mutate(&batch), Ok(2));
         assert_eq!(count(&mut owner), ROWS as u64 - 1);
         let dirty: Vec<bool> = (0..4).map(|s| owner.take_dirty(s)).collect();
         assert_eq!(dirty, [true, true, false, true]);

@@ -142,7 +142,7 @@
 
 use crate::config::{AdaptationMode, ServerConfig};
 use crate::helpers::{help_loop, Board, Runs};
-use crate::owner::{Mutation, Owner};
+use crate::owner::{Mutation, MutationError, Owner};
 use crate::queue::{Bounded, PushError};
 use crate::snapshot::{ShardSnapshot, ShardedCell};
 use crate::stats::{OwnerTotals, ServerStats, StatsCollector};
@@ -217,16 +217,6 @@ pub enum SubmitError<T: DataValue> {
     ShuttingDown(Request<T>),
 }
 
-/// Why a mutation batch or compaction request could not be confirmed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutationError {
-    /// The maintenance thread is gone — the service is tearing down or
-    /// the thread died — so no acknowledgement will arrive. The caller
-    /// must treat the batch as lost; it is reported, never silently
-    /// dropped.
-    Lost,
-}
-
 /// A pending reply; redeem with [`Ticket::wait`].
 #[derive(Debug)]
 pub struct Ticket<T: DataValue> {
@@ -262,8 +252,9 @@ enum MaintMsg<T: DataValue> {
     Feedback(Vec<(u64, ScanObservation<T>)>),
     Append(Vec<T>, SyncSender<()>),
     /// One client's mutation batch; the ack carries how many mutations
-    /// took effect and is sent only after the changed shards republish.
-    Mutate(Vec<Mutation<T>>, SyncSender<usize>),
+    /// took effect (or why the batch was refused) and is sent only after
+    /// the changed shards republish.
+    Mutate(Vec<Mutation<T>>, SyncSender<Result<usize, MutationError>>),
     /// Compact every tombstoned shard this round; the ack carries the
     /// rows reclaimed and is sent only after the repacked shards (and
     /// the start-shifted lanes downstream of them) republish.
@@ -510,11 +501,11 @@ impl<T: DataValue> QueryService<T> {
     /// already-dead row is a counted-out no-op.
     ///
     /// # Errors
-    /// [`MutationError::Lost`] when the maintenance thread is gone and no
-    /// acknowledgement will arrive; the batch must be treated as lost.
-    ///
-    /// # Panics
-    /// Panics on a rowid at or past the current column length.
+    /// [`MutationError::OutOfRange`] when a rowid is at or past the
+    /// current column length: the batch is refused whole and the service
+    /// carries on. [`MutationError::Lost`] when the maintenance thread is
+    /// gone and no acknowledgement will arrive; the batch must be treated
+    /// as lost.
     pub fn mutate(&self, mutations: Vec<Mutation<T>>) -> Result<usize, MutationError> {
         let n = mutations.len() as u64;
         self.shared.stats.record_mutations_queued(n);
@@ -525,9 +516,9 @@ impl<T: DataValue> QueryService<T> {
                 if let Some(ratio) = self.shared.config.compact_tombstone_ratio {
                     owner.compact(Some(ratio));
                 }
-                Ok(applied)
+                applied
             }
-            None => self.control(|ack| MaintMsg::Mutate(mutations, ack)),
+            None => self.control(|ack| MaintMsg::Mutate(mutations, ack))?,
         }
     }
 
@@ -938,7 +929,7 @@ fn maintenance_loop<T: DataValue>(
         }
 
         let mut acks: Vec<SyncSender<()>> = Vec::new();
-        let mut mutation_acks: Vec<(SyncSender<usize>, usize)> = Vec::new();
+        let mut mutation_acks = Vec::new();
         let mut compact_acks: Vec<SyncSender<usize>> = Vec::new();
         let mut force_all = false;
         for msg in batch {

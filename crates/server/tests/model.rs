@@ -943,7 +943,7 @@ fn late_feedback_across_compaction_never_teaches_the_rebuilt_lane() {
 
         let (c2, f2) = (Arc::clone(&cell), Arc::clone(&feedback));
         let maintenance = thread::spawn(move || {
-            assert_eq!(owner.mutate(&[Mutation::Delete(0)]), 1);
+            assert_eq!(owner.mutate(&[Mutation::Delete(0)]), Ok(1));
             assert_eq!(owner.compact(None), 1);
             c2.publish_shard(0, publish(&owner, 1));
 

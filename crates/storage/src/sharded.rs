@@ -112,16 +112,22 @@ impl<T: DataValue> ShardedColumn<T> {
         self.shards.iter().map(SharedColumn::len).collect()
     }
 
-    /// Produces the next version: `rows` appended to the **tail shard**.
+    /// Produces the next version: `rows` appended to the **tail shard**,
+    /// whose new version is built in `buffer` (see [`SharedColumn::append`]:
+    /// a prefix of the tail shard's rows — an earlier tail version nobody
+    /// reads any more, or `Vec::new()`).
     ///
     /// Only the last shard becomes a new [`SharedColumn`] version; the
     /// other shards are shared (`Arc` bumps) with `self`, so readers and
-    /// publication layers can tell exactly which shard moved.
-    pub fn append(&self, rows: &[T]) -> ShardedColumn<T> {
+    /// publication layers can tell exactly which shard moved. The tail
+    /// costs O(rows appended since `buffer`'s version) when `buffer` is an
+    /// earlier version, and a copy of the whole tail shard when it is
+    /// empty.
+    pub fn append(&self, rows: &[T], buffer: Vec<T>) -> ShardedColumn<T> {
         let mut shards = self.shards.clone();
         // invariant: constructors reject empty shard sets.
         let tail = shards.last_mut().expect("at least one shard");
-        *tail = tail.append(rows);
+        *tail = tail.append(rows, buffer);
         ShardedColumn {
             shards,
             starts: self.starts.clone(),
@@ -187,7 +193,7 @@ mod tests {
     #[test]
     fn append_touches_only_the_tail_shard() {
         let v0 = ShardedColumn::new((0..100i64).collect(), 4);
-        let v1 = v0.append(&[100, 101, 102]);
+        let v1 = v0.append(&[100, 101, 102], Vec::new());
         assert_eq!(v0.len(), 100);
         assert_eq!(v1.len(), 103);
         assert_eq!(v1.to_vec(), (0..103).collect::<Vec<i64>>());
@@ -203,7 +209,7 @@ mod tests {
     #[test]
     fn appends_grow_an_empty_tail() {
         let v0 = ShardedColumn::new((0..3i64).collect(), 8);
-        let v1 = v0.append(&[3, 4]);
+        let v1 = v0.append(&[3, 4], Vec::new());
         assert_eq!(v1.to_vec(), vec![0, 1, 2, 3, 4]);
         assert_eq!(v1.shard(7).as_slice(), &[3, 4]);
         assert_eq!((v1.start(7), v1.shard(7).len()), (3, 2));

@@ -9,15 +9,27 @@
 //! publication ack, so each query observes exactly the mutations issued
 //! before it: the answer stream is deterministic per seed and must also
 //! agree *across* the service shapes (asserted via checksum).
+//!
+//! The mid-stream variant also compacts between mutations, so appends
+//! and updates land on a freshly repacked tail shard. Its seed count
+//! scales with `ADS_STRESS_ITERS` (default 1), as the server's stress
+//! suite reads it.
 
 use adaptive_data_skipping::core::adaptive::AdaptiveConfig;
 use adaptive_data_skipping::core::RangePredicate;
 use adaptive_data_skipping::engine::AggKind;
 use adaptive_data_skipping::workloads::data;
 use ads_rng::StdRng;
-use ads_server::{AdaptationMode, Mutation, QueryService, ServerConfig};
+use ads_server::{AdaptationMode, Mutation, MutationError, QueryService, ServerConfig};
 
 const DOMAIN: i64 = 10_000;
+
+fn iters() -> u64 {
+    std::env::var("ADS_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
 
 const AGGS: [AggKind; 5] = [
     AggKind::Count,
@@ -139,7 +151,9 @@ fn verify(
         AggKind::Count => {}
         AggKind::Sum => {
             // Exact integer partials far below 2^53: bit-compare is fair.
-            let want: f64 = rows.iter().map(|&(_, v)| v as f64).sum();
+            // Explicit +0.0 fold identity: `Iterator::sum` seeds with
+            // -0.0, but the service answers an empty result set +0.0.
+            let want: f64 = rows.iter().map(|&(_, v)| v as f64).fold(0.0, |a, b| a + b);
             let got = ans.sum.expect("sum aggregate carries a sum");
             assert_eq!(
                 got.to_bits(),
@@ -172,8 +186,15 @@ fn verify(
 
 /// One randomized interleaving: ~90 steps mixing queries over all five
 /// aggregates with delete/update/append batches, a periodic flush
-/// barrier, then the compaction epilogue. Returns the answer checksum.
-fn run_interleaving(seed: u64, mode: AdaptationMode, shards: usize, readers: usize) -> u64 {
+/// barrier — and, when `mid_stream` is set, compactions — then the
+/// compaction epilogue. Returns the answer checksum.
+fn run_interleaving(
+    seed: u64,
+    mode: AdaptationMode,
+    shards: usize,
+    readers: usize,
+    mid_stream: bool,
+) -> u64 {
     let base = data::uniform(1_200, DOMAIN, 0x5EED ^ seed);
     let svc = QueryService::start(
         base.clone(),
@@ -191,8 +212,9 @@ fn run_interleaving(seed: u64, mode: AdaptationMode, shards: usize, readers: usi
     let ctx = format!("seed {seed} {} s{shards} r{readers}", mode.label());
     let mut checksum = 0u64;
 
+    let arms: u32 = if mid_stream { 12 } else { 10 };
     for step in 0..90 {
-        match rng.gen_range(0..10u32) {
+        match rng.gen_range(0..arms) {
             // Queries dominate the mix so every aggregate meets every
             // mutation pattern many times per seed.
             0..=5 => {
@@ -225,7 +247,18 @@ fn run_interleaving(seed: u64, mode: AdaptationMode, shards: usize, readers: usi
                 model.append(&rows);
                 svc.append(rows);
             }
-            _ => svc.flush(),
+            9 => svc.flush(),
+            // Mid-stream only: every tombstoned shard repacks, the tail
+            // among them once it holds a dead row, and the steps after
+            // append and update onto the repacked rows.
+            _ => {
+                let reclaimed = svc.compact().expect("maintenance thread lives");
+                assert_eq!(
+                    reclaimed, model.dead_count,
+                    "{ctx}: reclaimed at step {step}"
+                );
+                model.compact();
+            }
         }
     }
 
@@ -274,13 +307,12 @@ fn run_interleaving(seed: u64, mode: AdaptationMode, shards: usize, readers: usi
     checksum
 }
 
-/// The suite: every seed × every service shape, cross-checked.
-#[test]
-fn randomized_interleavings_match_naive_recompute_everywhere() {
-    for seed in 0..5u64 {
+/// Every seed × every service shape, cross-checked.
+fn interleavings_agree(seeds: std::ops::Range<u64>, mid_stream: bool) {
+    for seed in seeds {
         let mut reference: Option<u64> = None;
         for (mode, shards, readers) in SHAPES {
-            let sum = run_interleaving(seed, mode, shards, readers);
+            let sum = run_interleaving(seed, mode, shards, readers, mid_stream);
             match reference {
                 Some(want) => assert_eq!(
                     sum,
@@ -292,6 +324,72 @@ fn randomized_interleavings_match_naive_recompute_everywhere() {
                 None => reference = Some(sum),
             }
         }
+    }
+}
+
+/// The suite: compaction only in the epilogue.
+#[test]
+fn randomized_interleavings_match_naive_recompute_everywhere() {
+    interleavings_agree(0..5, false);
+}
+
+/// Compactions mid-stream: appends and updates after a repack of the
+/// tail shard must extend the repacked rows, never an older tail version.
+#[test]
+fn appends_and_updates_after_mid_stream_compactions_match_naive_recompute() {
+    interleavings_agree(100..100 + 4 * iters(), true);
+}
+
+/// A batch naming a rowid past the end is refused whole, with the row
+/// and the length, and the service carries on: the next valid mutation
+/// applies and a flush returns — in every mode.
+#[test]
+fn an_out_of_range_batch_is_refused_and_the_service_lives_on() {
+    for mode in [
+        AdaptationMode::Async,
+        AdaptationMode::Frozen,
+        AdaptationMode::Inline,
+    ] {
+        let base = data::uniform(10_000, DOMAIN, 0xBAD);
+        let svc = QueryService::start(
+            base.clone(),
+            ServerConfig {
+                shards: 2,
+                adaptation: mode,
+                ..ServerConfig::default()
+            },
+        );
+        let mut model = Model::new(&base);
+        let ctx = format!("out-of-range {}", mode.label());
+        assert_eq!(
+            svc.delete(20_000),
+            Err(MutationError::OutOfRange {
+                row: 20_000,
+                rows: 10_000
+            }),
+            "{ctx}"
+        );
+        let refused = vec![Mutation::Delete(7), Mutation::Update(10_000, 1)];
+        assert_eq!(
+            svc.mutate(refused),
+            Err(MutationError::OutOfRange {
+                row: 10_000,
+                rows: 10_000
+            }),
+            "{ctx}: the first rowid past the end is named"
+        );
+        verify(&svc, &model, 0, DOMAIN - 1, AggKind::Positions, &ctx);
+        assert_eq!(svc.delete(5), Ok(1), "{ctx}");
+        assert!(model.apply(Mutation::Delete(5)));
+        svc.flush();
+        for agg in AGGS {
+            verify(&svc, &model, 0, DOMAIN - 1, agg, &ctx);
+        }
+        let stats = svc.shutdown();
+        assert_eq!(
+            stats.deltas_pending, 0,
+            "{ctx}: refused batches left pending"
+        );
     }
 }
 

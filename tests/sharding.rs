@@ -156,7 +156,7 @@ fn appends_into_the_tail_shard_stay_exact() {
                 if qi % 5 == 4 {
                     let batch: Vec<i64> = (0..137).map(|i| (i * 61) % 10_000).collect();
                     rows.extend_from_slice(&batch);
-                    column = column.append(&batch);
+                    column = column.append(&batch, Vec::new());
                     let tail = column.num_shards() - 1;
                     zonemap.on_append_tail(&batch, column.shard(tail).as_slice());
                 }

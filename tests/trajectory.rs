@@ -153,7 +153,7 @@ fn churn(owner: &mut Owner<i64>, rng: &mut StdRng) -> String {
             }
         })
         .collect();
-    let applied = owner.mutate(&batch);
+    let applied = owner.mutate(&batch).expect("rowids drawn below the length");
     owner.maintain();
     format!("mutated {applied}")
 }
