@@ -6,8 +6,9 @@
 //! 1. **Plan** ([`ScanPlan::new`]): per shard the work-item list
 //!    (`build_work_items`), concatenated shard-major, sized by the
 //!    policy ([`ExecPolicy::effective_threads`]) and cut once into
-//!    contiguous runs of roughly equal rows
-//!    ([`ads_storage::parallel::weighted_runs`]).
+//!    contiguous runs at the item boundaries nearest equal shares of the
+//!    rows ([`ads_storage::parallel::weighted_runs`]); an item is never
+//!    cut, so a run's rows miss its share by at most half an item.
 //! 2. **Runs** ([`ScanPlan::scan_run`]): run *k* is the pure kernel
 //!    dispatch (`scan_item`) over its items. A run reads the inputs and
 //!    writes only its own result, so any thread may scan any run, in any
@@ -145,6 +146,14 @@ fn mask<'a, T: DataValue>(input: &ShardScanInput<'a, T>) -> Option<&'a DeleteVec
 /// shard-major), the contiguous runs that list is cut into, and what the
 /// merge needs to fold the runs back together.
 ///
+/// Run *k* ends at the item boundary whose row prefix is nearest `k/n` of
+/// the scanned rows ([`ads_storage::parallel::weighted_runs`]). Items —
+/// scan units, full-match ranges, positional zones — are never split, so
+/// every unit's SUM stays one running `f64` whatever the run count; the
+/// price is that a run may miss its share by up to half the item
+/// straddling its cut (with two runs, the larger holds at most half the
+/// rows plus half that item).
+///
 /// A plan owns no borrowed data, so its runs may be scanned by threads
 /// that outlive the caller's borrows; each scanner passes in the same
 /// lanes the plan was built from ([`ShardScanInput`]s over the same
@@ -218,6 +227,17 @@ impl<T: DataValue> ScanPlan<T> {
     /// How many runs the scan was cut into (1 = sequential).
     pub fn runs(&self) -> usize {
         self.runs.len()
+    }
+
+    /// The rows each run scans, in run order.
+    pub fn run_rows(&self) -> Vec<usize> {
+        // The runs partition the shard-major item list in order.
+        let mut rows = self.lane_items.iter().flatten().map(WorkItem::rows);
+        let run_rows = self
+            .runs
+            .iter()
+            .map(|run| rows.by_ref().take(run.len()).sum());
+        run_rows.collect()
     }
 
     /// Scans run `k` over `inputs` — the lanes the plan was built from.
@@ -569,6 +589,72 @@ mod tests {
         assert!(saw_reorg, "no query exercised a reorganized zone");
         assert!(saw_masked);
         assert_eq!(most_runs, 4, "no plan was cut into four runs");
+    }
+
+    #[test]
+    fn a_dead_extent_opening_the_next_lane_is_not_put_on_the_first_run() {
+        use ads_core::{UnitRequest, UnitWork};
+        use ads_storage::RowRange;
+        // What the prune emits for a mixed-regions column after
+        // deactivation: per-zone units that still learn, and one unit per
+        // coalesced dead extent. Lane 0 scans 9,900 rows (48 zones, then
+        // its dead tail); lane 1 opens with a 5,100-row dead extent.
+        let lane = |units: &[(usize, usize, bool)]| {
+            let mut out = PruneOutcome::for_prune();
+            for &(start, end, learns) in units {
+                let request = UnitRequest {
+                    bounds: learns,
+                    bins: None,
+                };
+                out.push_unit(RowRange::new(start, end), UnitWork::Scan(request));
+            }
+            out
+        };
+        let zones = |from: usize, n: usize| {
+            (0..n).map(move |z| (from + 100 * z, from + 100 * (z + 1), true))
+        };
+        let lane0: Vec<_> = zones(0, 48).chain([(4_800, 9_900, false)]).collect();
+        let lane1: Vec<_> = std::iter::once((0, 5_100, false))
+            .chain(zones(5_100, 50))
+            .collect();
+        let outcomes = [lane(&lane0), lane(&lane1)];
+        // Thirds: every f64 add rounds, so any regrouping of a unit's
+        // additions shows in the SUM's bits.
+        let data: Vec<Vec<f64>> = [9_900, 10_100]
+            .iter()
+            .map(|&rows| (0..rows).map(|i| i as f64 / 3.0).collect())
+            .collect();
+        let inputs: Vec<ShardScanInput<'_, f64>> = outcomes
+            .iter()
+            .zip(&data)
+            .zip([0, 9_900])
+            .map(|((outcome, data), start)| ShardScanInput {
+                data,
+                outcome,
+                start,
+                live: None,
+            })
+            .collect();
+        let pred = RangePredicate::between(100.0, 3_000.0);
+        let two = ExecPolicy {
+            threads: 2,
+            min_rows_per_thread: 1,
+        };
+        let plan = ScanPlan::new(&inputs, pred, AggKind::Sum, &two);
+        let rows = plan.run_rows();
+        assert_eq!(rows.iter().sum::<usize>(), 20_000);
+        let (small, large) = (rows[0].min(rows[1]), rows[0].max(rows[1]));
+        assert_eq!(rows.len(), 2);
+        assert!(
+            large * 10 <= small * 11,
+            "runs {rows:?} differ by more than 10 %"
+        );
+        for agg in ALL_AGGS {
+            let one = scan_sharded(&inputs, pred, agg, &ExecPolicy::sequential());
+            let fanned = scan_sharded(&inputs, pred, agg, &two);
+            assert_eq!(fingerprint(&fanned), fingerprint(&one), "{agg:?}");
+            assert_eq!(fanned.phase.threads_used, 2);
+        }
     }
 
     #[test]

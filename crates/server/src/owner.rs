@@ -295,12 +295,7 @@ impl<T: DataValue> Owner<T> {
                 continue;
             }
             let shard = self.column.shard(s);
-            let mut live_rows = Vec::with_capacity(dv.live_count());
-            for (i, v) in shard.as_slice().iter().enumerate() {
-                if !dv.is_deleted(i) {
-                    live_rows.push(*v);
-                }
-            }
+            let live_rows = dv.live_rows(shard.as_slice());
             let reclaimed = shard.len() - live_rows.len();
             let mut shards = self.column.shards().to_vec();
             shards[s] = shards[s].replace(live_rows);

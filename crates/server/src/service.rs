@@ -700,7 +700,7 @@ fn worker_loop<T: DataValue>(
                     // which is why the job owns what its runs read.
                     Some(board) if plan.runs() > 1 => {
                         drop(inputs);
-                        shared.stats.record_scan_fanned();
+                        shared.stats.record_scan_fanned(&plan.run_rows());
                         let lanes = lanes.iter().map(|lane| Arc::clone(lane.current()));
                         scan_fanned(
                             board,

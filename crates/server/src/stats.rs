@@ -41,6 +41,10 @@ pub struct StatsCollector {
     rows_with_byproducts: AtomicU64,
     /// Queries whose scan ran as more than one run beside scan helpers.
     scans_fanned: AtomicU64,
+    /// Rows those fanned scans touched.
+    fanned_rows: AtomicU64,
+    /// Rows of each fanned scan's largest run, summed.
+    fanned_max_run_rows: AtomicU64,
     /// Scan helper threads the service runs (fixed at start).
     scan_helpers: u64,
     /// One latency shard per worker, locked only by that worker (and by
@@ -63,6 +67,8 @@ impl StatsCollector {
             rows_scanned: AtomicU64::new(0),
             rows_with_byproducts: AtomicU64::new(0),
             scans_fanned: AtomicU64::new(0),
+            fanned_rows: AtomicU64::new(0),
+            fanned_max_run_rows: AtomicU64::new(0),
             scan_helpers: 0,
             latency_shards: (0..workers.max(1))
                 .map(|_| Mutex::new(LatencyHistogram::new()))
@@ -102,10 +108,18 @@ impl StatsCollector {
             .fetch_add(with_byproducts as u64, Ordering::Relaxed);
     }
 
-    /// Records one query whose scan was fanned out to the helpers.
-    pub(crate) fn record_scan_fanned(&self) {
+    /// Records one query whose scan was fanned out to the helpers, cut
+    /// into runs of `run_rows` rows each.
+    pub(crate) fn record_scan_fanned(&self, run_rows: &[usize]) {
         // ordering: Relaxed — monotone counter; see record_query.
         self.scans_fanned.fetch_add(1, Ordering::Relaxed);
+        let rows: usize = run_rows.iter().sum();
+        // ordering: Relaxed — monotone counter; see record_query.
+        self.fanned_rows.fetch_add(rows as u64, Ordering::Relaxed);
+        let largest = run_rows.iter().max().copied().unwrap_or(0);
+        // ordering: Relaxed — monotone counter; see record_query.
+        self.fanned_max_run_rows
+            .fetch_add(largest as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn record_shed(&self) {
@@ -210,6 +224,10 @@ impl StatsCollector {
             scan_helpers: self.scan_helpers,
             // ordering: Relaxed — see the struct-literal comment above.
             scans_fanned: self.scans_fanned.load(Ordering::Relaxed),
+            // ordering: Relaxed — see the struct-literal comment above.
+            fanned_rows: self.fanned_rows.load(Ordering::Relaxed),
+            // ordering: Relaxed — see the struct-literal comment above.
+            fanned_max_run_rows: self.fanned_max_run_rows.load(Ordering::Relaxed),
             queue_depth,
             latency,
         }
@@ -336,6 +354,13 @@ pub struct ServerStats {
     /// worker and its helpers — only scans past the policy's floor of
     /// `MIN_ROWS_PER_THREAD` rows per thread are.
     pub scans_fanned: u64,
+    /// Rows the fanned scans touched.
+    pub fanned_rows: u64,
+    /// Rows of each fanned scan's largest run, summed over the fanned
+    /// scans: a fanned query waits for its largest run, so
+    /// `fanned_max_run_rows / fanned_rows` is how evenly the runs were cut
+    /// (`largest_run_share` in [`ServerStats::summary`]).
+    pub fanned_max_run_rows: u64,
     /// Request-queue depth at sampling time.
     pub queue_depth: usize,
     /// Merged end-to-end latency distribution (submit-to-reply is up to
@@ -365,6 +390,17 @@ impl ServerStats {
         }
     }
 
+    /// Share of the fanned scans' rows that their largest runs held: 1/n
+    /// for a perfect n-way cut, 1 when one run held everything (0 when
+    /// nothing fanned).
+    fn largest_run_share(&self) -> f64 {
+        if self.fanned_rows == 0 {
+            0.0
+        } else {
+            self.fanned_max_run_rows as f64 / self.fanned_rows as f64
+        }
+    }
+
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -375,7 +411,7 @@ impl ServerStats {
              reorg_promoted={} reorg_demoted={} reorg_bytes_moved={} \
              tiers_built={} tiers_dropped={} tier_skips={} \
              rows_scanned={} byproduct_share={:.4} \
-             scan_helpers={} scans_fanned={} \
+             scan_helpers={} scans_fanned={} largest_run_share={:.3} \
              p50={}ns p95={}ns p99={}ns",
             self.queries,
             self.shed,
@@ -402,6 +438,7 @@ impl ServerStats {
             self.byproduct_share(),
             self.scan_helpers,
             self.scans_fanned,
+            self.largest_run_share(),
             self.latency.p50_ns(),
             self.latency.p95_ns(),
             self.latency.p99_ns(),
@@ -429,7 +466,7 @@ mod tests {
         c.record_mutations_processed(7);
         c.record_scan_rows(4_000, 1_000);
         c.record_scan_rows(4_000, 0);
-        c.record_scan_fanned();
+        c.record_scan_fanned(&[3_000, 1_000]);
         let c = c.with_scan_helpers(2);
 
         let owner = OwnerTotals {
@@ -485,6 +522,7 @@ mod tests {
         assert_eq!(s.tier_skips, 8);
         assert_eq!((s.rows_scanned, s.rows_with_byproducts), (8_000, 1_000));
         assert_eq!((s.scan_helpers, s.scans_fanned), (2, 1));
+        assert_eq!((s.fanned_rows, s.fanned_max_run_rows), (4_000, 3_000));
         assert!((s.byproduct_share() - 0.125).abs() < 1e-12);
         assert_eq!(s.queue_depth, 5);
         assert_eq!(s.latency.count(), 3);
@@ -502,6 +540,22 @@ mod tests {
         assert!((qps - 50.0).abs() < 1e-9);
         assert_eq!(s.throughput_qps(Duration::ZERO), 0.0);
         assert!(s.summary().contains("feedback_stale=0"));
-        assert!(s.summary().contains("scan_helpers=0 scans_fanned=0"));
+        assert!(s
+            .summary()
+            .contains("scan_helpers=0 scans_fanned=0 largest_run_share=0.000"));
+    }
+
+    #[test]
+    fn largest_run_share_sums_each_fanned_scans_largest_run() {
+        let c = StatsCollector::new(1);
+        // An even two-way cut, then one that left four-fifths on one run.
+        c.record_scan_fanned(&[500, 500]);
+        c.record_scan_fanned(&[200, 800]);
+        c.record_scan_fanned(&[100, 100, 100, 100]);
+        let s = c.snapshot(0, OwnerTotals::default());
+        assert_eq!(s.scans_fanned, 3);
+        assert_eq!((s.fanned_rows, s.fanned_max_run_rows), (2_400, 1_400));
+        assert!((s.largest_run_share() - 1_400.0 / 2_400.0).abs() < 1e-12);
+        assert!(s.summary().contains("largest_run_share=0.583"));
     }
 }

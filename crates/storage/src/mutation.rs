@@ -161,6 +161,31 @@ impl DeleteVector {
         (end - start) - self.deleted.count_ones_in_range(start, end)
     }
 
+    /// The live rows of `rows` (the column this vector addresses), in
+    /// order: what a compaction keeps. Works a 64-row window at a time —
+    /// an all-live window is one slice copy, any other yields its set
+    /// bits — so a mostly-live column costs no per-row test.
+    ///
+    /// # Panics
+    /// Panics if `rows.len() != len`.
+    pub fn live_rows<T: Copy>(&self, rows: &[T]) -> Vec<T> {
+        assert_eq!(rows.len(), self.len, "rows and vector lengths differ");
+        let mut live_rows = Vec::with_capacity(self.live_count());
+        for (w, chunk) in rows.chunks(64).enumerate() {
+            let mut live = self.live_window(w * 64);
+            if live == u64::MAX >> (64 - chunk.len()) {
+                live_rows.extend_from_slice(chunk);
+                continue;
+            }
+            while live != 0 {
+                // narrowing: the lowest set bit of a u64 is at most 63.
+                live_rows.push(chunk[live.trailing_zeros() as usize]);
+                live &= live - 1;
+            }
+        }
+        live_rows
+    }
+
     /// Grows the vector to cover `new_len` rows; appended rows are live.
     ///
     /// # Panics
@@ -239,6 +264,40 @@ mod tests {
             let want = (start..end).filter(|&i| !dv.is_deleted(i)).count();
             assert_eq!(dv.live_count_in_range(start, end), want, "{start}..{end}");
         }
+    }
+
+    #[test]
+    fn live_rows_match_the_per_row_repack() {
+        let per_row = |dv: &DeleteVector, rows: &[u32]| -> Vec<u32> {
+            let live = rows.iter().enumerate().filter(|&(i, _)| !dv.is_deleted(i));
+            live.map(|(_, &v)| v).collect()
+        };
+        // 200 rows: three whole words and a partial last word of 8 rows.
+        let rows: Vec<u32> = (0..200).map(|i| i * 7 + 1).collect();
+        let cases: [(&str, Vec<usize>); 6] = [
+            ("all live", vec![]),
+            ("word edges", vec![0, 63, 64, 127, 128, 191, 192, 199]),
+            ("an all-dead word", (64..128).collect()),
+            ("a dead partial word", (192..200).collect()),
+            ("all dead", (0..200).collect()),
+            ("scattered", vec![5, 70, 71, 150]),
+        ];
+        for (case, dead) in &cases {
+            let mut dv = DeleteVector::new(rows.len(), 0);
+            for &r in dead {
+                dv.delete(r);
+            }
+            let got = dv.live_rows(&rows);
+            assert_eq!(got, per_row(&dv, &rows), "{case}");
+            assert_eq!(got.len(), dv.live_count(), "{case}");
+        }
+        // A column shorter than one word, with and without a tombstone.
+        let short = [4u32, 5, 6];
+        let mut dv = DeleteVector::new(3, 0);
+        assert_eq!(dv.live_rows(&short), short);
+        dv.delete(1);
+        assert_eq!(dv.live_rows(&short), [4, 6]);
+        assert!(DeleteVector::new(0, 0).live_rows::<u32>(&[]).is_empty());
     }
 
     #[test]
