@@ -20,6 +20,12 @@
 //! write: its probe and skip counts follow from the map's probe clock
 //! (see [`ZoneStats`](crate::stats::ZoneStats)).
 //!
+//! The walk's plain pass reads them 64 zones at a time: for one word of
+//! `built` it packs `built & (max < lo | hi < min)` from the dense bounds
+//! ([`PrunePlane::bounds_excluded`]), counts the zones that word excludes
+//! in one add, and probes only the rest, so a bounds skip costs a fraction
+//! of a nanosecond rather than a probe.
+//!
 //! Where the data is ordered the bounds are too, and the plane notices:
 //! `runs` lists stretches of at least [`MIN_RUN`] built zones whose `mins`
 //! and whose `maxs` are both non-decreasing under the total order. Inside
@@ -40,6 +46,7 @@
 
 use crate::adaptive::zone::{AdaptiveZone, ZoneState};
 use ads_storage::DataValue;
+use std::ops::Range;
 
 /// The fewest zones a run is kept for: below it two binary searches save
 /// too little over a linear pass to pay for the bookkeeping.
@@ -142,6 +149,26 @@ impl<T: DataValue> PrunePlane<T> {
     #[inline]
     pub(crate) fn bounds(&self, z: usize) -> Option<(T, T)> {
         self.is_built(z).then(|| (self.mins[z], self.maxs[z]))
+    }
+
+    /// The packed bounds filter of the plain prune pass: bit `i` is set
+    /// iff zone `zones.start + i` is built and its bounds exclude the
+    /// predicate whose bound keys ([`DataValue::total_key`]) are `lo` and
+    /// `hi` — `max < lo` or `hi < min`, the exact negation of
+    /// `RangePredicate::overlaps`. `zones` lies within one word of
+    /// `built`. One compare pair per zone and no branch, so the loop packs
+    /// four zones per instruction on x86-64-v3, and the bits past
+    /// `zones.len()` stay clear.
+    #[inline(always)]
+    pub(crate) fn bounds_excluded(&self, zones: Range<usize>, lo: T::Key, hi: T::Key) -> u64 {
+        debug_assert!(zones.start < zones.end && (zones.end - 1) / 64 == zones.start / 64);
+        let built = self.built[zones.start / 64] >> (zones.start % 64);
+        let (mins, maxs) = (&self.mins[zones.clone()], &self.maxs[zones]);
+        let mut out = 0u64;
+        for (i, (min, max)) in mins.iter().zip(maxs).enumerate() {
+            out |= (((max.total_key() < lo) | (hi < min.total_key())) as u64) << i;
+        }
+        out & built
     }
 
     /// Records that zone `z` became (or stayed) built with bounds

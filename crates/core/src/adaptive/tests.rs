@@ -1486,6 +1486,112 @@ fn a_run_is_crossed_with_two_binary_searches_deciding_as_the_linear_walk() {
     }
 }
 
+/// SplitMix64: the seeded stream of the bounds-filter walks below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn the_bounds_filter_walks_as_the_zone_by_zone_reference_does() {
+    // The plane's walkers exclude zones 64 at a time, per word of the
+    // built bitset; the array-of-structs reference probes each zone. On
+    // maps of 63, 64, 65 and 129 zones — some built, some left unbuilt,
+    // some dead, some inside runs — full walks and walks restricted to
+    // alive sets whose spans start and end mid-word must decide alike,
+    // and leave every zone record (overlap counts, visit counts, tier and
+    // idle stamps) and the lifetime counters alike.
+    let config = AdaptiveConfig {
+        target_zone_rows: 16,
+        min_zone_rows: 4,
+        max_zone_rows: 32,
+        deactivate_after_probes: 4,
+        ..small_config()
+    };
+    for zones in [63usize, 64, 65, 129] {
+        let mut state = zones as u64;
+        let len = zones * 16;
+        // Sorted for a third, then clustered, then uniform.
+        let mut data: Vec<i64> = (0..len)
+            .map(|row| match row * 3 / len {
+                0 => row as i64,
+                1 => (row as i64 / 40) * 37 % 2000 + (splitmix(&mut state) % 30) as i64,
+                _ => (splitmix(&mut state) % 2000) as i64,
+            })
+            .collect();
+        let mut plane = AdaptiveZonemap::new(len, config.clone());
+        let mut aos = plane.clone();
+        let mut seen = [false; 2];
+        for step in 0..120 {
+            if step % 30 == 29 {
+                // An unbuilt tail, starting mid-word.
+                let old = data.len();
+                data.extend((0..40).map(|_| (splitmix(&mut state) % 2000) as i64));
+                plane.on_append(&data[old..], &data);
+                aos.on_append(&data[old..], &data);
+            }
+            let len = data.len();
+            let lo = (splitmix(&mut state) % 2100) as i64 - 50;
+            let pred = RangePredicate::between(lo, lo + (splitmix(&mut state) % 200) as i64);
+            let (a, b) = if step % 2 == 0 {
+                (plane.prune(&pred), aos.prune_via_zones(&pred))
+            } else {
+                let mut alive = ads_storage::RangeSet::new();
+                let mut at = (splitmix(&mut state) % 70) as usize;
+                while at < len {
+                    let end = (at + 1 + (splitmix(&mut state) % 300) as usize).min(len);
+                    alive.push_span(at, end);
+                    at = end + (splitmix(&mut state) % 400) as usize;
+                }
+                (
+                    plane.prune_within(&pred, &alive),
+                    aos.prune_owned::<false>(&pred, Some(&alive)),
+                )
+            };
+            let ctx = format!("{zones} zones, step {step}");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}: outcomes");
+            // One query in four observes only every other unit, which
+            // leaves zones unbuilt between built ones.
+            let ranges = a
+                .units
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| step % 4 != 0 || i % 2 == 0)
+                .map(|(_, u)| scan_unit(u, &data, pred))
+                .collect();
+            let obs = ScanObservation {
+                predicate: pred,
+                ranges,
+            };
+            plane.observe(&obs);
+            aos.observe(&obs);
+            assert_eq!(
+                format!("{:?}", plane.zones),
+                format!("{:?}", aos.zones),
+                "{ctx}: zones"
+            );
+            assert_eq!(
+                format!(
+                    "{:?}",
+                    (plane.stats, plane.probe_clock, plane.tier_lifetime)
+                ),
+                format!("{:?}", (aos.stats, aos.probe_clock, aos.tier_lifetime)),
+                "{ctx}: counters"
+            );
+            let (unbuilt, built, dead) = plane.state_counts();
+            seen[0] |= unbuilt > 0 && built > 0;
+            seen[1] |= dead > 0 && built > 0;
+        }
+        assert_eq!(
+            seen, [true; 2],
+            "{zones} zones: built beside unbuilt, beside dead"
+        );
+    }
+}
+
 #[cfg(feature = "audit")]
 #[test]
 fn the_run_walk_labels_every_zone_it_excludes() {

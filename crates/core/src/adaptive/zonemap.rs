@@ -28,7 +28,9 @@
 //! the [`Reader`] records nothing. A zone the bounds exclude is handled
 //! identically by both and written by neither: the owner's walk advances
 //! the map's probe clock once, and every built zone's probe and skip
-//! counts follow from it ([`ZoneStats`]).
+//! counts follow from it ([`ZoneStats`]). That is what lets a walker on
+//! the plane exclude zones 64 at a time ([`probe_span`]) and probe only
+//! the survivors.
 
 use crate::adaptive::config::AdaptiveConfig;
 use crate::adaptive::plane::{PrunePlane, MIN_RUN};
@@ -653,19 +655,38 @@ fn scan_request<T: DataValue>(zone: &AdaptiveZone<T>, bins: Option<MaskRequest>)
 /// probe whose bounds overlap leaves behind in the map. The defaults
 /// leave nothing; a probe the bounds exclude never reaches a walker.
 trait Walker<T: DataValue> {
+    /// True when the walker reads bounds off the dense [`PrunePlane`],
+    /// which gives its walk the plane's runs and the packed bounds filter
+    /// ([`probe_span`]); false for the array-of-structs reference, which
+    /// reads each zone's record and probes zone by zone.
+    const PLANE: bool;
+
     /// The map being walked.
     fn map(&self) -> &AdaptiveZonemap<T>;
-
-    /// `(min, max)` of zone `idx`, `None` unless the zone is built.
-    fn bounds(&self, idx: usize) -> Option<(T, T)>;
 
     /// Zone `idx` overlaps the predicate and the classifier chose `action`.
     fn overlapped(&mut self, _idx: usize, _action: &OverlapAction) {}
 
+    /// `(min, max)` of zone `idx`, `None` unless the zone is built.
+    #[inline(always)]
+    fn bounds(&self, idx: usize) -> Option<(T, T)> {
+        if Self::PLANE {
+            return self.map().plane.bounds(idx);
+        }
+        match self.map().zones[idx].state {
+            ZoneState::Built { min, max, .. } => Some((min, max)),
+            ZoneState::Unbuilt | ZoneState::Dead { .. } => None,
+        }
+    }
+
     /// The ordered runs an unrestricted walk may binary-search: the
     /// plane's, for a walker that reads its bounds off the plane.
     fn runs(&self) -> &[(usize, usize)] {
-        &[]
+        if Self::PLANE {
+            &self.map().plane.runs
+        } else {
+            &[]
+        }
     }
 }
 
@@ -675,16 +696,10 @@ trait Walker<T: DataValue> {
 struct Reader<'a, T: DataValue>(&'a AdaptiveZonemap<T>);
 
 impl<T: DataValue> Walker<T> for Reader<'_, T> {
+    const PLANE: bool = true;
+
     fn map(&self) -> &AdaptiveZonemap<T> {
         self.0
-    }
-
-    fn bounds(&self, idx: usize) -> Option<(T, T)> {
-        self.0.plane.bounds(idx)
-    }
-
-    fn runs(&self) -> &[(usize, usize)] {
-        &self.0.plane.runs
     }
 }
 
@@ -695,26 +710,10 @@ impl<T: DataValue> Walker<T> for Reader<'_, T> {
 struct Owner<'a, T: DataValue, const PLANE: bool>(&'a mut AdaptiveZonemap<T>);
 
 impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
+    const PLANE: bool = PLANE;
+
     fn map(&self) -> &AdaptiveZonemap<T> {
         self.0
-    }
-
-    fn bounds(&self, idx: usize) -> Option<(T, T)> {
-        if PLANE {
-            return self.0.plane.bounds(idx);
-        }
-        match self.0.zones[idx].state {
-            ZoneState::Built { min, max, .. } => Some((min, max)),
-            ZoneState::Unbuilt | ZoneState::Dead { .. } => None,
-        }
-    }
-
-    fn runs(&self) -> &[(usize, usize)] {
-        if PLANE {
-            &self.0.plane.runs
-        } else {
-            &[]
-        }
     }
 
     // epoch: overlap counts, the idle clock and the tier consultation
@@ -749,7 +748,8 @@ impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
 /// The zone walk every prune entry point runs: probes each zone of the
 /// map in order — or, given `alive`, only the zones it touches, each
 /// once — and assembles the outcome. Unrestricted over a map with ordered
-/// runs, [`walk_runs`] takes it up to the end of the last run first.
+/// runs, [`walk_runs`] takes it up to the end of the last run first; the
+/// plain pass after it, and between runs, is [`probe_span`].
 fn walk<T: DataValue>(
     w: &mut impl Walker<T>,
     pred: &RangePredicate<T>,
@@ -767,9 +767,7 @@ fn walk<T: DataValue>(
     for span in alive.map_or(&everything[..], RangeSet::ranges) {
         let zones = touched(&w.map().zones, *span, next);
         next = zones.end;
-        for idx in zones {
-            probe_zone(w, idx, pred, min_split_rows, &mut out);
-        }
+        probe_span(w, zones, pred, min_split_rows, &mut out);
     }
     out
 }
@@ -780,7 +778,7 @@ fn walk<T: DataValue>(
 /// `[first, last)` — below it every `max < lo`, above it every
 /// `min > hi` — and only those are probed. The rest are bounds skips,
 /// counted as the plain pass counts them, and like them write nothing.
-/// Zones between runs are probed one by one.
+/// Zones between runs go through [`probe_span`].
 ///
 /// Kept out of line, so that [`walk`]'s plain pass compiles as it does
 /// for a map without runs.
@@ -794,9 +792,7 @@ fn walk_runs<T: DataValue>(
     let mut next = 0;
     for r in 0..w.runs().len() {
         let (a, b) = w.runs()[r];
-        for idx in next..a {
-            probe_zone(w, idx, pred, min_split_rows, out);
-        }
+        probe_span(w, next..a, pred, min_split_rows, out);
         let plane = &w.map().plane;
         let first = a + plane.maxs[a..b].partition_point(|max| max.lt_total(&pred.lo));
         let last = first + plane.mins[first..b].partition_point(|min| min.le_total(&pred.hi));
@@ -819,6 +815,60 @@ fn walk_runs<T: DataValue>(
     next
 }
 
+/// Probes the zones `zones` in order. A walker on the plane first tests
+/// them 64 at a time ([`PrunePlane::bounds_excluded`]: built, and
+/// `max < lo` or `hi < min`, packed from the dense bounds without a
+/// branch), counts the zones that test excludes as probed and skipped in
+/// one add, and sends only the rest — unbuilt or dead, or overlapping —
+/// through [`probe_zone`], ascending. What it writes is what probing
+/// every zone writes: an excluded zone would have written nothing but
+/// those two counts (and, under `audit`, its `skip:bounds` label, which
+/// the same loop records in zone order). The reference walker probes zone
+/// by zone.
+#[inline(always)]
+fn probe_span<T: DataValue, W: Walker<T>>(
+    w: &mut W,
+    zones: std::ops::Range<usize>,
+    pred: &RangePredicate<T>,
+    min_split_rows: usize,
+    out: &mut PruneOutcome,
+) {
+    if !W::PLANE {
+        for idx in zones {
+            probe_zone(w, idx, pred, min_split_rows, out);
+        }
+        return;
+    }
+    let (lo, hi) = (pred.lo.total_key(), pred.hi.total_key());
+    let mut first = zones.start;
+    while first < zones.end {
+        // Up to the end of `first`'s 64-zone word of the built bitset.
+        let end = (first / 64 * 64 + 64).min(zones.end);
+        let excluded = w.map().plane.bounds_excluded(first..end, lo, hi);
+        // narrowing: count_ones of a u64 is at most 64.
+        let skipped = excluded.count_ones() as usize;
+        out.zones_probed += skipped;
+        out.zones_skipped += skipped;
+        let span = u64::MAX >> (64 - (end - first));
+        let mut visit = if cfg!(feature = "audit") {
+            span
+        } else {
+            span & !excluded
+        };
+        while visit != 0 {
+            // narrowing: trailing_zeros of a non-zero u64 is below 64.
+            let i = visit.trailing_zeros() as usize;
+            visit &= visit - 1;
+            if cfg!(feature = "audit") && excluded >> i & 1 != 0 {
+                out.record_decision(w.map().zones[first + i].range(), "skip:bounds");
+            } else {
+                probe_zone(w, first + i, pred, min_split_rows, out);
+            }
+        }
+        first = end;
+    }
+}
+
 /// The zones `span` touches, from `next` on. Zones partition `[0, len)`,
 /// so they are contiguous; starting no earlier than where the previous
 /// span's zones ended visits a zone two spans touch only once.
@@ -833,9 +883,9 @@ fn touched<T: DataValue>(
 
 /// Probes one zone: reads its bounds, tests overlap, classifies what the
 /// bounds cannot exclude, and writes the decision into `out`. Inlined at
-/// each of its three loops: left to the inliner, a function with more
-/// than one caller became a call per zone, which slowed the plain pass by
-/// about half.
+/// each of its loops: left to the inliner, a function with more than one
+/// caller became a call per zone, which slowed the plain pass by about
+/// half.
 #[inline(always)]
 fn probe_zone<T: DataValue>(
     w: &mut impl Walker<T>,
@@ -911,7 +961,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// the lifetime statistics.
     ///
     /// epoch: the probe clock and visit counts are stat drift.
-    fn prune_owned<const PLANE: bool>(
+    pub(super) fn prune_owned<const PLANE: bool>(
         &mut self,
         pred: &RangePredicate<T>,
         alive: Option<&RangeSet>,

@@ -376,7 +376,9 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
             // values only.
             let slice = &target[r.start..r.end];
             match agg {
-                AggKind::Sum => (out.count, out.sum) = scan::sum_rows(slice, live, r.start),
+                AggKind::Sum => {
+                    (out.count, out.sum) = scan::sum_rows(slice, (pred.lo, pred.hi), live, r.start)
+                }
                 _ => {
                     out.count = live.live_count(r.start, r.end);
                     if let Some((lo, hi)) = scan::min_max_rows(slice, live, r.start) {

@@ -49,12 +49,21 @@
 //! * **Counting never builds a mask.** [`count`] adds the test results
 //!   of a block up in packed lanes (`InRange::count`). Tombstones are
 //!   un-counted afterwards, one dead qualifier at a time.
+//! * **SUM of an integer column adds in packed `i64` lanes** wherever the
+//!   predicate proves the reference's `f64` fold exact
+//!   (`int_sum_is_exact`: `max(|lo|, |hi|) · max(rows - 1, 1) <= 2^53`),
+//!   the way counting adds test results: each row adds `v & -q`, dead
+//!   qualifiers are subtracted afterwards, and the total is converted to
+//!   `f64` once, bit-identical to the fold. That takes the dependent `f64`
+//!   add off every qualifying row; the `f64` chain remains only for float
+//!   columns and predicates the guard rejects.
 //! * **Mask consumers test branch-free at every selectivity**
-//!   (`InRange::mask`) and consume the mask in word units. SUM and
-//!   MIN/MAX of the matches fold the selected rows by their set bits when
-//!   the mask is sparse and row by row, with a select, when it is dense
-//!   (`for_each_selected`); either way in ascending row order, so `f64`
-//!   sums are bit-identical to the reference.
+//!   (`InRange::mask`) and consume the mask in word units. MIN/MAX of the
+//!   matches, and SUM where it stays an `f64` fold, fold the selected
+//!   rows by their set bits when the mask is sparse and row by row, with
+//!   a select, when it is dense (`for_each_selected`); either way in
+//!   ascending row order, so `f64` sums are bit-identical to the
+//!   reference.
 //! * **By-products get a pass of their own** over each 4096-row stretch,
 //!   just before its blocks are tested (`for_each_block!`): a packed
 //!   `(min, max)` fold is then reduced once per stretch, not once per
@@ -652,11 +661,77 @@ fn for_each_match<T: DataValue, L: Liveness, B: ByProduct<T>>(
     count
 }
 
+/// The bound below which every integer is an `f64`: the guard of the
+/// exact integer SUM ([`int_sum_is_exact`]).
+const F64_EXACT_INTS: u64 = 1 << 53;
+
+/// True when SUM over the rows of a `rows`-row slice that lie in `[lo,
+/// hi]` may be added up in `i64` lanes and converted to `f64` once, with a
+/// result bit-identical to the reference's row-by-row `f64` fold: `T` is
+/// an integer type, `lo <= hi`, and `M · max(rows - 1, 1) <= 2^53` for
+/// `M = max(|lo|, |hi|)`.
+///
+/// Every qualifying value has magnitude at most `M`, so every prefix of
+/// the fold but the last sums at most `rows - 1` of them: an integer of
+/// magnitude at most 2^53, held exactly, so each of those adds is exact.
+/// The last add then rounds the exact total once, as converting the
+/// integer total does, and neither produces `-0.0`. The bound is tight: at
+/// one more, `[2^53 + 1, -1]` folds to `2^53 - 1` but sums to `2^53`. A
+/// wrapping `i64` total is exact too, since the true one is at most
+/// `2^54` in magnitude. Float columns, inverted ranges and wide
+/// predicates (an open-ended `lo = i64::MIN`, say) fail the guard and
+/// keep the `f64` fold.
+#[inline(always)]
+fn int_sum_is_exact<T: DataValue>(lo: T, hi: T, rows: usize) -> bool {
+    let (Some(a), Some(b)) = (lo.sum_magnitude(), hi.sum_magnitude()) else {
+        return false;
+    };
+    // Widening: `usize` is at most 64 bits on every supported target.
+    let prefix_rows = rows.saturating_sub(1).max(1) as u64;
+    lo.le_total(&hi)
+        && a.max(b)
+            .checked_mul(prefix_rows)
+            .is_some_and(|m| m <= F64_EXACT_INTS)
+}
+
+/// The qualifying rows of one block, counted and summed in wrapping `i64`
+/// lanes in one pass — the SUM of an integer `T` whose predicate passed
+/// [`int_sum_is_exact`]. The test is the offset test of
+/// [`DataValue::in_span_total`] on the lanes, `v - lo <= hi - lo`
+/// unsigned, which is exact there too (sign- or zero-extending a value
+/// keeps its offsets from `lo` mod 2^64), with the sign flip that turns
+/// it into the one signed compare x86-64-v3 packs folded into the
+/// subtrahend: `v - (lo ^ 2^63) > (hi - lo) ^ 2^63` marks a row outside.
+/// Each row's result becomes a lane mask `out` (`-1` outside), added to a
+/// count of the rows outside and ANDed out of the value (`v & !out`): no
+/// packed bit mask, no branch, and no loop-carried dependency but the
+/// packed accumulators.
+#[inline(always)]
+fn lane_count_sum<T: DataValue>(block: &[T], lo: i64, hi: i64) -> (usize, i64) {
+    const SIGN: u64 = 1 << 63;
+    let bias = lo as u64 ^ SIGN;
+    let limit = ((hi as u64).wrapping_sub(lo as u64) ^ SIGN) as i64;
+    let (mut outside, mut sum) = (0i64, 0i64);
+    for &v in block {
+        let v = v.sum_lane();
+        let out = -((((v as u64).wrapping_sub(bias) as i64) > limit) as i64);
+        outside += out;
+        sum = sum.wrapping_add(v & !out);
+    }
+    // narrowing: a block holds at most 64 rows.
+    ((block.len() as i64 + outside) as usize, sum)
+}
+
 /// Sums the **live** qualifying values as `f64` and counts them, feeding
 /// every row to `by`; returns `(count, sum)`.
 ///
-/// `f64` accumulation keeps one kernel for all value types; integer columns
-/// up to 2^53 sum exactly, which covers the workloads in this repository.
+/// The sum is bit-identical to adding the qualifying values as `f64` one
+/// by one in row order ([`scalar::sum_in_range`]). Where
+/// [`int_sum_is_exact`] proves that fold exact, the values are added in
+/// packed `i64` lanes instead, like [`count`] adds its test results, and
+/// tombstoned qualifiers are subtracted afterwards; otherwise (floats, or
+/// a predicate too wide for the guard) they are folded as `f64` in row
+/// order.
 ///
 /// # Panics
 /// Panics if `live` does not address rows `base..base + data.len()`.
@@ -669,6 +744,23 @@ pub fn sum<T: DataValue, L: Liveness, B: ByProduct<T>>(
     base: usize,
     by: &mut B,
 ) -> (usize, f64) {
+    if int_sum_is_exact(lo, hi, data.len()) {
+        let range = InRange::new(lo, hi);
+        let (lanes_lo, lanes_hi) = (lo.sum_lane(), hi.sum_lane());
+        let (mut count, mut sum) = (0usize, 0i64);
+        for_each_block!(data, base, live, by, |block, _bit, dead| {
+            let (n, s) = lane_count_sum(block, lanes_lo, lanes_hi);
+            count += n;
+            sum = sum.wrapping_add(s);
+            for_each_set(dead, |i| {
+                let q = range.holds(block[i]);
+                count -= q as usize;
+                sum = sum.wrapping_sub(block[i].sum_lane() & -(q as i64));
+            });
+        });
+        // narrowing: exact, the guard bounds the total by 2^54.
+        return (count, sum as f64);
+    }
     let mut sum = 0.0f64;
     let count = for_each_match(data, (lo, hi), live, base, by, |v, q| {
         sum += if q { v.to_f64() } else { 0.0 }
@@ -684,14 +776,39 @@ pub fn sum_in_range<T: DataValue>(data: &[T], lo: T, hi: T) -> (usize, f64) {
 
 /// Sums the **live** rows of the slice as `f64` and returns `(live count,
 /// sum)` — the no-predicate kernel for ranges already proven to fully
-/// match, where re-evaluating the predicate per row (as [`sum_in_range`]
-/// with `[MIN, MAX]` bounds would) wastes the compare.
+/// match `[lo, hi]`, where re-evaluating the predicate per row (as
+/// [`sum_in_range`] would) wastes the compare. Every live row must lie in
+/// `[lo, hi]`: the bound decides, as in [`sum`], whether the rows are
+/// added in `i64` lanes (dead rows are added and taken out again, so
+/// their values do not matter) or folded as `f64`.
 ///
 /// # Panics
 /// Panics if `live` does not address rows `base..base + data.len()`.
 #[inline]
-pub fn sum_rows<T: DataValue, L: Liveness>(data: &[T], live: L, base: usize) -> (usize, f64) {
+pub fn sum_rows<T: DataValue, L: Liveness>(
+    data: &[T],
+    (lo, hi): (T, T),
+    live: L,
+    base: usize,
+) -> (usize, f64) {
     let mut count = 0usize;
+    if int_sum_is_exact(lo, hi, data.len()) {
+        let mut sum = 0i64;
+        for_each_block!(data, base, live, &mut NoByProduct, |block, _bit, dead| {
+            debug_assert!(
+                block
+                    .iter()
+                    .enumerate()
+                    .all(|(i, v)| dead >> i & 1 != 0 || v.in_range_total(&lo, &hi)),
+                "a live row of a full-match range lies outside the predicate"
+            );
+            count += block.len() - dead.count_ones() as usize;
+            sum = block.iter().fold(sum, |s, v| s.wrapping_add(v.sum_lane()));
+            for_each_set(dead, |i| sum = sum.wrapping_sub(block[i].sum_lane()));
+        });
+        // narrowing: exact, the guard bounds the total by 2^54.
+        return (count, sum as f64);
+    }
     let mut sum = 0.0f64;
     for_each_block!(data, base, live, &mut NoByProduct, |block, _bit, dead| {
         let mask = !dead & low_bits(block.len());
@@ -729,12 +846,26 @@ pub fn aggregate<T: DataValue, L: Liveness, B: ByProduct<T>>(
     base: usize,
     by: &mut B,
 ) -> MatchAggregates<T> {
-    let mut sum = 0.0f64;
     let mut matched = Bounds::new();
-    let count = for_each_match(data, (lo, hi), live, base, by, |v, q| {
-        sum += if q { v.to_f64() } else { 0.0 };
-        matched.push_if(v, q);
-    });
+    // The sum is the one of [`sum`]: in integer lanes where the guard
+    // proves it exact, an `f64` fold otherwise. Beside the MIN/MAX fold
+    // the integer add is a select and a one-cycle add per row.
+    let (count, sum) = if int_sum_is_exact(lo, hi, data.len()) {
+        let mut sum = 0i64;
+        let count = for_each_match(data, (lo, hi), live, base, by, |v, q| {
+            sum = sum.wrapping_add(v.sum_lane() & -(q as i64));
+            matched.push_if(v, q);
+        });
+        // narrowing: exact, the guard bounds the total by 2^54.
+        (count, sum as f64)
+    } else {
+        let mut sum = 0.0f64;
+        let count = for_each_match(data, (lo, hi), live, base, by, |v, q| {
+            sum += if q { v.to_f64() } else { 0.0 };
+            matched.push_if(v, q);
+        });
+        (count, sum)
+    };
     let (min, max) = matched.min_max();
     MatchAggregates {
         count,

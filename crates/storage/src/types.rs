@@ -43,8 +43,21 @@ pub trait DataValue: Copy + Send + Sync + fmt::Debug + fmt::Display + PartialEq 
     fn total_cmp(&self, other: &Self) -> Ordering;
 
     /// Lossy conversion to `f64`, used by SUM/AVG aggregation. Exact for
-    /// integers up to 2^53, which covers the workloads in this repository.
+    /// integers of magnitude up to 2^53. The SUM kernels do not assume
+    /// that bound: they check it per scan against the predicate
+    /// ([`Self::sum_magnitude`]) before they fold integers in `i64` lanes,
+    /// and keep the `f64` fold where the check fails.
     fn to_f64(self) -> f64;
+
+    /// `|self|` for an integer type, what the exact-SUM guard bounds every
+    /// qualifying row by; `None` for a float type, whose SUM is always
+    /// the `f64` fold.
+    fn sum_magnitude(self) -> Option<u64>;
+
+    /// The value in an `i64` SUM lane: `self as i64` for an integer type
+    /// (wrapping for `u64` values above `i64::MAX`, which no exact SUM
+    /// lets qualify), `0` for a float type (never asked for).
+    fn sum_lane(self) -> i64;
 
     /// Hash key for value sketches (bloom filters): values equal under
     /// [`DataValue::total_cmp`] must map to the same key, so a sketch
@@ -147,6 +160,18 @@ macro_rules! impl_data_value_int {
             }
 
             #[inline]
+            fn sum_magnitude(self) -> Option<u64> {
+                // Lossless: `i128` holds every value of every integer
+                // type, and `u64` every magnitude.
+                Some((self as i128).unsigned_abs() as u64)
+            }
+
+            #[inline]
+            fn sum_lane(self) -> i64 {
+                self as i64
+            }
+
+            #[inline]
             fn sketch_key(self) -> u64 {
                 // Sign-extending (or zero-extending) cast: equal integers
                 // always produce equal keys, exactly as required.
@@ -205,6 +230,16 @@ impl DataValue for f64 {
     }
 
     #[inline]
+    fn sum_magnitude(self) -> Option<u64> {
+        None
+    }
+
+    #[inline]
+    fn sum_lane(self) -> i64 {
+        0
+    }
+
+    #[inline]
     fn sketch_key(self) -> u64 {
         // Bit pattern: totalOrder-equal floats are bit-identical, so
         // equal values share a key; `-0.0` and `0.0` differ under
@@ -249,6 +284,16 @@ impl DataValue for f32 {
     #[inline]
     fn to_f64(self) -> f64 {
         self as f64
+    }
+
+    #[inline]
+    fn sum_magnitude(self) -> Option<u64> {
+        None
+    }
+
+    #[inline]
+    fn sum_lane(self) -> i64 {
+        0
     }
 
     #[inline]

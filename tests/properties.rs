@@ -668,19 +668,29 @@ fn assert_generic_kernels_match_reference<T: DataValue, L: Liveness>(
         &format!("{ctx} +bounds+bins"),
     );
 
-    let (rows, sum) = scan::sum_rows(data, live, base);
+    let (rows, sum) = scan::sum_rows(data, (T::MIN_VALUE, T::MAX_VALUE), live, base);
     let (_, want_sum) = scan::scalar::sum_in_range(&kept, T::MIN_VALUE, T::MAX_VALUE);
     let nan_free = kept
         .iter()
         .all(|v| v.ge_total(&T::MIN_VALUE) && v.le_total(&T::MAX_VALUE));
     assert_eq!(rows, kept.len(), "sum_rows count {ctx}");
+    let kept_all = scan::scalar::aggregate_in_range(&kept, T::MIN_VALUE, T::MAX_VALUE);
     if nan_free {
         // `[MIN_VALUE, MAX_VALUE]` keeps every non-NaN value, so the
         // reference above summed exactly the live rows.
         assert_eq!(sum.to_bits(), want_sum.to_bits(), "sum_rows bits {ctx}");
+        // Under the live rows' own bounds, as a full-match range gets
+        // them: narrow enough for the integer lanes where they are small.
+        let tight = (kept_all.match_min, kept_all.match_max);
+        let (rows, sum) = scan::sum_rows(data, tight, live, base);
+        assert_eq!(rows, kept.len(), "sum_rows tight count {ctx}");
+        assert_eq!(
+            sum.to_bits(),
+            want_sum.to_bits(),
+            "sum_rows tight bits {ctx}"
+        );
     }
 
-    let kept_all = scan::scalar::aggregate_in_range(&kept, T::MIN_VALUE, T::MAX_VALUE);
     match scan::min_max_rows(data, live, base) {
         None => assert!(kept.is_empty(), "min_max_rows none {ctx}"),
         Some((lmin, lmax)) => assert!(
@@ -815,6 +825,181 @@ fn generic_kernels_match_reference_under_every_byproduct_and_liveness_source() {
             },
             0x500F ^ case,
         );
+    }
+}
+
+/// The exact integer SUM's guard: a slice of `rows` rows may be summed in
+/// `i64` lanes when `max(|lo|, |hi|) · max(rows - 1, 1) <= 2^53`. The
+/// largest magnitude that passes for `rows` rows.
+fn guard_magnitude(rows: usize) -> i128 {
+    (1i128 << 53) / rows.saturating_sub(1).max(1) as i128
+}
+
+/// Checks `sum`, `aggregate` (lean and with `Bounds`), their all-live
+/// shorthands and `sum_rows` against the scalar `f64` fold, bit for bit,
+/// over `data` under `[lo, hi]`, with no tombstones and with `dead`
+/// tombstoned. `sum_rows` runs over the same slice with every row outside
+/// the predicate tombstoned as well, under the predicate as its bound.
+fn assert_sums_match_the_f64_fold<T: DataValue>(
+    data: &[T],
+    (lo, hi): (T, T),
+    dead: &[usize],
+    ctx: &str,
+) {
+    let inside = |v: &T| v.ge_total(&lo) && v.le_total(&hi);
+    let mut dv = DeleteVector::new(data.len(), 1);
+    for &r in dead {
+        dv.delete(r);
+    }
+    let kept: Vec<T> = (0..data.len())
+        .filter(|&r| !dv.is_deleted(r))
+        .map(|r| data[r])
+        .collect();
+    let (want_all_n, want_all) = scan::scalar::sum_in_range(data, lo, hi);
+    let (want_n, want) = scan::scalar::sum_in_range(&kept, lo, hi);
+    let bits = |(n, s): (usize, f64)| (n, s.to_bits());
+
+    assert_eq!(
+        bits(scan::sum_in_range(data, lo, hi)),
+        bits((want_all_n, want_all)),
+        "sum_in_range {ctx}"
+    );
+    let a = scan::aggregate_in_range(data, lo, hi);
+    assert_eq!(
+        bits((a.count, a.sum)),
+        bits((want_all_n, want_all)),
+        "aggregate_in_range {ctx}"
+    );
+    let sum = scan::sum(data, lo, hi, &dv, 0, &mut NoByProduct);
+    assert_eq!(bits(sum), bits((want_n, want)), "sum masked {ctx}");
+    let sum = scan::sum(data, lo, hi, &dv, 0, &mut Bounds::new());
+    assert_eq!(bits(sum), bits((want_n, want)), "sum masked +bounds {ctx}");
+    let a = scan::aggregate(data, lo, hi, &dv, 0, &mut NoByProduct);
+    assert_eq!(
+        bits((a.count, a.sum)),
+        bits((want_n, want)),
+        "aggregate masked {ctx}"
+    );
+
+    for r in (0..data.len()).filter(|&r| !inside(&data[r])) {
+        dv.delete(r);
+    }
+    let full: Vec<T> = kept.iter().copied().filter(inside).collect();
+    let (_, want_full) = scan::scalar::sum_in_range(&full, lo, hi);
+    assert_eq!(
+        bits(scan::sum_rows(data, (lo, hi), &dv, 0)),
+        bits((full.len(), want_full)),
+        "sum_rows {ctx}"
+    );
+    if dead.is_empty() && full.len() == data.len() {
+        assert_eq!(
+            bits(scan::sum_rows(data, (lo, hi), AllLive, 0)),
+            bits((full.len(), want_full)),
+            "sum_rows all-live {ctx}"
+        );
+    }
+}
+
+/// An integer value as `i128`, through its `Display` form.
+fn conv_back<T: DataValue>(v: T) -> i128 {
+    v.to_string().parse().expect("an integer type")
+}
+
+/// The exactness checks of one integer type whose values `conv` makes
+/// from `i128` (`None` outside the type), for slices of `rows` rows.
+fn check_int_sum_exactness<T: DataValue>(
+    ty: &str,
+    conv: impl Fn(i128) -> Option<T>,
+    rows: usize,
+    rng: &mut StdRng,
+) {
+    let (min, max) = (conv_back(T::MIN_VALUE), conv_back(T::MAX_VALUE));
+    let edge = guard_magnitude(rows);
+    // Straddle the guard; types too narrow to reach it test the lanes.
+    for m in [edge - 1, edge, edge + 1, 1000, max] {
+        let m = m.clamp(1, max);
+        let lo = (-m).max(min);
+        let (t_lo, t_hi) = (conv(lo).unwrap(), conv(m).unwrap());
+        let ctx = format!("{ty} rows {rows} [{lo}, {m}]");
+
+        // The guard's own witness: `rows - 1` rows summing to 2^53 + 1,
+        // which the f64 fold rounds to 2^53, then one more row of 1,
+        // which the fold loses again and an integer total keeps. Each row
+        // is at most `m`, so the fold is exact iff `m` passes the guard.
+        if rows >= 2 && (m as u128) * (rows as u128 - 1) > 1u128 << 53 {
+            let mut witness = vec![m; rows - 2];
+            witness.push((1i128 << 53) + 1 - m * (rows as i128 - 2));
+            witness.push(1);
+            if witness.iter().all(|&v| (lo..=m).contains(&v)) {
+                let col: Vec<T> = witness.iter().map(|&v| conv(v).unwrap()).collect();
+                assert_sums_match_the_f64_fold(&col, (t_lo, t_hi), &[], &format!("{ctx} witness"));
+            }
+        }
+
+        // Random columns: qualifying rows near ±m and anywhere between,
+        // rows outside the predicate (the type's extremes, `u64` above
+        // `i64::MAX` among them), tombstones on any of them.
+        let pick = |rng: &mut StdRng| -> T {
+            let v = match rng.gen_range(0..8u32) {
+                0 => m,
+                1 => lo,
+                2 => max,
+                3 => min,
+                4 => m.saturating_add(1).min(max),
+                _ => lo + (rng.gen_range(0..u64::MAX) as i128) % (m - lo + 1),
+            };
+            conv(v).unwrap()
+        };
+        let col: Vec<T> = (0..rows).map(|_| pick(rng)).collect();
+        let dead: Vec<usize> = (0..rows).filter(|_| rng.gen_range(0..5u32) == 0).collect();
+        assert_sums_match_the_f64_fold(&col, (t_lo, t_hi), &[], &format!("{ctx} random"));
+        assert_sums_match_the_f64_fold(&col, (t_lo, t_hi), &dead, &format!("{ctx} random masked"));
+
+        // A cancelling selection sums to +0.0, and so does an empty one.
+        if lo == -m {
+            let cancel: Vec<T> = (0..rows / 2 * 2)
+                .map(|r| conv(if r % 2 == 0 { m } else { -m }).unwrap())
+                .collect();
+            assert_sums_match_the_f64_fold(
+                &cancel,
+                (t_lo, t_hi),
+                &[],
+                &format!("{ctx} cancelling"),
+            );
+            let (n, s) = scan::sum_in_range(&cancel, t_lo, t_hi);
+            assert_eq!(
+                (n, s.to_bits()),
+                (cancel.len(), 0.0f64.to_bits()),
+                "{ctx} cancelling"
+            );
+        }
+        // Empty: a point no row holds (the integer lanes where `m`
+        // passes the guard), and an inverted range (the fold).
+        let none = vec![t_hi; rows];
+        for (a, b) in [(t_lo, t_lo), (t_hi, t_lo)] {
+            let (n, s) = scan::sum_in_range(&none, a, b);
+            assert_eq!((n, s.to_bits()), (0, 0.0f64.to_bits()), "{ctx} empty");
+        }
+        // Open-ended, `lo = MIN`: the guard rejects it once `|MIN|` times
+        // the rows passes 2^53, and the fold must still match.
+        assert_sums_match_the_f64_fold(&col, (T::MIN_VALUE, t_hi), &dead, &format!("{ctx} open"));
+    }
+}
+
+#[test]
+fn integer_sum_kernels_are_exact_on_both_sides_of_the_guard() {
+    let iters: u64 = std::env::var("ADS_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    for case in 0..4 * iters {
+        let mut rng = StdRng::seed_from_u64(0x5100 ^ case);
+        for rows in [1usize, 2, 3, 63, 64, 65, 129, 4097] {
+            check_int_sum_exactness("i8", |v| i8::try_from(v).ok(), rows, &mut rng);
+            check_int_sum_exactness("i32", |v| i32::try_from(v).ok(), rows, &mut rng);
+            check_int_sum_exactness("i64", |v| i64::try_from(v).ok(), rows, &mut rng);
+            check_int_sum_exactness("u64", |v| u64::try_from(v).ok(), rows, &mut rng);
+        }
     }
 }
 
@@ -1222,9 +1407,23 @@ fn check_prune_paths<T: DataValue>(
     gen_pred: &mut dyn FnMut(&mut StdRng, &[T]) -> RangePredicate<T>,
 ) {
     let len = rng.gen_range(200..3000usize);
+    check_prune_paths_over(case, shape, rng, (len, test_config()), value, gen_pred);
+}
+
+/// [`check_prune_paths`] over a column of `len` rows under `config`. One
+/// query in four observes only some of its units, which leaves the zones
+/// of the others unbuilt between built ones.
+fn check_prune_paths_over<T: DataValue>(
+    case: u64,
+    shape: &str,
+    rng: &mut StdRng,
+    (len, config): (usize, AdaptiveConfig),
+    value: &mut dyn FnMut(&mut StdRng, usize) -> T,
+    gen_pred: &mut dyn FnMut(&mut StdRng, &[T]) -> RangePredicate<T>,
+) {
     let mut data: Vec<T> = (0..len).map(|row| value(rng, row)).collect();
     let mut next_row = len;
-    let mut plane_zm = AdaptiveZonemap::new(data.len(), test_config());
+    let mut plane_zm = AdaptiveZonemap::new(data.len(), config.clone());
     let mut aos_zm = plane_zm.clone();
     for step in 0..rng.gen_range(20..60usize) {
         let ctx = format!("{shape} case {case} step {step}");
@@ -1247,7 +1446,7 @@ fn check_prune_paths<T: DataValue>(
                     row += 1;
                     !row.is_multiple_of(keep)
                 });
-                plane_zm = rebuilt_map(&data, test_config());
+                plane_zm = rebuilt_map(&data, config.clone());
                 aos_zm = plane_zm.clone();
             }
             _ => {
@@ -1266,7 +1465,15 @@ fn check_prune_paths<T: DataValue>(
                     owned_dbg, reference,
                     "{ctx}: owner diverged from AoS reference"
                 );
-                let obs = observe_units(&owned, &data, pred);
+                let mut obs = observe_units(&owned, &data, pred);
+                if rng.gen_range(0..4u32) == 0 {
+                    let keep = rng.gen_range(2..5usize);
+                    let mut unit = 0usize;
+                    obs.ranges.retain(|_| {
+                        unit += 1;
+                        !unit.is_multiple_of(keep)
+                    });
+                }
                 plane_zm.observe(&obs);
                 aos_zm.observe(&obs);
             }
@@ -1347,5 +1554,60 @@ fn prune_paths_agree_on_ordered_and_unordered_columns() {
                 }
             },
         );
+    }
+}
+
+#[test]
+fn prune_paths_agree_at_the_word_edges_of_the_bounds_filter() {
+    // The plane's walkers test zones 64 at a time against one word of the
+    // built bitset; the reference probes them one by one. Start at zone
+    // counts on either side of one and two words, with 16-row zones, and
+    // walk shapes that put a bounds skip next to an unbuilt zone (units
+    // left unobserved, appended tails), a dead zone (uniform stretches
+    // deactivate) or the end of a run (sorted stretches followed by
+    // shuffled ones), within a word and across words.
+    let config = AdaptiveConfig {
+        target_zone_rows: 16,
+        min_zone_rows: 4,
+        max_zone_rows: 128,
+        ..test_config()
+    };
+    type Shape = fn(&mut StdRng, usize, usize) -> i64;
+    let shapes: [(&str, Shape); 4] = [
+        ("sorted", |_, row, _| row as i64),
+        ("uniform", |rng, _, _| rng.gen_range(0..4000i64)),
+        ("sorted-then-uniform", |rng, row, len| {
+            if row < len / 2 {
+                row as i64 * 4000 / len as i64
+            } else {
+                rng.gen_range(0..4000i64)
+            }
+        }),
+        ("clustered", |rng, row, _| {
+            (row as i64 / 48) * 50 % 4000 + rng.gen_range(0..40i64)
+        }),
+    ];
+    for case in 0..CASES / 4 {
+        for zones in [63usize, 64, 65, 129] {
+            for (shape, value) in shapes {
+                let mut rng = StdRng::seed_from_u64(0x5EAB ^ case ^ (zones as u64) << 8);
+                let len = zones * config.target_zone_rows;
+                check_prune_paths_over(
+                    case,
+                    &format!("{shape} {zones} zones"),
+                    &mut rng,
+                    (len, config.clone()),
+                    &mut |rng, row| value(rng, row, len),
+                    &mut |rng, _| {
+                        let lo = rng.gen_range(-100i64..4100);
+                        match rng.gen_range(0..4u32) {
+                            0 => RangePredicate::point(lo),
+                            1 => RangePredicate::between(lo, lo + rng.gen_range(0..3000i64)),
+                            _ => RangePredicate::between(lo, lo + rng.gen_range(0..300i64)),
+                        }
+                    },
+                );
+            }
+        }
     }
 }
