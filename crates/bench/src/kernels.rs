@@ -629,6 +629,7 @@ fn built_zonemap(order: &[usize], rows_per_zone: usize) -> AdaptiveZonemap<i64> 
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
+        walk: out,
     });
     zm
 }

@@ -249,6 +249,7 @@ mod tests {
         lane.observe(&ScanObservation {
             predicate: pred,
             ranges,
+            walk: outcome,
         });
     }
 

@@ -1,7 +1,7 @@
 //! Behavioural tests for the adaptive zonemap, driven through the same
 //! prune → scan → observe loop the engine runs.
 
-use crate::adaptive::zone::ZoneState;
+use crate::adaptive::zone::{ZoneLayout, ZoneState};
 use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap, ReorgReport};
 use crate::index::SkippingIndex;
 use crate::outcome::{
@@ -49,6 +49,7 @@ fn run_query(
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
+        walk: PruneOutcome::default(),
     });
     zm.assert_invariants();
     (count, scanned)
@@ -426,6 +427,7 @@ fn full_match_zones_are_answered_without_scanning() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: Vec::new(),
+        walk: PruneOutcome::default(),
     });
 }
 
@@ -660,6 +662,7 @@ fn masks_keep_paying_on_uniform_data_with_narrow_predicates() {
             zm.observe(&ScanObservation {
                 predicate: pred,
                 ranges,
+                walk: PruneOutcome::default(),
             });
             out.zones_skipped
         };
@@ -920,6 +923,7 @@ fn boundsless_feedback_never_builds_a_revived_zone() {
         let obs = ScanObservation {
             predicate: all,
             ranges: vec![scan_unit(&out.units[0], &data, all)],
+            walk: out.clone(),
         };
         assert!(obs.ranges[0].bounds.is_none());
 
@@ -957,6 +961,7 @@ fn read_through(
     ScanObservation {
         predicate: pred,
         ranges: out.units.iter().map(|u| scan_unit(u, data, pred)).collect(),
+        walk: out,
     }
 }
 
@@ -1130,6 +1135,210 @@ fn equal_epochs_mean_identical_reader_decisions() {
     );
 }
 
+/// What a reader's walk may never move: per zone its rows, state and
+/// bounds, mask, tier and payload (by address).
+fn structure(zm: &AdaptiveZonemap<i64>) -> Vec<String> {
+    zm.zones
+        .iter()
+        .map(|z| {
+            let payload = z.reorg_payload().map(std::sync::Arc::as_ptr);
+            format!(
+                "{:?} {:?} {:?} {:?} {payload:?}",
+                z.range(),
+                z.state,
+                z.mask,
+                z.tier
+            )
+        })
+        .collect()
+}
+
+/// Per zone, by its rows: the statistics a walk's bookkeeping writes.
+fn zone_statistics(zm: &AdaptiveZonemap<i64>) -> Vec<(RowRange, String)> {
+    zm.zones
+        .iter()
+        .map(|z| {
+            let used_at = match z.layout {
+                ZoneLayout::Reorganized { used_at, .. } => Some(used_at),
+                ZoneLayout::Flat => None,
+            };
+            let stats = format!("{:?} {:?} {used_at:?}", z.stats, z.tier_stats);
+            (z.range(), stats)
+        })
+        .collect()
+}
+
+#[test]
+fn stale_feedback_writes_statistics_only() {
+    // A reader's observation, walk included, reaches the owner after the
+    // owner has split, merged, retired, revived or appended. Set against
+    // the same step without the walk, applying it moves no zone's rows,
+    // bounds, state, mask, tier or payload, and changes the statistics
+    // only of zones whose rows the walk names; against the owner before
+    // the step, only zones whose rows the observation names change their
+    // statistics. Every later answer stays exact. Maintenance is held off
+    // for the step: it acts on the statistics the step records, which is
+    // its job, not the walk's.
+    let small = |base: AdaptiveConfig| AdaptiveConfig {
+        revival_base_queries: Some(16),
+        tier_after_scans: 1,
+        tier_drop_after: 4,
+        reorg_after_scans: 1,
+        reorg_demote_idle: 2,
+        reorg_hot_factor: 0.0,
+        target_zone_rows: 128,
+        min_zone_rows: 16,
+        max_zone_rows: 1024,
+        deactivate_after_probes: 8,
+        maintenance_every: 2,
+        ..base
+    };
+    let configs = [
+        small(AdaptiveConfig::default()),
+        small(AdaptiveConfig::with_tiers()),
+        small(AdaptiveConfig::with_reorg()),
+    ];
+    const DOMAIN: u64 = 2_000;
+    // Owner changes between a snapshot and its feedback: splits, merges,
+    // retirements, revivals, appends.
+    let mut between = [0u64; 5];
+    let mut checked = 0u64;
+    for (seed, config) in (0..32 * stress_iters()).flat_map(|s| configs.iter().map(move |c| (s, c)))
+    {
+        let mut rng = Walk(0x57A1E ^ (seed << 8));
+        let clustered = seed % 2 == 0;
+        let value = |rng: &mut Walk, row: usize| -> i64 {
+            match clustered {
+                true => ((row as u64 / 128 * 97) % DOMAIN + rng.below(40)) as i64,
+                false => rng.below(DOMAIN) as i64,
+            }
+        };
+        let mut data: Vec<i64> = (0..2_048).map(|row| value(&mut rng, row)).collect();
+        let mut zm = AdaptiveZonemap::new(data.len(), config.clone());
+        let pred_at = |rng: &mut Walk, step: u64| {
+            let hot = (step / 40 * 500) % DOMAIN;
+            let lo = if rng.below(4) == 0 {
+                rng.below(DOMAIN)
+            } else {
+                hot + rng.below(120)
+            } as i64;
+            // Wide ranges over uniform values read every zone for a good
+            // yield: zones merge, then retire.
+            match (rng.below(3), clustered) {
+                (0, true) => RangePredicate::point(lo),
+                (_, true) => RangePredicate::between(lo, lo + rng.below(80) as i64),
+                (_, false) => RangePredicate::between(lo, lo + rng.below(600) as i64),
+            }
+        };
+        for step in 0..120 {
+            let pred = pred_at(&mut rng, step);
+            if step % 6 != 5 {
+                run_query(&mut zm, &data, pred);
+                let _ = zm.apply_reorg(&data);
+                let _ = zm.apply_tiers(&data);
+                continue;
+            }
+            // The reader's query, off a snapshot that the owner then
+            // moves past.
+            zm.poll_revival();
+            let snapshot = zm.clone_for_readers();
+            let obs = read_through(&snapshot, &data[..snapshot.len()], pred);
+            let before_totals = zm.trace().totals();
+            let appended = rng.below(3) == 0;
+            if appended {
+                let grown: Vec<i64> = (0..1 + rng.below(200) as usize)
+                    .map(|i| value(&mut rng, data.len() + i))
+                    .collect();
+                data.extend(&grown);
+                zm.on_append(&grown, &data);
+            }
+            for _ in 0..rng.below(6) {
+                let pred = pred_at(&mut rng, step);
+                run_query(&mut zm, &data, pred);
+            }
+            zm.poll_revival();
+            let totals = zm.trace().totals();
+            for (n, moved) in between.iter_mut().zip([
+                totals.split > before_totals.split,
+                totals.merged > before_totals.merged,
+                totals.deactivated > before_totals.deactivated,
+                totals.revived > before_totals.revived,
+                appended,
+            ]) {
+                *n += u64::from(moved);
+            }
+
+            let before = zm.clone();
+            let maintenance_every = zm.config.maintenance_every;
+            let mut with = zm.clone();
+            let mut without = zm.clone();
+            for map in [&mut with, &mut without] {
+                map.config.maintenance_every = u64::MAX;
+            }
+            with.apply_feedback(&obs);
+            without.apply_feedback(&ScanObservation {
+                walk: PruneOutcome::default(),
+                ..obs.clone()
+            });
+            let ctx = format!("{} seed {seed} step {step}", zm.name());
+            assert_eq!(
+                structure(&with),
+                structure(&without),
+                "{ctx}: walk moved structure"
+            );
+
+            let walk = &obs.walk;
+            let named_by_walk = |range: RowRange| {
+                let meets = |r: &RowRange| r.intersect(&range).is_some();
+                walk.units.iter().any(|u| meets(&u.range))
+                    || walk
+                        .full_match
+                        .ranges()
+                        .iter()
+                        .chain(walk.tier_skips.ranges())
+                        .any(meets)
+            };
+            for ((range, a), (_, b)) in zone_statistics(&with).iter().zip(zone_statistics(&without))
+            {
+                assert!(
+                    a == &b || named_by_walk(*range),
+                    "{ctx}: walk wrote {range:?}"
+                );
+            }
+            let named = |range: RowRange| {
+                named_by_walk(range)
+                    || obs
+                        .ranges
+                        .iter()
+                        .any(|r| r.range.start <= range.start && range.end <= r.range.end)
+            };
+            let old = zone_statistics(&before);
+            for (range, stats) in zone_statistics(&with) {
+                let unchanged = old.iter().any(|(r, s)| *r == range && *s == stats);
+                assert!(unchanged || named(range), "{ctx}: feedback wrote {range:?}");
+            }
+            checked += 1;
+
+            with.config.maintenance_every = maintenance_every;
+            zm = with;
+            zm.assert_invariants();
+            for _ in 0..3 {
+                let pred = pred_at(&mut rng, step);
+                assert_eq!(
+                    run_query(&mut zm, &data, pred).0,
+                    oracle(&data, pred),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+    assert!(
+        between.iter().all(|&n| n > 0),
+        "splits/merges/retirements/revivals/appends between snapshot and feedback: {between:?}"
+    );
+    assert!(checked > 0);
+}
+
 #[test]
 fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
     // One zone at the split floor (it can refine no further), pinned wide
@@ -1164,6 +1373,7 @@ fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
                 ads_storage::RowRange::new(0, 128),
                 oracle(&data, pred),
             )],
+            walk: PruneOutcome::default(),
         });
         zm.mutation_epoch() != epoch
     };
@@ -1243,8 +1453,8 @@ fn a_second_reorg_pass_at_the_same_query_clock_promotes_nothing() {
 #[test]
 fn a_positional_prune_writes_no_payload() {
     // Zone 0 is promoted and published; the owner then resolves it
-    // positionally, through its own prunes and through the re-prune of
-    // `apply_feedback`. The payload is built once, at promotion: the
+    // positionally, through its own prunes and through the reader walks
+    // `apply_feedback` records. The payload is built once, at promotion: the
     // owner and the published clone keep sharing it, and no epoch moves.
     let config = AdaptiveConfig {
         enable_split: false,
@@ -1565,6 +1775,7 @@ fn the_bounds_filter_walks_as_the_zone_by_zone_reference_does() {
             let obs = ScanObservation {
                 predicate: pred,
                 ranges,
+                walk: PruneOutcome::default(),
             };
             plane.observe(&obs);
             aos.observe(&obs);
@@ -1648,6 +1859,7 @@ fn zones_built_lazily_form_runs_once_one_scan_builds_enough_of_them() {
         zm.observe(&ScanObservation {
             predicate: pred,
             ranges,
+            walk: PruneOutcome::default(),
         });
         zm.assert_invariants();
     };
@@ -1675,6 +1887,7 @@ fn a_range_observed_twice_splits_its_zone_once() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: vec![wasted; 3],
+        walk: PruneOutcome::default(),
     });
     zm.assert_invariants();
     assert_eq!(zm.num_zones(), zones + 1);

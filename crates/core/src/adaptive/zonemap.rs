@@ -23,14 +23,18 @@
 //! of them, or those an alive set still touches — and [`probe_zone`]
 //! reads each one's bounds, tests overlap, asks the one classifier about
 //! what the bounds cannot exclude and writes the decision into the
-//! [`PruneOutcome`]. Callers differ only in the [`Walker`] they bring:
-//! the [`Owner`] records what a zone whose bounds overlapped taught it,
-//! the [`Reader`] records nothing. A zone the bounds exclude is handled
-//! identically by both and written by neither: the owner's walk advances
-//! the map's probe clock once, and every built zone's probe and skip
-//! counts follow from it ([`ZoneStats`]). That is what lets a walker on
-//! the plane exclude zones 64 at a time ([`probe_span`]) and probe only
-//! the survivors.
+//! [`PruneOutcome`]. The walk borrows the map immutably and writes only
+//! the outcome, so a reader on a published clone
+//! ([`AdaptiveZonemap::prune_shared`]) and the owner run the same
+//! function. The owner learns from what a walk decided afterwards, in one
+//! function that reads the outcome (`record_walk`): right after its own
+//! walk, or, when a reader walked, from the copy the query's feedback
+//! carries back ([`AdaptiveZonemap::apply_feedback`]) — no zone is walked
+//! twice. A zone the bounds exclude appears in no outcome and is written
+//! by no one: the owner advances the map's probe clock once per
+//! unrestricted walk, and every built zone's probe and skip counts follow
+//! from it ([`ZoneStats`]). That is what lets the walk exclude zones 64
+//! at a time ([`probe_span`]) and probe only the survivors.
 
 use crate::adaptive::config::AdaptiveConfig;
 use crate::adaptive::plane::{PrunePlane, MIN_RUN};
@@ -334,12 +338,8 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             // qualifying count an exact sample of the zone's yield.
             // (Composite ranges arise on the multi-column path, where
             // intersection breaks zone alignment; they are ignored here.)
-            let idx = match self
-                .zones
-                .binary_search_by(|z| z.start.cmp(&ro.range.start))
-            {
-                Ok(i) if self.zones[i].end == ro.range.end => i,
-                _ => continue,
+            let Some(idx) = self.zone_at(ro.range) else {
+                continue;
             };
             let zone = &mut self.zones[idx];
             let frac = if zone.is_empty() {
@@ -584,8 +584,9 @@ enum OverlapAction {
 /// The probe decision for a built zone whose `(min, max)` the predicate
 /// overlaps: full-match detection, positional resolution, value-mask and
 /// tier secondary pruning, and the mask-request choice. Pure — reads the
-/// zone, mutates nothing. [`probe_zone`] is its only caller, so every
-/// prune entry point decides identically by construction.
+/// zone, mutates nothing. [`probe_zone`] decides with it, so every prune
+/// entry point decides identically by construction; the owner records a
+/// walk's overlapping zones with it (`record_walk`).
 fn classify_overlapping_zone<T: DataValue>(
     zone: &AdaptiveZone<T>,
     pred: &RangePredicate<T>,
@@ -651,149 +652,85 @@ fn scan_request<T: DataValue>(zone: &AdaptiveZone<T>, bins: Option<MaskRequest>)
     }
 }
 
-/// The one thing that differs between the callers of [`walk`]: what a
-/// probe whose bounds overlap leaves behind in the map. The defaults
-/// leave nothing; a probe the bounds exclude never reaches a walker.
-trait Walker<T: DataValue> {
-    /// True when the walker reads bounds off the dense [`PrunePlane`],
-    /// which gives its walk the plane's runs and the packed bounds filter
-    /// ([`probe_span`]); false for the array-of-structs reference, which
-    /// reads each zone's record and probes zone by zone.
-    const PLANE: bool;
-
-    /// The map being walked.
-    fn map(&self) -> &AdaptiveZonemap<T>;
-
-    /// Zone `idx` overlaps the predicate and the classifier chose `action`.
-    fn overlapped(&mut self, _idx: usize, _action: &OverlapAction) {}
-
-    /// `(min, max)` of zone `idx`, `None` unless the zone is built.
-    #[inline(always)]
-    fn bounds(&self, idx: usize) -> Option<(T, T)> {
-        if Self::PLANE {
-            return self.map().plane.bounds(idx);
-        }
-        match self.map().zones[idx].state {
-            ZoneState::Built { min, max, .. } => Some((min, max)),
-            ZoneState::Unbuilt | ZoneState::Dead { .. } => None,
-        }
+/// Records in `zone` a probe whose bounds overlapped and classified as
+/// `action`: the overlap, idle stamp and tier consultation it counts.
+///
+/// epoch: overlap counts, the idle clock and the tier consultation
+/// window are stat drift; nothing a reader decides from changes here.
+fn record_probe<T: DataValue>(
+    zone: &mut AdaptiveZone<T>,
+    action: &OverlapAction,
+    clock: u64,
+    tier_life: &mut TierStats,
+) {
+    if let ZoneLayout::Reorganized { used_at, .. } = &mut zone.layout {
+        *used_at = zone.stats.probe_count(clock);
     }
-
-    /// The ordered runs an unrestricted walk may binary-search: the
-    /// plane's, for a walker that reads its bounds off the plane.
-    fn runs(&self) -> &[(usize, usize)] {
-        if Self::PLANE {
-            &self.map().plane.runs
-        } else {
-            &[]
+    if zone.has_tier() && matches!(action, OverlapAction::TierSkip | OverlapAction::Scan(_)) {
+        zone.tier_stats.tier_probes = zone.tier_stats.tier_probes.saturating_add(1);
+    }
+    match action {
+        OverlapAction::FullMatch | OverlapAction::Positional | OverlapAction::Scan(_) => {
+            zone.stats.record_overlap();
+        }
+        OverlapAction::MaskSkip => {}
+        OverlapAction::TierSkip => {
+            zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
+            tier_life.tier_skips += 1;
+            tier_life.tier_rows_excluded += zone.len() as u64;
         }
     }
 }
 
-/// The concurrent reader ([`AdaptiveZonemap::prune_shared`]): decides from
-/// shared state and leaves no trace. The owner catches up when the query's
-/// feedback reaches [`AdaptiveZonemap::apply_feedback`].
-struct Reader<'a, T: DataValue>(&'a AdaptiveZonemap<T>);
-
-impl<T: DataValue> Walker<T> for Reader<'_, T> {
-    const PLANE: bool = true;
-
-    fn map(&self) -> &AdaptiveZonemap<T> {
-        self.0
-    }
-}
-
-/// The map's owner: a probe whose bounds overlap leaves the stat trail
-/// adaptation feeds on. With `PLANE` off, bounds are read from the full
-/// zone records instead of the plane — the array-of-structs reference
-/// ([`AdaptiveZonemap::prune_via_zones`]).
-struct Owner<'a, T: DataValue, const PLANE: bool>(&'a mut AdaptiveZonemap<T>);
-
-impl<T: DataValue, const PLANE: bool> Walker<T> for Owner<'_, T, PLANE> {
-    const PLANE: bool = PLANE;
-
-    fn map(&self) -> &AdaptiveZonemap<T> {
-        self.0
-    }
-
-    // epoch: overlap counts, the idle clock and the tier consultation
-    // window are all stat drift; nothing a reader decides from changes
-    // here.
-    fn overlapped(&mut self, idx: usize, action: &OverlapAction) {
-        let clock = self.0.probe_clock;
-        let zone = &mut self.0.zones[idx];
-        if let ZoneLayout::Reorganized { used_at, .. } = &mut zone.layout {
-            *used_at = zone.stats.probe_count(clock);
-        }
-        // The tier was consulted unless a cheaper check resolved the zone
-        // first (full-match containment or a mask skip).
-        if zone.has_tier() && matches!(action, OverlapAction::TierSkip | OverlapAction::Scan(_)) {
-            zone.tier_stats.tier_probes = zone.tier_stats.tier_probes.saturating_add(1);
-        }
-        let tier_life = &mut self.0.tier_lifetime;
-        match action {
-            OverlapAction::FullMatch | OverlapAction::Positional | OverlapAction::Scan(_) => {
-                zone.stats.record_overlap();
-            }
-            OverlapAction::MaskSkip => {}
-            OverlapAction::TierSkip => {
-                zone.tier_stats.tier_hits = zone.tier_stats.tier_hits.saturating_add(1);
-                tier_life.tier_skips += 1;
-                tier_life.tier_rows_excluded += zone.len() as u64;
-            }
-        }
-    }
-}
-
-/// The zone walk every prune entry point runs: probes each zone of the
-/// map in order — or, given `alive`, only the zones it touches, each
-/// once — and assembles the outcome. Unrestricted over a map with ordered
-/// runs, [`walk_runs`] takes it up to the end of the last run first; the
-/// plain pass after it, and between runs, is [`probe_span`].
-fn walk<T: DataValue>(
-    w: &mut impl Walker<T>,
+/// The zone walk every prune entry point runs: probes each zone of `map`
+/// in order — or, given `alive`, only the zones it touches, each once —
+/// and writes the decisions into the outcome, nothing into the map. With
+/// `PLANE` the bounds come off the dense [`PrunePlane`], whose runs
+/// ([`walk_runs`]) and packed bounds filter ([`probe_span`]) an
+/// unrestricted walk uses; without it, off each zone's record, zone by
+/// zone — the array-of-structs reference.
+fn walk<T: DataValue, const PLANE: bool>(
+    map: &AdaptiveZonemap<T>,
     pred: &RangePredicate<T>,
     alive: Option<&RangeSet>,
 ) -> PruneOutcome {
     let mut out = PruneOutcome::for_prune();
-    let map = w.map();
     let min_split_rows = map.min_split_rows();
     let everything = [RowRange::new(0, map.len)];
     let mut next = 0;
-    if alive.is_none() && !w.runs().is_empty() {
-        next = walk_runs(w, pred, min_split_rows, &mut out);
+    if PLANE && alive.is_none() && !map.plane.runs.is_empty() {
+        next = walk_runs(map, pred, min_split_rows, &mut out);
     }
     // The plain pass: every zone from `next` on, or those `alive` touches.
     for span in alive.map_or(&everything[..], RangeSet::ranges) {
-        let zones = touched(&w.map().zones, *span, next);
+        let zones = touched(&map.zones, *span, next);
         next = zones.end;
-        probe_span(w, zones, pred, min_split_rows, &mut out);
+        probe_span::<T, PLANE>(map, zones, pred, min_split_rows, &mut out);
     }
     out
 }
 
-/// Walks the zones up to the end of the walker's last ordered run and
+/// Walks the zones up to the end of the plane's last ordered run and
 /// returns that end. Each run `[a, b)` is crossed with two binary
 /// searches: the zones the predicate overlaps are the slice
 /// `[first, last)` — below it every `max < lo`, above it every
 /// `min > hi` — and only those are probed. The rest are bounds skips,
-/// counted as the plain pass counts them, and like them write nothing.
-/// Zones between runs go through [`probe_span`].
+/// counted as the plain pass counts them. Zones between runs go through
+/// [`probe_span`].
 ///
 /// Kept out of line, so that [`walk`]'s plain pass compiles as it does
 /// for a map without runs.
 #[inline(never)]
 fn walk_runs<T: DataValue>(
-    w: &mut impl Walker<T>,
+    map: &AdaptiveZonemap<T>,
     pred: &RangePredicate<T>,
     min_split_rows: usize,
     out: &mut PruneOutcome,
 ) -> usize {
     let mut next = 0;
-    for r in 0..w.runs().len() {
-        let (a, b) = w.runs()[r];
-        probe_span(w, next..a, pred, min_split_rows, out);
-        let plane = &w.map().plane;
+    for &(a, b) in &map.plane.runs {
+        probe_span::<T, true>(map, next..a, pred, min_split_rows, out);
+        let plane = &map.plane;
         let first = a + plane.maxs[a..b].partition_point(|max| max.lt_total(&pred.lo));
         let last = first + plane.mins[first..b].partition_point(|min| min.le_total(&pred.hi));
         let excluded = (b - a) - (last - first);
@@ -801,41 +738,41 @@ fn walk_runs<T: DataValue>(
         out.zones_skipped += excluded;
         #[cfg(feature = "audit")]
         for idx in a..first {
-            out.record_decision(w.map().zones[idx].range(), "skip:bounds");
+            out.record_decision(map.zones[idx].range(), "skip:bounds");
         }
         for idx in first..last {
-            probe_zone(w, idx, pred, min_split_rows, out);
+            probe_zone::<T, true>(map, idx, pred, min_split_rows, out);
         }
         #[cfg(feature = "audit")]
         for idx in last..b {
-            out.record_decision(w.map().zones[idx].range(), "skip:bounds");
+            out.record_decision(map.zones[idx].range(), "skip:bounds");
         }
         next = b;
     }
     next
 }
 
-/// Probes the zones `zones` in order. A walker on the plane first tests
-/// them 64 at a time ([`PrunePlane::bounds_excluded`]: built, and
+/// Probes the zones `zones` in order. On the plane it first tests them
+/// 64 at a time ([`PrunePlane::bounds_excluded`]: built, and
 /// `max < lo` or `hi < min`, packed from the dense bounds without a
 /// branch), counts the zones that test excludes as probed and skipped in
 /// one add, and sends only the rest — unbuilt or dead, or overlapping —
 /// through [`probe_zone`], ascending. What it writes is what probing
 /// every zone writes: an excluded zone would have written nothing but
 /// those two counts (and, under `audit`, its `skip:bounds` label, which
-/// the same loop records in zone order). The reference walker probes zone
-/// by zone.
+/// the same loop records in zone order). The reference probes zone by
+/// zone.
 #[inline(always)]
-fn probe_span<T: DataValue, W: Walker<T>>(
-    w: &mut W,
+fn probe_span<T: DataValue, const PLANE: bool>(
+    map: &AdaptiveZonemap<T>,
     zones: std::ops::Range<usize>,
     pred: &RangePredicate<T>,
     min_split_rows: usize,
     out: &mut PruneOutcome,
 ) {
-    if !W::PLANE {
+    if !PLANE {
         for idx in zones {
-            probe_zone(w, idx, pred, min_split_rows, out);
+            probe_zone::<T, false>(map, idx, pred, min_split_rows, out);
         }
         return;
     }
@@ -844,7 +781,7 @@ fn probe_span<T: DataValue, W: Walker<T>>(
     while first < zones.end {
         // Up to the end of `first`'s 64-zone word of the built bitset.
         let end = (first / 64 * 64 + 64).min(zones.end);
-        let excluded = w.map().plane.bounds_excluded(first..end, lo, hi);
+        let excluded = map.plane.bounds_excluded(first..end, lo, hi);
         // narrowing: count_ones of a u64 is at most 64.
         let skipped = excluded.count_ones() as usize;
         out.zones_probed += skipped;
@@ -860,9 +797,9 @@ fn probe_span<T: DataValue, W: Walker<T>>(
             let i = visit.trailing_zeros() as usize;
             visit &= visit - 1;
             if cfg!(feature = "audit") && excluded >> i & 1 != 0 {
-                out.record_decision(w.map().zones[first + i].range(), "skip:bounds");
+                out.record_decision(map.zones[first + i].range(), "skip:bounds");
             } else {
-                probe_zone(w, first + i, pred, min_split_rows, out);
+                probe_zone::<T, true>(map, first + i, pred, min_split_rows, out);
             }
         }
         first = end;
@@ -887,18 +824,26 @@ fn touched<T: DataValue>(
 /// caller became a call per zone, which slowed the plain pass by about
 /// half.
 #[inline(always)]
-fn probe_zone<T: DataValue>(
-    w: &mut impl Walker<T>,
+fn probe_zone<T: DataValue, const PLANE: bool>(
+    map: &AdaptiveZonemap<T>,
     idx: usize,
     pred: &RangePredicate<T>,
     min_split_rows: usize,
     out: &mut PruneOutcome,
 ) {
     out.zones_probed += 1;
-    let Some((min, max)) = w.bounds(idx) else {
+    // Off the plane, or off the zone's record for the reference.
+    let bounds = if PLANE {
+        map.plane.bounds(idx)
+    } else if let ZoneState::Built { min, max, .. } = map.zones[idx].state {
+        Some((min, max))
+    } else {
+        None
+    };
+    let Some((min, max)) = bounds else {
         // Unbuilt and Dead zones scan identically; only the former can
         // learn from it.
-        let zone = &w.map().zones[idx];
+        let zone = &map.zones[idx];
         out.push_unit(zone.range(), UnitWork::Scan(scan_request(zone, None)));
         out.record_decision(zone.range(), "scan:unbuilt");
         return;
@@ -908,16 +853,12 @@ fn probe_zone<T: DataValue>(
         // Gated here, not only inside `record_decision`: naming the zone
         // reads its record, and this path must stay on the plane.
         #[cfg(feature = "audit")]
-        out.record_decision(w.map().zones[idx].range(), "skip:bounds");
+        out.record_decision(map.zones[idx].range(), "skip:bounds");
         return;
     }
-    let map = w.map();
-    let action =
-        classify_overlapping_zone(&map.zones[idx], pred, min, max, &map.config, min_split_rows);
-    w.overlapped(idx, &action);
-    let zone = &w.map().zones[idx];
+    let zone = &map.zones[idx];
     let range = zone.range();
-    let label = match action {
+    let label = match classify_overlapping_zone(zone, pred, min, max, &map.config, min_split_rows) {
         OverlapAction::FullMatch => {
             out.full_match.push_span(range.start, range.end);
             "full:bounds"
@@ -930,6 +871,7 @@ fn probe_zone<T: DataValue>(
         // zone qualifies, so no alive subset does either.
         OverlapAction::TierSkip => {
             out.zones_skipped += 1;
+            out.tier_skips.push_span(range.start, range.end);
             "skip:bloom"
         }
         OverlapAction::Positional => {
@@ -955,24 +897,17 @@ fn probe_zone<T: DataValue>(
 }
 
 impl<T: DataValue> AdaptiveZonemap<T> {
-    /// The owner's prune: advance the query clock, revive dead zones that
-    /// are due, count the probes, walk — every zone, or those `alive`
-    /// touches, restricting the outcome to it — and fold the tallies into
-    /// the lifetime statistics.
+    /// The owner's clock tick for each query it learns from: the query
+    /// clock, due revivals, and the walk's probes (the probe clock, or a
+    /// visit to each built zone `alive` touches).
     ///
-    /// epoch: the probe clock and visit counts are stat drift.
-    pub(super) fn prune_owned<const PLANE: bool>(
-        &mut self,
-        pred: &RangePredicate<T>,
-        alive: Option<&RangeSet>,
-    ) -> PruneOutcome {
+    /// epoch: the clocks and visit counts are stat drift.
+    fn tick(&mut self, alive: Option<&RangeSet>) {
         self.query_seq += 1;
         self.stats.queries += 1;
         if self.query_seq >= self.next_revival_check {
             self.revive_due_zones();
         }
-        // Counted before the walk, so a probe that overlaps a
-        // reorganized zone stamps its idle clock at this probe.
         match alive {
             None => self.probe_clock += 1,
             Some(alive) => {
@@ -988,30 +923,97 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 }
             }
         }
-        let walked = walk(&mut Owner::<T, PLANE>(self), pred, alive);
-        let out = match alive {
-            Some(alive) => walked.restrict_to(alive),
-            None => walked,
-        };
-        self.stats.total_probes += out.zones_probed as u64;
-        self.stats.total_skips += out.zones_skipped as u64;
-        self.stats.rows_full_match += out.rows_full_match() as u64;
-        out
     }
 
-    /// Read-only prune: converts `pred` into candidate ranges against the
-    /// current metadata **without mutating anything** — no query-clock
-    /// tick, no stat updates, no revival check.
+    /// The owner's prune: the clock tick, the walk — every zone, or those
+    /// `alive` touches, restricting the outcome to it — and what the walk
+    /// decided, recorded before the restriction cuts its units apart.
+    pub(super) fn prune_owned<const PLANE: bool>(
+        &mut self,
+        pred: &RangePredicate<T>,
+        alive: Option<&RangeSet>,
+    ) -> PruneOutcome {
+        self.tick(alive);
+        let walked = walk::<T, PLANE>(self, pred, alive);
+        self.record_walk(pred, &walked, alive);
+        match alive {
+            Some(alive) => walked.restrict_to(alive),
+            None => walked,
+        }
+    }
+
+    /// Records a walk over this map (its own, or a reader's over a
+    /// published clone) from its unrestricted outcome: each built zone
+    /// over the rows it names — units, full-match spans, tier skips —
+    /// whose bounds overlap `pred` ([`record_probe`]), never a zone the
+    /// bounds excluded, and the lifetime totals. Over a stale walk's rows
+    /// the zones are recorded as a fresh walk would have decided them.
     ///
-    /// This is the concurrent-reader entry point: N threads may call it on
-    /// a shared (or snapshot-cloned) zonemap simultaneously. Given the same
-    /// zone state, the returned outcome is identical to what the mutable
-    /// [`SkippingIndex::prune`] would produce (both are the same walk;
-    /// property-tested). The bookkeeping the mutable path performs inline
-    /// is applied later, centrally, when the executed query's feedback
-    /// reaches [`AdaptiveZonemap::apply_feedback`].
+    /// epoch: `record_probe` writes statistics only.
+    fn record_walk(
+        &mut self,
+        pred: &RangePredicate<T>,
+        walked: &PruneOutcome,
+        alive: Option<&RangeSet>,
+    ) {
+        let (clock, min_split_rows) = (self.probe_clock, self.min_split_rows());
+        let mut units = walked.units.iter().map(|unit| unit.range);
+        let mut spans = walked.full_match.ranges().iter().copied();
+        let mut skips = walked.tier_skips.ranges().iter().copied();
+        for entries in [
+            &mut units as &mut dyn Iterator<Item = RowRange>,
+            &mut spans,
+            &mut skips,
+        ] {
+            let mut next = 0;
+            for range in entries {
+                // Ascending, and mostly lined up with the next zone.
+                let zones = match self.zones.get(next) {
+                    Some(zone) if zone.range() == range => next..next + 1,
+                    _ => touched(&self.zones, range, next),
+                };
+                next = zones.end;
+                for zone in &mut self.zones[zones] {
+                    let ZoneState::Built { min, max, .. } = zone.state else {
+                        continue;
+                    };
+                    if pred.overlaps(min, max) {
+                        let action = classify_overlapping_zone(
+                            zone,
+                            pred,
+                            min,
+                            max,
+                            &self.config,
+                            min_split_rows,
+                        );
+                        record_probe(zone, &action, clock, &mut self.tier_lifetime);
+                    }
+                }
+            }
+        }
+        self.stats.total_probes += walked.zones_probed as u64;
+        self.stats.total_skips += walked.zones_skipped as u64;
+        self.stats.rows_full_match += alive.map_or(walked.full_match.covered_rows(), |alive| {
+            walked.full_match.intersect(alive).covered_rows()
+        }) as u64;
+    }
+
+    /// The zone whose rows are exactly `range`, if one still is.
+    fn zone_at(&self, range: RowRange) -> Option<usize> {
+        let idx = self.zones.partition_point(|z| z.start < range.start);
+        (self.zones.get(idx)?.range() == range).then_some(idx)
+    }
+
+    /// Read-only prune: the walk alone, against the current metadata,
+    /// **without mutating anything** — no query-clock tick, no stat
+    /// updates, no revival check. The concurrent-reader entry point: N
+    /// threads may call it on a shared (or snapshot-cloned) zonemap at
+    /// once. Given the same zone state it decides as the mutable
+    /// [`SkippingIndex::prune`] does (property-tested); the owner records
+    /// the walk when the outcome comes back with the query's feedback
+    /// ([`AdaptiveZonemap::apply_feedback`]).
     pub fn prune_shared(&self, pred: &RangePredicate<T>) -> PruneOutcome {
-        walk(&mut Reader(self), pred, None)
+        walk::<T, true>(self, pred, None)
     }
 
     /// A clone for publication to readers: everything
@@ -1039,48 +1041,40 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         }
     }
 
-    /// The array-of-structs reference prune: the same walk as
-    /// [`SkippingIndex::prune`], with state and bounds read from each full
-    /// zone record instead of the dense plane.
-    ///
-    /// Decision-identical to [`SkippingIndex::prune`] (property-tested),
-    /// including every stat and trace side effect — it is a drop-in
-    /// reference, kept as the baseline the kernel benchmark
-    /// (`kernels_json`) gates the SoA plane against and as the oracle for
-    /// the plane's equivalence tests.
+    /// The array-of-structs reference prune: [`SkippingIndex::prune`]
+    /// with bounds read off each zone record instead of the dense plane,
+    /// decision- and stat-identical (property-tested) — the baseline
+    /// `kernels_json` gates the plane against.
     pub fn prune_via_zones(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
         self.prune_owned::<false>(pred, None)
     }
 
-    /// Applies one deferred query's worth of adaptation, exactly as if the
-    /// query had executed inline against this zonemap.
-    ///
-    /// The inline path is `prune(pred)` → scan → `observe(obs)`; a reader
-    /// that executed against a snapshot via [`AdaptiveZonemap::prune_shared`]
-    /// skipped all of prune's bookkeeping, so this replays the mutable
-    /// prune here (a metadata-only walk — no data is touched) for its side
-    /// effects (query and probe clocks, overlap counts, revival check) and then
-    /// feeds the reader's scan observations through [`observe`].
-    ///
-    /// Observations whose ranges no longer align with a current zone
-    /// (because the reader's snapshot was stale across a structural change)
-    /// are ignored by `observe`'s existing alignment check — staleness can
-    /// only slow adaptation, never corrupt it.
+    /// Learns from a query a reader answered off a published clone
+    /// ([`AdaptiveZonemap::prune_shared`] → scan → feedback) what the
+    /// inline protocol (`prune` → scan → [`observe`]) learns: the same
+    /// clock tick, the reader's walk ([`ScanObservation::walk`]) recorded
+    /// as the owner's prune records its own, then [`observe`] — no zone is
+    /// walked again. From a clone at this map's epoch that is exactly the
+    /// inline step (property-tested); from a stale one the zones now over
+    /// the walk's rows are recorded and only statistics move, so
+    /// staleness can skew adaptation, never corrupt it.
     ///
     /// [`observe`]: SkippingIndex::observe
     pub fn apply_feedback(&mut self, obs: &ScanObservation<T>) {
-        let _ = SkippingIndex::prune(self, &obs.predicate);
+        self.tick(None);
+        self.record_walk(&obs.predicate, &obs.walk, None);
         self.observe(obs);
     }
 
     /// Runs the revival check the *next* query's prune would run, so a
     /// snapshot published now already reflects it.
     ///
-    /// The mutable prune revives due zones at the top of every query; a
-    /// snapshot reader cannot (its prune is read-only), so the publisher
-    /// calls this before cloning state out. Returns `true` when any zone
-    /// was revived. Idempotent: re-running prune afterwards (as
-    /// [`AdaptiveZonemap::apply_feedback`] does) finds nothing newly due.
+    /// The owner's clock tick revives due zones at the top of every
+    /// query; a snapshot reader cannot (its prune is read-only), so the
+    /// publisher calls this before cloning state out. Returns `true` when
+    /// any zone was revived. Idempotent: the next tick (in
+    /// [`SkippingIndex::prune`] or [`AdaptiveZonemap::apply_feedback`])
+    /// finds nothing newly due.
     pub fn poll_revival(&mut self) -> bool {
         if self.next_revival_check == u64::MAX || self.query_seq + 1 < self.next_revival_check {
             return false;

@@ -204,6 +204,7 @@ mod tests {
         d.observe(&ScanObservation {
             predicate: RangePredicate::all(),
             ranges: Vec::new(),
+            walk: PruneOutcome::default(),
         });
         assert!(d.prune_stats().is_none());
         let mut alive = RangeSet::new();

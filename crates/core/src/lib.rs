@@ -50,7 +50,7 @@
 //!     count += q;
 //!     observations.push(RangeObservation::new(r, q, min, max));
 //! }
-//! zm.observe(&ScanObservation { predicate: pred, ranges: observations });
+//! zm.observe(&ScanObservation { predicate: pred, ranges: observations, walk: outcome });
 //! assert_eq!(count, 100);
 //!
 //! // The second identical query skips nearly everything.

@@ -148,6 +148,10 @@ pub struct PruneOutcome {
     pub zones_probed: usize,
     /// Zones excluded by metadata.
     pub zones_skipped: usize,
+    /// The rows of the zones a bloom tier excluded despite overlapping
+    /// bounds (counted in `zones_skipped` too), so the owner can credit
+    /// the tiers. Empty without tiers.
+    pub tier_skips: RangeSet,
     /// Per-zone decision trace for the shadow-oracle auditor. Excluded
     /// from equality: outcomes are decision-equal when they describe the
     /// same scan work, however the decisions were labelled (the
@@ -164,6 +168,7 @@ impl PartialEq for PruneOutcome {
             && self.full_match == other.full_match
             && self.zones_probed == other.zones_probed
             && self.zones_skipped == other.zones_skipped
+            && self.tier_skips == other.tier_skips
     }
 }
 
@@ -271,8 +276,8 @@ impl PruneOutcome {
     /// that asks for nothing: a positional span is meaningless under a
     /// base-coordinate restriction, and scanning the zone's base rows is
     /// sound, since they hold every row its payload permutes, and its
-    /// bounds are exact already. Probe counters are kept: the metadata
-    /// reads already happened.
+    /// bounds are exact already. Probe counters and tier skips are kept:
+    /// the metadata reads already happened.
     pub fn restrict_to(&self, alive: &RangeSet) -> PruneOutcome {
         let mut units = Vec::new();
         let alive_ranges = alive.ranges();
@@ -306,6 +311,7 @@ impl PruneOutcome {
             full_match: self.full_match.intersect(alive),
             zones_probed: self.zones_probed,
             zones_skipped: self.zones_skipped,
+            tier_skips: self.tier_skips.clone(),
             #[cfg(feature = "audit")]
             audit_trace: self.audit_trace.clone(),
         }
@@ -363,6 +369,10 @@ pub struct ScanObservation<T: DataValue> {
     /// one per unit of [`PruneOutcome::units`], in unit order; a
     /// conjunction reports finer pieces cut at every column's units.
     pub ranges: Vec<RangeObservation<T>>,
+    /// The outcome the scan executed, as the walk decided it: what an
+    /// adaptive zonemap's owner records when a reader walked a clone
+    /// ([`crate::adaptive::AdaptiveZonemap::apply_feedback`]).
+    pub walk: PruneOutcome,
 }
 
 #[cfg(test)]

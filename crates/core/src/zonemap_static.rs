@@ -411,6 +411,7 @@ mod tests {
         zm.observe(&crate::ScanObservation {
             predicate: all,
             ranges: ranges_built,
+            walk: crate::PruneOutcome::default(),
         });
         let out = zm.prune(&pred);
         assert_eq!(

@@ -290,6 +290,7 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
         observation: ScanObservation {
             predicate: pred,
             ranges: results.into_iter().filter_map(|r| r.obs).collect(),
+            walk: outcome.clone(),
         },
         rows_scanned,
         rows_with_byproducts,

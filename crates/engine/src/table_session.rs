@@ -221,6 +221,7 @@ impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
         let observation = ScanObservation {
             predicate,
             ranges: std::mem::take(&mut self.recorded),
+            walk: PruneOutcome::default(),
         };
         Lane::new(data, self.index.as_mut()).learn(&observation, protocol);
     }
@@ -489,7 +490,13 @@ impl TableSession {
         }
 
         // Phase 3: optional SUM over the aggregate column.
-        let sum = agg_col.map_or(0.0, |col| sum_any(col, &all_full, &survivors_per_range));
+        let own = conjuncts
+            .iter()
+            .find(|c| Some(c.0) == agg_column)
+            .map(|c| &c.1);
+        let sum = agg_col.map_or(0.0, |col| {
+            sum_any(col, own, &all_full, &survivors_per_range)
+        });
         let phase = ScanPhase {
             rows_scanned,
             // The bitmap-filling conjunct scan always folds (min, max).
@@ -518,13 +525,31 @@ impl TableSession {
 
 /// SUM of `col` (as f64) over the full-match ranges, then over the rows
 /// surviving each scanned piece — ascending rows within each, so the f64
-/// accumulation order is a function of the plan alone.
-fn sum_any(col: &AnyColumn, all_full: &RangeSet, survivors: &[(usize, Bitmap)]) -> f64 {
-    fn go<T: DataValue>(c: &Column<T>, all_full: &RangeSet, survivors: &[(usize, Bitmap)]) -> f64 {
+/// accumulation order is a function of the plan alone. Full-match rows
+/// all qualify and are added untested: in packed lanes where `own`, the
+/// summed column's conjunct, bounds them ([`scan::sum_rows`]), else one
+/// by one, NaN included.
+fn sum_any(
+    col: &AnyColumn,
+    own: Option<&AnyPredicate>,
+    all_full: &RangeSet,
+    survivors: &[(usize, Bitmap)],
+) -> f64 {
+    fn go<T: DataValue>(
+        c: &Column<T>,
+        own: Option<&AnyPredicate>,
+        all_full: &RangeSet,
+        survivors: &[(usize, Bitmap)],
+    ) -> f64 {
         let mut total = 0.0f64;
+        let bounds = own.and_then(AnyPredicate::typed::<T>);
         for r in all_full.ranges() {
-            // live: append-only table path — no delete vector exists.
-            total += scan::sum_in_range(c.slice(r.start, r.end), T::MIN_VALUE, T::MAX_VALUE).1;
+            let rows = c.slice(r.start, r.end);
+            match bounds {
+                // live: append-only table path — no delete vector exists.
+                Some(p) => total += scan::sum_rows(rows, (p.lo, p.hi), scan::AllLive, 0).1,
+                None => rows.iter().for_each(|v| total += v.to_f64()),
+            }
         }
         for (start, bm) in survivors {
             // Word-wise walk: skip empty words outright, iterate set
@@ -542,10 +567,10 @@ fn sum_any(col: &AnyColumn, all_full: &RangeSet, survivors: &[(usize, Bitmap)]) 
         total
     }
     match col {
-        AnyColumn::I32(c) => go(c, all_full, survivors),
-        AnyColumn::I64(c) => go(c, all_full, survivors),
-        AnyColumn::U64(c) => go(c, all_full, survivors),
-        AnyColumn::F64(c) => go(c, all_full, survivors),
+        AnyColumn::I32(c) => go(c, own, all_full, survivors),
+        AnyColumn::I64(c) => go(c, own, all_full, survivors),
+        AnyColumn::U64(c) => go(c, own, all_full, survivors),
+        AnyColumn::F64(c) => go(c, own, all_full, survivors),
     }
 }
 
@@ -668,6 +693,72 @@ mod tests {
         let (count, sum, _) = ts.sum_conjunction(&conjuncts, "value").unwrap();
         assert_eq!(count, 1900);
         assert!((sum - expected_sum).abs() < 1e-6, "{sum} vs {expected_sum}");
+    }
+
+    #[test]
+    fn a_full_match_sum_adds_every_row_nan_included() {
+        // Row 10's NaN lies in a zone the `a` conjunct matches whole: a
+        // SUM of the unfiltered `f` must add it there, as a full scan does.
+        let n = 20_000;
+        let mut t = Table::new("nan");
+        let f: Vec<f64> = (0..n)
+            .map(|i| if i == 10 { f64::NAN } else { i as f64 * 0.25 })
+            .collect();
+        t.add_column("a", Column::from_values((0..n as i64).collect()))
+            .unwrap();
+        t.add_column("f", Column::from_values(f)).unwrap();
+        let conjuncts = [("a", AnyPredicate::I64(RangePredicate::between(0, 15_000)))];
+        for strategy in [
+            Strategy::FullScan,
+            Strategy::StaticZonemap { zone_rows: 512 },
+        ] {
+            let mut ts = TableSession::new(t.clone(), &strategy, &["a"]).unwrap();
+            let (count, sum, m) = ts.sum_conjunction(&conjuncts, "f").unwrap();
+            assert_eq!(count, 15_001);
+            assert!(sum.is_nan(), "{}: {sum}", strategy.label());
+            if !matches!(strategy, Strategy::FullScan) {
+                assert!(m.rows_full_match > 0, "row 10 was not in a full match");
+            }
+        }
+    }
+
+    #[test]
+    fn an_integer_sum_over_its_own_conjunct_is_bit_identical_across_strategies() {
+        // `v` filters and is summed, so its full-match ranges add in packed
+        // integer lanes: they must land on the bits of a row-order f64 fold.
+        let n = 20_000i64;
+        let v: Vec<i64> = (0..n)
+            .map(|i| i * 7 - 30_000 + (i * 2654435761) % 13)
+            .collect();
+        let (lo, hi) = (-20_000, 90_000);
+        let want = v
+            .iter()
+            .filter(|x| (lo..=hi).contains(*x))
+            .fold(0.0f64, |s, &x| s + x as f64);
+        let mut t = Table::new("ints");
+        t.add_column("v", Column::from_values(v)).unwrap();
+        let conjuncts = [("v", AnyPredicate::I64(RangePredicate::between(lo, hi)))];
+        for strategy in [
+            Strategy::FullScan,
+            Strategy::StaticZonemap { zone_rows: 512 },
+            Strategy::Adaptive(AdaptiveConfig::default()),
+        ] {
+            let mut ts = TableSession::new(t.clone(), &strategy, &["v"]).unwrap();
+            let mut full_rows = 0;
+            for query in 0..3 {
+                let (_, sum, m) = ts.sum_conjunction(&conjuncts, "v").unwrap();
+                assert_eq!(
+                    sum.to_bits(),
+                    want.to_bits(),
+                    "{} query {query}: {sum} vs {want}",
+                    strategy.label()
+                );
+                full_rows += m.rows_full_match;
+            }
+            if !matches!(strategy, Strategy::FullScan) {
+                assert!(full_rows > 0, "{}: no full match", strategy.label());
+            }
+        }
     }
 
     #[test]

@@ -42,12 +42,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Bound of the request queue; admission beyond it sheds.
     pub queue_capacity: usize,
-    /// Bound of the observation feedback channel; feedback beyond it is
-    /// dropped (slower adaptation, never wrong answers).
-    pub feedback_capacity: usize,
-    /// Most feedback entries the maintenance thread applies before it
-    /// republishes a snapshot, bounding reader staleness under load.
-    pub batch_max: usize,
     /// Feedback routing (see [`AdaptationMode`]).
     pub adaptation: AdaptationMode,
     /// Zonemap configuration.
@@ -67,8 +61,6 @@ impl Default for ServerConfig {
             readers: 4,
             shards: 1,
             queue_capacity: 1024,
-            feedback_capacity: 4096,
-            batch_max: 256,
             adaptation: AdaptationMode::Async,
             adaptive: AdaptiveConfig::default(),
             compact_tombstone_ratio: None,
@@ -80,17 +72,12 @@ impl ServerConfig {
     /// Checks internal consistency.
     ///
     /// # Panics
-    /// Panics on a zero-sized pool, queue, or batch; called by
+    /// Panics on a zero-sized pool or queue; called by
     /// [`crate::QueryService::start`] so misconfigurations fail fast.
     pub fn validate(&self) {
         assert!(self.readers >= 1, "readers must be >= 1");
         assert!(self.shards >= 1, "shards must be >= 1");
         assert!(self.queue_capacity >= 1, "queue_capacity must be >= 1");
-        assert!(
-            self.feedback_capacity >= 1,
-            "feedback_capacity must be >= 1"
-        );
-        assert!(self.batch_max >= 1, "batch_max must be >= 1");
         if let Some(r) = self.compact_tombstone_ratio {
             assert!(
                 r > 0.0 && r <= 1.0,

@@ -18,10 +18,10 @@
 //!   shared with the worker's persistent scan helpers ([`helpers`]), one
 //!   per core the readers leave free.
 //! * **Adaptation** is deferred: each query's per-shard scan observations
-//!   go into a bounded feedback channel; a single maintenance thread
-//!   drains them in batches, replays the exact inline prune/observe
-//!   sequence against each authoritative zonemap lane
-//!   (`AdaptiveZonemap::apply_feedback`), and publishes fresh snapshots
+//!   and zone walks go into a bounded feedback channel; a single
+//!   maintenance thread drains them in batches, records them in each
+//!   authoritative zonemap lane as the inline protocol would, without
+//!   walking again (`AdaptiveZonemap::apply_feedback`), and publishes fresh snapshots
 //!   RCU-style — **only into the shard lanes whose mutation epoch moved**,
 //!   so publication cost tracks the metadata that changed rather than the
 //!   whole map. Appends serialise through the same thread and route to the
@@ -30,10 +30,10 @@
 //!
 //! Answers are exact regardless of snapshot staleness; what staleness (or
 //! a full feedback channel dropping observations) costs is adaptation
-//! speed — the zonemap converges to the same states the inline protocol
-//! reaches, just later. See `tests/convergence.rs` for the serialized
-//! equivalence proof and `tests/stress.rs` for answer exactness under
-//! concurrency.
+//! speed — the zonemap learns from older decisions, so it adapts later,
+//! or by another path, than the inline protocol. See
+//! `tests/convergence.rs` for the serialized equivalence proof and
+//! `tests/stress.rs` for answer exactness under concurrency.
 //!
 //! **Mutations** are out-of-place: [`Mutation`] batches (deletes and
 //! updates) ride the maintenance channel like appends, tombstone rows in

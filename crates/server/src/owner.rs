@@ -326,7 +326,7 @@ impl<T: DataValue> Owner<T> {
     /// Applies one deferred query's worth of adaptation: entry `s` is the
     /// data version of shard `s` the reader scanned and what its scan
     /// observed there. An observation of a version older than the lane's
-    /// last rebuild is dropped whole — no re-prune, no `observe` — and
+    /// last rebuild is dropped whole — no bookkeeping, no `observe` — and
     /// counted in [`OwnerTotals::feedback_stale`]; see the module docs.
     pub fn feedback(&mut self, observations: &[(u64, ScanObservation<T>)]) {
         debug_assert_eq!(observations.len(), self.num_shards());
@@ -341,7 +341,7 @@ impl<T: DataValue> Owner<T> {
 
     /// One maintenance pass over every lane: reorganization (promote hot
     /// zones, demote cold ones), then metadata tiers (judge drop windows,
-    /// build sketches the replayed feedback has amortised), then the
+    /// build sketches the applied feedback has amortised), then the
     /// revival check the next query's prune would run — so a snapshot
     /// taken now is the state an inline executor would start the next
     /// query from. Every change bumps the lane's mutation epoch.
@@ -410,7 +410,11 @@ fn rebuilt_lane<T: DataValue>(data: &[T], config: AdaptiveConfig) -> AdaptiveZon
             RangeObservation::new(r, q, mn, mx)
         })
         .collect();
-    lane.observe(&ScanObservation { predicate, ranges });
+    lane.observe(&ScanObservation {
+        predicate,
+        ranges,
+        walk: outcome,
+    });
     lane
 }
 

@@ -7,8 +7,9 @@
 //! [`ShardSnapshot`]s with no locks on the hot path, while **adaptation**
 //! (the observe/maintain side of the protocol) is applied asynchronously
 //! by a single maintenance thread that drains a bounded feedback channel,
-//! replays each query's per-shard prune/observe pairs against the
-//! authoritative zonemap lanes, and publishes fresh snapshots RCU-style —
+//! applies each query's per-shard feedback — what the reader's zone walk
+//! decided and what its scan observed — to the authoritative zonemap
+//! lanes, and publishes fresh snapshots RCU-style —
 //! into **only the shard lanes whose zonemaps actually changed**, as told
 //! by each lane's mutation epoch.
 //!
@@ -62,23 +63,25 @@
 //! describes other rows. What identifies a lane is therefore the shard
 //! data version it was last rebuilt at: every observation travels with
 //! the [`ads_storage::SharedColumn::version`] the reader scanned, and
-//! [`Owner::feedback`] drops — whole, no re-prune, no `observe`, counted
+//! [`Owner::feedback`] drops — whole, no bookkeeping, no `observe`, counted
 //! in [`ServerStats::feedback_stale`] — any that predates the lane's
 //! rebuild.
 //!
 //! ## Convergence with the inline protocol
 //!
-//! [`AdaptiveZonemap::apply_feedback`] replays the *mutable* prune for its
-//! side effects and then feeds the reader's observations through
-//! `observe` — the exact inline sequence, applied lane by lane. With a
-//! single reader and a flush after every query, each authoritative lane
-//! therefore steps through the same states as an inline executor replaying
-//! the same query stream (tested in `tests/convergence.rs`). Under
-//! concurrency the trajectory interleaves differently but every
-//! intermediate state is one the inline protocol could have produced, and
-//! answers stay exact. Without the flush a reader may hold a snapshot
-//! whose *statistics* are behind the owner's; by construction that never
-//! changes what it decides (see the publication policy below).
+//! [`AdaptiveZonemap::apply_feedback`] ticks the lane's clocks, records
+//! the reader's walk (the observation carries it) as the owner's prune
+//! records its own, and feeds the observations through `observe`; no zone
+//! is walked twice. With a single reader and a flush after every query
+//! the reader walks a lane at the owner's epoch, so each authoritative
+//! lane steps through the same states as an inline executor running the
+//! same query stream (tested in `tests/convergence.rs`). Under
+//! concurrency a stale walk's rows are recorded against the zones now
+//! over them — statistics only, never bounds or structure — so
+//! adaptation may lag or take another path while answers stay exact.
+//! Without the flush a reader may hold a snapshot whose *statistics* are
+//! behind the owner's; by construction that never changes what it decides
+//! (see below).
 //!
 //! ## Publication policy
 //!
@@ -358,7 +361,7 @@ impl<T: DataValue> QueryService<T> {
         });
 
         let (maint_tx, maint) = if let Some(owner) = maint_owner {
-            let (tx, rx) = sync_channel::<MaintMsg<T>>(shared.config.feedback_capacity);
+            let (tx, rx) = sync_channel::<MaintMsg<T>>(FEEDBACK_CAPACITY);
             let sh = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name("ads-maint".into())
@@ -874,6 +877,13 @@ impl Published {
 /// `clustered-hotspot` (CHANGES.md, PR 23).
 const LINGER: Duration = Duration::from_micros(30);
 
+/// Bound of the feedback channel; feedback beyond it is dropped.
+const FEEDBACK_CAPACITY: usize = 4096;
+
+/// Most feedback entries applied before a republication: what bounds
+/// reader staleness under load.
+const BATCH_MAX: usize = 256;
+
 /// The next maintenance message: polled for [`LINGER`], then waited for.
 /// `None` once every sender is gone and the channel is drained.
 fn next_message<M>(rx: &Receiver<M>) -> Option<M> {
@@ -921,7 +931,7 @@ fn maintenance_loop<T: DataValue>(
         // round amortises over the whole batch, keeping reader staleness
         // low without a snapshot-per-observation storm.
         let mut batch = vec![first];
-        while batch.len() < shared.config.batch_max {
+        while batch.len() < BATCH_MAX {
             match rx.try_recv() {
                 Ok(msg) => batch.push(msg),
                 Err(_) => break,

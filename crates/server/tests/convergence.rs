@@ -26,8 +26,6 @@ fn config(mode: AdaptationMode) -> ServerConfig {
     ServerConfig {
         readers: 1,
         queue_capacity: 64,
-        feedback_capacity: 64,
-        batch_max: 16,
         adaptation: mode,
         ..ServerConfig::default()
     }

@@ -412,6 +412,7 @@ fn reorg_snap(version: u64) -> ShardSnapshot<i64> {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
+        walk: outcome,
     });
     let rep = zm.apply_reorg(&data);
     assert_eq!(rep.promoted, 1, "setup must promote the zone");
@@ -553,6 +554,7 @@ fn tier_snap(version: u64) -> ShardSnapshot<i64> {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
+        walk: outcome,
     });
     let rep = zm.apply_tiers(&data);
     assert_eq!(rep.built, 1, "setup must build the sketch");

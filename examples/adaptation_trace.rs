@@ -50,6 +50,7 @@ fn run_query(zm: &mut AdaptiveZonemap<i64>, data: &[i64], pred: RangePredicate<i
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: observations,
+        walk: out,
     });
     count
 }

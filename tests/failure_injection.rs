@@ -15,7 +15,7 @@
 
 use adaptive_data_skipping::core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use adaptive_data_skipping::core::{
-    RangeObservation, RangePredicate, ScanObservation, SkippingIndex,
+    PruneOutcome, RangeObservation, RangePredicate, ScanObservation, SkippingIndex,
 };
 use adaptive_data_skipping::engine::{execute, execute_reference, AggKind};
 use adaptive_data_skipping::storage::RowRange;
@@ -61,6 +61,7 @@ fn misaligned_observations_are_ignored() {
             RangeObservation::new(RowRange::new(100, 900), 0, 49_000, 49_001),
             RangeObservation::new(RowRange::new(0, column.len()), 0, 49_000, 49_001),
         ],
+        walk: PruneOutcome::default(),
     };
     for _ in 0..5 {
         zm.observe(&hostile);
@@ -77,6 +78,7 @@ fn empty_and_degenerate_observations() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: Vec::new(),
+        walk: PruneOutcome::default(),
     });
     // Observation for a range beyond the column end: no zone starts there,
     // so it must be ignored rather than panic.
@@ -88,6 +90,7 @@ fn empty_and_degenerate_observations() {
             0,
             0,
         )],
+        walk: PruneOutcome::default(),
     });
     assert_sound(&mut zm, &column);
 }
@@ -125,6 +128,7 @@ fn stale_observations_after_structural_change_stay_sound() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: stale,
+        walk: PruneOutcome::default(),
     });
     assert_sound(&mut zm, &column);
 }
@@ -155,6 +159,7 @@ fn observation_with_wrong_qualifying_count_cannot_break_answers() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: lying,
+        walk: PruneOutcome::default(),
     });
     assert_sound(&mut zm, &column);
 }

@@ -1207,6 +1207,21 @@ fn static_zonemap_metadata_always_exact() {
     }
 }
 
+/// `Debug` of `zm` with its wall-clock fields (`*_ns`) zeroed.
+fn untimed<T: DataValue>(zm: &AdaptiveZonemap<T>) -> String {
+    let debug = format!("{zm:?}");
+    let mut out = String::with_capacity(debug.len());
+    let mut rest = debug.as_str();
+    while let Some(at) = rest.find("_ns: ") {
+        let (head, tail) = rest.split_at(at + "_ns: ".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
 #[test]
 fn shared_prune_matches_mutable_prune_after_publication_poll() {
     // The concurrent read path (`prune_shared`) must convert predicates
@@ -1214,26 +1229,106 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
     // snapshot publisher hands out — i.e. after `poll_revival`, which is
     // what the service's maintenance thread runs before every publication.
     // This is the decision-identity the server's exactness rests on.
-    for case in 0..CASES {
+    //
+    // And the owner must learn from a reader's walk what it learns from
+    // its own: a twin that serves every query off a clone published at
+    // its current epoch (`prune_shared`, then `apply_feedback` with the
+    // walk in the observation) keeps every zone record — overlap and
+    // visit counts, tier window, idle stamps — and the lifetime counters
+    // equal to the inline map's (`prune`, then `observe`) after every
+    // query, through splits, merges, deactivation, revival, tiers and
+    // reorganization.
+    let configs = [
+        test_config(),
+        AdaptiveConfig {
+            enable_tiers: true,
+            tier_after_scans: 1,
+            tier_drop_after: 4,
+            ..test_config()
+        },
+        AdaptiveConfig {
+            enable_reorg: true,
+            reorg_after_scans: 1,
+            reorg_demote_idle: 2,
+            reorg_hot_factor: 0.0,
+            ..test_config()
+        },
+    ];
+    let mut reached = [0u64; 6];
+    for (case, config) in (0..CASES).flat_map(|case| configs.iter().map(move |c| (case, c))) {
         let mut rng = StdRng::seed_from_u64(0x5EA7 ^ case);
-        let data = gen_data(&mut rng, 3000);
-        let mut zm = AdaptiveZonemap::new(data.len(), test_config());
+        let mut data = gen_data(&mut rng, 3000);
+        if case % 2 == 1 {
+            // Clustered, so bounds skip and zones split and merge.
+            data.sort_unstable();
+        }
+        let mut zm = AdaptiveZonemap::new(data.len(), config.clone());
+        let mut twin = zm.clone();
+        let mut published = twin.clone_for_readers();
         let steps = rng.gen_range(10..40usize);
         for step in 0..steps {
-            let pred = gen_pred(&mut rng);
+            let ctx = format!("{} case {case} step {step}", zm.name());
+            let pred = match rng.gen_range(0..3u32) {
+                0 => RangePredicate::point(rng.gen_range(-1000i64..1000)),
+                _ => gen_pred(&mut rng),
+            };
             zm.poll_revival();
             let shared_out = zm.prune_shared(&pred);
             let mutable_out = zm.prune(&pred);
             assert_eq!(
                 shared_out, mutable_out,
-                "case {case} step {step}: shared prune diverged from mutable prune"
+                "{ctx}: shared prune diverged from mutable prune"
             );
             // Honest observations keep splits/merges/deactivation moving so
             // the equivalence is exercised across structural change.
             zm.observe(&observe_units(&mutable_out, &data, pred));
+            zm.maintain(&data);
             zm.assert_invariants();
+
+            twin.poll_revival();
+            if twin.mutation_epoch() != published.mutation_epoch() {
+                published = twin.clone_for_readers();
+            }
+            let walked = published.prune_shared(&pred);
+            // Debug, not `==`: the two maps built their payloads apart.
+            assert_eq!(
+                format!("{walked:?}"),
+                format!("{mutable_out:?}"),
+                "{ctx}: equal epochs decided apart"
+            );
+            let mut obs = observe_units(&walked, &data, pred);
+            obs.walk = walked;
+            twin.apply_feedback(&obs);
+            twin.maintain(&data);
+            // Every zone record, the plane, the clocks and the trace.
+            assert_eq!(
+                untimed(&twin),
+                untimed(&zm),
+                "{ctx}: feedback learned apart from the inline protocol"
+            );
+            assert_eq!(
+                format!("{:?}", twin.index_stats()),
+                format!("{:?}", zm.index_stats()),
+                "{ctx}: lifetime counters"
+            );
+        }
+        let totals = zm.trace().totals();
+        let tiers = zm.tier_stats();
+        for (n, event) in reached.iter_mut().zip([
+            totals.split,
+            totals.merged,
+            totals.revived,
+            totals.promoted,
+            totals.tier_built,
+            tiers.tier_skips,
+        ]) {
+            *n += event;
         }
     }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "splits/merges/revivals/promotions/tiers/tier skips reached: {reached:?}"
+    );
 }
 
 #[test]
@@ -1375,6 +1470,7 @@ fn observe_units<T: DataValue>(
     ScanObservation {
         predicate: pred,
         ranges,
+        walk: adaptive_data_skipping::core::PruneOutcome::default(),
     }
 }
 
