@@ -56,7 +56,7 @@ commands:
   threads <n>                scan-phase worker threads (1 = sequential)
   append <rows>              append a fresh batch to the column
   compare <n> <sel%>         replay a workload across all strategies
-  serve <dist> <rows> <readers> <n> [inline|async|frozen]
+  serve <dist> <rows> <readers> <n> [async|frozen]
                              stress the concurrent query service: <readers>
                              closed-loop clients x <n> queries each
   help                       this text
@@ -520,15 +520,12 @@ impl Repl {
                     words.get(3).and_then(|w| w.parse::<usize>().ok()),
                     words.get(4).and_then(|w| w.parse::<usize>().ok()),
                 ) else {
-                    return Err(
-                        "usage: serve <dist> <rows> <readers> <n> [inline|async|frozen]".into(),
-                    );
+                    return Err("usage: serve <dist> <rows> <readers> <n> [async|frozen]".into());
                 };
                 if readers == 0 || rows == 0 {
                     return Err("rows and readers must be >= 1".into());
                 }
                 let mode = match words.get(5).copied().unwrap_or("async") {
-                    "inline" => AdaptationMode::Inline,
                     "async" => AdaptationMode::Async,
                     "frozen" => AdaptationMode::Frozen,
                     other => return Err(format!("unknown mode: {other}")),
@@ -749,7 +746,7 @@ mod tests {
     #[test]
     fn serve_runs_a_stress_round_in_every_mode() {
         let mut r = Repl::new();
-        for mode in ["inline", "async", "frozen"] {
+        for mode in ["async", "frozen"] {
             let out = r
                 .handle(&format!("serve uniform 20000 2 10 {mode}"))
                 .expect("serve works");
@@ -757,6 +754,7 @@ mod tests {
             assert!(out.contains("queries=20"), "{out}");
         }
         assert!(r.handle("serve uniform 1000 2 10 warpmode").is_err());
+        assert!(r.handle("serve uniform 1000 2 10 inline").is_err());
         assert!(r.handle("serve nope 1000 2 10").is_err());
         assert!(r.handle("serve uniform 1000 0 10").is_err());
     }

@@ -2,17 +2,16 @@
 
 use ads_core::adaptive::AdaptiveConfig;
 
-/// Where a query's adaptation feedback goes.
+/// Whether a query's adaptation feedback reaches the owner. Either way
+/// readers execute against published snapshots and the maintenance thread
+/// holds the owner; the inline protocol itself (prune → scan → observe
+/// under exclusive access) is [`crate::Owner::execute`], called directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptationMode {
     /// Feedback is dropped: the zonemap never changes after load. The
     /// baseline that isolates pure snapshot-read scaling (an adaptive
     /// zonemap starts unbuilt, so this degenerates to full scans).
     Frozen,
-    /// The seed architecture: every query locks the one mutable engine
-    /// state for its whole prune → scan → observe span. Adaptation is
-    /// immediate, concurrency is one query at a time.
-    Inline,
     /// Readers execute against immutable snapshots and queue their
     /// observations; a maintenance thread applies them in batches and
     /// publishes fresh snapshots. Adaptation lags by the queue depth,
@@ -25,7 +24,6 @@ impl AdaptationMode {
     pub fn label(&self) -> &'static str {
         match self {
             AdaptationMode::Frozen => "frozen",
-            AdaptationMode::Inline => "inline",
             AdaptationMode::Async => "async",
         }
     }
@@ -96,7 +94,6 @@ mod tests {
     fn default_validates() {
         ServerConfig::default().validate();
         assert_eq!(AdaptationMode::Async.label(), "async");
-        assert_eq!(AdaptationMode::Inline.label(), "inline");
         assert_eq!(AdaptationMode::Frozen.label(), "frozen");
     }
 

@@ -45,10 +45,13 @@
 //!
 //! The authoritative state — column, lanes, delete vectors — and every
 //! transition on it (inline query, append, mutate, compact, feedback,
-//! maintenance) is one type, [`Owner`]; the adaptation modes differ only
-//! in who holds it. A lane is taught only by scans of the data version it
-//! describes: feedback names the version it scanned, and the owner drops
-//! what predates a lane's rebuild ([`ServerStats::feedback_stale`]).
+//! maintenance) is one type, [`Owner`], and the maintenance thread is its
+//! only holder; the adaptation modes differ only in whether readers send
+//! feedback. [`Owner::execute`] is the inline protocol itself, which tests
+//! and E16 drive on their own thread as the reference. A lane is taught
+//! only by scans of the data version it describes: feedback names the
+//! version it scanned, and the owner drops what predates a lane's rebuild
+//! ([`ServerStats::feedback_stale`]).
 //!
 //! Service mechanics: a bounded request queue with shed-on-full admission
 //! ([`SubmitError::Shed`]), per-request deadlines, graceful drain on

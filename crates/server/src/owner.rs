@@ -6,11 +6,12 @@
 //! a method here, written once — [`Owner::execute`] (the inline query),
 //! [`Owner::append`], [`Owner::mutate`], [`Owner::compact`],
 //! [`Owner::feedback`], [`Owner::maintain`] — and [`Owner::snapshot`]
-//! freezes lane `s` for publication. The service only decides *who* holds
-//! the owner: inline mode keeps it under a mutex its workers take per
-//! query, the snapshot modes hand it by value to the maintenance thread.
-//! No thread, channel or cell is involved, so each transition can be
-//! tested on its own.
+//! freezes lane `s` for publication. In the service one thread holds the
+//! owner, by value: the maintenance thread. No thread, channel or cell is
+//! involved here, so each transition can be tested on its own — and a
+//! test or experiment that drives an owner on its own thread, one
+//! [`Owner::execute`] per query, is the reference the service is compared
+//! against.
 //!
 //! ## What identifies a lane
 //!
@@ -155,12 +156,6 @@ impl<T: DataValue> Owner<T> {
         &self.deletes[s]
     }
 
-    /// Sum of the shards' data versions: monotone, moved by every append,
-    /// update and compaction.
-    pub fn data_version(&self) -> u64 {
-        self.column.shards().iter().map(SharedColumn::version).sum()
-    }
-
     /// The structural state of every lane, in global row coordinates.
     pub fn zone_snapshot(&self) -> Vec<(RowRange, &'static str, f64)> {
         self.zonemap.zone_snapshot()
@@ -191,6 +186,11 @@ impl<T: DataValue> Owner<T> {
 
     /// The inline query: prune → scan → observe on every lane, adaptation
     /// applied before the answer returns.
+    // api: the inline-protocol reference. The service never calls it; the
+    // server tests' `common::Reference` (convergence, fanout), the churn
+    // test of `tests/metadata_tiers.rs` and E16's `owner@1` row drive an
+    // owner with it on the caller's thread and compare the service against
+    // what it answers and learns.
     pub fn execute(
         &mut self,
         predicate: RangePredicate<T>,
@@ -425,6 +425,17 @@ mod tests {
 
     const ROWS: i64 = 20_000;
 
+    /// Sum of the shards' data versions: monotone, moved by every append,
+    /// update and compaction.
+    fn data_version(owner: &Owner<i64>) -> u64 {
+        owner
+            .column
+            .shards()
+            .iter()
+            .map(SharedColumn::version)
+            .sum()
+    }
+
     fn frozen(owner: &Owner<i64>, version: u64) -> ShardSnapshot<i64> {
         owner.snapshot(0, Arc::new(owner.deletes(0).clone()), version)
     }
@@ -532,7 +543,7 @@ mod tests {
 
     #[test]
     fn with_no_reader_each_batch_builds_in_the_version_before_last() {
-        // Queries between the batches, as inline mode runs them: nothing
+        // Queries between the batches, run on the owner itself: nothing
         // but the owner ever holds a tail version.
         let mut owner = Owner::new((0..ROWS).collect(), 2, AdaptiveConfig::default());
         let mut at = vec![tail_at(&owner)];
@@ -604,13 +615,13 @@ mod tests {
     fn an_out_of_range_batch_is_refused_whole() {
         let mut owner = Owner::new((0..ROWS).collect(), 4, AdaptiveConfig::default());
         let rows = ROWS as usize;
-        let version = owner.data_version();
+        let version = data_version(&owner);
         let batch = [Mutation::Delete(5), Mutation::Update(rows, 1)];
         assert_eq!(
             owner.mutate(&batch),
             Err(MutationError::OutOfRange { row: rows, rows })
         );
-        assert_eq!(owner.data_version(), version);
+        assert_eq!(data_version(&owner), version);
         assert!(
             !owner.deletes(0).is_deleted(5),
             "half a refused batch landed"
@@ -641,9 +652,9 @@ mod tests {
         let dirty: Vec<bool> = (0..4).map(|s| owner.take_dirty(s)).collect();
         assert_eq!(dirty, [true, true, false, true]);
 
-        let version = owner.data_version();
+        let version = data_version(&owner);
         owner.append(&[ROWS + 8]);
-        assert_eq!(owner.data_version(), version + 1);
+        assert_eq!(data_version(&owner), version + 1);
         assert_eq!(count(&mut owner), ROWS as u64);
 
         // Only shard 0 is past a 1-in-5000 ratio... neither is: nothing moves.

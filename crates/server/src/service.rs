@@ -14,18 +14,16 @@
 //! by each lane's mutation epoch.
 //!
 //! The authoritative state and every way it moves live in one place, the
-//! [`Owner`] (`owner.rs`); this module only decides who holds it. In
-//! [`AdaptationMode::Inline`] it sits under a mutex the workers take for a
-//! query's whole prune → scan → observe span — the seed architecture, and
-//! the reference the other modes are compared against. In the snapshot
-//! modes the maintenance thread holds it by value, next to what it
-//! remembers of its own publications (`Published`); client calls reach it
-//! as messages and are acknowledged after the round's publications.
+//! [`Owner`] (`owner.rs`), and one thread holds it: the maintenance
+//! thread, by value, next to what it remembers of its own publications
+//! (`Published`). Workers never touch it; client calls reach it as
+//! messages and are acknowledged after the round's publications. The two
+//! modes differ only in whether workers send feedback:
+//! [`AdaptationMode::Async`] does, [`AdaptationMode::Frozen`] does not.
 //!
 //! ## Threads
 //!
-//! A service runs `readers` workers, in the snapshot modes one
-//! maintenance thread, and — also only in the snapshot modes — each
+//! A service runs `readers` workers, one maintenance thread and each
 //! worker's scan helpers: `available_parallelism / readers - 1` of them,
 //! so none once the readers fill the host. All are spawned in
 //! [`QueryService::start`] and joined in [`QueryService::shutdown`]; no
@@ -75,10 +73,11 @@
 //! is walked twice. With a single reader and a flush after every query
 //! the reader walks a lane at the owner's epoch, so each authoritative
 //! lane steps through the same states as an inline executor running the
-//! same query stream (tested in `tests/convergence.rs`). Under
-//! concurrency a stale walk's rows are recorded against the zones now
-//! over them — statistics only, never bounds or structure — so
-//! adaptation may lag or take another path while answers stay exact.
+//! same query stream — [`Owner::execute`] on the client thread (tested in
+//! `tests/convergence.rs`). Under concurrency a stale walk's rows are
+//! recorded against the zones now over them — statistics only, never
+//! bounds or structure — so adaptation may lag or take another path while
+//! answers stay exact.
 //! Without the flush a reader may hold a snapshot whose *statistics* are
 //! behind the owner's; by construction that never changes what it decides
 //! (see below).
@@ -149,7 +148,7 @@ use crate::owner::{Mutation, MutationError, Owner};
 use crate::queue::{Bounded, PushError};
 use crate::snapshot::{ShardSnapshot, ShardedCell};
 use crate::stats::{OwnerTotals, ServerStats, StatsCollector};
-use crate::sync::{Arc, Mutex, MutexGuard};
+use crate::sync::{Arc, Mutex};
 use ads_core::{PruneOutcome, RangePredicate, ScanObservation, SkippingIndex};
 use ads_engine::{
     AggKind, ExecPolicy, QueryAnswer, RunResult, ScanPlan, ShardScanInput, ShardedScanResult,
@@ -265,36 +264,16 @@ enum MaintMsg<T: DataValue> {
     Flush(SyncSender<()>),
 }
 
-/// How queries reach data, per adaptation mode.
-enum Engine<T: DataValue> {
-    /// Inline: the seed architecture — the owner under one lock, one
-    /// query at a time, adaptation applied within the query. (Boxed: the
-    /// zonemap is two orders of magnitude bigger than the snapshot cells.)
-    Inline(Box<Mutex<Owner<T>>>),
-    /// Async/Frozen: immutable per-shard snapshots published RCU-style by
-    /// the maintenance thread, which holds the owner.
-    Snapshot(ShardedCell<T>),
-}
-
-impl<T: DataValue> Engine<T> {
-    /// The publication surface (`None` in inline mode, which has none).
-    fn cell(&self) -> Option<&ShardedCell<T>> {
-        match self {
-            Engine::Snapshot(cell) => Some(cell),
-            Engine::Inline(_) => None,
-        }
-    }
-}
-
 /// State shared between the service handle and its threads.
 struct Shared<T: DataValue> {
     config: ServerConfig,
     queue: Bounded<Job<T>>,
     stats: StatsCollector,
-    engine: Engine<T>,
-    /// Snapshot modes: the owner's totals as of the last maintenance
-    /// round, stored before that round's acks. (Inline mode reads the
-    /// owner itself, under its lock.)
+    /// Immutable per-shard snapshots, published RCU-style by the
+    /// maintenance thread, which holds the owner.
+    cell: ShardedCell<T>,
+    /// The owner's totals as of the last maintenance round, stored before
+    /// that round's acks.
     round_totals: Mutex<OwnerTotals>,
     /// Scan helper threads per worker (see [`scan_helpers`]).
     helpers: usize,
@@ -304,21 +283,18 @@ struct Shared<T: DataValue> {
 
 /// How many scan helpers each worker gets: the cores the readers leave
 /// free, shared out evenly — `available_parallelism / readers - 1`, so 0
-/// whenever the readers alone fill the host, and 0 in inline mode, whose
-/// queries keep the owner's sequential policy.
+/// whenever the readers alone fill the host.
 fn scan_helpers(config: &ServerConfig) -> usize {
-    if config.adaptation == AdaptationMode::Inline {
-        return 0;
-    }
     let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     (cores / config.readers).saturating_sub(1)
 }
 
-/// The service: a worker pool over a bounded request queue, plus (in
-/// async/frozen modes) a maintenance thread owning the authoritative
-/// column and zonemap lanes. See the module docs for the architecture.
+/// The service: a worker pool over a bounded request queue, plus a
+/// maintenance thread owning the authoritative column and zonemap lanes.
+/// See the module docs for the architecture.
 pub struct QueryService<T: DataValue> {
     shared: Arc<Shared<T>>,
+    /// `None` once shutdown has begun.
     maint_tx: Option<SyncSender<MaintMsg<T>>>,
     workers: Vec<JoinHandle<()>>,
     helpers: Vec<JoinHandle<()>>,
@@ -327,21 +303,15 @@ pub struct QueryService<T: DataValue> {
 
 impl<T: DataValue> QueryService<T> {
     /// Loads `data` into [`ServerConfig::shards`] shards and starts the
-    /// worker pool (and, in async/frozen modes, the maintenance thread).
+    /// worker pool and the maintenance thread.
     pub fn start(data: Vec<T>, config: ServerConfig) -> Self {
         config.validate();
         let owner = Owner::new(data, config.shards, config.adaptive.clone());
-
-        // In snapshot modes the maintenance thread holds the owner; the
-        // cells only ever hold published clones.
-        let (engine, maint_owner) = if config.adaptation == AdaptationMode::Inline {
-            (Engine::Inline(Box::new(Mutex::new(owner))), None)
-        } else {
-            let initial = (0..owner.num_shards())
-                .map(|s| owner.snapshot(s, Arc::new(owner.deletes(s).clone()), 0))
-                .collect();
-            (Engine::Snapshot(ShardedCell::new(initial)), Some(owner))
-        };
+        // The maintenance thread holds the owner; the cells only ever hold
+        // published clones.
+        let initial = (0..owner.num_shards())
+            .map(|s| owner.snapshot(s, Arc::new(owner.deletes(s).clone()), 0))
+            .collect();
 
         let helpers = scan_helpers(&config);
         let boards = if helpers > 0 {
@@ -353,35 +323,27 @@ impl<T: DataValue> QueryService<T> {
             queue: Bounded::new(config.queue_capacity),
             stats: StatsCollector::new(config.readers)
                 .with_scan_helpers((config.readers * helpers) as u64),
-            engine,
+            cell: ShardedCell::new(initial),
             round_totals: Mutex::new(OwnerTotals::default()),
             config,
             helpers,
             boards,
         });
 
-        let (maint_tx, maint) = if let Some(owner) = maint_owner {
-            let (tx, rx) = sync_channel::<MaintMsg<T>>(FEEDBACK_CAPACITY);
-            let sh = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("ads-maint".into())
-                .spawn(move || maintenance_loop(&sh, rx, owner))
-                // invariant: thread spawn fails only on resource
-                // exhaustion at startup; nothing to degrade to.
-                .expect("spawn maintenance thread");
-            (Some(tx), Some(handle))
-        } else {
-            (None, None)
-        };
+        let (maint_tx, rx) = sync_channel::<MaintMsg<T>>(FEEDBACK_CAPACITY);
+        let sh = Arc::clone(&shared);
+        let maint = std::thread::Builder::new()
+            .name("ads-maint".into())
+            .spawn(move || maintenance_loop(&sh, rx, owner))
+            // invariant: thread spawn fails only on resource exhaustion at
+            // startup; nothing to degrade to.
+            .expect("spawn maintenance thread");
 
         let workers = (0..shared.config.readers)
             .map(|id| {
                 let sh = Arc::clone(&shared);
-                let tx = if shared.config.adaptation == AdaptationMode::Async {
-                    maint_tx.clone()
-                } else {
-                    None
-                };
+                let tx =
+                    (shared.config.adaptation == AdaptationMode::Async).then(|| maint_tx.clone());
                 std::thread::Builder::new()
                     .name(format!("ads-worker-{id}"))
                     .spawn(move || worker_loop(&sh, id, tx))
@@ -406,10 +368,10 @@ impl<T: DataValue> QueryService<T> {
 
         QueryService {
             shared,
-            maint_tx,
+            maint_tx: Some(maint_tx),
             workers,
             helpers,
-            maint,
+            maint: Some(maint),
         }
     }
 
@@ -441,48 +403,27 @@ impl<T: DataValue> QueryService<T> {
         self.submit(Request::new(predicate, agg)).map(Ticket::wait)
     }
 
-    /// Inline mode: the owner, locked. `None` in the snapshot modes, where
-    /// the maintenance thread holds it and [`QueryService::control`] is
-    /// the way in.
-    fn inline_owner(&self) -> Option<MutexGuard<'_, Owner<T>>> {
-        match &self.shared.engine {
-            // invariant: no owner transition panics mid-update short of a
-            // bug; poisoning means the process is already torn.
-            Engine::Inline(owner) => Some(owner.lock().expect("inline owner poisoned")),
-            Engine::Snapshot(_) => None,
-        }
-    }
-
-    /// Snapshot modes: sends one control message to the maintenance
-    /// thread and blocks until its ack — sent only after the round's
+    /// Sends one control message to the maintenance thread, the owner's
+    /// holder, and blocks until its ack — sent only after the round's
     /// publications — comes back.
     fn control<R>(
         &self,
         msg: impl FnOnce(SyncSender<R>) -> MaintMsg<T>,
     ) -> Result<R, MutationError> {
         let (ack_tx, ack_rx) = sync_channel(1);
-        self.maint_tx
-            .as_ref()
-            // invariant: every snapshot-mode service starts a maintenance
-            // thread and keeps its sender until shutdown consumes `self`.
-            .expect("snapshot mode without maintenance")
-            .send(msg(ack_tx))
-            .map_err(|_| MutationError::Lost)?;
+        let tx = self.maint_tx.as_ref().ok_or(MutationError::Lost)?;
+        tx.send(msg(ack_tx)).map_err(|_| MutationError::Lost)?;
         ack_rx.recv().map_err(|_| MutationError::Lost)
     }
 
-    /// Appends rows (routed to the tail shard). Blocks until the rows are
-    /// visible to new queries (inline: immediately; async/frozen: once the
-    /// maintenance thread has published the extended tail-shard snapshot).
+    /// Appends rows (routed to the tail shard). Blocks until the
+    /// maintenance thread has published the extended tail-shard snapshot,
+    /// so the rows are visible to new queries.
     pub fn append(&self, rows: Vec<T>) {
-        match self.inline_owner() {
-            Some(mut owner) => owner.append(&rows),
-            None => self
-                .control(|ack| MaintMsg::Append(rows, ack))
-                // invariant: the maintenance thread outlives the service
-                // handle; it exits only after maint_tx drops.
-                .expect("maintenance thread gone"),
-        }
+        self.control(|ack| MaintMsg::Append(rows, ack))
+            // invariant: the maintenance thread outlives the service
+            // handle; it exits only after maint_tx drops.
+            .expect("maintenance thread gone");
     }
 
     /// Tombstones one row (global rowid). See [`QueryService::mutate`].
@@ -497,9 +438,9 @@ impl<T: DataValue> QueryService<T> {
         self.mutate(vec![Mutation::Update(row, value)])
     }
 
-    /// Applies one batch of out-of-place mutations and blocks until they
-    /// are visible to new queries (inline: immediately; async/frozen:
-    /// once the maintenance thread has republished the changed shards).
+    /// Applies one batch of out-of-place mutations and blocks until the
+    /// maintenance thread has republished the changed shards, so they are
+    /// visible to new queries.
     /// Returns how many mutations took effect — deleting or updating an
     /// already-dead row is a counted-out no-op.
     ///
@@ -512,17 +453,7 @@ impl<T: DataValue> QueryService<T> {
     pub fn mutate(&self, mutations: Vec<Mutation<T>>) -> Result<usize, MutationError> {
         let n = mutations.len() as u64;
         self.shared.stats.record_mutations_queued(n);
-        match self.inline_owner() {
-            Some(mut owner) => {
-                let applied = owner.mutate(&mutations);
-                self.shared.stats.record_mutations_processed(n);
-                if let Some(ratio) = self.shared.config.compact_tombstone_ratio {
-                    owner.compact(Some(ratio));
-                }
-                applied
-            }
-            None => self.control(|ack| MaintMsg::Mutate(mutations, ack))?,
-        }
+        self.control(|ack| MaintMsg::Mutate(mutations, ack))?
     }
 
     /// Compacts every shard holding tombstones: live rows are densely
@@ -534,33 +465,25 @@ impl<T: DataValue> QueryService<T> {
     /// # Errors
     /// [`MutationError::Lost`] when the maintenance thread is gone.
     pub fn compact(&self) -> Result<usize, MutationError> {
-        match self.inline_owner() {
-            Some(mut owner) => Ok(owner.compact(None)),
-            None => self.control(MaintMsg::Compact),
-        }
+        self.control(MaintMsg::Compact)
     }
 
     /// Barrier: blocks until all feedback enqueued before this call is
     /// applied to the authoritative zonemap lanes and **every** shard is
     /// freshly published (epoch-diffing is bypassed, so post-flush readers
-    /// see exact lane state including per-query statistics). A no-op in
-    /// inline mode (adaptation is never deferred).
+    /// see exact lane state including per-query statistics).
     pub fn flush(&self) {
-        if self.maint_tx.is_some() {
-            self.control(MaintMsg::Flush)
-                // invariant: see append — maintenance outlives the handle.
-                .expect("maintenance thread gone");
-        }
+        self.control(MaintMsg::Flush)
+            // invariant: see append — maintenance outlives the handle.
+            .expect("maintenance thread gone");
     }
 
-    /// A point-in-time stats report.
+    /// A point-in-time stats report, with the owner's totals as of the
+    /// last maintenance round.
     pub fn stats(&self) -> ServerStats {
-        let owner = match self.inline_owner() {
-            Some(owner) => owner.totals(),
-            // invariant: the lock guards one plain copy; nothing panics
-            // while holding it.
-            None => *self.shared.round_totals.lock().expect("totals poisoned"),
-        };
+        // invariant: the lock guards one plain copy; nothing panics while
+        // holding it.
+        let owner = *self.shared.round_totals.lock().expect("totals poisoned");
         self.shared.stats.snapshot(self.shared.queue.len(), owner)
     }
 
@@ -569,22 +492,17 @@ impl<T: DataValue> QueryService<T> {
         self.shared.config.shards
     }
 
-    /// The latest published snapshot of every shard lane, in shard order
-    /// (`None` in inline mode, which has no publications).
-    pub fn shard_snapshots(&self) -> Option<Vec<Arc<ShardSnapshot<T>>>> {
-        self.shared.engine.cell().map(ShardedCell::load_all)
+    /// The latest published snapshot of every shard lane, in shard order.
+    pub fn shard_snapshots(&self) -> Vec<Arc<ShardSnapshot<T>>> {
+        self.shared.cell.load_all()
     }
 
-    /// The structural state of the zonemap queries currently see, in
-    /// global row coordinates: the authoritative state in inline mode, the
-    /// latest published lane snapshots otherwise (call
+    /// The structural state of the zonemap queries currently see — the
+    /// latest published lane snapshots — in global row coordinates (call
     /// [`QueryService::flush`] first for an up-to-date view).
     pub fn zone_snapshot(&self) -> Vec<(RowRange, &'static str, f64)> {
-        if let Some(owner) = self.inline_owner() {
-            return owner.zone_snapshot();
-        }
         let mut out = Vec::new();
-        for snap in self.shard_snapshots().into_iter().flatten() {
+        for snap in self.shard_snapshots() {
             let start = snap.start;
             out.extend(
                 snap.zonemap
@@ -635,15 +553,15 @@ impl<T: DataValue> Drop for QueryService<T> {
     }
 }
 
-/// One reader: pop → (deadline check) → execute → feedback → reply. In
-/// the snapshot modes "execute" is prune → plan → scan (with the helpers
-/// on `board` when the plan has more than one run) → merge.
+/// One reader: pop → (deadline check) → prune → plan → scan (with the
+/// helpers on `board` when the plan has more than one run) → merge →
+/// feedback → reply.
 fn worker_loop<T: DataValue>(
     shared: &Shared<T>,
     worker_id: usize,
     feedback: Option<SyncSender<MaintMsg<T>>>,
 ) {
-    let mut cache = shared.engine.cell().map(ShardedCell::cache);
+    let mut cache = shared.cell.cache();
     // A scan is as wide as this worker plus its helpers — the cores the
     // readers leave free, so just the worker when they fill the host.
     // The policy's floor keeps every scan under two threads' worth of
@@ -658,93 +576,67 @@ fn worker_loop<T: DataValue>(
             let _ = job.reply.send(Reply::DeadlineMissed);
             continue;
         }
-        let reply = match &shared.engine {
-            Engine::Inline(owner) => {
-                // The whole prune → scan → observe span under one lock:
-                // the seed's single-writer architecture as a service mode.
-                // invariant: see inline_owner — poisoning is unrecoverable.
-                let mut owner = owner.lock().expect("inline owner poisoned");
-                let version = owner.data_version();
-                let (answer, metrics) = owner.execute(job.request.predicate, job.request.agg);
-                shared.stats.record_scan_rows(
-                    metrics.query.rows_scanned,
-                    metrics.query.rows_with_byproducts,
-                );
-                Reply::Answer {
-                    answer,
-                    snapshot_version: version,
-                    wall_ns: metrics.query.wall_ns,
-                }
+        // Lock-free steady state: one atomic generation load per lane,
+        // then read-only prunes and one planned scan against the
+        // immutable shard snapshots. Lanes may be from different
+        // publication rounds — each is sound for its own shard, which is
+        // all the merge needs.
+        cache.refresh(&shared.cell);
+        let lanes = cache.lanes();
+        let (pred, agg) = (job.request.predicate, job.request.agg);
+        let outcomes: Vec<PruneOutcome> = lanes
+            .iter()
+            .map(|lane| lane.current().zonemap.prune_shared(&pred))
+            .collect();
+        let inputs: Vec<ShardScanInput<'_, T>> = lanes
+            .iter()
+            .zip(&outcomes)
+            .map(|(lane, outcome)| scan_input(lane.current(), outcome))
+            .collect();
+        let plan = ScanPlan::new(&inputs, pred, agg, &policy);
+        let result = match board {
+            // More than one run: the helpers take what they can, which is
+            // why the job owns what its runs read.
+            Some(board) if plan.runs() > 1 => {
+                drop(inputs);
+                shared.stats.record_scan_fanned(&plan.run_rows());
+                let lanes = lanes.iter().map(|lane| Arc::clone(lane.current()));
+                scan_fanned(
+                    board,
+                    ScanWork {
+                        lanes: lanes.collect(),
+                        outcomes,
+                        plan,
+                    },
+                )
             }
-            Engine::Snapshot(cell) => {
-                // Lock-free steady state: one atomic generation load per
-                // lane, then read-only prunes and one planned scan against
-                // the immutable shard snapshots. Lanes may be from
-                // different publication rounds — each is sound for its own
-                // shard, which is all the merge needs.
-                // invariant: the cache is Some exactly when the engine is
-                // Snapshot — both come from the same enum.
-                let cache = cache.as_mut().expect("snapshot mode has a cache");
-                cache.refresh(cell);
-                let lanes = cache.lanes();
-                let (pred, agg) = (job.request.predicate, job.request.agg);
-                let outcomes: Vec<PruneOutcome> = lanes
-                    .iter()
-                    .map(|lane| lane.current().zonemap.prune_shared(&pred))
-                    .collect();
-                let inputs: Vec<ShardScanInput<'_, T>> = lanes
-                    .iter()
-                    .zip(&outcomes)
-                    .map(|(lane, outcome)| scan_input(lane.current(), outcome))
-                    .collect();
-                let plan = ScanPlan::new(&inputs, pred, agg, &policy);
-                let result = match board {
-                    // More than one run: the helpers take what they can,
-                    // which is why the job owns what its runs read.
-                    Some(board) if plan.runs() > 1 => {
-                        drop(inputs);
-                        shared.stats.record_scan_fanned(&plan.run_rows());
-                        let lanes = lanes.iter().map(|lane| Arc::clone(lane.current()));
-                        scan_fanned(
-                            board,
-                            ScanWork {
-                                lanes: lanes.collect(),
-                                outcomes,
-                                plan,
-                            },
-                        )
-                    }
-                    _ => plan.run_scoped(&inputs),
-                };
-                let version = lanes.iter().map(|lane| lane.current().version).sum();
-                shared
-                    .stats
-                    .record_scan_rows(result.phase.rows_scanned, result.phase.rows_with_byproducts);
-                // Feedback goes out *before* the reply so a client that
-                // replies-then-flushes is guaranteed (by channel FIFO) to
-                // see its own query's adaptation applied. Each lane's
-                // observation travels with the data version it scanned:
-                // that is what the owner checks it against.
-                if let Some(tx) = &feedback {
-                    let seen = lanes.iter().map(|lane| lane.current().data.version());
-                    let observations = seen.zip(result.observations).collect();
-                    match tx.try_send(MaintMsg::Feedback(observations)) {
-                        Ok(()) => shared.stats.record_feedback_queued(),
-                        Err(TrySendError::Full(_)) => shared.stats.record_feedback_dropped(),
-                        Err(TrySendError::Disconnected(_)) => {}
-                    }
-                }
-                Reply::Answer {
-                    answer: result.answer,
-                    snapshot_version: version,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                }
-            }
+            _ => plan.run_scoped(&inputs),
         };
+        let version = lanes.iter().map(|lane| lane.current().version).sum();
         shared
             .stats
-            .record_query(worker_id, t0.elapsed().as_nanos() as u64);
-        let _ = job.reply.send(reply);
+            .record_scan_rows(result.phase.rows_scanned, result.phase.rows_with_byproducts);
+        // Feedback goes out *before* the reply so a client that
+        // replies-then-flushes is guaranteed (by channel FIFO) to see its
+        // own query's adaptation applied. Each lane's observation travels
+        // with the data version it scanned: that is what the owner checks
+        // it against.
+        if let Some(tx) = &feedback {
+            let seen = lanes.iter().map(|lane| lane.current().data.version());
+            let observations = seen.zip(result.observations).collect();
+            match tx.try_send(MaintMsg::Feedback(observations)) {
+                Ok(()) => shared.stats.record_feedback_queued(),
+                Err(TrySendError::Full(_)) => shared.stats.record_feedback_dropped(),
+                Err(TrySendError::Disconnected(_)) => {}
+            }
+        }
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        shared.stats.record_query(worker_id, wall_ns);
+        let _ = job.reply.send(Reply::Answer {
+            answer: result.answer,
+            snapshot_version: version,
+            wall_ns,
+        });
     }
 }
 
@@ -906,9 +798,7 @@ fn maintenance_loop<T: DataValue>(
     rx: Receiver<MaintMsg<T>>,
     mut owner: Owner<T>,
 ) {
-    let Engine::Snapshot(cell) = &shared.engine else {
-        unreachable!("inline mode has no maintenance");
-    };
+    let cell = &shared.cell;
     let initial = cell.load_all();
     let mut published = Published {
         versions: vec![0; initial.len()],

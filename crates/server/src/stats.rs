@@ -237,8 +237,8 @@ impl StatsCollector {
 /// Lifetime totals of the owner side: what only the thread holding the
 /// [`crate::Owner`] counts, so a plain value rather than atomics. The
 /// owner assembles it ([`crate::Owner::totals`]); the maintenance thread
-/// stores a copy once per round, before the round's acks, and inline mode
-/// reads it under the owner's lock. Field for field the [`ServerStats`]
+/// stores a copy once per round, before the round's acks, for
+/// [`crate::QueryService::stats`] to read. Field for field the [`ServerStats`]
 /// values of the same names, the lanes' own counter blocks kept whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OwnerTotals {
@@ -346,9 +346,9 @@ pub struct ServerStats {
     /// zones whose bounds (or value mask) the index still asked for.
     pub rows_with_byproducts: u64,
     /// Scan helper threads the service runs beside its readers: each
-    /// worker gets `available_parallelism / readers - 1` of them in the
-    /// snapshot modes (so none once the readers fill the host), none in
-    /// inline mode. Spawned at start, joined at shutdown.
+    /// worker gets `available_parallelism / readers - 1` of them (so none
+    /// once the readers fill the host). Spawned at start, joined at
+    /// shutdown.
     pub scan_helpers: u64,
     /// Queries whose scan ran as more than one run, split between a
     /// worker and its helpers — only scans past the policy's floor of

@@ -8,7 +8,12 @@
 //! query stream — same zone boundaries, same build/dead states, same skip
 //! rates. These tests check that equivalence structurally (via
 //! `zone_snapshot()`), answer-by-answer, and for the frozen mode's
-//! contract (exact answers, no adaptation at all).
+//! contract (exact answers, no adaptation at all). The inline executor is
+//! the library's for query-only streams, and for streams that also
+//! append, mutate and compact it is an `Owner` stepped on the test thread
+//! (`common::Reference`).
+
+mod common;
 
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, ShardedZonemap};
 use ads_core::RangePredicate;
@@ -17,6 +22,7 @@ use ads_rng::StdRng;
 use ads_server::{AdaptationMode, Mutation, QueryService, Reply, ServerConfig, ServerStats};
 use ads_storage::ShardedColumn;
 use ads_workloads::{data, queries};
+use common::{Reference, Store};
 
 const ROWS: usize = 40_000;
 const DOMAIN: i64 = 10_000;
@@ -274,41 +280,9 @@ fn frozen_mode_answers_exactly_and_never_adapts() {
 }
 
 #[test]
-fn inline_mode_matches_the_plain_executor() {
-    // The inline service mode is the seed architecture behind a queue; a
-    // single reader must reproduce the executor byte for byte, including
-    // the final zonemap.
-    let column = data::sawtooth(ROWS, 8, DOMAIN);
-    let preds = queries::uniform_ranges(100, DOMAIN, 0.03, 99);
-    let adaptive = AdaptiveConfig::default();
-
-    let (inline_answers, inline_zm) = inline_replay(&column, adaptive.clone(), &preds);
-
-    let svc = QueryService::start(
-        column,
-        ServerConfig {
-            adaptive,
-            ..config(AdaptationMode::Inline)
-        },
-    );
-    for (i, q) in preds.iter().enumerate() {
-        let pred = RangePredicate::between(q.lo, q.hi);
-        let reply = svc.query(pred, AggKind::Count).expect("admitted");
-        assert_eq!(
-            reply.answer().expect("no deadline").count,
-            inline_answers[i]
-        );
-    }
-    assert_eq!(svc.zone_snapshot(), inline_zm.zone_snapshot());
-    let stats = svc.shutdown();
-    assert_eq!(stats.queries, 100);
-    assert_eq!(stats.snapshots_published, 0, "inline mode never publishes");
-}
-
-#[test]
 fn reorg_enabled_service_answers_exactly_and_counts_promotions() {
-    // Hot clustered workload with reorganization on: both service modes
-    // must produce exact answers while zones get promoted, and the stats
+    // Hot clustered workload with reorganization on: the service must
+    // produce exact answers while zones get promoted, and the stats
     // surface must report the promotions.
     let column = data::clustered(ROWS, 80, 0.05, DOMAIN, 42);
     let preds = queries::hotspot_ranges(QUERIES, DOMAIN, 0.05, 0.3, 0.2, 7);
@@ -322,42 +296,28 @@ fn reorg_enabled_service_answers_exactly_and_counts_promotions() {
         .map(|q| column.iter().filter(|&&v| v >= q.lo && v <= q.hi).count() as u64)
         .collect();
 
-    for mode in [AdaptationMode::Inline, AdaptationMode::Async] {
-        let svc = QueryService::start(
-            column.clone(),
-            ServerConfig {
-                adaptive: adaptive.clone(),
-                ..config(mode)
-            },
-        );
-        for (q, &want) in preds.iter().zip(&expected) {
-            let pred = RangePredicate::between(q.lo, q.hi);
-            let reply = svc.query(pred, AggKind::Count).expect("admitted");
-            assert_eq!(
-                reply.answer().expect("no deadline").count,
-                want,
-                "wrong count in {mode:?} mode"
-            );
-            if mode == AdaptationMode::Async {
-                // Serialize so the maintenance thread's reorg pass runs
-                // between queries and republishes promoted lanes.
-                svc.flush();
-            }
-        }
-        let stats = svc.shutdown();
-        assert!(
-            stats.zones_promoted > 0,
-            "hot workload promoted no zones in {mode:?} mode"
-        );
-        assert!(
-            stats.reorg_bytes_moved > 0,
-            "promotion moved no bytes in {mode:?} mode"
-        );
-        assert!(
-            stats.summary().contains("reorg_promoted="),
-            "summary must surface reorg counters"
-        );
+    let svc = QueryService::start(
+        column,
+        ServerConfig {
+            adaptive,
+            ..config(AdaptationMode::Async)
+        },
+    );
+    for (q, &want) in preds.iter().zip(&expected) {
+        let pred = RangePredicate::between(q.lo, q.hi);
+        let reply = svc.query(pred, AggKind::Count).expect("admitted");
+        assert_eq!(reply.answer().expect("no deadline").count, want);
+        // Serialize so the maintenance thread's reorg pass runs between
+        // queries and republishes promoted lanes.
+        svc.flush();
     }
+    let stats = svc.shutdown();
+    assert!(stats.zones_promoted > 0, "hot workload promoted no zones");
+    assert!(stats.reorg_bytes_moved > 0, "promotion moved no bytes");
+    assert!(
+        stats.summary().contains("reorg_promoted="),
+        "summary must surface reorg counters"
+    );
 }
 
 #[test]
@@ -451,8 +411,7 @@ fn a_zone_that_keeps_wasting_scans_gets_its_mask_without_a_flush() {
     );
     let zones = svc.zone_snapshot().len() as u64;
     let masks_published = |svc: &QueryService<i64>| -> u64 {
-        let lanes = svc.shard_snapshots().expect("async mode publishes");
-        lanes
+        svc.shard_snapshots()
             .iter()
             .map(|lane| lane.zonemap.trace().totals().mask_built)
             .sum()
@@ -479,9 +438,9 @@ fn a_zone_that_keeps_wasting_scans_gets_its_mask_without_a_flush() {
     assert!(svc.shutdown().snapshots_published > 0);
 }
 
-/// The totals every owner keeps, whoever holds it, by name; the last two
+/// The totals every owner keeps, whoever drives it, by name; the last two
 /// are gauges, the rest only ever grow. Left out: the publication counters
-/// (inline never publishes) and `reorg_ns` (a wall time).
+/// (the reference never publishes) and `reorg_ns` (a wall time).
 fn owner_totals(s: &ServerStats) -> [(&'static str, u64); 14] {
     [
         ("feedback_stale", s.feedback_stale),
@@ -503,22 +462,21 @@ fn owner_totals(s: &ServerStats) -> [(&'static str, u64); 14] {
 
 #[test]
 fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
-    // One owner, three ways to hold it. Serialized — one reader, a flush
-    // after every operation — the maintenance thread's owner must step
-    // through the states the inline owner does, whatever the operation:
-    // queries, appends, delete and update batches, explicit compactions,
-    // and (second pass) compactions the tombstone ratio triggers by
-    // itself; a frozen service, whose owner hears no feedback, must give
-    // the same answers. Reorganization and tiers are on so that the lanes
-    // compaction retires have counters to lose: no total may ever go
-    // backwards, in any mode. Revival is off because the maintenance
-    // thread runs the next query's revival check before it publishes and
-    // the inline service cannot be asked for the same.
+    // One owner, driven three ways. Serialized — one reader, a flush after
+    // every operation — the maintenance thread's owner must step through
+    // the states of an owner driven on this thread (`common::Reference`),
+    // whatever the operation: queries, appends, delete and update
+    // batches, explicit compactions, and (second pass) compactions the
+    // tombstone ratio triggers by itself; a frozen service, whose owner
+    // hears no feedback, must give the same answers. Reorganization,
+    // tiers and revival are on, so the lanes compaction retires have
+    // counters to lose — no total may ever go backwards, in any mode —
+    // and the reference must run the revival poll where the round runs
+    // it.
     const SHARDS: usize = 2;
     const STEPS: usize = 260;
     let column = data::clustered(ROWS, 80, 0.05, DOMAIN, 42);
     let adaptive = AdaptiveConfig {
-        revival_base_queries: None,
         maintenance_every: 1,
         enable_reorg: true,
         reorg_hot_factor: 1.0,
@@ -529,27 +487,25 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
     };
 
     for ratio in [None, Some(0.002)] {
-        let services = [
-            AdaptationMode::Inline,
-            AdaptationMode::Async,
-            AdaptationMode::Frozen,
-        ]
-        .map(|mode| {
-            QueryService::start(
-                column.clone(),
-                ServerConfig {
-                    shards: SHARDS,
-                    adaptive: adaptive.clone(),
-                    compact_tombstone_ratio: ratio,
-                    ..config(mode)
-                },
-            )
-        });
+        let config = |mode| ServerConfig {
+            shards: SHARDS,
+            adaptive: adaptive.clone(),
+            compact_tombstone_ratio: ratio,
+            ..config(mode)
+        };
+        let mut reference = Reference::new(column.clone(), &config(AdaptationMode::Async));
+        let [mut served, mut frozen] = [AdaptationMode::Async, AdaptationMode::Frozen]
+            .map(|mode| QueryService::start(column.clone(), config(mode)));
         let mut rng = StdRng::seed_from_u64(2016);
         // Physical rows (what a rowid may address) and live rows.
         let (mut rows, mut live) = (ROWS, ROWS);
         let mut unasked = false;
-        let mut before = services.each_ref().map(|svc| svc.stats());
+        let mut before: [ServerStats; 3] = [
+            &mut reference as &mut dyn Store<i64>,
+            &mut served,
+            &mut frozen,
+        ]
+        .map(|store| store.settle().1);
 
         for step in 0..STEPS {
             let kind = rng.gen_range(0..20u32);
@@ -557,40 +513,44 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
             // Point probes give the bloom tier something to skip.
             let pred = RangePredicate::between(lo, lo + step as i64 % 2 * DOMAIN / 25);
             let batch: Vec<usize> = (0..48).map(|_| rng.gen_range(0..rows)).collect();
-            let after = services.each_ref().map(|svc| {
-                // The answer of a query, or the count a mutation batch or
-                // compaction was acknowledged with.
+            let after = [
+                &mut reference as &mut dyn Store<i64>,
+                &mut served,
+                &mut frozen,
+            ]
+            .map(|store| {
+                // The answer of a query, or the count a mutation batch
+                // or compaction was acknowledged with.
                 let outcome = match kind {
                     0..=11 => {
                         let agg = [AggKind::Count, AggKind::Sum, AggKind::Positions][step % 3];
-                        let reply = svc.query(pred, agg).expect("admitted");
-                        (reply.answer().cloned(), 0)
+                        (store.query(pred, agg), 0)
                     }
                     12 | 13 => {
-                        svc.append(batch.iter().map(|&r| r as i64 % DOMAIN).collect());
+                        store.append(batch.iter().map(|&r| r as i64 % DOMAIN).collect());
                         (None, 0)
                     }
                     14..=16 => {
                         let deletes = batch.iter().map(|&r| Mutation::Delete(r)).collect();
-                        (None, svc.mutate(deletes).expect("acknowledged"))
+                        (None, store.mutate(deletes))
                     }
                     17 | 18 => {
                         let updates = batch[..8].iter().map(|&r| Mutation::Update(r, lo));
-                        (None, svc.mutate(updates.collect()).expect("acknowledged"))
+                        (None, store.mutate(updates.collect()))
                     }
-                    _ => (None, svc.compact().expect("acknowledged")),
+                    _ => (None, store.compact()),
                 };
-                svc.flush();
-                (outcome, svc.zone_snapshot(), svc.stats())
+                let (zones, stats) = store.settle();
+                (outcome, zones, stats)
             });
             let at = format!("step {step} (kind {kind})");
-            let [inline, served, frozen] = &after;
-            assert_eq!(served.0, inline.0, "{at}: async outcome");
-            assert_eq!(frozen.0, inline.0, "{at}: frozen outcome");
-            assert_eq!(served.1, inline.1, "{at}: zones");
+            let [owner, served, frozen] = &after;
+            assert_eq!(served.0, owner.0, "{at}: async outcome");
+            assert_eq!(frozen.0, owner.0, "{at}: frozen outcome");
+            assert_eq!(served.1, owner.1, "{at}: zones");
             assert_eq!(
                 owner_totals(&served.2),
-                owner_totals(&inline.2),
+                owner_totals(&owner.2),
                 "{at}: totals"
             );
             for (now, was) in after.iter().zip(&before) {
@@ -602,31 +562,35 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
             }
 
             // Follow the column's size so the next batch addresses it.
-            let (_, acknowledged) = inline.0;
+            let (_, acknowledged) = owner.0;
             match kind {
                 12 | 13 => (rows, live) = (rows + batch.len(), live + batch.len()),
                 14..=16 => live -= acknowledged,
                 17 | 18 => rows += acknowledged,
                 _ => {}
             }
-            let reclaimed = inline.2.rows_reclaimed - before[0].rows_reclaimed;
+            let reclaimed = owner.2.rows_reclaimed - before[0].rows_reclaimed;
             unasked |= reclaimed > 0 && kind < 19;
             rows -= reclaimed as usize;
             before = after.map(|(_, _, stats)| stats);
         }
 
-        let [inline, ..] = &before;
-        assert!(inline.compactions_run > 0, "the stream never compacted");
+        let [owner, ..] = &before;
+        assert!(owner.compactions_run > 0, "the stream never compacted");
         assert_eq!(unasked, ratio.is_some(), "automatic compaction");
         assert!(
-            inline.zones_promoted > 0 && inline.tiers_built > 0 && inline.tier_skips > 0,
+            owner.zones_promoted > 0 && owner.tiers_built > 0 && owner.tier_skips > 0,
             "nothing for a compaction to lose: {}",
-            inline.summary()
+            owner.summary()
         );
-        for svc in &services {
-            let everything = RangePredicate::between(0, DOMAIN);
-            let reply = svc.query(everything, AggKind::Count).expect("admitted");
-            assert_eq!(reply.answer().expect("no deadline").count, live as u64);
+        let everything = RangePredicate::between(0, DOMAIN);
+        for store in [
+            &mut reference as &mut dyn Store<i64>,
+            &mut served,
+            &mut frozen,
+        ] {
+            let answer = store.query(everything, AggKind::Count);
+            assert_eq!(answer.expect("no deadline").count, live as u64);
         }
     }
 }

@@ -5,9 +5,12 @@
 //! of those scans between its worker and the worker's helpers — when the
 //! host leaves a core free for one. Serialized (a flush after every
 //! operation), that service must answer a mixed stream of range queries,
-//! mutation batches and compactions exactly as the inline service does,
-//! f64 SUM bits and POSITIONS order included, and must leave exactly the
-//! zones the inline service leaves.
+//! appends, mutation batches and compactions exactly as an `Owner` driven
+//! on the test thread does (`common::Reference`: the inline protocol,
+//! sequential scans), f64 SUM bits and POSITIONS order included, and must
+//! leave exactly the zones the owner leaves.
+
+mod common;
 
 use ads_core::adaptive::AdaptiveConfig;
 use ads_core::RangePredicate;
@@ -15,33 +18,15 @@ use ads_engine::AggKind;
 use ads_rng::StdRng;
 use ads_server::{AdaptationMode, Mutation, QueryService, ServerConfig};
 use ads_workloads::data;
+use common::{Reference, Store};
 
 /// Past the two-thread floor of 524,288 scanned rows with room to spare
 /// after the stream's deletes.
 const ROWS: usize = 1_200_000;
 const DOMAIN: i64 = 1_000_000;
 
-fn service(column: Vec<f64>, mode: AdaptationMode) -> QueryService<f64> {
-    QueryService::start(
-        column,
-        ServerConfig {
-            readers: 1,
-            shards: 2,
-            adaptation: mode,
-            // Revival off: the maintenance thread runs the next query's
-            // revival check before it publishes, and the inline service
-            // cannot be asked for the same.
-            adaptive: AdaptiveConfig {
-                revival_base_queries: None,
-                ..AdaptiveConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-}
-
 #[test]
-fn fanned_scans_answer_and_adapt_exactly_as_inline() {
+fn fanned_scans_answer_and_adapt_exactly_as_the_owner() {
     const STEPS: usize = 48;
     // Thirds are inexact in binary, so a SUM added in any other order
     // shows in its bits.
@@ -50,8 +35,23 @@ fn fanned_scans_answer_and_adapt_exactly_as_inline() {
         .map(|v| v as f64 / 3.0)
         .collect();
     let top = DOMAIN as f64 / 3.0;
-    let [inline, fanned] =
-        [AdaptationMode::Inline, AdaptationMode::Async].map(|mode| service(column.clone(), mode));
+    let config = ServerConfig {
+        readers: 1,
+        shards: 2,
+        adaptation: AdaptationMode::Async,
+        // Ceiling-sized zones that uniform data never lets skip die after
+        // 16 probes, and revive 8 queries later: the reference must run
+        // the revival poll where the maintenance round runs it.
+        adaptive: AdaptiveConfig {
+            target_zone_rows: 8192,
+            max_zone_rows: 8192,
+            revival_base_queries: Some(8),
+            ..AdaptiveConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let mut reference = Reference::new(column.clone(), &config);
+    let mut fanned = QueryService::start(column, config);
     let mut rng = StdRng::seed_from_u64(27);
     let mut rows = ROWS;
     let aggs = [
@@ -68,22 +68,26 @@ fn fanned_scans_answer_and_adapt_exactly_as_inline() {
         let lo = rng.gen_range(0..DOMAIN / 2) as f64 / 3.0;
         let pred = RangePredicate::between(lo, lo + top / 2.0);
         let batch: Vec<usize> = (0..64).map(|_| rng.gen_range(0..rows)).collect();
-        let [a, b] = [&inline, &fanned].map(|svc| {
+        let [a, b] = [&mut reference as &mut dyn Store<f64>, &mut fanned].map(|store| {
             let outcome = match kind {
-                0..=8 => {
-                    let reply = svc.query(pred, aggs[step % aggs.len()]);
-                    (reply.expect("admitted").answer().cloned(), 0)
+                0..=7 => (store.query(pred, aggs[step % aggs.len()]), 0),
+                8 | 9 => {
+                    // Updates first: a row the batch deletes before its
+                    // update is dead, and the update a no-op.
+                    let mut muts: Vec<Mutation<f64>> = batch[..8]
+                        .iter()
+                        .map(|&r| Mutation::Update(r, lo))
+                        .collect();
+                    muts.extend(batch[8..].iter().map(|&r| Mutation::Delete(r)));
+                    (None, store.mutate(muts))
                 }
-                9 | 10 => {
-                    let mut muts: Vec<Mutation<f64>> =
-                        batch.iter().map(|&r| Mutation::Delete(r)).collect();
-                    muts.extend(batch[..8].iter().map(|&r| Mutation::Update(r, lo)));
-                    (None, svc.mutate(muts).expect("acknowledged"))
+                10 => {
+                    store.append(vec![lo; 64]);
+                    (None, 0)
                 }
-                _ => (None, svc.compact().expect("acknowledged")),
+                _ => (None, store.compact()),
             };
-            svc.flush();
-            (outcome, svc.zone_snapshot())
+            (outcome, store.settle())
         });
         let at = format!("step {step} (kind {kind})");
         if let (Some(x), Some(y)) = (&a.0 .0, &b.0 .0) {
@@ -94,21 +98,17 @@ fn fanned_scans_answer_and_adapt_exactly_as_inline() {
             );
         }
         assert_eq!(b.0, a.0, "{at}: outcome");
-        assert_eq!(b.1, a.1, "{at}: zones");
-        // Updates append to the tail; compaction reclaims.
-        let stats = inline.stats();
-        rows = ROWS + stats.mutations_applied as usize - stats.rows_reclaimed as usize;
+        assert_eq!(b.1 .0, a.1 .0, "{at}: zones");
+        // Appends grow the tail, compaction reclaims. Updates grow it too;
+        // leaving them out keeps every rowid of the next batch in range.
+        let stats = &a.1 .1;
+        rows = ROWS + 64 * stats.appends as usize - stats.rows_reclaimed as usize;
     }
 
-    let (a, b) = (inline.shutdown(), fanned.shutdown());
-    assert!(a.compactions_run > 0, "the stream never compacted");
-    assert_eq!(
-        (a.scan_helpers, a.scans_fanned),
-        (0, 0),
-        "inline never fans"
-    );
-    if b.scan_helpers > 0 {
-        assert!(b.scans_fanned > 0, "helpers ran but no scan fanned out");
+    let stats = fanned.shutdown();
+    assert!(stats.compactions_run > 0, "the stream never compacted");
+    if stats.scan_helpers > 0 {
+        assert!(stats.scans_fanned > 0, "helpers ran but no scan fanned out");
     }
 }
 

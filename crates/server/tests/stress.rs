@@ -115,37 +115,6 @@ fn appends_are_visible_once_acknowledged() {
 }
 
 #[test]
-fn inline_mode_is_safe_under_concurrent_clients() {
-    // Inline mode serialises adaptation behind its lock; the point here is
-    // that concurrent clients still get exact answers and a clean drain.
-    let column = data::mixed_regions(ROWS, DOMAIN, 5);
-    let svc = QueryService::start(
-        column.clone(),
-        ServerConfig {
-            readers: 4,
-            adaptation: AdaptationMode::Inline,
-            ..ServerConfig::default()
-        },
-    );
-    std::thread::scope(|scope| {
-        let svc = &svc;
-        let column = &column;
-        for c in 0..3 {
-            scope.spawn(move || {
-                let preds = queries::uniform_ranges(60 * iters(), DOMAIN, 0.03, c as u64);
-                for q in preds {
-                    let pred = RangePredicate::between(q.lo, q.hi);
-                    let reply = svc.query(pred, AggKind::Count).expect("admitted");
-                    let want = execute_reference(column, pred, AggKind::Count);
-                    assert_eq!(reply.answer().expect("no deadline").count, want.count);
-                }
-            });
-        }
-    });
-    svc.shutdown();
-}
-
-#[test]
 fn sharded_async_mode_is_exact_under_racing_appends_and_flushes() {
     const SHARDS: usize = 8;
     let base = data::clustered(ROWS, 24, 0.05, DOMAIN, 9);
@@ -204,9 +173,9 @@ fn sharded_async_mode_is_exact_under_racing_appends_and_flushes() {
     // the tail lane only — every untouched lane keeps its exact Arc, so
     // reader caches for those shards are not invalidated.
     svc.flush();
-    let snaps_before = svc.shard_snapshots().expect("async mode publishes");
+    let snaps_before = svc.shard_snapshots();
     svc.append(vec![DOMAIN; 64]);
-    let snaps_after = svc.shard_snapshots().expect("async mode publishes");
+    let snaps_after = svc.shard_snapshots();
     for s in 0..SHARDS {
         if s == SHARDS - 1 {
             assert!(

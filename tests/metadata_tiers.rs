@@ -21,7 +21,7 @@ use adaptive_data_skipping::engine::{
 };
 use adaptive_data_skipping::storage::{DataValue, ShardedColumn};
 use ads_rng::StdRng;
-use ads_server::{AdaptationMode, Mutation, QueryService, ServerConfig};
+use ads_server::{Mutation, Owner, QueryService, ServerConfig};
 use std::cmp::Ordering;
 
 const CASES: u64 = 32;
@@ -328,19 +328,9 @@ impl Model {
 /// Asks the service one aggregate and asserts it bit-identical to the
 /// naive recompute — a tier that over-skipped (false negative) fails
 /// here as a lost row. Returns a fold for cross-mode comparison.
-fn verify(
-    svc: &QueryService<i64>,
-    model: &Model,
-    lo: i64,
-    hi: i64,
-    agg: AggKind,
-    ctx: &str,
-) -> u64 {
+fn verify(store: &mut Store, model: &Model, lo: i64, hi: i64, agg: AggKind, ctx: &str) -> u64 {
     let rows = model.matches(lo, hi);
-    let reply = svc
-        .query(RangePredicate::between(lo, hi), agg)
-        .expect("closed loop");
-    let ans = reply.answer().expect("no deadline set");
+    let ans = &store.query(RangePredicate::between(lo, hi), agg);
     assert_eq!(ans.count, rows.len() as u64, "{ctx}: COUNT [{lo},{hi}]");
     let mut fold = ans.count;
     match agg {
@@ -377,25 +367,98 @@ fn verify(
     fold
 }
 
+/// Where a churn run's operations go: the async service, or an [`Owner`]
+/// driven on the test thread — the inline protocol — with each operation
+/// followed by the `maintain()` the service's maintenance round runs (no
+/// compaction ratio is set, so the round compacts only on request).
+enum Store {
+    Service(QueryService<i64>),
+    Owner(Box<Owner<i64>>),
+}
+
+impl Store {
+    fn query(&mut self, pred: RangePredicate<i64>, agg: AggKind) -> QueryAnswer<i64> {
+        match self {
+            Store::Service(svc) => {
+                let reply = svc.query(pred, agg).expect("closed loop");
+                reply.answer().expect("no deadline set").clone()
+            }
+            Store::Owner(owner) => {
+                let (answer, _) = owner.execute(pred, agg);
+                owner.maintain();
+                answer
+            }
+        }
+    }
+
+    fn mutate(&mut self, batch: Vec<Mutation<i64>>) -> usize {
+        match self {
+            Store::Service(svc) => svc.mutate(batch).expect("maintenance thread lives"),
+            Store::Owner(owner) => {
+                let applied = owner.mutate(&batch).expect("rowids in range");
+                owner.maintain();
+                applied
+            }
+        }
+    }
+
+    fn append(&mut self, rows: Vec<i64>) {
+        match self {
+            Store::Service(svc) => svc.append(rows),
+            Store::Owner(owner) => {
+                owner.append(&rows);
+                owner.maintain();
+            }
+        }
+    }
+
+    fn compact(&mut self) -> usize {
+        match self {
+            Store::Service(svc) => svc.compact().expect("maintenance thread lives"),
+            Store::Owner(owner) => {
+                let reclaimed = owner.compact(None);
+                owner.maintain();
+                reclaimed
+            }
+        }
+    }
+
+    /// The service's barrier; the owner has nothing deferred.
+    fn flush(&mut self) {
+        if let Store::Service(svc) = self {
+            svc.flush();
+        }
+    }
+}
+
 /// One randomized interleaving of queries, point probes, delete/update
 /// batches, appends, and a compaction epilogue against a tier-enabled
-/// service. Returns the answer checksum.
-fn run_churn(seed: u64, tiers: bool, adaptation: AdaptationMode) -> u64 {
+/// store — the service when `served`, else the owner. Returns the answer
+/// checksum.
+fn run_churn(seed: u64, tiers: bool, served: bool) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(3));
     let base: Vec<i64> = (0..1_200).map(|_| rng.gen_range(0..DOMAIN)).collect();
-    let svc = QueryService::start(
-        base.clone(),
-        ServerConfig {
-            readers: 1,
-            shards: 8,
-            adaptation,
-            adaptive: tier_config(tiers),
-            compact_tombstone_ratio: None,
-            ..ServerConfig::default()
-        },
-    );
+    let config = ServerConfig {
+        readers: 1,
+        shards: 8,
+        adaptive: tier_config(tiers),
+        compact_tombstone_ratio: None,
+        ..ServerConfig::default()
+    };
+    let mut store = if served {
+        Store::Service(QueryService::start(base.clone(), config))
+    } else {
+        Store::Owner(Box::new(Owner::new(
+            base.clone(),
+            config.shards,
+            config.adaptive,
+        )))
+    };
     let mut model = Model::new(&base);
-    let ctx = format!("seed {seed} tiers={tiers} {}", adaptation.label());
+    let ctx = format!(
+        "seed {seed} tiers={tiers} {}",
+        if served { "service" } else { "owner" }
+    );
     let mut checksum = 0u64;
 
     for step in 0..70 {
@@ -413,7 +476,7 @@ fn run_churn(seed: u64, tiers: bool, adaptation: AdaptationMode) -> u64 {
                 let agg = ALL_AGGS[rng.gen_range(0..ALL_AGGS.len())];
                 checksum = checksum
                     .rotate_left(9)
-                    .wrapping_add(verify(&svc, &model, lo, hi, agg, &ctx));
+                    .wrapping_add(verify(&mut store, &model, lo, hi, agg, &ctx));
             }
             5 | 6 => {
                 let batch: Vec<Mutation<i64>> = (0..rng.gen_range(1..5usize))
@@ -427,7 +490,7 @@ fn run_churn(seed: u64, tiers: bool, adaptation: AdaptationMode) -> u64 {
                     })
                     .collect();
                 let want: usize = batch.iter().map(|&m| usize::from(model.apply(m))).sum();
-                let applied = svc.mutate(batch).expect("maintenance thread lives");
+                let applied = store.mutate(batch);
                 assert_eq!(applied, want, "{ctx}: applied count at step {step}");
             }
             7 | 8 => {
@@ -435,16 +498,16 @@ fn run_churn(seed: u64, tiers: bool, adaptation: AdaptationMode) -> u64 {
                     .map(|_| rng.gen_range(0..DOMAIN))
                     .collect();
                 model.append(&rows);
-                svc.append(rows);
+                store.append(rows);
             }
-            _ => svc.flush(),
+            _ => store.flush(),
         }
     }
 
     // Compaction epilogue: tiers were built over the pre-compaction row
     // layout; compaction rebuilds zones, so stale sketches must be gone
     // and answers unchanged.
-    let reclaimed = svc.compact().expect("maintenance thread lives");
+    let reclaimed = store.compact();
     assert_eq!(reclaimed, model.dead_count, "{ctx}: rows reclaimed");
     model.compact();
     for _ in 0..8 {
@@ -453,29 +516,26 @@ fn run_churn(seed: u64, tiers: bool, adaptation: AdaptationMode) -> u64 {
         for agg in ALL_AGGS {
             checksum = checksum
                 .rotate_left(9)
-                .wrapping_add(verify(&svc, &model, lo, hi, agg, &ctx));
+                .wrapping_add(verify(&mut store, &model, lo, hi, agg, &ctx));
         }
     }
-    svc.shutdown();
     checksum
 }
 
 /// The tier lifecycle never produces a false negative under mutation
-/// churn, and the answer stream is identical with tiers off or on (and
-/// whatever adaptation mode runs underneath).
+/// churn, and the answer stream is identical with tiers off or on, from
+/// the service and from an owner driven on the test thread.
 #[test]
 fn tier_lifecycle_never_false_negative_under_churn() {
     for seed in 0..3u64 {
         let mut reference: Option<u64> = None;
-        for adaptation in [AdaptationMode::Async, AdaptationMode::Inline] {
+        for served in [true, false] {
             for tiers in TIER_MODES {
-                let sum = run_churn(seed, tiers, adaptation);
+                let sum = run_churn(seed, tiers, served);
                 match reference {
                     Some(want) => assert_eq!(
-                        sum,
-                        want,
-                        "seed {seed}: answers diverged under tiers={tiers} {}",
-                        adaptation.label()
+                        sum, want,
+                        "seed {seed}: answers diverged under tiers={tiers} served={served}"
                     ),
                     None => reference = Some(sum),
                 }

@@ -2,8 +2,8 @@
 //! delete/update/append/query interleavings must answer every aggregate
 //! bit-identically (f64 SUM compared by bit pattern, POSITIONS by exact
 //! rowid list) to a naive `Vec` recompute — at every shard count, every
-//! reader count, in async, frozen, and inline modes, and both before
-//! and after compaction physically reclaims the tombstones.
+//! reader count, in async and frozen modes, and both before and after
+//! compaction physically reclaims the tombstones.
 //!
 //! The driver is sequential and every mutation blocks for its
 //! publication ack, so each query observes exactly the mutations issued
@@ -40,13 +40,12 @@ const AGGS: [AggKind; 5] = [
 ];
 
 /// The (mode, shards, readers) shapes every seed is replayed over.
-const SHAPES: [(AdaptationMode, usize, usize); 6] = [
+const SHAPES: [(AdaptationMode, usize, usize); 5] = [
     (AdaptationMode::Async, 1, 1),
     (AdaptationMode::Async, 1, 4),
     (AdaptationMode::Async, 8, 1),
     (AdaptationMode::Async, 8, 4),
     (AdaptationMode::Frozen, 8, 4),
-    (AdaptationMode::Inline, 8, 1),
 ];
 
 /// Small zones so structural adaptation happens at test scale.
@@ -345,11 +344,7 @@ fn appends_and_updates_after_mid_stream_compactions_match_naive_recompute() {
 /// applies and a flush returns — in every mode.
 #[test]
 fn an_out_of_range_batch_is_refused_and_the_service_lives_on() {
-    for mode in [
-        AdaptationMode::Async,
-        AdaptationMode::Frozen,
-        AdaptationMode::Inline,
-    ] {
+    for mode in [AdaptationMode::Async, AdaptationMode::Frozen] {
         let base = data::uniform(10_000, DOMAIN, 0xBAD);
         let svc = QueryService::start(
             base.clone(),
