@@ -200,19 +200,18 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         });
     }
 
-    /// Replaces every dead zone whose backoff has elapsed with fresh
-    /// unbuilt zones at target granularity, giving a shifted workload the
-    /// chance to re-earn metadata there.
-    pub(crate) fn revive_due_zones(&mut self) {
-        self.revive_zones_due_at(self.query_seq);
-    }
-
-    /// As [`AdaptiveZonemap::revive_due_zones`], with the dueness clock set
-    /// explicitly. The prune prologue passes the just-incremented
-    /// `query_seq`; snapshot publication passes `query_seq + 1` so a
-    /// published snapshot matches what the next inline query would see
-    /// (see `poll_revival`). Returns `true` when any zone was revived.
+    /// Replaces every dead zone whose backoff has elapsed by query
+    /// `at_seq` with fresh unbuilt zones at target granularity, giving a
+    /// shifted workload the chance to re-earn metadata there, and stamps
+    /// the `Revived` events with `at_seq`. The clock tick passes the
+    /// just-incremented `query_seq`; `poll_revival` — the owner's prune,
+    /// and publication — passes `query_seq + 1`, the query the revived
+    /// zones are first walked by. Returns `true` when any zone was
+    /// revived; a no-op before the earliest due query.
     pub(crate) fn revive_zones_due_at(&mut self, at_seq: u64) -> bool {
+        if at_seq < self.next_revival_check {
+            return false;
+        }
         let Some(base) = self.config.revival_base_queries else {
             self.next_revival_check = u64::MAX;
             return false;
@@ -248,8 +247,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         self.zones = rebuilt;
         self.plane.rebuild(&self.zones);
         for range in revived {
-            self.trace
-                .record(self.query_seq, AdaptEvent::Revived { range });
+            self.trace.record(at_seq, AdaptEvent::Revived { range });
         }
         self.refresh_revival_clock();
         self.mutation_epoch += 1;

@@ -2,6 +2,7 @@
 //! prune → scan → observe loop the engine runs.
 
 use crate::adaptive::zone::{ZoneLayout, ZoneState};
+use crate::adaptive::zonemap::walk;
 use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap, ReorgReport};
 use crate::index::SkippingIndex;
 use crate::outcome::{
@@ -49,7 +50,7 @@ fn run_query(
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges,
-        walk: PruneOutcome::default(),
+        walk: out,
     });
     zm.assert_invariants();
     (count, scanned)
@@ -427,7 +428,7 @@ fn full_match_zones_are_answered_without_scanning() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: Vec::new(),
-        walk: PruneOutcome::default(),
+        walk: out,
     });
 }
 
@@ -659,12 +660,13 @@ fn masks_keep_paying_on_uniform_data_with_narrow_predicates() {
                 .iter()
                 .map(|u| scan_unit(u, &data, pred))
                 .collect();
+            let skipped = out.zones_skipped;
             zm.observe(&ScanObservation {
                 predicate: pred,
                 ranges,
-                walk: PruneOutcome::default(),
+                walk: out,
             });
-            out.zones_skipped
+            skipped
         };
         if q > 50 {
             total_skips += out_skips;
@@ -1539,7 +1541,13 @@ fn a_bounds_skip_writes_nothing() {
     let before = format!("{:?}{:?}", zm.zones, zm.plane);
     let miss = RangePredicate::between(5_000, 6_000);
     for prunes in 1..=3 {
-        assert_eq!(zm.prune(&miss).zones_skipped, zones);
+        let walk = zm.prune(&miss);
+        assert_eq!(walk.zones_skipped, zones);
+        zm.observe(&ScanObservation {
+            predicate: miss,
+            ranges: Vec::new(),
+            walk,
+        });
         assert_eq!(
             format!("{:?}{:?}", zm.zones, zm.plane),
             before,
@@ -1756,9 +1764,10 @@ fn the_bounds_filter_walks_as_the_zone_by_zone_reference_does() {
                     alive.push_span(at, end);
                     at = end + (splitmix(&mut state) % 400) as usize;
                 }
+                aos.poll_revival();
                 (
                     plane.prune_within(&pred, &alive),
-                    aos.prune_owned::<false>(&pred, Some(&alive)),
+                    walk::<i64, false>(&aos, &pred, Some(&alive)).restrict_to(&alive),
                 )
             };
             let ctx = format!("{zones} zones, step {step}");
@@ -1775,10 +1784,10 @@ fn the_bounds_filter_walks_as_the_zone_by_zone_reference_does() {
             let obs = ScanObservation {
                 predicate: pred,
                 ranges,
-                walk: PruneOutcome::default(),
+                walk: a,
             };
             plane.observe(&obs);
-            aos.observe(&obs);
+            aos.observe(&ScanObservation { walk: b, ..obs });
             assert_eq!(
                 format!("{:?}", plane.zones),
                 format!("{:?}", aos.zones),
@@ -1855,11 +1864,11 @@ fn zones_built_lazily_form_runs_once_one_scan_builds_enough_of_them() {
                 RangeObservation::new(unit, 128, unit.start as i64, unit.end as i64 - 1)
             })
             .collect();
-        let _ = zm.prune(&pred);
+        let walk = zm.prune(&pred);
         zm.observe(&ScanObservation {
             predicate: pred,
             ranges,
-            walk: PruneOutcome::default(),
+            walk,
         });
         zm.assert_invariants();
     };
@@ -1882,14 +1891,117 @@ fn a_range_observed_twice_splits_its_zone_once() {
     run_query(&mut zm, &data, RangePredicate::all());
     let zones = zm.num_zones();
     let pred = RangePredicate::between(5_000, 6_000);
-    let _ = zm.prune(&pred);
+    let walk = zm.prune(&pred);
     let wasted = RangeObservation::new(RowRange::new(0, 128), 0, 0, 127);
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: vec![wasted; 3],
-        walk: PruneOutcome::default(),
+        walk,
     });
     zm.assert_invariants();
     assert_eq!(zm.num_zones(), zones + 1);
     assert_eq!(zm.trace().totals().split, 1);
+}
+
+#[test]
+fn a_prune_writes_nothing_but_a_due_revival() {
+    // Every owner prune is a walk, and the map learns the query from its
+    // feedback (`apply_feedback`). With no revival due, `prune`,
+    // `prune_within` and `prune_via_zones` leave the map — zone records,
+    // plane, clocks, trace — and its lifetime counters as they found
+    // them. With one due, each leaves what `poll_revival` alone leaves.
+    // Random values in the first half of the column kill zones there or
+    // earn them masks; the sorted second half builds, splits, and earns
+    // tiers or reorganized layouts.
+    let quick = AdaptiveConfig {
+        target_zone_rows: 16,
+        min_zone_rows: 4,
+        max_zone_rows: 32,
+        deactivate_after_probes: 4,
+        revival_base_queries: Some(6),
+        ..small_config()
+    };
+    let configs = [
+        quick.clone(),
+        AdaptiveConfig {
+            enable_tiers: true,
+            tier_after_scans: 1,
+            tier_drop_after: 4,
+            ..quick.clone()
+        },
+        AdaptiveConfig {
+            enable_reorg: true,
+            reorg_after_scans: 1,
+            reorg_hot_factor: 0.0,
+            reorg_demote_idle: 2,
+            ..quick
+        },
+    ];
+    // Prunes with no revival due, prunes with one due; revivals, masks,
+    // tiers and promotions over all configs.
+    let mut seen = [0u32; 2];
+    let mut reached = [0u64; 4];
+    for config in configs {
+        let mut state = 43u64;
+        let len = 2048;
+        let data: Vec<i64> = (0..len)
+            .map(|row| match row < len / 2 {
+                true => (splitmix(&mut state) % 2000) as i64,
+                false => row as i64,
+            })
+            .collect();
+        let mut zm = AdaptiveZonemap::new(len, config);
+        for step in 0..300 {
+            let lo = (splitmix(&mut state) % 2100) as i64;
+            let pred = match step % 5 {
+                0 => RangePredicate::point(lo),
+                _ => RangePredicate::between(lo, lo + (splitmix(&mut state) % 100) as i64),
+            };
+            let mut alive = ads_storage::RangeSet::new();
+            let mut at = (splitmix(&mut state) % 70) as usize;
+            while at < len {
+                let end = (at + 1 + (splitmix(&mut state) % 300) as usize).min(len);
+                alive.push_span(at, end);
+                at = end + (splitmix(&mut state) % 200) as usize;
+            }
+            let due = zm.next_revival_check <= zm.query_seq + 1;
+            seen[usize::from(due)] += 1;
+            let mut polled = zm.clone();
+            polled.poll_revival();
+            let want = match due {
+                true => format!("{polled:?} {:?}", polled.index_stats()),
+                false => format!("{zm:?} {:?}", zm.index_stats()),
+            };
+            for entry in ["prune", "prune_within", "prune_via_zones"] {
+                let mut map = zm.clone();
+                let _ = match entry {
+                    "prune" => map.prune(&pred),
+                    "prune_within" => map.prune_within(&pred, &alive),
+                    _ => map.prune_via_zones(&pred),
+                };
+                assert_eq!(
+                    format!("{map:?} {:?}", map.index_stats()),
+                    want,
+                    "{} step {step}: {entry} wrote more than a due revival",
+                    zm.name()
+                );
+            }
+            run_query(&mut zm, &data, pred);
+            zm.maintain(&data);
+        }
+        let totals = zm.trace().totals();
+        for (n, event) in reached.iter_mut().zip([
+            totals.revived,
+            totals.mask_built,
+            totals.tier_built,
+            totals.promoted,
+        ]) {
+            *n += event;
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "prunes quiet / due: {seen:?}");
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "revivals/masks/tiers/promotions: {reached:?}"
+    );
 }

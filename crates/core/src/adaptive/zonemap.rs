@@ -25,16 +25,16 @@
 //! what the bounds cannot exclude and writes the decision into the
 //! [`PruneOutcome`]. The walk borrows the map immutably and writes only
 //! the outcome, so a reader on a published clone
-//! ([`AdaptiveZonemap::prune_shared`]) and the owner run the same
-//! function. The owner learns from what a walk decided afterwards, in one
-//! function that reads the outcome (`record_walk`): right after its own
-//! walk, or, when a reader walked, from the copy the query's feedback
-//! carries back ([`AdaptiveZonemap::apply_feedback`]) — no zone is walked
-//! twice. A zone the bounds exclude appears in no outcome and is written
-//! by no one: the owner advances the map's probe clock once per
-//! unrestricted walk, and every built zone's probe and skip counts follow
-//! from it ([`ZoneStats`]). That is what lets the walk exclude zones 64
-//! at a time ([`probe_span`]) and probe only the survivors.
+//! ([`AdaptiveZonemap::prune_shared`]) and the owner (after the due
+//! revivals, [`AdaptiveZonemap::poll_revival`]) run the same function.
+//! The map learns a query in one step, [`AdaptiveZonemap::apply_feedback`]
+//! ([`SkippingIndex::observe`]): the clock tick, then the walk the
+//! observation carries back recorded (`record_walk`). A zone the bounds
+//! exclude appears in no outcome and is written by no one: the map
+//! advances its probe clock once per unrestricted walk, and every built
+//! zone's probe and skip counts follow from it ([`ZoneStats`]). That is
+//! what lets the walk exclude zones 64 at a time ([`probe_span`]) and
+//! probe only the survivors.
 
 use crate::adaptive::config::AdaptiveConfig;
 use crate::adaptive::plane::{PrunePlane, MIN_RUN};
@@ -316,158 +316,12 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
     }
 
     fn prune(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
-        self.prune_owned::<true>(pred, None)
+        self.poll_revival();
+        walk::<T, true>(self, pred, None)
     }
 
-    // epoch: every write a reader's walk would read differently — a mask
-    // attached, bounds built or moved, a split queued, the zone's
-    // `wants_mask` answer flipped by the scan just recorded — sets
-    // `mutated` at its site and is covered by one bump at the end. What
-    // remains is stat drift no reader decides from, so a scan that
-    // re-observes what the zone already knows publishes nothing.
     fn observe(&mut self, obs: &ScanObservation<T>) {
-        let mut split_queue: Vec<usize> = Vec::new();
-        let mut mutated = false;
-        let mut newly_built = 0;
-        let min_split_rows = self.min_split_rows();
-
-        for ro in &obs.ranges {
-            self.stats.rows_scanned += ro.range.len() as u64;
-            // An observation feeds adaptation only when it covers exactly
-            // one zone: then its (min, max) is exact zone metadata and its
-            // qualifying count an exact sample of the zone's yield.
-            // (Composite ranges arise on the multi-column path, where
-            // intersection breaks zone alignment; they are ignored here.)
-            let Some(idx) = self.zone_at(ro.range) else {
-                continue;
-            };
-            let zone = &mut self.zones[idx];
-            let frac = if zone.is_empty() {
-                0.0
-            } else {
-                ro.qualifying as f64 / zone.len() as f64
-            };
-            let wanted_mask = zone.wants_mask(&self.config, min_split_rows);
-            let was_built = match zone.state {
-                ZoneState::Dead { .. } => continue,
-                ZoneState::Unbuilt => false,
-                ZoneState::Built { min, max, .. } => {
-                    if let (Some(bits), None) = (ro.mask, zone.mask) {
-                        // The layout is the zone's bounds as they were
-                        // at prune time (the request we issued).
-                        zone.mask = Some(ZoneMask {
-                            layout: MaskRequest {
-                                lo_f: min.to_f64(),
-                                hi_f: max.to_f64(),
-                            },
-                            bits,
-                        });
-                        self.trace
-                            .record(self.query_seq, AdaptEvent::MaskBuilt { range: ro.range });
-                        mutated = true;
-                    }
-                    true
-                }
-            };
-            // Build, or tighten to, the exact bounds just measured (a mask
-            // keeps its own layout, which still covers all rows). A scan
-            // that was not asked for bounds — the zone was exact or dead
-            // in the snapshot it pruned — leaves the state alone: in
-            // particular a zone revived to `Unbuilt` since then stays
-            // unbuilt, never built from a fold identity.
-            if let Some((min, max)) = ro.bounds {
-                // Two stale readers may both have been asked for the same
-                // bounds; the second teaches nothing and publishes nothing.
-                let known = matches!(
-                    zone.state,
-                    ZoneState::Built { min: lo, max: hi, exact: true }
-                        if lo.total_key() == min.total_key() && hi.total_key() == max.total_key()
-                );
-                if !known {
-                    zone.state = ZoneState::Built {
-                        min,
-                        max,
-                        exact: true,
-                    };
-                    self.plane.set_built(idx, min, max);
-                    mutated = true;
-                }
-                if !was_built {
-                    newly_built += 1;
-                    // Every walk from now on probes the zone.
-                    zone.stats.since = self.probe_clock;
-                    self.trace
-                        .record(self.query_seq, AdaptEvent::Built { range: ro.range });
-                }
-            }
-            zone.stats.record_scan(frac, SPLIT_LOW_YIELD);
-            if !was_built {
-                continue;
-            }
-            // The scan moved `wasted_scans` across the mask threshold, in
-            // either direction (a productive scan resets the streak): the
-            // next reader of this zone would ask its scan for something
-            // else than the last snapshot's reader did.
-            mutated |= zone.wants_mask(&self.config, min_split_rows) != wanted_mask;
-            // The wasted-scan threshold doubles per split generation: each
-            // refinement level must earn the next with proportionally more
-            // evidence, so data without positional locality stops
-            // splitting after a couple of speculative levels instead of
-            // racing to the floor. (There every scan of every zone is
-            // wasted, the waste rate below reads 1.0, and the cost gate
-            // passes — only this evidence of no skips gained says stop.)
-            let waste_needed = self
-                .config
-                .split_after_wasted
-                .saturating_mul(1 << zone.split_generation.min(16));
-            if self.config.enable_split
-                && !zone.no_resplit
-                // A reorganized zone already resolves positionally inside
-                // itself; splitting would discard the payload for a weaker
-                // form of refinement.
-                && !zone.is_reorganized()
-                && zone.stats.wasted_scans >= waste_needed
-                && zone.len() >= 2 * self.config.min_zone_rows
-                // The split must pay for the probes it adds: each child
-                // costs every query one probe, and saves its rows only
-                // for the share of queries that read this zone for
-                // nothing. A zone one point lookup in a thousand lands on
-                // stays whole however many times it was "wasted".
-                && self.cost.split_benefit(
-                    zone.len(),
-                    split_parts(zone.len(), &self.config),
-                    zone.stats.waste_rate(self.probe_clock),
-                ) >= 0.0
-            {
-                split_queue.push(idx);
-                mutated = true;
-            }
-        }
-
-        if !split_queue.is_empty() {
-            // Ranges arrive one per scan unit, in row order; a caller that
-            // broke that must not get a zone split twice or out of order.
-            split_queue.sort_unstable();
-            split_queue.dedup();
-            // Rebuilds the plane, and so derives its runs.
-            self.split_zones(&split_queue);
-        } else if newly_built >= MIN_RUN && newly_built * REDERIVE_SHARE >= self.zones.len() {
-            // A scan that built a good share of the zones at once — a cold
-            // map's first, a compacted lane's rebuild — paid for more than
-            // a pass over the bounds: runs form now, not at the next
-            // structural change.
-            self.plane.derive_runs();
-        }
-        if mutated {
-            self.mutation_epoch += 1;
-        }
-
-        if self.query_seq.is_multiple_of(self.config.maintenance_every) {
-            self.run_maintenance();
-        }
-
-        #[cfg(debug_assertions)]
-        self.assert_invariants();
+        self.apply_feedback(obs);
     }
 
     fn on_append(&mut self, appended: &[T], base: &[T]) {
@@ -544,7 +398,8 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
     }
 
     fn prune_within(&mut self, pred: &RangePredicate<T>, alive: &RangeSet) -> PruneOutcome {
-        self.prune_owned::<true>(pred, Some(alive))
+        self.poll_revival();
+        walk::<T, true>(self, pred, Some(alive)).restrict_to(alive)
     }
 
     fn maintain(&mut self, base: &[T]) {
@@ -689,7 +544,7 @@ fn record_probe<T: DataValue>(
 /// ([`walk_runs`]) and packed bounds filter ([`probe_span`]) an
 /// unrestricted walk uses; without it, off each zone's record, zone by
 /// zone — the array-of-structs reference.
-fn walk<T: DataValue, const PLANE: bool>(
+pub(super) fn walk<T: DataValue, const PLANE: bool>(
     map: &AdaptiveZonemap<T>,
     pred: &RangePredicate<T>,
     alive: Option<&RangeSet>,
@@ -897,22 +752,20 @@ fn probe_zone<T: DataValue, const PLANE: bool>(
 }
 
 impl<T: DataValue> AdaptiveZonemap<T> {
-    /// The owner's clock tick for each query it learns from: the query
+    /// The clock tick for each query the map learns from: the query
     /// clock, due revivals, and the walk's probes (the probe clock, or a
-    /// visit to each built zone `alive` touches).
+    /// visit to each built zone the rows `within` touch).
     ///
     /// epoch: the clocks and visit counts are stat drift.
-    fn tick(&mut self, alive: Option<&RangeSet>) {
+    fn tick(&mut self, within: Option<&RangeSet>) {
         self.query_seq += 1;
         self.stats.queries += 1;
-        if self.query_seq >= self.next_revival_check {
-            self.revive_due_zones();
-        }
-        match alive {
+        self.revive_zones_due_at(self.query_seq);
+        match within {
             None => self.probe_clock += 1,
-            Some(alive) => {
+            Some(within) => {
                 let mut next = 0;
-                for span in alive.ranges() {
+                for span in within.ranges() {
                     let zones = touched(&self.zones, *span, next);
                     next = zones.end;
                     for zone in &mut self.zones[zones] {
@@ -925,37 +778,16 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         }
     }
 
-    /// The owner's prune: the clock tick, the walk — every zone, or those
-    /// `alive` touches, restricting the outcome to it — and what the walk
-    /// decided, recorded before the restriction cuts its units apart.
-    pub(super) fn prune_owned<const PLANE: bool>(
-        &mut self,
-        pred: &RangePredicate<T>,
-        alive: Option<&RangeSet>,
-    ) -> PruneOutcome {
-        self.tick(alive);
-        let walked = walk::<T, PLANE>(self, pred, alive);
-        self.record_walk(pred, &walked, alive);
-        match alive {
-            Some(alive) => walked.restrict_to(alive),
-            None => walked,
-        }
-    }
-
     /// Records a walk over this map (its own, or a reader's over a
-    /// published clone) from its unrestricted outcome: each built zone
-    /// over the rows it names — units, full-match spans, tier skips —
-    /// whose bounds overlap `pred` ([`record_probe`]), never a zone the
-    /// bounds excluded, and the lifetime totals. Over a stale walk's rows
-    /// the zones are recorded as a fresh walk would have decided them.
+    /// published clone): each built zone over the rows its outcome names
+    /// — units, full-match spans, tier skips, each zone once however a
+    /// restriction cut its rows apart — whose bounds overlap `pred`
+    /// ([`record_probe`]), never a zone the bounds excluded, and the
+    /// lifetime totals. Over a stale walk's rows the zones are recorded
+    /// as a fresh walk would have decided them.
     ///
     /// epoch: `record_probe` writes statistics only.
-    fn record_walk(
-        &mut self,
-        pred: &RangePredicate<T>,
-        walked: &PruneOutcome,
-        alive: Option<&RangeSet>,
-    ) {
+    fn record_walk(&mut self, pred: &RangePredicate<T>, walked: &PruneOutcome) {
         let (clock, min_split_rows) = (self.probe_clock, self.min_split_rows());
         let mut units = walked.units.iter().map(|unit| unit.range);
         let mut spans = walked.full_match.ranges().iter().copied();
@@ -993,9 +825,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         }
         self.stats.total_probes += walked.zones_probed as u64;
         self.stats.total_skips += walked.zones_skipped as u64;
-        self.stats.rows_full_match += alive.map_or(walked.full_match.covered_rows(), |alive| {
-            walked.full_match.intersect(alive).covered_rows()
-        }) as u64;
+        self.stats.rows_full_match += walked.full_match.covered_rows() as u64;
     }
 
     /// The zone whose rows are exactly `range`, if one still is.
@@ -1004,13 +834,11 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         (self.zones.get(idx)?.range() == range).then_some(idx)
     }
 
-    /// Read-only prune: the walk alone, against the current metadata,
-    /// **without mutating anything** — no query-clock tick, no stat
-    /// updates, no revival check. The concurrent-reader entry point: N
-    /// threads may call it on a shared (or snapshot-cloned) zonemap at
-    /// once. Given the same zone state it decides as the mutable
-    /// [`SkippingIndex::prune`] does (property-tested); the owner records
-    /// the walk when the outcome comes back with the query's feedback
+    /// Read-only prune: the walk alone, **without mutating anything** —
+    /// [`SkippingIndex::prune`] without its revival check. The
+    /// concurrent-reader entry point: on a clone published after
+    /// [`AdaptiveZonemap::poll_revival`] it decides as the owner's prune
+    /// would, and the owner learns its walk from the query's feedback
     /// ([`AdaptiveZonemap::apply_feedback`]).
     pub fn prune_shared(&self, pred: &RangePredicate<T>) -> PruneOutcome {
         walk::<T, true>(self, pred, None)
@@ -1043,42 +871,182 @@ impl<T: DataValue> AdaptiveZonemap<T> {
 
     /// The array-of-structs reference prune: [`SkippingIndex::prune`]
     /// with bounds read off each zone record instead of the dense plane,
-    /// decision- and stat-identical (property-tested) — the baseline
-    /// `kernels_json` gates the plane against.
+    /// decision-identical (property-tested) — the baseline `kernels_json`
+    /// gates the plane against.
     pub fn prune_via_zones(&mut self, pred: &RangePredicate<T>) -> PruneOutcome {
-        self.prune_owned::<false>(pred, None)
+        self.poll_revival();
+        walk::<T, false>(self, pred, None)
     }
 
-    /// Learns from a query a reader answered off a published clone
-    /// ([`AdaptiveZonemap::prune_shared`] → scan → feedback) what the
-    /// inline protocol (`prune` → scan → [`observe`]) learns: the same
-    /// clock tick, the reader's walk ([`ScanObservation::walk`]) recorded
-    /// as the owner's prune records its own, then [`observe`] — no zone is
-    /// walked again. From a clone at this map's epoch that is exactly the
-    /// inline step (property-tested); from a stale one the zones now over
-    /// the walk's rows are recorded and only statistics move, so
-    /// staleness can skew adaptation, never corrupt it.
+    /// Learns one query, whoever pruned it — the owner's
+    /// [`SkippingIndex::prune`] or a reader's
+    /// [`AdaptiveZonemap::prune_shared`] on a published clone: the clock
+    /// tick, the walk the observation carries ([`ScanObservation::walk`])
+    /// recorded, then what the scan measured (bounds, masks, splits, the
+    /// periodic structural maintenance). [`SkippingIndex::observe`] is
+    /// this. From a stale walk the zones now over its rows are recorded
+    /// and only statistics move: staleness skews adaptation, never
+    /// corrupts it.
     ///
-    /// [`observe`]: SkippingIndex::observe
+    /// epoch: every write a reader's walk would read differently — a mask
+    /// attached, bounds built or moved, a split queued, the zone's
+    /// `wants_mask` answer flipped by the scan just recorded — sets
+    /// `mutated` at its site and is covered by one bump at the end. What
+    /// remains is stat drift no reader decides from, so a scan that
+    /// re-observes what the zone already knows publishes nothing.
     pub fn apply_feedback(&mut self, obs: &ScanObservation<T>) {
-        self.tick(None);
-        self.record_walk(&obs.predicate, &obs.walk, None);
-        self.observe(obs);
+        self.tick(obs.walk.within.as_ref());
+        self.record_walk(&obs.predicate, &obs.walk);
+        let mut split_queue: Vec<usize> = Vec::new();
+        let mut mutated = false;
+        let mut newly_built = 0;
+        let min_split_rows = self.min_split_rows();
+
+        for ro in &obs.ranges {
+            self.stats.rows_scanned += ro.range.len() as u64;
+            // An observation feeds adaptation only when it covers exactly
+            // one zone: then its (min, max) is exact zone metadata and its
+            // qualifying count an exact sample of the zone's yield.
+            // (Composite ranges arise on the multi-column path, where
+            // intersection breaks zone alignment; they are ignored here.)
+            let Some(idx) = self.zone_at(ro.range) else {
+                continue;
+            };
+            let zone = &mut self.zones[idx];
+            let frac = if zone.is_empty() {
+                0.0
+            } else {
+                ro.qualifying as f64 / zone.len() as f64
+            };
+            let wanted_mask = zone.wants_mask(&self.config, min_split_rows);
+            let was_built = match zone.state {
+                ZoneState::Dead { .. } => continue,
+                ZoneState::Unbuilt => false,
+                ZoneState::Built { min, max, .. } => {
+                    if let (Some(bits), None) = (ro.mask, zone.mask) {
+                        // The layout is the zone's bounds as they were
+                        // at prune time (the request we issued).
+                        zone.mask = Some(ZoneMask {
+                            layout: MaskRequest {
+                                lo_f: min.to_f64(),
+                                hi_f: max.to_f64(),
+                            },
+                            bits,
+                        });
+                        self.trace
+                            .record(self.query_seq, AdaptEvent::MaskBuilt { range: ro.range });
+                        mutated = true;
+                    }
+                    true
+                }
+            };
+            // Build, or tighten to, the exact bounds just measured (a mask
+            // keeps its own layout, which still covers all rows). A scan
+            // that was not asked for bounds — the zone was exact or dead
+            // in the snapshot it pruned — leaves the state alone: in
+            // particular a zone revived to `Unbuilt` since then stays
+            // unbuilt, never built from a fold identity.
+            if let Some((min, max)) = ro.bounds {
+                // Two stale readers may both have been asked for the same
+                // bounds; the second teaches nothing and publishes nothing.
+                let known = matches!(
+                    zone.state,
+                    ZoneState::Built { min: lo, max: hi, exact: true }
+                        if lo.total_key() == min.total_key() && hi.total_key() == max.total_key()
+                );
+                if !known {
+                    zone.state = ZoneState::Built {
+                        min,
+                        max,
+                        exact: true,
+                    };
+                    self.plane.set_built(idx, min, max);
+                    mutated = true;
+                }
+                if !was_built {
+                    newly_built += 1;
+                    // Every walk from now on probes the zone.
+                    zone.stats.since = self.probe_clock;
+                    self.trace
+                        .record(self.query_seq, AdaptEvent::Built { range: ro.range });
+                }
+            }
+            zone.stats.record_scan(frac, SPLIT_LOW_YIELD);
+            if !was_built {
+                continue;
+            }
+            // The scan moved `wasted_scans` across the mask threshold, in
+            // either direction (a productive scan resets the streak): the
+            // next reader of this zone would ask its scan for something
+            // else than the last snapshot's reader did.
+            mutated |= zone.wants_mask(&self.config, min_split_rows) != wanted_mask;
+            // The wasted-scan threshold doubles per split generation: each
+            // refinement level must earn the next with proportionally more
+            // evidence, so data without positional locality stops
+            // splitting after a couple of speculative levels instead of
+            // racing to the floor. (There every scan of every zone is
+            // wasted, the waste rate below reads 1.0, and the cost gate
+            // passes — only this evidence of no skips gained says stop.)
+            let waste_needed = self
+                .config
+                .split_after_wasted
+                .saturating_mul(1 << zone.split_generation.min(16));
+            if self.config.enable_split
+                && !zone.no_resplit
+                // A reorganized zone already resolves positionally inside
+                // itself; splitting would discard the payload for a weaker
+                // form of refinement.
+                && !zone.is_reorganized()
+                && zone.stats.wasted_scans >= waste_needed
+                && zone.len() >= 2 * self.config.min_zone_rows
+                // The split must pay for the probes it adds: each child
+                // costs every query one probe, and saves its rows only
+                // for the share of queries that read this zone for
+                // nothing. A zone one point lookup in a thousand lands on
+                // stays whole however many times it was "wasted".
+                && self.cost.split_benefit(
+                    zone.len(),
+                    split_parts(zone.len(), &self.config),
+                    zone.stats.waste_rate(self.probe_clock),
+                ) >= 0.0
+            {
+                split_queue.push(idx);
+                mutated = true;
+            }
+        }
+
+        if !split_queue.is_empty() {
+            // Ranges arrive one per scan unit, in row order; a caller that
+            // broke that must not get a zone split twice or out of order.
+            split_queue.sort_unstable();
+            split_queue.dedup();
+            // Rebuilds the plane, and so derives its runs.
+            self.split_zones(&split_queue);
+        } else if newly_built >= MIN_RUN && newly_built * REDERIVE_SHARE >= self.zones.len() {
+            // A scan that built a good share of the zones at once — a cold
+            // map's first, a compacted lane's rebuild — paid for more than
+            // a pass over the bounds: runs form now, not at the next
+            // structural change.
+            self.plane.derive_runs();
+        }
+        if mutated {
+            self.mutation_epoch += 1;
+        }
+
+        if self.query_seq.is_multiple_of(self.config.maintenance_every) {
+            self.run_maintenance();
+        }
+
+        #[cfg(debug_assertions)]
+        self.assert_invariants();
     }
 
-    /// Runs the revival check the *next* query's prune would run, so a
-    /// snapshot published now already reflects it.
-    ///
-    /// The owner's clock tick revives due zones at the top of every
-    /// query; a snapshot reader cannot (its prune is read-only), so the
-    /// publisher calls this before cloning state out. Returns `true` when
-    /// any zone was revived. Idempotent: the next tick (in
-    /// [`SkippingIndex::prune`] or [`AdaptiveZonemap::apply_feedback`])
-    /// finds nothing newly due.
+    /// Revives the zones due at the *next* query, so its walk — the
+    /// owner's [`SkippingIndex::prune`], whose only write this is, or a
+    /// reader's on a snapshot published now — sees them. Returns `true`
+    /// when any zone was revived. Idempotent: the next tick (in
+    /// [`AdaptiveZonemap::apply_feedback`]) finds nothing newly due.
     pub fn poll_revival(&mut self) -> bool {
-        if self.next_revival_check == u64::MAX || self.query_seq + 1 < self.next_revival_check {
-            return false;
-        }
         self.revive_zones_due_at(self.query_seq + 1)
     }
 

@@ -8,8 +8,8 @@
 //! 1. [`SkippingIndex::prune`] — before the scan, the index converts a
 //!    predicate into candidate row ranges (a sound over-approximation);
 //! 2. [`SkippingIndex::observe`] — after the scan, the executor feeds back
-//!    what the scan saw (qualifying counts and exact per-range min/max),
-//!    and the index may reorganise itself.
+//!    the prune's outcome and what the scan saw (qualifying counts and
+//!    exact per-range min/max), and the index may reorganise itself.
 //!
 //! Static structures implement `observe` as a no-op; adaptive ones use it to
 //! build, refine, coarsen, or retire metadata.
@@ -43,7 +43,9 @@ pub trait SkippingIndex<T: DataValue>: Send {
     /// (cracking physically reorganises during this call).
     fn prune(&mut self, pred: &RangePredicate<T>) -> PruneOutcome;
 
-    /// Post-scan feedback; adaptive structures react here. Default: no-op.
+    /// Post-scan feedback, carrying the prune's outcome
+    /// ([`ScanObservation::walk`]): adaptive structures learn the query
+    /// here — an adaptive zonemap only here. Default: no-op.
     fn observe(&mut self, _obs: &ScanObservation<T>) {}
 
     /// Maintains the index after `appended` rows were added to the column;

@@ -14,8 +14,9 @@
 //!    candidate row ranges a scan must still visit (a sound superset of
 //!    the qualifying rows), plus ranges known to match entirely;
 //! 2. **observe** — after the scan, receive a [`ScanObservation`] carrying
-//!    per-range qualifying counts and exact `(min, max)` computed as scan
-//!    by-products, and optionally reorganise.
+//!    the prune's outcome, per-range qualifying counts and exact
+//!    `(min, max)` computed as scan by-products, and learn from them; an
+//!    adaptive zonemap's clocks and probe counts move only here.
 //!
 //! ## The structures
 //!
@@ -40,7 +41,7 @@
 //! let mut zm = AdaptiveZonemap::new(data.len(), AdaptiveConfig::default());
 //! let pred = RangePredicate::between(100, 199);
 //!
-//! // prune -> scan -> observe
+//! // prune (a read-only walk) -> scan -> observe (learns the walk)
 //! let outcome = zm.prune(&pred);
 //! let mut observations = Vec::new();
 //! let mut count = outcome.rows_full_match();
@@ -53,9 +54,11 @@
 //! zm.observe(&ScanObservation { predicate: pred, ranges: observations, walk: outcome });
 //! assert_eq!(count, 100);
 //!
-//! // The second identical query skips nearly everything.
+//! // The second identical query skips nearly everything; until it is
+//! // observed, the map has learned one query.
 //! let outcome = zm.prune(&pred);
 //! assert!(outcome.unit_set().covered_rows() < 10_000);
+//! assert_eq!(zm.index_stats().queries, 1);
 //! ```
 
 #![forbid(unsafe_code)]

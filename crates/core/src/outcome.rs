@@ -152,6 +152,9 @@ pub struct PruneOutcome {
     /// bounds (counted in `zones_skipped` too), so the owner can credit
     /// the tiers. Empty without tiers.
     pub tier_skips: RangeSet,
+    /// The rows a restricted outcome kept ([`PruneOutcome::restrict_to`]),
+    /// whose zones its walk probed; `None` for a walk of every zone.
+    pub within: Option<RangeSet>,
     /// Per-zone decision trace for the shadow-oracle auditor. Excluded
     /// from equality: outcomes are decision-equal when they describe the
     /// same scan work, however the decisions were labelled (the
@@ -169,6 +172,7 @@ impl PartialEq for PruneOutcome {
             && self.zones_probed == other.zones_probed
             && self.zones_skipped == other.zones_skipped
             && self.tier_skips == other.tier_skips
+            && self.within == other.within
     }
 }
 
@@ -277,7 +281,8 @@ impl PruneOutcome {
     /// base-coordinate restriction, and scanning the zone's base rows is
     /// sound, since they hold every row its payload permutes, and its
     /// bounds are exact already. Probe counters and tier skips are kept:
-    /// the metadata reads already happened.
+    /// the metadata reads already happened. `alive` is kept too, in
+    /// [`PruneOutcome::within`].
     pub fn restrict_to(&self, alive: &RangeSet) -> PruneOutcome {
         let mut units = Vec::new();
         let alive_ranges = alive.ranges();
@@ -312,6 +317,7 @@ impl PruneOutcome {
             zones_probed: self.zones_probed,
             zones_skipped: self.zones_skipped,
             tier_skips: self.tier_skips.clone(),
+            within: Some(alive.clone()),
             #[cfg(feature = "audit")]
             audit_trace: self.audit_trace.clone(),
         }
@@ -369,8 +375,9 @@ pub struct ScanObservation<T: DataValue> {
     /// one per unit of [`PruneOutcome::units`], in unit order; a
     /// conjunction reports finer pieces cut at every column's units.
     pub ranges: Vec<RangeObservation<T>>,
-    /// The outcome the scan executed, as the walk decided it: what an
-    /// adaptive zonemap's owner records when a reader walked a clone
+    /// The outcome the scan executed, as the prune — the owner's, or a
+    /// reader's on a published clone — decided it: the probes an adaptive
+    /// zonemap records when it learns the query
     /// ([`crate::adaptive::AdaptiveZonemap::apply_feedback`]).
     pub walk: PruneOutcome,
 }

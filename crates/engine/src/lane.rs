@@ -97,9 +97,9 @@ impl<'a, T: DataValue> Lane<'a, T> {
     }
 
     /// Protocol step one: asks the index what to scan — among the rows
-    /// still `alive` after earlier conjuncts, when given. The index's
-    /// clocks, skip counters and revival checks advance here, so the step
-    /// runs every query, even for a lane the predicate skips entirely.
+    /// still `alive` after earlier conjuncts, when given. It is the walk
+    /// the lane learns the query from, so the step runs every query, even
+    /// for a lane the predicate skips entirely.
     pub(crate) fn prune(
         &mut self,
         pred: &RangePredicate<T>,
@@ -120,10 +120,11 @@ impl<'a, T: DataValue> Lane<'a, T> {
         outcome
     }
 
-    /// Protocol step two: applies the scan's feedback, then gives the
-    /// index its periodic self-maintenance slot (zone promotion and
-    /// demotion, metadata tiers) — adaptation is paid on the query path,
-    /// exactly where the paper charges it.
+    /// Protocol step two: applies the scan's feedback and the walk it
+    /// carries (the index's clocks advance here), then gives the index its
+    /// periodic self-maintenance slot (zone promotion and demotion,
+    /// metadata tiers) — adaptation is paid on the query path, exactly
+    /// where the paper charges it.
     pub(crate) fn learn(&mut self, observation: &ScanObservation<T>, protocol: &mut Protocol) {
         let t = Instant::now();
         let events_before = self.index.adapt_events();

@@ -133,8 +133,15 @@ trait Conjunct: Send {
         record: bool,
         bm: &mut Bitmap,
     );
-    /// The lane's learn step over everything `fill` recorded.
-    fn learn(&mut self, col: &AnyColumn, pred: &AnyPredicate, protocol: &mut Protocol);
+    /// The lane's learn step over `walk`, what [`Conjunct::prune`]
+    /// returned, and everything `fill` recorded.
+    fn learn(
+        &mut self,
+        col: &AnyColumn,
+        pred: &AnyPredicate,
+        walk: PruneOutcome,
+        protocol: &mut Protocol,
+    );
 }
 
 /// A column's index in the column's own value type. Scan by-products stay
@@ -216,12 +223,18 @@ impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
         }
     }
 
-    fn learn(&mut self, col: &AnyColumn, pred: &AnyPredicate, protocol: &mut Protocol) {
+    fn learn(
+        &mut self,
+        col: &AnyColumn,
+        pred: &AnyPredicate,
+        walk: PruneOutcome,
+        protocol: &mut Protocol,
+    ) {
         let (data, predicate) = Self::typed(col, pred);
         let observation = ScanObservation {
             predicate,
             ranges: std::mem::take(&mut self.recorded),
-            walk: PruneOutcome::default(),
+            walk,
         };
         Lane::new(data, self.index.as_mut()).learn(&observation, protocol);
     }
@@ -468,9 +481,9 @@ impl TableSession {
                     continue;
                 }
                 let mut bm = Bitmap::new(r.len());
-                // Observations feed back only to probed indexes — observe
-                // without the matching prune would desynchronise an
-                // adaptive structure's query clock.
+                // Observations feed back only to probed indexes: an
+                // adaptive index learns a query from the walk its prune
+                // returned, and an unprobed one walked nothing.
                 let conjunct = &mut self.indexes[slots[ci]].1;
                 conjunct.fill(cols[ci], pred, *r, probed.is_some(), &mut bm);
                 rows_scanned += r.len();
@@ -505,12 +518,14 @@ impl TableSession {
             scan_ns: t_scan.elapsed().as_nanos() as u64,
         };
 
-        // Phase 4: every probed column learns from what its scans
-        // recorded (min/max of each scanned piece, typed by-products).
+        // Phase 4: every probed column learns from its walk and what its
+        // scans recorded (min/max of each scanned piece, typed
+        // by-products). A column named twice walked twice, and learns
+        // twice.
         for (ci, (_, pred)) in conjuncts.iter().enumerate() {
-            if outcomes[ci].is_some() {
+            if let Some(walk) = outcomes[ci].take() {
                 let conjunct = &mut self.indexes[slots[ci]].1;
-                conjunct.learn(cols[ci], pred, &mut protocol);
+                conjunct.learn(cols[ci], pred, walk, &mut protocol);
             }
         }
 

@@ -2,8 +2,8 @@
 //! engine — snapshot-isolated reads, asynchronous zonemap adaptation.
 //!
 //! The paper's protocol is inherently single-writer: every query mutates
-//! the index (prune ticks the clock and stats; observe builds, splits,
-//! merges, deactivates). Run naively under concurrency, that serialises
+//! the index (observe ticks the clocks, records the prune's walk, and
+//! builds, splits, merges, deactivates). Run naively under concurrency, that serialises
 //! all queries behind one lock. This crate keeps the protocol intact but
 //! splits *where* its two halves run:
 //!

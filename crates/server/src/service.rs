@@ -67,14 +67,14 @@
 //!
 //! ## Convergence with the inline protocol
 //!
-//! [`AdaptiveZonemap::apply_feedback`] ticks the lane's clocks, records
-//! the reader's walk (the observation carries it) as the owner's prune
-//! records its own, and feeds the observations through `observe`; no zone
-//! is walked twice. With a single reader and a flush after every query
-//! the reader walks a lane at the owner's epoch, so each authoritative
-//! lane steps through the same states as an inline executor running the
-//! same query stream — [`Owner::execute`] on the client thread (tested in
-//! `tests/convergence.rs`). Under concurrency a stale walk's rows are
+//! [`AdaptiveZonemap::apply_feedback`], the inline `observe`, ticks the
+//! lane's clocks, records the walk the observation carries (the
+//! reader's), and applies what the scan measured; no zone is walked
+//! twice. An owner's prune is the round's revival poll plus a reader's
+//! walk, so with one reader and a flush after every query each
+//! authoritative lane steps through the states of an inline executor on
+//! the same stream — [`Owner::execute`] on the client thread — by
+//! construction (tested in `tests/convergence.rs`). Under concurrency a stale walk's rows are
 //! recorded against the zones now over them — statistics only, never
 //! bounds or structure — so adaptation may lag or take another path while
 //! answers stay exact.

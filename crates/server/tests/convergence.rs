@@ -20,7 +20,7 @@ use ads_core::RangePredicate;
 use ads_engine::{execute, execute_reference, execute_sharded, AggKind, ExecPolicy};
 use ads_rng::StdRng;
 use ads_server::{AdaptationMode, Mutation, QueryService, Reply, ServerConfig, ServerStats};
-use ads_storage::ShardedColumn;
+use ads_storage::{RowRange, ShardedColumn};
 use ads_workloads::{data, queries};
 use common::{Reference, Store};
 
@@ -472,11 +472,17 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
     // tiers and revival are on, so the lanes compaction retires have
     // counters to lose — no total may ever go backwards, in any mode —
     // and the reference must run the revival poll where the round runs
-    // it.
+    // it. Zones of 8,192 rows that three probes find no skip in die, and
+    // revive 8 queries later, before reorganization can promote them:
+    // the stream must see both happen.
     const SHARDS: usize = 2;
     const STEPS: usize = 260;
     let column = data::clustered(ROWS, 80, 0.05, DOMAIN, 42);
     let adaptive = AdaptiveConfig {
+        target_zone_rows: 8192,
+        max_zone_rows: 8192,
+        deactivate_after_probes: 3,
+        revival_base_queries: Some(8),
         maintenance_every: 1,
         enable_reorg: true,
         reorg_hot_factor: 1.0,
@@ -500,6 +506,10 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
         // Physical rows (what a rowid may address) and live rows.
         let (mut rows, mut live) = (ROWS, ROWS);
         let mut unasked = false;
+        // The zones dead after the last step, and whether any zone died,
+        // and any dead rows came back, in this stream.
+        let mut dead: Vec<RowRange> = Vec::new();
+        let (mut died, mut revived) = (false, false);
         let mut before: [ServerStats; 3] = [
             &mut reference as &mut dyn Store<i64>,
             &mut served,
@@ -572,10 +582,26 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
             let reclaimed = owner.2.rows_reclaimed - before[0].rows_reclaimed;
             unasked |= reclaimed > 0 && kind < 19;
             rows -= reclaimed as usize;
+            // Rows keep their place unless a compaction reclaimed some: a
+            // zone no longer dead inside rows that were is a revival.
+            let zones = &owner.1;
+            revived |= reclaimed == 0
+                && dead.iter().any(|r| {
+                    zones.iter().any(|(z, label, _)| {
+                        *label != "dead" && r.start <= z.start && z.end <= r.end
+                    })
+                });
+            dead = zones
+                .iter()
+                .filter(|(_, label, _)| *label == "dead")
+                .map(|(z, ..)| *z)
+                .collect();
+            died |= !dead.is_empty();
             before = after.map(|(_, _, stats)| stats);
         }
 
         let [owner, ..] = &before;
+        assert!(died && revived, "zones died: {died}, revived: {revived}");
         assert!(owner.compactions_run > 0, "the stream never compacted");
         assert_eq!(unasked, ratio.is_some(), "automatic compaction");
         assert!(

@@ -485,11 +485,10 @@ fn reorg_demotion_cannot_invalidate_a_held_snapshot() {
         let writer = thread::spawn(move || {
             let mut zm = owner_zm;
             let data = reorg_data();
-            // A bounds-skipping prune ages the zone past the idle
+            // A bounds-skipping query ages the zone past the idle
             // threshold; the next reorg pass demotes it, dropping the
             // owner's payload reference.
-            let miss = RangePredicate::between(100, 200);
-            let _ = SkippingIndex::prune(&mut zm, &miss);
+            inline_query(&mut zm, &data, RangePredicate::between(100, 200));
             let rep = zm.apply_reorg(&data);
             assert_eq!(rep.demoted, 1, "owner must demote the idle zone");
             c2.publish_shard(
@@ -629,7 +628,7 @@ fn tier_drop_cannot_invalidate_a_held_snapshot() {
             // A hitless consultation: value 3 is present, so the sketch
             // admits it and the zone scans anyway. The 1-probe drop
             // window then judges the tier useless and retires it.
-            let _ = SkippingIndex::prune(&mut zm, &RangePredicate::point(3));
+            inline_query(&mut zm, &data, RangePredicate::point(3));
             let rep = zm.apply_tiers(&data);
             assert_eq!(rep.dropped, 1, "owner must drop the hitless tier");
             c2.publish_shard(

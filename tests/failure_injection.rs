@@ -128,7 +128,7 @@ fn stale_observations_after_structural_change_stay_sound() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: stale,
-        walk: PruneOutcome::default(),
+        walk: out,
     });
     assert_sound(&mut zm, &column);
 }
@@ -159,7 +159,7 @@ fn observation_with_wrong_qualifying_count_cannot_break_answers() {
     zm.observe(&ScanObservation {
         predicate: pred,
         ranges: lying,
-        walk: PruneOutcome::default(),
+        walk: out,
     });
     assert_sound(&mut zm, &column);
 }

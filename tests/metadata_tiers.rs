@@ -19,9 +19,9 @@ use adaptive_data_skipping::core::RangePredicate;
 use adaptive_data_skipping::engine::{
     execute_reference, execute_sharded, execute_with_policy, AggKind, ExecPolicy, QueryAnswer,
 };
-use adaptive_data_skipping::storage::{DataValue, ShardedColumn};
+use adaptive_data_skipping::storage::{DataValue, RowRange, ShardedColumn};
 use ads_rng::StdRng;
-use ads_server::{Mutation, Owner, QueryService, ServerConfig};
+use ads_server::{Mutation, Owner, QueryService, ServerConfig, StatsCollector};
 use std::cmp::Ordering;
 
 const CASES: u64 = 32;
@@ -367,6 +367,10 @@ fn verify(store: &mut Store, model: &Model, lo: i64, hi: i64, agg: AggKind, ctx:
     fold
 }
 
+/// What a churn step leaves behind: the zones, and the tier totals
+/// (sketches built, dropped, and zones they skipped).
+type Settled = (Vec<(RowRange, &'static str, f64)>, [u64; 3]);
+
 /// Where a churn run's operations go: the async service, or an [`Owner`]
 /// driven on the test thread — the inline protocol — with each operation
 /// followed by the `maintain()` the service's maintenance round runs (no
@@ -423,19 +427,31 @@ impl Store {
         }
     }
 
-    /// The service's barrier; the owner has nothing deferred.
-    fn flush(&mut self) {
-        if let Store::Service(svc) = self {
-            svc.flush();
-        }
+    /// Ends a step. The service flushes first: with one reader, its
+    /// owner then holds what the inline owner holds.
+    fn settle(&mut self) -> Settled {
+        let (zones, stats) = match self {
+            Store::Service(svc) => {
+                svc.flush();
+                (svc.zone_snapshot(), svc.stats())
+            }
+            Store::Owner(owner) => (
+                owner.zone_snapshot(),
+                StatsCollector::new(1).snapshot(0, owner.totals()),
+            ),
+        };
+        (
+            zones,
+            [stats.tiers_built, stats.tiers_dropped, stats.tier_skips],
+        )
     }
 }
 
 /// One randomized interleaving of queries, point probes, delete/update
-/// batches, appends, and a compaction epilogue against a tier-enabled
-/// store — the service when `served`, else the owner. Returns the answer
-/// checksum.
-fn run_churn(seed: u64, tiers: bool, served: bool) -> u64 {
+/// batches, appends, compactions, and a compaction epilogue against a
+/// tier-enabled store — the service when `served`, else the owner.
+/// Returns the answer checksum and what every step left behind.
+fn run_churn(seed: u64, tiers: bool, served: bool) -> (u64, Vec<Settled>) {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(3));
     let base: Vec<i64> = (0..1_200).map(|_| rng.gen_range(0..DOMAIN)).collect();
     let config = ServerConfig {
@@ -460,6 +476,7 @@ fn run_churn(seed: u64, tiers: bool, served: bool) -> u64 {
         if served { "service" } else { "owner" }
     );
     let mut checksum = 0u64;
+    let mut steps = Vec::new();
 
     for step in 0..70 {
         match rng.gen_range(0..10u32) {
@@ -500,8 +517,16 @@ fn run_churn(seed: u64, tiers: bool, served: bool) -> u64 {
                 model.append(&rows);
                 store.append(rows);
             }
-            _ => store.flush(),
+            _ => {
+                let reclaimed = store.compact();
+                assert_eq!(
+                    reclaimed, model.dead_count,
+                    "{ctx}: reclaimed at step {step}"
+                );
+                model.compact();
+            }
         }
+        steps.push(store.settle());
     }
 
     // Compaction epilogue: tiers were built over the pre-compaction row
@@ -517,21 +542,33 @@ fn run_churn(seed: u64, tiers: bool, served: bool) -> u64 {
             checksum = checksum
                 .rotate_left(9)
                 .wrapping_add(verify(&mut store, &model, lo, hi, agg, &ctx));
+            steps.push(store.settle());
         }
     }
-    checksum
+    (checksum, steps)
 }
 
 /// The tier lifecycle never produces a false negative under mutation
 /// churn, and the answer stream is identical with tiers off or on, from
-/// the service and from an owner driven on the test thread.
+/// the service and from an owner driven on the test thread. Settled
+/// after every step, the service's owner leaves the zones and tier
+/// totals the test thread's owner leaves.
 #[test]
 fn tier_lifecycle_never_false_negative_under_churn() {
     for seed in 0..3u64 {
         let mut reference: Option<u64> = None;
-        for served in [true, false] {
-            for tiers in TIER_MODES {
-                let sum = run_churn(seed, tiers, served);
+        for tiers in TIER_MODES {
+            let [(served, served_steps), (owned, owned_steps)] =
+                [true, false].map(|served| run_churn(seed, tiers, served));
+            for (k, (got, want)) in served_steps.iter().zip(&owned_steps).enumerate() {
+                assert_eq!(
+                    got, want,
+                    "seed {seed} tiers={tiers}: step {k} zones and tiers"
+                );
+            }
+            let built = owned_steps.last().map_or(0, |(_, totals)| totals[0]);
+            assert_eq!(built > 0, tiers, "seed {seed}: tiers built: {built}");
+            for (sum, served) in [(served, true), (owned, false)] {
                 match reference {
                     Some(want) => assert_eq!(
                         sum, want,

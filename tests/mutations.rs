@@ -465,3 +465,45 @@ fn updates_are_out_of_place() {
         "updated value must live at the tail rowid, got {positions:?}"
     );
 }
+
+/// A delete-only batch moves no zonemap epoch, so what publishes its
+/// tombstones before the ack is the batch alone. On a service flushed to
+/// convergence — every lane published at its owner's epoch, no feedback
+/// pending — a query sent right after the ack, with no flush between,
+/// must already miss the deleted rows.
+#[test]
+fn a_delete_only_ack_publishes_its_tombstones() {
+    let base = data::clustered(4_000, 40, 0.05, DOMAIN, 9);
+    let svc = QueryService::start(
+        base.clone(),
+        ServerConfig {
+            readers: 1,
+            shards: 4,
+            adaptive: test_config(),
+            compact_tombstone_ratio: None,
+            ..ServerConfig::default()
+        },
+    );
+    let mut model = Model::new(&base);
+    for lo in (0..DOMAIN).step_by(500) {
+        verify(&svc, &model, lo, lo + 400, AggKind::Count, "warm-up");
+    }
+    svc.flush();
+    let epochs = |svc: &QueryService<i64>| {
+        (svc.shard_snapshots().iter())
+            .map(|snap| snap.zonemap.mutation_epoch())
+            .collect::<Vec<_>>()
+    };
+    let before = epochs(&svc);
+
+    // Every seventh row, in every shard.
+    let batch: Vec<Mutation<i64>> = (0..base.len()).step_by(7).map(Mutation::Delete).collect();
+    for &m in &batch {
+        assert!(model.apply(m));
+    }
+    assert_eq!(svc.mutate(batch.clone()), Ok(batch.len()));
+    assert_eq!(epochs(&svc), before, "a delete-only batch moved an epoch");
+    let ctx = "after a delete-only ack";
+    verify(&svc, &model, 0, DOMAIN - 1, AggKind::Count, ctx);
+    verify(&svc, &model, 0, DOMAIN - 1, AggKind::Positions, ctx);
+}

@@ -1296,9 +1296,7 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
                 format!("{mutable_out:?}"),
                 "{ctx}: equal epochs decided apart"
             );
-            let mut obs = observe_units(&walked, &data, pred);
-            obs.walk = walked;
-            twin.apply_feedback(&obs);
+            twin.apply_feedback(&observe_units(&walked, &data, pred));
             twin.maintain(&data);
             // Every zone record, the plane, the clocks and the trace.
             assert_eq!(
@@ -1418,9 +1416,11 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                     "case {case} step {step}: unit {unit:?} of a {label:?} zone"
                 );
             }
-            let obs = observe_units(&full, &data, pred);
+            let mut obs = observe_units(&full, &data, pred);
+            zm.observe(&obs);
+            obs.walk = within_touching;
+            within_zm.observe(&obs);
             for map in [&mut zm, &mut within_zm] {
-                map.observe(&obs);
                 map.maintain(&data);
             }
             // Everything but the wall-clock fields, which no two maps share.
@@ -1451,7 +1451,7 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
 }
 
 /// One honest observation of every unit of `out`, as an executor's scan
-/// of `data` reports it.
+/// of `data` reports it, carrying `out` as the walk it learns from.
 fn observe_units<T: DataValue>(
     out: &adaptive_data_skipping::core::PruneOutcome,
     data: &[T],
@@ -1470,7 +1470,7 @@ fn observe_units<T: DataValue>(
     ScanObservation {
         predicate: pred,
         ranges,
-        walk: adaptive_data_skipping::core::PruneOutcome::default(),
+        walk: out.clone(),
     }
 }
 
