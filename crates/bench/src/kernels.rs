@@ -12,7 +12,10 @@
 //! all-built zone map of a shuffled column, which forms no ordered runs,
 //! and the reader's walk beside them ([`AdaptiveZonemap::prune_shared`]),
 //! then the plane's walk over a sorted column, one run crossed with two
-//! binary searches, at 4 k zones and at the prune row's count. The report renders as JSON (the
+//! binary searches, at 4 k zones and at the prune row's count, then the
+//! plane walk against the same reference on point predicates over a map
+//! whose bounds admit every zone and whose bloom tiers decide (reported,
+//! not gated: a survivor's price). The report renders as JSON (the
 //! repo's perf-trajectory format, schema `ads-kernel-bench/v4`, which names
 //! the instruction-set extensions the kernels were compiled for) and as the
 //! markdown table embedded in the README. A production cell slower than
@@ -34,7 +37,7 @@ use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_rng::StdRng;
 use ads_storage::scan::{self, Bounds, NoByProduct};
-use ads_storage::{Bitmap, DataValue, DeleteVector};
+use ads_storage::{Bitmap, DataValue, DeleteVector, RowRange};
 use std::fmt::Write as _;
 
 /// Value domain the generated columns draw from; selectivity percentages
@@ -90,7 +93,9 @@ impl KernelRow {
 pub struct PruneRow {
     /// `soa_plane`, `aos_reference`, `reader` or `run_walk`.
     pub impl_name: &'static str,
-    /// Zone order of the column: `shuffled` (no runs) or `sorted` (one).
+    /// The map walked: `shuffled` (zone order with no runs), `sorted`
+    /// (one run), or `tier_point` (bounds admit every zone; point
+    /// predicates, decided by bloom tiers).
     pub column: &'static str,
     /// Zones probed per prune call.
     pub zones: usize,
@@ -122,11 +127,15 @@ fn json_num(x: f64) -> String {
 }
 
 impl KernelReport {
-    /// Reference-over-plane per-zone time ratio of the prune walk (>1
-    /// means the plane is faster); `None` unless both were measured.
+    /// Reference-over-plane per-zone time ratio of the prune walk over
+    /// the shuffled column (>1 means the plane is faster); `None` unless
+    /// both were measured. The `tier_point` pair is reported, not gated:
+    /// there every zone survives the bounds, and the plane's batched tier
+    /// reads pay off only where the survivors' tiers miss the cache.
     fn prune_speedup(&self) -> Option<f64> {
         let ns_per_zone = |name| {
-            let row = self.prune.iter().find(|p| p.impl_name == name)?;
+            let row =
+                (self.prune.iter()).find(|p| p.column == "shuffled" && p.impl_name == name)?;
             Some(row.ns_per_zone)
         };
         Some(ns_per_zone("aos_reference")? / ns_per_zone("soa_plane")?)
@@ -598,32 +607,31 @@ mod masked {
     }
 }
 
-/// Builds an adaptive zonemap with every zone Built — the steady state
-/// the prune loop is measured in — over a column whose zone `z` holds the
-/// values `[order[z] * rows_per_zone, (order[z] + 1) * rows_per_zone)`.
-/// The scan that builds every zone also derives the plane's ordered runs.
-fn built_zonemap(order: &[usize], rows_per_zone: usize) -> AdaptiveZonemap<i64> {
-    let config = AdaptiveConfig {
+/// The lazy-only config of the prune maps: zones of `rows_per_zone`
+/// rows that never split, merge or retire.
+fn prune_config(rows_per_zone: usize) -> AdaptiveConfig {
+    AdaptiveConfig {
         target_zone_rows: rows_per_zone,
         min_zone_rows: 2,
         max_zone_rows: rows_per_zone.max(2),
         revival_base_queries: None,
         ..AdaptiveConfig::lazy_only()
-    };
-    let mut zm = AdaptiveZonemap::new(order.len() * rows_per_zone, config);
+    }
+}
+
+/// Builds every zone of `zm` — the steady state the prune loop is
+/// measured in — with one scan of the whole column, whose zone over
+/// `rows` holds values from `bounds(rows)`. That scan also derives the
+/// plane's ordered runs.
+fn build_every_zone(zm: &mut AdaptiveZonemap<i64>, bounds: impl Fn(RowRange) -> (i64, i64)) {
     let pred = RangePredicate::all();
     let out = zm.prune(&pred);
     let ranges = out
         .units
         .iter()
         .map(|u| {
-            let base = (order[u.range.start / rows_per_zone] * rows_per_zone) as i64;
-            RangeObservation::new(
-                u.range,
-                u.range.len(),
-                base,
-                base + rows_per_zone as i64 - 1,
-            )
+            let (min, max) = bounds(u.range);
+            RangeObservation::new(u.range, u.range.len(), min, max)
         })
         .collect();
     zm.observe(&ScanObservation {
@@ -631,7 +639,48 @@ fn built_zonemap(order: &[usize], rows_per_zone: usize) -> AdaptiveZonemap<i64> 
         ranges,
         walk: out,
     });
+}
+
+/// An adaptive zonemap with every zone Built over a column whose zone `z`
+/// holds the values `[order[z] * rows_per_zone, (order[z] + 1) *
+/// rows_per_zone)`.
+fn built_zonemap(order: &[usize], rows_per_zone: usize) -> AdaptiveZonemap<i64> {
+    let mut zm = AdaptiveZonemap::new(order.len() * rows_per_zone, prune_config(rows_per_zone));
+    build_every_zone(&mut zm, |rows| {
+        let base = (order[rows.start / rows_per_zone] * rows_per_zone) as i64;
+        (base, base + rows_per_zone as i64 - 1)
+    });
     zm
+}
+
+/// An adaptive zonemap over a column whose zone `z` holds the values `z,
+/// z + zones, z + 2 * zones, ...`, every zone Built and carrying a bloom
+/// tier: the bounds of each zone span nearly the whole column and admit a
+/// point in its middle, so only the tiers tell the zones apart.
+fn tiered_zonemap(zones: usize, rows_per_zone: usize) -> AdaptiveZonemap<i64> {
+    let data: Vec<i64> = (0..zones * rows_per_zone)
+        .map(|row| ((row % rows_per_zone) * zones + row / rows_per_zone) as i64)
+        .collect();
+    let config = AdaptiveConfig {
+        enable_tiers: true,
+        tier_after_scans: 1,
+        ..prune_config(rows_per_zone)
+    };
+    let mut zm = AdaptiveZonemap::new(data.len(), config);
+    build_every_zone(&mut zm, |rows| {
+        let z = (rows.start / rows_per_zone) as i64;
+        (z, z + ((rows_per_zone - 1) * zones) as i64)
+    });
+    zm.apply_tiers(&data);
+    zm
+}
+
+/// Sixteen points in the middle of the tiered column, each a value of
+/// one zone: the bounds admit every zone for each.
+fn tier_points(zones: usize, rows_per_zone: usize) -> Vec<RangePredicate<i64>> {
+    (0..16)
+        .map(|k| RangePredicate::point((rows_per_zone / 2 * zones + k * zones / 16) as i64))
+        .collect()
 }
 
 /// The zone order of a sorted column.
@@ -688,6 +737,37 @@ fn bench_prune(zones: usize, rows_per_zone: usize, out: &mut Vec<PruneRow>) {
     row("reader", s.best_ns);
 }
 
+/// Measures the plane prune against the AoS reference on point
+/// predicates over the tiered map: every zone survives the bounds, and
+/// the plane walk reads its tiers a batch at a time where the reference
+/// reads them zone by zone. The points rotate, so no branch learns one.
+fn bench_tier_point(zones: usize, rows_per_zone: usize, out: &mut Vec<PruneRow>) {
+    section(&format!("prune: {zones} tiered zones (point predicates)"));
+    let zm = tiered_zonemap(zones, rows_per_zone);
+    let points = tier_points(zones, rows_per_zone);
+    let (mut plane_zm, mut aos_zm) = (zm.clone(), zm);
+    let (mut p, mut r) = (0, 0);
+    let (b, a) = bench_pair(
+        "prune/tier_point",
+        || {
+            p = (p + 1) % points.len();
+            black_box(plane_zm.prune(black_box(&points[p]))).zones_probed
+        },
+        || {
+            r = (r + 1) % points.len();
+            black_box(aos_zm.prune_via_zones(black_box(&points[r]))).zones_probed
+        },
+    );
+    for (impl_name, best_ns) in [("soa_plane", b.best_ns), ("aos_reference", a.best_ns)] {
+        out.push(PruneRow {
+            impl_name,
+            column: "tier_point",
+            zones,
+            ns_per_zone: best_ns / zones as f64,
+        });
+    }
+}
+
 /// Measures the plane prune over a sorted column, whose zones form one
 /// run: two binary searches, then a probe of each zone the predicate
 /// overlaps.
@@ -724,6 +804,7 @@ pub fn run(rows: usize, prune_zones: usize) -> KernelReport {
     for zones in run_walk_zones {
         bench_run_walk(zones, 16, &mut prune);
     }
+    bench_tier_point(prune_zones, 16, &mut prune);
 
     KernelReport {
         rows,
@@ -808,6 +889,23 @@ mod tests {
         let mut order = shuffled_order(4096);
         order.sort_unstable();
         assert_eq!(order, sorted_order(4096), "a permutation");
+    }
+
+    #[test]
+    fn the_tiered_map_admits_every_zone_by_bounds_and_decides_as_the_reference() {
+        let zm = tiered_zonemap(256, 16);
+        assert_eq!(zm.state_counts(), (0, 256, 0));
+        assert_eq!(zm.zones_tiered(), 256);
+        let mut reference = zm.clone();
+        for pred in tier_points(256, 16) {
+            let out = zm.prune_shared(&pred);
+            // One zone holds the point; the tiers exclude most others,
+            // and the bounds none.
+            assert!(out.units.len() < 64, "{} zones scanned", out.units.len());
+            assert_eq!(out.zones_skipped, 256 - out.units.len());
+            assert_eq!(out.tier_skips.covered_rows(), out.zones_skipped * 16);
+            assert_eq!(out, reference.prune_via_zones(&pred));
+        }
     }
 
     #[test]

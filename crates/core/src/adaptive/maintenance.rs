@@ -124,6 +124,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 // be unsound for the union. The merged zone re-earns one.
                 prev.tier = None;
                 prev.tier_stats = Default::default();
+                prev.tier_drops = 0;
             } else {
                 merged.push(zone);
             }
@@ -164,6 +165,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 // A dead zone is never probed; its tier is dead weight.
                 zone.tier = None;
                 zone.tier_stats = Default::default();
+                zone.tier_drops = 0;
                 deactivated.push(zone.range());
             }
         }
@@ -275,7 +277,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
 }
 
 /// Exponential backoff: `base << (deactivations - 1)`, saturating.
-fn revival_backoff(base: u64, deactivations: u16) -> u64 {
+fn revival_backoff(base: u64, deactivations: u8) -> u64 {
     // narrowing: shift is clamped to <= 20, far below u32::MAX.
     let shift = deactivations.saturating_sub(1).min(20) as u32;
     base.saturating_mul(1u64 << shift)

@@ -10,7 +10,11 @@
 //!
 //! * `mins[z]` / `maxs[z]` — the zone's `(min, max)` bounds, valid only
 //!   when the zone is built (fold identities otherwise, never read);
-//! * `built` — a bitset with bit `z` set iff `zones[z].state` is `Built`.
+//! * `built` — a bitset with bit `z` set iff `zones[z].state` is `Built`;
+//! * `ends[z]` — the zone's end row, so the zones over a row range are
+//!   found by binary search over one dense `usize` array
+//!   ([`PrunePlane::touched`], [`PrunePlane::zone_at`]) rather than over
+//!   the zone records.
 //!
 //! The prune loop streams these dense words and touches the full
 //! [`AdaptiveZone`](crate::adaptive::zone::AdaptiveZone) record only for
@@ -32,10 +36,19 @@
 //! a run the zones a predicate overlaps are one contiguous slice, so the
 //! walk finds it with two binary searches instead of testing every zone.
 //!
+//! For a point predicate on a map with tiers, the walk does not probe the
+//! zones the bounds leave one at a time: it collects up to [`BATCH`] of
+//! them, ascending, in a [`ZoneBatch`] on the stack, and reads all their
+//! bloom tiers in one loop before it classifies any of them. Each tier read is a cache miss
+//! on a large map, and that loop has no dependence from one zone to the
+//! next, so the misses overlap rather than queue. The owner recording a
+//! walk gathers the zones it names the same way.
+//!
 //! **Invariant:** the plane mirrors `zones` exactly — same length, same
-//! built-set, same bounds — and every run covers only built zones in
-//! order. Cheap transitions (lazy build, bounds tightening, appended
-//! zones) update it incrementally, and a bounds change that breaks a
+//! built-set, same bounds, same end rows — and every run covers only
+//! built zones in order. Cheap transitions (lazy build, bounds
+//! tightening, appended zones, a trailing zone grown by an append) update
+//! it incrementally, and a bounds change that breaks a
 //! run's order cuts the run there; structural rewrites
 //! (split/merge/deactivate/coalesce/revive) call [`PrunePlane::rebuild`],
 //! which also derives the runs afresh, as does a scan that built a good
@@ -44,8 +57,8 @@
 //! the property suite checks prune outcomes against the retained AoS
 //! reference loop.
 
-use crate::adaptive::zone::{AdaptiveZone, ZoneState};
-use ads_storage::DataValue;
+use crate::adaptive::zone::{AdaptiveZone, ZoneState, ZoneTier};
+use ads_storage::{DataValue, RowRange};
 use std::ops::Range;
 
 /// The fewest zones a run is kept for: below it two binary searches save
@@ -59,6 +72,9 @@ pub(crate) struct PrunePlane<T: DataValue> {
     pub(crate) maxs: Vec<T>,
     /// Bit `z` set iff zone `z` is `Built`.
     pub(crate) built: Vec<u64>,
+    /// `ends[z]` is zone `z`'s end row; zone `z` starts at `ends[z - 1]`
+    /// (zone 0 at row 0).
+    pub(crate) ends: Vec<usize>,
     /// Disjoint zone-index ranges `[a, b)` in ascending order, each of at
     /// least [`MIN_RUN`] built zones whose `mins` and `maxs` are both
     /// non-decreasing. Maximal when [`PrunePlane::rebuild`] derives them;
@@ -76,6 +92,7 @@ impl<T: DataValue> PrunePlane<T> {
             mins: Vec::new(),
             maxs: Vec::new(),
             built: Vec::new(),
+            ends: Vec::new(),
             runs: Vec::new(),
         };
         plane.rebuild(zones);
@@ -89,9 +106,11 @@ impl<T: DataValue> PrunePlane<T> {
         self.mins.clear();
         self.maxs.clear();
         self.built.clear();
+        self.ends.clear();
         self.mins.reserve(zones.len());
         self.maxs.reserve(zones.len());
         self.built.resize(zones.len().div_ceil(64), 0);
+        self.ends.extend(zones.iter().map(|zone| zone.end));
         for (z, zone) in zones.iter().enumerate() {
             match zone.state {
                 ZoneState::Built { min, max, .. } => {
@@ -208,14 +227,55 @@ impl<T: DataValue> PrunePlane<T> {
         }
     }
 
-    /// Appends one unbuilt zone at the end — the append path.
-    pub(crate) fn push_unbuilt(&mut self) {
+    /// Appends one unbuilt zone ending at row `end` — the append path.
+    pub(crate) fn push_unbuilt(&mut self, end: usize) {
         let z = self.mins.len();
         self.mins.push(T::MAX_VALUE);
         self.maxs.push(T::MIN_VALUE);
+        self.ends.push(end);
         if z / 64 >= self.built.len() {
             self.built.push(0);
         }
+    }
+
+    /// The first row of zone `z`.
+    #[inline]
+    fn start(&self, z: usize) -> usize {
+        z.checked_sub(1).map_or(0, |y| self.ends[y])
+    }
+
+    /// The zones whose rows meet `rows`, from zone `next` on — the zones
+    /// a walk probes, or an outcome's entry names, for those rows. Zones
+    /// partition the rows, so they are contiguous; starting no earlier
+    /// than where the previous range's zones ended visits a zone two
+    /// ranges touch only once.
+    #[inline]
+    pub(crate) fn touched(&self, rows: RowRange, next: usize) -> Range<usize> {
+        let first = self
+            .ends
+            .partition_point(|&end| end <= rows.start)
+            .max(next);
+        // The zones starting before `rows.end`: zone 0 unless the range
+        // ends at row 0, and every zone after one ending before it.
+        let starting_before = if rows.end == 0 {
+            0
+        } else {
+            (self.ends.partition_point(|&end| end < rows.end) + 1).min(self.ends.len())
+        };
+        first..starting_before.max(first)
+    }
+
+    /// The zone whose rows are exactly `rows`, if one still is.
+    #[inline]
+    pub(crate) fn zone_at(&self, rows: RowRange) -> Option<usize> {
+        let z = self.ends.partition_point(|&end| end <= rows.start);
+        self.is_zone(z, rows).then_some(z)
+    }
+
+    /// True iff zone `z`'s rows are exactly `rows`.
+    #[inline]
+    pub(crate) fn is_zone(&self, z: usize, rows: RowRange) -> bool {
+        self.ends.get(z) == Some(&rows.end) && self.start(z) == rows.start
     }
 
     /// Heap bytes held by the plane's per-zone arrays (for metadata
@@ -225,16 +285,18 @@ impl<T: DataValue> PrunePlane<T> {
         self.mins.capacity() * std::mem::size_of::<T>()
             + self.maxs.capacity() * std::mem::size_of::<T>()
             + self.built.capacity() * std::mem::size_of::<u64>()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
     }
 
     /// True iff the plane exactly mirrors `zones` (length, built-set,
-    /// bounds) and every run is sound: ascending, disjoint, long enough,
-    /// and over built zones whose bounds are in order. Used by
+    /// bounds, end rows) and every run is sound: ascending, disjoint,
+    /// long enough, and over built zones whose bounds are in order. Used by
     /// `assert_invariants` and the property tests.
     pub(crate) fn mirrors(&self, zones: &[AdaptiveZone<T>]) -> bool {
         if self.mins.len() != zones.len()
             || self.maxs.len() != zones.len()
             || self.built.len() < zones.len().div_ceil(64)
+            || !self.ends.iter().eq(zones.iter().map(|zone| &zone.end))
         {
             return false;
         }
@@ -259,5 +321,69 @@ impl<T: DataValue> PrunePlane<T> {
             sound
         });
         mirrored && runs_sound
+    }
+}
+
+/// Zones a batch holds: as many as one word of the built bitset covers,
+/// and one bit each in a `u64` of tier answers.
+pub(crate) const BATCH: usize = 64;
+
+/// Up to [`BATCH`] zone indices, ascending, waiting on the stack for
+/// their bloom tiers to be read together.
+pub(crate) struct ZoneBatch {
+    held: [usize; BATCH],
+    len: usize,
+}
+
+impl ZoneBatch {
+    /// An empty batch.
+    pub(crate) fn new() -> Self {
+        ZoneBatch {
+            held: [0; BATCH],
+            len: 0,
+        }
+    }
+
+    /// Adds zone `z`, above every zone already held; true when the batch
+    /// is now full.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, z: usize) -> bool {
+        self.held[self.len] = z;
+        self.len += 1;
+        self.len == BATCH
+    }
+
+    /// The zones held, ascending.
+    #[inline]
+    pub(crate) fn zones(&self) -> &[usize] {
+        &self.held[..self.len]
+    }
+
+    /// Empties the batch.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Bit `i` set iff the bloom tier of the batch's `i`-th zone proves
+    /// that no row of it holds the value `point` hashes are of: one pass
+    /// of independent loads, each zone's tier read straight off its
+    /// record. 0 without a point.
+    #[inline]
+    pub(crate) fn bloom_excluded<T: DataValue>(
+        &self,
+        zones: &[AdaptiveZone<T>],
+        point: Option<&[u64; 2]>,
+    ) -> u64 {
+        let Some(hashes) = point else {
+            return 0;
+        };
+        let mut excluded = 0u64;
+        for (i, &z) in self.zones().iter().enumerate() {
+            if let Some(ZoneTier::Bloom(sketch)) = &zones[z].tier {
+                excluded |= u64::from(!sketch.may_contain_hashed(hashes)) << i;
+            }
+        }
+        excluded
     }
 }

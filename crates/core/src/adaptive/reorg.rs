@@ -143,6 +143,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     // payload resolves predicates positionally.
                     zone.tier = None;
                     zone.tier_stats = Default::default();
+                    zone.tier_drops = 0;
                     // Hysteresis: a demoted zone must re-earn promotion
                     // with fresh scans, not replay pre-promotion history.
                     zone.stats.scans = 0;

@@ -815,7 +815,6 @@ fn range_stream_drops_every_bloom_with_backoff_point_stream_keeps_them() {
 fn audit_catches_seeded_bloom_false_skip() {
     use crate::adaptive::zone::ZoneTier;
     use ads_storage::BloomSketch;
-    use std::sync::Arc;
 
     let data: Vec<i64> = (0..2048)
         .map(|i| ((i * 2654435761i64) % 1000) * 2)
@@ -854,11 +853,7 @@ fn audit_catches_seeded_bloom_false_skip() {
     let mut swapped = 0;
     for z in zm.zones.iter_mut() {
         if matches!(z.tier, Some(ZoneTier::Bloom(_))) {
-            z.tier = Some(ZoneTier::Bloom(Arc::new(BloomSketch::build(
-                &wrong,
-                8,
-                1 << 16,
-            ))));
+            z.tier = Some(ZoneTier::Bloom(BloomSketch::build(&wrong, 8, 1 << 16)));
             swapped += 1;
         }
     }
@@ -1164,7 +1159,10 @@ fn zone_statistics(zm: &AdaptiveZonemap<i64>) -> Vec<(RowRange, String)> {
                 ZoneLayout::Reorganized { used_at, .. } => Some(used_at),
                 ZoneLayout::Flat => None,
             };
-            let stats = format!("{:?} {:?} {used_at:?}", z.stats, z.tier_stats);
+            let stats = format!(
+                "{:?} {:?} {} {used_at:?}",
+                z.stats, z.tier_stats, z.tier_drops
+            );
             (z.range(), stats)
         })
         .collect()

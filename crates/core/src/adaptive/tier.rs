@@ -18,14 +18,15 @@
 //!
 //! Like reorganization, tier changes run on the owner's side of the
 //! publication protocol and reach readers only through the next epoch'd
-//! snapshot swap; payloads are `Arc`-shared so a held snapshot keeps
-//! answering after the owner drops or replaces a tier.
+//! snapshot swap. The zone record holds the sketch by value, and the
+//! sketch is its bit words behind an `Arc`: a held snapshot shares them
+//! and keeps answering after the owner drops or replaces a tier, and a
+//! probe reaches them in one load from the record.
 
 use crate::adaptive::zone::{ZoneLayout, ZoneState, ZoneTier};
 use crate::adaptive::zonemap::AdaptiveZonemap;
 use crate::trace::AdaptEvent;
 use ads_storage::{BloomSketch, DataValue};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Hit rate at or below which a judged tier is dropped (it is pure probe
@@ -117,8 +118,8 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     / f64::from(zone.tier_stats.tier_probes.max(1));
                 if hit_rate <= DROP_MIN_HIT_RATE {
                     zone.drop_tier();
-                    let drops = zone.tier_stats.drops.saturating_add(1);
-                    zone.tier_stats.drops = drops;
+                    let drops = zone.tier_drops.saturating_add(1);
+                    zone.tier_drops = drops;
                     // Exponential rebuild backoff, anchored at the
                     // current scan count so the zone must earn a fresh
                     // batch of scans before retrying. Quadrupling per
@@ -159,11 +160,11 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             }
             report.built += 1;
             self.tier_lifetime.blooms_built += 1;
-            let tier = ZoneTier::Bloom(Arc::new(BloomSketch::build(
+            let tier = ZoneTier::Bloom(BloomSketch::build(
                 &base[zone.start..zone.end],
                 BLOOM_BITS_PER_ROW,
                 MAX_TIER_BYTES,
-            )));
+            ));
             events.push(AdaptEvent::TierBuilt {
                 range: zone.range(),
                 kind: tier.kind(),
@@ -222,14 +223,14 @@ mod tests {
             max: 255,
             exact: true,
         };
-        zone.tier = Some(ZoneTier::Bloom(Arc::new(bloom)));
-        zone.tier_stats.drops = 127;
+        zone.tier = Some(ZoneTier::Bloom(bloom));
+        zone.tier_drops = 127;
         zone.tier_stats.tier_probes = config.tier_drop_after;
         zone.stats.scans = 10;
         zm.plane.set_built(0, 0, 255);
         assert_eq!(zm.apply_tiers(&data).dropped, 1);
         let telemetry = zm.zones[0].tier_stats;
-        assert_eq!(telemetry.drops, 128);
+        assert_eq!(zm.zones[0].tier_drops, 128);
         assert_eq!(
             telemetry.next_build_scans,
             10 + (config.tier_after_scans << 16),

@@ -74,9 +74,10 @@ pub enum ZoneLayout<T: DataValue> {
 /// sketch that excludes point probes the zone's bounds cannot. Earned
 /// lazily (built by [`apply_tiers`] once the zone's scan volume amortises
 /// the build pass) and dropped under the same observe/deactivate feedback
-/// the zones themselves use. Payloads sit behind `Arc`s so published
-/// zonemap snapshots share them immutably, exactly like reorganized-zone
-/// payloads.
+/// the zones themselves use. The zone record holds the sketch by value:
+/// the sketch is a pointer to its `Arc`-shared words, so the walk reaches
+/// the bits in one load from the record, and published zonemap snapshots
+/// share them immutably, exactly like reorganized-zone payloads.
 ///
 /// [`apply_tiers`]: crate::adaptive::AdaptiveZonemap::apply_tiers
 #[derive(Debug, Clone)]
@@ -84,7 +85,7 @@ pub enum ZoneTier {
     /// Word-packed bloom filter over the zone's value set; excludes point
     /// predicates that fall inside the zone's `[min, max]` but hit no
     /// actual value.
-    Bloom(Arc<BloomSketch>),
+    Bloom(BloomSketch),
 }
 
 impl ZoneTier {
@@ -104,16 +105,18 @@ impl ZoneTier {
 }
 
 /// Per-zone tier bookkeeping: the probe/hit window driving the drop
-/// policy and the rebuild backoff. Lives outside [`ZoneStats`] because
+/// policy and the rebuild floor. Lives outside [`ZoneStats`] because
 /// its lifecycle follows the *tier*, not the zone's adaptation history.
+/// The drop count the backoff grows with is the zone's
+/// [`AdaptiveZone::tier_drops`], kept beside the record's other one-byte
+/// counters: here it would pad this block from 12 bytes to 16 and the
+/// record past 144.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TierTelemetry {
     /// Tier consultations in the current drop window.
     pub tier_probes: u32,
     /// Consultations that excluded the zone.
     pub tier_hits: u32,
-    /// Times a tier was dropped here; drives exponential rebuild backoff.
-    pub drops: u8,
     /// Scan count the zone must reach before the next (re)build attempt.
     pub next_build_scans: u32,
 }
@@ -139,8 +142,8 @@ pub struct AdaptiveZone<T: DataValue> {
     /// Adaptation statistics.
     pub stats: ZoneStats,
     /// How many times this region has been deactivated; drives exponential
-    /// revival backoff.
-    pub deactivations: u16,
+    /// revival backoff, whose shift stops growing at 21 deactivations.
+    pub deactivations: u8,
     /// Hysteresis flag: set when this zone was produced by a coarsening
     /// merge. Such zones are never split again — a merge is the system
     /// concluding that finer metadata did not pay here, and re-splitting
@@ -162,8 +165,10 @@ pub struct AdaptiveZone<T: DataValue> {
     /// any structural change to the zone's row range, on reorganization
     /// promotion, and by the tier drop policy.
     pub tier: Option<ZoneTier>,
-    /// Tier drop/backoff bookkeeping (see [`TierTelemetry`]).
+    /// Tier drop window and rebuild floor (see [`TierTelemetry`]).
     pub tier_stats: TierTelemetry,
+    /// Times a tier was dropped here; drives exponential rebuild backoff.
+    pub tier_drops: u8,
 }
 
 impl<T: DataValue> AdaptiveZone<T> {
@@ -181,6 +186,7 @@ impl<T: DataValue> AdaptiveZone<T> {
             layout: ZoneLayout::Flat,
             tier: None,
             tier_stats: TierTelemetry::default(),
+            tier_drops: 0,
         }
     }
 

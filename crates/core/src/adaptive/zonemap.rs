@@ -20,10 +20,12 @@
 //! container, the prune/observe protocol, and the append path.
 //!
 //! Every prune entry point is one zone walk: [`walk`] visits zones — all
-//! of them, or those an alive set still touches — and [`probe_zone`]
+//! of them, or those an alive set still touches — and [`Walk::probe`]
 //! reads each one's bounds, tests overlap, asks the one classifier about
 //! what the bounds cannot exclude and writes the decision into the
-//! [`PruneOutcome`]. The walk borrows the map immutably and writes only
+//! [`PruneOutcome`]. On the plane, for a point on a map with tiers, the
+//! zones the bounds leave wait in a [`ZoneBatch`] of 64, whose bloom
+//! tiers are read in one loop before any of them is classified. The walk borrows the map immutably and writes only
 //! the outcome, so a reader on a published clone
 //! ([`AdaptiveZonemap::prune_shared`]) and the owner (after the due
 //! revivals, [`AdaptiveZonemap::poll_revival`]) run the same function.
@@ -33,11 +35,11 @@
 //! exclude appears in no outcome and is written by no one: the map
 //! advances its probe clock once per unrestricted walk, and every built
 //! zone's probe and skip counts follow from it ([`ZoneStats`]). That is
-//! what lets the walk exclude zones 64 at a time ([`probe_span`]) and
+//! what lets the walk exclude zones 64 at a time ([`Walk::span`]) and
 //! probe only the survivors.
 
 use crate::adaptive::config::AdaptiveConfig;
-use crate::adaptive::plane::{PrunePlane, MIN_RUN};
+use crate::adaptive::plane::{PrunePlane, ZoneBatch, MIN_RUN};
 use crate::adaptive::reorg::ReorgStats;
 use crate::adaptive::tier::TierStats;
 use crate::adaptive::zone::{
@@ -49,7 +51,7 @@ use crate::outcome::{MaskRequest, Payload, PruneOutcome, ScanObservation, UnitRe
 use crate::predicate::RangePredicate;
 use crate::stats::{IndexStats, PruneStats, ZoneStats};
 use crate::trace::{AdaptEvent, AdaptTrace};
-use ads_storage::{DataValue, RangeSet, RowRange};
+use ads_storage::{BloomSketch, DataValue, RangeSet, RowRange};
 use std::sync::Arc;
 
 /// Events retained in the adaptation trace ring.
@@ -336,12 +338,15 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
             if matches!(last.state, ZoneState::Unbuilt) && last.len() < target {
                 last.end = (last.start + target).min(new_len);
                 start = last.end;
+                if let Some(end) = self.plane.ends.last_mut() {
+                    *end = last.end;
+                }
             }
         }
         while start < new_len {
             let end = (start + target).min(new_len);
             self.zones.push(AdaptiveZone::unbuilt(start, end));
-            self.plane.push_unbuilt();
+            self.plane.push_unbuilt(end);
             start = end;
         }
         self.len = new_len;
@@ -439,9 +444,13 @@ enum OverlapAction {
 /// The probe decision for a built zone whose `(min, max)` the predicate
 /// overlaps: full-match detection, positional resolution, value-mask and
 /// tier secondary pruning, and the mask-request choice. Pure — reads the
-/// zone, mutates nothing. [`probe_zone`] decides with it, so every prune
-/// entry point decides identically by construction; the owner records a
-/// walk's overlapping zones with it (`record_walk`).
+/// zone, mutates nothing. `bloom_excludes` answers whether the zone's
+/// bloom tier proves the point absent ([`bloom_excludes`]); it is asked
+/// only when the checks before it leave the zone, and the plane walk and
+/// `record_walk` answer it from a batch's tiers read at once. [`Walk`]
+/// decides with it, so every prune entry point decides identically by
+/// construction; the owner records a walk's overlapping zones with it
+/// (`record_walk`).
 fn classify_overlapping_zone<T: DataValue>(
     zone: &AdaptiveZone<T>,
     pred: &RangePredicate<T>,
@@ -449,6 +458,7 @@ fn classify_overlapping_zone<T: DataValue>(
     max: T,
     config: &AdaptiveConfig,
     min_split_rows: usize,
+    bloom_excludes: impl FnOnce() -> bool,
 ) -> OverlapAction {
     // Full matches deliberately come before the positional path: a plain
     // base-coordinate `full_match` span folds in the same order as the
@@ -473,12 +483,9 @@ fn classify_overlapping_zone<T: DataValue>(
     // over-admit (scan a zone for nothing) but never exclude a row that
     // qualifies — deleted rows in particular are still present in the
     // base column the tier was built over, so delete churn can only make
-    // a tier admit *more* than necessary. A value-set sketch answers only
-    // equality probes; range predicates (and admitted points) scan.
-    if let Some(ZoneTier::Bloom(sketch)) = &zone.tier {
-        if pred.is_point() && !sketch.may_contain(pred.lo) {
-            return OverlapAction::TierSkip;
-        }
+    // a tier admit *more* than necessary.
+    if bloom_excludes() {
+        return OverlapAction::TierSkip;
     }
     // Ask the scan to collect a mask for zones that keep wasting scans
     // but can refine no further positionally.
@@ -489,6 +496,18 @@ fn classify_overlapping_zone<T: DataValue>(
             hi_f: max.to_f64(),
         });
     OverlapAction::Scan(scan_request(zone, bins))
+}
+
+/// Whether `zone`'s bloom tier proves that no row of it holds `pred`'s
+/// value. A value-set sketch answers only equality probes: range
+/// predicates (and admitted points) scan. The zone-by-zone reference asks
+/// here; the plane walk reads the same answers for a batch at once
+/// ([`ZoneBatch::bloom_excluded`]).
+fn bloom_excludes<T: DataValue>(zone: &AdaptiveZone<T>, pred: &RangePredicate<T>) -> bool {
+    match &zone.tier {
+        Some(ZoneTier::Bloom(sketch)) => pred.is_point() && !sketch.may_contain(pred.lo),
+        None => false,
+    }
 }
 
 /// What a scan of the whole of `zone` can still teach its metadata: the
@@ -537,218 +556,275 @@ fn record_probe<T: DataValue>(
     }
 }
 
+/// The probe hashes of `pred`'s value when it is a point, the one kind
+/// of predicate a value-set tier answers, on a map that builds tiers:
+/// computed once per walk, and once per recorded walk. `None` when no
+/// tier can decide a zone.
+fn point_hashes<T: DataValue>(
+    pred: &RangePredicate<T>,
+    config: &AdaptiveConfig,
+) -> Option<[u64; 2]> {
+    (config.enable_tiers && pred.is_point()).then(|| BloomSketch::probe_hashes(pred.lo))
+}
+
 /// The zone walk every prune entry point runs: probes each zone of `map`
 /// in order — or, given `alive`, only the zones it touches, each once —
 /// and writes the decisions into the outcome, nothing into the map. With
 /// `PLANE` the bounds come off the dense [`PrunePlane`], whose runs
-/// ([`walk_runs`]) and packed bounds filter ([`probe_span`]) an
-/// unrestricted walk uses; without it, off each zone's record, zone by
-/// zone — the array-of-structs reference.
+/// ([`Walk::runs`]) and packed bounds filter ([`Walk::span`]) an
+/// unrestricted walk uses, and for a point on a map with tiers the zones
+/// the bounds leave are probed a [`ZoneBatch`] at a time; without it, off
+/// each zone's record, zone by zone — the array-of-structs reference.
 pub(super) fn walk<T: DataValue, const PLANE: bool>(
     map: &AdaptiveZonemap<T>,
     pred: &RangePredicate<T>,
     alive: Option<&RangeSet>,
 ) -> PruneOutcome {
-    let mut out = PruneOutcome::for_prune();
-    let min_split_rows = map.min_split_rows();
+    let mut walk = Walk {
+        map,
+        pred,
+        min_split_rows: map.min_split_rows(),
+        point: point_hashes(pred, &map.config),
+        batch: ZoneBatch::new(),
+        out: PruneOutcome::for_prune(),
+    };
     let everything = [RowRange::new(0, map.len)];
     let mut next = 0;
     if PLANE && alive.is_none() && !map.plane.runs.is_empty() {
-        next = walk_runs(map, pred, min_split_rows, &mut out);
+        next = walk.runs();
     }
     // The plain pass: every zone from `next` on, or those `alive` touches.
     for span in alive.map_or(&everything[..], RangeSet::ranges) {
-        let zones = touched(&map.zones, *span, next);
+        let zones = map.plane.touched(*span, next);
         next = zones.end;
-        probe_span::<T, PLANE>(map, zones, pred, min_split_rows, &mut out);
+        walk.span::<PLANE>(zones);
     }
-    out
+    walk.flush();
+    walk.out
 }
 
-/// Walks the zones up to the end of the plane's last ordered run and
-/// returns that end. Each run `[a, b)` is crossed with two binary
-/// searches: the zones the predicate overlaps are the slice
-/// `[first, last)` — below it every `max < lo`, above it every
-/// `min > hi` — and only those are probed. The rest are bounds skips,
-/// counted as the plain pass counts them. Zones between runs go through
-/// [`probe_span`].
-///
-/// Kept out of line, so that [`walk`]'s plain pass compiles as it does
-/// for a map without runs.
-#[inline(never)]
-fn walk_runs<T: DataValue>(
-    map: &AdaptiveZonemap<T>,
-    pred: &RangePredicate<T>,
+/// One walk in progress: what it reads, the zones the bounds left that
+/// wait to be probed, and the outcome it writes.
+struct Walk<'a, T: DataValue> {
+    map: &'a AdaptiveZonemap<T>,
+    pred: &'a RangePredicate<T>,
     min_split_rows: usize,
-    out: &mut PruneOutcome,
-) -> usize {
-    let mut next = 0;
-    for &(a, b) in &map.plane.runs {
-        probe_span::<T, true>(map, next..a, pred, min_split_rows, out);
-        let plane = &map.plane;
-        let first = a + plane.maxs[a..b].partition_point(|max| max.lt_total(&pred.lo));
-        let last = first + plane.mins[first..b].partition_point(|min| min.le_total(&pred.hi));
-        let excluded = (b - a) - (last - first);
-        out.zones_probed += excluded;
-        out.zones_skipped += excluded;
-        #[cfg(feature = "audit")]
-        for idx in a..first {
-            out.record_decision(map.zones[idx].range(), "skip:bounds");
-        }
-        for idx in first..last {
-            probe_zone::<T, true>(map, idx, pred, min_split_rows, out);
-        }
-        #[cfg(feature = "audit")]
-        for idx in last..b {
-            out.record_decision(map.zones[idx].range(), "skip:bounds");
-        }
-        next = b;
-    }
-    next
+    /// The predicate's probe hashes, when a tier can decide a zone.
+    point: Option<[u64; 2]>,
+    /// Zones the bounds did not exclude, not yet probed (plane, `point`
+    /// only).
+    batch: ZoneBatch,
+    out: PruneOutcome,
 }
 
-/// Probes the zones `zones` in order. On the plane it first tests them
-/// 64 at a time ([`PrunePlane::bounds_excluded`]: built, and
-/// `max < lo` or `hi < min`, packed from the dense bounds without a
-/// branch), counts the zones that test excludes as probed and skipped in
-/// one add, and sends only the rest — unbuilt or dead, or overlapping —
-/// through [`probe_zone`], ascending. What it writes is what probing
-/// every zone writes: an excluded zone would have written nothing but
-/// those two counts (and, under `audit`, its `skip:bounds` label, which
-/// the same loop records in zone order). The reference probes zone by
-/// zone.
-#[inline(always)]
-fn probe_span<T: DataValue, const PLANE: bool>(
-    map: &AdaptiveZonemap<T>,
-    zones: std::ops::Range<usize>,
-    pred: &RangePredicate<T>,
-    min_split_rows: usize,
-    out: &mut PruneOutcome,
-) {
-    if !PLANE {
-        for idx in zones {
-            probe_zone::<T, false>(map, idx, pred, min_split_rows, out);
+impl<T: DataValue> Walk<'_, T> {
+    /// Walks the zones up to the end of the plane's last ordered run and
+    /// returns that end. Each run `[a, b)` is crossed with two binary
+    /// searches: the zones the predicate overlaps are the slice
+    /// `[first, last)` — below it every `max < lo`, above it every
+    /// `min > hi` — and only those are probed. The rest are bounds skips,
+    /// counted as the plain pass counts them. Zones between runs go
+    /// through [`Walk::span`].
+    ///
+    /// Kept out of line, so that [`walk`]'s plain pass compiles as it does
+    /// for a map without runs.
+    #[inline(never)]
+    fn runs(&mut self) -> usize {
+        let (map, pred) = (self.map, self.pred);
+        let mut next = 0;
+        for &(a, b) in &map.plane.runs {
+            self.span::<true>(next..a);
+            let plane = &map.plane;
+            let first = a + plane.maxs[a..b].partition_point(|max| max.lt_total(&pred.lo));
+            let last = first + plane.mins[first..b].partition_point(|min| min.le_total(&pred.hi));
+            let excluded = (b - a) - (last - first);
+            self.out.zones_probed += excluded;
+            self.out.zones_skipped += excluded;
+            self.audit_bounds_skips(a..first);
+            for idx in first..last {
+                self.push(idx);
+            }
+            self.audit_bounds_skips(last..b);
+            next = b;
         }
-        return;
+        next
     }
-    let (lo, hi) = (pred.lo.total_key(), pred.hi.total_key());
-    let mut first = zones.start;
-    while first < zones.end {
-        // Up to the end of `first`'s 64-zone word of the built bitset.
-        let end = (first / 64 * 64 + 64).min(zones.end);
-        let excluded = map.plane.bounds_excluded(first..end, lo, hi);
-        // narrowing: count_ones of a u64 is at most 64.
-        let skipped = excluded.count_ones() as usize;
-        out.zones_probed += skipped;
-        out.zones_skipped += skipped;
-        let span = u64::MAX >> (64 - (end - first));
-        let mut visit = if cfg!(feature = "audit") {
-            span
-        } else {
-            span & !excluded
-        };
-        while visit != 0 {
-            // narrowing: trailing_zeros of a non-zero u64 is below 64.
-            let i = visit.trailing_zeros() as usize;
-            visit &= visit - 1;
-            if cfg!(feature = "audit") && excluded >> i & 1 != 0 {
-                out.record_decision(map.zones[first + i].range(), "skip:bounds");
+
+    /// Probes the zones `zones` in order. On the plane it first tests them
+    /// 64 at a time ([`PrunePlane::bounds_excluded`]: built, and
+    /// `max < lo` or `hi < min`, packed from the dense bounds without a
+    /// branch), counts the zones that test excludes as probed and skipped
+    /// in one add, and batches only the rest — unbuilt or dead, or
+    /// overlapping — ascending. What it writes is what probing every zone
+    /// writes: an excluded zone would have written nothing but those two
+    /// counts (and, under `audit`, its `skip:bounds` label, which the same
+    /// loop records in zone order). The reference probes zone by zone.
+    #[inline(always)]
+    fn span<const PLANE: bool>(&mut self, zones: std::ops::Range<usize>) {
+        if !PLANE {
+            for idx in zones {
+                self.probe::<false>(idx, false);
+            }
+            return;
+        }
+        let (lo, hi) = (self.pred.lo.total_key(), self.pred.hi.total_key());
+        let mut first = zones.start;
+        while first < zones.end {
+            // Up to the end of `first`'s 64-zone word of the built bitset.
+            let end = (first / 64 * 64 + 64).min(zones.end);
+            let excluded = self.map.plane.bounds_excluded(first..end, lo, hi);
+            // narrowing: count_ones of a u64 is at most 64.
+            let skipped = excluded.count_ones() as usize;
+            self.out.zones_probed += skipped;
+            self.out.zones_skipped += skipped;
+            let span = u64::MAX >> (64 - (end - first));
+            let mut visit = if cfg!(feature = "audit") {
+                span
             } else {
-                probe_zone::<T, true>(map, first + i, pred, min_split_rows, out);
+                span & !excluded
+            };
+            while visit != 0 {
+                // narrowing: trailing_zeros of a non-zero u64 is below 64.
+                let i = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                if cfg!(feature = "audit") && excluded >> i & 1 != 0 {
+                    self.audit_bounds_skips(first + i..first + i + 1);
+                } else {
+                    self.push(first + i);
+                }
+            }
+            first = end;
+        }
+    }
+
+    /// Under `audit`, labels the zones `zones` `skip:bounds` after the
+    /// zones batched before them, so the trail lists every zone in order;
+    /// otherwise nothing. Gated here, not only inside `record_decision`:
+    /// naming a zone reads its record, and a bounds skip must stay on the
+    /// plane.
+    #[inline(always)]
+    fn audit_bounds_skips(&mut self, zones: std::ops::Range<usize>) {
+        if cfg!(feature = "audit") {
+            self.flush();
+            for idx in zones {
+                self.out
+                    .record_decision(self.map.zones[idx].range(), "skip:bounds");
             }
         }
-        first = end;
     }
-}
 
-/// The zones `span` touches, from `next` on. Zones partition `[0, len)`,
-/// so they are contiguous; starting no earlier than where the previous
-/// span's zones ended visits a zone two spans touch only once.
-fn touched<T: DataValue>(
-    zones: &[AdaptiveZone<T>],
-    span: RowRange,
-    next: usize,
-) -> std::ops::Range<usize> {
-    let first = zones.partition_point(|z| z.end <= span.start).max(next);
-    first..zones.partition_point(|z| z.start < span.end).max(first)
-}
+    /// Probes zone `idx` now when no tier can decide it, else batches it
+    /// above every zone batched so far and probes the batch once it is
+    /// full: without tiers to read, a batch would only defer the probes.
+    #[inline(always)]
+    fn push(&mut self, idx: usize) {
+        if self.point.is_none() {
+            self.probe::<true>(idx, false);
+        } else if self.batch.push(idx) {
+            self.flush();
+        }
+    }
 
-/// Probes one zone: reads its bounds, tests overlap, classifies what the
-/// bounds cannot exclude, and writes the decision into `out`. Inlined at
-/// each of its loops: left to the inliner, a function with more than one
-/// caller became a call per zone, which slowed the plain pass by about
-/// half.
-#[inline(always)]
-fn probe_zone<T: DataValue, const PLANE: bool>(
-    map: &AdaptiveZonemap<T>,
-    idx: usize,
-    pred: &RangePredicate<T>,
-    min_split_rows: usize,
-    out: &mut PruneOutcome,
-) {
-    out.zones_probed += 1;
-    // Off the plane, or off the zone's record for the reference.
-    let bounds = if PLANE {
-        map.plane.bounds(idx)
-    } else if let ZoneState::Built { min, max, .. } = map.zones[idx].state {
-        Some((min, max))
-    } else {
-        None
-    };
-    let Some((min, max)) = bounds else {
-        // Unbuilt and Dead zones scan identically; only the former can
-        // learn from it.
+    /// Probes the batched zones: their bloom tiers first, read in one
+    /// pass of independent loads, then each zone in ascending order, its
+    /// tier's answer given to the classifier at the classifier's step.
+    #[inline(never)]
+    fn flush(&mut self) {
+        let excluded = self
+            .batch
+            .bloom_excluded(&self.map.zones, self.point.as_ref());
+        for i in 0..self.batch.zones().len() {
+            let idx = self.batch.zones()[i];
+            self.probe::<true>(idx, excluded >> i & 1 != 0);
+        }
+        self.batch.clear();
+    }
+
+    /// Probes one zone: reads its bounds, tests overlap, classifies what
+    /// the bounds cannot exclude, and writes the decision into the
+    /// outcome. On the plane `bloom_excluded` is the zone's tier answer,
+    /// read with its batch; the reference asks the tier itself. Inlined
+    /// at each of its loops: left to the inliner, a function with more
+    /// than one caller became a call per zone, which slowed the plain
+    /// pass by about half.
+    #[inline(always)]
+    fn probe<const PLANE: bool>(&mut self, idx: usize, bloom_excluded: bool) {
+        let (map, pred, out) = (self.map, self.pred, &mut self.out);
+        out.zones_probed += 1;
+        // Off the plane, or off the zone's record for the reference.
+        let bounds = if PLANE {
+            map.plane.bounds(idx)
+        } else if let ZoneState::Built { min, max, .. } = map.zones[idx].state {
+            Some((min, max))
+        } else {
+            None
+        };
+        let Some((min, max)) = bounds else {
+            // Unbuilt and Dead zones scan identically; only the former can
+            // learn from it.
+            let zone = &map.zones[idx];
+            out.push_unit(zone.range(), UnitWork::Scan(scan_request(zone, None)));
+            out.record_decision(zone.range(), "scan:unbuilt");
+            return;
+        };
+        if !pred.overlaps(min, max) {
+            out.zones_skipped += 1;
+            // Gated here, not only inside `record_decision`: naming the
+            // zone reads its record, and this path must stay on the plane.
+            #[cfg(feature = "audit")]
+            out.record_decision(map.zones[idx].range(), "skip:bounds");
+            return;
+        }
         let zone = &map.zones[idx];
-        out.push_unit(zone.range(), UnitWork::Scan(scan_request(zone, None)));
-        out.record_decision(zone.range(), "scan:unbuilt");
-        return;
-    };
-    if !pred.overlaps(min, max) {
-        out.zones_skipped += 1;
-        // Gated here, not only inside `record_decision`: naming the zone
-        // reads its record, and this path must stay on the plane.
-        #[cfg(feature = "audit")]
-        out.record_decision(map.zones[idx].range(), "skip:bounds");
-        return;
+        let range = zone.range();
+        let tier = || {
+            if PLANE {
+                bloom_excluded
+            } else {
+                bloom_excludes(zone, pred)
+            }
+        };
+        let action =
+            classify_overlapping_zone(zone, pred, min, max, &map.config, self.min_split_rows, tier);
+        let label = match action {
+            OverlapAction::FullMatch => {
+                out.full_match.push_span(range.start, range.end);
+                "full:bounds"
+            }
+            OverlapAction::MaskSkip => {
+                out.zones_skipped += 1;
+                "skip:mask"
+            }
+            // Sound under an alive restriction too: no *base* row of the
+            // zone qualifies, so no alive subset does either.
+            OverlapAction::TierSkip => {
+                out.zones_skipped += 1;
+                out.tier_skips.push_span(range.start, range.end);
+                "skip:bloom"
+            }
+            OverlapAction::Positional => {
+                // invariant: only a zone that carries a payload classifies
+                // as positional.
+                let payload = zone.reorg_payload().expect("positional, no payload");
+                let full = payload.lookup(pred.lo, pred.hi);
+                out.push_unit(
+                    range,
+                    UnitWork::Positional {
+                        full: RowRange::new(full.start, full.end),
+                        payload: Payload(
+                            Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>
+                        ),
+                    },
+                );
+                "positional"
+            }
+            OverlapAction::Scan(request) => {
+                out.push_unit(range, UnitWork::Scan(request));
+                "scan"
+            }
+        };
+        out.record_decision(range, label);
     }
-    let zone = &map.zones[idx];
-    let range = zone.range();
-    let label = match classify_overlapping_zone(zone, pred, min, max, &map.config, min_split_rows) {
-        OverlapAction::FullMatch => {
-            out.full_match.push_span(range.start, range.end);
-            "full:bounds"
-        }
-        OverlapAction::MaskSkip => {
-            out.zones_skipped += 1;
-            "skip:mask"
-        }
-        // Sound under an alive restriction too: no *base* row of the
-        // zone qualifies, so no alive subset does either.
-        OverlapAction::TierSkip => {
-            out.zones_skipped += 1;
-            out.tier_skips.push_span(range.start, range.end);
-            "skip:bloom"
-        }
-        OverlapAction::Positional => {
-            // invariant: only a zone that carries a payload classifies
-            // as positional.
-            let payload = zone.reorg_payload().expect("positional, no payload");
-            let full = payload.lookup(pred.lo, pred.hi);
-            out.push_unit(
-                range,
-                UnitWork::Positional {
-                    full: RowRange::new(full.start, full.end),
-                    payload: Payload(Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>),
-                },
-            );
-            "positional"
-        }
-        OverlapAction::Scan(request) => {
-            out.push_unit(range, UnitWork::Scan(request));
-            "scan"
-        }
-    };
-    out.record_decision(range, label);
 }
 
 impl<T: DataValue> AdaptiveZonemap<T> {
@@ -766,7 +842,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             Some(within) => {
                 let mut next = 0;
                 for span in within.ranges() {
-                    let zones = touched(&self.zones, *span, next);
+                    let zones = self.plane.touched(*span, next);
                     next = zones.end;
                     for zone in &mut self.zones[zones] {
                         if zone.is_built() {
@@ -783,12 +859,15 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// — units, full-match spans, tier skips, each zone once however a
     /// restriction cut its rows apart — whose bounds overlap `pred`
     /// ([`record_probe`]), never a zone the bounds excluded, and the
-    /// lifetime totals. Over a stale walk's rows the zones are recorded
-    /// as a fresh walk would have decided them.
+    /// lifetime totals. The zones are found and their bounds read off the
+    /// plane, and recorded a [`ZoneBatch`] at a time, the batch's bloom
+    /// tiers read in one pass first. Over a stale walk's rows the zones
+    /// are recorded as a fresh walk would have decided them.
     ///
     /// epoch: `record_probe` writes statistics only.
     fn record_walk(&mut self, pred: &RangePredicate<T>, walked: &PruneOutcome) {
-        let (clock, min_split_rows) = (self.probe_clock, self.min_split_rows());
+        let point = point_hashes(pred, &self.config);
+        let mut batch = ZoneBatch::new();
         let mut units = walked.units.iter().map(|unit| unit.range);
         let mut spans = walked.full_match.ranges().iter().copied();
         let mut skips = walked.tier_skips.ranges().iter().copied();
@@ -800,38 +879,55 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             let mut next = 0;
             for range in entries {
                 // Ascending, and mostly lined up with the next zone.
-                let zones = match self.zones.get(next) {
-                    Some(zone) if zone.range() == range => next..next + 1,
-                    _ => touched(&self.zones, range, next),
+                let zones = if self.plane.is_zone(next, range) {
+                    next..next + 1
+                } else {
+                    self.plane.touched(range, next)
                 };
                 next = zones.end;
-                for zone in &mut self.zones[zones] {
-                    let ZoneState::Built { min, max, .. } = zone.state else {
-                        continue;
-                    };
-                    if pred.overlaps(min, max) {
-                        let action = classify_overlapping_zone(
-                            zone,
-                            pred,
-                            min,
-                            max,
-                            &self.config,
-                            min_split_rows,
-                        );
-                        record_probe(zone, &action, clock, &mut self.tier_lifetime);
+                for idx in zones {
+                    let overlaps =
+                        (self.plane.bounds(idx)).is_some_and(|(min, max)| pred.overlaps(min, max));
+                    if overlaps && batch.push(idx) {
+                        self.record_batch(pred, point.as_ref(), &mut batch);
                     }
                 }
             }
         }
+        self.record_batch(pred, point.as_ref(), &mut batch);
         self.stats.total_probes += walked.zones_probed as u64;
         self.stats.total_skips += walked.zones_skipped as u64;
         self.stats.rows_full_match += walked.full_match.covered_rows() as u64;
     }
 
-    /// The zone whose rows are exactly `range`, if one still is.
-    fn zone_at(&self, range: RowRange) -> Option<usize> {
-        let idx = self.zones.partition_point(|z| z.start < range.start);
-        (self.zones.get(idx)?.range() == range).then_some(idx)
+    /// Records each zone of `batch` — built, its bounds overlapping
+    /// `pred` — as the classifier decides it, and empties the batch.
+    ///
+    /// epoch: `record_probe` writes statistics only.
+    fn record_batch(
+        &mut self,
+        pred: &RangePredicate<T>,
+        point: Option<&[u64; 2]>,
+        batch: &mut ZoneBatch,
+    ) {
+        let excluded = batch.bloom_excluded(&self.zones, point);
+        let (clock, min_split_rows) = (self.probe_clock, self.min_split_rows());
+        for (i, &idx) in batch.zones().iter().enumerate() {
+            // invariant: only built zones are batched.
+            let (min, max) = self.plane.bounds(idx).expect("a batched zone is built");
+            let zone = &mut self.zones[idx];
+            let action = classify_overlapping_zone(
+                zone,
+                pred,
+                min,
+                max,
+                &self.config,
+                min_split_rows,
+                || excluded >> i & 1 != 0,
+            );
+            record_probe(zone, &action, clock, &mut self.tier_lifetime);
+        }
+        batch.clear();
     }
 
     /// Read-only prune: the walk alone, **without mutating anything** —
@@ -909,7 +1005,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             // qualifying count an exact sample of the zone's yield.
             // (Composite ranges arise on the multi-column path, where
             // intersection breaks zone alignment; they are ignored here.)
-            let Some(idx) = self.zone_at(ro.range) else {
+            let Some(idx) = self.plane.zone_at(ro.range) else {
                 continue;
             };
             let zone = &mut self.zones[idx];
@@ -1119,6 +1215,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     // rows, so children re-earn their own.
                     tier: None,
                     tier_stats: TierTelemetry::default(),
+                    tier_drops: 0,
                 };
             }
             // Back to front, as the splits are applied.

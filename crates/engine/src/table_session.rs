@@ -122,26 +122,32 @@ trait Conjunct: Send {
         alive: Option<&RangeSet>,
         protocol: &mut Protocol,
     ) -> PruneOutcome;
-    /// Marks the rows of `piece` satisfying `pred` in `bm`; when `record`,
-    /// keeps the piece's qualifying count and exact `(min, max)` for
-    /// [`Conjunct::learn`].
+    /// Marks the rows of `piece` satisfying `pred` in `bm`; given the
+    /// position `record` of the query's conjunct `pred` is, keeps the
+    /// piece's qualifying count and exact `(min, max)` for that
+    /// conjunct's [`Conjunct::learn`].
     fn fill(
         &mut self,
         col: &AnyColumn,
         pred: &AnyPredicate,
         piece: RowRange,
-        record: bool,
+        record: Option<usize>,
         bm: &mut Bitmap,
     );
     /// The lane's learn step over `walk`, what [`Conjunct::prune`]
-    /// returned, and everything `fill` recorded.
+    /// returned for the query's conjunct at position `conjunct`, and what
+    /// `fill` recorded for that conjunct.
     fn learn(
         &mut self,
         col: &AnyColumn,
+        conjunct: usize,
         pred: &AnyPredicate,
         walk: PruneOutcome,
         protocol: &mut Protocol,
     );
+    /// The index, for tests that compare its state with a reference.
+    #[cfg(test)]
+    fn index(&self) -> &dyn Any;
 }
 
 /// A column's index in the column's own value type. Scan by-products stay
@@ -150,8 +156,11 @@ trait Conjunct: Send {
 /// *below* the true max, and a later predicate falsely skips the row.
 struct TypedConjunct<T: DataValue> {
     index: Box<dyn SkippingIndex<T>>,
-    /// What this query's scan has recorded for the index so far.
-    recorded: Vec<RangeObservation<T>>,
+    /// What this query's scan has recorded for the index so far, each
+    /// piece with the position of the conjunct it was scanned for: a
+    /// conjunction may name the column more than once, and each predicate
+    /// learns from its own pieces.
+    recorded: Vec<(usize, RangeObservation<T>)>,
 }
 
 impl<T: ColumnAccess> TypedConjunct<T> {
@@ -204,7 +213,7 @@ impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
         col: &AnyColumn,
         pred: &AnyPredicate,
         piece: RowRange,
-        record: bool,
+        record: Option<usize>,
         bm: &mut Bitmap,
     ) {
         let (data, pred) = Self::typed(col, pred);
@@ -217,26 +226,40 @@ impl<T: ColumnAccess> Conjunct for TypedConjunct<T> {
             pred.hi,
             bm,
         );
-        if record {
+        if let Some(conjunct) = record {
             self.recorded
-                .push(RangeObservation::new(piece, qualifying, min, max));
+                .push((conjunct, RangeObservation::new(piece, qualifying, min, max)));
         }
     }
 
     fn learn(
         &mut self,
         col: &AnyColumn,
+        conjunct: usize,
         pred: &AnyPredicate,
         walk: PruneOutcome,
         protocol: &mut Protocol,
     ) {
         let (data, predicate) = Self::typed(col, pred);
+        let mut ranges = Vec::new();
+        self.recorded.retain(|&(c, piece)| {
+            let mine = c == conjunct;
+            if mine {
+                ranges.push(piece);
+            }
+            !mine
+        });
         let observation = ScanObservation {
             predicate,
-            ranges: std::mem::take(&mut self.recorded),
+            ranges,
             walk,
         };
         Lane::new(data, self.index.as_mut()).learn(&observation, protocol);
+    }
+
+    #[cfg(test)]
+    fn index(&self) -> &dyn Any {
+        self.index.as_any()
     }
 }
 
@@ -485,7 +508,7 @@ impl TableSession {
                 // adaptive index learns a query from the walk its prune
                 // returned, and an unprobed one walked nothing.
                 let conjunct = &mut self.indexes[slots[ci]].1;
-                conjunct.fill(cols[ci], pred, *r, probed.is_some(), &mut bm);
+                conjunct.fill(cols[ci], pred, *r, probed.is_some().then_some(ci), &mut bm);
                 rows_scanned += r.len();
                 combined = Some(match combined {
                     None => bm,
@@ -521,11 +544,11 @@ impl TableSession {
         // Phase 4: every probed column learns from its walk and what its
         // scans recorded (min/max of each scanned piece, typed
         // by-products). A column named twice walked twice, and learns
-        // twice.
+        // twice, each predicate from the pieces scanned for it.
         for (ci, (_, pred)) in conjuncts.iter().enumerate() {
             if let Some(walk) = outcomes[ci].take() {
                 let conjunct = &mut self.indexes[slots[ci]].1;
-                conjunct.learn(cols[ci], pred, walk, &mut protocol);
+                conjunct.learn(cols[ci], ci, pred, walk, &mut protocol);
             }
         }
 
@@ -592,7 +615,7 @@ fn sum_any(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ads_core::adaptive::AdaptiveConfig;
+    use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
     use ads_storage::Column;
 
     fn make_table(n: usize) -> Table {
@@ -663,6 +686,63 @@ mod tests {
                 assert_eq!(count, expected, "{}", strat.label());
             }
         }
+    }
+
+    #[test]
+    fn a_column_named_twice_learns_each_predicate_from_its_own_pieces() {
+        // Both predicates over `value` scan every zone of a cold index and
+        // read each for almost nothing, so the index learns its bounds and
+        // splits its zones. Each predicate must learn from the pieces
+        // scanned for it: the state equals an index that pruned both, then
+        // observed each predicate's own scan of every zone.
+        let t = make_table(32_768);
+        let config = AdaptiveConfig::default();
+        let preds = [
+            RangePredicate::between(0, 4),
+            RangePredicate::between(500, 504),
+        ];
+        let conjuncts: Vec<(&str, AnyPredicate)> = preds
+            .iter()
+            .map(|&p| ("value", AnyPredicate::I64(p)))
+            .collect();
+        let mut ts =
+            TableSession::new(t.clone(), &Strategy::Adaptive(config.clone()), &["value"]).unwrap();
+        let (count, _) = ts.count_conjunction(&conjuncts).unwrap();
+        assert_eq!(count, reference_count(&t, &conjuncts));
+
+        let data = typed::<i64>(&t, "value").as_slice();
+        let mut reference = Strategy::Adaptive(config).build_index(data);
+        let walks = preds.map(|p| reference.prune(&p));
+        for (predicate, walk) in preds.into_iter().zip(walks) {
+            let ranges = walk
+                .units
+                .iter()
+                .map(|unit| {
+                    let rows = &data[unit.range.start..unit.range.end];
+                    let (qualifying, min, max) =
+                        scan::count_in_range_with_minmax(rows, predicate.lo, predicate.hi);
+                    RangeObservation::new(unit.range, qualifying, min, max)
+                })
+                .collect();
+            reference.observe(&ScanObservation {
+                predicate,
+                ranges,
+                walk,
+            });
+            reference.maintain(data);
+        }
+        let state = |index: &dyn Any| {
+            let zm = index
+                .downcast_ref::<AdaptiveZonemap<i64>>()
+                .expect("adaptive");
+            format!("{zm:?}")
+        };
+        let (_, conjunct) = &ts.indexes[0];
+        assert!(
+            state(reference.as_any()).contains("Split"),
+            "the reference split a zone"
+        );
+        assert_eq!(state(conjunct.index()), state(reference.as_any()));
     }
 
     #[test]

@@ -15,17 +15,21 @@
 //! a stored value always probes the bits that value set.
 
 use crate::types::DataValue;
+use std::sync::Arc;
 
 /// Probes per key: two derived bit positions from one 64-bit mix.
-const PROBES: u32 = 2;
+const PROBES: usize = 2;
 
 /// A fixed-size bloom filter over the values of one row range.
+///
+/// The bit array is the sketch's only field: an `Arc` slice whose length
+/// is the word count, a power of two, so a probe position reduces with a
+/// mask and a clone is one reference-count bump. A holder that keeps the
+/// sketch by value reaches the words in one load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomSketch {
     /// Bit array, packed little-endian into 64-bit words.
-    words: Box<[u64]>,
-    /// `words.len() * 64`, cached as a power-of-two mask-friendly count.
-    bits: u64,
+    words: Arc<[u64]>,
 }
 
 impl BloomSketch {
@@ -41,44 +45,51 @@ impl BloomSketch {
         assert!(max_bytes >= 8, "need at least one 64-bit word");
         let want_bits = data.len().saturating_mul(bits_per_row).max(64);
         let max_bits = max_bytes * 8;
-        let words = (want_bits.min(max_bits).div_ceil(64)).next_power_of_two();
-        let mut sketch = BloomSketch {
-            words: vec![0u64; words].into_boxed_slice(),
-            bits: (words * 64) as u64,
-        };
+        let len = (want_bits.min(max_bits).div_ceil(64)).next_power_of_two();
+        let mut words = vec![0u64; len];
+        let mask = (len * 64 - 1) as u64;
         for &v in data {
-            sketch.insert(v);
+            for h in Self::probe_hashes(v) {
+                let bit = h & mask;
+                words[(bit / 64) as usize] |= 1u64 << (bit % 64);
+            }
         }
-        sketch
+        BloomSketch {
+            words: words.into(),
+        }
     }
 
-    /// Inserts one value.
-    fn insert<T: DataValue>(&mut self, v: T) {
-        let mut h = splitmix64(v.sketch_key());
-        for _ in 0..PROBES {
-            let bit = h % self.bits;
-            self.words[(bit / 64) as usize] |= 1u64 << (bit % 64);
-            h = splitmix64(h);
-        }
+    /// The probe hashes of `v`: a function of the value alone, so a
+    /// caller testing one value against many sketches computes them once
+    /// and asks each with [`BloomSketch::may_contain_hashed`].
+    #[inline]
+    pub fn probe_hashes<T: DataValue>(v: T) -> [u64; PROBES] {
+        let first = splitmix64(v.sketch_key());
+        [first, splitmix64(first)]
+    }
+
+    /// True when the value `hashes` came from may have been inserted;
+    /// false proves it was not. Both words are read unconditionally, so
+    /// a loop over many sketches issues independent loads.
+    #[inline]
+    pub fn may_contain_hashed(&self, hashes: &[u64; PROBES]) -> bool {
+        // narrowing: the word count fits in u64 on every target.
+        let mask = (self.words.len() * 64 - 1) as u64;
+        hashes.iter().fold(true, |hit, &h| {
+            let bit = h & mask;
+            hit & (self.words[(bit / 64) as usize] >> (bit % 64) & 1 != 0)
+        })
     }
 
     /// True when `v` may have been inserted; false proves it was not.
     #[inline]
     pub fn may_contain<T: DataValue>(&self, v: T) -> bool {
-        let mut h = splitmix64(v.sketch_key());
-        for _ in 0..PROBES {
-            let bit = h % self.bits;
-            if self.words[(bit / 64) as usize] & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-            h = splitmix64(h);
-        }
-        true
+        self.may_contain_hashed(&Self::probe_hashes(v))
     }
 
     /// Heap bytes held by the bit array.
     pub fn metadata_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+        std::mem::size_of_val(&*self.words)
     }
 }
 
@@ -133,7 +144,10 @@ mod tests {
             assert!(sketch.may_contain(v));
         }
         let set: u32 = sketch.words.iter().map(|w| w.count_ones()).sum();
-        assert!(set as f64 / sketch.bits as f64 > 0.5, "saturated");
+        assert!(
+            set as f64 / (sketch.words.len() * 64) as f64 > 0.5,
+            "saturated"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@ use adaptive_data_skipping::core::adaptive::{
     AdaptiveConfig, AdaptiveZonemap, ReorgStats, TierStats,
 };
 use adaptive_data_skipping::core::{
-    RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap, UnitWork,
+    RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap, UnitRequest,
+    UnitWork,
 };
 use adaptive_data_skipping::engine::execute_sharded;
 use adaptive_data_skipping::engine::{
@@ -1146,10 +1147,30 @@ fn soa_prune_plane_matches_aos_reference() {
     // adaptation, and appends, the plane-driven `prune` must produce the
     // same `PruneOutcome` and leave the same observable zone state as the
     // retained AoS reference loop (`prune_via_zones`).
-    for case in 0..CASES {
+    //
+    // With tiers on, the plane walk reads the bloom tiers of up to 64
+    // zones at once before it classifies any of them, where the reference
+    // asks each zone's tier in turn: columns long enough for one walk to
+    // fill more than one batch, and points drawn from the column half the
+    // time, so blooms both admit and exclude.
+    let configs = [
+        test_config(),
+        AdaptiveConfig {
+            enable_tiers: true,
+            tier_after_scans: 1,
+            tier_drop_after: 4,
+            ..test_config()
+        },
+    ];
+    // Tier-skipped zones, zones carrying both a mask and a tier (the mask
+    // decides first), and point walks that left more than one batch of
+    // zones.
+    let mut reached = [0u64; 3];
+    for (case, config) in (0..CASES).flat_map(|case| configs.iter().map(move |c| (case, c))) {
+        let tiers = config.enable_tiers;
         let mut rng = StdRng::seed_from_u64(0x500C ^ case);
-        let mut data = gen_data(&mut rng, 3000);
-        let mut plane_zm = AdaptiveZonemap::new(data.len(), test_config());
+        let mut data = gen_data(&mut rng, if tiers { 12_000 } else { 3000 });
+        let mut plane_zm = AdaptiveZonemap::new(data.len(), config.clone());
         let mut aos_zm = plane_zm.clone();
         let steps = rng.gen_range(6..30usize);
         for step in 0..steps {
@@ -1162,18 +1183,53 @@ fn soa_prune_plane_matches_aos_reference() {
                 plane_zm.on_append(&data[old..], &data);
                 aos_zm.on_append(&data[old..], &data);
             } else {
-                let pred = gen_pred(&mut rng);
+                let mut pred = gen_pred(&mut rng);
+                if tiers && !data.is_empty() && rng.gen_range(0..2usize) == 0 {
+                    pred = RangePredicate::point(data[rng.gen_range(0..data.len())]);
+                }
                 let plane_out = plane_zm.prune(&pred);
                 let aos_out = aos_zm.prune_via_zones(&pred);
                 assert_eq!(
                     plane_out, aos_out,
                     "case {case} step {step}: prune outcomes diverged"
                 );
+                // Zones the bounds left a point to: at least one per unit
+                // and per full-match span, and every zone a tier skipped.
+                let tier_skipped = (plane_zm.zone_snapshot().iter())
+                    .filter(|(zone, ..)| plane_out.tier_skips.covers_span(zone.start, zone.end))
+                    .count();
+                let left =
+                    plane_out.units.len() + plane_out.full_match.ranges().len() + tier_skipped;
+                reached[0] += tier_skipped as u64;
+                reached[2] += u64::from(pred.is_point() && left > 64);
                 // Feed both the same honest observation so adaptation
                 // (splits, merges, deactivation, revival) stays in step.
-                let obs = observe_units(&plane_out, &data, pred);
+                let mut obs = observe_units(&plane_out, &data, pred);
+                if tiers {
+                    // The value masks the scans were asked for, so zones
+                    // get a mask beside their tier.
+                    for (ro, unit) in obs.ranges.iter_mut().zip(&plane_out.units) {
+                        if let UnitWork::Scan(UnitRequest {
+                            bins: Some(layout), ..
+                        }) = unit.work
+                        {
+                            let rows = &data[unit.range.start..unit.range.end];
+                            ro.mask =
+                                Some(rows.iter().fold(0, |m, &v| m | 1 << layout.bin(v as f64)));
+                        }
+                    }
+                }
                 plane_zm.observe(&obs);
                 aos_zm.observe(&obs);
+                plane_zm.maintain(&data);
+                aos_zm.maintain(&data);
+                if tiers {
+                    let debug = format!("{plane_zm:?}");
+                    reached[1] += debug
+                        .split("AdaptiveZone {")
+                        .filter(|zone| zone.contains("mask: Some(") && zone.contains("tier: Some("))
+                        .count() as u64;
+                }
             }
             plane_zm.assert_invariants();
             aos_zm.assert_invariants();
@@ -1183,7 +1239,25 @@ fn soa_prune_plane_matches_aos_reference() {
                 "case {case} step {step}: zone snapshots diverged"
             );
         }
+        let counters = |zm: &AdaptiveZonemap<i64>| {
+            let t = zm.tier_stats();
+            (
+                t.blooms_built,
+                t.tiers_dropped,
+                t.tier_skips,
+                t.tier_rows_excluded,
+            )
+        };
+        assert_eq!(
+            counters(&plane_zm),
+            counters(&aos_zm),
+            "case {case}: tier counters diverged"
+        );
     }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "tier-skipped zones / masked and tiered zones / multi-batch walks reached: {reached:?}"
+    );
 }
 
 #[test]
