@@ -32,16 +32,21 @@
 //! ## Which tail versions are alive
 //!
 //! An append builds the tail shard's next version; the version it
-//! replaces stays alive for as long as a published snapshot, a worker's
-//! cache or a scan helper holds it. The owner keeps the replaced version
-//! as its *spare*, and the next append reclaims it if by then nobody else
-//! does ([`SharedColumn::into_buffer`]): the spare is a prefix of the
-//! current tail, so catching it up costs only the rows appended since,
-//! not a copy of the shard. A spare still held elsewhere is let go and
-//! the append copies. At most one spare is alive per owner — the tail
-//! shard's rows plus the 1/64 of slack an append reserves — and a
-//! compaction that repacks the tail drops it, because the repacked rows
-//! no longer extend it.
+//! replaces stays alive for as long as a published snapshot, a reader
+//! mid-query (a busy worker's cache, a scan helper) holds it — a worker
+//! with no job queued lets go of its lanes. The owner keeps the replaced
+//! version as its *spare*, and the next append reclaims it if by then
+//! nobody else does ([`SharedColumn::into_buffer`]): the spare is a
+//! prefix of the current tail, so catching it up costs only the rows
+//! appended since, not a copy of the shard. A spare still held elsewhere
+//! is let go and the append copies. At most one spare is alive per owner
+//! — the tail shard's rows plus the 1/64 of slack an append reserves.
+//! A compaction that repacks the tail consumes it: the live rows are
+//! built in its allocation when nobody else holds it, and in a fresh one
+//! otherwise — either way the spare is gone, because the repacked rows no
+//! longer extend it. So a compaction needs room only for the non-tail
+//! shards it repacks, whose old versions the published lanes hold until
+//! the round publishes.
 
 use crate::snapshot::ShardSnapshot;
 use crate::stats::OwnerTotals;
@@ -111,7 +116,8 @@ pub struct Owner<T: DataValue> {
     /// scratch (0 = the initial load).
     rebuilt_at: Vec<u64>,
     /// The tail version the last append replaced, which the next append
-    /// builds in when no reader holds it any more; see the module docs.
+    /// (or a compaction of the tail) builds in when no reader holds it
+    /// any more; see the module docs.
     spare: Option<SharedColumn<T>>,
     /// The totals as far as they are counted here: events as they happen,
     /// and the reorg and tier counters of the lanes compaction has
@@ -281,7 +287,8 @@ impl<T: DataValue> Owner<T> {
 
     /// Densely repacks every shard whose tombstone ratio reaches
     /// `min_ratio` (every tombstoned shard when `None`): live rows are
-    /// rewritten in order via [`SharedColumn::replace`], the shard's
+    /// rewritten in order via [`SharedColumn::replace`] — the tail's in
+    /// the spare's allocation when no reader holds it — the shard's
     /// delete vector resets to all-live, and its zonemap lane is replaced
     /// by one rebuilt over the new rows — a new lane identity, recorded
     /// so [`Owner::feedback`] can refuse what readers of the old one still
@@ -294,15 +301,18 @@ impl<T: DataValue> Owner<T> {
             if !dv.has_deletes() || min_ratio.is_some_and(|r| dv.tombstone_ratio() < r) {
                 continue;
             }
+            // The tail repacks into the spare when no reader holds it; the
+            // spare goes either way, as the repacked rows do not extend it.
+            let spare = if s + 1 == self.num_shards() {
+                self.spare.take().and_then(SharedColumn::into_buffer)
+            } else {
+                None
+            };
             let shard = self.column.shard(s);
-            let live_rows = dv.live_rows(shard.as_slice());
+            let live_rows = dv.live_rows(shard.as_slice(), spare.unwrap_or_default());
             let reclaimed = shard.len() - live_rows.len();
             let mut shards = self.column.shards().to_vec();
             shards[s] = shards[s].replace(live_rows);
-            if s + 1 == shards.len() {
-                // The repacked rows do not extend the spare's.
-                self.spare = None;
-            }
             self.column = ShardedColumn::from_shards(shards);
             let repacked = self.column.shard(s);
             self.deletes[s] = DeleteVector::new(repacked.len(), self.epoch);
@@ -565,6 +575,88 @@ mod tests {
         let want: Vec<i64> = (ROWS / 2..ROWS).chain(ROWS..ROWS + 40).collect();
         let tail = owner.snapshot(1, Arc::new(owner.deletes(1).clone()), 0);
         assert_eq!(tail.data.as_slice(), want.as_slice());
+    }
+
+    /// Where the owner's spare lives, if it has one.
+    fn spare_at(owner: &Owner<i64>) -> Option<*const i64> {
+        owner.spare.as_ref().map(|spare| spare.as_slice().as_ptr())
+    }
+
+    /// The tail shard's rows.
+    fn tail_rows(owner: &Owner<i64>) -> Vec<i64> {
+        owner
+            .column
+            .shard(owner.num_shards() - 1)
+            .as_slice()
+            .to_vec()
+    }
+
+    /// Appends three rows to a freshly repacked tail whose rows should
+    /// read `want`, checking the tail and a count over the column after
+    /// each.
+    fn append_after_repack(owner: &mut Owner<i64>, mut want: Vec<i64>) {
+        for k in 0..3 {
+            assert_eq!(tail_rows(owner), want);
+            let live = owner.column.len() as u64;
+            owner.append(&[-10 - k]);
+            want.push(-10 - k);
+            let all = RangePredicate::between(i64::MIN, i64::MAX);
+            assert_eq!(owner.execute(all, AggKind::Count).0.count, live + 1);
+        }
+        assert_eq!(tail_rows(owner), want);
+    }
+
+    #[test]
+    fn with_no_reader_a_tail_compaction_builds_in_the_spare() {
+        let mut owner = Owner::new((0..ROWS).collect(), 2, AdaptiveConfig::default());
+        let half = ROWS as usize / 2;
+        let mut want: Vec<i64> = (ROWS / 2..ROWS).collect();
+        // Four batches, each updating a tail row; the first also deletes
+        // a row of shard 0, which repacks into a fresh allocation.
+        assert_eq!(owner.mutate(&[Mutation::Delete(5)]), Ok(1));
+        for k in 0..4 {
+            let batch = [Mutation::Update(half + 3 * k, -1 - k as i64)];
+            assert_eq!(owner.mutate(&batch), Ok(1));
+            want.push(-1 - k as i64);
+        }
+        for k in (0..4).rev() {
+            want.remove(3 * k);
+        }
+        let spare = spare_at(&owner).expect("a batch leaves a spare");
+        assert_eq!(owner.compact(None), 5);
+        assert_eq!(
+            tail_at(&owner),
+            spare,
+            "the repacked tail was allocated afresh"
+        );
+        assert!(owner.spare.is_none(), "a repack leaves no spare");
+        append_after_repack(&mut owner, want);
+    }
+
+    #[test]
+    fn a_held_spare_makes_the_tail_repack_allocate_and_keeps_its_rows() {
+        let mut owner = Owner::new((0..ROWS).collect(), 2, AdaptiveConfig::default());
+        owner.append(&[ROWS]);
+        let held = owner.snapshot(1, Arc::new(owner.deletes(1).clone()), 0);
+        let rows = held.data.as_slice().to_vec();
+        let half = ROWS as usize / 2;
+        assert_eq!(owner.mutate(&[Mutation::Update(half, -1)]), Ok(1));
+        let spare = spare_at(&owner).expect("a batch leaves a spare");
+        assert_eq!(
+            spare,
+            held.data.as_slice().as_ptr(),
+            "the reader holds the spare"
+        );
+        assert_eq!(owner.compact(None), 1);
+        assert_ne!(tail_at(&owner), spare, "a held version was built in");
+        assert!(owner.spare.is_none(), "a repack leaves no spare");
+        assert_eq!(
+            held.data.as_slice(),
+            rows.as_slice(),
+            "a reader's rows moved"
+        );
+        let want = (ROWS / 2 + 1..=ROWS).chain([-1]).collect();
+        append_after_repack(&mut owner, want);
     }
 
     #[test]

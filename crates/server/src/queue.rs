@@ -64,6 +64,12 @@ impl<T> Bounded<T> {
         Ok(())
     }
 
+    /// Takes the next item if one is queued, without blocking.
+    pub fn try_pop(&self) -> Option<T> {
+        // invariant: see try_push — lock poisoning is unrecoverable.
+        self.inner.lock().expect("queue poisoned").items.pop_front()
+    }
+
     /// Takes the next item, blocking while the queue is open and empty.
     /// Returns `None` once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
@@ -112,7 +118,8 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.try_pop(), Some(2));
+        assert_eq!(q.try_pop(), None, "an empty queue does not block");
     }
 
     #[test]

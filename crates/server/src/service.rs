@@ -146,7 +146,7 @@ use crate::config::{AdaptationMode, ServerConfig};
 use crate::helpers::{help_loop, Board, Runs};
 use crate::owner::{Mutation, MutationError, Owner};
 use crate::queue::{Bounded, PushError};
-use crate::snapshot::{ShardSnapshot, ShardedCell};
+use crate::snapshot::{ShardSnapshot, ShardedCache, ShardedCell};
 use crate::stats::{OwnerTotals, ServerStats, StatsCollector};
 use crate::sync::{Arc, Mutex};
 use ads_core::{PruneOutcome, RangePredicate, ScanObservation, SkippingIndex};
@@ -556,12 +556,20 @@ impl<T: DataValue> Drop for QueryService<T> {
 /// One reader: pop → (deadline check) → prune → plan → scan (with the
 /// helpers on `board` when the plan has more than one run) → merge →
 /// feedback → reply.
+///
+/// A worker holds lanes only while it has work. Between back-to-back jobs
+/// it keeps its cache, refreshed by one atomic generation load per lane;
+/// once it has replied and finds the queue empty it drops the cache
+/// before it blocks, and its next job loads the current lanes from the
+/// cell. So an idle reader pins no snapshot — in particular not the tail
+/// version the owner keeps as its spare, which the next batch or a
+/// compaction of the tail then builds in (`owner.rs`).
 fn worker_loop<T: DataValue>(
     shared: &Shared<T>,
     worker_id: usize,
     feedback: Option<SyncSender<MaintMsg<T>>>,
 ) {
-    let mut cache = shared.cell.cache();
+    let mut held: Option<ShardedCache<T>> = None;
     // A scan is as wide as this worker plus its helpers — the cores the
     // readers leave free, so just the worker when they fill the host.
     // The policy's floor keeps every scan under two threads' worth of
@@ -569,18 +577,26 @@ fn worker_loop<T: DataValue>(
     // touch the board.
     let policy = ExecPolicy::parallel(1 + shared.helpers);
     let board = shared.boards.get(worker_id);
-    while let Some(job) = shared.queue.pop() {
+    let next_job = |held: &mut Option<ShardedCache<T>>| {
+        shared.queue.try_pop().or_else(|| {
+            *held = None;
+            shared.queue.pop()
+        })
+    };
+    while let Some(job) = next_job(&mut held) {
         let t0 = Instant::now();
         if job.request.deadline.is_some_and(|deadline| t0 > deadline) {
             shared.stats.record_deadline_missed();
             let _ = job.reply.send(Reply::DeadlineMissed);
             continue;
         }
-        // Lock-free steady state: one atomic generation load per lane,
-        // then read-only prunes and one planned scan against the
+        // A busy worker refreshes lock-free, one atomic generation load
+        // per lane; one back from idle takes each lane's slot lock once.
+        // Then read-only prunes and one planned scan against the
         // immutable shard snapshots. Lanes may be from different
         // publication rounds — each is sound for its own shard, which is
         // all the merge needs.
+        let cache = held.get_or_insert_with(|| shared.cell.cache());
         cache.refresh(&shared.cell);
         let lanes = cache.lanes();
         let (pred, agg) = (job.request.predicate, job.request.agg);

@@ -316,3 +316,66 @@ fn feedback_racing_a_compaction_never_costs_an_answer() {
     // tested nothing.
     assert!(stale > 0, "no attempt raced the compaction");
 }
+
+/// Polls until `snaps` are their only holders; false if some other
+/// holder keeps one for 5 s.
+fn only_holders<T>(snaps: &[Arc<T>]) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while snaps.iter().any(|snap| Arc::strong_count(snap) > 1) {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
+#[test]
+fn an_idle_worker_pins_no_snapshot() {
+    // A frozen service publishes only on control messages, so a worker
+    // that answered a query cached exactly the lanes taken below; the
+    // flush then publishes new ones and leaves the test the only holder
+    // of the old — unless an idle worker still caches them.
+    let shapes = [
+        (AdaptationMode::Frozen, 1),
+        (AdaptationMode::Frozen, 4),
+        (AdaptationMode::Async, 4),
+    ];
+    let column = data::uniform(ROWS, DOMAIN, 5);
+    for round in 0..iters() {
+        for (adaptation, readers) in shapes {
+            let svc = QueryService::start(
+                column.clone(),
+                ServerConfig {
+                    readers,
+                    shards: 2,
+                    adaptation,
+                    ..ServerConfig::default()
+                },
+            );
+            // One client per reader, all at once, then all stopped.
+            std::thread::scope(|scope| {
+                for c in 0..readers {
+                    let svc = &svc;
+                    scope.spawn(move || {
+                        let seed = 100 * round as u64 + c as u64;
+                        for q in queries::uniform_ranges(50, DOMAIN, 0.02, seed) {
+                            let pred = RangePredicate::between(q.lo, q.hi);
+                            svc.query(pred, AggKind::Count).expect("admitted");
+                        }
+                    });
+                }
+            });
+            let held = svc.shard_snapshots();
+            svc.flush();
+            assert!(
+                only_holders(&held),
+                "{} with {readers} readers: an idle worker pins a lane, \
+                 strong counts {:?}",
+                adaptation.label(),
+                held.iter().map(Arc::strong_count).collect::<Vec<_>>()
+            );
+            svc.shutdown();
+        }
+    }
+}

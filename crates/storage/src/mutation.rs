@@ -162,15 +162,20 @@ impl DeleteVector {
     }
 
     /// The live rows of `rows` (the column this vector addresses), in
-    /// order: what a compaction keeps. Works a 64-row window at a time —
-    /// an all-live window is one slice copy, any other yields its set
-    /// bits — so a mostly-live column costs no per-row test.
+    /// order: what a compaction keeps. They are built in `into`, cleared
+    /// first — an allocation nobody reads any more, or `Vec::new()` —
+    /// which grows only when it cannot hold them. Works a 64-row window
+    /// at a time — an all-live window is one slice copy, any other
+    /// yields its set bits — so a mostly-live column costs no per-row
+    /// test.
     ///
     /// # Panics
     /// Panics if `rows.len() != len`.
-    pub fn live_rows<T: Copy>(&self, rows: &[T]) -> Vec<T> {
+    pub fn live_rows<T: Copy>(&self, rows: &[T], into: Vec<T>) -> Vec<T> {
         assert_eq!(rows.len(), self.len, "rows and vector lengths differ");
-        let mut live_rows = Vec::with_capacity(self.live_count());
+        let mut live_rows = into;
+        live_rows.clear();
+        live_rows.reserve_exact(self.live_count());
         for (w, chunk) in rows.chunks(64).enumerate() {
             let mut live = self.live_window(w * 64);
             if live == u64::MAX >> (64 - chunk.len()) {
@@ -287,17 +292,24 @@ mod tests {
             for &r in dead {
                 dv.delete(r);
             }
-            let got = dv.live_rows(&rows);
+            let got = dv.live_rows(&rows, Vec::new());
             assert_eq!(got, per_row(&dv, &rows), "{case}");
             assert_eq!(got.len(), dv.live_count(), "{case}");
+            // A buffer that holds them is built in, none of its rows kept.
+            let buffer = vec![u32::MAX; rows.len()];
+            let at = buffer.as_ptr();
+            let reused = dv.live_rows(&rows, buffer);
+            assert_eq!((reused.as_ptr(), &reused), (at, &got), "{case}");
         }
         // A column shorter than one word, with and without a tombstone.
         let short = [4u32, 5, 6];
         let mut dv = DeleteVector::new(3, 0);
-        assert_eq!(dv.live_rows(&short), short);
+        assert_eq!(dv.live_rows(&short, Vec::new()), short);
         dv.delete(1);
-        assert_eq!(dv.live_rows(&short), [4, 6]);
-        assert!(DeleteVector::new(0, 0).live_rows::<u32>(&[]).is_empty());
+        assert_eq!(dv.live_rows(&short, Vec::new()), [4, 6]);
+        assert!(DeleteVector::new(0, 0)
+            .live_rows::<u32>(&[], Vec::new())
+            .is_empty());
     }
 
     #[test]
