@@ -28,8 +28,10 @@ pub struct AdaptiveConfig {
     pub deactivate_after_probes: u32,
     /// Skip rate at or below which a ceiling-sized zone is deactivated.
     pub deactivate_max_skip_rate: f64,
-    /// Queries between structural maintenance passes (merge/deactivate
-    /// scans are O(zones), so they are amortised).
+    /// Queries between maintenance passes, all O(zones) and so amortised:
+    /// the merge/deactivate scans inside feedback, and the reorganization
+    /// and tier passes of the lane's maintenance round, which the inline
+    /// protocol and the server's maintenance thread both schedule by it.
     pub maintenance_every: u64,
     /// Base number of queries a dead region waits before being given
     /// another chance; doubles with each re-deactivation. `None` disables

@@ -14,9 +14,9 @@ mod zone;
 mod zonemap;
 
 pub use config::AdaptiveConfig;
-pub use reorg::{ReorgReport, ReorgStats};
+pub use reorg::ReorgStats;
 pub use sharded::ShardedZonemap;
-pub use tier::{TierReport, TierStats};
+pub use tier::TierStats;
 pub use zone::{AdaptiveZone, TierTelemetry, ZoneLayout, ZoneState, ZoneTier};
 pub use zonemap::AdaptiveZonemap;
 

@@ -22,7 +22,9 @@ use ads_storage::{DataValue, ReorgZone};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Lifetime reorganization counters of one zonemap.
+/// Lifetime reorganization counters of one zonemap. Promotions and
+/// demotions are the trace's `promoted` / `demoted` totals, filled in by
+/// [`AdaptiveZonemap::reorg_stats`]; the map keeps the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorgStats {
     /// Zones promoted to the reorganized layout.
@@ -46,51 +48,33 @@ impl ReorgStats {
     }
 }
 
-/// What one [`AdaptiveZonemap::apply_reorg`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReorgReport {
-    /// Zones promoted by this pass.
-    pub promoted: u64,
-    /// Zones demoted by this pass.
-    pub demoted: u64,
-    /// Payload bytes moved by this pass (build copies and sorts).
-    pub bytes_moved: u64,
-    /// Wall time of this pass in nanoseconds.
-    pub reorg_ns: u64,
-}
-
-impl ReorgReport {
-    /// True when the pass changed any zone's layout.
-    pub fn changed(&self) -> bool {
-        self.promoted + self.demoted > 0
-    }
-}
-
 impl<T: DataValue> AdaptiveZonemap<T> {
     /// One reorganization pass over `base` (the column this zonemap
     /// indexes): promotes hot flat zones whose scan volume has amortized
     /// a build copy, demotes reorganized zones whose payload has sat
-    /// idle. No-op (and free) unless `enable_reorg` is set, and a no-op
-    /// when a pass already ran at the current query clock: the hot bar is
-    /// the map-wide mean scan rate, which each promotion lowers (it resets
-    /// the promoted zone's scans), so a repeated pass with no query in
-    /// between would promote zones the first one judged cold.
+    /// idle. No-op (and free) unless `enable_reorg` is set. Each
+    /// promotion and demotion is one trace event.
     ///
-    /// Runs on the owner's side of the publication protocol — inline
-    /// after a query, or on the server's maintenance thread — never on a
+    /// Runs on the owner's side of the publication protocol, scheduled by
+    /// [`maintain`](crate::index::SkippingIndex::maintain) — after an
+    /// inline query or in the server's maintenance round — never on a
     /// shared snapshot. Readers observe layout changes only through the
-    /// next republication, as one atomic snapshot swap.
+    /// next republication, as one atomic snapshot swap. The schedule runs
+    /// one pass per round: the hot bar is the map-wide mean scan rate,
+    /// which each promotion lowers (it resets the promoted zone's scans),
+    /// so a second pass with no query in between would promote zones the
+    /// first one judged cold.
     ///
-    /// epoch: bumps once at the end under `report.changed()` — true
+    /// epoch: bumps once at the end when the pass recorded an event —
     /// exactly when a zone was promoted or demoted; a pass that only
     /// read counters is reader-invisible.
-    pub fn apply_reorg(&mut self, base: &[T]) -> ReorgReport {
-        if !self.config.enable_reorg || self.reorg_at == self.query_seq {
-            return ReorgReport::default();
+    pub fn apply_reorg(&mut self, base: &[T]) {
+        if !self.config.enable_reorg {
+            return;
         }
-        self.reorg_at = self.query_seq;
         debug_assert_eq!(base.len(), self.len(), "base column / zonemap mismatch");
         let t0 = Instant::now();
+        let events_before = self.trace.total_events();
         let clock = self.probe_clock;
         // Relative-hotness gate on the zones' scan RATE (scans/probes,
         // bounded [0,1] and stable under split/merge stat resets): a
@@ -114,8 +98,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             self.zones.iter().map(scan_rate).sum::<f64>() / self.zones.len().max(1) as f64;
         let hot_bar = self.config.reorg_hot_factor * mean_rate;
         let gated = self.zones.len() > 1;
-        let mut report = ReorgReport::default();
-        let mut events: Vec<AdaptEvent> = Vec::new();
         for (idx, zone) in self.zones.iter_mut().enumerate() {
             match &zone.layout {
                 ZoneLayout::Flat => {
@@ -129,7 +111,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     // (columns are bounded well below 2^32 rows).
                     let payload = ReorgZone::build(&base[zone.start..zone.end], zone.start as u32);
                     let (min, max) = payload.min_max();
-                    report.bytes_moved += payload.bytes_moved();
+                    self.reorg_lifetime.bytes_moved += payload.bytes_moved();
                     // The build pass saw every row: bounds become exact,
                     // and the value mask (an approximation earned for the
                     // flat layout) is superseded by positional resolution.
@@ -152,10 +134,12 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                         used_at: zone.stats.probe_count(clock),
                     };
                     self.plane.set_built(idx, min, max);
-                    report.promoted += 1;
-                    events.push(AdaptEvent::Promoted {
-                        range: zone.range(),
-                    });
+                    self.trace.record(
+                        self.query_seq,
+                        AdaptEvent::Promoted {
+                            range: zone.range(),
+                        },
+                    );
                 }
                 ZoneLayout::Reorganized { used_at, .. } => {
                     let idle = zone.stats.probe_count(clock).saturating_sub(*used_at);
@@ -164,34 +148,35 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     }
                     zone.layout = ZoneLayout::Flat;
                     zone.stats.scans = 0;
-                    report.demoted += 1;
-                    events.push(AdaptEvent::Demoted {
-                        range: zone.range(),
-                    });
+                    self.trace.record(
+                        self.query_seq,
+                        AdaptEvent::Demoted {
+                            range: zone.range(),
+                        },
+                    );
                 }
             }
         }
-        for ev in events {
-            self.trace.record(self.query_seq, ev);
-        }
         // narrowing: saturates at ~584 years of nanoseconds.
-        report.reorg_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.reorg_lifetime.zones_promoted += report.promoted;
-        self.reorg_lifetime.zones_demoted += report.demoted;
-        self.reorg_lifetime.bytes_moved += report.bytes_moved;
-        self.reorg_lifetime.reorg_ns += report.reorg_ns;
-        if report.changed() {
+        self.reorg_lifetime.reorg_ns += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if self.trace.total_events() != events_before {
             self.mutation_epoch += 1;
         }
         #[cfg(debug_assertions)]
         self.assert_invariants();
-        report
     }
 
-    /// Lifetime reorganization counters. Every byte they count was moved
-    /// inside [`AdaptiveZonemap::apply_reorg`].
+    /// Lifetime reorganization counters: promotions and demotions off the
+    /// trace's totals, bytes moved and pass time as the map counted them.
+    /// Every byte they count was moved inside
+    /// [`AdaptiveZonemap::apply_reorg`].
     pub fn reorg_stats(&self) -> ReorgStats {
-        self.reorg_lifetime
+        let events = self.trace.totals();
+        ReorgStats {
+            zones_promoted: events.promoted,
+            zones_demoted: events.demoted,
+            ..self.reorg_lifetime
+        }
     }
 
     /// Number of zones currently in the reorganized layout.

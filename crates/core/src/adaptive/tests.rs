@@ -3,7 +3,7 @@
 
 use crate::adaptive::zone::{ZoneLayout, ZoneState};
 use crate::adaptive::zonemap::walk;
-use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap, ReorgReport};
+use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use crate::index::SkippingIndex;
 use crate::outcome::{
     PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest, UnitWork,
@@ -54,6 +54,29 @@ fn run_query(
     });
     zm.assert_invariants();
     (count, scanned)
+}
+
+/// One tier pass: the tiers it built and dropped, read off the trace.
+fn tier_pass(zm: &mut AdaptiveZonemap<i64>, data: &[i64]) -> (u64, u64) {
+    let before = zm.trace().totals();
+    zm.apply_tiers(data);
+    let after = zm.trace().totals();
+    (
+        after.tier_built - before.tier_built,
+        after.tier_dropped - before.tier_dropped,
+    )
+}
+
+/// One reorganization pass: the zones it promoted and demoted, read off
+/// the trace.
+fn reorg_pass(zm: &mut AdaptiveZonemap<i64>, data: &[i64]) -> (u64, u64) {
+    let before = zm.trace().totals();
+    zm.apply_reorg(data);
+    let after = zm.trace().totals();
+    (
+        after.promoted - before.promoted,
+        after.demoted - before.demoted,
+    )
 }
 
 fn small_config() -> AdaptiveConfig {
@@ -702,7 +725,7 @@ fn bloom_tier_skips_point_misses_inside_wide_bounds() {
     for v in [0i64, 400, 800, 1200] {
         run_query(&mut zm, &data, RangePredicate::point(v));
     }
-    assert!(zm.apply_tiers(&data).built > 0, "tiers should amortise");
+    assert!(tier_pass(&mut zm, &data).0 > 0, "tiers should amortise");
     assert!(zm.zones_tiered() > 0);
     assert!(zm.trace().totals().tier_built > 0);
 
@@ -754,7 +777,7 @@ fn range_stream_drops_every_bloom_with_backoff_point_stream_keeps_them() {
         run_query(&mut zm, &data, wide);
     }
     assert_eq!(
-        zm.apply_tiers(&data).built as usize,
+        tier_pass(&mut zm, &data).0 as usize,
         zones,
         "one bloom per zone"
     );
@@ -762,8 +785,11 @@ fn range_stream_drops_every_bloom_with_backoff_point_stream_keeps_them() {
     for _ in 0..window {
         run_query(&mut zm, &data, wide);
     }
-    let report = zm.apply_tiers(&data);
-    assert_eq!(report.dropped as usize, zones, "a range stream never hits");
+    assert_eq!(
+        tier_pass(&mut zm, &data).1 as usize,
+        zones,
+        "a range stream never hits"
+    );
     assert_eq!(zm.zones_tiered(), 0);
     assert_eq!(zm.trace().totals().tier_dropped as usize, zones);
     assert!(
@@ -775,7 +801,7 @@ fn range_stream_drops_every_bloom_with_backoff_point_stream_keeps_them() {
     // Backoff: the rebuild waits for a quadrupled batch of fresh scans.
     let scans_at_drop: Vec<u32> = zm.zones.iter().map(|z| z.stats.scans).collect();
     let mut waited = 0;
-    while zm.apply_tiers(&data).built == 0 {
+    while tier_pass(&mut zm, &data).0 == 0 {
         assert!(waited < 64, "a dropped tier never came back");
         run_query(&mut zm, &data, wide);
         waited += 1;
@@ -793,12 +819,12 @@ fn range_stream_drops_every_bloom_with_backoff_point_stream_keeps_them() {
     for q in 0..build_after {
         run_query(&mut zm, &data, point(q));
     }
-    assert_eq!(zm.apply_tiers(&data).built as usize, zones);
+    assert_eq!(tier_pass(&mut zm, &data).0 as usize, zones);
     for q in 0..4 * window {
         let pred = point(q);
         assert_eq!(run_query(&mut zm, &data, pred).0, oracle(&data, pred));
         if (q + 1) % window == 0 {
-            assert!(!zm.apply_tiers(&data).changed(), "window {q}");
+            assert_eq!(tier_pass(&mut zm, &data), (0, 0), "window {q}");
         }
     }
     assert_eq!(zm.zones_tiered(), zones);
@@ -832,7 +858,7 @@ fn audit_catches_seeded_bloom_false_skip() {
     for v in [0i64, 400, 800, 1200] {
         run_query(&mut zm, &data, RangePredicate::point(v));
     }
-    assert!(zm.apply_tiers(&data).built > 0, "tiers should amortise");
+    assert!(tier_pass(&mut zm, &data).0 > 0, "tiers should amortise");
 
     // Sanity: with honest sketches, probing a present value never trips
     // the oracle.
@@ -1076,8 +1102,8 @@ fn equal_epochs_mean_identical_reader_decisions() {
                     zm.on_append(&grown, &data);
                 }
                 1 | 2 => {
-                    let _ = zm.apply_reorg(&data);
-                    let _ = zm.apply_tiers(&data);
+                    zm.apply_reorg(&data);
+                    zm.apply_tiers(&data);
                     zm.poll_revival();
                 }
                 3 => zm.maintain(&data),
@@ -1234,8 +1260,8 @@ fn stale_feedback_writes_statistics_only() {
             let pred = pred_at(&mut rng, step);
             if step % 6 != 5 {
                 run_query(&mut zm, &data, pred);
-                let _ = zm.apply_reorg(&data);
-                let _ = zm.apply_tiers(&data);
+                zm.apply_reorg(&data);
+                zm.apply_tiers(&data);
                 continue;
             }
             // The reader's query, off a snapshot that the owner then
@@ -1420,12 +1446,13 @@ fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
 }
 
 #[test]
-fn a_second_reorg_pass_at_the_same_query_clock_promotes_nothing() {
+fn a_second_maintenance_round_at_the_same_query_clock_does_nothing() {
     // Zone 0 is scanned by every query, zone 1 by every other one, the
-    // rest are skipped. The first pass promotes zone 0 alone; promotion
-    // resets its scans, which lowers the map-wide mean scan rate the hot
-    // bar is drawn from — a pass repeated with no query in between must
-    // not read that lower bar and promote zone 1 as well.
+    // rest are skipped. The round promotes zone 0 alone and builds tiers
+    // on the flat zones the queries kept scanning; promotion resets zone
+    // 0's scans, which lowers the map-wide mean scan rate the hot bar is
+    // drawn from — a round repeated with no query in between must not
+    // read that lower bar and promote zone 1 as well, nor touch a tier.
     let config = AdaptiveConfig {
         enable_split: false,
         enable_merge: false,
@@ -1435,6 +1462,7 @@ fn a_second_reorg_pass_at_the_same_query_clock_promotes_nothing() {
         enable_reorg: true,
         reorg_after_scans: 4,
         reorg_hot_factor: 3.0,
+        enable_tiers: true,
         ..small_config()
     };
     let data: Vec<i64> = (0..1024).collect();
@@ -1444,10 +1472,16 @@ fn a_second_reorg_pass_at_the_same_query_clock_promotes_nothing() {
         let hi = if q % 2 == 0 { 10 } else { 140 };
         run_query(&mut zm, &data, RangePredicate::between(5, hi));
     }
-    assert_eq!(zm.apply_reorg(&data).promoted, 1);
+    zm.maintain(&data);
+    let totals = zm.trace().totals();
+    assert_eq!(totals.promoted, 1);
+    assert!(totals.tier_built > 0, "the round ran the tier pass too");
     let epoch = zm.mutation_epoch();
-    assert_eq!(zm.apply_reorg(&data), ReorgReport::default());
+    zm.maintain(&data);
+    assert_eq!(zm.trace().totals(), totals);
     assert_eq!((zm.zones_reorganized(), zm.mutation_epoch()), (1, epoch));
+    // The schedule is what holds the bar: a pass outside it promotes.
+    assert_eq!(reorg_pass(&mut zm, &data).0, 1);
 }
 
 #[test]
@@ -1471,7 +1505,7 @@ fn a_positional_prune_writes_no_payload() {
     let mut zm = AdaptiveZonemap::new(data.len(), config);
     run_query(&mut zm, &data, RangePredicate::all());
     run_query(&mut zm, &data, RangePredicate::between(1000, 1010));
-    assert_eq!(zm.apply_reorg(&data).promoted, 1);
+    assert_eq!(reorg_pass(&mut zm, &data).0, 1);
     let published = zm.clone_for_readers();
     let epoch = zm.mutation_epoch();
     for q in 0..16 {
@@ -1534,7 +1568,7 @@ fn a_bounds_skip_writes_nothing() {
     for _ in 0..2 {
         run_query(&mut zm, &data, RangePredicate::between(5, 140));
     }
-    assert_eq!(zm.apply_reorg(&data).promoted, 2);
+    assert_eq!(reorg_pass(&mut zm, &data).0, 2);
     let zones = zm.num_zones();
     let before = format!("{:?}{:?}", zm.zones, zm.plane);
     let miss = RangePredicate::between(5_000, 6_000);
@@ -1560,10 +1594,10 @@ fn a_bounds_skip_writes_nothing() {
             assert_eq!(rates, want);
         }
         if prunes == 2 {
-            assert_eq!(zm.apply_reorg(&data).demoted, 0, "idle for 2 < 3 probes");
+            assert_eq!(reorg_pass(&mut zm, &data).1, 0, "idle for 2 < 3 probes");
         }
     }
-    assert_eq!(zm.apply_reorg(&data).demoted, 2);
+    assert_eq!(reorg_pass(&mut zm, &data).1, 2);
 }
 
 /// A map over `data` with every 128-row zone built exactly, by one scan

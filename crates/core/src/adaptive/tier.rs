@@ -39,7 +39,9 @@ const BLOOM_BITS_PER_ROW: usize = 8;
 /// Hard cap on any single tier payload's byte size.
 const MAX_TIER_BYTES: usize = 1 << 16;
 
-/// Lifetime tier counters of one zonemap.
+/// Lifetime tier counters of one zonemap. Builds and drops are the
+/// trace's `tier_built` / `tier_dropped` totals, filled in by
+/// [`AdaptiveZonemap::tier_stats`]; the map keeps the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Bloom sketches built over zones.
@@ -71,46 +73,28 @@ impl TierStats {
     }
 }
 
-/// What one [`AdaptiveZonemap::apply_tiers`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierReport {
-    /// Tiers built by this pass.
-    pub built: u64,
-    /// Tiers dropped by this pass.
-    pub dropped: u64,
-    /// Wall time of this pass in nanoseconds.
-    pub build_ns: u64,
-}
-
-impl TierReport {
-    /// True when the pass attached or dropped any tier.
-    pub fn changed(&self) -> bool {
-        self.built + self.dropped > 0
-    }
-}
-
 impl<T: DataValue> AdaptiveZonemap<T> {
     /// One tier maintenance pass over `base` (the column this zonemap
     /// indexes): drops tiers whose consultation window shows no benefit,
     /// then builds tiers over built flat zones whose scan volume has
     /// amortised a build pass. No-op (and free) unless `enable_tiers` is
-    /// set.
+    /// set. Each build and drop is one trace event.
     ///
-    /// Runs on the owner's side of the publication protocol — inline via
-    /// [`maintain`](crate::index::SkippingIndex::maintain) or on the
-    /// server's maintenance thread — never on a shared snapshot.
+    /// Runs on the owner's side of the publication protocol, scheduled by
+    /// [`maintain`](crate::index::SkippingIndex::maintain) — after an
+    /// inline query or in the server's maintenance round — never on a
+    /// shared snapshot.
     ///
-    /// epoch: bumps once at the end under `report.changed()` — true
+    /// epoch: bumps once at the end when the pass recorded an event —
     /// exactly when a tier was built or dropped; a pass that only
     /// adjusted windows/backoff counters is reader-invisible.
-    pub fn apply_tiers(&mut self, base: &[T]) -> TierReport {
+    pub fn apply_tiers(&mut self, base: &[T]) {
         if !self.config.enable_tiers {
-            return TierReport::default();
+            return;
         }
         debug_assert_eq!(base.len(), self.len(), "base column / zonemap mismatch");
         let t0 = Instant::now();
-        let mut report = TierReport::default();
-        let mut events: Vec<AdaptEvent> = Vec::new();
+        let events_before = self.trace.total_events();
         for zone in &mut self.zones {
             // Drop policy first: judge a full consultation window.
             if zone.tier.is_some() && zone.tier_stats.tier_probes >= self.config.tier_drop_after {
@@ -133,10 +117,12 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                             .tier_after_scans
                             .saturating_mul(1 << (2 * u32::from(drops)).min(16)),
                     );
-                    report.dropped += 1;
-                    events.push(AdaptEvent::TierDropped {
-                        range: zone.range(),
-                    });
+                    self.trace.record(
+                        self.query_seq,
+                        AdaptEvent::TierDropped {
+                            range: zone.range(),
+                        },
+                    );
                     continue;
                 }
                 // The tier is paying: keep it and open a fresh window.
@@ -158,38 +144,39 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             if zone.stats.scans < floor {
                 continue;
             }
-            report.built += 1;
-            self.tier_lifetime.blooms_built += 1;
             let tier = ZoneTier::Bloom(BloomSketch::build(
                 &base[zone.start..zone.end],
                 BLOOM_BITS_PER_ROW,
                 MAX_TIER_BYTES,
             ));
-            events.push(AdaptEvent::TierBuilt {
-                range: zone.range(),
-                kind: tier.kind(),
-            });
+            self.trace.record(
+                self.query_seq,
+                AdaptEvent::TierBuilt {
+                    range: zone.range(),
+                    kind: tier.kind(),
+                },
+            );
             zone.tier = Some(tier);
             zone.tier_stats.reset_window();
         }
-        for ev in events {
-            self.trace.record(self.query_seq, ev);
-        }
         // narrowing: saturates at ~584 years of nanoseconds.
-        report.build_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.tier_lifetime.tiers_dropped += report.dropped;
-        self.tier_lifetime.build_ns += report.build_ns;
-        if report.changed() {
+        self.tier_lifetime.build_ns += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        if self.trace.total_events() != events_before {
             self.mutation_epoch += 1;
         }
         #[cfg(debug_assertions)]
         self.assert_invariants();
-        report
     }
 
-    /// Lifetime tier counters (builds, drops, skip benefit).
+    /// Lifetime tier counters: builds and drops off the trace's totals,
+    /// skip benefit and pass time as the map counted them.
     pub fn tier_stats(&self) -> TierStats {
-        self.tier_lifetime
+        let events = self.trace.totals();
+        TierStats {
+            blooms_built: events.tier_built,
+            tiers_dropped: events.tier_dropped,
+            ..self.tier_lifetime
+        }
     }
 
     /// Number of zones currently carrying a metadata tier.
@@ -228,7 +215,8 @@ mod tests {
         zone.tier_stats.tier_probes = config.tier_drop_after;
         zone.stats.scans = 10;
         zm.plane.set_built(0, 0, 255);
-        assert_eq!(zm.apply_tiers(&data).dropped, 1);
+        zm.apply_tiers(&data);
+        assert_eq!(zm.trace().totals().tier_dropped, 1);
         let telemetry = zm.zones[0].tier_stats;
         assert_eq!(zm.zones[0].tier_drops, 128);
         assert_eq!(

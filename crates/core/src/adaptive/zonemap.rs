@@ -111,15 +111,14 @@ pub struct AdaptiveZonemap<T: DataValue> {
     /// re-observation of bounds the zone already holds — does NOT bump
     /// it: a snapshot stale in those decides exactly as a fresh one.
     pub(crate) mutation_epoch: u64,
-    /// Lifetime reorganization counters (promotions, demotions, bytes
+    /// Lifetime reorganization counters the trace does not keep (bytes
     /// moved, time spent); see [`ReorgStats`].
     pub(crate) reorg_lifetime: ReorgStats,
-    /// `query_seq` of the last reorganization pass (`u64::MAX` before the
-    /// first): a second pass at the same query clock would see the hot
-    /// bar its own promotions lowered, so it does nothing.
-    pub(crate) reorg_at: u64,
-    /// Lifetime metadata-tier counters (builds, drops, skip benefit);
-    /// see [`TierStats`].
+    /// `query_seq` of the last maintenance round: the next runs once the
+    /// clock crosses a `maintenance_every` boundary past it.
+    pub(crate) maintained_at: u64,
+    /// Lifetime metadata-tier counters the trace does not keep (skip
+    /// benefit, time spent); see [`TierStats`].
     pub(crate) tier_lifetime: TierStats,
 }
 
@@ -160,7 +159,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             next_revival_check: u64::MAX,
             mutation_epoch: 0,
             reorg_lifetime: ReorgStats::default(),
-            reorg_at: u64::MAX,
+            maintained_at: 0,
             tier_lifetime: TierStats::default(),
         };
         zm.assert_invariants();
@@ -409,16 +408,16 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
 
     fn maintain(&mut self, base: &[T]) {
         // Reorganization and tier maintenance ride the same amortization
-        // clock as structural maintenance; when the features are off
-        // this is two branches and out.
-        if self.query_seq.is_multiple_of(self.config.maintenance_every) {
-            if self.config.enable_reorg {
-                let _ = self.apply_reorg(base);
-            }
-            if self.config.enable_tiers {
-                let _ = self.apply_tiers(base);
-            }
+        // clock as structural maintenance: one round each time the query
+        // clock crosses a `maintenance_every` boundary, however many
+        // queries (inline: one; served: a round's worth) crossed it.
+        let every = self.config.maintenance_every;
+        if self.query_seq / every == self.maintained_at / every {
+            return;
         }
+        self.maintained_at = self.query_seq;
+        self.apply_reorg(base);
+        self.apply_tiers(base);
     }
 }
 
@@ -960,7 +959,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             next_revival_check: self.next_revival_check,
             mutation_epoch: self.mutation_epoch,
             reorg_lifetime: self.reorg_lifetime,
-            reorg_at: self.reorg_at,
+            maintained_at: self.maintained_at,
             tier_lifetime: self.tier_lifetime,
         }
     }

@@ -98,10 +98,13 @@ pub trait SkippingIndex<T: DataValue>: Send {
         self.prune(pred).restrict_to(alive)
     }
 
-    /// Periodic self-maintenance hook, called by executors after feedback
-    /// with the current base column. Adaptive structures that physically
-    /// reorganize data (zone promotion/demotion) act here; everything
-    /// else inherits the no-op.
+    /// Periodic self-maintenance hook, called with the current base
+    /// column after feedback — by the inline protocol after each query,
+    /// by the server's maintenance round after each batch. The index
+    /// keeps its own schedule: an adaptive zonemap runs its reorganization
+    /// (zone promotion/demotion) and metadata-tier (build/drop) passes
+    /// once per `maintenance_every` queries it has learned, however many
+    /// calls fall in between. Everything else inherits the no-op.
     fn maintain(&mut self, _base: &[T]) {}
 }
 

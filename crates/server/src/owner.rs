@@ -349,24 +349,17 @@ impl<T: DataValue> Owner<T> {
         }
     }
 
-    /// One maintenance pass over every lane: reorganization (promote hot
-    /// zones, demote cold ones), then metadata tiers (judge drop windows,
-    /// build sketches the applied feedback has amortised), then the
-    /// revival check the next query's prune would run — so a snapshot
-    /// taken now is the state an inline executor would start the next
-    /// query from. Every change bumps the lane's mutation epoch.
+    /// One maintenance round over every lane: each lane's own
+    /// [`SkippingIndex::maintain`] — the reorganization and tier passes
+    /// the inline protocol runs, on its clock: once per
+    /// `maintenance_every` queries the lane has learned, however many
+    /// this round applied — then the revival check the next query's prune
+    /// would run, so a snapshot taken now is the state an inline executor
+    /// would start the next query from. Every change bumps the lane's
+    /// mutation epoch.
     pub fn maintain(&mut self) {
         for s in 0..self.num_shards() {
-            let _ = self
-                .zonemap
-                .lane_mut(s)
-                .apply_reorg(self.column.shard(s).as_slice());
-        }
-        for s in 0..self.num_shards() {
-            let _ = self
-                .zonemap
-                .lane_mut(s)
-                .apply_tiers(self.column.shard(s).as_slice());
+            SkippingIndex::maintain(self.zonemap.lane_mut(s), self.column.shard(s).as_slice());
         }
         self.zonemap.poll_revival();
     }

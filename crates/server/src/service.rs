@@ -887,11 +887,14 @@ fn maintenance_loop<T: DataValue>(
             0
         };
 
-        // Reorganization, tiers and the revival check ride the same
-        // cadence. Whatever they change bumps the lane's mutation epoch,
-        // so the publication below swaps exactly the lanes that moved —
-        // readers keep their old snapshot `Arc` until then and never see
-        // a half-reorganized zone or a tier flag without its payload.
+        // The revival check runs every round; reorganization and tiers
+        // run in a lane's round once its query clock has crossed a
+        // `maintenance_every` boundary since the last one, the schedule
+        // the inline protocol keeps. Whatever they change bumps the
+        // lane's mutation epoch, so the publication below swaps exactly
+        // the lanes that moved — readers keep their old snapshot `Arc`
+        // until then and never see a half-reorganized zone or a tier flag
+        // without its payload.
         owner.maintain();
         published.publish(&mut owner, cell, force_all);
         // invariant: see stats — the totals lock never poisons.

@@ -4,9 +4,11 @@
 //! [`Owner::execute`] prunes, scans and learns before it returns. After
 //! every operation the reference runs what the service's maintenance
 //! round runs after a batch — the ratio-triggered compaction, then
-//! `maintain()` (reorganization, tiers, the revival poll) — so a service
-//! with one reader, flushed after every operation, must leave the same
-//! answers, zones and owner totals.
+//! `maintain()` — so a service with one reader, flushed after every
+//! operation, must leave the same answers, zones and owner totals. After
+//! a query, `maintain()` adds only the revival poll: `execute` already
+//! gave each lane its reorganization and tier round, on the same
+//! once-per-`maintenance_every` clock the service's round keeps.
 
 use ads_core::RangePredicate;
 use ads_engine::{AggKind, QueryAnswer};

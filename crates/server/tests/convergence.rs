@@ -19,7 +19,7 @@ use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap, ShardedZonemap};
 use ads_core::RangePredicate;
 use ads_engine::{execute, execute_reference, execute_sharded, AggKind, ExecPolicy};
 use ads_rng::StdRng;
-use ads_server::{AdaptationMode, Mutation, QueryService, Reply, ServerConfig, ServerStats};
+use ads_server::{AdaptationMode, Mutation, Owner, QueryService, Reply, ServerConfig, ServerStats};
 use ads_storage::{RowRange, ShardedColumn};
 use ads_workloads::{data, queries};
 use common::{Reference, Store};
@@ -101,6 +101,54 @@ fn async_single_reader_with_flush_matches_inline_exactly() {
     assert_eq!(stats.feedback_dropped, 0);
     assert_eq!(stats.adaptation_lag, 0);
     assert!(stats.snapshots_published >= QUERIES as u64);
+}
+
+/// One schedule for the reorganization and tier passes: they run on each
+/// lane's query clock, so an owner whose maintenance round follows every
+/// query — twice — holds, query by query, exactly the state of one that
+/// runs the inline protocol alone.
+#[test]
+fn maintenance_rounds_run_on_the_inline_schedule() {
+    let sawtooth = data::sawtooth(ROWS, 16, DOMAIN);
+    let points = queries::point_queries(QUERIES, DOMAIN, 7);
+    let clustered = data::clustered(ROWS, 64, 0.02, DOMAIN, 42);
+    let hotspot = queries::shifting_hotspot(QUERIES, DOMAIN, 0.01, 4, 0.05, 7);
+    let cases = [
+        ("tiers", AdaptiveConfig::with_tiers(), sawtooth, points),
+        ("reorg", AdaptiveConfig::with_reorg(), clustered, hotspot),
+    ];
+    for (name, adaptive, column, preds) in cases {
+        let mut inline = Owner::new(column.clone(), 2, adaptive.clone());
+        let mut served = Owner::new(column, 2, adaptive);
+        let state = |owner: &Owner<i64>| {
+            let totals = owner.totals();
+            let events: Vec<_> = (0..owner.num_shards())
+                .map(|s| owner.lane(s).trace().totals())
+                .collect();
+            let (reorg, tiers) = (totals.reorg, totals.tiers);
+            (
+                owner.zone_snapshot(),
+                events,
+                (reorg.zones_promoted, reorg.zones_demoted, reorg.bytes_moved),
+                (tiers.tiers_built(), tiers.tiers_dropped, tiers.tier_skips),
+            )
+        };
+        for (step, q) in preds.iter().enumerate() {
+            let pred = RangePredicate::between(q.lo, q.hi);
+            let (want, _) = inline.execute(pred, AggKind::Count);
+            let (got, _) = served.execute(pred, AggKind::Count);
+            served.maintain();
+            served.maintain();
+            assert_eq!(got.count, want.count, "{name}: answer at step {step}");
+            assert_eq!(state(&served), state(&inline), "{name}: step {step}");
+        }
+        let events = state(&inline).1;
+        let moved: u64 = events
+            .iter()
+            .map(|e| e.promoted + e.demoted + e.tier_built + e.tier_dropped)
+            .sum();
+        assert!(moved > 0, "{name}: the stream never ran a pass that acted");
+    }
 }
 
 #[test]

@@ -414,8 +414,12 @@ fn reorg_snap(version: u64) -> ShardSnapshot<i64> {
         ranges,
         walk: outcome,
     });
-    let rep = zm.apply_reorg(&data);
-    assert_eq!(rep.promoted, 1, "setup must promote the zone");
+    zm.apply_reorg(&data);
+    assert_eq!(
+        zm.trace().totals().promoted,
+        1,
+        "setup must promote the zone"
+    );
     ShardSnapshot {
         delete: Arc::new(DeleteVector::new(data.len(), 0)),
         data: SharedColumn::new(data),
@@ -489,8 +493,13 @@ fn reorg_demotion_cannot_invalidate_a_held_snapshot() {
             // threshold; the next reorg pass demotes it, dropping the
             // owner's payload reference.
             inline_query(&mut zm, &data, RangePredicate::between(100, 200));
-            let rep = zm.apply_reorg(&data);
-            assert_eq!(rep.demoted, 1, "owner must demote the idle zone");
+            let demoted = zm.trace().totals().demoted;
+            zm.apply_reorg(&data);
+            assert_eq!(
+                zm.trace().totals().demoted - demoted,
+                1,
+                "owner must demote the idle zone"
+            );
             c2.publish_shard(
                 0,
                 ShardSnapshot {
@@ -555,8 +564,12 @@ fn tier_snap(version: u64) -> ShardSnapshot<i64> {
         ranges,
         walk: outcome,
     });
-    let rep = zm.apply_tiers(&data);
-    assert_eq!(rep.built, 1, "setup must build the sketch");
+    zm.apply_tiers(&data);
+    assert_eq!(
+        zm.trace().totals().tier_built,
+        1,
+        "setup must build the sketch"
+    );
     ShardSnapshot {
         delete: Arc::new(DeleteVector::new(data.len(), 0)),
         data: SharedColumn::new(data),
@@ -629,8 +642,13 @@ fn tier_drop_cannot_invalidate_a_held_snapshot() {
             // admits it and the zone scans anyway. The 1-probe drop
             // window then judges the tier useless and retires it.
             inline_query(&mut zm, &data, RangePredicate::point(3));
-            let rep = zm.apply_tiers(&data);
-            assert_eq!(rep.dropped, 1, "owner must drop the hitless tier");
+            let dropped = zm.trace().totals().tier_dropped;
+            zm.apply_tiers(&data);
+            assert_eq!(
+                zm.trace().totals().tier_dropped - dropped,
+                1,
+                "owner must drop the hitless tier"
+            );
             c2.publish_shard(
                 0,
                 ShardSnapshot {
