@@ -18,7 +18,6 @@ pub mod e15_parallel;
 pub mod e16_server;
 pub mod e17_sharding;
 pub mod e18_plans;
-pub mod e19_reorg;
 pub mod e20_mutations;
 pub mod e21_sketches;
 pub mod e22_stationarity;
@@ -29,7 +28,7 @@ use crate::runner::Scale;
 /// Experiment ids in execution order.
 pub const ALL: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e13", "e14", "e15", "e16",
-    "e17", "e18", "e19", "e20", "e21", "e22",
+    "e17", "e18", "e20", "e21", "e22",
 ];
 
 /// Runs one experiment by id.
@@ -52,7 +51,6 @@ pub fn run(id: &str, scale: Scale) -> Option<Report> {
         "e16" => Some(e16_server::run(scale)),
         "e17" => Some(e17_sharding::run(scale)),
         "e18" => Some(e18_plans::run(scale)),
-        "e19" => Some(e19_reorg::run(scale)),
         "e20" => Some(e20_mutations::run(scale)),
         "e21" => Some(e21_sketches::run(scale)),
         "e22" => Some(e22_stationarity::run(scale)),

@@ -1,7 +1,7 @@
 //! Common experiment machinery: replay one query workload against one
 //! strategy and collect everything the reports need (E1–E15), the
 //! closed-loop client driver of the service experiments (E16, E17, E22), the
-//! engine's inline loop over one zonemap (E19, E21), and the checksum
+//! engine's inline loop over one zonemap (E21), and the checksum
 //! cross-check every grid uses to prove its cells did identical work.
 
 use ads_core::adaptive::AdaptiveZonemap;
@@ -213,8 +213,8 @@ pub(crate) fn cross_check(reference: &mut Vec<u64>, sums: &[u64], ctx: &str) {
 pub(crate) struct InlineRun {
     /// Wall time of the query loop, adaptation included.
     pub elapsed_ns: u64,
-    /// Rows the scan phase touched across all queries (full-match and
-    /// positional-match rows excluded).
+    /// Rows the scan phase touched across all queries (full-match rows
+    /// excluded).
     pub rows_scanned: u64,
     /// Order-sensitive fold of every answer (counts plus exact sum bit
     /// patterns).

@@ -42,8 +42,8 @@ const HELP: &str = "\
 commands:
   load <dist> <rows>         load a column: sorted | semi | clustered | uniform |
                              zipf | sawtooth | mixed
-  strategy <name> [param]    fullscan | static [zone_rows] | adaptive | reorg |
-                             tiers | lazy | imprints | cracking | oracle
+  strategy <name> [param]    fullscan | static [zone_rows] | adaptive | tiers |
+                             lazy | imprints | cracking | oracle
   count <lo> <hi>            COUNT rows with lo <= v <= hi
   sum <lo> <hi>              SUM of qualifying values
   workload <kind> <n> <sel%> replay n queries: uniform | hotspot | shift | sweep
@@ -87,7 +87,6 @@ impl Repl {
             "fullscan" | "none" => Strategy::FullScan,
             "static" => Strategy::StaticZonemap { zone_rows },
             "adaptive" => Strategy::Adaptive(AdaptiveConfig::default()),
-            "reorg" => Strategy::Adaptive(AdaptiveConfig::with_reorg()),
             "tiers" => Strategy::Adaptive(AdaptiveConfig::with_tiers()),
             "lazy" => Strategy::Adaptive(AdaptiveConfig::lazy_only()),
             "imprints" => Strategy::Imprints {
@@ -196,7 +195,7 @@ impl Repl {
             "strategy" => {
                 let Some(strategy) = words.get(1).and_then(|_| Self::parse_strategy(&words[1..]))
                 else {
-                    return Err("usage: strategy <fullscan|static|adaptive|reorg|tiers|lazy|imprints|cracking|oracle> [zone_rows]".into());
+                    return Err("usage: strategy <fullscan|static|adaptive|tiers|lazy|imprints|cracking|oracle> [zone_rows]".into());
                 };
                 self.strategy = strategy;
                 if let Some(session) = self.session.take() {
@@ -425,16 +424,6 @@ impl Repl {
                     .as_any()
                     .downcast_ref::<AdaptiveZonemap<i64>>()
                 {
-                    let r = zm.reorg_stats();
-                    let _ = write!(
-                        out,
-                        "\nreorg:  promoted {} | demoted {} | reorganized now {} | moved {} B | {:.2}ms",
-                        r.zones_promoted,
-                        r.zones_demoted,
-                        zm.zones_reorganized(),
-                        r.bytes_moved,
-                        r.reorg_ns as f64 / 1e6
-                    );
                     let t = zm.tier_stats();
                     let _ = write!(
                         out,
@@ -659,31 +648,6 @@ mod tests {
         r.handle("sum 0 99").expect("sum works");
         let stats = r.handle("stats").expect("stats works");
         assert!(!stats.contains("(100.0% also built metadata)"), "{stats}");
-    }
-
-    #[test]
-    fn reorg_strategy_promotes_and_stats_reports_it() {
-        let mut r = Repl::new();
-        r.handle("load clustered 100000").expect("load works");
-        r.handle("strategy reorg").expect("strategy works");
-        // A hot-zone workload: repeated ranges over one narrow value band
-        // keep rescanning the same zones until they are promoted.
-        let out = r.handle("workload hotspot 64 2").expect("workload works");
-        assert!(out.contains("64 queries"), "{out}");
-        let stats = r.handle("stats").expect("stats works");
-        assert!(stats.contains("reorg:  promoted"), "{stats}");
-        let promoted: u64 = stats
-            .split("reorg:  promoted ")
-            .nth(1)
-            .and_then(|s| s.split_whitespace().next())
-            .and_then(|s| s.parse().ok())
-            .expect("stats must carry a promoted count");
-        assert!(promoted > 0, "hot workload must promote zones: {stats}");
-        // The plain adaptive strategy reports the counters too — at zero.
-        r.handle("strategy adaptive").expect("strategy works");
-        r.handle("count 0 9999").expect("count works");
-        let stats = r.handle("stats").expect("stats works");
-        assert!(stats.contains("reorg:  promoted 0"), "{stats}");
     }
 
     #[test]

@@ -29,9 +29,9 @@ pub struct AdaptiveConfig {
     /// Skip rate at or below which a ceiling-sized zone is deactivated.
     pub deactivate_max_skip_rate: f64,
     /// Queries between maintenance passes, all O(zones) and so amortised:
-    /// the merge/deactivate scans inside feedback, and the reorganization
-    /// and tier passes of the lane's maintenance round, which the inline
-    /// protocol and the server's maintenance thread both schedule by it.
+    /// the merge/deactivate scans inside feedback, and the tier pass of
+    /// the lane's maintenance round, which the inline protocol and the
+    /// server's maintenance thread both schedule by it.
     pub maintenance_every: u64,
     /// Base number of queries a dead region waits before being given
     /// another chance; doubles with each re-deactivation. `None` disables
@@ -47,29 +47,6 @@ pub struct AdaptiveConfig {
     /// sketches attached to zones that cannot refine positionally but keep
     /// wasting scans (the outlier case).
     pub enable_mask: bool,
-    /// Enable zone-local physical reorganization: hot zones are promoted
-    /// to a sorted layout so in-zone skipping becomes positional.
-    /// Off by default — the paper's adaptation reshapes metadata only.
-    pub enable_reorg: bool,
-    /// Partial scans a built zone must absorb before promotion to the
-    /// reorganized layout. Each partial scan reads the whole zone, so
-    /// after `k` scans the zone has already paid `k` times the one-off
-    /// copy cost of reorganizing — the amortization threshold.
-    pub reorg_after_scans: u32,
-    /// Consecutive probes that skip a reorganized zone outright before it
-    /// is demoted back to flat (the hotspot has moved; the payload is
-    /// dead weight).
-    pub reorg_demote_idle: u32,
-    /// Relative-hotness gate: a zone is promoted only when its scan
-    /// *rate* (scans per probe, bounded `[0,1]`) is at least this
-    /// multiple of the map-wide mean scan rate. On a uniform workload
-    /// every probe scans every zone, the mean rate sits near `1.0`, and
-    /// no zone can clear the bar — promotion (correctly) never triggers;
-    /// on a hot-zone workload the skipped zones drag the mean down and
-    /// the hotspot's rate towers over it. `0.0` disables the gate
-    /// (always-reorg ablation). Single-zone maps bypass the gate — there
-    /// is no population to compare against.
-    pub reorg_hot_factor: f64,
     /// Enable per-zone metadata tiers: a bloom value-set sketch over a
     /// zone whose bounds cannot exclude the point probes that keep reading
     /// it (see [`crate::adaptive::ZoneTier`]). Off by default — the
@@ -77,8 +54,8 @@ pub struct AdaptiveConfig {
     pub enable_tiers: bool,
     /// Scans a built flat zone must absorb before a tier is built over it.
     /// Each scan read the whole zone, so after `k` scans the zone has
-    /// paid `k` times the one-off cost of the tier build pass — the same
-    /// amortization argument as `reorg_after_scans`.
+    /// paid `k` times the one-off cost of the tier build pass — the
+    /// amortization threshold.
     pub tier_after_scans: u32,
     /// Tier consultations per drop-policy window: once a tier has been
     /// consulted this many times, its hit rate is judged.
@@ -112,21 +89,9 @@ impl AdaptiveConfig {
             enable_merge: true,
             enable_deactivate: true,
             enable_mask: true,
-            enable_reorg: false,
-            reorg_after_scans: 4,
-            reorg_demote_idle: 64,
-            reorg_hot_factor: 2.0,
             enable_tiers: false,
             tier_after_scans: 4,
             tier_drop_after: 16,
-        }
-    }
-
-    /// Preset: everything on, including zone-local reorganization.
-    pub fn with_reorg() -> Self {
-        AdaptiveConfig {
-            enable_reorg: true,
-            ..AdaptiveConfig::default()
         }
     }
 
@@ -204,18 +169,6 @@ impl AdaptiveConfig {
             self.maintenance_every >= 1,
             "maintenance_every must be >= 1"
         );
-        assert!(
-            self.reorg_after_scans >= 1,
-            "reorg_after_scans must be >= 1"
-        );
-        assert!(
-            self.reorg_demote_idle >= 1,
-            "reorg_demote_idle must be >= 1"
-        );
-        assert!(
-            self.reorg_hot_factor.is_finite() && self.reorg_hot_factor >= 0.0,
-            "reorg_hot_factor must be finite and >= 0"
-        );
         assert!(self.tier_after_scans >= 1, "tier_after_scans must be >= 1");
         assert!(self.tier_drop_after >= 1, "tier_drop_after must be >= 1");
     }
@@ -247,14 +200,6 @@ mod tests {
         let nom = AdaptiveConfig::no_mask();
         nom.validate();
         assert!(nom.enable_split && !nom.enable_mask);
-
-        let reorg = AdaptiveConfig::with_reorg();
-        reorg.validate();
-        assert!(reorg.enable_reorg);
-        assert!(
-            !AdaptiveConfig::default().enable_reorg,
-            "reorg must be opt-in"
-        );
 
         let tiers = AdaptiveConfig::with_tiers();
         tiers.validate();

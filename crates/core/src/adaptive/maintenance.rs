@@ -54,9 +54,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         let clock = self.probe_clock;
         let mergeable = |z: &AdaptiveZone<T>| {
             z.is_built()
-                // A reorganized zone's payload covers exactly its row
-                // range; merging would orphan it. Demotion happens first.
-                && !z.is_reorganized()
                 && z.stats.probes(clock) >= cfg.merge_after_probes
                 && z.stats.skip_rate(clock) <= cfg.merge_max_skip_rate
         };
@@ -149,9 +146,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         let mut deactivated: Vec<RowRange> = Vec::new();
         for zone in &mut self.zones {
             if zone.is_built()
-                // Reorganized zones answer positionally; killing their
-                // metadata would strand the payload. Demote-then-retire.
-                && !zone.is_reorganized()
                 && zone.len() >= threshold_rows
                 && zone.stats.probes(clock) >= cfg.deactivate_after_probes
                 && zone.stats.skip_rate(clock) <= cfg.deactivate_max_skip_rate
@@ -183,8 +177,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     ///
     /// lifecycle: only `Dead` zones are folded together, and
     /// `deactivate_pass` already cleared `tier`/`mask` when it killed
-    /// them (a reorganized zone is never deactivated, so `layout` is
-    /// `Flat` here by construction — `assert_invariants` checks this).
+    /// them.
     fn coalesce_dead(&mut self) {
         // One pass: each dead zone folds into the dead zone kept before it.
         self.zones.dedup_by(|next, prev| {

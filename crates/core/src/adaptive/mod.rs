@@ -7,17 +7,15 @@
 mod config;
 mod maintenance;
 mod plane;
-mod reorg;
 mod sharded;
 mod tier;
 mod zone;
 mod zonemap;
 
 pub use config::AdaptiveConfig;
-pub use reorg::ReorgStats;
 pub use sharded::ShardedZonemap;
 pub use tier::TierStats;
-pub use zone::{AdaptiveZone, TierTelemetry, ZoneLayout, ZoneState, ZoneTier};
+pub use zone::{AdaptiveZone, TierTelemetry, ZoneState, ZoneTier};
 pub use zonemap::AdaptiveZonemap;
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 //! recovered by offsetting lane-local ranges with the shard's `start`.
 
 use crate::adaptive::config::AdaptiveConfig;
-use crate::adaptive::reorg::ReorgStats;
 use crate::adaptive::tier::TierStats;
 use crate::adaptive::zonemap::AdaptiveZonemap;
 use crate::cost::CostModel;
@@ -167,23 +166,6 @@ impl<T: DataValue> ShardedZonemap<T> {
     /// Total zone entries across all lanes.
     pub fn num_zones(&self) -> usize {
         self.lanes.iter().map(AdaptiveZonemap::num_zones).sum()
-    }
-
-    /// Lifetime reorganization counters summed across all lanes.
-    pub fn reorg_stats(&self) -> ReorgStats {
-        let mut total = ReorgStats::default();
-        for lane in &self.lanes {
-            total.merge(&lane.reorg_stats());
-        }
-        total
-    }
-
-    /// Zones currently in the reorganized layout, across all lanes.
-    pub fn zones_reorganized(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(AdaptiveZonemap::zones_reorganized)
-            .sum()
     }
 
     /// Aggregated lifetime tier counters across all lanes.

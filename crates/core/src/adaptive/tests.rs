@@ -1,29 +1,22 @@
 //! Behavioural tests for the adaptive zonemap, driven through the same
 //! prune → scan → observe loop the engine runs.
 
-use crate::adaptive::zone::{ZoneLayout, ZoneState};
+use crate::adaptive::zone::ZoneState;
 use crate::adaptive::zonemap::walk;
 use crate::adaptive::{AdaptiveConfig, AdaptiveZonemap};
 use crate::index::SkippingIndex;
-use crate::outcome::{
-    PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest, UnitWork,
-};
+use crate::outcome::{PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest};
 use crate::predicate::RangePredicate;
 use ads_storage::scan::{self, AllLive, Bins, Bounds};
 use ads_storage::RowRange;
 
 /// Scans `unit` the way the engine does: the answer, plus exactly the
-/// by-products the prune asked for — nothing it did not. A positional
-/// unit reports its zone's exact bounds, as the executor's does.
+/// by-products the prune asked for — nothing it did not.
 fn scan_unit(unit: &ScanUnit, data: &[i64], pred: RangePredicate<i64>) -> RangeObservation<i64> {
-    let request = match unit.work {
-        UnitWork::Scan(request) => request,
-        UnitWork::Positional { .. } => UnitRequest {
-            bounds: true,
-            bins: None,
-        },
-    };
-    let unit = unit.range;
+    let ScanUnit {
+        range: unit,
+        request,
+    } = *unit;
     let layout = request.bins.map_or((0.0, 0.0), |l| (l.lo_f, l.hi_f));
     let mut by = (Bounds::new(), Bins::new(layout.0, layout.1));
     let slice = &data[unit.start..unit.end];
@@ -64,18 +57,6 @@ fn tier_pass(zm: &mut AdaptiveZonemap<i64>, data: &[i64]) -> (u64, u64) {
     (
         after.tier_built - before.tier_built,
         after.tier_dropped - before.tier_dropped,
-    )
-}
-
-/// One reorganization pass: the zones it promoted and demoted, read off
-/// the trace.
-fn reorg_pass(zm: &mut AdaptiveZonemap<i64>, data: &[i64]) -> (u64, u64) {
-    let before = zm.trace().totals();
-    zm.apply_reorg(data);
-    let after = zm.trace().totals();
-    (
-        after.promoted - before.promoted,
-        after.demoted - before.demoted,
     )
 }
 
@@ -942,7 +923,7 @@ fn boundsless_feedback_never_builds_a_revived_zone() {
 
         let out = stale.prune_shared(&all);
         assert_eq!(out.units.len(), 1);
-        assert_eq!(out.units[0].work, UnitWork::Scan(UnitRequest::NOTHING));
+        assert_eq!(out.units[0].request, UnitRequest::NOTHING);
         let obs = ScanObservation {
             predicate: all,
             ranges: vec![scan_unit(&out.units[0], &data, all)],
@@ -990,8 +971,7 @@ fn read_through(
 
 /// Everything the executor acts on in `out` (DESIGN.md "What a reader
 /// reads off a snapshot"): the units with their by-product requests,
-/// the full-match spans, the skip count and how each reorganized zone
-/// resolved, down to the payload it resolved against.
+/// the full-match spans and the skip count.
 fn reader_decisions(out: &PruneOutcome) -> impl PartialEq + std::fmt::Debug {
     (
         out.units.clone(),
@@ -1014,15 +994,12 @@ fn equal_epochs_mean_identical_reader_decisions() {
     // taken when the epoch last moved prunes exactly as the live map does,
     // whatever stat drift the owner has absorbed since. Publication rests
     // on it — a lane is cloned for readers only when its epoch moves.
-    // Small zones and eager tiers, reorg and revival, so every mechanism
+    // Small zones, eager tiers and revival, so every mechanism
     // fires within a couple of hundred queries over 2 k rows.
     let small = |base: AdaptiveConfig| AdaptiveConfig {
         revival_base_queries: Some(16),
         tier_after_scans: 1,
         tier_drop_after: 4,
-        reorg_after_scans: 1,
-        reorg_demote_idle: 2,
-        reorg_hot_factor: 0.0,
         target_zone_rows: 128,
         min_zone_rows: 16,
         max_zone_rows: 1024,
@@ -1032,7 +1009,6 @@ fn equal_epochs_mean_identical_reader_decisions() {
     let configs = [
         ("default", small(AdaptiveConfig::default())),
         ("tiers", small(AdaptiveConfig::with_tiers())),
-        ("reorg", small(AdaptiveConfig::with_reorg())),
         (
             "masks-only",
             small(AdaptiveConfig {
@@ -1054,9 +1030,9 @@ fn equal_epochs_mean_identical_reader_decisions() {
         .collect();
 
     // Steps that left the epoch alone, and what the streams reached:
-    // masks, splits, tiers, promotions, revivals.
+    // masks, splits, tiers, revivals.
     let (mut quiet, mut steps_run) = (0u64, 0u64);
-    let mut reached = [0u64; 5];
+    let mut reached = [0u64; 4];
     for (seed, (name, config)) in
         (0..64 * stress_iters()).flat_map(|s| configs.iter().map(move |c| (s, c)))
     {
@@ -1102,7 +1078,6 @@ fn equal_epochs_mean_identical_reader_decisions() {
                     zm.on_append(&grown, &data);
                 }
                 1 | 2 => {
-                    zm.apply_reorg(&data);
                     zm.apply_tiers(&data);
                     zm.poll_revival();
                 }
@@ -1143,12 +1118,11 @@ fn equal_epochs_mean_identical_reader_decisions() {
         reached[0] += totals.mask_built;
         reached[1] += totals.split;
         reached[2] += totals.tier_built;
-        reached[3] += totals.promoted;
-        reached[4] += totals.revived;
+        reached[3] += totals.revived;
     }
     assert!(
         reached.iter().all(|&n| n > 0),
-        "masks/splits/tiers/promotions/revivals reached: {reached:?}"
+        "masks/splits/tiers/revivals reached: {reached:?}"
     );
     // Vacuous if every step bumped, which is what the parent did for
     // every scan of a built zone.
@@ -1159,20 +1133,11 @@ fn equal_epochs_mean_identical_reader_decisions() {
 }
 
 /// What a reader's walk may never move: per zone its rows, state and
-/// bounds, mask, tier and payload (by address).
+/// bounds, mask and tier.
 fn structure(zm: &AdaptiveZonemap<i64>) -> Vec<String> {
     zm.zones
         .iter()
-        .map(|z| {
-            let payload = z.reorg_payload().map(std::sync::Arc::as_ptr);
-            format!(
-                "{:?} {:?} {:?} {:?} {payload:?}",
-                z.range(),
-                z.state,
-                z.mask,
-                z.tier
-            )
-        })
+        .map(|z| format!("{:?} {:?} {:?} {:?}", z.range(), z.state, z.mask, z.tier))
         .collect()
 }
 
@@ -1181,14 +1146,7 @@ fn zone_statistics(zm: &AdaptiveZonemap<i64>) -> Vec<(RowRange, String)> {
     zm.zones
         .iter()
         .map(|z| {
-            let used_at = match z.layout {
-                ZoneLayout::Reorganized { used_at, .. } => Some(used_at),
-                ZoneLayout::Flat => None,
-            };
-            let stats = format!(
-                "{:?} {:?} {} {used_at:?}",
-                z.stats, z.tier_stats, z.tier_drops
-            );
+            let stats = format!("{:?} {:?} {}", z.stats, z.tier_stats, z.tier_drops);
             (z.range(), stats)
         })
         .collect()
@@ -1199,7 +1157,7 @@ fn stale_feedback_writes_statistics_only() {
     // A reader's observation, walk included, reaches the owner after the
     // owner has split, merged, retired, revived or appended. Set against
     // the same step without the walk, applying it moves no zone's rows,
-    // bounds, state, mask, tier or payload, and changes the statistics
+    // bounds, state, mask or tier, and changes the statistics
     // only of zones whose rows the walk names; against the owner before
     // the step, only zones whose rows the observation names change their
     // statistics. Every later answer stays exact. Maintenance is held off
@@ -1209,9 +1167,6 @@ fn stale_feedback_writes_statistics_only() {
         revival_base_queries: Some(16),
         tier_after_scans: 1,
         tier_drop_after: 4,
-        reorg_after_scans: 1,
-        reorg_demote_idle: 2,
-        reorg_hot_factor: 0.0,
         target_zone_rows: 128,
         min_zone_rows: 16,
         max_zone_rows: 1024,
@@ -1222,7 +1177,6 @@ fn stale_feedback_writes_statistics_only() {
     let configs = [
         small(AdaptiveConfig::default()),
         small(AdaptiveConfig::with_tiers()),
-        small(AdaptiveConfig::with_reorg()),
     ];
     const DOMAIN: u64 = 2_000;
     // Owner changes between a snapshot and its feedback: splits, merges,
@@ -1260,7 +1214,6 @@ fn stale_feedback_writes_statistics_only() {
             let pred = pred_at(&mut rng, step);
             if step % 6 != 5 {
                 run_query(&mut zm, &data, pred);
-                zm.apply_reorg(&data);
                 zm.apply_tiers(&data);
                 continue;
             }
@@ -1387,7 +1340,7 @@ fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
     let productive = RangePredicate::between(400, 600);
     let asks_for_mask = |zm: &AdaptiveZonemap<i64>| {
         let out = zm.prune_shared(&wasted);
-        matches!(out.units[0].work, UnitWork::Scan(request) if request.bins.is_some())
+        out.units[0].request.bins.is_some()
     };
     // A scan told to collect nothing beyond the answer, whatever the
     // snapshot it pruned said: the mask never lands, the evidence does.
@@ -1448,20 +1401,15 @@ fn epoch_moves_exactly_when_a_zone_starts_or_stops_wanting_a_mask() {
 #[test]
 fn a_second_maintenance_round_at_the_same_query_clock_does_nothing() {
     // Zone 0 is scanned by every query, zone 1 by every other one, the
-    // rest are skipped. The round promotes zone 0 alone and builds tiers
-    // on the flat zones the queries kept scanning; promotion resets zone
-    // 0's scans, which lowers the map-wide mean scan rate the hot bar is
-    // drawn from — a round repeated with no query in between must not
-    // read that lower bar and promote zone 1 as well, nor touch a tier.
+    // rest are skipped. The round builds tiers on the zones the queries
+    // kept scanning; a round repeated with no query in between must not
+    // touch a tier.
     let config = AdaptiveConfig {
         enable_split: false,
         enable_merge: false,
         enable_deactivate: false,
         enable_mask: false,
         revival_base_queries: None,
-        enable_reorg: true,
-        reorg_after_scans: 4,
-        reorg_hot_factor: 3.0,
         enable_tiers: true,
         ..small_config()
     };
@@ -1474,51 +1422,11 @@ fn a_second_maintenance_round_at_the_same_query_clock_does_nothing() {
     }
     zm.maintain(&data);
     let totals = zm.trace().totals();
-    assert_eq!(totals.promoted, 1);
-    assert!(totals.tier_built > 0, "the round ran the tier pass too");
+    assert!(totals.tier_built > 0, "the round ran the tier pass");
     let epoch = zm.mutation_epoch();
     zm.maintain(&data);
     assert_eq!(zm.trace().totals(), totals);
-    assert_eq!((zm.zones_reorganized(), zm.mutation_epoch()), (1, epoch));
-    // The schedule is what holds the bar: a pass outside it promotes.
-    assert_eq!(reorg_pass(&mut zm, &data).0, 1);
-}
-
-#[test]
-fn a_positional_prune_writes_no_payload() {
-    // Zone 0 is promoted and published; the owner then resolves it
-    // positionally, through its own prunes and through the reader walks
-    // `apply_feedback` records. The payload is built once, at promotion: the
-    // owner and the published clone keep sharing it, and no epoch moves.
-    let config = AdaptiveConfig {
-        enable_split: false,
-        enable_merge: false,
-        enable_deactivate: false,
-        enable_mask: false,
-        revival_base_queries: None,
-        enable_reorg: true,
-        reorg_after_scans: 2,
-        reorg_hot_factor: 0.0,
-        ..small_config()
-    };
-    let data: Vec<i64> = (0..1024).rev().collect();
-    let mut zm = AdaptiveZonemap::new(data.len(), config);
-    run_query(&mut zm, &data, RangePredicate::all());
-    run_query(&mut zm, &data, RangePredicate::between(1000, 1010));
-    assert_eq!(reorg_pass(&mut zm, &data).0, 1);
-    let published = zm.clone_for_readers();
-    let epoch = zm.mutation_epoch();
-    for q in 0..16 {
-        let pred = RangePredicate::between(900 + q, 950 + 3 * q);
-        let out = zm.prune(&pred);
-        let positional = |u: &&ScanUnit| matches!(u.work, UnitWork::Positional { .. });
-        assert_eq!(out.units.iter().filter(positional).count(), 1, "query {q}");
-        zm.apply_feedback(&read_through(&published, &data, pred));
-    }
-    let payload = |m: &AdaptiveZonemap<i64>| m.zones[0].reorg_payload().cloned();
-    let (owned, shared) = (payload(&zm).unwrap(), payload(&published).unwrap());
-    assert!(std::sync::Arc::ptr_eq(&owned, &shared), "payload cloned");
-    assert_eq!(zm.mutation_epoch(), epoch, "a prune moved the epoch");
+    assert_eq!(zm.mutation_epoch(), epoch);
 }
 
 #[test]
@@ -1548,18 +1456,14 @@ fn a_dead_zone_under_a_saturated_revival_backoff_stays_dead() {
 
 #[test]
 fn a_bounds_skip_writes_nothing() {
-    // Eight built zones over sorted data, the first two reorganized: a
-    // predicate above every zone's max is excluded by every zone's bounds.
+    // Eight built zones over sorted data: a predicate above every zone's
+    // max is excluded by every zone's bounds.
     let config = AdaptiveConfig {
         enable_split: false,
         enable_merge: false,
         enable_deactivate: false,
         enable_mask: false,
         revival_base_queries: None,
-        enable_reorg: true,
-        reorg_after_scans: 3,
-        reorg_hot_factor: 0.0,
-        reorg_demote_idle: 3,
         ..small_config()
     };
     let data: Vec<i64> = (0..1024).collect();
@@ -1568,7 +1472,6 @@ fn a_bounds_skip_writes_nothing() {
     for _ in 0..2 {
         run_query(&mut zm, &data, RangePredicate::between(5, 140));
     }
-    assert_eq!(reorg_pass(&mut zm, &data).0, 2);
     let zones = zm.num_zones();
     let before = format!("{:?}{:?}", zm.zones, zm.plane);
     let miss = RangePredicate::between(5_000, 6_000);
@@ -1593,11 +1496,7 @@ fn a_bounds_skip_writes_nothing() {
             want[..2].fill(1.0 / 3.0);
             assert_eq!(rates, want);
         }
-        if prunes == 2 {
-            assert_eq!(reorg_pass(&mut zm, &data).1, 0, "idle for 2 < 3 probes");
-        }
     }
-    assert_eq!(reorg_pass(&mut zm, &data).1, 2);
 }
 
 /// A map over `data` with every 128-row zone built exactly, by one scan
@@ -1944,7 +1843,7 @@ fn a_prune_writes_nothing_but_a_due_revival() {
     // them. With one due, each leaves what `poll_revival` alone leaves.
     // Random values in the first half of the column kill zones there or
     // earn them masks; the sorted second half builds, splits, and earns
-    // tiers or reorganized layouts.
+    // tiers.
     let quick = AdaptiveConfig {
         target_zone_rows: 16,
         min_zone_rows: 4,
@@ -1959,20 +1858,13 @@ fn a_prune_writes_nothing_but_a_due_revival() {
             enable_tiers: true,
             tier_after_scans: 1,
             tier_drop_after: 4,
-            ..quick.clone()
-        },
-        AdaptiveConfig {
-            enable_reorg: true,
-            reorg_after_scans: 1,
-            reorg_hot_factor: 0.0,
-            reorg_demote_idle: 2,
             ..quick
         },
     ];
-    // Prunes with no revival due, prunes with one due; revivals, masks,
-    // tiers and promotions over all configs.
+    // Prunes with no revival due, prunes with one due; revivals, masks
+    // and tiers over all configs.
     let mut seen = [0u32; 2];
-    let mut reached = [0u64; 4];
+    let mut reached = [0u64; 3];
     for config in configs {
         let mut state = 43u64;
         let len = 2048;
@@ -2022,18 +1914,17 @@ fn a_prune_writes_nothing_but_a_due_revival() {
             zm.maintain(&data);
         }
         let totals = zm.trace().totals();
-        for (n, event) in reached.iter_mut().zip([
-            totals.revived,
-            totals.mask_built,
-            totals.tier_built,
-            totals.promoted,
-        ]) {
+        for (n, event) in
+            reached
+                .iter_mut()
+                .zip([totals.revived, totals.mask_built, totals.tier_built])
+        {
             *n += event;
         }
     }
     assert!(seen.iter().all(|&n| n > 0), "prunes quiet / due: {seen:?}");
     assert!(
         reached.iter().all(|&n| n > 0),
-        "revivals/masks/tiers/promotions: {reached:?}"
+        "revivals/masks/tiers: {reached:?}"
     );
 }

@@ -16,14 +16,14 @@
 //!   range predicates keep reading is such a zone: a value-set sketch
 //!   answers only equality probes.
 //!
-//! Like reorganization, tier changes run on the owner's side of the
-//! publication protocol and reach readers only through the next epoch'd
-//! snapshot swap. The zone record holds the sketch by value, and the
-//! sketch is its bit words behind an `Arc`: a held snapshot shares them
+//! Tier changes run on the owner's side of the publication protocol and
+//! reach readers only through the next epoch'd snapshot swap. The zone
+//! record holds the sketch by value, and the sketch is its bit words
+//! behind an `Arc`: a held snapshot shares them
 //! and keeps answering after the owner drops or replaces a tier, and a
 //! probe reaches them in one load from the record.
 
-use crate::adaptive::zone::{ZoneLayout, ZoneState, ZoneTier};
+use crate::adaptive::zone::{ZoneState, ZoneTier};
 use crate::adaptive::zonemap::AdaptiveZonemap;
 use crate::trace::AdaptEvent;
 use ads_storage::{BloomSketch, DataValue};
@@ -76,7 +76,7 @@ impl TierStats {
 impl<T: DataValue> AdaptiveZonemap<T> {
     /// One tier maintenance pass over `base` (the column this zonemap
     /// indexes): drops tiers whose consultation window shows no benefit,
-    /// then builds tiers over built flat zones whose scan volume has
+    /// then builds tiers over built zones whose scan volume has
     /// amortised a build pass. No-op (and free) unless `enable_tiers` is
     /// set. Each build and drop is one trace event.
     ///
@@ -128,12 +128,9 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 // The tier is paying: keep it and open a fresh window.
                 zone.tier_stats.reset_window();
             }
-            // Build policy: built flat zones only. Reorganized zones
-            // resolve positionally (a tier is redundant); dead and
-            // unbuilt zones have no metadata for a tier to refine.
-            let eligible = zone.tier.is_none()
-                && matches!(zone.state, ZoneState::Built { .. })
-                && matches!(zone.layout, ZoneLayout::Flat);
+            // Build policy: built zones only. Dead and unbuilt zones have
+            // no metadata for a tier to refine.
+            let eligible = zone.tier.is_none() && matches!(zone.state, ZoneState::Built { .. });
             if !eligible {
                 continue;
             }

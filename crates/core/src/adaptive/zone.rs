@@ -3,8 +3,7 @@
 use crate::adaptive::config::AdaptiveConfig;
 use crate::outcome::MaskRequest;
 use crate::stats::ZoneStats;
-use ads_storage::{BloomSketch, DataValue, ReorgZone, RowRange};
-use std::sync::Arc;
+use ads_storage::{BloomSketch, DataValue, RowRange};
 
 /// Secondary zone metadata: a 64-bin value-presence mask, used when a zone
 /// can refine no further positionally (outliers pin its min/max wide) but
@@ -44,32 +43,6 @@ pub enum ZoneState<T: DataValue> {
     },
 }
 
-/// Physical layout of one zone's rows.
-///
-/// `Flat` is the paper's world: the zone is a contiguous slice of the
-/// base column and qualifying zones are scanned row by row.
-/// `Reorganized` holds a [`ReorgZone`] payload — a sorted copy of the
-/// zone with its rowid permutation, built once at promotion — so range
-/// predicates resolve positionally. The payload is immutable from
-/// construction and sits behind an `Arc` that the owner and every
-/// published snapshot share.
-#[derive(Debug, Clone, Default)]
-pub enum ZoneLayout<T: DataValue> {
-    /// Contiguous slice of the base column (the default).
-    #[default]
-    Flat,
-    /// Sorted permuted copy; predicates resolve positionally.
-    Reorganized {
-        /// The shared payload (sorted values + rowid permutation).
-        payload: Arc<ReorgZone<T>>,
-        /// The zone's probe count (`ZoneStats::probe_count`) when a
-        /// probe last overlapped it, or at promotion. Every probe since
-        /// skipped the zone outright; their number is the idle clock that
-        /// drives demotion when the hotspot moves.
-        used_at: u64,
-    },
-}
-
 /// An optional secondary metadata tier attached to one zone: a value-set
 /// sketch that excludes point probes the zone's bounds cannot. Earned
 /// lazily (built by [`apply_tiers`] once the zone's scan volume amortises
@@ -77,7 +50,7 @@ pub enum ZoneLayout<T: DataValue> {
 /// the zones themselves use. The zone record holds the sketch by value:
 /// the sketch is a pointer to its `Arc`-shared words, so the walk reaches
 /// the bits in one load from the record, and published zonemap snapshots
-/// share them immutably, exactly like reorganized-zone payloads.
+/// share them immutably.
 ///
 /// [`apply_tiers`]: crate::adaptive::AdaptiveZonemap::apply_tiers
 #[derive(Debug, Clone)]
@@ -110,7 +83,7 @@ impl ZoneTier {
 /// The drop count the backoff grows with is the zone's
 /// [`AdaptiveZone::tier_drops`], kept beside the record's other one-byte
 /// counters: here it would pad this block from 12 bytes to 16 and the
-/// record past 144.
+/// record past 128.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TierTelemetry {
     /// Tier consultations in the current drop window.
@@ -159,11 +132,9 @@ pub struct AdaptiveZone<T: DataValue> {
     /// Optional secondary value mask (see [`ZoneMask`]). Dropped on any
     /// structural change to the zone's row range.
     pub mask: Option<ZoneMask>,
-    /// Physical layout of the zone's rows (see [`ZoneLayout`]).
-    pub layout: ZoneLayout<T>,
     /// Optional secondary metadata tier (see [`ZoneTier`]). Dropped on
-    /// any structural change to the zone's row range, on reorganization
-    /// promotion, and by the tier drop policy.
+    /// any structural change to the zone's row range and by the tier drop
+    /// policy.
     pub tier: Option<ZoneTier>,
     /// Tier drop window and rebuild floor (see [`TierTelemetry`]).
     pub tier_stats: TierTelemetry,
@@ -183,7 +154,6 @@ impl<T: DataValue> AdaptiveZone<T> {
             no_resplit: false,
             split_generation: 0,
             mask: None,
-            layout: ZoneLayout::Flat,
             tier: None,
             tier_stats: TierTelemetry::default(),
             tier_drops: 0,
@@ -208,19 +178,6 @@ impl<T: DataValue> AdaptiveZone<T> {
     /// True if metadata is currently usable for pruning.
     pub fn is_built(&self) -> bool {
         matches!(self.state, ZoneState::Built { .. })
-    }
-
-    /// True if the zone currently carries a reorganized payload.
-    pub fn is_reorganized(&self) -> bool {
-        matches!(self.layout, ZoneLayout::Reorganized { .. })
-    }
-
-    /// The reorganized payload, when present.
-    pub fn reorg_payload(&self) -> Option<&Arc<ReorgZone<T>>> {
-        match &self.layout {
-            ZoneLayout::Reorganized { payload, .. } => Some(payload),
-            ZoneLayout::Flat => None,
-        }
     }
 
     /// True if the zone currently carries a metadata tier.
@@ -290,6 +247,6 @@ mod tests {
     #[test]
     fn the_probe_clock_stamp_costs_no_record_bytes() {
         // Probe-clock stamps must not grow the record the walk skips past.
-        assert!(std::mem::size_of::<AdaptiveZone<i64>>() <= 144);
+        assert!(std::mem::size_of::<AdaptiveZone<i64>>() <= 128);
     }
 }

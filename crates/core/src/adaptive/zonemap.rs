@@ -40,19 +40,15 @@
 
 use crate::adaptive::config::AdaptiveConfig;
 use crate::adaptive::plane::{PrunePlane, ZoneBatch, MIN_RUN};
-use crate::adaptive::reorg::ReorgStats;
 use crate::adaptive::tier::TierStats;
-use crate::adaptive::zone::{
-    AdaptiveZone, TierTelemetry, ZoneLayout, ZoneMask, ZoneState, ZoneTier,
-};
+use crate::adaptive::zone::{AdaptiveZone, TierTelemetry, ZoneMask, ZoneState, ZoneTier};
 use crate::cost::CostModel;
 use crate::index::SkippingIndex;
-use crate::outcome::{MaskRequest, Payload, PruneOutcome, ScanObservation, UnitRequest, UnitWork};
+use crate::outcome::{MaskRequest, PruneOutcome, ScanObservation, UnitRequest};
 use crate::predicate::RangePredicate;
 use crate::stats::{IndexStats, PruneStats, ZoneStats};
 use crate::trace::{AdaptEvent, AdaptTrace};
 use ads_storage::{BloomSketch, DataValue, RangeSet, RowRange};
-use std::sync::Arc;
 
 /// Events retained in the adaptation trace ring.
 const TRACE_CAPACITY: usize = 4096;
@@ -102,18 +98,14 @@ pub struct AdaptiveZonemap<T: DataValue> {
     /// Counts changes to what a reader's walk reads (DESIGN.md "What a
     /// reader reads off a snapshot"): zone bounds built or moved, masks
     /// and tiers attached or dropped, structural maintenance that changed
-    /// something, revivals, appends, reorganization promotions/demotions
-    /// — and the one statistic among them, a zone's
-    /// [`AdaptiveZone::wants_mask`] answer flipping as a scan moves its
-    /// `wasted_scans` across the threshold. Publication layers compare
+    /// something, revivals, appends — and the one statistic among them,
+    /// a zone's [`AdaptiveZone::wants_mask`] answer flipping as a scan
+    /// moves its `wasted_scans` across the threshold. Publication layers compare
     /// epochs to skip republishing unchanged state. Everything else a
     /// query leaves behind — probe/skip tallies, scan counts, a
     /// re-observation of bounds the zone already holds — does NOT bump
     /// it: a snapshot stale in those decides exactly as a fresh one.
     pub(crate) mutation_epoch: u64,
-    /// Lifetime reorganization counters the trace does not keep (bytes
-    /// moved, time spent); see [`ReorgStats`].
-    pub(crate) reorg_lifetime: ReorgStats,
     /// `query_seq` of the last maintenance round: the next runs once the
     /// clock crosses a `maintenance_every` boundary past it.
     pub(crate) maintained_at: u64,
@@ -158,7 +150,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             len,
             next_revival_check: u64::MAX,
             mutation_epoch: 0,
-            reorg_lifetime: ReorgStats::default(),
             maintained_at: 0,
             tier_lifetime: TierStats::default(),
         };
@@ -200,7 +191,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// The reader-visible mutation epoch: increments whenever zone
     /// metadata changes in a way a reader would decide differently from
     /// (build, tighten, mask, tier, split, merge, deactivate, coalesce,
-    /// revive, promote, demote, append, or a scan that makes a
+    /// revive, append, or a scan that makes a
     /// zone start or stop asking for a value mask). Two equal epochs mean
     /// a previously published clone of this zonemap still prunes
     /// identically — [`AdaptiveZonemap::prune_shared`] returns the same
@@ -217,11 +208,8 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             .iter()
             .map(|z| {
                 let label = match z.state {
-                    // The layout lane outranks the exactness distinction:
-                    // a reorganized zone is always Built with exact bounds.
-                    ZoneState::Built { .. } if z.is_reorganized() => "reorg",
-                    // A tier likewise outranks it — the tier is the
-                    // zone's defining metadata investment.
+                    // A tier outranks the exactness distinction — the
+                    // tier is the zone's defining metadata investment.
                     ZoneState::Built { .. } if z.has_tier() => "built+bloom",
                     ZoneState::Unbuilt => "unbuilt",
                     ZoneState::Built { exact: true, .. } => "built",
@@ -296,9 +284,6 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
         }
         if self.config.enable_mask {
             flags.push('v'); // value masks
-        }
-        if self.config.enable_reorg {
-            flags.push('r'); // zone-local reorganization
         }
         if self.config.enable_tiers {
             flags.push('t'); // per-zone metadata tiers
@@ -407,16 +392,15 @@ impl<T: DataValue> SkippingIndex<T> for AdaptiveZonemap<T> {
     }
 
     fn maintain(&mut self, base: &[T]) {
-        // Reorganization and tier maintenance ride the same amortization
-        // clock as structural maintenance: one round each time the query
-        // clock crosses a `maintenance_every` boundary, however many
-        // queries (inline: one; served: a round's worth) crossed it.
+        // Tier maintenance rides the same amortization clock as
+        // structural maintenance: one round each time the query clock
+        // crosses a `maintenance_every` boundary, however many queries
+        // (inline: one; served: a round's worth) crossed it.
         let every = self.config.maintenance_every;
         if self.query_seq / every == self.maintained_at / every {
             return;
         }
         self.maintained_at = self.query_seq;
-        self.apply_reorg(base);
         self.apply_tiers(base);
     }
 }
@@ -432,18 +416,15 @@ enum OverlapAction {
     /// The zone's bloom tier excludes it despite overlapping bounds: the
     /// point predicate's value is in no row of the zone.
     TierSkip,
-    /// The zone is reorganized: its sorted payload resolves the
-    /// predicate positionally.
-    Positional,
     /// The zone must be scanned, computing what the request names beside
     /// the answer.
     Scan(UnitRequest),
 }
 
 /// The probe decision for a built zone whose `(min, max)` the predicate
-/// overlaps: full-match detection, positional resolution, value-mask and
-/// tier secondary pruning, and the mask-request choice. Pure — reads the
-/// zone, mutates nothing. `bloom_excludes` answers whether the zone's
+/// overlaps: full-match detection, value-mask and tier secondary
+/// pruning, and the mask-request choice. Pure — reads the zone, mutates
+/// nothing. `bloom_excludes` answers whether the zone's
 /// bloom tier proves the point absent ([`bloom_excludes`]); it is asked
 /// only when the checks before it leave the zone, and the plane walk and
 /// `record_walk` answer it from a batch's tiers read at once. [`Walk`]
@@ -459,15 +440,8 @@ fn classify_overlapping_zone<T: DataValue>(
     min_split_rows: usize,
     bloom_excludes: impl FnOnce() -> bool,
 ) -> OverlapAction {
-    // Full matches deliberately come before the positional path: a plain
-    // base-coordinate `full_match` span folds in the same order as the
-    // flat layout, which keeps aggregate results bit-identical across
-    // layouts.
     if pred.contains_zone(min, max) {
         return OverlapAction::FullMatch;
-    }
-    if zone.is_reorganized() {
-        return OverlapAction::Positional;
     }
     if let Some(mask) = zone.mask {
         let bits = mask
@@ -526,24 +500,20 @@ fn scan_request<T: DataValue>(zone: &AdaptiveZone<T>, bins: Option<MaskRequest>)
 }
 
 /// Records in `zone` a probe whose bounds overlapped and classified as
-/// `action`: the overlap, idle stamp and tier consultation it counts.
+/// `action`: the overlap and tier consultation it counts.
 ///
-/// epoch: overlap counts, the idle clock and the tier consultation
-/// window are stat drift; nothing a reader decides from changes here.
+/// epoch: overlap counts and the tier consultation window are stat
+/// drift; nothing a reader decides from changes here.
 fn record_probe<T: DataValue>(
     zone: &mut AdaptiveZone<T>,
     action: &OverlapAction,
-    clock: u64,
     tier_life: &mut TierStats,
 ) {
-    if let ZoneLayout::Reorganized { used_at, .. } = &mut zone.layout {
-        *used_at = zone.stats.probe_count(clock);
-    }
     if zone.has_tier() && matches!(action, OverlapAction::TierSkip | OverlapAction::Scan(_)) {
         zone.tier_stats.tier_probes = zone.tier_stats.tier_probes.saturating_add(1);
     }
     match action {
-        OverlapAction::FullMatch | OverlapAction::Positional | OverlapAction::Scan(_) => {
+        OverlapAction::FullMatch | OverlapAction::Scan(_) => {
             zone.stats.record_overlap();
         }
         OverlapAction::MaskSkip => {}
@@ -762,7 +732,7 @@ impl<T: DataValue> Walk<'_, T> {
             // Unbuilt and Dead zones scan identically; only the former can
             // learn from it.
             let zone = &map.zones[idx];
-            out.push_unit(zone.range(), UnitWork::Scan(scan_request(zone, None)));
+            out.push_unit(zone.range(), scan_request(zone, None));
             out.record_decision(zone.range(), "scan:unbuilt");
             return;
         };
@@ -801,24 +771,8 @@ impl<T: DataValue> Walk<'_, T> {
                 out.tier_skips.push_span(range.start, range.end);
                 "skip:bloom"
             }
-            OverlapAction::Positional => {
-                // invariant: only a zone that carries a payload classifies
-                // as positional.
-                let payload = zone.reorg_payload().expect("positional, no payload");
-                let full = payload.lookup(pred.lo, pred.hi);
-                out.push_unit(
-                    range,
-                    UnitWork::Positional {
-                        full: RowRange::new(full.start, full.end),
-                        payload: Payload(
-                            Arc::clone(payload) as Arc<dyn std::any::Any + Send + Sync>
-                        ),
-                    },
-                );
-                "positional"
-            }
             OverlapAction::Scan(request) => {
-                out.push_unit(range, UnitWork::Scan(request));
+                out.push_unit(range, request);
                 "scan"
             }
         };
@@ -910,7 +864,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         batch: &mut ZoneBatch,
     ) {
         let excluded = batch.bloom_excluded(&self.zones, point);
-        let (clock, min_split_rows) = (self.probe_clock, self.min_split_rows());
+        let min_split_rows = self.min_split_rows();
         for (i, &idx) in batch.zones().iter().enumerate() {
             // invariant: only built zones are batched.
             let (min, max) = self.plane.bounds(idx).expect("a batched zone is built");
@@ -924,7 +878,7 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 min_split_rows,
                 || excluded >> i & 1 != 0,
             );
-            record_probe(zone, &action, clock, &mut self.tier_lifetime);
+            record_probe(zone, &action, &mut self.tier_lifetime);
         }
         batch.clear();
     }
@@ -958,7 +912,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
             len: self.len,
             next_revival_check: self.next_revival_check,
             mutation_epoch: self.mutation_epoch,
-            reorg_lifetime: self.reorg_lifetime,
             maintained_at: self.maintained_at,
             tier_lifetime: self.tier_lifetime,
         }
@@ -972,6 +925,11 @@ impl<T: DataValue> AdaptiveZonemap<T> {
         self.poll_revival();
         walk::<T, false>(self, pred, None)
     }
+
+    /// Does nothing. Kept only for `benchmark/src/library.rs`, whose hand
+    /// copy of the service's loop calls it on every query; it goes when
+    /// that copy moves onto `ads_server::Owner` (ROADMAP item 1(d)).
+    pub fn apply_reorg(&mut self, _base: &[T]) {}
 
     /// Learns one query, whoever pruned it — the owner's
     /// [`SkippingIndex::prune`] or a reader's
@@ -1088,10 +1046,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                 .saturating_mul(1 << zone.split_generation.min(16));
             if self.config.enable_split
                 && !zone.no_resplit
-                // A reorganized zone already resolves positionally inside
-                // itself; splitting would discard the payload for a weaker
-                // form of refinement.
-                && !zone.is_reorganized()
                 && zone.stats.wasted_scans >= waste_needed
                 && zone.len() >= 2 * self.config.min_zone_rows
                 // The split must pay for the probes it adds: each child
@@ -1155,8 +1109,8 @@ impl<T: DataValue> AdaptiveZonemap<T> {
     /// epoch: the only caller (`observe`) sets `mutated` for every queued
     /// split and bumps once at its end.
     ///
-    /// lifecycle: children are constructed with `mask: None`,
-    /// `layout: Flat`, `tier: None` below — the parent's metadata
+    /// lifecycle: children are constructed with `mask: None` and
+    /// `tier: None` below — the parent's metadata
     /// covered a different row range and must not survive the split.
     fn split_zones(&mut self, queue: &[usize]) {
         debug_assert!(
@@ -1207,9 +1161,6 @@ impl<T: DataValue> AdaptiveZonemap<T> {
                     split_generation: zone.split_generation.saturating_add(1),
                     // The parent's mask covered a different row range.
                     mask: None,
-                    // Reorganized zones are never queued for splitting;
-                    // any parent reaching here is flat.
-                    layout: ZoneLayout::Flat,
                     // Likewise the parent's tier: built over different
                     // rows, so children re-earn their own.
                     tier: None,

@@ -13,7 +13,7 @@
 //! The trace side lives in [`PruneOutcome::audit_trace`]: every prune
 //! path records one [`AuditDecision`] per zone it resolves (label
 //! vocabulary: `skip:bounds`, `skip:mask`, `skip:bloom`, `scan`,
-//! `scan:unbuilt`, `full:bounds`, `positional`),
+//! `scan:unbuilt`, `full:bounds`),
 //! so a violation names the exact decision that excluded the row rather
 //! than just the row. Without the feature both the field and the
 //! recording calls compile to nothing.
@@ -26,9 +26,9 @@
 //! at zero test-code cost. `ads-audit` (in `crates/engine`) sweeps
 //! random seeds through the same hook.
 
-use crate::outcome::{PruneOutcome, UnitWork};
+use crate::outcome::PruneOutcome;
 use crate::predicate::RangePredicate;
-use ads_storage::{DataValue, DeleteVector, RangeSet, ReorgZone, RowRange};
+use ads_storage::{DataValue, DeleteVector, RangeSet, RowRange};
 
 /// One per-zone prune decision, recorded for the auditor's diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,18 +50,13 @@ pub struct AuditDecision {
 /// site for the abort message.
 ///
 /// First the outcome's shape: its units are ascending, pairwise
-/// disjoint and disjoint from `full_match`, and each positional unit's
-/// `full` span lies inside its payload. Then three checks, all against a
-/// per-row recompute:
+/// disjoint and disjoint from `full_match`. Then two checks, both against
+/// a per-row recompute:
 ///
 /// 1. **No false skips**: every live in-scope row satisfying `pred`
 ///    lies in a unit or in `full_match`.
 /// 2. **Full-match purity**: every live in-scope row of `full_match`
 ///    satisfies `pred`.
-/// 3. **Positional exactness**: within a positional unit, every
-///    `full`-span view position satisfies `pred`, and no live, in-scope
-///    position outside it does (the span is claimed to be the zone's
-///    answer, with no per-row test).
 pub fn verify_outcome<T: DataValue>(
     target: &[T],
     live: Option<&DeleteVector>,
@@ -72,7 +67,7 @@ pub fn verify_outcome<T: DataValue>(
 ) {
     let in_scope = |row: usize| within.is_none_or(|w| w.contains(row));
     let is_live = |row: usize| live.is_none_or(|dv| !dv.is_deleted(row));
-    let positional = verify_shape::<T>(outcome, source);
+    verify_shape(outcome, source);
 
     // Check 1: no false skips. Walk the complement of the outcome's
     // coverage; any live qualifying row there was wrongly excluded.
@@ -103,42 +98,12 @@ pub fn verify_outcome<T: DataValue>(
             }
         }
     }
-
-    // Check 3: positional exactness.
-    for (zone, full, payload) in positional {
-        let values = payload.values();
-        let rowids = payload.rowids();
-        for pos in 0..values.len() {
-            // narrowing: rowids are u32 by column construction (rows <= u32::MAX).
-            let base_row = rowids[pos] as usize;
-            let qualifies = pred.matches(values[pos]);
-            if full.contains(pos) {
-                if !qualifies {
-                    panic!(
-                        "shadow-oracle VIOLATION [{source}]: view position \
-                         {pos} (base row {base_row}, value {:?}) lies in the \
-                         positional full span of zone {zone:?} but does not \
-                         satisfy predicate [{:?}, {:?}]",
-                        values[pos], pred.lo, pred.hi
-                    );
-                }
-            } else if qualifies && is_live(base_row) && in_scope(base_row) {
-                abort_false_skip(outcome, pred, base_row, values[pos], source);
-            }
-        }
-    }
 }
 
 /// Checks the shape of `outcome.units`, panicking on the first unit out
-/// of order, overlapping its predecessor or `full_match`, or claiming a
-/// positional span its payload does not hold. Returns the positional
-/// units with their payloads downcast, for the exactness check.
-fn verify_shape<'a, T: DataValue>(
-    outcome: &'a PruneOutcome,
-    source: &str,
-) -> Vec<(RowRange, RowRange, &'a ReorgZone<T>)> {
+/// of order or overlapping its predecessor or `full_match`.
+fn verify_shape(outcome: &PruneOutcome, source: &str) {
     let fm = outcome.full_match.ranges();
-    let mut positional = Vec::new();
     let violation = format!("shadow-oracle VIOLATION [{source}]");
     for (i, unit) in outcome.units.iter().enumerate() {
         let r = unit.range;
@@ -157,19 +122,7 @@ fn verify_shape<'a, T: DataValue>(
             f.is_none_or(|f| r.end <= f.start),
             "{violation}: unit {i} {r:?} overlaps full_match range {f:?}"
         );
-        if let UnitWork::Positional { full, payload } = &unit.work {
-            let payload = payload.0.downcast_ref::<ReorgZone<T>>().unwrap_or_else(|| {
-                panic!("{violation}: positional unit over zone {r:?} carries a payload of the wrong value type")
-            });
-            let rows = payload.values().len();
-            assert!(
-                full.end <= rows,
-                "{violation}: positional unit over zone {r:?} claims view span {full:?} of a {rows}-row payload"
-            );
-            positional.push((r, *full, payload));
-        }
     }
-    positional
 }
 
 /// The abort path of the auditor: a qualifying live row the prune
@@ -309,56 +262,6 @@ mod tests {
         );
     }
 
-    /// An outcome resolving the whole of `d` as one positional unit over a
-    /// payload built from a shuffled copy, whose `full` span is the
-    /// lookup's for `pred` with its end moved by `shift` view positions.
-    fn positional(d: &[i64], pred: &RangePredicate<i64>, shift: isize) -> PruneOutcome {
-        let shuffled: Vec<i64> = (0..d.len()).map(|i| d[(i * 37) % d.len()]).collect();
-        let payload = ReorgZone::build(&shuffled, 0);
-        let run = payload.lookup(pred.lo, pred.hi);
-        let mut outcome = PruneOutcome::default();
-        outcome.push_unit(
-            RowRange::new(0, d.len()),
-            UnitWork::Positional {
-                full: RowRange::new(run.start, run.end.saturating_add_signed(shift)),
-                payload: crate::outcome::Payload(std::sync::Arc::new(payload)),
-            },
-        );
-        outcome.record_decision(RowRange::new(0, d.len()), "positional");
-        outcome
-    }
-
-    #[test]
-    fn exact_positional_unit_passes() {
-        let d = data();
-        let pred = RangePredicate::between(10, 20);
-        verify_outcome(&d, None, &pred, &positional(&d, &pred, 0), None, "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "FALSE SKIP")]
-    fn positional_span_one_row_short_aborts_as_false_skip() {
-        let d = data();
-        let pred = RangePredicate::between(10, 20);
-        verify_outcome(&d, None, &pred, &positional(&d, &pred, -1), None, "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "positional full span")]
-    fn positional_span_one_row_long_aborts_as_over_claim() {
-        let d = data();
-        let pred = RangePredicate::between(10, 20);
-        verify_outcome(&d, None, &pred, &positional(&d, &pred, 1), None, "test");
-    }
-
-    #[test]
-    #[should_panic(expected = "positional unit over zone")]
-    fn positional_span_past_the_payload_aborts() {
-        let d = data();
-        let pred = RangePredicate::between(95, 99);
-        verify_outcome(&d, None, &pred, &positional(&d, &pred, 1), None, "test");
-    }
-
     /// An outcome scanning `units` (each a plain unit, as written) over
     /// a column where every row qualifies for the audited predicate.
     fn shaped(units: &[(usize, usize)]) -> PruneOutcome {
@@ -366,10 +269,10 @@ mod tests {
         for &(start, end) in units {
             outcome.push_unit(
                 RowRange::new(start, end),
-                UnitWork::Scan(crate::outcome::UnitRequest {
+                crate::outcome::UnitRequest {
                     bounds: false,
                     bins: None,
-                }),
+                },
             );
         }
         outcome

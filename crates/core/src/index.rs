@@ -101,10 +101,10 @@ pub trait SkippingIndex<T: DataValue>: Send {
     /// Periodic self-maintenance hook, called with the current base
     /// column after feedback — by the inline protocol after each query,
     /// by the server's maintenance round after each batch. The index
-    /// keeps its own schedule: an adaptive zonemap runs its reorganization
-    /// (zone promotion/demotion) and metadata-tier (build/drop) passes
-    /// once per `maintenance_every` queries it has learned, however many
-    /// calls fall in between. Everything else inherits the no-op.
+    /// keeps its own schedule: an adaptive zonemap runs its metadata-tier
+    /// (build/drop) pass once per `maintenance_every` queries it has
+    /// learned, however many calls fall in between. Everything else
+    /// inherits the no-op.
     fn maintain(&mut self, _base: &[T]) {}
 }
 

@@ -77,9 +77,7 @@ pub mod zonemap_static;
 
 pub use cost::CostModel;
 pub use index::{ScanCoords, SkippingIndex};
-pub use outcome::{
-    Payload, PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest, UnitWork,
-};
+pub use outcome::{PruneOutcome, RangeObservation, ScanObservation, ScanUnit, UnitRequest};
 pub use predicate::RangePredicate;
 pub use stats::{IndexStats, PruneStats, ZoneStats};
 pub use trace::{AdaptEvent, AdaptTrace, TraceTotals};

@@ -4,7 +4,6 @@
 use crate::predicate::RangePredicate;
 use ads_storage::scan::Bins;
 use ads_storage::{DataValue, RangeSet, RowRange};
-use std::sync::Arc;
 
 /// A request for the scan to also collect a 64-bin value mask over a
 /// scanned unit, using equal-width bins over `[lo_f, hi_f]` (values
@@ -70,56 +69,15 @@ impl UnitRequest {
     }
 }
 
-/// A reorganized zone's payload, type-erased (`dyn Any`) so
-/// `PruneOutcome` stays non-generic: executors downcast it to
-/// `ads_storage::ReorgZone<T>` for the column's value type. Two payloads
-/// are equal when they are the same allocation.
-#[derive(Clone)]
-pub struct Payload(pub Arc<dyn std::any::Any + Send + Sync>);
-
-impl std::fmt::Debug for Payload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Payload(..)")
-    }
-}
-
-impl PartialEq for Payload {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-/// What the executor does over one [`ScanUnit`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum UnitWork {
-    /// Test every row of the unit against the predicate, computing the
-    /// by-products the request asks for in the same pass.
-    Scan(UnitRequest),
-    /// Resolve the unit — one reorganized zone — positionally.
-    ///
-    /// The prune resolved the predicate against the zone's sorted
-    /// payload: the view positions in `full` are exactly the zone's
-    /// qualifying rows, and the payload's rowid permutation maps them
-    /// back to base rows. The payload travels *inside* the outcome so
-    /// decision and data are published atomically — an executor can never
-    /// pair this span with a different payload (no torn zones by
-    /// construction).
-    Positional {
-        /// View positions (into the payload) that all qualify.
-        full: RowRange,
-        /// The reorganized zone the span indexes.
-        payload: Payload,
-    },
-}
-
 /// One entry of a prune's scan work: a row range the metadata could not
-/// exclude, and what the executor does there.
-#[derive(Debug, Clone, PartialEq)]
+/// exclude, whose every row the executor tests against the predicate,
+/// computing the by-products the request asks for in the same pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanUnit {
     /// The unit's rows, in the index's scan coordinates.
     pub range: RowRange,
-    /// How the executor resolves them.
-    pub work: UnitWork,
+    /// What the scan computes beside the answer.
+    pub request: UnitRequest,
 }
 
 /// What a skipping index tells the executor after pruning a predicate.
@@ -210,8 +168,8 @@ impl PruneOutcome {
     /// Appends one zone's unit: the writer of an index that scans zone by
     /// zone and learns from each.
     #[inline]
-    pub fn push_unit(&mut self, range: RowRange, work: UnitWork) {
-        self.units.push(ScanUnit { range, work });
+    pub fn push_unit(&mut self, range: RowRange, request: UnitRequest) {
+        self.units.push(ScanUnit { range, request });
     }
 
     /// Appends rows to scan with nothing asked, coalescing with the
@@ -223,20 +181,13 @@ impl PruneOutcome {
         if start >= end {
             return;
         }
-        if let Some(ScanUnit {
-            range,
-            work: UnitWork::Scan(request),
-        }) = self.units.last_mut()
-        {
+        if let Some(ScanUnit { range, request }) = self.units.last_mut() {
             if !request.wants_any() && start <= range.end {
                 range.end = range.end.max(end);
                 return;
             }
         }
-        self.push_unit(
-            RowRange::new(start, end),
-            UnitWork::Scan(UnitRequest::NOTHING),
-        );
+        self.push_unit(RowRange::new(start, end), UnitRequest::NOTHING);
     }
 
     /// The units' rows as one coalesced set, for the callers that reason
@@ -255,19 +206,6 @@ impl PruneOutcome {
         self.full_match.covered_rows()
     }
 
-    /// Rows resolved positionally from reorganized payloads without
-    /// per-row predicate tests — the reorg analogue of
-    /// [`PruneOutcome::rows_full_match`].
-    pub fn rows_positional_match(&self) -> usize {
-        self.units
-            .iter()
-            .map(|unit| match &unit.work {
-                UnitWork::Positional { full, .. } => full.len(),
-                UnitWork::Scan(_) => 0,
-            })
-            .sum()
-    }
-
     /// Restricts the outcome to rows still `alive` after earlier conjuncts.
     ///
     /// `full_match` is intersected with `alive`; units are fragmented at
@@ -276,20 +214,15 @@ impl PruneOutcome {
     /// exact). A fragment keeps its unit's bounds request only when it is
     /// the whole unit — the bounds of a part say nothing about the zone —
     /// and bins are dropped: masks are not collected on the restricted
-    /// path. A positional unit is fragmented as a plain scan of its zone
-    /// that asks for nothing: a positional span is meaningless under a
-    /// base-coordinate restriction, and scanning the zone's base rows is
-    /// sound, since they hold every row its payload permutes, and its
-    /// bounds are exact already. Probe counters and tier skips are kept:
-    /// the metadata reads already happened. `alive` is kept too, in
-    /// [`PruneOutcome::within`].
+    /// path. Probe counters and tier skips are kept: the metadata reads
+    /// already happened. `alive` is kept too, in [`PruneOutcome::within`].
     pub fn restrict_to(&self, alive: &RangeSet) -> PruneOutcome {
         let mut units = Vec::new();
         let alive_ranges = alive.ranges();
         let mut j = 0;
         for unit in &self.units {
             let u = unit.range;
-            let bounds = matches!(unit.work, UnitWork::Scan(request) if request.bounds);
+            let bounds = unit.request.bounds;
             // Advance past alive ranges entirely before this unit.
             while j < alive_ranges.len() && alive_ranges[j].end <= u.start {
                 j += 1;
@@ -305,7 +238,7 @@ impl PruneOutcome {
                     };
                     units.push(ScanUnit {
                         range: frag,
-                        work: UnitWork::Scan(request),
+                        request,
                     });
                 }
                 k += 1;
@@ -429,7 +362,7 @@ mod tests {
             bounds: true,
             bins: None,
         };
-        o.push_unit(RowRange::new(40, 50), UnitWork::Scan(request));
+        o.push_unit(RowRange::new(40, 50), request);
         o.push_scan(50, 60);
         assert_eq!(o.units.len(), 4);
         assert_eq!(
@@ -441,18 +374,12 @@ mod tests {
     fn scan(start: usize, end: usize, request: UnitRequest) -> ScanUnit {
         ScanUnit {
             range: RowRange::new(start, end),
-            work: UnitWork::Scan(request),
+            request,
         }
     }
 
     fn requests(o: &PruneOutcome) -> Vec<UnitRequest> {
-        o.units
-            .iter()
-            .map(|u| match u.work {
-                UnitWork::Scan(request) => request,
-                UnitWork::Positional { .. } => panic!("positional unit"),
-            })
-            .collect()
+        o.units.iter().map(|u| u.request).collect()
     }
 
     #[test]
@@ -537,38 +464,5 @@ mod tests {
         let r = o.restrict_to(&RangeSet::new());
         assert!(r.units.is_empty());
         assert!(r.full_match.is_empty());
-    }
-
-    #[test]
-    fn restrict_to_turns_positional_units_into_plain_scans() {
-        let payload = Payload(Arc::new(()));
-        let o = PruneOutcome {
-            units: vec![
-                scan(0, 10, UnitRequest::NOTHING),
-                ScanUnit {
-                    range: RowRange::new(10, 20),
-                    work: UnitWork::Positional {
-                        full: RowRange::new(2, 5),
-                        payload,
-                    },
-                },
-                scan(
-                    20,
-                    30,
-                    UnitRequest {
-                        bounds: true,
-                        bins: None,
-                    },
-                ),
-            ],
-            ..Default::default()
-        };
-        assert_eq!(o.rows_positional_match(), 3);
-        // Every unit stays in place; the positional one asks for nothing.
-        let restricted = o.restrict_to(&RangeSet::full(30));
-        assert_eq!(restricted.units.len(), 3);
-        assert_eq!(restricted.units[1], scan(10, 20, UnitRequest::NOTHING));
-        assert_eq!(restricted.units[2], o.units[2]);
-        assert_eq!(restricted.rows_positional_match(), 0);
     }
 }

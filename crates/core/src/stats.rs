@@ -50,18 +50,13 @@ impl ZoneStats {
         }
     }
 
-    /// Probes at probe clock `clock`, unsaturated: the ordinal a
-    /// reorganized zone's idle clock is measured in.
-    pub(crate) fn probe_count(&self, clock: u64) -> u64 {
-        clock
-            .saturating_sub(self.since)
-            .saturating_add(u64::from(self.visits))
-    }
-
     /// Metadata examinations at probe clock `clock`: every prune that
     /// considered this zone.
     pub(crate) fn probes(&self, clock: u64) -> u32 {
-        u32::try_from(self.probe_count(clock)).unwrap_or(u32::MAX)
+        let probes = clock
+            .saturating_sub(self.since)
+            .saturating_add(u64::from(self.visits));
+        u32::try_from(probes).unwrap_or(u32::MAX)
     }
 
     /// Fraction of probes at probe clock `clock` that excluded the zone —
@@ -191,7 +186,6 @@ mod tests {
         // The clock runs far more than `u32::MAX` past the stamp.
         let clock = 3 * u64::from(u32::MAX);
         assert_eq!((z.probes(clock), z.skip_rate(clock)), (u32::MAX, 0.0));
-        assert_eq!(z.probe_count(clock), 4 * u64::from(u32::MAX));
         for rate in [
             z.skip_rate(clock),
             z.waste_rate(clock),

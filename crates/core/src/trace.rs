@@ -44,16 +44,6 @@ pub enum AdaptEvent {
         /// The zone's row range.
         range: RowRange,
     },
-    /// A hot zone was promoted to the reorganized (sorted) layout.
-    Promoted {
-        /// The zone's row range.
-        range: RowRange,
-    },
-    /// A reorganized zone was demoted back to the flat layout.
-    Demoted {
-        /// The zone's row range.
-        range: RowRange,
-    },
     /// A metadata tier (a bloom sketch) was built over a zone.
     TierBuilt {
         /// The zone's row range.
@@ -78,8 +68,6 @@ impl AdaptEvent {
             AdaptEvent::Deactivated { .. } => "deactivated",
             AdaptEvent::Revived { .. } => "revived",
             AdaptEvent::MaskBuilt { .. } => "mask-built",
-            AdaptEvent::Promoted { .. } => "promoted",
-            AdaptEvent::Demoted { .. } => "demoted",
             AdaptEvent::TierBuilt { .. } => "tier-built",
             AdaptEvent::TierDropped { .. } => "tier-dropped",
         }
@@ -96,8 +84,8 @@ pub struct AdaptTrace {
     capacity: usize,
     head: usize,
     /// Total events of each kind: built, split, merged, deactivated,
-    /// revived, mask-built, promoted, demoted, tier-built, tier-dropped.
-    counts: [u64; 10],
+    /// revived, mask-built, tier-built, tier-dropped.
+    counts: [u64; 8],
 }
 
 impl AdaptTrace {
@@ -107,7 +95,7 @@ impl AdaptTrace {
             events: Vec::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
             head: 0,
-            counts: [0; 10],
+            counts: [0; 8],
         }
     }
 
@@ -133,10 +121,8 @@ impl AdaptTrace {
             AdaptEvent::Deactivated { .. } => 3,
             AdaptEvent::Revived { .. } => 4,
             AdaptEvent::MaskBuilt { .. } => 5,
-            AdaptEvent::Promoted { .. } => 6,
-            AdaptEvent::Demoted { .. } => 7,
-            AdaptEvent::TierBuilt { .. } => 8,
-            AdaptEvent::TierDropped { .. } => 9,
+            AdaptEvent::TierBuilt { .. } => 6,
+            AdaptEvent::TierDropped { .. } => 7,
         };
         self.counts[idx] += 1;
         if self.events.len() < self.capacity {
@@ -162,10 +148,8 @@ impl AdaptTrace {
             deactivated: self.counts[3],
             revived: self.counts[4],
             mask_built: self.counts[5],
-            promoted: self.counts[6],
-            demoted: self.counts[7],
-            tier_built: self.counts[8],
-            tier_dropped: self.counts[9],
+            tier_built: self.counts[6],
+            tier_dropped: self.counts[7],
         }
     }
 
@@ -190,10 +174,6 @@ pub struct TraceTotals {
     pub revived: u64,
     /// Secondary masks attached.
     pub mask_built: u64,
-    /// Zones promoted to the reorganized layout.
-    pub promoted: u64,
-    /// Zones demoted back to the flat layout.
-    pub demoted: u64,
     /// Metadata tiers built over zones.
     pub tier_built: u64,
     /// Metadata tiers dropped by the feedback policy.
@@ -204,16 +184,14 @@ impl std::fmt::Display for TraceTotals {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "built={} split={} merged={} deactivated={} revived={} masks={} promoted={} \
-             demoted={} tiers={} tiers_dropped={}",
+            "built={} split={} merged={} deactivated={} revived={} masks={} tiers={} \
+             tiers_dropped={}",
             self.built,
             self.split,
             self.merged,
             self.deactivated,
             self.revived,
             self.mask_built,
-            self.promoted,
-            self.demoted,
             self.tier_built,
             self.tier_dropped
         )

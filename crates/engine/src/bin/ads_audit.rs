@@ -7,15 +7,15 @@
 //! asserts nothing — a false skip aborts the process from inside the
 //! executor with the zone, predicate, and decision trace; exiting 0
 //! means every decision across every seed was sound. The sweep does
-//! check that it reached the positional path: it prints the zones the
-//! adaptive strategy promoted per seed and exits 1 when the whole sweep
-//! promoted none, since then no positional unit was audited.
+//! check that it reached the secondary prune paths: it prints the
+//! adaptive strategy's tier skips and mask builds per seed and exits 1
+//! when the whole sweep recorded no tier skip or built no mask, since
+//! then no bloom or mask decision was audited.
 //!
 //! The configurations are deliberately hostile: tiny zones, hair-trigger
-//! split/merge/deactivate/revival thresholds, zone-local reorganization,
-//! masks, and metadata tiers, so a sweep exercises every prune path
-//! (bounds, mask, bloom, positional) orders of magnitude more often than
-//! the defaults would.
+//! split/merge/deactivate/revival thresholds, masks, and metadata tiers,
+//! so a sweep exercises every prune path (bounds, mask, bloom) orders of
+//! magnitude more often than the defaults would.
 //!
 //! Usage: `ads-audit [SEEDS] [QUERIES_PER_SEED] [ROWS]`
 //! (defaults: 16 seeds × 300 queries over 48k rows — a few seconds).
@@ -40,11 +40,6 @@ fn aggressive_adaptive() -> AdaptiveConfig {
         deactivate_max_skip_rate: 0.1,
         maintenance_every: 4,
         revival_base_queries: Some(16),
-        enable_reorg: true,
-        reorg_after_scans: 2,
-        reorg_demote_idle: 8,
-        // Always-reorg: no hotness gate, so promotions fire constantly.
-        reorg_hot_factor: 0.0,
         enable_tiers: true,
         tier_after_scans: 2,
         tier_drop_after: 8,
@@ -100,9 +95,9 @@ fn random_pred(rng: &mut StdRng) -> RangePredicate<i64> {
 /// Runs one seed's query sequence against one strategy: one lane through
 /// the inline protocol, carrying its delete vector so tombstones are in
 /// play on base-coordinate strategies — the audit hook fires inside the
-/// scan. Returns the zones the strategy promoted to the reorganized
-/// layout (0 for every strategy but the adaptive zonemap).
-fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) -> u64 {
+/// scan. Returns the strategy's tier skips and mask builds (both 0 for
+/// every strategy but the adaptive zonemap).
+fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xAD17);
     let mut data = data.to_vec();
     let mut index = strategy.build_index(&data);
@@ -152,7 +147,9 @@ fn sweep_strategy(strategy: &Strategy, data: &[i64], queries: usize, seed: u64) 
     index
         .as_any()
         .downcast_ref::<AdaptiveZonemap<i64>>()
-        .map_or(0, |zm| zm.reorg_stats().zones_promoted)
+        .map_or((0, 0), |zm| {
+            (zm.tier_stats().tier_skips, zm.trace().totals().mask_built)
+        })
 }
 
 fn main() {
@@ -169,24 +166,31 @@ fn main() {
     let rows = args.get(2).copied().unwrap_or(48 * 1024);
 
     let roster = roster();
-    let mut promoted_total = 0;
+    let (mut skips_total, mut masks_total) = (0, 0);
     for seed in 0..seeds as u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = make_data(&mut rng, rows);
-        let promoted: u64 = roster
-            .iter()
-            .map(|strategy| sweep_strategy(strategy, &data, queries, seed))
-            .sum();
-        promoted_total += promoted;
+        let (mut skips, mut masks) = (0, 0);
+        for strategy in &roster {
+            let (s, m) = sweep_strategy(strategy, &data, queries, seed);
+            (skips, masks) = (skips + s, masks + m);
+        }
+        (skips_total, masks_total) = (skips_total + skips, masks_total + masks);
         println!(
             "seed {seed}: {} strategies x {queries} queries audited clean, \
-             {promoted} zone(s) promoted",
+             {skips} tier skip(s), {masks} mask(s) built",
             roster.len()
         );
     }
-    if promoted_total == 0 {
-        eprintln!("ads-audit: no zone was promoted, so no positional unit was audited");
+    if skips_total == 0 || masks_total == 0 {
+        eprintln!(
+            "ads-audit: {skips_total} tier skip(s), {masks_total} mask(s) built: \
+             the bloom or mask path went unaudited"
+        );
         std::process::exit(1);
     }
-    println!("ads-audit: {seeds} seed(s) swept, no false skips, {promoted_total} zone(s) promoted");
+    println!(
+        "ads-audit: {seeds} seed(s) swept, no false skips, {skips_total} tier skip(s), \
+         {masks_total} mask(s) built"
+    );
 }

@@ -23,8 +23,7 @@ use crate::exec_policy::ExecPolicy;
 use crate::lane::Lane;
 use crate::metrics::QueryMetrics;
 use ads_core::{
-    PruneOutcome, RangeObservation, RangePredicate, ScanObservation, ScanUnit, SkippingIndex,
-    UnitRequest, UnitWork,
+    PruneOutcome, RangeObservation, RangePredicate, ScanObservation, SkippingIndex, UnitRequest,
 };
 use ads_storage::scan::{self, Bins, Bounds, ByProduct, Liveness, NoByProduct};
 use ads_storage::{DataValue, DeleteVector, RowRange};
@@ -78,20 +77,14 @@ impl<T: DataValue> Default for QueryAnswer<T> {
 pub(crate) enum WorkItem {
     /// A full-match range whose values must still be read (SUM/MIN/MAX).
     Full(RowRange),
-    /// A [`UnitWork::Scan`] unit, with the by-products this scan will
-    /// compute for it.
+    /// A scan unit, with the by-products this scan will compute for it.
     Unit(RowRange, UnitRequest),
-    /// A [`UnitWork::Positional`] unit: its index into the outcome's
-    /// `units`, plus the qualifying row count for load balancing (the
-    /// zone's other rows are never touched).
-    Reorg { idx: usize, rows: usize },
 }
 
 impl WorkItem {
     pub(crate) fn rows(&self) -> usize {
         match self {
             WorkItem::Full(r) | WorkItem::Unit(r, _) => r.len(),
-            WorkItem::Reorg { rows, .. } => *rows,
         }
     }
 }
@@ -161,8 +154,7 @@ pub struct ScanPhase {
 /// (only when their values must be read), then one item per unit in unit
 /// order — ascending rows, the order the answer fold visits them, which
 /// keeps f64 accumulation bit-identical between sequential and parallel
-/// execution *and* between the flat and reorganized layouts (a positional
-/// item folds exactly where the same zone's flat unit would).
+/// execution.
 pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<WorkItem> {
     let reads_full_values = matches!(agg, AggKind::Sum | AggKind::Min | AggKind::Max);
     let fulls = if reads_full_values {
@@ -172,22 +164,15 @@ pub(crate) fn build_work_items(outcome: &PruneOutcome, agg: AggKind) -> Vec<Work
     };
     let mut items: Vec<WorkItem> = Vec::with_capacity(fulls.len() + outcome.units.len());
     items.extend(fulls.iter().map(|r| WorkItem::Full(*r)));
-    for (idx, unit) in outcome.units.iter().enumerate() {
-        items.push(match unit.work {
-            UnitWork::Scan(mut request) => {
-                if agg != AggKind::Count {
-                    // Bins ride on COUNT scans only; on the others the zone
-                    // keeps asking until a COUNT comes by.
-                    request.bins = None;
-                }
-                WorkItem::Unit(unit.range, request)
-            }
-            UnitWork::Positional { full, .. } => WorkItem::Reorg {
-                idx,
-                rows: full.len(),
-            },
-        });
-    }
+    items.extend(outcome.units.iter().map(|unit| {
+        let mut request = unit.request;
+        if agg != AggKind::Count {
+            // Bins ride on COUNT scans only; on the others the zone keeps
+            // asking until a COUNT comes by.
+            request.bins = None;
+        }
+        WorkItem::Unit(unit.range, request)
+    }));
     items
 }
 
@@ -225,15 +210,11 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
         sum += r.sum;
         mmin = mmin.min_total(r.match_min);
         mmax = mmax.max_total(r.match_max);
-        match item {
-            WorkItem::Unit(_, request) => {
-                rows_scanned += item.rows();
-                if request.wants_any() {
-                    rows_with_byproducts += item.rows();
-                }
+        if let WorkItem::Unit(_, request) = item {
+            rows_scanned += item.rows();
+            if request.wants_any() {
+                rows_with_byproducts += item.rows();
             }
-            // A positional unit's span is answered without per-row tests.
-            WorkItem::Reorg { .. } | WorkItem::Full(_) => {}
         }
     }
     match agg {
@@ -268,7 +249,6 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
             for (item, r) in items.iter().zip(&results) {
                 let item_start = match item {
                     WorkItem::Unit(u, _) => u.start,
-                    WorkItem::Reorg { idx, .. } => outcome.units[*idx].range.start,
                     // Full items are never built for POSITIONS.
                     WorkItem::Full(_) => continue,
                 };
@@ -297,35 +277,6 @@ pub(crate) fn merge_item_results<T: DataValue, L: Liveness>(
     }
 }
 
-/// Marks the base rows of a positional unit's `full` span over `zone` in
-/// a zone-local bitmap (bit `i` = base row `zone.start + i`). Replaying
-/// the bitmap with [`for_each_set_row`] recovers ascending base order in
-/// O(zone) word scans instead of the O(k log k) sort a rowid list would
-/// need — and ascending base order is what makes downstream f64
-/// accumulation match the flat scan bit for bit.
-fn reorg_unit_bitmap(zone: RowRange, full: RowRange, rowids: &[u32]) -> Vec<u64> {
-    let zone_start = zone.start;
-    let mut bits = vec![0u64; (zone.end - zone_start).div_ceil(64)];
-    for &r in &rowids[full.start..full.end] {
-        // narrowing: u32 row id to usize is lossless on 32/64-bit hosts.
-        let off = r as usize - zone_start;
-        bits[off / 64] |= 1 << (off % 64);
-    }
-    bits
-}
-
-/// Visits the base rows of a zone-local bitmap in ascending order.
-fn for_each_set_row(bits: &[u64], zone_start: usize, mut f: impl FnMut(usize)) {
-    for (w, &packed) in bits.iter().enumerate() {
-        let mut word = packed;
-        while word != 0 {
-            // narrowing: trailing_zeros of a u64 is at most 64.
-            f(zone_start + w * 64 + word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
-    }
-}
-
 /// Answers `agg` over one scan unit (`base` is the row of `slice[0]` in
 /// `live`'s coordinates) into `out`, feeding every row to `by`.
 fn scan_unit<T: DataValue, L: Liveness, B: ByProduct<T>>(
@@ -351,13 +302,10 @@ fn scan_unit<T: DataValue, L: Liveness, B: ByProduct<T>>(
     }
 }
 
-/// Scans one work item of the outcome whose units are `units`. Pure with
-/// respect to shared state: reads `target` (and, for positional items,
-/// the unit's payload), writes only its own result — safe to run on any
-/// thread.
+/// Scans one work item. Pure with respect to shared state: reads
+/// `target`, writes only its own result — safe to run on any thread.
 pub(crate) fn scan_item<T: DataValue, L: Liveness>(
     target: &[T],
-    units: &[ScanUnit],
     pred: RangePredicate<T>,
     agg: AggKind,
     item: &WorkItem,
@@ -417,74 +365,6 @@ pub(crate) fn scan_item<T: DataValue, L: Liveness>(
             }
             obs.qualifying = out.count;
             out.obs = Some(obs);
-        }
-        WorkItem::Reorg { idx, .. } => {
-            let zone = units[idx].range;
-            let UnitWork::Positional { full, payload } = &units[idx].work else {
-                // invariant: build_work_items makes a Reorg item only of a
-                // positional unit.
-                unreachable!("a reorg item indexes a positional unit");
-            };
-            let payload = payload
-                .0
-                .downcast_ref::<ads_storage::ReorgZone<T>>()
-                // invariant: the prune that emitted this unit built the
-                // payload from the same column, so T always matches.
-                .expect("reorg payload downcasts to the column's value type");
-            // All live, the span's length is the count and its sorted ends
-            // are MIN and MAX. Otherwise — and for the aggregates that read
-            // base rows — the zone-local qualifying bitmap, ANDed word-wise
-            // with the live windows under deletes, is replayed in ascending
-            // base order: the exact order a flat scan of this zone adds in,
-            // so SUM stays bit-identical across layouts.
-            let needs_bits = !L::ALL_LIVE || matches!(agg, AggKind::Sum | AggKind::Positions);
-            let mut bits = Vec::new();
-            if needs_bits {
-                bits = reorg_unit_bitmap(zone, *full, payload.rowids());
-            }
-            out.count = full.len();
-            if !L::ALL_LIVE {
-                out.count = 0;
-                for (w, word) in bits.iter_mut().enumerate() {
-                    *word &= live.window(zone.start + w * 64);
-                    // narrowing: count_ones of a u64 is at most 64.
-                    out.count += word.count_ones() as usize;
-                }
-            }
-            match agg {
-                AggKind::Count => {}
-                AggKind::Sum => {
-                    for_each_set_row(&bits, zone.start, |r| out.sum += target[r].to_f64())
-                }
-                AggKind::Min | AggKind::Max if L::ALL_LIVE => {
-                    // The span is sorted: its ends are its total-order
-                    // extremes, bit for bit what a fold would find.
-                    let span = &payload.values()[full.start..full.end];
-                    if let (Some(&lo), Some(&hi)) = (span.first(), span.last()) {
-                        (out.match_min, out.match_max) = (lo, hi);
-                    }
-                }
-                AggKind::Min | AggKind::Max => {
-                    // Reading base values: identical bit patterns to the
-                    // view copies, and min/max folds are order-independent.
-                    for_each_set_row(&bits, zone.start, |r| {
-                        out.match_min = out.match_min.min_total(target[r]);
-                        out.match_max = out.match_max.max_total(target[r]);
-                    });
-                }
-                AggKind::Positions => {
-                    out.positions.reserve(out.count);
-                    for_each_set_row(&bits, zone.start, |r| {
-                        // narrowing: row ids are u32 by storage-wide
-                        // contract (columns are bounded below 2^32 rows).
-                        out.positions.push(r as u32);
-                    });
-                }
-            }
-            // The payload's build-time (min, max) covers every zone row —
-            // the same exact metadata a flat scan would feed back.
-            let (zmin, zmax) = payload.min_max();
-            out.obs = Some(RangeObservation::new(zone, out.count, zmin, zmax));
         }
     }
     out

@@ -122,9 +122,8 @@ impl<'a, T: DataValue> Lane<'a, T> {
 
     /// Protocol step two: applies the scan's feedback and the walk it
     /// carries (the index's clocks advance here), then gives the index its
-    /// periodic self-maintenance slot (zone promotion and demotion,
-    /// metadata tiers) — adaptation is paid on the query path, exactly
-    /// where the paper charges it.
+    /// periodic self-maintenance slot (metadata tiers) — adaptation is
+    /// paid on the query path, exactly where the paper charges it.
     pub(crate) fn learn(&mut self, observation: &ScanObservation<T>, protocol: &mut Protocol) {
         let t = Instant::now();
         let events_before = self.index.adapt_events();

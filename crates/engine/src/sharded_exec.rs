@@ -148,7 +148,7 @@ fn mask<'a, T: DataValue>(input: &ShardScanInput<'a, T>) -> Option<&'a DeleteVec
 ///
 /// Run *k* ends at the item boundary whose row prefix is nearest `k/n` of
 /// the scanned rows ([`ads_storage::parallel::weighted_runs`]). Items —
-/// scan units, full-match ranges, positional zones — are never split, so
+/// scan units and full-match ranges — are never split, so
 /// every unit's SUM stays one running `f64` whatever the run count; the
 /// price is that a run may miss its share by up to half the item
 /// straddling its cut (with two runs, the larger holds at most half the
@@ -250,18 +250,18 @@ impl<T: DataValue> ScanPlan<T> {
         for (input, items) in inputs.iter().zip(&self.lane_items) {
             let (lo, hi) = (run.start.max(base), run.end.min(base + items.len()));
             if lo < hi {
-                let (data, units) = (input.data, &input.outcome.units[..]);
+                let data = input.data;
                 let items = &items[lo - base..hi - base];
                 match mask(input) {
                     Some(dv) => results.extend(
                         items
                             .iter()
-                            .map(|item| scan_item(data, units, pred, agg, item, dv)),
+                            .map(|item| scan_item(data, pred, agg, item, dv)),
                     ),
                     None => results.extend(items.iter().map(|item| {
                         // live: the lane has no vector, or one without a
                         // tombstone.
-                        scan_item(data, units, pred, agg, item, AllLive)
+                        scan_item(data, pred, agg, item, AllLive)
                     })),
                 }
             }
@@ -370,8 +370,7 @@ impl<T: DataValue> ScanPlan<T> {
                 zones_probed: input.outcome.zones_probed,
                 zones_skipped: input.outcome.zones_skipped,
                 rows_scanned: merged.rows_scanned,
-                rows_full_match: input.outcome.rows_full_match()
-                    + input.outcome.rows_positional_match(),
+                rows_full_match: input.outcome.rows_full_match(),
                 rows_matched: lane_answer.count,
             });
             observations.push(merged.observation);
@@ -511,14 +510,10 @@ mod tests {
         // shows in its bits.
         let value = |i: usize| (i as f64 * 0.37).sin() * 10f64.powi((i % 7) as i32);
         let config = AdaptiveConfig {
-            reorg_after_scans: 1,
             maintenance_every: 1,
-            ..AdaptiveConfig {
-                enable_reorg: true,
-                ..cfg()
-            }
+            ..cfg()
         };
-        let (mut saw_reorg, mut saw_masked, mut most_runs) = (false, false, 0);
+        let (mut saw_masked, mut most_runs) = (false, 0);
         // 49 rows over 8 shards leave the tail shard empty.
         for (rows, shards) in [(7001, 1), (7001, 3), (7001, 8), (49, 8)] {
             let data: Vec<f64> = (0..rows).map(value).collect();
@@ -538,8 +533,7 @@ mod tests {
                 let lo = (q as f64 * 0.61).sin() * 1e3;
                 RangePredicate::between(lo, lo + 2e4)
             };
-            // Inline queries build zones and promote the hot ones to the
-            // reorganized layout.
+            // Inline queries build zones.
             for q in 0..40 {
                 let policy = ExecPolicy::sequential();
                 execute_sharded(
@@ -555,7 +549,6 @@ mod tests {
                 let (pred, agg) = (pred(q % 4), ALL_AGGS[q % ALL_AGGS.len()]);
                 let outcomes: Vec<PruneOutcome> =
                     zm.lanes().iter().map(|l| l.prune_shared(&pred)).collect();
-                saw_reorg |= outcomes.iter().any(|o| o.rows_positional_match() > 0);
                 let inputs: Vec<ShardScanInput<'_, f64>> = outcomes
                     .iter()
                     .enumerate()
@@ -586,14 +579,13 @@ mod tests {
                 }
             }
         }
-        assert!(saw_reorg, "no query exercised a reorganized zone");
         assert!(saw_masked);
         assert_eq!(most_runs, 4, "no plan was cut into four runs");
     }
 
     #[test]
     fn a_dead_extent_opening_the_next_lane_is_not_put_on_the_first_run() {
-        use ads_core::{UnitRequest, UnitWork};
+        use ads_core::UnitRequest;
         use ads_storage::RowRange;
         // What the prune emits for a mixed-regions column after
         // deactivation: per-zone units that still learn, and one unit per
@@ -606,7 +598,7 @@ mod tests {
                     bounds: learns,
                     bins: None,
                 };
-                out.push_unit(RowRange::new(start, end), UnitWork::Scan(request));
+                out.push_unit(RowRange::new(start, end), request);
             }
             out
         };

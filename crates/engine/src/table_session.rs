@@ -420,8 +420,6 @@ impl TableSession {
                 let within = (plan.restricted && alive_before < n).then_some(&alive);
                 let conjunct = &mut self.indexes[slots[ci]].1;
                 let out = conjunct.prune(cols[ci], &pred, within, &mut protocol);
-                // A positional unit keeps its whole zone alive: the scan
-                // below re-tests every row of it.
                 alive = alive.intersect(&out.unit_set().union(&out.full_match));
                 step.zones_probed = out.zones_probed;
                 step.zones_skipped = out.zones_skipped;

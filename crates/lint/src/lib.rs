@@ -28,7 +28,7 @@
 //! | `epoch-discipline`       | writes to what a reader decides from (zone structure; the `wants_mask` evidence) bump `mutation_epoch` on every path (else `// epoch:`) |
 //! | `publication-discipline` | `publish*` fns store payload before the generation bump, nothing after |
 //! | `live-mask`              | all-live liveness sources only with `// live:` outside scan.rs/the scalar oracle/tests |
-//! | `lifecycle-symmetry`     | tier/layout/mask promotions cleared on split/merge/deactivate/coalesce/compact paths |
+//! | `lifecycle-symmetry`     | tier/mask promotions cleared on split/merge/deactivate/coalesce/compact paths |
 //! | `dead-surface`           | a `pub` fn/const/static/struct/enum/trait/type of a library target (a crate's `src/` minus `src/bin/` and `main.rs`) has a user outside its own file (else `// api: <user>`) |
 //!
 //! A dead-surface user is any mention in another file's non-test code:

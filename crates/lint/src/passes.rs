@@ -5,7 +5,7 @@
 //! tooling" for the protocol rationale):
 //!
 //! * [`epoch_pass`] — functions in `crates/core/src/adaptive/` that
-//!   write reader-visible zone/tier/layout state must bump
+//!   write reader-visible zone/tier/mask state must bump
 //!   `mutation_epoch` on every path, or carry an `// epoch:` note
 //!   saying why the write is reader-invisible (or whose bump covers
 //!   it). Reader-visible is what a reader's walk decides from:
@@ -25,8 +25,8 @@
 //!   shorthand kernel) leaks tombstoned rows into answers wherever a
 //!   delete vector is in play, so outside `scan.rs`, the `scalar`
 //!   oracle and tests it needs a `// live: <why tombstone-free>` note.
-//! * [`lifecycle_pass`] — promotion state (`tier`/`layout`/`mask`
-//!   `Some(...)` sites) must be cleared symmetrically on the
+//! * [`lifecycle_pass`] — promotion state (`tier`/`mask` `Some(...)`
+//!   sites) must be cleared symmetrically on the
 //!   split/merge/deactivate/coalesce/compact paths: a structural
 //!   transition that keeps a stale tier answers from dead metadata.
 //! * [`dead_surface_pass`] — a `pub` item of a library target must have
@@ -42,7 +42,7 @@ use std::collections::{HashMap, HashSet};
 /// these changes what a republished lane would serve. (`stats` is not
 /// listed: of the statistics readers decide from `wants_mask` alone,
 /// which `observe` compares before and after the scan it records.)
-const EPOCH_TARGETS: [&str; 6] = ["state", "layout", "tier", "mask", "zones", "plane"];
+const EPOCH_TARGETS: [&str; 5] = ["state", "tier", "mask", "zones", "plane"];
 
 /// Mutating methods that count as a structural write when their
 /// receiver chain names an epoch target.
@@ -73,7 +73,7 @@ const ALL_LIVE_KERNELS: [&str; 10] = [
 ];
 
 /// Symbols the lifecycle pass pairs set-sites with clears for.
-const LIFECYCLE_SYMBOLS: [&str; 3] = ["tier", "layout", "mask"];
+const LIFECYCLE_SYMBOLS: [&str; 2] = ["tier", "mask"];
 
 /// Function-name fragments that mark a structural lifecycle path.
 const LIFECYCLE_FNS: [&str; 5] = ["split", "merge", "deactivate", "coalesce", "compact"];
@@ -392,7 +392,7 @@ pub fn live_mask_pass(fs: &FileScan<'_>, out: &mut Vec<Diagnostic>) {
 
 /// Pass 4: lifecycle symmetry across `crates/core/src/adaptive/`.
 ///
-/// Cross-file: set-sites (tier/layout/mask promotion) are collected
+/// Cross-file: set-sites (tier/mask promotion) are collected
 /// over the whole directory, then every structural lifecycle function
 /// must clear (or guard, or justify) each promoted symbol.
 pub fn lifecycle_pass(files: &[FileScan<'_>], out: &mut Vec<Diagnostic>) {
@@ -421,8 +421,7 @@ pub fn lifecycle_pass(files: &[FileScan<'_>], out: &mut Vec<Diagnostic>) {
             if code.get(i + 1).is_none_or(|n| n.text != "=") {
                 continue;
             }
-            let rhs_promotes = (i + 2..(i + 6).min(code.len()))
-                .any(|j| matches!(code[j].text.as_str(), "Some" | "Reorganized"));
+            let rhs_promotes = (i + 2..(i + 6).min(code.len())).any(|j| code[j].text == "Some");
             if rhs_promotes && !promoted.contains(&t.text.as_str()) {
                 // narrowing the borrow: LIFECYCLE_SYMBOLS entries are
                 // 'static, re-find the static str.
@@ -462,27 +461,21 @@ pub fn lifecycle_pass(files: &[FileScan<'_>], out: &mut Vec<Diagnostic>) {
                     if t.kind != TokKind::Ident {
                         return false;
                     }
-                    // `drop_tier()` clears the tier; `is_reorganized`
-                    // guards mean the layout case is explicitly routed.
+                    // `drop_tier()` clears the tier.
                     if *sym == "tier" && t.text == "drop_tier" {
-                        return true;
-                    }
-                    if *sym == "layout" && t.text == "is_reorganized" {
                         return true;
                     }
                     if t.text != *sym {
                         return false;
                     }
-                    // `sym = None` / `sym = ZoneLayout::Flat`,
-                    // struct-literal `sym: None` / `sym: ZoneLayout::Flat`,
-                    // or `sym.take()`.
+                    // `sym = None`, struct-literal `sym: None`, or
+                    // `sym.take()`.
                     let next = code.get(i + 1).map(|n| n.text.as_str());
                     if next == Some(".") && code.get(i + 2).is_some_and(|n| n.text == "take") {
                         return true;
                     }
                     if next == Some("=") || next == Some(":") {
-                        return (i + 2..(i + 6).min(end))
-                            .any(|j| matches!(code[j].text.as_str(), "None" | "Flat"));
+                        return (i + 2..(i + 6).min(end)).any(|j| code[j].text == "None");
                     }
                     false
                 });

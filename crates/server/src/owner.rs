@@ -25,9 +25,8 @@
 //! scanned a version at least that new. The row-range alignment check
 //! inside `observe` cannot stand in for this: a rebuilt lane cuts its
 //! zones at the same multiples of the target zone size, so an old
-//! observation *does* align — and would stamp the old rows' `(min, max)`,
-//! mask bits or reorganized-payload bounds onto zones that now hold
-//! other rows.
+//! observation *does* align — and would stamp the old rows' `(min, max)`
+//! or mask bits onto zones that now hold other rows.
 //!
 //! ## Which tail versions are alive
 //!
@@ -120,7 +119,7 @@ pub struct Owner<T: DataValue> {
     /// any more; see the module docs.
     spare: Option<SharedColumn<T>>,
     /// The totals as far as they are counted here: events as they happen,
-    /// and the reorg and tier counters of the lanes compaction has
+    /// and the tier counters of the lanes compaction has
     /// retired — so no total goes backwards when a fresh lane starts from
     /// zero. [`Owner::totals`] adds what the live lanes hold.
     counted: OwnerTotals,
@@ -292,8 +291,8 @@ impl<T: DataValue> Owner<T> {
     /// delete vector resets to all-live, and its zonemap lane is replaced
     /// by one rebuilt over the new rows — a new lane identity, recorded
     /// so [`Owner::feedback`] can refuse what readers of the old one still
-    /// send. The retired lane's reorg and tier counters fold into the
-    /// totals. Returns the total rows reclaimed.
+    /// send. The retired lane's tier counters fold into the totals.
+    /// Returns the total rows reclaimed.
     pub fn compact(&mut self, min_ratio: Option<f64>) -> usize {
         let mut reclaimed_total = 0usize;
         for s in 0..self.num_shards() {
@@ -318,7 +317,6 @@ impl<T: DataValue> Owner<T> {
             self.deletes[s] = DeleteVector::new(repacked.len(), self.epoch);
             self.rebuilt_at[s] = repacked.version();
             let retired = self.zonemap.lane(s);
-            self.counted.reorg.merge(&retired.reorg_stats());
             self.counted.tiers.merge(&retired.tier_stats());
             let lane = rebuilt_lane(repacked.as_slice(), retired.config().clone());
             self.zonemap
@@ -350,8 +348,8 @@ impl<T: DataValue> Owner<T> {
     }
 
     /// One maintenance round over every lane: each lane's own
-    /// [`SkippingIndex::maintain`] — the reorganization and tier passes
-    /// the inline protocol runs, on its clock: once per
+    /// [`SkippingIndex::maintain`] — the tier pass the inline protocol
+    /// runs, on its clock: once per
     /// `maintenance_every` queries the lane has learned, however many
     /// this round applied — then the revival check the next query's prune
     /// would run, so a snapshot taken now is the state an inline executor
@@ -375,10 +373,9 @@ impl<T: DataValue> Owner<T> {
     }
 
     /// The owner's lifetime totals as of now: what it has counted plus the
-    /// live lanes' reorg and tier counters and the tombstone gauge.
+    /// live lanes' tier counters and the tombstone gauge.
     pub fn totals(&self) -> OwnerTotals {
         let mut totals = self.counted;
-        totals.reorg.merge(&self.zonemap.reorg_stats());
         totals.tiers.merge(&self.zonemap.tier_stats());
         let rows: usize = self.deletes.iter().map(DeleteVector::len).sum();
         let dead: usize = self.deletes.iter().map(DeleteVector::deleted_count).sum();

@@ -87,8 +87,8 @@
 //! After each maintenance batch, a lane is republished only when its
 //! [`AdaptiveZonemap::mutation_epoch`] moved since its last publication.
 //! The epoch moves exactly when something a reader's walk reads changed:
-//! zones built, tightened, split, merged, deactivated, revived, promoted,
-//! demoted or appended to, a mask or tier attached or dropped —
+//! zones built, tightened, split, merged, deactivated, revived or
+//! appended to, a mask or tier attached or dropped —
 //! and the one statistic readers decide from, a zone starting or ceasing
 //! to want a value mask as a scan moves its `wasted_scans` across the
 //! threshold (DESIGN.md "What a reader reads off a snapshot"). A scan that
@@ -887,14 +887,13 @@ fn maintenance_loop<T: DataValue>(
             0
         };
 
-        // The revival check runs every round; reorganization and tiers
-        // run in a lane's round once its query clock has crossed a
+        // The revival check runs every round; the tier pass runs in a
+        // lane's round once its query clock has crossed a
         // `maintenance_every` boundary since the last one, the schedule
         // the inline protocol keeps. Whatever they change bumps the
         // lane's mutation epoch, so the publication below swaps exactly
         // the lanes that moved — readers keep their old snapshot `Arc`
-        // until then and never see a half-reorganized zone or a tier flag
-        // without its payload.
+        // until then and never see a tier flag without its payload.
         owner.maintain();
         published.publish(&mut owner, cell, force_all);
         // invariant: see stats — the totals lock never poisons.

@@ -10,7 +10,7 @@
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
-use ads_core::adaptive::{ReorgStats, TierStats};
+use ads_core::adaptive::TierStats;
 use ads_engine::LatencyHistogram;
 use std::time::Duration;
 
@@ -210,10 +210,6 @@ impl StatsCollector {
             compactions_run: owner.compactions_run,
             rows_reclaimed: owner.rows_reclaimed,
             tombstone_ppm: owner.tombstone_ppm,
-            zones_promoted: owner.reorg.zones_promoted,
-            zones_demoted: owner.reorg.zones_demoted,
-            reorg_bytes_moved: owner.reorg.bytes_moved,
-            reorg_ns: owner.reorg.reorg_ns,
             tiers_built: owner.tiers.tiers_built(),
             tiers_dropped: owner.tiers.tiers_dropped,
             tier_skips: owner.tiers.tier_skips,
@@ -264,8 +260,6 @@ pub struct OwnerTotals {
     pub rows_reclaimed: u64,
     /// Gauge: tombstoned fraction of the column, parts per million.
     pub tombstone_ppm: u64,
-    /// Reorganization counters, summed over every lane that ever lived.
-    pub reorg: ReorgStats,
     /// Tier counters, summed over every lane that ever lived.
     pub tiers: TierStats,
 }
@@ -323,16 +317,6 @@ pub struct ServerStats {
     /// Currently tombstoned fraction of the column, in parts per million
     /// (a gauge sampled at the last maintenance round).
     pub tombstone_ppm: u64,
-    /// Zones promoted to the reorganized (sorted) layout.
-    pub zones_promoted: u64,
-    /// Reorganized zones demoted back to the flat layout after going
-    /// cold.
-    pub zones_demoted: u64,
-    /// Value+rowid bytes moved by promotion builds (each zone's copy and
-    /// sort, all on the maintenance thread).
-    pub reorg_bytes_moved: u64,
-    /// Wall time spent inside reorganization passes.
-    pub reorg_ns: u64,
     /// Metadata tiers (bloom sketches) built by maintenance.
     pub tiers_built: u64,
     /// Metadata tiers dropped by the feedback policy after a hitless
@@ -408,7 +392,6 @@ impl ServerStats {
              feedback_stale={} lag={} snapshots={} shards_republished={} republish_bytes={} appends={} \
              mutations_applied={} deltas_pending={} compactions={} \
              rows_reclaimed={} tombstone_ppm={} \
-             reorg_promoted={} reorg_demoted={} reorg_bytes_moved={} \
              tiers_built={} tiers_dropped={} tier_skips={} \
              rows_scanned={} byproduct_share={:.4} \
              scan_helpers={} scans_fanned={} largest_run_share={:.3} \
@@ -428,9 +411,6 @@ impl ServerStats {
             self.compactions_run,
             self.rows_reclaimed,
             self.tombstone_ppm,
-            self.zones_promoted,
-            self.zones_demoted,
-            self.reorg_bytes_moved,
             self.tiers_built,
             self.tiers_dropped,
             self.tier_skips,
@@ -481,12 +461,6 @@ mod tests {
             compactions_run: 1,
             rows_reclaimed: 4,
             tombstone_ppm: 2_500,
-            reorg: ReorgStats {
-                zones_promoted: 2,
-                zones_demoted: 1,
-                bytes_moved: 512,
-                reorg_ns: 9_000,
-            },
             tiers: TierStats {
                 blooms_built: 3,
                 tiers_dropped: 1,
@@ -513,10 +487,6 @@ mod tests {
         assert_eq!(s.compactions_run, 1);
         assert_eq!(s.rows_reclaimed, 4);
         assert_eq!(s.tombstone_ppm, 2_500);
-        assert_eq!(s.zones_promoted, 2);
-        assert_eq!(s.zones_demoted, 1);
-        assert_eq!(s.reorg_bytes_moved, 512);
-        assert_eq!(s.reorg_ns, 9_000);
         assert_eq!(s.tiers_built, 3);
         assert_eq!(s.tiers_dropped, 1);
         assert_eq!(s.tier_skips, 8);

@@ -7,7 +7,7 @@
 //! `maintain()` — so a service with one reader, flushed after every
 //! operation, must leave the same answers, zones and owner totals. After
 //! a query, `maintain()` adds only the revival poll: `execute` already
-//! gave each lane its reorganization and tier round, on the same
+//! gave each lane its tier round, on the same
 //! once-per-`maintenance_every` clock the service's round keeps.
 
 use ads_core::RangePredicate;

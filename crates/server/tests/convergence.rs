@@ -1,7 +1,7 @@
 //! Proof that asynchronous adaptation converges to the inline protocol.
 //!
 //! The service's claim is that deferring observe-side adaptation to a
-//! maintenance thread changes *when* the zonemap reorganises, never *what
+//! maintenance thread changes *when* the zonemap adapts, never *what
 //! it converges to*. Serialized, that claim is exact: a single reader that
 //! flushes after every query must drive the authoritative zonemap through
 //! the identical state trajectory an inline executor produces on the same
@@ -103,52 +103,40 @@ fn async_single_reader_with_flush_matches_inline_exactly() {
     assert!(stats.snapshots_published >= QUERIES as u64);
 }
 
-/// One schedule for the reorganization and tier passes: they run on each
-/// lane's query clock, so an owner whose maintenance round follows every
-/// query — twice — holds, query by query, exactly the state of one that
-/// runs the inline protocol alone.
+/// One schedule for the tier pass: it runs on each lane's query clock, so
+/// an owner whose maintenance round follows every query — twice — holds,
+/// query by query, exactly the state of one that runs the inline protocol
+/// alone.
 #[test]
 fn maintenance_rounds_run_on_the_inline_schedule() {
-    let sawtooth = data::sawtooth(ROWS, 16, DOMAIN);
-    let points = queries::point_queries(QUERIES, DOMAIN, 7);
-    let clustered = data::clustered(ROWS, 64, 0.02, DOMAIN, 42);
-    let hotspot = queries::shifting_hotspot(QUERIES, DOMAIN, 0.01, 4, 0.05, 7);
-    let cases = [
-        ("tiers", AdaptiveConfig::with_tiers(), sawtooth, points),
-        ("reorg", AdaptiveConfig::with_reorg(), clustered, hotspot),
-    ];
-    for (name, adaptive, column, preds) in cases {
-        let mut inline = Owner::new(column.clone(), 2, adaptive.clone());
-        let mut served = Owner::new(column, 2, adaptive);
-        let state = |owner: &Owner<i64>| {
-            let totals = owner.totals();
-            let events: Vec<_> = (0..owner.num_shards())
-                .map(|s| owner.lane(s).trace().totals())
-                .collect();
-            let (reorg, tiers) = (totals.reorg, totals.tiers);
-            (
-                owner.zone_snapshot(),
-                events,
-                (reorg.zones_promoted, reorg.zones_demoted, reorg.bytes_moved),
-                (tiers.tiers_built(), tiers.tiers_dropped, tiers.tier_skips),
-            )
-        };
-        for (step, q) in preds.iter().enumerate() {
-            let pred = RangePredicate::between(q.lo, q.hi);
-            let (want, _) = inline.execute(pred, AggKind::Count);
-            let (got, _) = served.execute(pred, AggKind::Count);
-            served.maintain();
-            served.maintain();
-            assert_eq!(got.count, want.count, "{name}: answer at step {step}");
-            assert_eq!(state(&served), state(&inline), "{name}: step {step}");
-        }
-        let events = state(&inline).1;
-        let moved: u64 = events
-            .iter()
-            .map(|e| e.promoted + e.demoted + e.tier_built + e.tier_dropped)
-            .sum();
-        assert!(moved > 0, "{name}: the stream never ran a pass that acted");
+    let column = data::sawtooth(ROWS, 16, DOMAIN);
+    let preds = queries::point_queries(QUERIES, DOMAIN, 7);
+    let adaptive = AdaptiveConfig::with_tiers();
+    let mut inline = Owner::new(column.clone(), 2, adaptive.clone());
+    let mut served = Owner::new(column, 2, adaptive);
+    let state = |owner: &Owner<i64>| {
+        let tiers = owner.totals().tiers;
+        let events: Vec<_> = (0..owner.num_shards())
+            .map(|s| owner.lane(s).trace().totals())
+            .collect();
+        (
+            owner.zone_snapshot(),
+            events,
+            (tiers.tiers_built(), tiers.tiers_dropped, tiers.tier_skips),
+        )
+    };
+    for (step, q) in preds.iter().enumerate() {
+        let pred = RangePredicate::between(q.lo, q.hi);
+        let (want, _) = inline.execute(pred, AggKind::Count);
+        let (got, _) = served.execute(pred, AggKind::Count);
+        served.maintain();
+        served.maintain();
+        assert_eq!(got.count, want.count, "answer at step {step}");
+        assert_eq!(state(&served), state(&inline), "step {step}");
     }
+    let events = state(&inline).1;
+    let moved: u64 = events.iter().map(|e| e.tier_built + e.tier_dropped).sum();
+    assert!(moved > 0, "the stream never ran a pass that acted");
 }
 
 #[test]
@@ -328,16 +316,15 @@ fn frozen_mode_answers_exactly_and_never_adapts() {
 }
 
 #[test]
-fn reorg_enabled_service_answers_exactly_and_counts_promotions() {
-    // Hot clustered workload with reorganization on: the service must
-    // produce exact answers while zones get promoted, and the stats
-    // surface must report the promotions.
+fn hot_workload_service_answers_exactly_with_a_round_after_every_query() {
+    // Hot clustered workload with a maintenance round due after every
+    // query: the service must produce exact answers while the round
+    // keeps adapting the lanes between queries.
     let column = data::clustered(ROWS, 80, 0.05, DOMAIN, 42);
     let preds = queries::hotspot_ranges(QUERIES, DOMAIN, 0.05, 0.3, 0.2, 7);
     let adaptive = AdaptiveConfig {
-        reorg_after_scans: 2,
         maintenance_every: 1,
-        ..AdaptiveConfig::with_reorg()
+        ..AdaptiveConfig::default()
     };
     let expected: Vec<u64> = preds
         .iter()
@@ -355,17 +342,11 @@ fn reorg_enabled_service_answers_exactly_and_counts_promotions() {
         let pred = RangePredicate::between(q.lo, q.hi);
         let reply = svc.query(pred, AggKind::Count).expect("admitted");
         assert_eq!(reply.answer().expect("no deadline").count, want);
-        // Serialize so the maintenance thread's reorg pass runs between
-        // queries and republishes promoted lanes.
+        // Serialize so the maintenance round runs between queries and
+        // republishes the lanes it moved.
         svc.flush();
     }
-    let stats = svc.shutdown();
-    assert!(stats.zones_promoted > 0, "hot workload promoted no zones");
-    assert!(stats.reorg_bytes_moved > 0, "promotion moved no bytes");
-    assert!(
-        stats.summary().contains("reorg_promoted="),
-        "summary must surface reorg counters"
-    );
+    svc.shutdown();
 }
 
 #[test]
@@ -488,8 +469,8 @@ fn a_zone_that_keeps_wasting_scans_gets_its_mask_without_a_flush() {
 
 /// The totals every owner keeps, whoever drives it, by name; the last two
 /// are gauges, the rest only ever grow. Left out: the publication counters
-/// (the reference never publishes) and `reorg_ns` (a wall time).
-fn owner_totals(s: &ServerStats) -> [(&'static str, u64); 14] {
+/// (the reference never publishes).
+fn owner_totals(s: &ServerStats) -> [(&'static str, u64); 11] {
     [
         ("feedback_stale", s.feedback_stale),
         ("appends", s.appends),
@@ -497,9 +478,6 @@ fn owner_totals(s: &ServerStats) -> [(&'static str, u64); 14] {
         ("mutation_batches", s.mutation_batches),
         ("compactions_run", s.compactions_run),
         ("rows_reclaimed", s.rows_reclaimed),
-        ("zones_promoted", s.zones_promoted),
-        ("zones_demoted", s.zones_demoted),
-        ("reorg_bytes_moved", s.reorg_bytes_moved),
         ("tiers_built", s.tiers_built),
         ("tiers_dropped", s.tiers_dropped),
         ("tier_skips", s.tier_skips),
@@ -516,12 +494,11 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
     // whatever the operation: queries, appends, delete and update
     // batches, explicit compactions, and (second pass) compactions the
     // tombstone ratio triggers by itself; a frozen service, whose owner
-    // hears no feedback, must give the same answers. Reorganization,
-    // tiers and revival are on, so the lanes compaction retires have
-    // counters to lose — no total may ever go backwards, in any mode —
-    // and the reference must run the revival poll where the round runs
-    // it. Zones of 8,192 rows that three probes find no skip in die, and
-    // revive 8 queries later, before reorganization can promote them:
+    // hears no feedback, must give the same answers. Tiers and revival
+    // are on, so the lanes compaction retires have counters to lose — no
+    // total may ever go backwards, in any mode — and the reference must
+    // run the revival poll where the round runs it. Zones of 8,192 rows
+    // that three probes find no skip in die, and revive 8 queries later:
     // the stream must see both happen.
     const SHARDS: usize = 2;
     const STEPS: usize = 260;
@@ -532,9 +509,6 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
         deactivate_after_probes: 3,
         revival_base_queries: Some(8),
         maintenance_every: 1,
-        enable_reorg: true,
-        reorg_hot_factor: 1.0,
-        reorg_after_scans: 4,
         enable_tiers: true,
         tier_after_scans: 2,
         ..AdaptiveConfig::default()
@@ -653,7 +627,7 @@ fn one_op_stream_drives_every_mode_s_owner_through_the_same_steps() {
         assert!(owner.compactions_run > 0, "the stream never compacted");
         assert_eq!(unasked, ratio.is_some(), "automatic compaction");
         assert!(
-            owner.zones_promoted > 0 && owner.tiers_built > 0 && owner.tier_skips > 0,
+            owner.tiers_built > 0 && owner.tier_skips > 0,
             "nothing for a compaction to lose: {}",
             owner.summary()
         );

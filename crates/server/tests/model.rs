@@ -1,6 +1,6 @@
 //! Model-checked protocol suites: the concurrency protocols of the
 //! server — snapshot publish/read, lane isolation, queue admission,
-//! shutdown drain, stats, reorg publication, mutation
+//! shutdown drain, stats, tier publication, mutation
 //! (delta-publication and compaction), lane identity across a
 //! compaction, and the scan helpers' job board — exhaustively verified
 //! at small scale by `ads-check`.
@@ -25,7 +25,7 @@ use ads_check::sync::atomic::{AtomicU64, Ordering};
 use ads_check::sync::{thread, Arc};
 use ads_check::{model, try_model, Config};
 use ads_core::adaptive::{AdaptiveConfig, AdaptiveZonemap};
-use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex, UnitWork};
+use ads_core::{RangeObservation, RangePredicate, ScanObservation, SkippingIndex};
 use ads_engine::{scan_sharded, AggKind, ExecPolicy, ShardScanInput};
 use ads_server::{
     help_loop, Board, Bounded, Mutation, Owner, OwnerTotals, PushError, Runs, ShardSnapshot,
@@ -377,168 +377,20 @@ fn corrected_acquire_generation_read_is_clean() {
     });
 }
 
-// ------------------------------------------- Reorg publication protocol
+// ------------------------------------------- Tier publication protocol
 
-/// The 4-row column every reorg-protocol snapshot is built over.
-fn reorg_data() -> Vec<i64> {
+/// The 4-row column the lane-protocol snapshots below are built over.
+fn four_rows() -> Vec<i64> {
     vec![3, 1, 2, 0]
 }
 
-/// A lane over [`reorg_data`] whose single zone has been promoted to the
-/// reorganized layout: one inline query builds the zone, `apply_reorg`
-/// promotes it (both on the owner's side, before any publication).
-fn reorg_snap(version: u64) -> ShardSnapshot<i64> {
-    let data = reorg_data();
-    let mut zm = AdaptiveZonemap::new(
-        data.len(),
-        AdaptiveConfig {
-            reorg_after_scans: 1,
-            reorg_demote_idle: 1,
-            ..AdaptiveConfig::with_reorg()
-        },
-    );
-    let pred = RangePredicate::between(1, 2);
-    let outcome = SkippingIndex::prune(&mut zm, &pred);
-    let ranges = outcome
-        .units
-        .iter()
-        .map(|u| {
-            let u = u.range;
-            let (q, min, max) =
-                ads_storage::scan::count_in_range_with_minmax(&data[u.start..u.end], 1, 2);
-            RangeObservation::new(u, q, min, max)
-        })
-        .collect();
-    zm.observe(&ScanObservation {
-        predicate: pred,
-        ranges,
-        walk: outcome,
-    });
-    zm.apply_reorg(&data);
-    assert_eq!(
-        zm.trace().totals().promoted,
-        1,
-        "setup must promote the zone"
-    );
-    ShardSnapshot {
-        delete: Arc::new(DeleteVector::new(data.len(), 0)),
-        data: SharedColumn::new(data),
-        zonemap: zm,
-        start: 0,
-        version,
-    }
-}
-
-/// Promotion publishes layout flag and positional payload as ONE snapshot
-/// swap: under every interleaving a refreshing reader sees either the old
-/// all-flat lane or the new lane with exactly its promoted zone + payload
-/// — never a torn mixture (version/state coupling proves atomicity).
-#[test]
-fn reorg_promotion_publishes_layout_and_payload_atomically() {
-    model(|| {
-        let cell = Arc::new(ShardedCell::new(vec![shard_snap(0, 4, 0)]));
-        let c2 = Arc::clone(&cell);
-        let writer = thread::spawn(move || c2.publish_shard(0, reorg_snap(1)));
-        let mut cache = cell.cache();
-        cache.refresh(&cell);
-        let snap = cache.lanes()[0].current();
-        if snap.version == 0 {
-            assert_eq!(
-                snap.zonemap.zones_reorganized(),
-                0,
-                "pre-reorg snapshot carries a reorganized layout flag"
-            );
-        } else {
-            assert_eq!(
-                snap.zonemap.zones_reorganized(),
-                1,
-                "post-reorg snapshot lost its payload"
-            );
-            // The flag is backed by a live payload: a shared prune
-            // resolves the predicate positionally, with the right rows.
-            let out = snap.zonemap.prune_shared(&RangePredicate::between(1, 2));
-            assert_eq!(
-                out.rows_positional_match(),
-                2,
-                "layout flag without payload"
-            );
-        }
-        writer.join().unwrap();
-        cache.refresh(&cell);
-        assert_eq!(cache.lanes()[0].current().zonemap.zones_reorganized(), 1);
-    });
-}
-
-/// Demotion on the owner's authoritative copy cannot race a reader's held
-/// snapshot: the payload Arc is shared copy-on-write, so dropping the
-/// owner's reference (and republishing a flat lane) leaves the reader's
-/// positional zone fully usable under every interleaving.
-#[test]
-fn reorg_demotion_cannot_invalidate_a_held_snapshot() {
-    model(|| {
-        let snap = reorg_snap(1);
-        // The owner's authoritative copy shares the payload Arc with the
-        // snapshot about to be published.
-        let owner_zm = snap.zonemap.clone();
-        let cell = Arc::new(ShardedCell::new(vec![snap]));
-        let mut cache = cell.cache();
-        cache.refresh(&cell);
-        let held = std::sync::Arc::clone(cache.lanes()[0].current());
-
-        let c2 = Arc::clone(&cell);
-        let writer = thread::spawn(move || {
-            let mut zm = owner_zm;
-            let data = reorg_data();
-            // A bounds-skipping query ages the zone past the idle
-            // threshold; the next reorg pass demotes it, dropping the
-            // owner's payload reference.
-            inline_query(&mut zm, &data, RangePredicate::between(100, 200));
-            let demoted = zm.trace().totals().demoted;
-            zm.apply_reorg(&data);
-            assert_eq!(
-                zm.trace().totals().demoted - demoted,
-                1,
-                "owner must demote the idle zone"
-            );
-            c2.publish_shard(
-                0,
-                ShardSnapshot {
-                    delete: Arc::new(DeleteVector::new(data.len(), 0)),
-                    data: SharedColumn::new(data),
-                    zonemap: zm,
-                    start: 0,
-                    version: 2,
-                },
-            );
-        });
-
-        // Concurrent with the demotion: the held snapshot keeps answering
-        // positionally, with correct row coverage.
-        assert_eq!(held.zonemap.zones_reorganized(), 1);
-        let out = held.zonemap.prune_shared(&RangePredicate::between(1, 2));
-        assert_eq!(out.units.len(), 1);
-        let unit = &out.units[0];
-        assert!(matches!(unit.work, UnitWork::Positional { .. }));
-        assert_eq!(unit.range.start, 0);
-        assert_eq!(unit.range.end, 4);
-
-        writer.join().unwrap();
-        cache.refresh(&cell);
-        let fresh = cache.lanes()[0].current();
-        assert_eq!(fresh.version, 2);
-        assert_eq!(fresh.zonemap.zones_reorganized(), 0, "demotion published");
-    });
-}
-
-// ------------------------------------------- Tier publication protocol
-
-/// A lane over [`reorg_data`] whose single zone carries a bloom sketch
+/// A lane over [`four_rows`] whose single zone carries a bloom sketch
 /// tier: one inline query earns the scan, `apply_tiers` builds the
 /// sketch (both on the owner's side, before any publication). Value 7 is
 /// absent from the data and verified rejected by the sketch, so a tier
 /// probe for it must skip the zone.
 fn tier_snap(version: u64) -> ShardSnapshot<i64> {
-    let data = reorg_data();
+    let data = four_rows();
     let mut zm = AdaptiveZonemap::new(
         data.len(),
         AdaptiveConfig {
@@ -637,7 +489,7 @@ fn tier_drop_cannot_invalidate_a_held_snapshot() {
         let c2 = Arc::clone(&cell);
         let writer = thread::spawn(move || {
             let mut zm = owner_zm;
-            let data = reorg_data();
+            let data = four_rows();
             // A hitless consultation: value 3 is present, so the sketch
             // admits it and the zone scans anyway. The 1-probe drop
             // window then judges the tier useless and retires it.
@@ -678,7 +530,7 @@ fn tier_drop_cannot_invalidate_a_held_snapshot() {
 
 // ------------------------------------------- Demand-driven feedback protocol
 
-/// One zone over [`reorg_data`] that deactivation retires after a single
+/// One zone over [`four_rows`] that deactivation retires after a single
 /// fruitless probe and revival hands back, one query later, as one
 /// unbuilt zone over the same four rows — so feedback from a reader that
 /// pruned any earlier state still aligns with the zone.
@@ -746,11 +598,11 @@ fn assert_bounds_cover_rows(zm: &AdaptiveZonemap<i64>, data: &[i64], when: &str)
 #[test]
 fn boundsless_feedback_across_revival_never_builds_unsound_bounds() {
     let explored = model(|| {
-        let data = reorg_data();
+        let data = four_rows();
         let pred = RangePredicate::between(1, 2);
         let snap = |zm: &AdaptiveZonemap<i64>, version: u64| ShardSnapshot {
             delete: Arc::new(DeleteVector::new(4, 0)),
-            data: SharedColumn::new(reorg_data()),
+            data: SharedColumn::new(four_rows()),
             zonemap: zm.clone(),
             start: 0,
             version,
@@ -761,7 +613,7 @@ fn boundsless_feedback_across_revival_never_builds_unsound_bounds() {
 
         let (c2, f2) = (Arc::clone(&cell), Arc::clone(&feedback));
         let maintenance = thread::spawn(move || {
-            let data = reorg_data();
+            let data = four_rows();
             inline_query(&mut zm, &data, pred);
             assert_eq!(zm.zone_snapshot()[0].1, "built");
             c2.publish_shard(0, snap(&zm, 1));
@@ -790,9 +642,7 @@ fn boundsless_feedback_across_revival_never_builds_unsound_bounds() {
         let outcome = held.zonemap.prune_shared(&pred);
         // Only a zone still unbuilt in the snapshot asks for its bounds.
         let unbuilt = matches!(held.version, 0 | 3);
-        assert!(
-            matches!(outcome.units[0].work, UnitWork::Scan(request) if request.bounds == unbuilt)
-        );
+        assert_eq!(outcome.units[0].request.bounds, unbuilt);
         let (count, obs) = scan_as_asked(held.data.as_slice(), &outcome, pred);
         assert_eq!(count, 2, "stale metadata changed an answer");
         assert_eq!(obs.ranges[0].bounds.is_some(), unbuilt);

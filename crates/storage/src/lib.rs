@@ -32,7 +32,6 @@ pub mod error;
 pub mod mutation;
 pub mod parallel;
 pub mod ranges;
-pub mod reorg;
 pub mod scan;
 pub mod sharded;
 pub mod shared;
@@ -46,7 +45,6 @@ pub use column::Column;
 pub use error::{Result, StorageError};
 pub use mutation::DeleteVector;
 pub use ranges::{RangeSet, RowRange};
-pub use reorg::ReorgZone;
 pub use sharded::ShardedColumn;
 pub use shared::SharedColumn;
 pub use sketch::BloomSketch;

@@ -7,12 +7,9 @@
 
 use adaptive_data_skipping::baselines::{ColumnImprints, CrackerColumn, SortedOracle};
 use adaptive_data_skipping::core::adaptive::ShardedZonemap;
-use adaptive_data_skipping::core::adaptive::{
-    AdaptiveConfig, AdaptiveZonemap, ReorgStats, TierStats,
-};
+use adaptive_data_skipping::core::adaptive::{AdaptiveConfig, AdaptiveZonemap, TierStats};
 use adaptive_data_skipping::core::{
-    RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap, UnitRequest,
-    UnitWork,
+    RangeObservation, RangePredicate, ScanObservation, SkippingIndex, StaticZonemap,
 };
 use adaptive_data_skipping::engine::execute_sharded;
 use adaptive_data_skipping::engine::{
@@ -1209,10 +1206,7 @@ fn soa_prune_plane_matches_aos_reference() {
                     // The value masks the scans were asked for, so zones
                     // get a mask beside their tier.
                     for (ro, unit) in obs.ranges.iter_mut().zip(&plane_out.units) {
-                        if let UnitWork::Scan(UnitRequest {
-                            bins: Some(layout), ..
-                        }) = unit.work
-                        {
+                        if let Some(layout) = unit.request.bins {
                             let rows = &data[unit.range.start..unit.range.end];
                             ro.mask =
                                 Some(rows.iter().fold(0, |m, &v| m | 1 << layout.bin(v as f64)));
@@ -1308,10 +1302,9 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
     // its own: a twin that serves every query off a clone published at
     // its current epoch (`prune_shared`, then `apply_feedback` with the
     // walk in the observation) keeps every zone record — overlap and
-    // visit counts, tier window, idle stamps — and the lifetime counters
-    // equal to the inline map's (`prune`, then `observe`) after every
-    // query, through splits, merges, deactivation, revival, tiers and
-    // reorganization.
+    // visit counts, tier window — and the lifetime counters equal to the
+    // inline map's (`prune`, then `observe`) after every query, through
+    // splits, merges, deactivation, revival and tiers.
     let configs = [
         test_config(),
         AdaptiveConfig {
@@ -1320,15 +1313,8 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
             tier_drop_after: 4,
             ..test_config()
         },
-        AdaptiveConfig {
-            enable_reorg: true,
-            reorg_after_scans: 1,
-            reorg_demote_idle: 2,
-            reorg_hot_factor: 0.0,
-            ..test_config()
-        },
     ];
-    let mut reached = [0u64; 6];
+    let mut reached = [0u64; 5];
     for (case, config) in (0..CASES).flat_map(|case| configs.iter().map(move |c| (case, c))) {
         let mut rng = StdRng::seed_from_u64(0x5EA7 ^ case);
         let mut data = gen_data(&mut rng, 3000);
@@ -1364,7 +1350,8 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
                 published = twin.clone_for_readers();
             }
             let walked = published.prune_shared(&pred);
-            // Debug, not `==`: the two maps built their payloads apart.
+            // Debug, not `==`: under `audit` it compares the decision
+            // trace too.
             assert_eq!(
                 format!("{walked:?}"),
                 format!("{mutable_out:?}"),
@@ -1390,7 +1377,6 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
             totals.split,
             totals.merged,
             totals.revived,
-            totals.promoted,
             totals.tier_built,
             tiers.tier_skips,
         ]) {
@@ -1399,7 +1385,7 @@ fn shared_prune_matches_mutable_prune_after_publication_poll() {
     }
     assert!(
         reached.iter().all(|&n| n > 0),
-        "splits/merges/revivals/promotions/tiers/tier skips reached: {reached:?}"
+        "splits/merges/revivals/tiers/tier skips reached: {reached:?}"
     );
 }
 
@@ -1412,7 +1398,7 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
     // fragment that is the whole zone. And a zone probed is a zone probed:
     // when the alive set touches every zone, a map that only ever runs the
     // restricted prune must stay in step with one that runs the full prune
-    // — tiers earned and dropped, zones promoted and demoted.
+    // — tiers earned and dropped.
     let configs = [
         test_config(),
         AdaptiveConfig {
@@ -1421,17 +1407,10 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
             tier_drop_after: 4,
             ..test_config()
         },
-        AdaptiveConfig {
-            enable_reorg: true,
-            reorg_after_scans: 1,
-            reorg_demote_idle: 2,
-            reorg_hot_factor: 0.0,
-            ..test_config()
-        },
     ];
-    // Tier skips, tiers dropped, payload bytes moved and zones demoted
-    // over all cases: the extra configs must reach what they are here for.
-    let mut reached = [0u64; 4];
+    // Tier skips and tiers dropped over all cases: the tiers config must
+    // reach what it is here for.
+    let mut reached = [0u64; 2];
     for (case, config) in (0..CASES).flat_map(|case| configs.iter().map(move |c| (case, c))) {
         let mut rng = StdRng::seed_from_u64(0x5EA8 ^ case);
         let data = gen_data(&mut rng, 3000);
@@ -1477,15 +1456,12 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
             );
             let snapshot = zm.zone_snapshot();
             for unit in &full.units {
-                let UnitWork::Scan(request) = unit.work else {
-                    continue;
-                };
                 let label = snapshot
                     .iter()
                     .find(|(r, ..)| *r == unit.range)
                     .map(|z| z.1);
                 assert_eq!(
-                    request.bounds,
+                    unit.request.bounds,
                     matches!(label, Some("unbuilt" | "built~")),
                     "case {case} step {step}: unit {unit:?} of a {label:?} zone"
                 );
@@ -1503,11 +1479,7 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                     build_ns: 0,
                     ..map.tier_stats()
                 };
-                let reorg = ReorgStats {
-                    reorg_ns: 0,
-                    ..map.reorg_stats()
-                };
-                (map.zone_snapshot(), tiers, reorg)
+                (map.zone_snapshot(), tiers)
             };
             assert_eq!(
                 left_behind(&within_zm),
@@ -1515,11 +1487,9 @@ fn restricted_prune_asks_for_what_the_full_prune_would() {
                 "case {case} step {step}: restricted prune left a different map behind"
             );
         }
-        let (tiers, reorg) = (within_zm.tier_stats(), within_zm.reorg_stats());
+        let tiers = within_zm.tier_stats();
         reached[0] += tiers.tier_skips;
         reached[1] += tiers.tiers_dropped;
-        reached[2] += reorg.bytes_moved;
-        reached[3] += reorg.zones_demoted;
     }
     assert!(reached.iter().all(|&n| n > 0), "unreached: {reached:?}");
 }
